@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Sequence
 
 from .linalg import Span, Vec, solve, vec_add, vec_scale
 from .lts import Subspace, analyze, intersect_spans, is_lts, isotropy_rotate
-from .scalars import I, ONE, Scalar, ZERO, rat, sqrt
+from .scalars import I, ONE, Scalar, ZERO, parse_scalar, rat, sqrt
 from .spaces import SpaceModel, build_space
 
 
@@ -1098,8 +1098,6 @@ def parse_flat_vector(sp: SpaceModel, text: str) -> Vec:
     Terms are coefficient*lk combinations of the dual basis vectors lk;
     an optional top-level /scalar divides the whole sum.
     """
-    from .scalars import parse_scalar
-
     text = text.strip()
     num, den = text, None
     depth = 0
@@ -1158,5 +1156,8 @@ def parse_flat_vector(sp: SpaceModel, text: str) -> Vec:
             raise ValueError(f"unrecognized term {term!r}")
         out = vec_add(out, vec_scale(rat(sign) * coef, sp.sharp[label]))
     if den is not None:
-        out = vec_scale(parse_scalar(den).inv(), out)
+        divisor = parse_scalar(den)
+        if divisor.is_zero():
+            raise ValueError(f"division by zero in {text!r}")
+        out = vec_scale(divisor.inv(), out)
     return out

@@ -3,10 +3,14 @@ exceptional Jordan algebra, the projective variety realizing the Hermitian
 exceptional space, its involutions, and the explicit equivariant embeddings of
 the classical Grassmannian/projective models into that variety.
 
-Everything is computed over exact rational data: quaternions and octonions
-carry ``Fraction`` coordinates, the complexifications adjoin a central unit
-``I`` with ``I**2 == -1``, and all identities (base points, equivariance,
-variety membership, polar periods) are checked with zero tolerance.
+Everything is computed over exact rational data: complex numbers, quaternions
+and octonions carry ``Fraction`` coordinates, and one type, ``Cx``, adjoins a
+central unit ``I`` with ``I**2 == -1`` to any of them.  Over the quaternions
+and octonions it gives the complexified algebras of the Jordan model; over
+the complex numbers it gives the bicomplex entries of the 6x6 matrix model.
+The matrix helpers are ring-generic and serve every entry type.  All
+identities (base points, equivariance, variety membership, polar periods) are
+checked with zero tolerance.
 """
 
 from __future__ import annotations
@@ -14,7 +18,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Iterable, Sequence
+
+from . import linalg
+from .scalars import rat
 
 
 class ZeroElement(ValueError):
@@ -91,6 +99,9 @@ class CNum:
 
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
+
+    def coords(self) -> tuple:
+        return (self.re, self.im)
 
     def __str__(self) -> str:
         sign = "+" if self.im >= 0 else "-"
@@ -242,11 +253,6 @@ OCT_BASIS = tuple(Octonion(q, Q_ZERO) for q in QUAT_BASIS) + tuple(
     Octonion(Q_ZERO, q) for q in QUAT_BASIS)
 
 
-def oct_mul(x: Octonion, y: Octonion) -> Octonion:
-    """Exact octonion product (module-level alias for ``x * y``)."""
-    return x * y
-
-
 def oct_inner(x: Octonion, y: Octonion) -> Fraction:
     """The polarization ``B(x, y)`` of the octonion norm form."""
     return ((x + y).norm2() - x.norm2() - y.norm2()) / 2
@@ -259,148 +265,121 @@ def random_octonion(rng: random.Random, span: int = 5) -> Octonion:
 
 
 # ---------------------------------------------------------------------------
-# complexified quaternions and octonions (adjoining the central unit I)
+# adjoining the central unit I to complex numbers, quaternions and octonions
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class CxQuaternion:
-    """A complexified quaternion ``re + I*im`` (``I`` central, ``I**2 = -1``)."""
+class Cx:
+    """An element ``re + I*im`` of a base ring (``CNum``, ``Quaternion`` or
+    ``Octonion``) with a central unit ``I``, ``I**2 = -1``, adjoined.
 
-    re: Quaternion = Q_ZERO
-    im: Quaternion = Q_ZERO
+    Over the quaternions and octonions this is their complexification, and
+    ``I`` is the unit the projective quotient scales by.  Over ``CNum`` it is
+    the bicomplex entry ring of the 6x6 matrix model: the base unit ``i``
+    (the internal unit) and ``I`` are commuting square roots of -1, and the
+    ring has zero divisors (e.g. ``(1 + i*I)(1 - i*I) = 0``).
+    """
 
-    def __add__(self, other: "CxQuaternion") -> "CxQuaternion":
-        return CxQuaternion(self.re + other.re, self.im + other.im)
+    re: object
+    im: object
 
-    def __sub__(self, other: "CxQuaternion") -> "CxQuaternion":
-        return CxQuaternion(self.re - other.re, self.im - other.im)
+    def __add__(self, other: "Cx") -> "Cx":
+        return Cx(self.re + other.re, self.im + other.im)
 
-    def __neg__(self) -> "CxQuaternion":
-        return CxQuaternion(-self.re, -self.im)
+    def __sub__(self, other: "Cx") -> "Cx":
+        return Cx(self.re - other.re, self.im - other.im)
 
-    def __mul__(self, other: "CxQuaternion") -> "CxQuaternion":
+    def __neg__(self) -> "Cx":
+        return Cx(-self.re, -self.im)
+
+    def __mul__(self, other: "Cx") -> "Cx":
         a, b = self.re, self.im
         c, d = other.re, other.im
-        return CxQuaternion(a * c - b * d, a * d + b * c)
+        return Cx(a * c - b * d, a * d + b * c)
 
-    def conj_q(self) -> "CxQuaternion":
-        """Quaternionic conjugation, extended I-linearly."""
-        return CxQuaternion(self.re.conj(), self.im.conj())
+    def conj(self) -> "Cx":
+        """Conjugation of the base ring, extended I-linearly."""
+        return Cx(self.re.conj(), self.im.conj())
 
-    def conj_I(self) -> "CxQuaternion":
+    def conj_I(self) -> "Cx":
         """Conjugation of the central unit I."""
-        return CxQuaternion(self.re, -self.im)
+        return Cx(self.re, -self.im)
 
-    def times_I(self) -> "CxQuaternion":
-        return CxQuaternion(-self.im, self.re)
+    def times_I(self) -> "Cx":
+        return Cx(-self.im, self.re)
 
     def is_zero(self) -> bool:
         return self.re.is_zero() and self.im.is_zero()
 
-    def scalar_value(self) -> CNum:
-        """The value of a scalar element; raises if it is not scalar."""
-        if (self.re.x, self.re.y, self.re.z) != (0, 0, 0) or \
-                (self.im.x, self.im.y, self.im.z) != (0, 0, 0):
-            raise ValueError(f"not a scalar complexified quaternion: {self}")
-        return CNum(self.re.w, self.im.w)
-
-    @staticmethod
-    def from_quat(q: Quaternion) -> "CxQuaternion":
-        return CxQuaternion(q, Q_ZERO)
-
-    @staticmethod
-    def from_cnum(c: CNum) -> "CxQuaternion":
-        return CxQuaternion(Quaternion(c.re), Quaternion(c.im))
-
-    def __str__(self) -> str:
-        return f"{self.re} + I*{self.im}"
-
-
-HC_ZERO = CxQuaternion()
-HC_ONE = CxQuaternion(Q_ONE, Q_ZERO)
-# The idempotent (1 + i*I)/2 used throughout the block isomorphisms.
-HC_EPS = CxQuaternion(Q_ONE.scale(Fraction(1, 2)), Q_I.scale(Fraction(1, 2)))
-
-
-@dataclass(frozen=True)
-class CxOctonion:
-    """A complexified octonion ``re + I*im`` (``I`` central, ``I**2 = -1``)."""
-
-    re: Octonion = O_ZERO
-    im: Octonion = O_ZERO
-
-    def __add__(self, other: "CxOctonion") -> "CxOctonion":
-        return CxOctonion(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: "CxOctonion") -> "CxOctonion":
-        return CxOctonion(self.re - other.re, self.im - other.im)
-
-    def __neg__(self) -> "CxOctonion":
-        return CxOctonion(-self.re, -self.im)
-
-    def __mul__(self, other: "CxOctonion") -> "CxOctonion":
-        a, b = self.re, self.im
-        c, d = other.re, other.im
-        return CxOctonion(a * c - b * d, a * d + b * c)
-
-    def conj_oct(self) -> "CxOctonion":
-        """Octonionic conjugation, extended I-linearly."""
-        return CxOctonion(self.re.conj(), self.im.conj())
-
-    def conj_I(self) -> "CxOctonion":
-        """Conjugation of the central unit I."""
-        return CxOctonion(self.re, -self.im)
-
-    def gamma0(self) -> "CxOctonion":
-        """The involution fixing the complexified quaternion subalgebra."""
-        return CxOctonion(Octonion(self.re.a, -self.re.b),
-                          Octonion(self.im.a, -self.im.b))
-
     def norm2(self) -> CNum:
-        """The complex-bilinear extension of the octonion norm form."""
+        """The complex-bilinear extension of the quaternion or octonion norm
+        form."""
         return CNum(self.re.norm2() - self.im.norm2(),
                     2 * oct_inner(self.re, self.im))
 
-    def scale(self, c: CNum) -> "CxOctonion":
-        return CxOctonion(self.re.scale(c.re) - self.im.scale(c.im),
-                          self.re.scale(c.im) + self.im.scale(c.re))
-
-    def is_zero(self) -> bool:
-        return self.re.is_zero() and self.im.is_zero()
+    def scale(self, c: CNum) -> "Cx":
+        """Multiplication by the complex number ``c`` over the unit I."""
+        return Cx(self.re.scale(c.re) - self.im.scale(c.im),
+                  self.re.scale(c.im) + self.im.scale(c.re))
 
     def coords(self) -> tuple:
-        """Eight complex coordinates over the octonion basis."""
+        """Complex coordinates (over I) along the basis of the base ring."""
         r, m = self.re.coords(), self.im.coords()
-        return tuple(CNum(r[k], m[k]) for k in range(8))
+        return tuple(CNum(a, b) for a, b in zip(r, m))
 
-    @staticmethod
-    def from_oct(x: Octonion) -> "CxOctonion":
-        return CxOctonion(x, O_ZERO)
-
-    @staticmethod
-    def from_cnum(c: CNum) -> "CxOctonion":
-        return CxOctonion(O_ONE.scale(c.re), O_ONE.scale(c.im))
-
-    @staticmethod
-    def from_quat_pair(h: CxQuaternion, q: CxQuaternion) -> "CxOctonion":
-        """The element ``h + q*e`` of the quaternionic splitting."""
-        return CxOctonion(Octonion(h.re, q.re), Octonion(h.im, q.im))
-
-    def quat_pair(self) -> tuple:
-        """Split as ``(h, q)`` with the element equal to ``h + q*e``."""
-        return (CxQuaternion(self.re.a, self.im.a),
-                CxQuaternion(self.re.b, self.im.b))
+    def scalar_value(self) -> CNum:
+        """The value of a scalar element; raises if it is not scalar."""
+        r, m = self.re.coords(), self.im.coords()
+        if any(r[1:]) or any(m[1:]):
+            raise ValueError(f"not a scalar: {self}")
+        return CNum(r[0], m[0])
 
     def __str__(self) -> str:
         return f"{self.re} + I*{self.im}"
 
 
-OC_ZERO = CxOctonion()
-OC_ONE = CxOctonion(O_ONE, O_ZERO)
+def from_cnum(c: CNum, one) -> Cx:
+    """The complex number ``c`` over the central unit I, in the base ring
+    whose unit is ``one`` (a quaternion or an octonion).
+
+    Not to be confused with the bicomplex embedding ``Cx(c, C_ZERO)``, which
+    places ``c`` over the internal unit i."""
+    return Cx(one.scale(c.re), one.scale(c.im))
+
+
+def gamma0(x: Cx) -> Cx:
+    """The involution of the complexified octonions fixing the complexified
+    quaternion subalgebra."""
+    return Cx(Octonion(x.re.a, -x.re.b), Octonion(x.im.a, -x.im.b))
+
+
+def from_quat_pair(h: Cx, q: Cx) -> Cx:
+    """The complexified octonion ``h + q*e`` of the quaternionic splitting."""
+    return Cx(Octonion(h.re, q.re), Octonion(h.im, q.im))
+
+
+def quat_pair(x: Cx) -> tuple:
+    """Split a complexified octonion as ``(h, q)`` with ``x = h + q*e``."""
+    return Cx(x.re.a, x.im.a), Cx(x.re.b, x.im.b)
+
+
+HC_ZERO = Cx(Q_ZERO, Q_ZERO)
+HC_ONE = Cx(Q_ONE, Q_ZERO)
+# The idempotent (1 + i*I)/2 used throughout the block isomorphisms.
+HC_EPS = Cx(Q_ONE.scale(Fraction(1, 2)), Q_I.scale(Fraction(1, 2)))
+
+OC_ZERO = Cx(O_ZERO, O_ZERO)
+OC_ONE = Cx(O_ONE, O_ZERO)
 # The octonion (1 + i*I)/2 * e appearing in quoted base points.
-OC_EPS_E = CxOctonion(Octonion(Q_ZERO, Q_ONE.scale(Fraction(1, 2))),
-                      Octonion(Q_ZERO, Q_I.scale(Fraction(1, 2))))
+OC_EPS_E = Cx(Octonion(Q_ZERO, Q_ONE.scale(Fraction(1, 2))),
+              Octonion(Q_ZERO, Q_I.scale(Fraction(1, 2))))
+
+BC_ZERO = Cx(C_ZERO, C_ZERO)
+BC_ONE = Cx(C_ONE, C_ZERO)
+# The idempotent-generating scalar (1 + i*I)/2.
+BC_EPS = Cx(CNum(Fraction(1, 2)), CNum(0, Fraction(1, 2)))
+BC_EPS_BAR = BC_EPS.conj()
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +405,7 @@ class JordanElement:
     x: tuple
 
     @staticmethod
-    def make(xi: Sequence[CNum], x: Sequence[CxOctonion]) -> "JordanElement":
+    def make(xi: Sequence[CNum], x: Sequence[Cx]) -> "JordanElement":
         xi = tuple(xi)
         x = tuple(x)
         if len(xi) != 3 or len(x) != 3:
@@ -444,18 +423,18 @@ class JordanElement:
 
     def matrix(self) -> list:
         x1, x2, x3 = self.x
-        d = [CxOctonion.from_cnum(v) for v in self.xi]
-        return [[d[0], x3, x2.conj_oct()],
-                [x3.conj_oct(), d[1], x1],
-                [x2, x1.conj_oct(), d[2]]]
+        d = [from_cnum(v, O_ONE) for v in self.xi]
+        return [[d[0], x3, x2.conj()],
+                [x3.conj(), d[1], x1],
+                [x2, x1.conj(), d[2]]]
 
     @staticmethod
-    def from_matrix(M: Sequence[Sequence[CxOctonion]]) -> "JordanElement":
+    def from_matrix(M: Sequence[Sequence[Cx]]) -> "JordanElement":
         for i in range(3):
             for j in range(3):
-                if M[j][i] != M[i][j].conj_oct():
+                if M[j][i] != M[i][j].conj():
                     raise ValueError("matrix is not Hermitian")
-        xi = tuple(M[k][k].quat_pair()[0].scalar_value() for k in range(3))
+        xi = tuple(quat_pair(M[k][k])[0].scalar_value() for k in range(3))
         return JordanElement(xi, (M[1][2], M[2][0], M[0][1]))
 
     def __add__(self, other: "JordanElement") -> "JordanElement":
@@ -496,7 +475,7 @@ class JordanElement:
         slots = []
         for k in range(3):
             cs = coords[3 + 8 * k:11 + 8 * k]
-            slots.append(CxOctonion(
+            slots.append(Cx(
                 Octonion(Quaternion(*(c.re for c in cs[:4])),
                          Quaternion(*(c.re for c in cs[4:]))),
                 Octonion(Quaternion(*(c.im for c in cs[:4])),
@@ -514,7 +493,7 @@ def jordan_mul(X: JordanElement, Y: JordanElement) -> JordanElement:
     return JordanElement.from_matrix(M)
 
 
-def sum_oc(items: Iterable[CxOctonion]) -> CxOctonion:
+def sum_oc(items: Iterable[Cx]) -> Cx:
     total = OC_ZERO
     for item in items:
         total = total + item
@@ -525,18 +504,6 @@ def jordan_conj(X: JordanElement) -> JordanElement:
     """I-conjugation of every entry of the Hermitian matrix."""
     return JordanElement(tuple(a.conj() for a in X.xi),
                          tuple(a.conj_I() for a in X.x))
-
-
-def jordan_full_conj(Y: JordanElement) -> JordanElement:
-    """Entry-wise conjugation of both I and the octonion units.
-
-    On the Hermitian template this is the element with conjugated diagonal and
-    slots ``conj_I(conj_oct(x_k))``; its matrix is the entry-wise conjugate
-    (equivalently, the I-conjugated transpose) of the matrix of ``Y``.
-    """
-    return JordanElement(
-        tuple(a.conj() for a in Y.xi),
-        tuple(a.conj_oct().conj_I() for a in Y.x))
 
 
 def trace_pairing(X: JordanElement, Y: JordanElement) -> CNum:
@@ -555,7 +522,7 @@ def trace_form(X: JordanElement, Y: JordanElement) -> CNum:
     for i in range(3):
         diag = sum_oc((A[i][k] * B[k][i] + B[i][k] * A[k][i]).scale(
             CNum(Fraction(1, 2))) for k in range(3))
-        total = total + diag.quat_pair()[0].scalar_value()
+        total = total + quat_pair(diag)[0].scalar_value()
     return total
 
 
@@ -613,9 +580,9 @@ def eiii_member(X: JordanElement) -> bool:
     return (xi2 * xi3 == x1.norm2()
             and xi3 * xi1 == x2.norm2()
             and xi1 * xi2 == x3.norm2()
-            and x2 * x3 == x1.conj_oct().scale(xi1)
-            and x3 * x1 == x2.conj_oct().scale(xi2)
-            and x1 * x2 == x3.conj_oct().scale(xi3))
+            and x2 * x3 == x1.conj().scale(xi1)
+            and x3 * x1 == x2.conj().scale(xi2)
+            and x1 * x2 == x3.conj().scale(xi3))
 
 
 def proj_member(pt: ProjPoint) -> bool:
@@ -641,16 +608,14 @@ def involution_lambda(pt: ProjPoint) -> ProjPoint:
 
     Its fixed set consists of the points representable with I-free entries.
     """
-    return _involution(pt, lambda X: JordanElement(
-        tuple(a.conj() for a in X.xi),
-        tuple(a.conj_I() for a in X.x)))
+    return _involution(pt, jordan_conj)
 
 
 def involution_gamma(pt: ProjPoint) -> ProjPoint:
     """The involution applying the quaternion-fixing octonion involution to
     the off-diagonal slots (diagonal entries unchanged)."""
     return _involution(pt, lambda X: JordanElement(
-        X.xi, tuple(a.gamma0() for a in X.x)))
+        X.xi, tuple(gamma0(a) for a in X.x)))
 
 
 def involution_sigma(pt: ProjPoint) -> ProjPoint:
@@ -685,10 +650,11 @@ def phi_g2_kernel() -> list:
     down by the unit-norm condition, after which ``g2`` is forced basis-wise.
     Returns the list of kernel pairs.
     """
-    kernel = _rational_kernel([[u * b - b * u for b in QUAT_BASIS]
-                               for u in (Q_I, Q_J)])
+    rows = [[rat((u * b - b * u).coords()[k]) for b in QUAT_BASIS]
+            for u in (Q_I, Q_J) for k in range(4)]
     results = []
-    for g1 in kernel:
+    for vec in linalg.kernel(rows):
+        g1 = Quaternion(*(c.rational_value() for c in vec))
         # unit-norm representatives within the kernel line
         for sign in (1, -1):
             cand = g1.scale(sign)
@@ -696,105 +662,6 @@ def phi_g2_kernel() -> list:
                 # g2 * 1 * g1^-1 = 1 forces g2 = g1.
                 results.append((cand, cand))
     return results
-
-
-def _rational_kernel(condition_rows) -> list:
-    """Kernel of the stacked linear conditions on quaternion coordinates,
-    returned as quaternions spanning the kernel (with unit leading coord)."""
-    # Build an 8x4 rational matrix: each condition row contributes 4 scalar
-    # equations (one per quaternion coordinate of the commutator).
-    rows = []
-    for cond in condition_rows:
-        for coord in range(4):
-            rows.append([cond[pos].coords()[coord] for pos in range(4)])
-    # Gauss-Jordan elimination over Fraction.
-    mat = [list(map(Fraction, r)) for r in rows]
-    ncols = 4
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = Fraction(1) / mat[r][c]
-        mat[r] = [v * inv for v in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            vec[pc] = -mat[i][fc]
-        basis.append(Quaternion(*vec))
-    return basis
-
-
-# ---------------------------------------------------------------------------
-# bicomplex scalars (internal unit i and central unit I together)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BiComplex:
-    """An element ``p + q*I`` with ``p, q`` exact complex numbers over the
-    internal unit ``i``; ``i`` and ``I`` are commuting square roots of -1.
-
-    This is the entry ring of the 6x6 matrix model; it has zero divisors
-    (e.g. ``(1 + i*I)(1 - i*I) = 0``).
-    """
-
-    p: CNum = C_ZERO
-    q: CNum = C_ZERO
-
-    def __add__(self, other: "BiComplex") -> "BiComplex":
-        return BiComplex(self.p + other.p, self.q + other.q)
-
-    def __sub__(self, other: "BiComplex") -> "BiComplex":
-        return BiComplex(self.p - other.p, self.q - other.q)
-
-    def __neg__(self) -> "BiComplex":
-        return BiComplex(-self.p, -self.q)
-
-    def __mul__(self, other: "BiComplex") -> "BiComplex":
-        return BiComplex(self.p * other.p - self.q * other.q,
-                         self.p * other.q + self.q * other.p)
-
-    def conj_i(self) -> "BiComplex":
-        """Conjugation of the internal unit i."""
-        return BiComplex(self.p.conj(), self.q.conj())
-
-    def conj_I(self) -> "BiComplex":
-        """Conjugation of the central unit I."""
-        return BiComplex(self.p, -self.q)
-
-    def is_zero(self) -> bool:
-        return self.p.is_zero() and self.q.is_zero()
-
-    @staticmethod
-    def from_cnum(c: CNum) -> "BiComplex":
-        """Embed a complex number over the internal unit i."""
-        return BiComplex(c, C_ZERO)
-
-    @staticmethod
-    def from_frac(r) -> "BiComplex":
-        return BiComplex(CNum(_frac(r)), C_ZERO)
-
-    def __str__(self) -> str:
-        return f"({self.p}) + ({self.q})*I"
-
-
-BC_ZERO = BiComplex()
-BC_ONE = BiComplex(C_ONE, C_ZERO)
-# The idempotent-generating scalar (1 + i*I)/2.
-BC_EPS = BiComplex(CNum(Fraction(1, 2)), CNum(0, Fraction(1, 2)))
-BC_EPS_BAR = BC_EPS.conj_i()
 
 
 # ---------------------------------------------------------------------------
@@ -844,13 +711,46 @@ def mat_scale(c, A):
     return [[c * a for a in row] for row in A]
 
 
-def bc_identity(n: int):
-    return [[BC_ONE if i == j else BC_ZERO for j in range(n)]
-            for i in range(n)]
+def mat_apply(A, v) -> tuple:
+    """The matrix-vector product ``A v``, as a tuple."""
+    return tuple(row[0] for row in mat_mul(A, [[a] for a in v]))
 
 
-def bc_conj_transpose(A):
-    return mat_map(lambda a: a.conj_i(), mat_transpose(A))
+def identity(n: int, one):
+    """The n x n identity matrix over the ring whose unit is ``one``."""
+    zero = one - one
+    return [[one if i == j else zero for j in range(n)] for i in range(n)]
+
+
+def rot(n: int, p: int, q: int, c, s, one):
+    """The n x n rotation by the rational pair (cos, sin) = (c, s) in the
+    plane of coordinates p and q, over the ring whose unit is ``one``; the
+    type of ``one`` lifts a rational into that ring."""
+    M = identity(n, one)
+    lift = type(one)
+    M[p][p] = M[q][q] = lift(c)
+    M[p][q], M[q][p] = lift(-s), lift(s)
+    return M
+
+
+def conj_transpose(A):
+    """The transpose of ``A`` with every entry conjugated in its own ring."""
+    return mat_map(lambda a: a.conj(), mat_transpose(A))
+
+
+def is_unitary(A, one) -> bool:
+    """Whether ``conj_transpose(A) A`` is the identity; ``one`` is the unit
+    of the entry ring."""
+    return mat_eq(mat_mul(conj_transpose(A), A), identity(len(A), one))
+
+
+def herm_inner(u, v):
+    """The Hermitian inner product sum(conj(u_k) * v_k) of two nonempty
+    vectors over CNum or Quaternion."""
+    total = u[0].conj() * v[0]
+    for a, b in zip(u[1:], v[1:]):
+        total = total + a.conj() * b
+    return total
 
 
 def _j_block(n_pairs: int):
@@ -865,7 +765,6 @@ def _j_block(n_pairs: int):
 
 
 J6 = _j_block(3)
-J2 = _j_block(1)
 
 
 # ---------------------------------------------------------------------------
@@ -873,47 +772,46 @@ J2 = _j_block(1)
 # ---------------------------------------------------------------------------
 
 
-def phi1(X3: Sequence[Sequence[CxQuaternion]],
-         x: Sequence[CxQuaternion]) -> JordanElement:
+def phi1(X3: Sequence[Sequence[Cx]], x: Sequence[Cx]) -> JordanElement:
     """Assemble a Jordan element from its quaternionic Hermitian part ``X3``
     and the quaternionic triple ``x`` (which fills the ``e``-component of the
     off-diagonal slots)."""
     for i in range(3):
         for j in range(3):
-            if X3[j][i] != X3[i][j].conj_q():
+            if X3[j][i] != X3[i][j].conj():
                 raise ValueError("quaternionic part is not Hermitian")
     xi = tuple(X3[k][k].scalar_value() for k in range(3))
-    slots = (CxOctonion.from_quat_pair(X3[1][2], x[0]),
-             CxOctonion.from_quat_pair(X3[2][0], x[1]),
-             CxOctonion.from_quat_pair(X3[0][1], x[2]))
+    slots = (from_quat_pair(X3[1][2], x[0]),
+             from_quat_pair(X3[2][0], x[1]),
+             from_quat_pair(X3[0][1], x[2]))
     return JordanElement(xi, slots)
 
 
 def phi1_inv(J: JordanElement) -> tuple:
     """Split a Jordan element into (quaternionic Hermitian 3x3, triple)."""
-    pairs = [slot.quat_pair() for slot in J.x]
+    pairs = [quat_pair(slot) for slot in J.x]
     h = [p[0] for p in pairs]
     q = tuple(p[1] for p in pairs)
-    d = [CxQuaternion.from_cnum(v) for v in J.xi]
-    X3 = [[d[0], h[2], h[1].conj_q()],
-          [h[2].conj_q(), d[1], h[0]],
-          [h[1], h[0].conj_q(), d[2]]]
+    d = [from_cnum(v, Q_ONE) for v in J.xi]
+    X3 = [[d[0], h[2], h[1].conj()],
+          [h[2].conj(), d[1], h[0]],
+          [h[1], h[0].conj(), d[2]]]
     return X3, q
 
 
-def _hc_to_block(h: CxQuaternion):
+def _hc_to_block(h: Cx):
     """The 2x2 bicomplex block of a complexified quaternion ``a + b*j``."""
-    a = BiComplex(CNum(h.re.w, h.re.x), CNum(h.im.w, h.im.x))
-    b = BiComplex(CNum(h.re.y, h.re.z), CNum(h.im.y, h.im.z))
-    return [[a, b], [-b.conj_i(), a.conj_i()]]
+    a = Cx(CNum(h.re.w, h.re.x), CNum(h.im.w, h.im.x))
+    b = Cx(CNum(h.re.y, h.re.z), CNum(h.im.y, h.im.z))
+    return [[a, b], [-b.conj(), a.conj()]]
 
 
-def _block_to_hc(block) -> CxQuaternion:
+def _block_to_hc(block) -> Cx:
     a, b = block[0][0], block[0][1]
-    if block[1][0] != -b.conj_i() or block[1][1] != a.conj_i():
+    if block[1][0] != -b.conj() or block[1][1] != a.conj():
         raise ValueError("2x2 block is not of quaternionic type")
-    return CxQuaternion(Quaternion(a.p.re, a.p.im, b.p.re, b.p.im),
-                        Quaternion(a.q.re, a.q.im, b.q.re, b.q.im))
+    return Cx(Quaternion(a.re.re, a.re.im, b.re.re, b.re.im),
+              Quaternion(a.im.re, a.im.im, b.im.re, b.im.im))
 
 
 def phi2(X3) -> list:
@@ -934,7 +832,7 @@ def phi2_inv(M) -> list:
              for j in range(3)] for i in range(3)]
 
 
-def phi2p(x: Sequence[CxQuaternion]) -> list:
+def phi2p(x: Sequence[Cx]) -> list:
     """The 2x6 bicomplex matrix of a complexified-quaternion row triple."""
     out = [[BC_ZERO] * 6 for _ in range(2)]
     for k in range(3):
@@ -967,7 +865,9 @@ def phi_map_inv(M, R) -> JordanElement:
 
 
 def cnum_matrix_to_bc(A):
-    return mat_map(BiComplex.from_cnum, A)
+    """The bicomplex matrix with the entries of the complex matrix ``A``
+    placed over the internal unit i, as ``Cx(c, C_ZERO)``."""
+    return mat_map(lambda c: Cx(c, C_ZERO), A)
 
 
 def Phi_su6(A) -> list:
@@ -976,23 +876,16 @@ def Phi_su6(A) -> list:
     entries (unitary samples have I-free entries)."""
     term1 = mat_scale(BC_EPS, A)
     term2 = mat_scale(BC_EPS_BAR,
-                      mat_mul(J6, mat_mul(mat_map(lambda a: a.conj_i(), A),
-                                          J6)))
+                      mat_mul(J6, mat_mul(mat_map(Cx.conj, A), J6)))
     return mat_sub(term1, term2)
 
 
 def su6_check(A) -> bool:
     """Exact unitarity and determinant-free sanity for a 6x6 matrix over the
     internal complex numbers (bicomplex entries with zero I-part)."""
-    if any(not a.q.is_zero() for row in A for a in row):
+    if any(not a.im.is_zero() for row in A for a in row):
         return False
-    return mat_eq(mat_mul(bc_conj_transpose(A), A), bc_identity(6))
-
-
-def su_star_check(B) -> bool:
-    """Membership test JB = conj(B)J for the twisted model."""
-    return mat_eq(mat_mul(J6, B),
-                  mat_mul(mat_map(lambda a: a.conj_i(), B), J6))
+    return is_unitary(A, BC_ONE)
 
 
 def f_su6_action(b: Quaternion, A, J: JordanElement) -> JordanElement:
@@ -1007,9 +900,9 @@ def f_su6_action(b: Quaternion, A, J: JordanElement) -> JordanElement:
                       "with I-free entries")
     M, R = phi_map(J)
     B = Phi_su6(A)
-    B_star = bc_conj_transpose(B)
-    B_inv = Phi_su6(bc_conj_transpose(A))
-    beta = _hc_to_block(CxQuaternion.from_quat(b))
+    B_star = conj_transpose(B)
+    B_inv = Phi_su6(conj_transpose(A))
+    beta = _hc_to_block(Cx(b, Q_ZERO))
     M2 = mat_mul(B, mat_mul(M, B_star))
     R2 = mat_mul(beta, mat_mul(R, B_inv))
     return phi_map_inv(M2, R2)
@@ -1022,13 +915,6 @@ def f_su6_proj(b: Quaternion, A, pt: ProjPoint) -> ProjPoint:
 # ---------------------------------------------------------------------------
 # the equivariant embeddings of the complex models
 # ---------------------------------------------------------------------------
-
-
-def _cnum_inner(u: Sequence[CNum], v: Sequence[CNum]) -> CNum:
-    total = C_ZERO
-    for a, b in zip(u, v):
-        total = total + a.conj() * b
-    return total
 
 
 def embed_f1(u1: Sequence[CNum], u2: Sequence[CNum]) -> ProjPoint:
@@ -1049,17 +935,13 @@ def embed_f1(u1: Sequence[CNum], u2: Sequence[CNum]) -> ProjPoint:
     u1, u2 = tuple(u1), tuple(u2)
     if len(u1) != 6 or len(u2) != 6:
         raise ValueError("expected complex 6-vectors")
-    if (_cnum_inner(u1, u1) != C_ONE or _cnum_inner(u2, u2) != C_ONE
-            or not _cnum_inner(u1, u2).is_zero()):
+    if (herm_inner(u1, u1) != C_ONE or herm_inner(u2, u2) != C_ONE
+            or not herm_inner(u1, u2).is_zero()):
         raise NotOrthonormal("the basis must be exactly orthonormal")
     wedge = [[u1[i] * u2[j] - u2[i] * u1[j] for j in range(6)]
              for i in range(6)]
     S = mat_mul(cnum_matrix_to_bc(wedge), J6)
-    Q = mat_sub(mat_scale(BC_EPS, S),
-                mat_scale(BC_EPS_BAR,
-                          mat_mul(J6, mat_mul(
-                              mat_map(lambda a: a.conj_i(), S), J6))))
-    X3 = phi2_inv(Q)
+    X3 = phi2_inv(Phi_su6(S))
     return ProjPoint.of(phi1(X3, (HC_ZERO, HC_ZERO, HC_ZERO)))
 
 
@@ -1074,8 +956,8 @@ def embed_f2(ell: Quaternion, v: Sequence[Quaternion]) -> ProjPoint:
         raise ZeroVector("the projective argument must be nonzero")
     if not ell.is_unit():
         raise NotUnit("the line parameter must be a unit quaternion")
-    head = CxQuaternion.from_quat(ell) * HC_EPS
-    x = tuple(head * CxQuaternion.from_quat(q.conj()) for q in v)
+    head = Cx(ell, Q_ZERO) * HC_EPS
+    x = tuple(head * Cx(q.conj(), Q_ZERO) for q in v)
     zero3 = [[HC_ZERO] * 3 for _ in range(3)]
     return ProjPoint.of(phi1(zero3, x))
 
@@ -1103,15 +985,6 @@ def complex6_to_quat3(c: Sequence[CNum]) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def hc_identity(n: int):
-    return [[HC_ONE if i == j else HC_ZERO for j in range(n)]
-            for i in range(n)]
-
-
-def hc_conj_transpose(M):
-    return mat_map(lambda a: a.conj_q(), mat_transpose(M))
-
-
 def psi_map(J: JordanElement) -> list:
     """The linear isomorphism onto the traceless quaternionic Hermitian
     4x4 matrices: the block matrix
@@ -1122,13 +995,13 @@ def psi_map(J: JordanElement) -> list:
     where ``(X, x)`` is the quaternionic split of the Jordan element."""
     X3, x = phi1_inv(J)
     half = CNum(Fraction(1, 2))
-    half_tr = CxQuaternion.from_cnum(
-        sum((X3[k][k].scalar_value() for k in range(3)), C_ZERO) * half)
+    trace = sum((X3[k][k].scalar_value() for k in range(3)), C_ZERO)
+    half_tr = from_cnum(trace * half, Q_ONE)
     Z = [[HC_ZERO] * 4 for _ in range(4)]
     Z[0][0] = half_tr
     for k in range(3):
         Z[0][k + 1] = x[k].times_I()
-        Z[k + 1][0] = x[k].conj_q().times_I()
+        Z[k + 1][0] = x[k].conj().times_I()
         for j in range(3):
             Z[k + 1][j + 1] = X3[k][j]
         Z[k + 1][k + 1] = Z[k + 1][k + 1] - half_tr
@@ -1140,7 +1013,7 @@ def psi_map_inv(Z) -> JordanElement:
     quaternionic Hermitian 4x4 matrix."""
     for i in range(4):
         for j in range(4):
-            if Z[j][i] != Z[i][j].conj_q():
+            if Z[j][i] != Z[i][j].conj():
                 raise ValueError("matrix is not quaternionic Hermitian")
     trace = sum((Z[k][k].scalar_value() for k in range(4)), C_ZERO)
     if trace != C_ZERO:
@@ -1153,38 +1026,19 @@ def psi_map_inv(Z) -> JordanElement:
     return phi1(X3, x)
 
 
-def quat_matrix_to_hc(B):
-    return mat_map(CxQuaternion.from_quat, B)
-
-
-def sp4_check(B) -> bool:
-    """Exact quaternionic unitarity of a 4x4 matrix with plain quaternion
-    entries."""
-    M = quat_matrix_to_hc(B)
-    return mat_eq(mat_mul(hc_conj_transpose(M), M), hc_identity(4))
-
-
 def f_sp4_action(B, J: JordanElement) -> JordanElement:
     """The action of a quaternionic unitary 4x4 matrix on the Jordan algebra
     through the traceless 4x4 model: ``Z -> B Z B*``."""
-    if not sp4_check(B):
+    if not is_unitary(B, Q_ONE):
         raise NotUnit("expected an exact quaternionic unitary 4x4 matrix")
-    M = quat_matrix_to_hc(B)
+    M = mat_map(lambda q: Cx(q, Q_ZERO), B)
     Z = psi_map(J)
-    Z2 = mat_mul(M, mat_mul(Z, hc_conj_transpose(M)))
+    Z2 = mat_mul(M, mat_mul(Z, conj_transpose(M)))
     return psi_map_inv(Z2)
 
 
 def f_sp4_proj(B, pt: ProjPoint) -> ProjPoint:
     return pt.map(lambda J: f_sp4_action(B, J))
-
-
-def quat4_inner(u, w) -> Quaternion:
-    """The quaternionic Hermitian inner product sum(conj(u_i) * w_i)."""
-    total = Q_ZERO
-    for a, b in zip(u, w):
-        total = total + a.conj() * b
-    return total
 
 
 def embed_f_quaternionic(u1, u2) -> ProjPoint:
@@ -1195,14 +1049,13 @@ def embed_f_quaternionic(u1, u2) -> ProjPoint:
     u1, u2 = tuple(u1), tuple(u2)
     if len(u1) != 4 or len(u2) != 4:
         raise ValueError("expected quaternion 4-vectors")
-    if (quat4_inner(u1, u1) != Q_ONE or quat4_inner(u2, u2) != Q_ONE
-            or not quat4_inner(u1, u2).is_zero()):
+    if (herm_inner(u1, u1) != Q_ONE or herm_inner(u2, u2) != Q_ONE
+            or not herm_inner(u1, u2).is_zero()):
         raise NotOrthonormal("expected an exact orthonormal pair")
     half = Fraction(1, 2)
-    Z = [[CxQuaternion.from_quat(
-        u1[i] * u1[j].conj() + u2[i] * u2[j].conj()
-        - (Q_ONE.scale(half) if i == j else Q_ZERO))
-        for j in range(4)] for i in range(4)]
+    Z = [[Cx(u1[i] * u1[j].conj() + u2[i] * u2[j].conj()
+             - (Q_ONE.scale(half) if i == j else Q_ZERO), Q_ZERO)
+          for j in range(4)] for i in range(4)]
     return ProjPoint.of(psi_map_inv(Z))
 
 # ---------------------------------------------------------------------------
@@ -1214,18 +1067,14 @@ def embed_f_quaternionic(u1, u2) -> ProjPoint:
 # [[A, -B], [B, A]].
 
 
-def frac_identity(n: int):
-    one, zero = Fraction(1), Fraction(0)
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
-
-
 def frac_zero(n: int, m: int):
     zero = Fraction(0)
     return [[zero] * m for _ in range(n)]
 
 
 def is_orthogonal(g) -> bool:
-    return mat_eq(mat_mul(mat_transpose(g), g), frac_identity(len(g)))
+    return mat_eq(mat_mul(mat_transpose(g), g),
+                  identity(len(g), Fraction(1)))
 
 
 def _half_blocks(g):
@@ -1307,7 +1156,7 @@ def exp_quarter_turns(X, n: int) -> list:
     if not mat_eq(X3, mat_neg(X)):
         raise ValueError("the generator must satisfy X**3 == -X")
     s, c = _QUARTER_SIN_COS[n % 4]
-    out = mat_add(frac_identity(len(X)),
+    out = mat_add(identity(len(X), Fraction(1)),
                   mat_scale(Fraction(s), X))
     return mat_add(out, mat_scale(Fraction(1 - c), mat_mul(X, X)))
 
@@ -1353,7 +1202,7 @@ def embed_so4_so6(M4, M6) -> list:
 def embed_so8(M8) -> list:
     """The embedding of an 8x8 real matrix acting on the complexified span of
     the first four coordinates into the 10x10 model, fixing the rest."""
-    g = frac_identity(10)
+    g = identity(10, Fraction(1))
     idx8 = [0, 1, 2, 3, 5, 6, 7, 8]
     for i in range(8):
         for j in range(8):
@@ -1374,37 +1223,6 @@ def phi_so5(B) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _cnum_identity(n: int):
-    return [[C_ONE if i == j else C_ZERO for j in range(n)] for i in range(n)]
-
-
-def _cnum_conj_transpose(A):
-    return mat_map(lambda c: c.conj(), mat_transpose(A))
-
-
-def _cnum_is_unitary(A) -> bool:
-    return mat_eq(mat_mul(_cnum_conj_transpose(A), A),
-                  _cnum_identity(len(A)))
-
-
-def _cnum_rot(n, p, q, c, s):
-    M = _cnum_identity(n)
-    M[p][p] = CNum(c)
-    M[q][q] = CNum(c)
-    M[p][q] = CNum(-s)
-    M[q][p] = CNum(s)
-    return M
-
-
-def _frac_rot(n, p, q, c, s):
-    M = frac_identity(n)
-    M[p][p] = Fraction(c)
-    M[q][q] = Fraction(c)
-    M[p][q] = Fraction(-s)
-    M[q][p] = Fraction(s)
-    return M
-
-
 @dataclass(frozen=True)
 class CartanInstance:
     """An exact matrix group with involution, for Cartan-map checks."""
@@ -1420,35 +1238,36 @@ class CartanInstance:
 
 
 def _so10_cartan_instance() -> CartanInstance:
+    one = Fraction(1)
     f35, f45 = Fraction(3, 5), Fraction(4, 5)
     f513, f1213 = Fraction(5, 13), Fraction(12, 13)
-    u_rot = complex_to_real10(_cnum_rot(5, 0, 1, f35, f45))
-    u_phase = complex_to_real10(
-        [[C_I if (i == j == 0) else (C_ONE if i == j else C_ZERO)
-          for j in range(5)] for i in range(5)])
+    u_rot = complex_to_real10(rot(5, 0, 1, f35, f45, C_ONE))
+    phase = identity(5, C_ONE)
+    phase[0][0] = C_I
+    u_phase = complex_to_real10(phase)
     samples = (
-        _frac_rot(10, 0, 5, f35, f45),
-        _frac_rot(10, 2, 7, f513, f1213),
-        mat_mul(_frac_rot(10, 0, 5, f35, f45), _frac_rot(10, 1, 8, f35, f45)),
-        mat_mul(u_rot, _frac_rot(10, 3, 9, f513, f1213)),
+        rot(10, 0, 5, f35, f45, one),
+        rot(10, 2, 7, f513, f1213, one),
+        mat_mul(rot(10, 0, 5, f35, f45, one), rot(10, 1, 8, f35, f45, one)),
+        mat_mul(u_rot, rot(10, 3, 9, f513, f1213, one)),
         u_phase,
     )
     return CartanInstance(
         name="so10",
-        identity=tuple(map(tuple, frac_identity(10))),
+        identity=tuple(map(tuple, identity(10, one))),
         inverse=mat_transpose,
         sigma=orthogonal_sigma,
         in_group=is_orthogonal,
         in_fixed=unitary_member,
         samples=samples,
         fixed_samples=(u_rot, u_phase,
-                       complex_to_real10(_cnum_rot(5, 1, 4, f513, f1213))),
+                       complex_to_real10(rot(5, 1, 4, f513, f1213, C_ONE))),
     )
 
 
 def _su3_cartan_instance() -> CartanInstance:
     f35, f45 = Fraction(3, 5), Fraction(4, 5)
-    rot01 = _cnum_rot(3, 0, 1, f35, f45)
+    rot01 = rot(3, 0, 1, f35, f45, C_ONE)
     perm = [[C_ZERO, -C_ONE, C_ZERO],
             [C_ONE, C_ZERO, C_ZERO],
             [C_ZERO, C_ZERO, C_ONE]]
@@ -1460,24 +1279,27 @@ def _su3_cartan_instance() -> CartanInstance:
             [C_ZERO, C_ZERO, C_ONE]]
     samples = (diag_i, pyth, mat_mul(diag_i, rot01), mat_mul(pyth, perm))
 
+    in_group = partial(is_unitary, one=C_ONE)
+
     def in_fixed(A) -> bool:
         if any(c.im != 0 for row in A for c in row):
             return False
-        return _cnum_is_unitary(A)
+        return in_group(A)
 
     return CartanInstance(
         name="su3",
-        identity=tuple(map(tuple, _cnum_identity(3))),
-        inverse=_cnum_conj_transpose,
+        identity=tuple(map(tuple, identity(3, C_ONE))),
+        inverse=conj_transpose,
         sigma=lambda A: mat_map(lambda c: c.conj(), A),
-        in_group=_cnum_is_unitary,
+        in_group=in_group,
         in_fixed=in_fixed,
         samples=samples,
         fixed_samples=(rot01, perm, mat_mul(rot01, perm)),
     )
 
 
-_CARTAN_INSTANCES = {"so10": _so10_cartan_instance, "su3": _su3_cartan_instance}
+_CARTAN_INSTANCES = {"so10": _so10_cartan_instance,
+                     "su3": _su3_cartan_instance}
 
 
 def cartan_instance(name: str) -> CartanInstance:
@@ -1492,28 +1314,32 @@ def cartan_map(inst: CartanInstance, g) -> list:
     return mat_mul(inst.sigma(g), inst.inverse(g))
 
 
-def cartan_map_check(name: str, extra_samples: Sequence = ()) -> "CatalogReport":
+def add_row(rep: "CatalogReport", label: str, ok: bool,
+            computed: dict | None = None) -> None:
+    """Append a PASS or FAIL row to a verification report."""
+    from .catalog import ReportRow
+    rep.rows.append(ReportRow(label=label, status="PASS" if ok else "FAIL",
+                              computed=computed or {}))
+
+
+def cartan_map_check(name: str,
+                     extra_samples: Sequence = ()) -> "CatalogReport":
     """Verify the defining identities of the Cartan map on exact samples of
     the given matrix-group instance."""
-    from .catalog import CatalogReport, ReportRow
+    from .catalog import CatalogReport
     inst = cartan_instance(name)
-    identity = [list(r) for r in inst.identity]
+    ident = [list(r) for r in inst.identity]
     samples = list(inst.samples) + [
         [list(map(Fraction, row)) for row in g] for g in extra_samples]
     rep = CatalogReport(f"cartan-{name}", "verification")
-
-    def row(label, ok, computed):
-        rep.rows.append(ReportRow(label=label,
-                                  status="PASS" if ok else "FAIL",
-                                  computed=computed))
-
+    row = partial(add_row, rep)
     for g in samples:
         if not inst.in_group(g):
             raise NotUnit(f"sample is not in the {name} group")
     row("identity-maps-to-identity",
-        mat_eq(cartan_map(inst, identity), identity), {})
+        mat_eq(cartan_map(inst, ident), ident), {})
     row("fixed-subgroup-collapses",
-        all(mat_eq(cartan_map(inst, k), identity)
+        all(mat_eq(cartan_map(inst, k), ident)
             for k in inst.fixed_samples),
         {"fixed_samples": len(inst.fixed_samples)})
     row("right-coset-invariance",
@@ -1528,7 +1354,7 @@ def cartan_map_check(name: str, extra_samples: Sequence = ()) -> "CatalogReport"
                    inst.inverse(cartan_map(inst, g))) for g in samples),
         {"samples": len(samples)})
     row("nondegenerate-on-samples",
-        any(not mat_eq(cartan_map(inst, g), identity) for g in samples), {})
+        any(not mat_eq(cartan_map(inst, g), ident) for g in samples), {})
     return rep
 
 
@@ -1540,34 +1366,30 @@ def cartan_map_check(name: str, extra_samples: Sequence = ()) -> "CatalogReport"
 def _u5_sample_matrices():
     f35, f45 = Fraction(3, 5), Fraction(4, 5)
     f513, f1213 = Fraction(5, 13), Fraction(12, 13)
-    phase = _cnum_identity(5)
+    phase = identity(5, C_ONE)
     phase[0][0] = C_I
-    swap = _cnum_identity(5)
+    swap = identity(5, C_ONE)
     swap[0][0] = C_ZERO
     swap[4][4] = C_ZERO
     swap[0][4] = C_ONE
     swap[4][0] = -C_ONE
     return (
-        _cnum_rot(5, 0, 1, f35, f45),
-        _cnum_rot(5, 0, 2, f513, f1213),
-        _cnum_rot(5, 2, 4, f35, f45),
-        _cnum_rot(5, 3, 4, f513, f1213),
+        rot(5, 0, 1, f35, f45, C_ONE),
+        rot(5, 0, 2, f513, f1213, C_ONE),
+        rot(5, 2, 4, f35, f45, C_ONE),
+        rot(5, 3, 4, f513, f1213, C_ONE),
         phase,
         swap,
-        mat_mul(_cnum_rot(5, 0, 1, f35, f45), phase),
+        mat_mul(rot(5, 0, 1, f35, f45, C_ONE), phase),
     )
 
 
 def so10_constructions() -> "CatalogReport":
     """Verify the polar-geodesic, stabilizer, meridian and diagonal-orthogonal
     constructions in the real 10-dimensional orthogonal model."""
-    from .catalog import CatalogReport, ReportRow
+    from .catalog import CatalogReport
     rep = CatalogReport("so10-model", "verification")
-
-    def row(label, ok, computed):
-        rep.rows.append(ReportRow(label=label,
-                                  status="PASS" if ok else "FAIL",
-                                  computed=computed))
+    row = partial(add_row, rep)
 
     for k in (1, 2):
         X = polar_generator(k)
@@ -1626,12 +1448,13 @@ def so10_constructions() -> "CatalogReport":
             {"samples": len(pairs),
              "stabilizing": sum(1 for a, _ in pairs if a)})
 
+    one = Fraction(1)
     f35, f45 = Fraction(3, 5), Fraction(4, 5)
     f513, f1213 = Fraction(5, 13), Fraction(12, 13)
-    so4s = (_frac_rot(4, 0, 1, f35, f45), _frac_rot(4, 0, 2, f513, f1213),
-            mat_mul(_frac_rot(4, 1, 3, f35, f45), _frac_rot(4, 0, 1, f35, f45)))
-    so6s = (_frac_rot(6, 0, 1, f35, f45), _frac_rot(6, 1, 4, f513, f1213),
-            mat_mul(_frac_rot(6, 2, 5, f35, f45), _frac_rot(6, 0, 3, f35, f45)))
+    so4s = (rot(4, 0, 1, f35, f45, one), rot(4, 0, 2, f513, f1213, one),
+            mat_mul(rot(4, 1, 3, f35, f45, one), rot(4, 0, 1, f35, f45, one)))
+    so6s = (rot(6, 0, 1, f35, f45, one), rot(6, 1, 4, f513, f1213, one),
+            mat_mul(rot(6, 2, 5, f35, f45, one), rot(6, 0, 3, f35, f45, one)))
     ok_mer1 = all(
         is_orthogonal(embed_so4_so6(M4, M6)) and
         mat_eq(orthogonal_sigma(embed_so4_so6(M4, M6)),
@@ -1639,8 +1462,8 @@ def so10_constructions() -> "CatalogReport":
         for M4 in so4s for M6 in so6s)
     row("meridian-4x6-splitting-sigma-stable", ok_mer1,
         {"samples": len(so4s) * len(so6s)})
-    so8s = (_frac_rot(8, 0, 1, f35, f45), _frac_rot(8, 2, 6, f513, f1213),
-            mat_mul(_frac_rot(8, 3, 7, f35, f45), _frac_rot(8, 0, 5, f35, f45)))
+    so8s = (rot(8, 0, 1, f35, f45, one), rot(8, 2, 6, f513, f1213, one),
+            mat_mul(rot(8, 3, 7, f35, f45, one), rot(8, 0, 5, f35, f45, one)))
     ok_mer2 = all(
         is_orthogonal(embed_so8(M8)) and
         mat_eq(orthogonal_sigma(embed_so8(M8)),
@@ -1648,21 +1471,21 @@ def so10_constructions() -> "CatalogReport":
         for M8 in so8s)
     row("meridian-8-splitting-sigma-stable", ok_mer2, {"samples": len(so8s)})
 
-    B_rot = _frac_rot(5, 0, 1, f35, f45)
-    B_inv = frac_identity(5)
+    B_rot = rot(5, 0, 1, f35, f45, one)
+    B_inv = identity(5, one)
     B_inv[3][3] = Fraction(-1)
     B_inv[4][4] = Fraction(-1)
-    so5s = (frac_identity(5), B_rot, B_inv,
-            _frac_rot(5, 2, 4, f513, f1213), mat_mul(B_inv, B_rot))
+    so5s = (identity(5, one), B_rot, B_inv,
+            rot(5, 2, 4, f513, f1213, one), mat_mul(B_inv, B_rot))
     row("diagonal-orthogonal-homomorphism",
         all(mat_eq(phi_so5(mat_mul(a, b)),
                    mat_mul(phi_so5(a), phi_so5(b)))
             for a in so5s[:3] for b in so5s[:3]), {})
     crit = [(unitary_member(phi_so5(B)),
-             mat_eq(mat_mul(B, B), frac_identity(5))) for B in so5s]
+             mat_eq(mat_mul(B, B), identity(5, one))) for B in so5s]
     row("diagonal-orthogonal-membership-criterion",
         all(a == b for a, b in crit)
-        and unitary_member(phi_so5(frac_identity(5)))
+        and unitary_member(phi_so5(identity(5, one)))
         and not unitary_member(phi_so5(B_rot))
         and unitary_member(phi_so5(B_inv)),
         {"criterion": "unitary membership iff the argument is an involution",
@@ -1690,17 +1513,17 @@ PYTHAGOREAN_QUATERNIONS = (
 def _su6_sample_matrices():
     f35, f45 = Fraction(3, 5), Fraction(4, 5)
     f513, f1213 = Fraction(5, 13), Fraction(12, 13)
-    phase = _cnum_identity(6)
+    phase = identity(6, C_ONE)
     phase[0][0] = C_I
     phase[3][3] = -C_I
     return (
-        _cnum_identity(6),
-        _cnum_rot(6, 0, 1, f35, f45),
-        _cnum_rot(6, 0, 2, f35, f45),
-        _cnum_rot(6, 2, 4, f513, f1213),
-        _cnum_rot(6, 1, 5, f513, f1213),
+        identity(6, C_ONE),
+        rot(6, 0, 1, f35, f45, C_ONE),
+        rot(6, 0, 2, f35, f45, C_ONE),
+        rot(6, 2, 4, f513, f1213, C_ONE),
+        rot(6, 1, 5, f513, f1213, C_ONE),
         phase,
-        mat_mul(_cnum_rot(6, 0, 3, f35, f45), phase),
+        mat_mul(rot(6, 0, 3, f35, f45, C_ONE), phase),
     )
 
 
@@ -1709,39 +1532,25 @@ def _sp4_sample_matrices():
     f513, f1213 = Fraction(5, 13), Fraction(12, 13)
     h = PYTHAGOREAN_QUATERNIONS[3]
 
-    def qrot(p, q, c, s):
-        M = [[Q_ONE if i == j else Q_ZERO for j in range(4)]
-             for i in range(4)]
-        M[p][p] = Quaternion(c)
-        M[q][q] = Quaternion(c)
-        M[p][q] = Quaternion(-s)
-        M[q][p] = Quaternion(s)
-        return M
-
     def qdiag(*qs):
-        M = [[Q_ONE if i == j else Q_ZERO for j in range(4)]
-             for i in range(4)]
+        M = identity(4, Q_ONE)
         for m, q in enumerate(qs):
             M[m][m] = q
         return M
 
-    def qmatmul(A, B):
-        return [[sum((A[i][t] * B[t][j] for t in range(4)), Q_ZERO)
-                 for j in range(4)] for i in range(4)]
-
     return (
-        qrot(0, 1, f35, f45),
-        qrot(0, 2, f35, f45),
-        qrot(1, 3, f513, f1213),
+        rot(4, 0, 1, f35, f45, Q_ONE),
+        rot(4, 0, 2, f35, f45, Q_ONE),
+        rot(4, 1, 3, f513, f1213, Q_ONE),
         qdiag(Q_I, Q_J, Q_K, Q_ONE),
         qdiag(h, h.conj(), Q_ONE, h),
-        qmatmul(qrot(0, 3, f35, f45), qdiag(Q_J, Q_ONE, Q_I, Q_ONE)),
+        mat_mul(rot(4, 0, 3, f35, f45, Q_ONE), qdiag(Q_J, Q_ONE, Q_I, Q_ONE)),
     )
 
 
 def _complex_plane_samples():
     f35, f45 = Fraction(3, 5), Fraction(4, 5)
-    e = [[C_ONE if i == j else C_ZERO for j in range(6)] for i in range(6)]
+    e = identity(6, C_ONE)
     return (
         (tuple(e[0]), tuple(e[1])),
         (tuple(e[2]), tuple(e[4])),
@@ -1763,7 +1572,7 @@ def _quaternionic_plane_samples():
     f35, f45 = Fraction(3, 5), Fraction(4, 5)
     f513, f1213 = Fraction(5, 13), Fraction(12, 13)
     h = PYTHAGOREAN_QUATERNIONS[3]
-    e = [[Q_ONE if i == j else Q_ZERO for j in range(4)] for i in range(4)]
+    e = identity(4, Q_ONE)
     return (
         (tuple(e[0]), tuple(e[1])),
         (tuple(e[1]), tuple(e[2])),
@@ -1772,16 +1581,6 @@ def _quaternionic_plane_samples():
         ((h, Q_ZERO, Q_ZERO, Q_ZERO),
          (Q_ZERO, PYTHAGOREAN_QUATERNIONS[4], Q_ZERO, Q_ZERO)),
     )
-
-
-def _apply_cnum_matrix(A, v):
-    return tuple(sum((A[i][j] * v[j] for j in range(len(v))), C_ZERO)
-                 for i in range(len(A)))
-
-
-def _apply_quat_matrix(B, u):
-    return tuple(sum((B[i][j] * u[j] for j in range(len(u))), Q_ZERO)
-                 for i in range(len(B)))
 
 
 def parse_rational_matrix_file(text: str) -> list:
@@ -1810,13 +1609,9 @@ def verify_models(seed: int = 0, extra_orthogonal_samples: Sequence = ()) \
     the automorphism kernel, the projective variety and its involutions, the
     three equivariant embeddings, invariance of the Hermitian pairing, the
     real orthogonal polar/meridian constructions and the Cartan maps."""
-    from .catalog import CatalogReport, ReportRow
+    from .catalog import CatalogReport
     rep = CatalogReport("models", "verification")
-
-    def row(label, ok, computed=None):
-        rep.rows.append(ReportRow(label=label,
-                                  status="PASS" if ok else "FAIL",
-                                  computed=computed or {}))
+    row = partial(add_row, rep)
 
     rng = random.Random(seed)
     pairs = [(x, y) for x in OCT_BASIS for y in OCT_BASIS]
@@ -1872,12 +1667,12 @@ def verify_models(seed: int = 0, extra_orthogonal_samples: Sequence = ()) \
                         involution_gamma)),
         {"points": len(points)})
 
-    e6 = _cnum_identity(6)
+    e6 = identity(6, C_ONE)
     row("plane-embedding-base-point",
         embed_f1(tuple(e6[0]), tuple(e6[1])) == P0, {})
     ok_eq1 = all(
         f_su6_proj(Q_ONE, A, embed_f1(u1, u2))
-        == embed_f1(_apply_cnum_matrix(raw, u1), _apply_cnum_matrix(raw, u2))
+        == embed_f1(mat_apply(raw, u1), mat_apply(raw, u2))
         for raw, A in zip(_su6_sample_matrices(), su6)
         for u1, u2 in planes)
     row("plane-embedding-equivariance", ok_eq1,
@@ -1905,7 +1700,7 @@ def verify_models(seed: int = 0, extra_orthogonal_samples: Sequence = ()) \
         {"vector_scalings": len(scalings)})
     ok_eq2 = all(
         f_su6_proj(b, A, embed_f2(Q_ONE, complex6_to_quat3(v)))
-        == embed_f2(b, complex6_to_quat3(_apply_cnum_matrix(raw, v)))
+        == embed_f2(b, complex6_to_quat3(mat_apply(raw, v)))
         for raw, A in zip(_su6_sample_matrices(), su6)
         for b in sp1 for v in vectors)
     row("line-embedding-equivariance", ok_eq2,
@@ -1915,7 +1710,7 @@ def verify_models(seed: int = 0, extra_orthogonal_samples: Sequence = ()) \
             == embed_f2(b, complex6_to_quat3(v))
             for b in sp1[:2] for v in vectors), {})
 
-    e4 = [[Q_ONE if i == j else Q_ZERO for j in range(4)] for i in range(4)]
+    e4 = identity(4, Q_ONE)
     row("quaternionic-embedding-base-point",
         embed_f_quaternionic(tuple(e4[0]), tuple(e4[1])) == P0, {})
     row("quaternionic-embedding-complement-fiber",
@@ -1923,8 +1718,7 @@ def verify_models(seed: int = 0, extra_orthogonal_samples: Sequence = ()) \
         == embed_f_quaternionic(tuple(e4[0]), tuple(e4[1])), {})
     ok_eq3 = all(
         f_sp4_proj(B, embed_f_quaternionic(u1, u2))
-        == embed_f_quaternionic(_apply_quat_matrix(B, u1),
-                                _apply_quat_matrix(B, u2))
+        == embed_f_quaternionic(mat_apply(B, u1), mat_apply(B, u2))
         for B in sp4 for u1, u2 in qplanes)
     row("quaternionic-embedding-equivariance", ok_eq3,
         {"group_elements": len(sp4), "planes": len(qplanes)})

@@ -423,9 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=None,
                         help="seed for the flat-search schedule "
                              "(default: $LTSKIT_SEED or 0)")
-    common.add_argument("--jobs", type=int, default=None,
-                        help="parallelism degree (default: $LTSKIT_JOBS or 1;"
-                             " results are identical for any value)")
 
     p = argparse.ArgumentParser(
         prog="ltskit",
@@ -510,10 +507,6 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "seed", None) is None:
             args.seed = _env_int("LTSKIT_SEED", 0)
-        if getattr(args, "jobs", None) is None:
-            args.jobs = _env_int("LTSKIT_JOBS", 1)
-        if args.jobs < 1:
-            raise ParseError("--jobs must be a positive integer")
         return args.func(args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)

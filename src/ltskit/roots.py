@@ -123,13 +123,10 @@ class RootSystem:
     """Cartan data with ordered positive roots and a rational Gram matrix.
 
     gram[i][j] is (alpha_i, alpha_j) for simple roots, with the shortest
-    simple root normalized to squared length 2 before metric_scale is
-    applied.  metric_scale multiplies the whole form, so each consumer can
-    impose its own normalization.
+    simple root normalized to squared length 2.
     """
 
-    def __init__(self, cartan: Sequence[Sequence[int]],
-                 metric_scale: Scalar | None = None):
+    def __init__(self, cartan: Sequence[Sequence[int]]):
         self.cartan = [list(row) for row in cartan]
         self.rank = len(self.cartan)
         self.positives = enumerate_positive_roots(self.cartan,
@@ -139,7 +136,6 @@ class RootSystem:
         self.gram: list[list[Fraction]] = [
             [d[j] * self.cartan[i][j] for j in range(self.rank)]
             for i in range(self.rank)]
-        self.metric_scale = metric_scale if metric_scale is not None else rat(1)
         self._root_set = frozenset(self.positives) | frozenset(
             tuple(-x for x in r) for r in self.positives)
 
@@ -172,7 +168,7 @@ class RootSystem:
             for j in range(self.rank):
                 if self.gram[i][j]:
                     total = total + us[i] * vs[j] * rat(self.gram[i][j])
-        return total * self.metric_scale
+        return total
 
     def norm_sq(self, r: Sequence) -> Scalar:
         return self.inner(r, r)
@@ -226,7 +222,6 @@ class RestrictedRootSystem:
     kind: str  # A2 | B2 | BC2 | G2
     positives: list[RestrictedRoot]
     gram: list[list[Fraction]] = field(default_factory=list)
-    metric_scale: Scalar = field(default_factory=lambda: rat(1))
 
     def by_label(self, label: str) -> RestrictedRoot:
         for r in self.positives:
@@ -240,7 +235,7 @@ class RestrictedRootSystem:
             for j in range(2):
                 if self.gram[i][j]:
                     total = total + rat(Fraction(u[i]) * self.gram[i][j] * Fraction(v[j]))
-        return total * self.metric_scale
+        return total
 
     def all_roots(self) -> list[tuple[str, tuple[Fraction, ...]]]:
         out = []

@@ -319,8 +319,11 @@ def sqrt(d: int) -> Scalar:
 #   expr   := term (("+"|"-") term)*
 #   term   := factor (("*"|"/") factor)*
 #   factor := ["-"] (number | "i" | "sqrt" "(" number ")" | "(" expr ")")
+#
+# Parentheses and unary minus signs together may nest MAX_NESTING deep.
 
 _TOKEN = re.compile(r"\s*(\d+|sqrt|i|[()+\-*/])")
+MAX_NESTING = 100
 
 
 class ScalarParseError(ValueError):
@@ -330,7 +333,7 @@ class ScalarParseError(ValueError):
 def parse_scalar(text: str) -> Scalar:
     """Parse the scalar literal grammar, e.g. '3/4*sqrt(3)', 'sqrt(2)/16', '-i'."""
     tokens = _tokenize(text)
-    value, pos = _parse_expr(tokens, 0)
+    value, pos = _parse_expr(tokens, 0, 0)
     if pos != len(tokens):
         raise ScalarParseError(f"trailing input in scalar literal: {text!r}")
     return value
@@ -349,30 +352,35 @@ def _tokenize(text: str) -> list[str]:
     return tokens
 
 
-def _parse_expr(tokens: list[str], pos: int) -> tuple[Scalar, int]:
-    value, pos = _parse_term(tokens, pos)
+def _parse_expr(tokens: list[str], pos: int, depth: int) -> tuple[Scalar, int]:
+    value, pos = _parse_term(tokens, pos, depth)
     while pos < len(tokens) and tokens[pos] in "+-":
         op = tokens[pos]
-        rhs, pos = _parse_term(tokens, pos + 1)
+        rhs, pos = _parse_term(tokens, pos + 1, depth)
         value = value + rhs if op == "+" else value - rhs
     return value, pos
 
 
-def _parse_term(tokens: list[str], pos: int) -> tuple[Scalar, int]:
-    value, pos = _parse_factor(tokens, pos)
+def _parse_term(tokens: list[str], pos: int, depth: int) -> tuple[Scalar, int]:
+    value, pos = _parse_factor(tokens, pos, depth)
     while pos < len(tokens) and tokens[pos] in "*/":
         op = tokens[pos]
-        rhs, pos = _parse_factor(tokens, pos + 1)
+        rhs, pos = _parse_factor(tokens, pos + 1, depth)
+        if op == "/" and rhs.is_zero():
+            raise ScalarParseError("division by zero in scalar literal")
         value = value * rhs if op == "*" else value / rhs
     return value, pos
 
 
-def _parse_factor(tokens: list[str], pos: int) -> tuple[Scalar, int]:
+def _parse_factor(tokens: list[str], pos: int, depth: int) -> tuple[Scalar, int]:
     if pos >= len(tokens):
         raise ScalarParseError("unexpected end of scalar literal")
     tok = tokens[pos]
+    if tok in ("-", "(") and depth >= MAX_NESTING:
+        raise ScalarParseError(
+            f"scalar literal nested deeper than {MAX_NESTING} levels")
     if tok == "-":
-        value, pos = _parse_factor(tokens, pos + 1)
+        value, pos = _parse_factor(tokens, pos + 1, depth + 1)
         return -value, pos
     if tok == "i":
         return I, pos + 1
@@ -381,7 +389,7 @@ def _parse_factor(tokens: list[str], pos: int) -> tuple[Scalar, int]:
             raise ScalarParseError("sqrt requires a parenthesized integer radicand")
         return Scalar.sqrt(int(tokens[pos + 2])), pos + 4
     if tok == "(":
-        value, pos = _parse_expr(tokens, pos + 1)
+        value, pos = _parse_expr(tokens, pos + 1, depth + 1)
         if pos >= len(tokens) or tokens[pos] != ")":
             raise ScalarParseError("unbalanced parenthesis in scalar literal")
         return value, pos + 1

@@ -38,7 +38,7 @@ from .linalg import (
     vec_sub, zeros,
 )
 from .roots import RestrictedRoot, RestrictedRootSystem, Root, RootSystem
-from .scalars import I, Scalar, ZERO, rat
+from .scalars import I, Scalar, ZERO, parse_scalar, rat
 
 SPACE_NAMES = ("EIII", "EIV", "G2group")
 
@@ -400,7 +400,6 @@ class SpaceModel:
         """lam_sharp in a with <lam_sharp, Z> = lam(Z) for all Z in a."""
         rows = [[self.inner(za, zb) for zb in self.a_basis] for za in self.a_basis]
         target = [self._eval_form(label, za) for za in self.a_basis]
-        from .linalg import solve
         coeffs = solve(rows, target)
         assert coeffs is not None
         out = zeros(self.alg.dim)
@@ -424,7 +423,6 @@ class SpaceModel:
         f2 = self._forms[base[1]]
         # express each form over (f1, f2) restricted to a; use evaluations
         # against the a basis as coordinates
-        import itertools
         eva = {lbl: tuple(self._eval_form(lbl, za).rational_value()
                           for za in self._a_raw) for lbl in labels}
         m1, m2 = eva[base[0]], eva[base[1]]
@@ -494,7 +492,6 @@ class SpaceModel:
                     cand = self._chart_scale(cand, label)
                     ph = phases.get((label, slot))
                     if ph is not None:
-                        from .scalars import parse_scalar
                         cand = vec_scale(parse_scalar(ph), cand)
                     pairs.append((cand, None))
                     continue
@@ -506,7 +503,6 @@ class SpaceModel:
     def _apply_phase(self, u: Vec, v: Vec, phase: str | None):
         if phase is None:
             return u, v
-        from .scalars import parse_scalar
         w = parse_scalar(phase)
         re_ = (w + w.conj_i()) * rat(Fraction(1, 2))
         im_ = (w - w.conj_i()) * rat(Fraction(1, 2)) * (-I)
@@ -559,19 +555,6 @@ class SpaceModel:
         for z in self.a_basis:
             out = vec_add(out, vec_scale(self.inner(v, z), z))
         return out
-
-    def sigma_orbit_report(self) -> dict:
-        return {
-            "space": self.name,
-            "kind": self.restricted.kind,
-            "roots": self.restricted.as_json()["roots"],
-            "fixed_roots": [f"a{k}" for k in self._fixed],
-            "orbits": [
-                {"restricted": label,
-                 "orbit": f"a{a}" if b is None else f"{{a{a},-a{b}}}"}
-                for label, lst in self._orbit_tables.items() for a, b in lst
-            ],
-        }
 
     def validate_orbit_tables(self) -> bool:
         """Check the published orbit/fixed tables against the linear sigma."""
@@ -706,7 +689,6 @@ class SpaceModel:
 
     def reference_sharp(self, label: str) -> Vec:
         """Restricted-root dual in the normalization of the quoted identities."""
-        from .scalars import parse_scalar
         ratio = parse_scalar(REFERENCE_METRIC_RATIO[self.name])
         return vec_scale(ratio.inv(), self.sharp[label])
 

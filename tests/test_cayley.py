@@ -13,7 +13,7 @@ from ltskit.cayley import (
     C_I,
     C_ONE,
     C_ZERO,
-    CxOctonion,
+    Cx,
     JordanElement,
     NotOrthonormal,
     NotUnit,
@@ -117,6 +117,46 @@ def test_octonion_norm_multiplicative():
     for x in OCT_BASIS:
         for y in OCT_BASIS:
             assert (x * y).norm2() == x.norm2() * y.norm2()
+
+
+# -- adjoining the central unit I -------------------------------------------
+
+
+# Per base ring: two non-scalar elements, and 2 + 3*I as a scalar element.
+CX_SAMPLES = {
+    "cnum": (Cx(CNum(1, 2), CNum(F(-1, 3), 1)),
+             Cx(CNum(0, 1), CNum(2, F(1, 2))),
+             Cx(CNum(2), CNum(3))),
+    "quaternion": (Cx(quat(1, 2, 0, -1), quat(0, 1, 3, F(1, 2))),
+                   Cx(quat(F(2, 3), 0, 1, 1), quat(1, -1, 0, 2)),
+                   cy.from_cnum(CNum(2, 3), Q_ONE)),
+    "octonion": (Cx(Octonion(quat(1, 2, 0, -1), quat(0, 1, 0, 1)),
+                    Octonion(quat(0, 1, 3, 2), quat(1, 0, 0, -1))),
+                 Cx(Octonion(quat(2, 0, 1, 1), quat(F(1, 2), 0, -1, 0)),
+                    Octonion(quat(1, -1, 0, 2), quat(0, 3, 1, 0))),
+                 cy.from_cnum(CNum(2, 3), O_ONE)),
+}
+
+
+@pytest.mark.parametrize("base", sorted(CX_SAMPLES))
+def test_cx_central_unit(base):
+    x, y, scalar = CX_SAMPLES[base]
+    assert (x * y).conj_I() == x.conj_I() * y.conj_I()
+    assert x.times_I().times_I() == -x
+    assert x.conj_I().conj_I() == x and x.conj().conj() == x
+    assert scalar.scalar_value() == CNum(2, 3)
+    for non_scalar in (x, y):
+        with pytest.raises(ValueError):
+            non_scalar.scalar_value()
+
+
+def test_bicomplex_zero_divisor():
+    a = Cx(C_ONE, C_I)
+    b = Cx(C_ONE, -C_I)
+    assert not a.is_zero() and not b.is_zero()
+    assert (a * b).is_zero()
+    assert a * b == cy.BC_ZERO
+    assert cy.BC_EPS * cy.BC_EPS == cy.BC_EPS
 
 
 # -- the automorphism pairs -------------------------------------------------
@@ -297,7 +337,7 @@ def test_su6_action_equivariance_sample():
     Abc = cy.cnum_matrix_to_bc(A)
     u1, u2 = tuple(E6[2]), tuple(E6[4])
     lhs = f_su6_proj(Q_ONE, Abc, embed_f1(u1, u2))
-    rhs = embed_f1(cy._apply_cnum_matrix(A, u1), cy._apply_cnum_matrix(A, u2))
+    rhs = embed_f1(cy.mat_apply(A, u1), cy.mat_apply(A, u2))
     assert lhs == rhs
 
 
@@ -305,8 +345,7 @@ def test_sp4_action_equivariance_sample():
     B = cy._sp4_sample_matrices()[3]
     u1, u2 = tuple(E4[1]), tuple(E4[2])
     lhs = f_sp4_proj(B, embed_f_quaternionic(u1, u2))
-    rhs = embed_f_quaternionic(cy._apply_quat_matrix(B, u1),
-                               cy._apply_quat_matrix(B, u2))
+    rhs = embed_f_quaternionic(cy.mat_apply(B, u1), cy.mat_apply(B, u2))
     assert lhs == rhs
 
 
@@ -347,11 +386,11 @@ def test_polar_period_pi():
 
 
 def test_stabilizer_criterion_both_ways():
-    phase = cy._cnum_identity(5)
+    phase = cy.identity(5, C_ONE)
     phase[0][0] = C_I
     fixes, preserves = polar_stabilizer_criterion(1, phase)
     assert fixes and preserves
-    crossing = cy._cnum_rot(5, 0, 2, F(5, 13), F(12, 13))
+    crossing = cy.rot(5, 0, 2, F(5, 13), F(12, 13), C_ONE)
     fixes, preserves = polar_stabilizer_criterion(1, crossing)
     assert not fixes and not preserves
     fixes, preserves = polar_stabilizer_criterion(2, crossing)
@@ -359,10 +398,10 @@ def test_stabilizer_criterion_both_ways():
 
 
 def test_phi_so5_membership_criterion():
-    assert unitary_member(phi_so5(cy.frac_identity(5)))
-    rot = cy._frac_rot(5, 0, 1, F(3, 5), F(4, 5))
+    assert unitary_member(phi_so5(cy.identity(5, F(1))))
+    rot = cy.rot(5, 0, 1, F(3, 5), F(4, 5), F(1))
     assert not unitary_member(phi_so5(rot))
-    invol = cy.frac_identity(5)
+    invol = cy.identity(5, F(1))
     invol[3][3] = F(-1)
     invol[4][4] = F(-1)
     assert unitary_member(phi_so5(invol))

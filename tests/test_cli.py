@@ -56,10 +56,17 @@ def test_geodesic_not_closed(capsys):
     assert "length" not in doc["data"]
 
 
+# Literals nested beyond the scalar grammar's depth limit, by parentheses
+# and by unary minus signs.
+DEEP_PARENS = "(" * 400 + "1" + ")" * 400
+DEEP_MINUS = "-" * 2000 + "1"
+
+
 def test_geodesic_bad_expression(capsys):
-    code, _, err = run(capsys, "geodesic", "length", "--H", "3*l9")
-    assert code == EXIT_PARSE
-    assert "error:" in err
+    for H in ("3*l9", "l1/0", f"{DEEP_PARENS}*l1", f"({DEEP_MINUS})*l1"):
+        code, _, err = run(capsys, "geodesic", "length", "--H", H)
+        assert code == EXIT_PARSE, H
+        assert "error:" in err, H
 
 
 # -- lts check -------------------------------------------------------------
@@ -219,9 +226,12 @@ def test_curvature_eval_flat_arguments_commute(capsys):
 
 
 def test_curvature_eval_bad_vector(capsys):
-    code, _, err = run(capsys, "curvature", "eval", "EIII",
-                       "--x", "M[l9](1)", "--y", "a(1, 0)", "--z", "a(0, 1)")
-    assert code == EXIT_PARSE
+    for x in ("M[l9](1)", "a(1/0, 0)", f"a({DEEP_PARENS}, 0)",
+              f"a({DEEP_MINUS}, 0)"):
+        code, _, err = run(capsys, "curvature", "eval", "EIII",
+                           "--x", x, "--y", "a(1, 0)", "--z", "a(0, 1)")
+        assert code == EXIT_PARSE, x
+        assert "error:" in err, x
 
 
 # -- global options --------------------------------------------------------
@@ -248,7 +258,7 @@ def test_seed_env_override(capsys, monkeypatch):
     assert "LTSKIT_SEED" in err
 
 
-def test_jobs_must_be_positive(capsys):
+def test_jobs_option_is_rejected(capsys):
     code, _, err = run(capsys, "space", "info", "EIII", "--jobs", "0")
     assert code == EXIT_PARSE
     assert "--jobs" in err

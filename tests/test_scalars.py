@@ -105,9 +105,14 @@ def test_format_parse_roundtrip(x):
 
 
 def test_parse_rejects_garbage():
-    for bad in ["sqrt 2", "1 +", "(1", "x", "sqrt(11)"]:
+    for bad in ["sqrt 2", "1 +", "(1", "x", "sqrt(11)", "1/0", "i/(1 - 1)",
+                "(" * 101 + "1" + ")" * 101, "-" * 101 + "1",
+                "-(" * 51 + "1" + ")" * 51]:
         with pytest.raises((ScalarParseError, ValueError)):
             parse_scalar(bad)
+    # nesting up to the limit still parses
+    assert parse_scalar("(" * 100 + "1" + ")" * 100) == ONE
+    assert parse_scalar("-" * 100 + "1") == ONE
 
 
 def test_rational_value_guard():
