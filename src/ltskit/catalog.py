@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Sequence
 
 from .linalg import Span, Vec, solve, vec_add, vec_scale
 from .lts import Subspace, analyze, intersect_spans, is_lts, isotropy_rotate
-from .scalars import I, ONE, Scalar, ZERO, parse_scalar, rat, sqrt
+from .scalars import I, ONE, ParseError, Parser, Scalar, ZERO, rat, sqrt
 from .spaces import SpaceModel, build_space
 
 
@@ -39,40 +39,10 @@ class NotInLatticeSpan(ValueError):
 # -- type labels -----------------------------------------------------------
 
 
-Part = object  # str | int | tuple of Part
-
-
-def _render_part(p: Part) -> str:
+def _render_part(p) -> str:
     if isinstance(p, tuple):
         return "(" + ", ".join(_render_part(q) for q in p) + ")"
     return str(p)
-
-
-def _split_top(text: str) -> list[str]:
-    items, depth, cur = [], 0, []
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "," and depth == 0:
-            items.append("".join(cur).strip())
-            cur = []
-        else:
-            cur.append(ch)
-    items.append("".join(cur).strip())
-    return items
-
-
-def _parse_part(text: str) -> Part:
-    text = text.strip()
-    if text.startswith("(") and text.endswith(")"):
-        inner = text[1:-1]
-        return tuple(_parse_part(t) for t in _split_top(inner))
-    try:
-        return int(text)
-    except ValueError:
-        return text
 
 
 @dataclass(frozen=True)
@@ -84,13 +54,10 @@ class TypeLabel:
 
     @classmethod
     def parse(cls, space: str, text: str) -> "TypeLabel":
-        text = text.strip()
-        if not (text.startswith("(") and text.endswith(")")):
-            raise UnknownLabel(f"label must be parenthesized: {text!r}")
-        parsed = _parse_part(text)
-        if not isinstance(parsed, tuple):
-            parsed = (parsed,)
-        return cls(space, parsed)
+        try:
+            return cls(space, Parser(text).read(Parser.label))
+        except ParseError as exc:
+            raise UnknownLabel(str(exc)) from exc
 
     @property
     def text(self) -> str:
@@ -1093,71 +1060,11 @@ def lattice_is_integral(sp: SpaceModel) -> bool:
 
 
 def parse_flat_vector(sp: SpaceModel, text: str) -> Vec:
-    """Parse an expression like '(9*l1 + 5*l2)/sqrt(21)' into a flat vector.
-
-    Terms are coefficient*lk combinations of the dual basis vectors lk;
-    an optional top-level /scalar divides the whole sum.
-    """
-    text = text.strip()
-    num, den = text, None
-    depth = 0
-    for i, chr_ in enumerate(text):
-        if chr_ == "(":
-            depth += 1
-        elif chr_ == ")":
-            depth -= 1
-        elif chr_ == "/" and depth == 0:
-            num, den = text[:i], text[i + 1:]
-            break
-    num = num.strip()
-    if num.startswith("(") and num.endswith(")"):
-        inner, depth = num[1:-1], 0
-        balanced = True
-        for chr_ in inner:
-            if chr_ == "(":
-                depth += 1
-            elif chr_ == ")":
-                depth -= 1
-                if depth < 0:
-                    balanced = False
-                    break
-        if balanced and depth == 0:
-            num = inner
-    # split into signed terms at depth 0
-    pieces: list[tuple[int, str]] = []
-    depth, sign, cur = 0, 1, []
-    for chr_ in num:
-        if chr_ == "(":
-            depth += 1
-        elif chr_ == ")":
-            depth -= 1
-        if depth == 0 and chr_ in "+-" and cur and cur[-1] not in "*/+(-":
-            pieces.append((sign, "".join(cur).strip()))
-            sign, cur = (1 if chr_ == "+" else -1), []
-        else:
-            cur.append(chr_)
-    pieces.append((sign, "".join(cur).strip()))
-    n = len(sp.a_basis[0])
-    out: Vec = [ZERO + 0] * n
-    for sign, term in pieces:
-        if not term:
-            raise ValueError(f"empty term in {text!r}")
-        if term.startswith("-"):
-            sign, term = -sign, term[1:].strip()
-        label = None
-        for lab in sp.sharp:
-            if term == lab:
-                label, coef = lab, ONE
-                break
-            if term.endswith("*" + lab):
-                label, coef = lab, parse_scalar(term[: -len(lab) - 1])
-                break
-        if label is None:
-            raise ValueError(f"unrecognized term {term!r}")
-        out = vec_add(out, vec_scale(rat(sign) * coef, sp.sharp[label]))
-    if den is not None:
-        divisor = parse_scalar(den)
-        if divisor.is_zero():
-            raise ValueError(f"division by zero in {text!r}")
-        out = vec_scale(divisor.inv(), out)
+    """Flat vector of a linear expression in l1, l2, ..., e.g. 'l1/2'."""
+    coeffs = Parser(text, sp.sharp).read(Parser.expr)
+    if isinstance(coeffs, Scalar):
+        raise ParseError(f"no flat direction in {text!r}")
+    out: Vec = [ZERO] * len(sp.a_basis[0])
+    for label, c in coeffs.items():
+        out = vec_add(out, vec_scale(c, sp.sharp[label]))
     return out

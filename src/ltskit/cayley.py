@@ -1594,7 +1594,10 @@ def parse_rational_matrix_file(text: str) -> list:
                 matrices.append(current)
                 current = []
             continue
-        current.append([Fraction(tok) for tok in line.split()])
+        try:
+            current.append([Fraction(tok) for tok in line.split()])
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {line!r}") from None
     if current:
         matrices.append(current)
     for M in matrices:

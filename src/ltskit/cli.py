@@ -30,6 +30,7 @@ from importlib import resources
 from .catalog import (
     CatalogReport,
     ReportRow,
+    UnknownLabel,
     derived_hosts,
     geodesic_length,
     parse_flat_vector,
@@ -93,7 +94,7 @@ def _read_file(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
@@ -321,9 +322,7 @@ def cmd_lts_check(args) -> int:
 def cmd_curvature_eval(args) -> int:
     sp = _space(args.name)
     try:
-        x = parse_vector(sp, args.x)
-        y = parse_vector(sp, args.y)
-        z = parse_vector(sp, args.z)
+        x, y, z = (parse_vector(sp, v) for v in (args.x, args.y, args.z))
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
     r = sp.curvature(x, y, z)
@@ -360,7 +359,7 @@ def cmd_geodesic_length(args) -> int:
     try:
         H = parse_flat_vector(sp, args.H)
         g = geodesic_length(sp, H)
-    except ValueError as exc:
+    except (ValueError, UnknownLabel) as exc:
         raise ParseError(str(exc)) from exc
     data = {"space": sp.name, "direction": args.H, "closed": g is not None}
     if g is not None:
@@ -470,9 +469,9 @@ def build_parser() -> argparse.ArgumentParser:
     q = cur_sub.add_parser("eval", parents=[common],
                            help="evaluate R(x, y)z exactly")
     q.add_argument("name")
-    q.add_argument("--x", required=True, help="tangent vector expression")
-    q.add_argument("--y", required=True, help="tangent vector expression")
-    q.add_argument("--z", required=True, help="tangent vector expression")
+    for arg in ("--x", "--y", "--z"):
+        q.add_argument(arg, required=True, help="tangent vector, e.g. "
+                       "'M[l1](1, 0, 0, 0) - a(1/2, 0)' in EIII")
     q.set_defaults(func=cmd_curvature_eval)
 
     geo_p = sub.add_parser("geodesic", help="closed-geodesic metrology")
@@ -480,7 +479,8 @@ def build_parser() -> argparse.ArgumentParser:
     q = geo_sub.add_parser("length", parents=[common],
                            help="length of the closed geodesic along a "
                                 "flat direction")
-    q.add_argument("--H", required=True, help="flat vector expression")
+    q.add_argument("--H", required=True,
+                   help="flat vector, e.g. '(9*l1 + 5*l2)/sqrt(21)'")
     q.add_argument("--space", default="G2group",
                    help="space carrying the integral lattice "
                         "(default: G2group)")
@@ -501,6 +501,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        # argparse of Python 3.11 reads the option value "--" as [], not "--"
+        if [] in vars(args).values():
+            parser.error("'--' is not an option value")
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help; pass both through
         return int(exc.code or 0)

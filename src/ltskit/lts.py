@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .linalg import Span, Vec, kernel, vec_add, vec_is_zero, vec_scale, vec_sub, zeros
-from .scalars import Scalar, ZERO, parse_scalar, rat
+from .scalars import ParseError, Parser, Scalar, rat
 from .spaces import (
     AngleDescriptor, NotHermitian, NotInM, RESTRICTED_LABELS, SpaceModel,
     build_space, scalar_sign,
@@ -62,8 +62,7 @@ class NotQuarterTurnCompatible(ValueError):
     pass
 
 
-class SubspaceFormatError(ValueError):
-    pass
+SubspaceFormatError = ParseError
 
 
 class Subspace:
@@ -524,88 +523,20 @@ def analyze(S: Subspace, seed: int = 0) -> LtsReport:
 # -- subspace files --------------------------------------------------------
 
 
-def _split_terms(line: str) -> list[tuple[int, str]]:
-    """Split a vector expression into (sign, term) pieces at depth 0."""
-    terms: list[tuple[int, str]] = []
-    depth = 0
-    sign = 1
-    cur: list[str] = []
-    for ch in line:
-        if ch in "([":
-            depth += 1
-        elif ch in ")]":
-            depth -= 1
-        if depth == 0 and ch in "+-" and not "".join(cur).strip():
-            # sign prefix of the coming term
-            if ch == "-":
-                sign = -sign
-            continue
-        if depth == 0 and ch in "+-":
-            terms.append((sign, "".join(cur).strip()))
-            cur = []
-            sign = 1 if ch == "+" else -1
-            continue
-        cur.append(ch)
-    if cur and "".join(cur).strip():
-        terms.append((sign, "".join(cur).strip()))
-    if depth != 0:
-        raise SubspaceFormatError(f"unbalanced brackets in {line!r}")
-    return terms
-
-
-def _split_args(text: str) -> list[str]:
-    out: list[str] = []
-    depth = 0
-    cur: list[str] = []
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "," and depth == 0:
-            out.append("".join(cur).strip())
-            cur = []
-        else:
-            cur.append(ch)
-    tail = "".join(cur).strip()
-    if tail:
-        out.append(tail)
-    return out
-
-
 def parse_vector(sp: SpaceModel, line: str) -> Vec:
-    """One m-vector from chart-coordinate syntax.
-
-    Terms: M[label](c_1, ..., c_r), a(c_1, ..., c_r), sharp[label](c).
-    """
+    """One m-vector, a sum of terms a(...), M[label](...), sharp[label](c)."""
     total = zeros(sp.alg.dim)
-    for sign, term in _split_terms(line):
-        if "(" not in term or not term.endswith(")"):
-            raise SubspaceFormatError(f"bad term {term!r}")
-        head, args_text = term.split("(", 1)
-        head = head.strip()
-        args = [parse_scalar(a) for a in _split_args(args_text[:-1])]
-        if sign < 0:
-            args = [-a for a in args]
-        if head == "a":
-            if len(args) != len(sp.a_basis):
-                raise SubspaceFormatError(
-                    f"a(...) takes {len(sp.a_basis)} coordinates")
+    for head, label, args in Parser(line).read(Parser.vector):
+        if head == "a" and label is None and len(args) == len(sp.a_basis):
             vec = _combine([list(z) for z in sp.a_basis], args)
-        elif head.startswith("M[") and head.endswith("]"):
-            label = head[2:-1]
-            if label not in sp.charts:
-                raise SubspaceFormatError(f"unknown chart label {label!r}")
+        elif head == "M" and label in sp.charts:
             vec = sp.charts[label].map(*args)
-        elif head.startswith("sharp[") and head.endswith("]"):
-            label = head[6:-1]
-            if label not in sp.sharp:
-                raise SubspaceFormatError(f"unknown root label {label!r}")
-            if len(args) != 1:
-                raise SubspaceFormatError("sharp[...] takes one coordinate")
+        elif head == "sharp" and label in sp.sharp and len(args) == 1:
             vec = vec_scale(args[0], sp.sharp[label])
         else:
-            raise SubspaceFormatError(f"unknown term head {head!r}")
+            term = head if label is None else f"{head}[{label}]"
+            raise SubspaceFormatError(
+                f"no term {term} with {len(args)} coordinate(s) in {sp.name}")
         total = vec_add(total, vec)
     return total
 

@@ -314,85 +314,191 @@ def sqrt(d: int) -> Scalar:
     return Scalar.sqrt(d)
 
 
-# -- literal grammar -------------------------------------------------------
+# -- expression grammars --------------------------------------------------
 #
-#   expr   := term (("+"|"-") term)*
-#   term   := factor (("*"|"/") factor)*
-#   factor := ["-"] (number | "i" | "sqrt" "(" number ")" | "(" expr ")")
+# One tokenizer and one recursive-descent parser read four grammars:
 #
-# Parentheses and unary minus signs together may nest MAX_NESTING deep.
+#   scalar := expr                  with no names
+#   flat   := expr                  over names such as l1, linear in them
+#   expr   := term (("+" | "-") term)*
+#   term   := factor (("*" | "/") factor)*
+#   factor := "-" factor | "(" expr ")" | number | "i"
+#           | "sqrt" "(" number ")" | name
+#   vector := vterm (("+" | "-") vterm)*
+#   vterm  := "-"* name ["[" name "]"] "(" expr ("," expr)* ")"
+#   label  := "(" part ("," part)* ")"
+#   part   := label | word (word | label)*
+#
+# e.g. '3/4*sqrt(3)', '(9*l1 + 5*l2)/sqrt(21)', 'M[2l1](1) - a(1, 0)' and
+# '(S, phi=arctan(1/(3*sqrt(3))), 3)'.  A name may start with digits (2l1); a
+# word is any token but "(", "," and ")", even a stray character.  A part
+# keeps its exact text, or is an int if it is one number.  Groups and the
+# unary minus signs of factors together nest at most MAX_NESTING deep.
 
-_TOKEN = re.compile(r"\s*(\d+|sqrt|i|[()+\-*/])")
+_TOKEN = re.compile(r"(?P<name>\d*[A-Za-z_]\w*)|(?P<number>\d+)"
+                    r"|(?P<op>[-+*/=,()\[\]])|(?P<other>\S)")
 MAX_NESTING = 100
 
 
-class ScalarParseError(ValueError):
-    pass
+class ParseError(ValueError):
+    """Malformed scalar, vector, flat-vector or type-label text."""
+
+
+ScalarParseError = ParseError
 
 
 def parse_scalar(text: str) -> Scalar:
-    """Parse the scalar literal grammar, e.g. '3/4*sqrt(3)', 'sqrt(2)/16', '-i'."""
-    tokens = _tokenize(text)
-    value, pos = _parse_expr(tokens, 0, 0)
-    if pos != len(tokens):
-        raise ScalarParseError(f"trailing input in scalar literal: {text!r}")
-    return value
+    """Parse a scalar literal, e.g. '3/4*sqrt(3)', 'sqrt(2)/16', '-i'."""
+    return Parser(text).read(Parser.expr)
 
 
-def _tokenize(text: str) -> list[str]:
-    tokens, pos = [], 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            if text[pos:].strip():
-                raise ScalarParseError(f"bad character in scalar literal: {text[pos:]!r}")
-            break
-        tokens.append(m.group(1))
-        pos = m.end()
-    return tokens
+class Linear(dict):
+    """Value of a flat-vector expression: name -> Scalar coefficient."""
+
+    def __add__(self, other):
+        if not isinstance(other, Linear):
+            raise ParseError("a scalar is added to a direction")
+        return Linear({n: self.get(n, ZERO) + other.get(n, ZERO)
+                       for n in {**self, **other}})
+
+    def __mul__(self, other):
+        if not isinstance(other, Scalar):
+            raise ParseError("a direction is multiplied by a direction")
+        return Linear({n: c * other for n, c in self.items()})
+
+    def __neg__(self):
+        return self * -ONE
+
+    __radd__, __rmul__ = __add__, __mul__
 
 
-def _parse_expr(tokens: list[str], pos: int, depth: int) -> tuple[Scalar, int]:
-    value, pos = _parse_term(tokens, pos, depth)
-    while pos < len(tokens) and tokens[pos] in "+-":
-        op = tokens[pos]
-        rhs, pos = _parse_term(tokens, pos + 1, depth)
-        value = value + rhs if op == "+" else value - rhs
-    return value, pos
+class Parser:
+    """A cursor over the tokens of one text, with one method per production;
+    the given names are the atoms of a flat-vector expression."""
 
+    def __init__(self, text: str, names=()):
+        self.text, self.names = text, names
+        self.tokens = list(_TOKEN.finditer(text))
+        self.pos = self.depth = 0
 
-def _parse_term(tokens: list[str], pos: int, depth: int) -> tuple[Scalar, int]:
-    value, pos = _parse_factor(tokens, pos, depth)
-    while pos < len(tokens) and tokens[pos] in "*/":
-        op = tokens[pos]
-        rhs, pos = _parse_factor(tokens, pos + 1, depth)
-        if op == "/" and rhs.is_zero():
-            raise ScalarParseError("division by zero in scalar literal")
-        value = value * rhs if op == "*" else value / rhs
-    return value, pos
+    def read(self, production):
+        """Apply a production to the whole text."""
+        value = production(self)
+        if self.peek() is not None:
+            self.fail(f"unexpected {self.peek()!r}")
+        return value
 
+    def fail(self, what: str):
+        raise ParseError(f"{what} in {self.text!r}")
 
-def _parse_factor(tokens: list[str], pos: int, depth: int) -> tuple[Scalar, int]:
-    if pos >= len(tokens):
-        raise ScalarParseError("unexpected end of scalar literal")
-    tok = tokens[pos]
-    if tok in ("-", "(") and depth >= MAX_NESTING:
-        raise ScalarParseError(
-            f"scalar literal nested deeper than {MAX_NESTING} levels")
-    if tok == "-":
-        value, pos = _parse_factor(tokens, pos + 1, depth + 1)
-        return -value, pos
-    if tok == "i":
-        return I, pos + 1
-    if tok == "sqrt":
-        if pos + 3 >= len(tokens) or tokens[pos + 1] != "(" or tokens[pos + 3] != ")":
-            raise ScalarParseError("sqrt requires a parenthesized integer radicand")
-        return Scalar.sqrt(int(tokens[pos + 2])), pos + 4
-    if tok == "(":
-        value, pos = _parse_expr(tokens, pos + 1, depth + 1)
-        if pos >= len(tokens) or tokens[pos] != ")":
-            raise ScalarParseError("unbalanced parenthesis in scalar literal")
-        return value, pos + 1
-    if tok.isdigit():
-        return Scalar.rational(int(tok)), pos + 1
-    raise ScalarParseError(f"unexpected token {tok!r} in scalar literal")
+    def peek(self) -> str | None:
+        at_end = self.pos == len(self.tokens)
+        return None if at_end else self.tokens[self.pos].group()
+
+    def take(self, kind: str | None = None) -> str:
+        tok = self.peek()
+        if tok is None or kind and self.tokens[self.pos].lastgroup != kind:
+            self.fail(f"expected {kind or 'more'}, found {tok or 'the end'}")
+        self.pos += 1
+        return tok
+
+    def accept(self, tok: str) -> bool:
+        found = self.peek() == tok
+        self.pos += found
+        return found
+
+    def expect(self, tok: str) -> None:
+        if not self.accept(tok):
+            self.fail(f"expected {tok}, found {self.peek() or 'the end'}")
+
+    def nested(self, production):
+        if self.depth == MAX_NESTING:
+            self.fail(f"nesting deeper than {MAX_NESTING} levels")
+        self.depth += 1
+        value = production()
+        self.depth -= 1
+        return value
+
+    def expr(self):
+        value = self.term()
+        while self.peek() in ("+", "-"):
+            rhs = self.term() if self.take() == "+" else -self.term()
+            value = value + rhs
+        return value
+
+    def term(self):
+        value = self.factor()
+        while self.peek() in ("*", "/"):
+            op, rhs = self.take(), self.factor()
+            if op == "/":
+                if not isinstance(rhs, Scalar):
+                    self.fail("division by a direction")
+                if rhs.is_zero():
+                    self.fail("division by zero")
+                rhs = rhs.inv()
+            value = value * rhs
+        return value
+
+    def factor(self):
+        tok = self.take()
+        if tok == "-":
+            return -self.nested(self.factor)
+        if tok == "(":
+            value = self.nested(self.expr)
+            self.expect(")")
+            return value
+        if tok == "sqrt":
+            self.expect("(")
+            radicand = int(self.take("number"))
+            self.expect(")")
+            return Scalar.sqrt(radicand)
+        if tok.isdigit():
+            return Scalar.rational(int(tok))
+        if tok in self.names:
+            return Linear({tok: ONE})
+        if tok == "i":
+            return I
+        self.fail(f"unexpected {tok!r}")
+
+    def vector(self) -> list[tuple[str, str | None, list[Scalar]]]:
+        """Terms (head, label, arguments); a term's "-" negates its args."""
+        terms = []
+        while not terms or self.accept("+") or self.peek() == "-":
+            sign = ONE
+            while self.accept("-"):
+                sign = -sign
+            head, label = self.take("name"), None
+            if self.accept("["):
+                label = self.take("name")
+                self.expect("]")
+            self.expect("(")
+            args = [self.expr()]
+            while self.accept(","):
+                args.append(self.expr())
+            self.expect(")")
+            terms.append((head, label, [sign * a for a in args]))
+        return terms
+
+    def label(self) -> tuple:
+        self.expect("(")
+        parts = [self.nested(self.part)]
+        while self.accept(","):
+            parts.append(self.nested(self.part))
+        self.expect(")")
+        return tuple(parts)
+
+    def part(self):
+        if self.peek() == "(":
+            return self.label()
+        start = self.pos
+        while self.peek() not in (None, ",", ")"):
+            if self.peek() == "(":
+                self.label()
+            else:
+                self.pos += 1
+        if self.pos == start:
+            self.fail("empty label part")
+        first, last = self.tokens[start], self.tokens[self.pos - 1]
+        if first is last and first.lastgroup == "number":
+            return int(first.group())
+        return self.text[first.start():last.end()]

@@ -66,8 +66,22 @@ def test_label_round_trip(text):
 
 
 def test_label_requires_parentheses():
-    with pytest.raises(UnknownLabel):
-        TypeLabel.parse("EIII", "Q")
+    for text in ("Q", "(1,2))", "((1,2)"):
+        with pytest.raises(UnknownLabel):
+            TypeLabel.parse("EIII", text)
+
+
+def test_table_labels_round_trip():
+    texts = [(name, row.label.text)
+             for name in SPACES for row in expected_rows(name)]
+    for host, (parent, rows) in derived_hosts().items():
+        for text in (host, *(r["label"] for r in rows),
+                     *(r["other"] for r in rows if "other" in r)):
+            texts.append((parent or "external", text))
+    for space, text in texts:
+        lab = TypeLabel.parse(space, text)
+        again = TypeLabel.parse(space, lab.text)
+        assert (again.text, again.parts) == (lab.text, lab.parts), text
 
 
 def test_unknown_prototype_raises(spaces):
@@ -302,8 +316,13 @@ def test_parse_flat_vector_forms(spaces):
     expect = vec_add(vec_scale(rat(2), sp.sharp["l1"]),
                      vec_scale(rat(-1), sp.sharp["l2"]))
     assert w == expect
+    # "/" binds to its own term and associates to the left
+    assert parse_flat_vector(sp, "l1/2/3") == parse_flat_vector(sp, "l1/6")
+    assert parse_flat_vector(sp, "l1 + l2/2") == vec_add(
+        sp.sharp["l1"], vec_scale(rat(1, 2), sp.sharp["l2"]))
 
 
 def test_parse_flat_vector_rejects_garbage(spaces):
-    with pytest.raises(ValueError):
-        parse_flat_vector(spaces["G2group"], "3*l9")
+    for text in ("3*l9", "l1/2+1", "1 + l1", "l1*l2", "2/l1", "2", ""):
+        with pytest.raises(ValueError):
+            parse_flat_vector(spaces["G2group"], text)

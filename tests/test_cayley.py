@@ -453,6 +453,8 @@ def test_parse_rational_matrix_file():
     assert mats[0][0] == [F(3, 5), F(-4, 5)]
     with pytest.raises(ValueError):
         parse_rational_matrix_file("1 2\n3\n")
+    with pytest.raises(ValueError):
+        parse_rational_matrix_file("1/0 0\n0 1\n")
 
 
 def test_verify_models_report():

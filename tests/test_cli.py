@@ -1,11 +1,15 @@
 """Tests for the command-line front end: verbs, formats, exit codes,
 schema validity of JSON reports, and deterministic output."""
 
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from ltskit.cli import EXIT_FAIL, EXIT_OK, EXIT_PARSE, main, schema_text
 
@@ -63,10 +67,12 @@ DEEP_MINUS = "-" * 2000 + "1"
 
 
 def test_geodesic_bad_expression(capsys):
-    for H in ("3*l9", "l1/0", f"{DEEP_PARENS}*l1", f"({DEEP_MINUS})*l1"):
-        code, _, err = run(capsys, "geodesic", "length", "--H", H)
-        assert code == EXIT_PARSE, H
-        assert "error:" in err, H
+    for argv in (("--H", "3*l9"), ("--H", "l1/0"),
+                 ("--H", f"{DEEP_PARENS}*l1"), ("--H", f"({DEEP_MINUS})*l1"),
+                 ("--H", "l1", "--space", "EIII")):
+        code, _, err = run(capsys, "geodesic", "length", *argv)
+        assert code == EXIT_PARSE, argv
+        assert "error:" in err, argv
 
 
 # -- lts check -------------------------------------------------------------
@@ -99,6 +105,11 @@ def test_lts_check_malformed_file(capsys, tmp_path):
     bad.write_text("space: EIII\nM[l9](1, 0, 0)\n")
     code, _, err = run(capsys, "lts", "check", str(bad))
     assert code == EXIT_PARSE
+    # a file that is not UTF-8 (here a UTF-16 byte-order mark)
+    bad.write_bytes(b"\xff\xfe" + "space: EIII\n".encode("utf-16-le"))
+    code, _, err = run(capsys, "lts", "check", str(bad))
+    assert code == EXIT_PARSE
+    assert "cannot read" in err
 
 
 def test_lts_check_failing_subspace(capsys, tmp_path):
@@ -227,7 +238,7 @@ def test_curvature_eval_flat_arguments_commute(capsys):
 
 def test_curvature_eval_bad_vector(capsys):
     for x in ("M[l9](1)", "a(1/0, 0)", f"a({DEEP_PARENS}, 0)",
-              f"a({DEEP_MINUS}, 0)"):
+              f"a({DEEP_MINUS}, 0)", "a(1,0) + ", "a(1, 0,)"):
         code, _, err = run(capsys, "curvature", "eval", "EIII",
                            "--x", x, "--y", "a(1, 0)", "--z", "a(0, 1)")
         assert code == EXIT_PARSE, x
@@ -304,3 +315,40 @@ def test_models_verify_rejects_bad_samples(capsys, tmp_path):
     code, _, err = run(capsys, "models", "verify", "--samples", str(f))
     assert code == EXIT_PARSE
     assert "orthogonal" in err
+    f.write_text("1/0 0\n0 1\n")
+    code, _, err = run(capsys, "models", "verify", "--samples", str(f))
+    assert code == EXIT_PARSE
+    assert "zero denominator" in err
+
+
+# -- parser-facing arguments -----------------------------------------------
+
+# Arbitrary text, text joined from the grammars' tokens and pieces, and sums
+# or lines of well-formed pieces, which reach past the parser into analysis.
+WELL_FORMED = ("a(1, 0)", "a(0, 1)", "M[l1](1)", "M[l2](i)", "sharp[l5](1)",
+               "2*l1", "l2/sqrt(3)", "(l1 + l2)/2")
+GRAMMAR_TOKENS = ("a", "M", "sharp", "[", "]", "l1", "l2", "2l1", "(", ")",
+                  ",", "+", "-", "*", "/", "0", "1", "3", "i", "sqrt", " ",
+                  "\n")
+FUZZ_TEXT = st.one_of(
+    st.text(max_size=40),
+    st.lists(st.sampled_from(GRAMMAR_TOKENS + WELL_FORMED),
+             max_size=20).map("".join),
+    st.builds(str.join, st.sampled_from((" + ", " - ", "\n")),
+              st.lists(st.sampled_from(WELL_FORMED), min_size=1, max_size=4)))
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=FUZZ_TEXT)
+@example(text="--")
+def test_parser_facing_arguments_never_raise(tmp_path, text):
+    sub_file = tmp_path / "fuzz.sub"
+    sub_file.write_text("space: G2group\n" + text + "\n", encoding="utf-8")
+    for argv in (["curvature", "eval", "G2group", f"--x={text}",
+                  "--y=a(1, 0)", "--z=a(0, 1)"],
+                 ["geodesic", "length", f"--H={text}"],
+                 ["lts", "check", str(sub_file)]):
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            code = main(argv)
+        assert code in (EXIT_OK, EXIT_FAIL, EXIT_PARSE), argv

@@ -385,6 +385,8 @@ def test_parse_vector_signs_and_nesting():
                    vec_sub(vec_scale(rat(1, 2), sp.a_basis[0]),
                            sp.a_basis[1]))
     assert vec_is_zero(vec_sub(v, want))
+    assert lts.parse_vector(sp, "a(1, 0) - -a(0, 1)") == \
+        lts.parse_vector(sp, "a(1, 1)")
 
 
 def test_parse_subspace_errors():
