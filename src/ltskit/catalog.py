@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Callable, Iterable, Sequence
 
-from .linalg import Span, Vec, solve, vec_add, vec_scale
+from .linalg import Vec, combine, coordinates, vec_add, vec_scale
 from .lts import Subspace, analyze, intersect_spans, is_lts, isotropy_rotate
 from .scalars import I, ONE, ParseError, Parser, Scalar, ZERO, rat, sqrt
 from .spaces import SpaceModel, build_space
@@ -30,6 +30,8 @@ from .spaces import SpaceModel, build_space
 
 class UnknownLabel(KeyError):
     """Raised for a type label with no prototype constructor."""
+
+    __str__ = Exception.__str__  # the message, without KeyError's quotes
 
 
 class NotInLatticeSpan(ValueError):
@@ -608,11 +610,8 @@ def torus_rotate(sp: SpaceModel, vec: Sequence[Scalar], n1: int,
                  n2: int = 0) -> Vec:
     """Rotate by the flat-torus isometry whose angles on the two basic
     restricted roots are n1*pi/6 and n2*pi/6."""
-    basis: list[Vec] = []
-    images: list[Vec] = []
-    for av in sp.a_basis:
-        basis.append(list(av))
-        images.append(list(av))
+    basis: list[Vec] = [list(av) for av in sp.a_basis]
+    images: list[Vec] = [list(av) for av in sp.a_basis]
     for root in sp.restricted.positives:
         m = int(root.coords[0] * n1 + root.coords[1] * n2)
         if (root.coords[0] * n1 + root.coords[1] * n2) != m:
@@ -626,16 +625,10 @@ def torus_rotate(sp: SpaceModel, vec: Sequence[Scalar], n1: int,
             if v is not None:
                 basis.append(list(v))
                 images.append(chart.map(I * p))
-    n = len(vec)
-    rows = [[basis[j][i] for j in range(len(basis))] for i in range(n)]
-    x = solve(rows, list(vec))
+    x = coordinates(basis, vec)
     if x is None:
         raise ValueError("vector outside the tangent space")
-    out = [ZERO + 0] * n
-    for coef, img in zip(x, images):
-        if not coef.is_zero():
-            out = vec_add(out, vec_scale(coef, img))
-    return out
+    return combine(x, images)
 
 
 def _g2_diagonal_sphere(sp: SpaceModel, ell: int) -> Subspace:
@@ -727,10 +720,6 @@ def containment_rows(space_name: str) -> list[dict]:
     raise UnknownLabel(space_name)
 
 
-def _span_of(S: Subspace) -> Span:
-    return Span([list(v) for v in S.basis])
-
-
 def verify_containments(sp: SpaceModel, seed: int = 0) -> CatalogReport:
     """Check every inclusion row of the space's containment table."""
     rep = CatalogReport(sp.name, "containments")
@@ -742,7 +731,7 @@ def verify_containments(sp: SpaceModel, seed: int = 0) -> CatalogReport:
             rr.status = "SKIPPED"
             rep.rows.append(rr)
             continue
-        big = _span_of(make_prototype(sp, row["big"]))
+        big = make_prototype(sp, row["big"]).span()
         if mode == "direct":
             small = make_prototype(sp, row["small"])
         elif mode == "quarter-turn":
@@ -914,7 +903,7 @@ def verify_derived(host_text: str, seed: int = 0) -> CatalogReport:
                                       certificate=row["note"]))
         return rep
     sp = build_space(parent)
-    host = _span_of(make_prototype(sp, host_text))
+    host = make_prototype(sp, host_text).span()
     for row in rows:
         rr = ReportRow(label=row["label"], status="PASS",
                        certificate=row["note"])
@@ -944,9 +933,8 @@ def verify_derived(host_text: str, seed: int = 0) -> CatalogReport:
                 rep.rows.append(rr)
                 continue
         elif mode == "intersection":
-            other = _span_of(make_prototype(sp, row["other"]))
-            n = len(sp.a_basis[0])
-            inter = intersect_spans(n, host.basis(), other.basis())
+            other = make_prototype(sp, row["other"]).basis
+            inter = intersect_spans(host.basis(), other)
             small = Subspace(sp, inter)
             r = analyze(small, seed=seed)
             got = _computed_mults(r)
@@ -1008,11 +996,9 @@ def geodesic_length(sp: SpaceModel, H: Sequence[Scalar]) -> ClosedGeodesic | Non
     the maximal flat, or None when the geodesic does not close."""
     if sp.name != "G2group":
         raise UnknownLabel("geodesic lengths are modeled for G2group only")
-    if not Span([list(v) for v in sp.a_basis]).contains(list(H)):
+    if not sp.a_span.contains(H):
         raise NotInLatticeSpan("direction not tangent to the maximal flat")
-    b1, b2 = (sp.sharp[l] for l in _LATTICE_BASIS)
-    rows = [[b1[i], b2[i]] for i in range(len(H))]
-    x = solve(rows, list(H))
+    x = coordinates([sp.sharp[l] for l in _LATTICE_BASIS], H)
     if x is None:
         raise NotInLatticeSpan("direction outside the lattice span")
     terms: list[tuple[int, Fraction]] = []
@@ -1041,13 +1027,12 @@ def geodesic_length(sp: SpaceModel, H: Sequence[Scalar]) -> ClosedGeodesic | Non
 def lattice_is_integral(sp: SpaceModel) -> bool:
     """Every basic period vector is an integer combination of the two
     generating period vectors."""
-    b1, b2 = (sp.sharp[l] for l in _LATTICE_BASIS)
-    rows = [[b1[i], b2[i]] for i in range(len(b1))]
+    lattice = [sp.sharp[l] for l in _LATTICE_BASIS]
     for root in sp.restricted.positives:
         v = sp.sharp[root.label]
         n2 = sp.inner(v, v)
         w = vec_scale(rat(3) * n2.inv(), v)
-        c = solve(rows, list(w))
+        c = coordinates(lattice, w)
         if c is None:
             return False
         for t in c:
@@ -1064,7 +1049,5 @@ def parse_flat_vector(sp: SpaceModel, text: str) -> Vec:
     coeffs = Parser(text, sp.sharp).read(Parser.expr)
     if isinstance(coeffs, Scalar):
         raise ParseError(f"no flat direction in {text!r}")
-    out: Vec = [ZERO] * len(sp.a_basis[0])
-    for label, c in coeffs.items():
-        out = vec_add(out, vec_scale(c, sp.sharp[label]))
-    return out
+    return combine([coeffs.get(label, ZERO) for label in sp.sharp],
+                   list(sp.sharp.values()))

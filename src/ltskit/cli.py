@@ -208,11 +208,10 @@ def _complex_structure_row(sp) -> ReportRow:
     checks["chart_l1_l2_invariant"] = inv["l1"] and inv["l2"]
     doubled = Span(sp.charts["2l1"].basis_vectors()
                    + sp.charts["2l2"].basis_vectors())
-    flat = Span([list(v) for v in sp.a_basis])
     checks["flat_to_doubled"] = all(
         doubled.contains(sp.apply_J(list(v), j)) for v in sp.a_basis)
     checks["doubled_to_flat"] = all(
-        flat.contains(sp.apply_J(v, j))
+        sp.a_span.contains(sp.apply_J(v, j))
         for lbl in ("2l1", "2l2") for v in sp.charts[lbl].basis_vectors())
     l4 = Span(sp.charts["l4"].basis_vectors())
     l3 = Span(sp.charts["l3"].basis_vectors())

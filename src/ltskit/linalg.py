@@ -1,9 +1,16 @@
 """Exact dense linear algebra over the scalar field.
 
-Vectors are lists of Scalar, matrices are lists of rows.  Everything is
-fraction-free in spirit but implemented directly with exact division since
-Scalar division is cheap enough at the sizes we meet (<= a few hundred
-columns).
+Vectors are lists of Scalar, matrices are lists of rows.  Span is the one
+Gauss-Jordan elimination: it keeps the reduced row echelon form of the rows
+added so far, which is unique, so every result below is independent of the
+order in which rows arrive.  rank, kernel and solve read the pivots and rows
+of a Span built from their input rows.
+
+Beside them sit three helpers for the matrix whose columns are a list of
+vectors: combine (the matrix times a coefficient vector), relations (its
+kernel) and coordinates (one solution of a system with it).  Callers state
+"which combination of these vectors" through them instead of building a
+transposed coordinate system by hand.
 """
 
 from __future__ import annotations
@@ -40,53 +47,25 @@ def mat_vec(m: Sequence[Sequence[Scalar]], v: Sequence[Scalar]) -> Vec:
     return [sum((a * b for a, b in zip(row, v)), ZERO) for row in m]
 
 
-def row_echelon(m: Mat) -> tuple[Mat, list[int]]:
-    """In-place row echelon form; returns (m, pivot column list)."""
-    if not m:
-        return m, []
-    n_rows, n_cols = len(m), len(m[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(n_cols):
-        if r == n_rows:
-            break
-        for i in range(r, n_rows):
-            if not m[i][c].is_zero():
-                break
-        else:
-            continue
-        m[r], m[i] = m[i], m[r]
-        inv = m[r][c].inv()
-        m[r] = [x * inv for x in m[r]]
-        for i in range(n_rows):
-            if i != r and not m[i][c].is_zero():
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    return m, pivots
-
-
 def rank(rows: Sequence[Sequence[Scalar]]) -> int:
-    _, pivots = row_echelon([list(r) for r in rows])
-    return len(pivots)
+    return Span(rows).dim
 
 
 def kernel(rows: Sequence[Sequence[Scalar]]) -> list[Vec]:
-    """Basis of the right kernel of the matrix with the given rows."""
+    """Basis of the right kernel of the matrix with the given rows: one
+    vector per non-pivot column of the reduced echelon form."""
     if not rows:
         return []
     n_cols = len(rows[0])
-    m, pivots = row_echelon([list(r) for r in rows])
-    piv_set = set(pivots)
+    echelon = Span(rows)
     basis: list[Vec] = []
     for free in range(n_cols):
-        if free in piv_set:
+        if free in echelon._pivots:
             continue
         v = zeros(n_cols)
         v[free] = ONE
-        for r, pc in enumerate(pivots):
-            v[pc] = -m[r][free]
+        for row, pc in zip(echelon._rows, echelon._pivots):
+            v[pc] = -row[free]
         basis.append(v)
     return basis
 
@@ -96,14 +75,42 @@ def solve(rows: Sequence[Sequence[Scalar]], target: Sequence[Scalar]) -> Vec | N
     if not rows:
         return [] if vec_is_zero(target) else None
     n_cols = len(rows[0])
-    aug = [list(r) + [t] for r, t in zip(rows, target)]
-    m, pivots = row_echelon(aug)
-    if pivots and pivots[-1] == n_cols:
+    echelon = Span([list(r) + [t] for r, t in zip(rows, target)])
+    if echelon._pivots and echelon._pivots[-1] == n_cols:
         return None
     x = zeros(n_cols)
-    for r, pc in enumerate(pivots):
-        x[pc] = m[r][n_cols]
+    for row, pc in zip(echelon._rows, echelon._pivots):
+        x[pc] = row[n_cols]
     return x
+
+
+# -- the matrix whose columns are the given vectors -------------------------
+
+
+def combine(coeffs: Sequence[Scalar | int],
+            vectors: Sequence[Sequence[Scalar]]) -> Vec:
+    """sum_i coeffs[i] * vectors[i]; the list of vectors must not be empty."""
+    out = zeros(len(vectors[0]))
+    for c, v in zip(coeffs, vectors):
+        if c:
+            out = [a + c * b for a, b in zip(out, v)]
+    return out
+
+
+def relations(vectors: Sequence[Sequence[Scalar]]) -> list[Vec]:
+    """Basis of the coefficient vectors c with combine(c, vectors) = 0."""
+    rows = [list(r) for r in zip(*vectors) if not vec_is_zero(r)]
+    if not rows:
+        n = len(vectors)
+        return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+    return kernel(rows)
+
+
+def coordinates(vectors: Sequence[Sequence[Scalar]],
+                v: Sequence[Scalar]) -> Vec | None:
+    """Coefficients c with combine(c, vectors) = v, or None if v is outside
+    their span."""
+    return solve([list(r) for r in zip(*vectors)], v)
 
 
 class Span:

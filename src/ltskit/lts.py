@@ -34,8 +34,10 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .linalg import Span, Vec, kernel, vec_add, vec_is_zero, vec_scale, vec_sub, zeros
-from .scalars import ParseError, Parser, Scalar, rat
+from .linalg import (
+    Span, Vec, combine, relations, vec_add, vec_is_zero, vec_scale, zeros,
+)
+from .scalars import ParseError, Parser, Scalar
 from .spaces import (
     AngleDescriptor, NotHermitian, NotInM, RESTRICTED_LABELS, SpaceModel,
     build_space, scalar_sign,
@@ -132,28 +134,12 @@ def is_lts(S: Subspace) -> bool:
 # -- flats and rank --------------------------------------------------------
 
 
-def _combine(basis: list[Vec], coeffs) -> Vec:
-    out = zeros(len(basis[0]))
-    for c, b in zip(coeffs, basis):
-        if not (c.is_zero() if isinstance(c, Scalar) else c == 0):
-            out = vec_add(out, vec_scale(c if isinstance(c, Scalar) else rat(c), b))
-    return out
-
-
 def _operator_kernel(S: Subspace, operators) -> list[Vec]:
     """Vectors w in S with op(w) = 0 for every operator (given as Vec -> Vec)."""
     if S.dim == 0:
         return []
-    imgs = [[op(b) for b in S.basis] for op in operators]
-    rows = []
-    for per_basis in imgs:
-        for coord in range(len(per_basis[0])):
-            if all(v[coord].is_zero() for v in per_basis):
-                continue
-            rows.append([v[coord] for v in per_basis])
-    if not rows:
-        return [list(b) for b in S.basis]
-    return [_combine(S.basis, alpha) for alpha in kernel(rows)]
+    images = [[x for op in operators for x in op(b)] for b in S.basis]
+    return [combine(c, S.basis) for c in relations(images)]
 
 
 def _centralizer_in(S: Subspace, v: Vec) -> list[Vec]:
@@ -169,24 +155,13 @@ def _pairwise_abelian(alg, vectors: list[Vec]) -> bool:
     return True
 
 
-def intersect_spans(dim: int, rows1: list[Vec], rows2: list[Vec]) -> list[Vec]:
-    """Basis of span(rows1) intersect span(rows2)."""
+def intersect_spans(rows1: list[Vec], rows2: list[Vec]) -> list[Vec]:
+    """Basis of span(rows1) intersect span(rows2), in reduced echelon form."""
     if not rows1 or not rows2:
         return []
-    cols = len(rows1) + len(rows2)
-    sys_rows = []
-    for coord in range(dim):
-        row = [r[coord] for r in rows1] + [-r[coord] for r in rows2]
-        if all(x.is_zero() for x in row):
-            continue
-        sys_rows.append(row)
-    out = Span()
-    for sol in kernel(sys_rows) if sys_rows else []:
-        out.add(_combine(rows1, sol[:len(rows1)]))
-    if not sys_rows:
-        for r in rows1:
-            out.add(r)
-    return out.basis()
+    n = len(rows1)
+    return Span(combine(c[:n], rows1)
+                for c in relations(rows1 + rows2)).basis()
 
 
 def rank_and_flat(S: Subspace, seed: int = 0, budget: int = 24) -> tuple[int, Subspace]:
@@ -202,8 +177,7 @@ def rank_and_flat(S: Subspace, seed: int = 0, budget: int = 24) -> tuple[int, Su
     if S.dim == 0:
         return 0, Subspace(sp, [])
     alg = sp.alg
-    dim = alg.dim
-    a_meet = intersect_spans(dim, [list(z) for z in sp.a_basis], S.basis)
+    a_meet = intersect_spans(sp.a_basis, S.basis)
     rng = random.Random(seed)
 
     def schedule():
@@ -212,9 +186,9 @@ def rank_and_flat(S: Subspace, seed: int = 0, budget: int = 24) -> tuple[int, Su
         for _ in range(budget // 2):
             if not a_meet:
                 break
-            yield _combine(a_meet, [rng.randint(-3, 3) for _ in a_meet])
+            yield combine([rng.randint(-3, 3) for _ in a_meet], a_meet)
         for _ in range(budget):
-            yield _combine(S.basis, [rng.randint(-3, 3) for _ in S.basis])
+            yield combine([rng.randint(-3, 3) for _ in S.basis], S.basis)
 
     for v in schedule():
         if vec_is_zero(v):
@@ -267,11 +241,10 @@ def sub_restricted_roots(S: Subspace, flat: Subspace) -> list[SubRoot]:
     """
     sp = S.space
     alg = sp.alg
-    a_span = Span([list(z) for z in sp.a_basis])
     for h in flat.basis:
         if not S.contains(h):
             raise NotAFlat("flat is not contained in the subspace")
-        if not a_span.contains(h):
+        if not sp.a_span.contains(h):
             raise NotAFlat("flat must lie in the reference maximal flat")
     if not _pairwise_abelian(alg, flat.basis):
         raise NotAFlat("flat is not abelian")
@@ -301,7 +274,7 @@ def sub_restricted_roots(S: Subspace, flat: Subspace) -> list[SubRoot]:
         ambient = []
         for label in labels:
             ambient.extend(sp.charts[label].basis_vectors())
-        meet = intersect_spans(alg.dim, ambient, S.basis)
+        meet = intersect_spans(ambient, S.basis)
         if Span(space_vecs) != Span(meet):
             raise NotAFlat(
                 "root space does not match the ambient intersection; "
@@ -506,8 +479,7 @@ def analyze(S: Subspace, seed: int = 0) -> LtsReport:
     rank, flat = rank_and_flat(S, seed=seed)
     report.rank = rank
     report.flat = flat
-    a_span = Span([list(z) for z in sp.a_basis])
-    if all(a_span.contains(h) for h in flat.basis):
+    if all(sp.a_span.contains(h) for h in flat.basis):
         report.restricted = sub_restricted_roots(S, flat)
         report.checks = decomposition_checks(S, flat, report.restricted)
         if rank == 1:
@@ -528,7 +500,7 @@ def parse_vector(sp: SpaceModel, line: str) -> Vec:
     total = zeros(sp.alg.dim)
     for head, label, args in Parser(line).read(Parser.vector):
         if head == "a" and label is None and len(args) == len(sp.a_basis):
-            vec = _combine([list(z) for z in sp.a_basis], args)
+            vec = combine(args, sp.a_basis)
         elif head == "M" and label in sp.charts:
             vec = sp.charts[label].map(*args)
         elif head == "sharp" and label in sp.sharp and len(args) == 1:

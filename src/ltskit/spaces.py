@@ -34,8 +34,8 @@ from typing import Callable, Sequence
 
 from .chevalley import ChevalleyAlgebra, _add, _neg
 from .linalg import (
-    Span, Vec, kernel, mat_vec, solve, vec_add, vec_is_zero, vec_scale,
-    vec_sub, zeros,
+    Span, Vec, combine, kernel, relations, solve, vec_add, vec_is_zero,
+    vec_scale, vec_sub, zeros,
 )
 from .roots import RestrictedRoot, RestrictedRootSystem, Root, RootSystem
 from .scalars import I, Scalar, ZERO, parse_scalar, rat
@@ -312,6 +312,11 @@ class SpaceModel:
         self.phases = lift_involution(alg, self.sigma_roots)
         self.sigma_matrix = _involution_matrix(alg, self.sigma_roots, self.phases)
         dim = alg.dim
+        # sigma's columns as sparse (row, entry) lists, for apply_sigma
+        self._sigma_cols = [
+            [(i, rat(self.sigma_matrix[i][k])) for i in range(dim)
+             if self.sigma_matrix[i][k]]
+            for k in range(dim)]
         # eigenspace split over the rationals
         plus = [[rat(self.sigma_matrix[i][j] - (1 if i == j else 0))
                  for j in range(dim)] for i in range(dim)]
@@ -360,6 +365,7 @@ class SpaceModel:
         self._metric_c = shortest
         self._a_raw = [list(v) for v in self.a_basis]
         self.a_basis = self._orthonormalize(self.a_basis)
+        self.a_span = Span(self.a_basis)
         self.sharp = {label: self._solve_sharp(label) for label in self._forms}
         self.restricted = self._build_restricted()
         self.charts = self._build_charts("M")
@@ -402,10 +408,7 @@ class SpaceModel:
         target = [self._eval_form(label, za) for za in self.a_basis]
         coeffs = solve(rows, target)
         assert coeffs is not None
-        out = zeros(self.alg.dim)
-        for c, za in zip(coeffs, self.a_basis):
-            out = vec_add(out, vec_scale(c, za))
-        return out
+        return combine(coeffs, self.a_basis)
 
     def _sharp_norm_sq_unscaled(self, label: str) -> Scalar:
         saved = self._metric_c
@@ -458,15 +461,15 @@ class SpaceModel:
 
     # -- charts ------------------------------------------------------------
 
-    def _sigma_scalar_rows(self):
-        if not hasattr(self, "_sig_rows"):
-            self._sig_rows = [[rat(x) for x in row] for row in self.sigma_matrix]
-        return self._sig_rows
-
     def apply_sigma(self, v: Vec) -> Vec:
         if self.sigma_matrix is None:
             raise LiftFailure("the group model has no ambient involution")
-        return mat_vec(self._sigma_scalar_rows(), v)
+        out = zeros(self.alg.dim)
+        for k, c in enumerate(v):
+            if not c.is_zero():
+                for i, w in self._sigma_cols[k]:
+                    out[i] = out[i] + w * c
+        return out
 
     def _project_m(self, v: Vec) -> Vec:
         if self.sigma_matrix is None:
@@ -551,10 +554,7 @@ class SpaceModel:
         return out
 
     def a_component(self, v: Vec) -> Vec:
-        out = zeros(self.alg.dim)
-        for z in self.a_basis:
-            out = vec_add(out, vec_scale(self.inner(v, z), z))
-        return out
+        return combine([self.inner(v, z) for z in self.a_basis], self.a_basis)
 
     def validate_orbit_tables(self) -> bool:
         """Check the published orbit/fixed tables against the linear sigma."""
@@ -578,25 +578,6 @@ class SpaceModel:
                 seen.add(b_idx)
         return seen == set(range(1, len(self.alg.positives) + 1))
 
-    def _sigma_sparse_cols(self):
-        if not hasattr(self, "_sig_cols"):
-            dim = self.alg.dim
-            self._sig_cols = [
-                [(i, rat(self.sigma_matrix[i][k])) for i in range(dim)
-                 if self.sigma_matrix[i][k]]
-                for k in range(dim)
-            ]
-        return self._sig_cols
-
-    def _apply_sigma_sparse(self, v: Vec) -> Vec:
-        out = zeros(self.alg.dim)
-        cols = self._sigma_sparse_cols()
-        for k, c in enumerate(v):
-            if not c.is_zero():
-                for i, w in cols[k]:
-                    out[i] = out[i] + w * c
-        return out
-
     def validate_involution(self) -> bool:
         """sigma^2 = id and automorphism property on all basis pairs."""
         if self.sigma_matrix is None:
@@ -604,16 +585,16 @@ class SpaceModel:
         alg, dim = self.alg, self.alg.dim
         cols = [[ZERO] * dim for _ in range(dim)]
         for k in range(dim):
-            for i, w in self._sigma_sparse_cols()[k]:
+            for i, w in self._sigma_cols[k]:
                 cols[k][i] = w
         for k in range(dim):
-            img = self._apply_sigma_sparse(cols[k])
+            img = self.apply_sigma(cols[k])
             img[k] = img[k] - rat(1)
             if not vec_is_zero(img):
                 return False
         for i in range(dim):
             for j in range(i + 1, dim):
-                lhs = self._apply_sigma_sparse(
+                lhs = self.apply_sigma(
                     alg.bracket(alg.basis_vec(i), alg.basis_vec(j)))
                 rhs = alg.bracket(cols[i], cols[j])
                 if not vec_is_zero(vec_sub(lhs, rhs)):
@@ -645,20 +626,11 @@ class SpaceModel:
         gens = tk + [self.k_charts["2l1"].pairs[0][0],
                      self.k_charts["2l2"].pairs[0][0]]
         # solve [X, b] = 0 for all k basis vectors b
-        rows = []
-        targets = []
-        for b in self.k_rows:
-            imgs = [alg.bracket(g, b) for g in gens]
-            for coord in range(alg.dim):
-                if all(img[coord].is_zero() for img in imgs):
-                    continue
-                rows.append([img[coord] for img in imgs])
-        ker = kernel(rows)
+        ker = relations([[x for b in self.k_rows for x in alg.bracket(g, b)]
+                         for g in gens])
         if len(ker) != 1:
             raise NotHermitian(f"center of k has dimension {len(ker)}, not 1")
-        j0 = zeros(alg.dim)
-        for c, g in zip(ker[0], gens):
-            j0 = vec_add(j0, vec_scale(c, g))
+        j0 = combine(ker[0], gens)
         # scale: (ad j|m)^2 = -id
         probe = self.charts["l1"].pairs[0][0]
         img = alg.bracket(j0, alg.bracket(j0, probe))
@@ -727,7 +699,7 @@ class SpaceModel:
     def isotropy_angle(self, v: Vec) -> AngleDescriptor:
         if vec_is_zero(v):
             raise ValueError("isotropy angle of the zero vector")
-        if not Span(self.a_basis).contains(v):
+        if not self.a_span.contains(v):
             raise NotInM("isotropy angle takes a vector in the flat a")
         w = self.weyl_reduce(v)
         r0, e = self._angle_frame()

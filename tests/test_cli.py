@@ -73,6 +73,8 @@ def test_geodesic_bad_expression(capsys):
         code, _, err = run(capsys, "geodesic", "length", *argv)
         assert code == EXIT_PARSE, argv
         assert "error:" in err, argv
+    _, _, err = run(capsys, "geodesic", "length", "--H", "l1", "--space", "EIII")
+    assert err == "error: geodesic lengths are modeled for G2group only\n"
 
 
 # -- lts check -------------------------------------------------------------
@@ -275,6 +277,23 @@ def test_jobs_option_is_rejected(capsys):
     assert "--jobs" in err
 
 
+GOLDEN = ROOT / "tests" / "data" / "golden"
+
+# default stdout of each command, pinned byte for byte to its file
+GOLDEN_COMMANDS = {
+    "lts_check_eiii_dIII.json": ("lts", "check", EXAMPLE_SUB,
+                                 "--format", "json"),
+    "curvature_eval_EIII.json": ("curvature", "eval", "EIII",
+                                 "--x", "M[l1](1, 0, 0, 0)", "--y", "a(1, 0)",
+                                 "--z", "M[l1](1, 0, 0, 0)",
+                                 "--format", "json"),
+    "geodesic_length.json": ("geodesic", "length",
+                             "--H", "(9*l1 + 5*l2)/sqrt(21)",
+                             "--format", "json"),
+    "space_info_EIII.md": ("space", "info", "EIII"),
+}
+
+
 def test_deterministic_output(capsys):
     argv = ("lts", "check", EXAMPLE_SUB, "--format", "json")
     code1, out1, _ = run(capsys, *argv)
@@ -282,6 +301,10 @@ def test_deterministic_output(capsys):
     assert code1 == code2 == EXIT_OK
     assert json.loads(out1)
     assert out1 == out2
+    for name, argv in GOLDEN_COMMANDS.items():
+        code, out, _ = run(capsys, *argv)
+        assert code == EXIT_OK, argv
+        assert out == (GOLDEN / name).read_text(encoding="utf-8"), argv
 
 
 # -- models verify ---------------------------------------------------------

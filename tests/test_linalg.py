@@ -1,6 +1,9 @@
 from hypothesis import given, strategies as st
 
-from ltskit.linalg import Span, kernel, mat_vec, rank, solve, vec_is_zero
+from ltskit.linalg import (
+    Span, combine, coordinates, kernel, mat_vec, rank, relations, solve,
+    vec_is_zero,
+)
 from ltskit.scalars import ONE, Scalar, ZERO, rat, sqrt
 
 
@@ -66,6 +69,40 @@ def test_kernel_annihilates(rows):
     for v in kernel(a):
         assert vec_is_zero(mat_vec(a, v))
     assert rank(a) + len(kernel(a)) == 3
+
+
+vectors = st.lists(st.lists(small, min_size=3, max_size=3), min_size=1,
+                   max_size=4)
+
+
+@given(vectors)
+def test_relations_annihilate(rows):
+    vs = m(*rows)
+    rels = relations(vs)
+    for c in rels:
+        assert vec_is_zero(combine(c, vs))
+    assert len(rels) == len(vs) - rank(vs)
+
+
+@given(st.integers(min_value=1, max_value=4))
+def test_relations_of_zero_vectors_are_the_identity(n):
+    vs = [[ZERO] * 3 for _ in range(n)]
+    assert relations(vs) == [[ONE if i == j else ZERO for j in range(n)]
+                             for i in range(n)]
+
+
+@given(vectors, st.lists(small, min_size=4, max_size=4))
+def test_coordinates_round_trip(rows, xs):
+    vs = m(*rows)
+    v = combine([rat(x) for x in xs], vs)
+    c = coordinates(vs, v)
+    assert c is not None
+    assert combine(c, vs) == v
+    span = Span(vs)
+    for k in range(3):
+        e = [ONE if i == k else ZERO for i in range(3)]
+        if not span.contains(e):
+            assert coordinates(vs, e) is None
 
 
 @given(st.lists(st.lists(small, min_size=3, max_size=3), min_size=1, max_size=4),

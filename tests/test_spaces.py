@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -30,6 +31,21 @@ def test_dimensions():
 def test_involution_is_involutive_automorphism():
     for name in ("EIII", "EIV"):
         assert build_space(name).validate_involution()
+
+
+def test_apply_sigma_matches_sigma_matrix():
+    rng = random.Random(5)
+    for name in ("EIII", "EIV"):
+        sp = build_space(name)
+        n = sp.alg.dim
+        for k in range(n):
+            col = [rat(sp.sigma_matrix[i][k]) for i in range(n)]
+            assert sp.apply_sigma([rat(x) for x in e(n, k)]) == col
+        v = [rat(Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+             for _ in range(n)]
+        dense = [sum((x * c for x, c in zip(row, v)), rat(0))
+                 for row in sp.sigma_matrix]
+        assert sp.apply_sigma(v) == dense
 
 
 def test_orbit_tables_match_involution():
