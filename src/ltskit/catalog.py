@@ -1,24 +1,30 @@
 """Catalog of totally geodesic type families and their verification sweeps.
 
-This module carries, as versioned in-repo data, the classification tables for
-the three modeled symmetric spaces: every type family with its prototype
-subspace, expected dimension, rank, Hermitian complexity (EIII only),
-isotropy angle (rank-1 families) and restricted sub-multiplicities (rank-2
-families).  On top of the tables it provides
+The classification tables of the three modeled spaces are versioned in-repo
+data, checked exactly with no floating point.  They hold two kinds of row:
 
-* ``verify_catalog``    -- rebuild every prototype and check all invariants,
-* ``verify_containments`` -- check the inclusion tables between families,
-* ``verify_derived``    -- check which families survive inside a fixed host
-                           prototype (sub-space classifications),
-* ``geodesic_length``   -- exact closed-geodesic length in the group case.
+* an ``ExpectedRow`` is a type family with its invariants: dimension, rank,
+  isotropy angle (rank 1), Hermitian complexity (EIII) and restricted
+  sub-multiplicities by ambient label (rank 2).  ``verify_catalog`` rebuilds
+  each prototype and compares its analysis with the row;
+* a ``WitnessRow`` claims that the family ``label`` lies in ``big``, a larger
+  family (``verify_containments``) or the host of a derived space
+  (``verify_derived``).  Its witness must be an LTS in the span of big's
+  prototype, and its mode says how it is built: ``direct`` (the label's
+  prototype), ``quarter-turn`` (its image under an isotropy quarter turn),
+  ``diagonal``, ``adapted`` or ``torus`` (a diagonal sphere, a slot-adapted
+  prototype or a flat-torus rotation, whose invariants must first match the
+  label's prototype), ``intersection`` (big's prototype met with that of the
+  label's first part, compared with an ``ExpectedRow`` instead) or ``skip``.
 
-All comparisons are exact; no floating point is used anywhere.
+``geodesic_length`` gives exact closed-geodesic lengths in the group case.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache, partial
 from math import gcd
 from typing import Callable, Iterable, Sequence
 
@@ -550,46 +556,71 @@ def _computed_mults(report) -> tuple[tuple[str, int], ...]:
     return tuple(sorted(out.items()))
 
 
-# -- catalog sweep ---------------------------------------------------------
+# -- expected invariants ---------------------------------------------------
+
+
+def _check_expected(sp: SpaceModel, row: ExpectedRow, S: Subspace,
+                    label: str, seed: int) -> ReportRow:
+    """Analyze S and compare it with the row; a FAIL names the closure
+    defect or else the first invariant that did not match."""
+    r = analyze(S, seed=seed)
+    expected = {"dim": row.dim, "rank": row.rank}
+    computed = {"dim": S.dim, "rank": r.rank, "is_lts": r.is_lts}
+    if row.angle is not None:
+        expected["angle"] = row.angle
+        computed["angle"] = r.isotropy_angle.name if r.isotropy_angle else None
+    if row.complexity is not None:
+        expected["complexity"] = row.complexity
+        computed["complexity"] = r.complexity
+    if row.sub_mults is not None:
+        expected["sub_mults"] = dict(row.sub_mults)
+        computed["sub_mults"] = dict(_computed_mults(r))
+    if row.maximal:
+        computed["maximal"] = "consistent-with-catalog"
+    if not r.is_lts:
+        failure = f"closure fails at triple {r.certificate}"
+    else:
+        failure = next((f"{key}: expected {want}, computed {computed[key]}"
+                        for key, want in expected.items()
+                        if computed[key] != want), "")
+    return ReportRow(label, "FAIL" if failure else "PASS", expected,
+                     computed, failure)
 
 
 def verify_catalog(sp: SpaceModel, seed: int = 0) -> CatalogReport:
     """Rebuild every prototype of the space and check all its invariants."""
     rep = CatalogReport(sp.name, "classification")
     for row in expected_rows(sp.name):
-        rr = ReportRow(label=row.label.text, status="PASS")
         if row.opaque:
-            rr.status = "SKIPPED"
-            rr.certificate = row.note or "opaque external sub-family"
-            rep.rows.append(rr)
-            continue
-        S = make_prototype(sp, row.label)
-        r = analyze(S, seed=seed)
-        rr.expected = {"dim": row.dim, "rank": row.rank}
-        rr.computed = {"dim": S.dim, "rank": r.rank, "is_lts": r.is_lts}
-        ok = r.is_lts and S.dim == row.dim and r.rank == row.rank
-        if row.angle is not None:
-            rr.expected["angle"] = row.angle
-            got = r.isotropy_angle.name if r.isotropy_angle else None
-            rr.computed["angle"] = got
-            ok = ok and got == row.angle
-        if row.complexity is not None:
-            rr.expected["complexity"] = row.complexity
-            rr.computed["complexity"] = r.complexity
-            ok = ok and r.complexity == row.complexity
-        if row.sub_mults is not None:
-            got_m = _computed_mults(r)
-            rr.expected["sub_mults"] = dict(row.sub_mults)
-            rr.computed["sub_mults"] = dict(got_m)
-            ok = ok and got_m == row.sub_mults
-        if row.maximal:
-            rr.computed["maximal"] = "consistent-with-catalog"
-        if not ok:
-            rr.status = "FAIL"
-            if not r.is_lts:
-                rr.certificate = f"closure fails at triple {r.certificate}"
-        rep.rows.append(rr)
+            rep.rows.append(ReportRow(row.label.text, "SKIPPED",
+                                      certificate=row.note))
+        else:
+            rep.rows.append(_check_expected(
+                sp, row, make_prototype(sp, row.label), row.label.text, seed))
     return rep
+
+
+def _invariants_match(sp: SpaceModel, A: Subspace, B: Subspace,
+                      seed: int = 0) -> bool:
+    """Both are LTS with the same dim, rank, angle, complexity (EIII) and
+    restricted data: the normalized squared root values with multiplicities
+    in rank 1, the multiplicities by ambient label in rank 2."""
+    def invariants(S: Subspace) -> tuple | None:
+        r = analyze(S, seed=seed)
+        if not r.is_lts:
+            return None
+        if r.rank == 1:
+            h = r.flat.basis[0]
+            n2 = sp.inner(h, h)
+            roots = sorted((sorted(str(v * v / n2) for v in sr.values),
+                            sr.mult) for sr in r.restricted or [])
+        else:
+            roots = _computed_mults(r)
+        angle = r.isotropy_angle.name if r.isotropy_angle else None
+        return (S.dim, r.rank, angle, r.complexity, roots)
+
+    inv = invariants(A)
+    return inv is not None and inv == invariants(B)
 
 
 # -- isometry witnesses ----------------------------------------------------
@@ -643,212 +674,161 @@ def _g2_diagonal_sphere(sp: SpaceModel, ell: int) -> Subspace:
     return Subspace(sp, gens[:ell])
 
 
-# -- containment tables ----------------------------------------------------
+# -- witness rows: containment tables and derived-space catalogs -----------
 
 
-def _contain(small: str, big: str, mode: str = "direct",
-             note: str = "") -> dict:
-    return {"small": small, "big": big, "mode": mode, "note": note}
+@dataclass(frozen=True)
+class WitnessRow:
+    """A claim that the family ``label`` lies in ``big`` (a larger family,
+    or a derived space's host); the module docstring lists the modes."""
+
+    label: str
+    big: str
+    mode: str = "direct"
+    note: str = ""
+    steps: tuple[int, int] = (0, 0)  # flat-torus steps of a torus row
+    expected: ExpectedRow | None = None  # invariants of an intersection row
 
 
-def containment_rows(space_name: str) -> list[dict]:
+def containment_rows(space_name: str) -> list[WitnessRow]:
     if space_name == "EIII":
         rows = [
-            _contain("(Geo, phi=0)", "(P, phi=0, (C,5))"),
-            _contain("(Geo, phi=pi/4)", "(P, phi=pi/4, (S,5))"),
-            _contain("(P, phi=0, (R,5))", "(P, phi=0, (C,5))"),
-            _contain("(P, phi=0, (C,4))", "(P, phi=0, (C,5))"),
-            _contain("(P, phi=pi/4, (S,5))", "(P, phi=pi/4, (S,6))"),
-            _contain("(P, phi=pi/4, (S,6))", "(P, phi=pi/4, (S,7))"),
-            _contain("(P, phi=pi/4, (S,7))", "(P, phi=pi/4, (S,8))"),
-            _contain("(P, phi=pi/4, (S,8))", "(P, phi=pi/4, (O,2))"),
-            _contain("(P, phi=pi/4, (R,2))", "(P, phi=pi/4, (O,2))"),
-            _contain("(P, phi=pi/4, (C,2))", "(P, phi=pi/4, (O,2))"),
-            _contain("(P, phi=pi/4, (H,2))", "(P, phi=pi/4, (O,2))"),
+            WitnessRow("(Geo, phi=0)", "(P, phi=0, (C,5))"),
+            WitnessRow("(Geo, phi=pi/4)", "(P, phi=pi/4, (S,5))"),
+            WitnessRow("(P, phi=0, (R,5))", "(P, phi=0, (C,5))"),
+            WitnessRow("(P, phi=0, (C,4))", "(P, phi=0, (C,5))"),
+            WitnessRow("(P, phi=pi/4, (S,5))", "(P, phi=pi/4, (S,6))"),
+            WitnessRow("(P, phi=pi/4, (S,6))", "(P, phi=pi/4, (S,7))"),
+            WitnessRow("(P, phi=pi/4, (S,7))", "(P, phi=pi/4, (S,8))"),
+            WitnessRow("(P, phi=pi/4, (S,8))", "(P, phi=pi/4, (O,2))"),
+            WitnessRow("(P, phi=pi/4, (R,2))", "(P, phi=pi/4, (O,2))"),
+            WitnessRow("(P, phi=pi/4, (C,2))", "(P, phi=pi/4, (O,2))"),
+            WitnessRow("(P, phi=pi/4, (H,2))", "(P, phi=pi/4, (O,2))"),
         ]
         for k1 in ("R", "C"):
             for k2 in ("R", "C"):
-                rows.append(_contain(f"(PxP1, ({k1},4), {k2})",
-                                     "(PxP1, (C,5), C)"))
+                rows.append(WitnessRow(f"(PxP1, ({k1},4), {k2})",
+                                        "(PxP1, (C,5), C)"))
                 if (k1, k2) != ("C", "C"):
-                    rows.append(_contain(f"(PxP1, ({k1},5), {k2})",
-                                         "(PxP1, (C,5), C)"))
-        rows.append(_contain(
+                    rows.append(WitnessRow(f"(PxP1, ({k1},5), {k2})",
+                                            "(PxP1, (C,5), C)"))
+        rows.append(WitnessRow(
             "(P, phi=0, (C,4))", "(Q)", mode="quarter-turn",
             note="image under the quarter-turn isotropy rotation"))
         for host in ("Q", "G2C6", "G2H4"):
-            rows.append(_contain(f"({host}, tau)", f"({host})", mode="skip",
-                                 note="external sub-family prototypes"))
+            rows.append(WitnessRow(f"({host}, tau)", f"({host})", mode="skip",
+                                   note="external sub-family prototypes"))
         return rows
     if space_name == "EIV":
-        rows = [_contain(f"(Geo, phi={a})", "(SxS1, 1)")
+        rows = [WitnessRow(f"(Geo, phi={a})", "(SxS1, 1)")
                 for a in ("0", "pi/6", "pi/3")]
         for ell in range(2, 10):
-            rows.append(_contain(f"(S, phi=pi/6, {ell})", f"(SxS1, {ell})"))
+            rows.append(WitnessRow(f"(S, phi=pi/6, {ell})", f"(SxS1, {ell})"))
         for k in ("R", "C", "H"):
-            rows.append(_contain(f"(P, phi=pi/6, ({k},2))",
-                                 "(P, phi=pi/6, (O,2))"))
+            rows.append(WitnessRow(f"(P, phi=pi/6, ({k},2))",
+                                   "(P, phi=pi/6, (O,2))"))
         for k in ("R", "C"):
-            rows.append(_contain(f"(P, phi=pi/6, ({k},3))",
-                                 "(P, phi=pi/6, (H,3))"))
-        rows.append(_contain("(AI)", "(A2)"))
-        rows.append(_contain("(A2)", "(AII)"))
+            rows.append(WitnessRow(f"(P, phi=pi/6, ({k},3))",
+                                   "(P, phi=pi/6, (H,3))"))
+        rows.append(WitnessRow("(AI)", "(A2)"))
+        rows.append(WitnessRow("(A2)", "(AII)"))
         for ell in range(1, 9):
-            rows.append(_contain(f"(SxS1, {ell})", "(SxS1, 9)"))
+            rows.append(WitnessRow(f"(SxS1, {ell})", "(SxS1, 9)"))
         return rows
     if space_name == "G2group":
-        rows = [_contain(f"(Geo, phi={a})", "(SxS, 1, 1)")
+        rows = [WitnessRow(f"(Geo, phi={a})", "(SxS, 1, 1)")
                 for a in ("0", _G2_SKEW, "pi/6")]
         for ell in (2, 3):
-            rows.append(_contain(f"(S, phi=0, {ell})", f"(SxS, {ell}, 1)"))
-        rows.append(_contain(f"(S, phi={_G2_SKEW}, 2)", "(G)"))
+            rows.append(WitnessRow(f"(S, phi=0, {ell})", f"(SxS, {ell}, 1)"))
+        rows.append(WitnessRow(f"(S, phi={_G2_SKEW}, 2)", "(G)"))
         for ell in (2, 3):
-            rows.append(_contain(f"(S, phi=pi/6, {ell})", f"(SxS, 1, {ell})"))
+            rows.append(WitnessRow(f"(S, phi=pi/6, {ell})",
+                                   f"(SxS, 1, {ell})"))
         for ell in (2, 3):
-            rows.append(_contain(
+            rows.append(WitnessRow(
                 f"(P, phi=pi/6, (R,{ell}))", f"(SxS, {ell}, {ell})",
                 mode="diagonal",
                 note="diagonal representative with matching invariants"))
-        rows.append(_contain("(P, phi=pi/6, (C,2))", "(G)"))
+        rows.append(WitnessRow("(P, phi=pi/6, (C,2))", "(G)"))
         for ell in (1, 2, 3):
             for ellp in (1, 2, 3):
                 if (ell, ellp) != (3, 3):
-                    rows.append(_contain(f"(SxS, {ell}, {ellp})",
-                                         "(SxS, 3, 3)"))
-        rows.append(_contain("(AI)", "(A2)"))
+                    rows.append(WitnessRow(f"(SxS, {ell}, {ellp})",
+                                           "(SxS, 3, 3)"))
+        rows.append(WitnessRow("(AI)", "(A2)"))
         return rows
     raise UnknownLabel(space_name)
-
-
-def verify_containments(sp: SpaceModel, seed: int = 0) -> CatalogReport:
-    """Check every inclusion row of the space's containment table."""
-    rep = CatalogReport(sp.name, "containments")
-    for row in containment_rows(sp.name):
-        rr = ReportRow(label=f"{row['small']} in {row['big']}", status="PASS",
-                       certificate=row["note"])
-        mode = row["mode"]
-        if mode == "skip":
-            rr.status = "SKIPPED"
-            rep.rows.append(rr)
-            continue
-        big = make_prototype(sp, row["big"]).span()
-        if mode == "direct":
-            small = make_prototype(sp, row["small"])
-        elif mode == "quarter-turn":
-            base = make_prototype(sp, row["small"])
-            z = sp.k_charts["l1"].pairs[2][0]
-            imgs = [isotropy_rotate(sp, z, list(v)) for v in base.basis]
-            small = Subspace(sp, imgs)
-        elif mode == "diagonal":
-            ell = row["small"].count("(R,2)") and 2 or 3
-            small = _g2_diagonal_sphere(sp, ell)
-            quoted = make_prototype(sp, row["small"])
-            if not _invariants_match(sp, quoted, small, seed):
-                rr.status = "FAIL"
-                rr.certificate = "representative invariants do not match"
-                rep.rows.append(rr)
-                continue
-        else:
-            raise ValueError(mode)
-        ok = is_lts(small) and all(big.contains(v) for v in small.basis)
-        rr.computed = {"small_dim": small.dim, "contained": ok}
-        if not ok:
-            rr.status = "FAIL"
-        rep.rows.append(rr)
-    return rep
-
-
-def _invariants_match(sp: SpaceModel, A: Subspace, B: Subspace,
-                      seed: int = 0) -> bool:
-    """Same dim, rank, angle and normalized restricted data."""
-    ra, rb = analyze(A, seed=seed), analyze(B, seed=seed)
-    if not (ra.is_lts and rb.is_lts):
-        return False
-    if (A.dim, ra.rank) != (B.dim, rb.rank):
-        return False
-    na = ra.isotropy_angle.name if ra.isotropy_angle else None
-    nb = rb.isotropy_angle.name if rb.isotropy_angle else None
-    if na != nb:
-        return False
-    if ra.rank == 1:
-        def normvals(r):
-            h = r.flat.basis[0]
-            n2 = sp.inner(h, h)
-            return sorted(
-                (sorted(str((v * v) / n2) for v in sr.values), sr.mult)
-                for sr in r.restricted or [])
-        return normvals(ra) == normvals(rb)
-    return True
-
-
-# -- derived-space catalogs ------------------------------------------------
-
-
-def _drow(label: str, mode: str, note: str = "", **kw) -> dict:
-    return {"label": label, "mode": mode, "note": note, **kw}
 
 
 _DIII_SKIP = "requires an isometry outside the quoted witnesses"
 _EXTERNAL = "host family classified in an external ambient model"
 
 
-def derived_hosts() -> dict[str, tuple[str | None, list[dict]]]:
+def _meet(text: str, **kw) -> WitnessRow:
+    """An intersection row of the (DIII) table."""
+    return WitnessRow(text, "(DIII)", "intersection",
+                      expected=_row("EIII", text, rank=2, **kw))
+
+
+def derived_hosts() -> dict[str, tuple[str | None, list[WitnessRow]]]:
     """host label -> (parent space or None, derived classification rows)."""
+    w = partial(WitnessRow, big="(DIII)")
     diii = [
-        *(_drow(f"(Geo, phi={a})", "direct") for a in ("0", "pi/6", "pi/4")),
-        _drow("(P, phi=0, (R,4))", "skip", _DIII_SKIP),
-        _drow("(P, phi=0, (C,4))", "skip", _DIII_SKIP),
-        _drow("(P, phi=pi/4, (S,5))", "adapted"),
-        _drow("(P, phi=pi/4, (S,6))", "adapted"),
-        *(_drow(f"(PxP1, ({k1},3), {k2})", "adapted")
+        *(w(f"(Geo, phi={a})") for a in ("0", "pi/6", "pi/4")),
+        w("(P, phi=0, (R,4))", mode="skip", note=_DIII_SKIP),
+        w("(P, phi=0, (C,4))", mode="skip", note=_DIII_SKIP),
+        w("(P, phi=pi/4, (S,5))", mode="adapted"),
+        w("(P, phi=pi/4, (S,6))", mode="adapted"),
+        *(w(f"(PxP1, ({k1},3), {k2})", mode="adapted")
           for k1 in ("R", "C") for k2 in ("R", "C")),
-        _drow("(Q, (G1,6))", "intersection", other="(Q)", dim=12, rank=2,
-              mults=_mults(l3=4, l4=4, **{"2l1": 1, "2l2": 1})),
-        _drow("(Q, tau)", "skip", "other external sub-families"),
-        _drow("(G2C6, (G2,(C,3)))", "intersection", other="(G2C6)", dim=12,
-              rank=2, mults=_mults(l1=2, l2=2, l3=2, l4=2,
-                                   **{"2l1": 1, "2l2": 1})),
-        _drow("(G2C6, tau)", "skip", "other external sub-families"),
-        _drow("(G2H4, (Sp2))", "intersection", other="(G2H4)", dim=10,
-              rank=2, mults=_mults(l1=2, l2=2, l3=2, l4=2)),
-        _drow("(G2H4, tau)", "skip", "other external sub-families"),
+        _meet("(Q, (G1,6))", dim=12,
+              sub_mults=_mults(l3=4, l4=4, **{"2l1": 1, "2l2": 1})),
+        w("(Q, tau)", mode="skip", note="other external sub-families"),
+        _meet("(G2C6, (G2,(C,3)))", dim=12,
+              sub_mults=_mults(l1=2, l2=2, l3=2, l4=2,
+                               **{"2l1": 1, "2l2": 1})),
+        w("(G2C6, tau)", mode="skip", note="other external sub-families"),
+        _meet("(G2H4, (Sp2))", dim=10,
+              sub_mults=_mults(l1=2, l2=2, l3=2, l4=2)),
+        w("(G2H4, tau)", mode="skip", note="other external sub-families"),
     ]
+    w = partial(WitnessRow, big="(AII)")
     aii = [
-        *(_drow(f"(Geo, phi={a})", "direct") for a in ("0", "pi/6", "pi/3")),
-        *(_drow(f"(S, phi=pi/6, {e})", "direct") for e in range(2, 6)),
-        _drow("(P, phi=pi/6, (R,2))", "direct"),
-        _drow("(P, phi=pi/6, (R,3))", "direct"),
-        _drow("(P, phi=pi/6, (C,2))", "skip", _DIII_SKIP),
-        _drow("(P, phi=pi/6, (C,3))", "skip", _DIII_SKIP),
-        _drow("(P, phi=pi/6, (H,2))", "skip", _DIII_SKIP),
-        _drow("(AI)", "direct"),
-        _drow("(A2)", "direct"),
-        *(_drow(f"(SxS1, {e})", "direct") for e in range(1, 6)),
+        *(w(f"(Geo, phi={a})") for a in ("0", "pi/6", "pi/3")),
+        *(w(f"(S, phi=pi/6, {e})") for e in range(2, 6)),
+        w("(P, phi=pi/6, (R,2))"),
+        w("(P, phi=pi/6, (R,3))"),
+        w("(P, phi=pi/6, (C,2))", mode="skip", note=_DIII_SKIP),
+        w("(P, phi=pi/6, (C,3))", mode="skip", note=_DIII_SKIP),
+        w("(P, phi=pi/6, (H,2))", mode="skip", note=_DIII_SKIP),
+        w("(AI)"),
+        w("(A2)"),
+        *(w(f"(SxS1, {e})") for e in range(1, 6)),
     ]
+    w = partial(WitnessRow, big="(A2)")
     a2 = [
-        *(_drow(f"(Geo, phi={a})", "direct") for a in ("0", "pi/6", "pi/3")),
-        *(_drow(f"(S, phi=pi/6, {e})", "direct") for e in (2, 3)),
-        _drow("(P, phi=pi/6, (R,2))", "direct"),
-        _drow("(P, phi=pi/6, (R,3))", "direct"),
-        _drow("(P, phi=pi/6, (C,2))", "skip", _DIII_SKIP),
-        _drow("(AI)", "direct"),
-        *(_drow(f"(SxS1, {e})", "direct") for e in (1, 2, 3)),
+        *(w(f"(Geo, phi={a})") for a in ("0", "pi/6", "pi/3")),
+        *(w(f"(S, phi=pi/6, {e})") for e in (2, 3)),
+        w("(P, phi=pi/6, (R,2))"),
+        w("(P, phi=pi/6, (R,3))"),
+        w("(P, phi=pi/6, (C,2))", mode="skip", note=_DIII_SKIP),
+        w("(AI)"),
+        *(w(f"(SxS1, {e})") for e in (1, 2, 3)),
     ]
+    w = partial(WitnessRow, big="(G)")
     g = [
-        *(_drow(f"(Geo, phi={a})", "direct")
-          for a in ("0", _G2_SKEW, "pi/6")),
-        _drow("(S, phi=0, 2)", "direct"),
-        _drow(f"(S, phi={_G2_SKEW}, 2)", "direct"),
-        _drow("(S, phi=pi/6, 2)", "direct"),
-        _drow("(P, phi=pi/6, (R,2))", "direct"),
-        _drow("(P, phi=pi/6, (C,2))", "direct"),
-        _drow("(AI)", "torus", "image under an exact flat-torus rotation",
-              n1=3, n2=0),
-        *(_drow(f"(SxS, {e}, {ep})", "direct")
-          for e in (1, 2) for ep in (1, 2)),
+        *(w(f"(Geo, phi={a})") for a in ("0", _G2_SKEW, "pi/6")),
+        w("(S, phi=0, 2)"),
+        w(f"(S, phi={_G2_SKEW}, 2)"),
+        w("(S, phi=pi/6, 2)"),
+        w("(P, phi=pi/6, (R,2))"),
+        w("(P, phi=pi/6, (C,2))"),
+        w("(AI)", mode="torus", steps=(3, 0),
+          note="image under an exact flat-torus rotation"),
+        *(w(f"(SxS, {e}, {ep})") for e in (1, 2) for ep in (1, 2)),
     ]
     sp2 = [
-        _drow(t, "skip", _EXTERNAL) for t in
+        WitnessRow(t, "(Sp2)", "skip", _EXTERNAL) for t in
         ["(Geo, phi=t)", "(S, arctan(1/3), 2)", "(S, arctan(1/3), 3)",
          "(P, phi=pi/4, (R,1))", "(P, phi=pi/4, (C,1))",
          "(P, phi=pi/4, (S3))", "(P, phi=pi/4, (H,1))",
@@ -863,15 +843,10 @@ def derived_hosts() -> dict[str, tuple[str | None, list[dict]]]:
     }
 
 
-def _adapted_prototype(sp: SpaceModel, host_text: str,
-                       label_text: str) -> Subspace:
-    """Slot-adapted representative chosen inside the host's chart slots."""
-    label = TypeLabel.parse(sp.name, label_text)
+def _adapted_prototype(sp: SpaceModel, label: TypeLabel) -> Subspace:
+    """Slot-adapted EIII representative inside the (DIII) host's slots."""
     parts = label.parts
-    if host_text != "(DIII)" or sp.name != "EIII":
-        raise UnknownLabel(f"{label_text} in {host_text}")
     ch, sh = sp.charts, sp.sharp
-    a = [list(v) for v in sp.a_basis]
     if parts[0] == "P" and parts[1] == "phi=pi/4":
         k = parts[2][1]
         h = _add(sh["l1"], sh["l2"])
@@ -880,14 +855,78 @@ def _adapted_prototype(sp: SpaceModel, host_text: str,
         return Subspace(sp, [h, *m4[: k - 2], ht])
     if parts[0] == "PxP1":
         (k1, ell), k2 = parts[1], parts[2]
-        vecs = list(a)
+        vecs = [list(v) for v in sp.a_basis]
         vecs += _slot_vectors(sp, "l1", [0, 2], "C" if k1 == "C" else "R")
         if k1 == "C":
             vecs += _slot_vectors(sp, "2l1", [0], "R")
         if k2 == "C":
             vecs += _slot_vectors(sp, "2l2", [0], "R")
         return Subspace(sp, vecs)
-    raise UnknownLabel(f"{label_text} in {host_text}")
+    raise UnknownLabel(f"{label} in (DIII)")
+
+
+def _witness(sp: SpaceModel, row: WitnessRow,
+             seed: int) -> tuple[Subspace, str]:
+    """The row's witness subspace, and the certificate of a failed
+    representative gate ("" when the witness goes on to be checked)."""
+    label = TypeLabel.parse(sp.name, row.label)
+    quoted = make_prototype(sp, label)
+    if row.mode == "direct":
+        return quoted, ""
+    if row.mode == "quarter-turn":
+        z = sp.k_charts["l1"].pairs[2][0]
+        return Subspace(sp, [isotropy_rotate(sp, z, v)
+                             for v in quoted.basis]), ""
+    if row.mode == "diagonal":
+        small = _g2_diagonal_sphere(sp, label.parts[2][1])
+        failure = "representative invariants do not match"
+    elif row.mode == "adapted":
+        small = _adapted_prototype(sp, label)
+        failure = "adapted representative mismatch"
+    elif row.mode == "torus":
+        small = Subspace(sp, [torus_rotate(sp, v, *row.steps)
+                              for v in quoted.basis])
+        failure = "rotated representative mismatch"
+    else:
+        raise ValueError(row.mode)
+    return small, "" if _invariants_match(sp, quoted, small, seed) else failure
+
+
+def _verify_witnesses(sp: SpaceModel | None, rep: CatalogReport,
+                      rows: list[WitnessRow], seed: int,
+                      show_big: bool) -> CatalogReport:
+    """Check each row's witness: an LTS inside the span of its big family,
+    whose prototype is built once per sweep."""
+    big_span = cache(lambda text: make_prototype(sp, text).span())
+    for row in rows:
+        label = f"{row.label} in {row.big}" if show_big else row.label
+        if row.mode == "skip":
+            rep.rows.append(ReportRow(label, "SKIPPED", certificate=row.note))
+            continue
+        big = big_span(row.big)
+        if row.mode == "intersection":
+            family = TypeLabel(sp.name, row.expected.label.parts[:1])
+            meet = intersect_spans(big.basis(),
+                                   make_prototype(sp, family).basis)
+            rep.rows.append(_check_expected(sp, row.expected,
+                                            Subspace(sp, meet), label, seed))
+            continue
+        small, failure = _witness(sp, row, seed)
+        if failure:
+            rep.rows.append(ReportRow(label, "FAIL", certificate=failure))
+            continue
+        ok = is_lts(small) and all(big.contains(v) for v in small.basis)
+        rep.rows.append(ReportRow(
+            label, "PASS" if ok else "FAIL",
+            computed={"small_dim": small.dim, "contained": ok},
+            certificate=row.note))
+    return rep
+
+
+def verify_containments(sp: SpaceModel, seed: int = 0) -> CatalogReport:
+    """Check every inclusion row of the space's containment table."""
+    return _verify_witnesses(sp, CatalogReport(sp.name, "containments"),
+                             containment_rows(sp.name), seed, show_big=True)
 
 
 def verify_derived(host_text: str, seed: int = 0) -> CatalogReport:
@@ -897,65 +936,8 @@ def verify_derived(host_text: str, seed: int = 0) -> CatalogReport:
         raise UnknownLabel(host_text)
     parent, rows = hosts[host_text]
     rep = CatalogReport(parent or "external", f"derived {host_text}")
-    if parent is None:
-        for row in rows:
-            rep.rows.append(ReportRow(label=row["label"], status="SKIPPED",
-                                      certificate=row["note"]))
-        return rep
-    sp = build_space(parent)
-    host = make_prototype(sp, host_text).span()
-    for row in rows:
-        rr = ReportRow(label=row["label"], status="PASS",
-                       certificate=row["note"])
-        mode = row["mode"]
-        if mode == "skip":
-            rr.status = "SKIPPED"
-            rep.rows.append(rr)
-            continue
-        if mode == "direct":
-            small = make_prototype(sp, row["label"])
-        elif mode == "adapted":
-            small = _adapted_prototype(sp, host_text, row["label"])
-            quoted = make_prototype(sp, row["label"])
-            if not _invariants_match(sp, quoted, small, seed):
-                rr.status = "FAIL"
-                rr.certificate = "adapted representative mismatch"
-                rep.rows.append(rr)
-                continue
-        elif mode == "torus":
-            base = make_prototype(sp, row["label"])
-            imgs = [torus_rotate(sp, v, row["n1"], row["n2"])
-                    for v in base.basis]
-            small = Subspace(sp, imgs)
-            if not _invariants_match(sp, base, small, seed):
-                rr.status = "FAIL"
-                rr.certificate = "rotated representative mismatch"
-                rep.rows.append(rr)
-                continue
-        elif mode == "intersection":
-            other = make_prototype(sp, row["other"]).basis
-            inter = intersect_spans(host.basis(), other)
-            small = Subspace(sp, inter)
-            r = analyze(small, seed=seed)
-            got = _computed_mults(r)
-            ok = (r.is_lts and small.dim == row["dim"]
-                  and r.rank == row["rank"] and got == row["mults"])
-            rr.expected = {"dim": row["dim"], "rank": row["rank"],
-                           "sub_mults": dict(row["mults"])}
-            rr.computed = {"dim": small.dim, "rank": r.rank,
-                           "is_lts": r.is_lts, "sub_mults": dict(got)}
-            if not ok:
-                rr.status = "FAIL"
-            rep.rows.append(rr)
-            continue
-        else:
-            raise ValueError(mode)
-        ok = is_lts(small) and all(host.contains(v) for v in small.basis)
-        rr.computed = {"small_dim": small.dim, "contained": ok}
-        if not ok:
-            rr.status = "FAIL"
-        rep.rows.append(rr)
-    return rep
+    sp = build_space(parent) if parent else None
+    return _verify_witnesses(sp, rep, rows, seed, show_big=False)
 
 
 # -- closed geodesic lengths (group case) ----------------------------------

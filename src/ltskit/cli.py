@@ -83,11 +83,15 @@ def schema_text() -> str:
 # -- input helpers ---------------------------------------------------------
 
 
-def _space(name: str):
+def _space_name(name: str) -> str:
     if name not in SPACE_NAMES:
         raise ParseError(
             f"unknown space {name!r}; choose from {', '.join(SPACE_NAMES)}")
-    return build_space(name)
+    return name
+
+
+def _space(name: str):
+    return build_space(_space_name(name))
 
 
 def _read_file(path: str) -> str:
@@ -290,7 +294,7 @@ def cmd_catalog_containments(args) -> int:
 
 
 def cmd_catalog_derived(args) -> int:
-    _space(args.name)  # validates the space name
+    _space_name(args.name)
     hosts = derived_hosts()
     if args.host not in hosts:
         raise ParseError(

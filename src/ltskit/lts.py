@@ -13,8 +13,9 @@ derives the full structural report of a verified LTS:
 Flats are found by seeded sampling: for pseudo-random combinations v of the
 basis the centralizer N(v) = {w in S : [v, w] = 0} is computed; an abelian
 centralizer is itself a maximal flat (every flat through v lies inside N(v)),
-so the first abelian hit is accepted and cross-checked against an ambient
-Cartan extension.  The sampler prefers candidates inside the reference
+so the first abelian hit is accepted and certified to extend greedily, by
+vectors of a and then of its centralizer in m, to an ambient Cartan
+subspace.  The sampler prefers candidates inside the reference
 maximal flat a so that restricted roots can be matched against the ambient
 restricted root system; restricted-root reporting requires such a flat.
 
@@ -33,6 +34,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 
 from .linalg import (
     Span, Vec, combine, relations, vec_add, vec_is_zero, vec_scale, zeros,
@@ -134,17 +136,17 @@ def is_lts(S: Subspace) -> bool:
 # -- flats and rank --------------------------------------------------------
 
 
-def _operator_kernel(S: Subspace, operators) -> list[Vec]:
-    """Vectors w in S with op(w) = 0 for every operator (given as Vec -> Vec)."""
-    if S.dim == 0:
+def _operator_kernel(basis: list[Vec], operators) -> list[Vec]:
+    """Vectors w in span(basis) with op(w) = 0 for every op (Vec -> Vec)."""
+    if not basis:
         return []
-    images = [[x for op in operators for x in op(b)] for b in S.basis]
-    return [combine(c, S.basis) for c in relations(images)]
+    images = [[x for op in operators for x in op(b)] for b in basis]
+    return [combine(c, basis) for c in relations(images)]
 
 
 def _centralizer_in(S: Subspace, v: Vec) -> list[Vec]:
     alg = S.space.alg
-    return _operator_kernel(S, [lambda w: alg.bracket(v, w)])
+    return _operator_kernel(S.basis, [lambda w: alg.bracket(v, w)])
 
 
 def _pairwise_abelian(alg, vectors: list[Vec]) -> bool:
@@ -164,7 +166,10 @@ def intersect_spans(rows1: list[Vec], rows2: list[Vec]) -> list[Vec]:
                 for c in relations(rows1 + rows2)).basis()
 
 
-def rank_and_flat(S: Subspace, seed: int = 0, budget: int = 24) -> tuple[int, Subspace]:
+_FLAT_BUDGET = 24  # seeded samples of the full basis; half as many inside a
+
+
+def rank_and_flat(S: Subspace, seed: int = 0) -> tuple[int, Subspace]:
     """Rank of the LTS S and an explicit maximal flat inside it.
 
     Deterministic schedule: the basis of S intersected with the reference
@@ -183,11 +188,11 @@ def rank_and_flat(S: Subspace, seed: int = 0, budget: int = 24) -> tuple[int, Su
     def schedule():
         for v in a_meet:
             yield v
-        for _ in range(budget // 2):
+        for _ in range(_FLAT_BUDGET // 2):
             if not a_meet:
                 break
             yield combine([rng.randint(-3, 3) for _ in a_meet], a_meet)
-        for _ in range(budget):
+        for _ in range(_FLAT_BUDGET):
             yield combine([rng.randint(-3, 3) for _ in S.basis], S.basis)
 
     for v in schedule():
@@ -200,30 +205,36 @@ def rank_and_flat(S: Subspace, seed: int = 0, budget: int = 24) -> tuple[int, Su
         _check_ambient_cartan_extension(sp, flat)
         return flat.dim, flat
     raise FlatSearchInconclusive(
-        f"no abelian centralizer found in {budget} seeded samples (seed={seed})")
+        f"no abelian centralizer found in {_FLAT_BUDGET} seeded samples "
+        f"(seed={seed})")
 
 
 def _check_ambient_cartan_extension(sp: SpaceModel, flat: Subspace) -> None:
-    """Certify that the flat extends to a maximal abelian subspace of m."""
+    """Certify that the flat extends to a maximal abelian subspace of m.
+
+    The flat grows greedily by commuting basis vectors of a, then, only if
+    still short of the rank, of its centralizer in m.  That is not a
+    complete search: it may reject a flat that does extend.
+    """
     alg = sp.alg
     if not _pairwise_abelian(alg, flat.basis):
         raise NotAFlat("claimed flat is not abelian")
-    # centralizer of the flat inside all of m
-    whole = Subspace(sp, [list(r) for r in sp.m_rows])
-    cent = whole.basis
-    for h in flat.basis:
-        cent = _operator_kernel(Subspace(sp, cent), [lambda w, h=h: alg.bracket(h, w)])
-    # grow the flat greedily inside its m-centralizer to a maximal abelian one
+
+    def centralizer():
+        ads = [lambda w, h=h: alg.bracket(h, w) for h in flat.basis]
+        yield from _operator_kernel(sp._m_span.basis(), ads)
+
+    candidates = chain(sp.a_basis, centralizer())
     ext = Span(flat.basis)
-    ext_rows = [list(b) for b in flat.basis]
-    for w in cent:
-        if ext.contains(w):
-            continue
-        if all(vec_is_zero(alg.bracket(w, u)) for u in ext_rows):
-            ext.add(w)
+    ext_rows = list(flat.basis)
+    while len(ext_rows) < len(sp.a_basis):
+        w = next(candidates, None)
+        if w is None:
+            raise NotAFlat(
+                "flat does not extend to an ambient Cartan subspace")
+        if all(vec_is_zero(alg.bracket(w, u)) for u in ext_rows) \
+                and ext.add(w):
             ext_rows.append(w)
-    if len(ext_rows) < len(sp.a_basis):
-        raise NotAFlat("flat does not extend to an ambient Cartan subspace")
 
 
 # -- restricted roots of (S, flat) -----------------------------------------
@@ -268,7 +279,7 @@ def sub_restricted_roots(S: Subspace, flat: Subspace) -> list[SubRoot]:
             c12 = vals[0] * vals[1]
             ops.append(lambda w, h1=h1, h2=h2, c12=c12: vec_add(
                 alg.bracket(h1, alg.bracket(h2, w)), vec_scale(c12, w)))
-        space_vecs = _operator_kernel(S, ops)
+        space_vecs = _operator_kernel(S.basis, ops)
         if not space_vecs:
             continue
         ambient = []

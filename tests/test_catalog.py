@@ -1,7 +1,9 @@
 """Tests for the classification catalog: prototypes, sweeps, containments,
 derived-space checks and closed-geodesic lengths."""
 
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -29,6 +31,17 @@ from ltskit.scalars import I, rat, sqrt
 from ltskit.spaces import build_space
 
 SPACES = ("EIII", "EIV", "G2group")
+
+# as_json() and as_markdown() of every sweep report, pinned by the command
+# that prints it
+GOLDEN = json.loads((Path(__file__).parent / "data" / "golden" /
+                     "catalog_sweeps.json").read_text(encoding="utf-8"))
+
+
+def assert_golden(command, rep):
+    """The report serializes, key order included, as pinned."""
+    got = {"json": rep.as_json(), "markdown": rep.as_markdown()}
+    assert json.dumps(got, indent=1) == json.dumps(GOLDEN[command], indent=1)
 
 
 @pytest.fixture(scope="module")
@@ -75,8 +88,7 @@ def test_table_labels_round_trip():
     texts = [(name, row.label.text)
              for name in SPACES for row in expected_rows(name)]
     for host, (parent, rows) in derived_hosts().items():
-        for text in (host, *(r["label"] for r in rows),
-                     *(r["other"] for r in rows if "other" in r)):
+        for text in (host, *(r.label for r in rows)):
             texts.append((parent or "external", text))
     for space, text in texts:
         lab = TypeLabel.parse(space, text)
@@ -137,6 +149,7 @@ def test_catalog_sweep_passes(catalog_reports, name):
     assert counts["FAIL"] == 0
     assert counts["SKIPPED"] == (3 if name == "EIII" else 0)
     assert counts["PASS"] == len(expected_rows(name)) - counts["SKIPPED"]
+    assert_golden(f"catalog verify {name}", rep)
 
 
 def test_quoted_diagram_multiplicities(catalog_reports):
@@ -145,6 +158,17 @@ def test_quoted_diagram_multiplicities(catalog_reports):
         "l3": 6, "l4": 6, "2l1": 1, "2l2": 1}
     assert rows["(DIII)"].computed["sub_mults"] == {
         "l1": 4, "l2": 4, "l3": 4, "l4": 4, "2l1": 1, "2l2": 1}
+
+
+def test_failed_row_names_first_mismatch(spaces, monkeypatch):
+    wrong = [cat._row("G2group", "(SxS, 1, 1)", dim=3, rank=2),
+             cat._row("G2group", "(SxS, 2, 1)", dim=3, rank=2,
+                      sub_mults=cat._mults(l6=1))]
+    monkeypatch.setitem(cat._EXPECTED, "G2group", lambda: wrong)
+    rep = verify_catalog(spaces["G2group"])
+    assert [(r.status, r.certificate) for r in rep.rows] == [
+        ("FAIL", "dim: expected 3, computed 2"),
+        ("FAIL", "sub_mults: expected {'l6': 1}, computed {'l1': 1}")]
 
 
 def test_rank_one_rows_report_angles(catalog_reports):
@@ -177,6 +201,7 @@ def test_containment_sweep_passes(containment_reports, name):
     assert counts["FAIL"] == 0
     assert counts["SKIPPED"] == (3 if name == "EIII" else 0)
     assert counts["PASS"] == len(containment_rows(name)) - counts["SKIPPED"]
+    assert_golden(f"catalog containments {name}", rep)
 
 
 def test_quarter_turn_row_present(containment_reports):
@@ -190,6 +215,13 @@ def test_diagonal_representative_matches_quoted_invariants(spaces):
     diag = cat._g2_diagonal_sphere(sp, 3)
     assert is_lts(diag)
     assert cat._invariants_match(sp, quoted, diag)
+
+
+def test_invariants_match_compares_multiplicities(spaces):
+    sp = spaces["EIV"]
+    ai, sxs = make_prototype(sp, "(AI)"), make_prototype(sp, "(SxS1, 4)")
+    assert ai.dim == sxs.dim == 5
+    assert not cat._invariants_match(sp, ai, sxs)
 
 
 # -- derived spaces --------------------------------------------------------
@@ -206,6 +238,7 @@ def test_derived_host_sweeps(host):
     assert counts["SKIPPED"] == DERIVED_SKIPS[host]
     _, rows = derived_hosts()[host]
     assert counts["PASS"] == len(rows) - counts["SKIPPED"]
+    assert_golden(f"catalog derived {host}", rep)
 
 
 def test_derived_unknown_host():

@@ -217,6 +217,20 @@ def test_catalog_derived_unknown_host(capsys):
     assert code == EXIT_PARSE
 
 
+def test_catalog_derived_checks_before_building(capsys, monkeypatch):
+    built = []
+    for module in ("ltskit.cli", "ltskit.catalog"):
+        monkeypatch.setattr(f"{module}.build_space", built.append)
+    code, _, err = run(capsys, "catalog", "derived", "EIV", "--host", "(DIII)")
+    assert code == EXIT_PARSE
+    assert "belongs to space EIII" in err
+    code, doc = run_json(capsys, "catalog", "derived", "EIV",
+                         "--host", "(Sp2)")
+    assert code == EXIT_OK
+    assert doc["data"]["counts"]["SKIPPED"] == 11
+    assert built == []
+
+
 # -- curvature -------------------------------------------------------------
 
 
