@@ -58,14 +58,6 @@ class ParseError(Exception):
     """Malformed command input: unknown name, bad expression or file."""
 
 
-class VerificationFailure(Exception):
-    """A requested check failed; carries the already-rendered report."""
-
-    def __init__(self, rendered: str):
-        super().__init__("verification failure")
-        self.rendered = rendered
-
-
 EXPECTED_KIND = {"EIII": "BC2", "EIV": "A2", "G2group": "G2"}
 EXPECTED_MULTS = {
     "EIII": {"l1": 8, "l2": 8, "l3": 6, "l4": 6, "2l1": 1, "2l2": 1},

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .chevalley import ChevalleyAlgebra, _add, _neg
 from .linalg import (

@@ -3,6 +3,7 @@ derived-space checks and closed-geodesic lengths."""
 
 import json
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 import pytest
@@ -230,9 +231,15 @@ def test_invariants_match_compares_multiplicities(spaces):
 DERIVED_SKIPS = {"(DIII)": 5, "(AII)": 3, "(A2)": 1, "(G)": 0, "(Sp2)": 11}
 
 
+@pytest.fixture(scope="module")
+def derived_reports():
+    """verify_derived, run at most once per host in this module."""
+    return cache(verify_derived)
+
+
 @pytest.mark.parametrize("host", sorted(DERIVED_SKIPS))
-def test_derived_host_sweeps(host):
-    rep = verify_derived(host)
+def test_derived_host_sweeps(host, derived_reports):
+    rep = derived_reports(host)
     counts = rep.counts()
     assert counts["FAIL"] == 0
     assert counts["SKIPPED"] == DERIVED_SKIPS[host]
@@ -246,8 +253,8 @@ def test_derived_unknown_host():
         verify_derived("(XYZ)")
 
 
-def test_derived_intersection_certificates():
-    rep = verify_derived("(DIII)")
+def test_derived_intersection_certificates(derived_reports):
+    rep = derived_reports("(DIII)")
     rows = {r.label: r for r in rep.rows}
     assert rows["(Q, (G1,6))"].computed["sub_mults"] == {
         "l3": 4, "l4": 4, "2l1": 1, "2l2": 1}

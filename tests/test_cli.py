@@ -15,6 +15,7 @@ from ltskit.cli import EXIT_FAIL, EXIT_OK, EXIT_PARSE, main, schema_text
 
 ROOT = Path(__file__).resolve().parents[1]
 EXAMPLE_SUB = str(ROOT / "tests" / "data" / "eiii_dIII.sub")
+NOT_LTS_SUB = str(ROOT / "tests" / "data" / "eiii_not_lts.sub")
 SCHEMA = json.loads(schema_text())
 
 
@@ -183,10 +184,11 @@ def test_space_verify_foundations_hermitian(capsys):
 
 
 def test_catalog_verify_markdown_table(capsys):
-    code, out, _ = run(capsys, "catalog", "verify", "EIV")
+    # the E6 tables are pinned byte for byte in catalog_sweeps.json
+    code, out, _ = run(capsys, "catalog", "verify", "G2group")
     assert code == EXIT_OK
     assert "| label | status |" in out
-    assert "| `(AII)` | PASS |" in out
+    assert "| `(G)` | PASS |" in out
 
 
 def test_catalog_containments_json(capsys):
@@ -307,6 +309,13 @@ GOLDEN_COMMANDS = {
     "space_info_EIII.md": ("space", "info", "EIII"),
 }
 
+# the same for commands that report FAIL and exit EXIT_FAIL
+GOLDEN_FAIL_COMMANDS = {
+    "lts_check_eiii_not_lts.json": ("lts", "check", NOT_LTS_SUB,
+                                    "--format", "json"),
+    "lts_check_eiii_not_lts.md": ("lts", "check", NOT_LTS_SUB),
+}
+
 
 def test_deterministic_output(capsys):
     argv = ("lts", "check", EXAMPLE_SUB, "--format", "json")
@@ -318,6 +327,10 @@ def test_deterministic_output(capsys):
     for name, argv in GOLDEN_COMMANDS.items():
         code, out, _ = run(capsys, *argv)
         assert code == EXIT_OK, argv
+        assert out == (GOLDEN / name).read_text(encoding="utf-8"), argv
+    for name, argv in GOLDEN_FAIL_COMMANDS.items():
+        code, out, _ = run(capsys, *argv)
+        assert code == EXIT_FAIL, argv
         assert out == (GOLDEN / name).read_text(encoding="utf-8"), argv
 
 

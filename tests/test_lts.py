@@ -1,10 +1,14 @@
 import json
+import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ltskit import lts
-from ltskit.linalg import Span, vec_add, vec_is_zero, vec_scale, vec_sub
+from ltskit.catalog import expected_rows, make_prototype
+from ltskit.linalg import (
+    Span, combine, vec_add, vec_is_zero, vec_scale, vec_sub,
+)
 from ltskit.scalars import I, parse_scalar, rat, sqrt
 from ltskit.spaces import NotInM, build_space
 
@@ -35,6 +39,64 @@ def test_adhoc_plane_is_not_lts_with_certificate():
     alg = sp.alg
     bad = alg.bracket(alg.bracket(S.basis[i], S.basis[j]), S.basis[k])
     assert not S.contains(bad)
+    assert cert == (0, 1, 1)
+
+
+def reference_defect(S):
+    """The first failing basis triple, by bracketing every triple."""
+    alg = S.space.alg
+    n = S.dim
+    for i in range(n):
+        for j in range(i + 1, n):
+            pair = alg.bracket(S.basis[i], S.basis[j])
+            for k in range(n):
+                if not S.contains(alg.bracket(pair, S.basis[k])):
+                    return (i, j, k)
+    return None
+
+
+def random_m_span(seed, count):
+    sp = build_space("G2group")
+    rng = random.Random(seed)
+    vectors = [[rng.choice((-1, 0, 0, 1, 2)) for _ in sp.m_rows]
+               for _ in range(count)]
+    return subspace(sp, [combine(c, sp.m_rows) for c in vectors])
+
+
+def prototype_union(label1, label2):
+    sp = build_space("G2group")
+    return subspace(sp, make_prototype(sp, label1).basis
+                    + make_prototype(sp, label2).basis)
+
+
+G2_LABELS = [row.label for row in expected_rows("G2group")]
+
+
+# Most inputs fail at their first nonzero pair; these unions fail only after
+# two independent pairs have passed, so a pair skipped wrongly shows.
+@settings(max_examples=40, deadline=None)
+@example(prototype_union("(A2)", "(P, phi=pi/6, (R, 2))"))
+@example(prototype_union("(P, phi=pi/6, (R, 3))", "(A2)"))
+@given(st.one_of(
+    st.builds(random_m_span, st.integers(0, 2**32 - 1), st.integers(2, 5)),
+    st.builds(prototype_union, st.sampled_from(G2_LABELS),
+              st.sampled_from(G2_LABELS))))
+def test_closure_through_brackets_matches_triple_loop(S):
+    assert lts.closure_defect(S) == reference_defect(S)
+
+
+@pytest.mark.parametrize("name, label, dim", [
+    ("EIII", "(DIII)", 45),  # so(10)
+    ("EIII", "(Q)", 45),     # so(10) again, with K = so(2) + so(8)
+    ("EIV", "(AII)", 35),    # su(6)
+])
+def test_transvection_dimension(name, label, dim):
+    # S + [S, S] is the transvection algebra of the LTS S
+    S = make_prototype(build_space(name), label)
+    alg = S.space.alg
+    K = Span(alg.bracket(u, v) for n, u in enumerate(S.basis)
+             for v in S.basis[n + 1:])
+    assert S.dim + K.dim == dim
 
 
 def test_subspace_requires_m_vectors():
