@@ -16,9 +16,14 @@ The compact real form has the ordered basis
     t_j = i h_j  (j over simple roots),   u_a = x_a - x_{-a},
     v_a = i(x_a + x_{-a})                 (a over positive roots),
 
-on which all structure constants are rational; they are tabulated sparsely
-once per algebra.  Elements are plain Scalar coordinate vectors over this
-basis.
+on which all structure constants are rational.  They are tabulated sparsely
+once per algebra, as ready Scalar coefficients for both orders of each basis
+pair, and the Killing form is kept as sparse Scalar rows; bracket and killing
+multiply by them directly.  Elements are plain Scalar coordinate vectors over
+this basis.
+
+An algebra is read only after __init__, so one instance can be shared by
+every model over the same root system (spaces.SpaceModel does).
 """
 
 from __future__ import annotations
@@ -257,74 +262,77 @@ class ChevalleyAlgebra:
             result[idx] = val.rational_value()  # real form: must be rational
         return result
 
-    def _build_compact_table(self) -> dict[tuple[int, int], tuple[tuple[int, Fraction], ...]]:
+    def _build_compact_table(self) -> list[dict[int, tuple[tuple[int, Scalar], ...]]]:
         expands = [self._complex_expand(k) for k in range(self.dim)]
-        table: dict[tuple[int, int], tuple[tuple[int, Fraction], ...]] = {}
+        table: list[dict[int, tuple[tuple[int, Scalar], ...]]] = [
+            {} for _ in range(self.dim)]
         for i in range(self.dim):
             for j in range(i + 1, self.dim):
                 res = self._complex_to_compact(
                     self._complex_bracket(expands[i], expands[j]))
                 if res:
-                    table[(i, j)] = tuple(sorted(res.items()))
+                    terms = sorted(res.items())
+                    table[i][j] = tuple((k, rat(c)) for k, c in terms)
+                    table[j][i] = tuple((k, rat(-c)) for k, c in terms)
         return table
-
-    def basis_bracket(self, i: int, j: int) -> tuple[tuple[int, Fraction], ...]:
-        if i == j:
-            return ()
-        if i < j:
-            return self.table.get((i, j), ())
-        return tuple((k, -c) for k, c in self.table.get((j, i), ()))
 
     def bracket(self, x: Sequence[Scalar], y: Sequence[Scalar]) -> Vec:
         if len(x) != self.dim or len(y) != self.dim:
             raise AlgebraMismatch("element size does not match the algebra")
         out = [ZERO] * self.dim
-        xs = [(i, c) for i, c in enumerate(x) if not c.is_zero()]
-        ys = [(j, c) for j, c in enumerate(y) if not c.is_zero()]
-        for i, ci in xs:
+        ys = [(j, c) for j, c in enumerate(y) if c]
+        for i, ci in enumerate(x):
+            if not ci:
+                continue
+            row = self.table[i]
             for j, cj in ys:
-                c = ci * cj
-                for k, f in self.basis_bracket(i, j):
-                    out[k] = out[k] + c * rat(f)
+                terms = row.get(j)
+                if terms:
+                    c = ci * cj
+                    for k, f in terms:
+                        out[k] = out[k] + c * f
         return out
 
     # -- Killing form ------------------------------------------------------
 
-    def _build_killing_gram(self) -> list[list[Fraction]]:
-        dim = self.dim
-        # ad tables as sparse column maps: ad_i[k] = [(l, c)] meaning
-        # [b_i, b_k] = sum c b_l
-        ad = [dict() for _ in range(dim)]
-        for i in range(dim):
-            for k in range(dim):
-                ent = self.basis_bracket(i, k)
-                if ent:
-                    ad[i][k] = ent
-        gram = [[Fraction(0)] * dim for _ in range(dim)]
+    def _build_killing_gram(self) -> list[list[tuple[int, Scalar]]]:
+        """Sparse rows of the Gram matrix: (j, kappa(b_i, b_j)) for nonzero
+        entries.  With ad_i[k] = [b_i, b_k], kappa(b_i, b_j) is the trace of
+        ad_i ad_j, summed over the table's terms."""
+        dim, ad = self.dim, self.table
+        gram: list[list[tuple[int, Scalar]]] = [[] for _ in range(dim)]
         for i in range(dim):
             for j in range(i, dim):
-                tr = Fraction(0)
+                tr = ZERO
                 for k, ent in ad[j].items():
                     for l, c in ent:
                         for m, d in ad[i].get(l, ()):
                             if m == k:
-                                tr += c * d
-                gram[i][j] = gram[j][i] = tr
+                                tr = tr + c * d
+                if tr:
+                    gram[i].append((j, tr))
+                    if j != i:
+                        gram[j].append((i, tr))
+        for row in gram:
+            row.sort()
         return gram
 
     def killing_gram(self) -> list[list[Fraction]]:
-        return self._killing
+        gram = [[Fraction(0)] * self.dim for _ in range(self.dim)]
+        for i, row in enumerate(self._killing):
+            for j, c in row:
+                gram[i][j] = c.rational_value()
+        return gram
 
     def killing(self, x: Sequence[Scalar], y: Sequence[Scalar]) -> Scalar:
         if len(x) != self.dim or len(y) != self.dim:
             raise AlgebraMismatch("element size does not match the algebra")
         total = ZERO
         for i, ci in enumerate(x):
-            if ci.is_zero():
-                continue
-            for j, cj in enumerate(y):
-                if not cj.is_zero() and self._killing[i][j]:
-                    total = total + ci * cj * rat(self._killing[i][j])
+            if ci:
+                for j, k in self._killing[i]:
+                    if y[j]:
+                        total = total + ci * y[j] * k
         return total
 
     # -- element helpers ---------------------------------------------------
@@ -358,30 +366,24 @@ class ChevalleyAlgebra:
         Only distinct i < j < k triples are checked; all other triples
         vanish identically by bilinearity and antisymmetry.
         """
-        dim = self.dim
-        ad = [dict() for _ in range(dim)]
-        for i in range(dim):
-            for k in range(dim):
-                ent = self.basis_bracket(i, k)
-                if ent:
-                    ad[i][k] = dict(ent)
+        dim, ad = self.dim, self.table
         bad = 0
         for i in range(dim):
             adi = ad[i]
             for j in range(i + 1, dim):
                 adj = ad[j]
-                bij = adi.get(j, {})
+                bij = adi.get(j, ())
                 for k in range(j + 1, dim):
-                    acc: dict[int, Fraction] = {}
-                    for l, c in bij.items():  # [[i,j],k] = -[k,[i,j]]
-                        for m, d in ad[k].get(l, {}).items():
-                            acc[m] = acc.get(m, Fraction(0)) - c * d
-                    for l, c in adj.get(k, {}).items():  # [[j,k],i] = -[i,[j,k]]
-                        for m, d in adi.get(l, {}).items():
-                            acc[m] = acc.get(m, Fraction(0)) - c * d
-                    for l, c in adi.get(k, {}).items():  # [[k,i],j] = [j,[i,k]]
-                        for m, d in adj.get(l, {}).items():
-                            acc[m] = acc.get(m, Fraction(0)) + c * d
+                    acc: dict[int, Scalar] = {}
+                    for l, c in bij:  # [[i,j],k] = -[k,[i,j]]
+                        for m, d in ad[k].get(l, ()):
+                            acc[m] = acc.get(m, ZERO) - c * d
+                    for l, c in adj.get(k, ()):  # [[j,k],i] = -[i,[j,k]]
+                        for m, d in adi.get(l, ()):
+                            acc[m] = acc.get(m, ZERO) - c * d
+                    for l, c in adi.get(k, ()):  # [[k,i],j] = [j,[i,k]]
+                        for m, d in adj.get(l, ()):
+                            acc[m] = acc.get(m, ZERO) + c * d
                     if any(acc.values()):
                         bad += 1
         return bad

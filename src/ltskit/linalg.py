@@ -1,10 +1,13 @@
-"""Exact dense linear algebra over the scalar field.
+"""Exact linear algebra over the scalar field.
 
-Vectors are lists of Scalar, matrices are lists of rows.  Span is the one
-Gauss-Jordan elimination: it keeps the reduced row echelon form of the rows
-added so far, which is unique, so every result below is independent of the
-order in which rows arrive.  rank, kernel and solve read the pivots and rows
-of a Span built from their input rows.
+Vectors are dense lists of Scalar, matrices are lists of rows.  Span is the
+one Gauss-Jordan elimination: it keeps the reduced row echelon form of the
+rows added so far, which is unique, so every result below is independent of
+the order in which rows arrive.  Each stored row carries its support (its
+nonzero columns), and reducing a vector against a row, or a row against a
+new one, updates only those columns in place; the vectors are mostly zeros,
+and a - f*0 would leave the others unchanged anyway.  rank, kernel and solve
+read the pivots and rows of a Span built from their input rows.
 
 Beside them sit three helpers for the matrix whose columns are a list of
 vectors: combine (the matrix times a coefficient vector), relations (its
@@ -15,6 +18,7 @@ transposed coordinate system by hand.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Sequence
 
 from .scalars import Scalar, ZERO, ONE
@@ -40,7 +44,7 @@ def vec_scale(c: Scalar, v: Sequence[Scalar]) -> Vec:
 
 
 def vec_is_zero(v: Sequence[Scalar]) -> bool:
-    return all(a.is_zero() for a in v)
+    return not any(v)
 
 
 def mat_vec(m: Sequence[Sequence[Scalar]], v: Sequence[Scalar]) -> Vec:
@@ -114,41 +118,48 @@ def coordinates(vectors: Sequence[Sequence[Scalar]],
 
 
 class Span:
-    """Row space with exact membership tests, built incrementally."""
+    """Row space with exact membership tests, built incrementally.
+
+    Each stored row is kept with its support, the increasing list of its
+    nonzero columns, and a row operation touches only those columns."""
 
     def __init__(self, vectors: Sequence[Sequence[Scalar]] = ()):
         self._rows: Mat = []
         self._pivots: list[int] = []
+        self._supports: list[list[int]] = []
         for v in vectors:
             self.add(v)
 
     def add(self, v: Sequence[Scalar]) -> bool:
         """Reduce v against the span; add the remainder.  True if dim grew."""
         w = self._reduce(list(v))
-        for c, x in enumerate(w):
-            if not x.is_zero():
-                break
-        else:
+        support = [k for k, x in enumerate(w) if x]
+        if not support:
             return False
-        inv = x.inv()
-        w = [y * inv for y in w]
+        c = support[0]
+        inv = w[c].inv()
+        for k in support:
+            w[k] = w[k] * inv
         # keep rows fully reduced against each other
-        for i, row in enumerate(self._rows):
-            if not row[c].is_zero():
-                f = row[c]
-                self._rows[i] = [a - f * b for a, b in zip(row, w)]
-        pos = 0
-        while pos < len(self._pivots) and self._pivots[pos] < c:
-            pos += 1
+        for row, sup in zip(self._rows, self._supports):
+            f = row[c]
+            if f:
+                for k in support:
+                    row[k] = row[k] - f * w[k]
+                sup[:] = [k for k in sorted(set(sup).union(support)) if row[k]]
+        pos = bisect_left(self._pivots, c)
         self._rows.insert(pos, w)
         self._pivots.insert(pos, c)
+        self._supports.insert(pos, support)
         return True
 
     def _reduce(self, v: Vec) -> Vec:
-        for row, pc in zip(self._rows, self._pivots):
-            if not v[pc].is_zero():
-                f = v[pc]
-                v = [a - f * b for a, b in zip(v, row)]
+        """Subtract the stored rows from v in place; v's pivot entries end 0."""
+        for row, pc, sup in zip(self._rows, self._pivots, self._supports):
+            f = v[pc]
+            if f:
+                for k in sup:
+                    v[k] = v[k] - f * row[k]
         return v
 
     def contains(self, v: Sequence[Scalar]) -> bool:
@@ -156,13 +167,9 @@ class Span:
 
     def coords(self, v: Sequence[Scalar]) -> Vec | None:
         """Coefficients of v in the stored reduced basis, or None."""
-        coeffs = []
         w = list(v)
-        for row, pc in zip(self._rows, self._pivots):
-            f = w[pc]
-            coeffs.append(f)
-            if not f.is_zero():
-                w = [a - f * b for a, b in zip(w, row)]
+        coeffs = [w[pc] for pc in self._pivots]
+        self._reduce(w)
         return coeffs if vec_is_zero(w) else None
 
     @property

@@ -44,10 +44,10 @@ from itertools import chain
 from .linalg import (
     Span, Vec, combine, relations, vec_add, vec_is_zero, vec_scale, zeros,
 )
-from .scalars import ParseError, Parser, Scalar
+from .scalars import ParseError, Parser, Scalar, scalar_sign
 from .spaces import (
     AngleDescriptor, NotHermitian, NotInM, RESTRICTED_LABELS, SpaceModel,
-    build_space, scalar_sign,
+    build_space,
 )
 
 

@@ -6,8 +6,16 @@ sqrt(d) are linearly independent over Q(i), so the representation is unique
 and the zero test is exact.  Every radical constant needed by the engine
 (sqrt2/16, 3*sqrt3/4, sqrt21/14, ...) lives in this field.
 
+The canonical form is a dict radicand -> (re, im) of Fraction pairs with no
+(0, 0) entry, so ==, hash, str and terms() read it directly.  Arithmetic keeps
+that form on two fast paths before the general term loop: an operand that is
+zero returns at once, and two single-term operands (rationals, elements of
+Q(i), or one radical each) combine directly into a result built without
+__init__'s cleaning.  inv of an element of Q(i) is conj/|z|^2.
+
 There is a float view for report formatting only; no decision anywhere in
-the package is made from floats.
+the package is made from floats.  The sign of a real scalar (scalar_sign)
+is decided exactly, from rational isqrt enclosures of the radicals.
 """
 
 from __future__ import annotations
@@ -64,7 +72,9 @@ class Scalar:
 
     @classmethod
     def rational(cls, q: Union[int, Fraction]) -> "Scalar":
-        return cls({1: (Fraction(q), Fraction(0))})
+        if type(q) is not Fraction:
+            q = Fraction(q)
+        return _scalar({1: (q, _F0)}) if q else ZERO
 
     @classmethod
     def imag(cls, q: Union[int, Fraction] = 1) -> "Scalar":
@@ -125,43 +135,76 @@ class Scalar:
         return NotImplemented  # type: ignore[return-value]
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        out = dict(self._terms)
-        for d, (re_, im_) in other._terms.items():
-            r0, i0 = out.get(d, (Fraction(0), Fraction(0)))
+        if type(other) is not Scalar:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        t1, t2 = self._terms, other._terms
+        if not t2:
+            return self
+        if not t1:
+            return other
+        if len(t1) == 1 == len(t2):
+            (d, (a1, b1)), = t1.items()
+            if d in t2:
+                a2, b2 = t2[d]
+                re_ = a1 + a2
+                im_ = b1 + b2 if b2 else b1
+                if not re_ and not im_:
+                    return ZERO
+                return _scalar({d: (re_, im_)})
+        out = dict(t1)
+        for d, (re_, im_) in t2.items():
+            r0, i0 = out.get(d, (_F0, _F0))
             out[d] = (r0 + re_, i0 + im_)
-        return Scalar(out)
+        return _nonzero_terms(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Scalar":
-        return Scalar({d: (-re_, -im_) for d, (re_, im_) in self._terms.items()})
+        if not self._terms:
+            return self
+        return _scalar({d: (-re_, -im_) for d, (re_, im_) in self._terms.items()})
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not Scalar:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        if not other._terms:
+            return self
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not Scalar:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        t1, t2 = self._terms, other._terms
+        if not t1:
+            return self
+        if not t2:
+            return other
+        if len(t1) == 1 == len(t2):
+            # a nonzero single term times a nonzero single term is one
+            # nonzero term
+            (d1, c1), = t1.items()
+            (d2, c2), = t2.items()
+            d, term = _term_product(d1, c1, d2, c2)
+            return _scalar({d: term})
         out: dict[int, tuple[Fraction, Fraction]] = {}
-        for d1, (a1, b1) in self._terms.items():
-            for d2, (a2, b2) in other._terms.items():
-                g = math.gcd(d1, d2)
-                d = (d1 // g) * (d2 // g)
-                re_ = (a1 * a2 - b1 * b2) * g
-                im_ = (a1 * b2 + b1 * a2) * g
-                r0, i0 = out.get(d, (Fraction(0), Fraction(0)))
-                out[d] = (r0 + re_, i0 + im_)
-        return Scalar(out)
+        for d1, c1 in t1.items():
+            for d2, c2 in t2.items():
+                d, (re_, im_) = _term_product(d1, c1, d2, c2)
+                if d in out:
+                    r0, i0 = out[d]
+                    out[d] = (r0 + re_, i0 + im_ if im_ else i0)
+                else:
+                    out[d] = (re_, im_)
+        return _nonzero_terms(out)
 
     __rmul__ = __mul__
 
@@ -177,21 +220,25 @@ class Scalar:
                        for d, (re_, im_) in self._terms.items()})
 
     def inv(self) -> "Scalar":
-        """Exact inverse, rationalizing through the field conjugates."""
+        """Exact inverse: 1/q or conj/|z|^2 on Q(i), else rationalized
+        through the conjugates sqrt(p) -> -sqrt(p) of the primes present."""
         if self.is_zero():
             raise ZeroDivisionError("scalar inverse of zero")
-        num = Scalar.rational(1)
-        cur = self
+        if len(self._terms) == 1 and 1 in self._terms:
+            a, b = self._terms[1]
+            if not b:
+                return _scalar({1: (1 / a, _F0)})
+            n = a * a + b * b
+            return _scalar({1: (a / n, -b / n)})
+        num, cur = ONE, self
         for p in PRIMES:
-            conj = cur.conj_sqrt(p)
-            num = num * conj
-            cur = cur * conj
-        # cur now lies in Q(i); clear i with the complex conjugate
-        conj = cur.conj_i()
-        num = num * conj
-        cur = cur * conj
-        q = cur.rational_value()
-        return num * Scalar.rational(1 / q)
+            # cur * conj is fixed by sqrt(p) -> -sqrt(p), as cur already is
+            # when none of its radicands has the factor p
+            if any(d % p == 0 for d in cur._terms):
+                conj = cur.conj_sqrt(p)
+                num, cur = num * conj, cur * conj
+        # cur now lies in Q(i)
+        return num * cur.inv()
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -300,14 +347,73 @@ def _format_coef(coef: Fraction, unit: str, d: int) -> str:
 
 
 _RAD_SET = frozenset(RADICANDS)
+_F0 = Fraction(0)
+
+
+def _nonzero_terms(terms: dict[int, tuple[Fraction, Fraction]]) -> Scalar:
+    """A Scalar from Fraction terms over valid radicands, dropping zeros."""
+    return _scalar({d: c for d, c in terms.items() if c[0] or c[1]})
+
+
+def _term_product(d1: int, c1: tuple[Fraction, Fraction], d2: int,
+                  c2: tuple[Fraction, Fraction]) -> tuple[int, tuple[Fraction, Fraction]]:
+    """(a1 + b1 i) sqrt(d1) * (a2 + b2 i) sqrt(d2) as (d, (re, im))."""
+    (a1, b1), (a2, b2) = c1, c2
+    if b1 or b2:
+        re_, im_ = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2
+    else:
+        re_, im_ = a1 * a2, _F0
+    if d1 == 1 or d2 == 1:
+        return d1 * d2, (re_, im_)
+    g = math.gcd(d1, d2)
+    return (d1 // g) * (d2 // g), (re_ * g, im_ * g)
+
+
+def _scalar(terms: dict[int, tuple[Fraction, Fraction]]) -> Scalar:
+    """A Scalar from terms already in canonical form, skipping __init__."""
+    x = object.__new__(Scalar)
+    x._terms = terms
+    x._hash = None
+    return x
+
 
 ZERO = Scalar()
 ONE = Scalar.rational(1)
 I = Scalar.imag(1)
 
 
+def scalar_sign(x: Scalar) -> int:
+    """Exact sign of a real Scalar.
+
+    A single term c*sqrt(d) has the sign of c.  Otherwise each sqrt(d) is
+    enclosed as isqrt(d * 4^k) / 2^k <= sqrt(d) < (isqrt(d * 4^k) + 1) / 2^k,
+    and k doubles until the enclosure of the sum excludes 0; it does for
+    some k because the zero test is exact.
+    """
+    if x.is_zero():
+        return 0
+    if not x.is_real():
+        raise ValueError("complex scalar has no sign")
+    terms = [(d, re_) for d, re_, _ in x.terms()]
+    if len(terms) == 1:
+        return 1 if terms[0][1] > 0 else -1
+    k = 32
+    while True:
+        lo = hi = 0
+        for d, c in terms:
+            s = math.isqrt(d << (2 * k))
+            t = s if d == 1 else s + 1
+            lo += c * (s if c > 0 else t)
+            hi += c * (t if c > 0 else s)
+        if lo > 0:
+            return 1
+        if hi < 0:
+            return -1
+        k *= 2
+
+
 def rat(p: Union[int, Fraction], q: int = 1) -> Scalar:
-    return Scalar.rational(Fraction(p, q))
+    return Scalar.rational(p if q == 1 else Fraction(p, q))
 
 
 def sqrt(d: int) -> Scalar:

@@ -38,7 +38,7 @@ from .linalg import (
     vec_scale, vec_sub, zeros,
 )
 from .roots import RestrictedRoot, RestrictedRootSystem, Root, RootSystem
-from .scalars import I, Scalar, ZERO, parse_scalar, rat
+from .scalars import I, Scalar, ZERO, parse_scalar, rat, scalar_sign
 
 SPACE_NAMES = ("EIII", "EIV", "G2group")
 
@@ -288,6 +288,13 @@ class AngleDescriptor:
         return self.name if self.name else f"arctan(sqrt({self.tan_sq}))"
 
 
+@lru_cache(maxsize=None)
+def algebra(root_type: str) -> ChevalleyAlgebra:
+    """The one (read-only) algebra of a root-system type, shared by every
+    model built on it: EIII and EIV use the same E6 table and Killing form."""
+    return ChevalleyAlgebra(RootSystem.of_type(root_type))
+
+
 class SpaceModel:
     """One symmetric-space model with exact algebraic data."""
 
@@ -296,10 +303,10 @@ class SpaceModel:
             raise ValueError(f"unknown space {name!r}")
         self.name = name
         if name == "G2group":
-            self.alg = ChevalleyAlgebra(RootSystem.of_type("G2"))
+            self.alg = algebra("G2")
             self._build_group_model()
         else:
-            self.alg = ChevalleyAlgebra(RootSystem.of_type("E6"))
+            self.alg = algebra("E6")
             self._build_e6_model()
         self._finalize()
 
@@ -710,16 +717,6 @@ class SpaceModel:
         if tan_sq.is_rational():
             name = ANGLE_NAMES.get(tan_sq.rational_value())
         return AngleDescriptor(tan_sq=tan_sq, name=name)
-
-
-def scalar_sign(x: Scalar) -> int:
-    """Sign of a real Scalar; exact zero, float with a wide safety margin."""
-    if x.is_zero():
-        return 0
-    f = float(x)
-    if abs(f) < 1e-9:
-        raise ArithmeticError(f"sign of {x} too close to zero for the float guard")
-    return 1 if f > 0 else -1
 
 
 @lru_cache(maxsize=None)

@@ -1,4 +1,4 @@
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ltskit.linalg import (
     Span, combine, coordinates, kernel, mat_vec, rank, relations, solve,
@@ -113,3 +113,57 @@ def test_solve_verifies(rows, xs):
     x = solve(a, target)
     assert x is not None
     assert mat_vec(a, x) == target
+
+
+# -- Span with row supports against a dense reference elimination ------------
+
+N_COLS = 7
+entries = st.one_of(
+    st.just(ZERO), st.just(ZERO), st.just(ZERO),
+    small.map(rat),
+    st.builds(lambda a, d: rat(a) * sqrt(d), small, st.sampled_from((2, 3, 6))))
+sparse_vectors = st.lists(entries, min_size=N_COLS, max_size=N_COLS)
+
+
+def dense_echelon(vectors):
+    """Reduced row echelon form by whole-row updates: (rows, pivots)."""
+    rows, pivots = [], []
+    for v in vectors:
+        w = list(v)
+        for row, pc in zip(rows, pivots):
+            w = [a - w[pc] * b for a, b in zip(w, row)]
+        nonzero = [k for k, x in enumerate(w) if not x.is_zero()]
+        if not nonzero:
+            continue
+        c = nonzero[0]
+        w = [x / w[c] for x in w]
+        rows = [[a - row[c] * b for a, b in zip(row, w)] for row in rows]
+        pos = sum(1 for p in pivots if p < c)
+        rows.insert(pos, w)
+        pivots.insert(pos, c)
+    return rows, pivots
+
+
+def dense_coords(rows, pivots, v):
+    w = list(v)
+    coeffs = []
+    for row, pc in zip(rows, pivots):
+        coeffs.append(w[pc])
+        w = [a - coeffs[-1] * b for a, b in zip(w, row)]
+    return coeffs if vec_is_zero(w) else None
+
+
+@settings(deadline=None)
+@given(st.lists(sparse_vectors, min_size=1, max_size=6), st.randoms(),
+       st.lists(sparse_vectors, min_size=1, max_size=3))
+def test_span_matches_dense_elimination(vectors, rnd, probes):
+    shuffled = list(vectors)
+    rnd.shuffle(shuffled)
+    span = Span(vectors)
+    rows, pivots = dense_echelon(vectors)
+    assert span.basis() == rows
+    assert Span(shuffled).basis() == rows
+    combos = [combine([rat(rnd.randint(-3, 3)) for _ in vectors], vectors)]
+    for v in probes + combos:
+        assert span.contains(v) == (dense_coords(rows, pivots, v) is not None)
+        assert span.coords(v) == dense_coords(rows, pivots, v)

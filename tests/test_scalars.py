@@ -2,10 +2,11 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ltskit.scalars import (
-    I, ONE, RADICANDS, Scalar, ScalarParseError, ZERO, parse_scalar, rat, sqrt,
+    I, ONE, RADICANDS, Scalar, ScalarParseError, ZERO, parse_scalar, rat,
+    scalar_sign, sqrt,
 )
 
 coeffs = st.builds(Fraction, st.integers(min_value=-40, max_value=40),
@@ -119,3 +120,112 @@ def test_rational_value_guard():
     with pytest.raises(ValueError):
         sqrt(2).rational_value()
     assert rat(Fraction(5, 3)).rational_value() == Fraction(5, 3)
+
+
+# -- fast paths against the general term loop --------------------------------
+
+# Zero, rational, Q(i), single-radical and mixed values: every shape that a
+# fast path in Scalar's arithmetic handles, and the general case beside them.
+nonzero_coeffs = coeffs.filter(bool)
+shaped_scalars = st.one_of(
+    st.just(ZERO),
+    nonzero_coeffs.map(lambda q: Scalar({1: (q, 0)})),
+    st.builds(lambda a, b: Scalar({1: (a, b)}), coeffs, nonzero_coeffs),
+    st.builds(lambda d, a, b: Scalar({d: (a, b)}),
+              st.sampled_from(RADICANDS[1:]), nonzero_coeffs, coeffs),
+    scalars())
+
+
+def reference_sum(x, y):
+    out = {}
+    for s in (x, y):
+        for d, re_, im_ in s.terms():
+            r0, i0 = out.get(d, (Fraction(0), Fraction(0)))
+            out[d] = (r0 + re_, i0 + im_)
+    return Scalar(out)
+
+
+def reference_product(x, y):
+    out = {}
+    for d1, a1, b1 in x.terms():
+        for d2, a2, b2 in y.terms():
+            g = math.gcd(d1, d2)
+            d = (d1 // g) * (d2 // g)
+            r0, i0 = out.get(d, (Fraction(0), Fraction(0)))
+            out[d] = (r0 + (a1 * a2 - b1 * b2) * g, i0 + (a1 * b2 + b1 * a2) * g)
+    return Scalar(out)
+
+
+def reference_inverse(x):
+    num, cur = ONE, x
+    for p in (2, 3, 5, 7):
+        conj = cur.conj_sqrt(p)
+        num, cur = reference_product(num, conj), reference_product(cur, conj)
+    conj = cur.conj_i()
+    num, cur = reference_product(num, conj), reference_product(cur, conj)
+    return reference_product(num, rat(1 / cur.rational_value()))
+
+
+def assert_canonical(x, reference):
+    assert x == reference and hash(x) == hash(reference)
+    assert str(x) == str(reference)
+    assert list(x.terms()) == list(reference.terms())
+    for _, re_, im_ in x.terms():
+        assert type(re_) is Fraction and type(im_) is Fraction
+        assert re_ or im_
+
+
+@settings(deadline=None, max_examples=300)
+@given(shaped_scalars, shaped_scalars)
+def test_fast_paths_match_general_loop(x, y):
+    minus_y = reference_product(rat(-1), y)
+    assert_canonical(x + y, reference_sum(x, y))
+    assert_canonical(x - y, reference_sum(x, minus_y))
+    assert_canonical(-y, minus_y)
+    assert_canonical(x * y, reference_product(x, y))
+    if y:
+        assert_canonical(y.inv(), reference_inverse(y))
+        assert_canonical(x / y, reference_product(x, reference_inverse(y)))
+
+
+@settings(deadline=None)
+@given(shaped_scalars)
+def test_inverse_of_each_shape(x):
+    if x:
+        assert x * x.inv() == ONE
+
+
+# -- exact sign ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("x,sign", [
+    (sqrt(2) - rat(1414213562373095, 10**15), 1),
+    (rat(1414213562373096, 10**15) - sqrt(2), 1),
+    (sqrt(2) - rat(14142135623730951, 10**16), -1),
+    (sqrt(6) - sqrt(2) * sqrt(3) + rat(1, 10**20), 1),
+    (sqrt(2) + sqrt(3) - rat(3146264369941972342, 10**18), 1),
+    (sqrt(2) + sqrt(3) - rat(3146264369941972343, 10**18), -1),
+    (rat(3) * sqrt(5) - rat(2) * sqrt(14) + rat(775110841048513682, 10**18), 1),
+    (rat(3) * sqrt(5) - rat(2) * sqrt(14) + rat(775110841048513681, 10**18), -1),
+    (ZERO, 0),
+])
+def test_exact_sign_near_zero(x, sign):
+    assert abs(float(x)) < 1e-12
+    assert scalar_sign(x) == sign
+
+
+real_scalars = scalars().map(lambda x: (x + x.conj_i()) / 2)
+
+
+@settings(deadline=None)
+@given(real_scalars)
+def test_exact_sign_agrees_with_float(x):
+    f = float(x)
+    if abs(f) > 1e-6:
+        assert scalar_sign(x) == (1 if f > 0 else -1)
+    assert scalar_sign(-x) == -scalar_sign(x)
+
+
+def test_sign_of_complex_scalar_rejected():
+    with pytest.raises(ValueError):
+        scalar_sign(ONE + I)

@@ -19,6 +19,10 @@ def e(n, k, a=1):
 
 # -- splitting and involution ---------------------------------------------
 
+def test_e6_spaces_share_one_algebra():
+    assert build_space("EIII").alg is build_space("EIV").alg
+
+
 def test_dimensions():
     eiii = build_space("EIII")
     assert len(eiii.k_rows) == 46 and len(eiii.m_rows) == 32
