@@ -670,25 +670,32 @@ def phi_g2_kernel() -> list:
 
 
 def mat_mul(A, B):
-    n, k, m = len(A), len(B), len(B[0])
+    """The product ``A B`` of exact matrices of any compatible shapes.
+
+    Entries: any ring with +, -, *, == and a zero test, here ``== zero``
+    against the ring's own zero ``B[0][0] - B[0][0]``.  The product is
+    sparse: each row of ``B`` is reduced once to its nonzero (column, entry)
+    pairs, every zero ``A[i][t]`` is skipped, and only nonzero products are
+    added, still in increasing ``t``.  An entry with no nonzero term is the
+    ring's zero, so every entry has the exact value of the dense sum."""
+    zero = B[0][0] - B[0][0]
+    b_rows = [[(j, b) for j, b in enumerate(row) if b != zero] for row in B]
     out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = A[i][0] * B[0][j]
-            for t in range(1, k):
-                acc = acc + A[i][t] * B[t][j]
-            row.append(acc)
-        out.append(row)
+    for a_row in A:
+        acc = [zero] * len(B[0])
+        for a, b_row in zip(a_row, b_rows):
+            if a == zero:
+                continue
+            for j, b in b_row:
+                p = a * b
+                if p != zero:
+                    acc[j] = acc[j] + p
+        out.append(acc)
     return out
 
 
 def mat_add(A, B):
     return [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
-def mat_sub(A, B):
-    return [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
 
 
 def mat_neg(A):
@@ -751,20 +758,6 @@ def herm_inner(u, v):
     for a, b in zip(u[1:], v[1:]):
         total = total + a.conj() * b
     return total
-
-
-def _j_block(n_pairs: int):
-    """The real block-diagonal matrix diag(J', ..., J') with
-    J' = [[0, -1], [1, 0]], as a bicomplex matrix."""
-    n = 2 * n_pairs
-    out = [[BC_ZERO] * n for _ in range(n)]
-    for k in range(n_pairs):
-        out[2 * k][2 * k + 1] = -BC_ONE
-        out[2 * k + 1][2 * k] = BC_ONE
-    return out
-
-
-J6 = _j_block(3)
 
 
 # ---------------------------------------------------------------------------
@@ -873,11 +866,25 @@ def cnum_matrix_to_bc(A):
 def Phi_su6(A) -> list:
     """The group isomorphism A -> eps*A - conj(eps)*J*conj(A)*J from the
     unitary 6x6 matrices into the J-twisted model; ``A`` has bicomplex
-    entries (unitary samples have I-free entries)."""
-    term1 = mat_scale(BC_EPS, A)
-    term2 = mat_scale(BC_EPS_BAR,
-                      mat_mul(J6, mat_mul(mat_map(Cx.conj, A), J6)))
-    return mat_sub(term1, term2)
+    entries (unitary samples have I-free entries).
+
+    J = diag(J', J', J') with J' = [[0, -1], [1, 0]] acts as a signed
+    permutation: (J conj(A) J)[i][j] = s * conj(A[i^1][j^1]), where s = -1
+    when i and j have the same parity and s = +1 otherwise.  Each entry is
+    formed directly from these two terms, skipping a zero term."""
+    out = []
+    for i, row in enumerate(A):
+        mirror = A[i ^ 1]
+        out_row = []
+        for j, a in enumerate(row):
+            acc = BC_EPS * a if a != BC_ZERO else BC_ZERO
+            c = mirror[j ^ 1]
+            if c != BC_ZERO:
+                term = BC_EPS_BAR * c.conj()
+                acc = acc + term if (i ^ j) & 1 == 0 else acc - term
+            out_row.append(acc)
+        out.append(out_row)
+    return out
 
 
 def su6_check(A) -> bool:
@@ -940,7 +947,9 @@ def embed_f1(u1: Sequence[CNum], u2: Sequence[CNum]) -> ProjPoint:
         raise NotOrthonormal("the basis must be exactly orthonormal")
     wedge = [[u1[i] * u2[j] - u2[i] * u1[j] for j in range(6)]
              for i in range(6)]
-    S = mat_mul(cnum_matrix_to_bc(wedge), J6)
+    # S = wedge J: column j of S is column j^1 of wedge, negated for odd j
+    S = cnum_matrix_to_bc([[-row[j ^ 1] if j & 1 else row[j ^ 1]
+                            for j in range(6)] for row in wedge])
     X3 = phi2_inv(Phi_su6(S))
     return ProjPoint.of(phi1(X3, (HC_ZERO, HC_ZERO, HC_ZERO)))
 

@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ltskit import cayley as cy
 from ltskit.cayley import (
@@ -368,6 +369,114 @@ def test_actions_preserve_pairing_sample():
     assert trace_pairing(X, X).im == 0 and trace_pairing(X, X).re > 0
 
 
+# -- exact matrix products -------------------------------------------------
+
+
+def dense_mul(A, B):
+    """Reference product: the dense triple loop over every index."""
+    out = []
+    for i in range(len(A)):
+        row = []
+        for j in range(len(B[0])):
+            acc = A[i][0] * B[0][j]
+            for t in range(1, len(B)):
+                acc = acc + A[i][t] * B[t][j]
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+def ring_type(x):
+    return type(x), type(getattr(x, "re", None))
+
+
+SMALL_Q = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+CNUMS = st.builds(CNum, SMALL_Q, SMALL_Q)
+QUATS = st.builds(Quaternion, SMALL_Q, SMALL_Q, SMALL_Q, SMALL_Q)
+RINGS = {
+    "fraction": (SMALL_Q, F(0)),
+    "cnum": (CNUMS, C_ZERO),
+    "quaternion": (QUATS, Q_ZERO),
+    "bicomplex": (st.builds(Cx, CNUMS, CNUMS), cy.BC_ZERO),
+    "complex-quaternion": (st.builds(Cx, QUATS, QUATS), cy.HC_ZERO),
+}
+SHAPES = ((6, 6, 6), (2, 6, 6), (6, 6, 1), (1, 1, 1), (3, 5, 2))
+
+
+@st.composite
+def sparse_matrix(draw, entries, zero, n, m):
+    """An n x m matrix with a random zero pattern, including whole zero rows
+    and columns and, at density 0, the zero matrix."""
+    density = draw(st.sampled_from((0, 1, 2, 3, 4)))
+    zero_rows = draw(st.sets(st.integers(0, n - 1), max_size=n))
+    zero_cols = draw(st.sets(st.integers(0, m - 1), max_size=m))
+    return [[draw(entries)
+             if i not in zero_rows and j not in zero_cols
+             and draw(st.integers(0, 3)) < density else zero
+             for j in range(m)] for i in range(n)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), ring=st.sampled_from(sorted(RINGS)),
+       shape=st.sampled_from(SHAPES))
+def test_mat_mul_matches_dense_product(data, ring, shape):
+    entries, zero = RINGS[ring]
+    n, k, m = shape
+    A = data.draw(sparse_matrix(entries, zero, n, k))
+    B = data.draw(sparse_matrix(entries, zero, k, m))
+    got = cy.mat_mul(A, B)
+    assert got == dense_mul(A, B)
+    assert all(ring_type(x) == ring_type(zero) for row in got for x in row)
+
+
+def dense_j6():
+    J = [[cy.BC_ZERO] * 6 for _ in range(6)]
+    for k in range(3):
+        J[2 * k][2 * k + 1] = -cy.BC_ONE
+        J[2 * k + 1][2 * k] = cy.BC_ONE
+    return J
+
+
+def reference_phi_su6(A):
+    """eps*A - conj(eps)*J6*conj(A)*J6 with J6 a dense matrix."""
+    J6 = dense_j6()
+    twisted = dense_mul(J6, dense_mul(cy.mat_map(Cx.conj, A), J6))
+    return [[cy.BC_EPS * a - cy.BC_EPS_BAR * t for a, t in zip(ra, rt)]
+            for ra, rt in zip(A, twisted)]
+
+
+def test_phi_su6_is_the_dense_twist_on_samples():
+    samples = [cy.cnum_matrix_to_bc(A) for A in cy._su6_sample_matrices()]
+    samples += [cy.conj_transpose(A) for A in samples]
+    for A in samples:
+        assert cy.Phi_su6(A) == reference_phi_su6(A)
+
+
+NONZERO_Q = SMALL_Q.filter(lambda q: q != 0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(A=sparse_matrix(st.builds(Cx, CNUMS, st.builds(CNum, NONZERO_Q,
+                                                      SMALL_Q)),
+                       cy.BC_ZERO, 6, 6))
+def test_phi_su6_is_the_dense_twist_on_bicomplex_matrices(A):
+    got = cy.Phi_su6(A)
+    assert got == reference_phi_su6(A)
+    assert all(ring_type(x) == ring_type(cy.BC_ZERO)
+               for row in got for x in row)
+
+
+def test_embed_f1_is_the_dense_construction():
+    assert embed_f1(tuple(E6[0]), tuple(E6[1])) == P0
+    for u1, u2 in cy._complex_plane_samples():
+        wedge = [[u1[i] * u2[j] - u2[i] * u1[j] for j in range(6)]
+                 for i in range(6)]
+        S = dense_mul(cy.cnum_matrix_to_bc(wedge), dense_j6())
+        X3 = cy.phi2_inv(reference_phi_su6(S))
+        expected = ProjPoint.of(cy.phi1(X3, (cy.HC_ZERO,) * 3))
+        assert embed_f1(u1, u2) == expected
+
+
 # -- the orthogonal model ---------------------------------------------------
 
 
@@ -461,8 +570,9 @@ def test_verify_models_report():
     rep = verify_models(seed=0)
     assert rep.ok
     counts = rep.counts()
+    assert len(rep.rows) == 54
+    assert counts["PASS"] == 54
     assert counts["FAIL"] == 0
-    assert counts["PASS"] >= 50
     js = rep.as_json()
     assert js["space"] == "models"
     assert "| label | status |" in rep.as_markdown()

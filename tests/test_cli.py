@@ -307,6 +307,10 @@ GOLDEN_COMMANDS = {
                              "--H", "(9*l1 + 5*l2)/sqrt(21)",
                              "--format", "json"),
     "space_info_EIII.md": ("space", "info", "EIII"),
+    "models_verify.json": ("models", "verify", "--seed", "0",
+                           "--format", "json"),
+    "models_verify.md": ("models", "verify", "--seed", "0",
+                         "--format", "markdown"),
 }
 
 # the same for commands that report FAIL and exit EXIT_FAIL
@@ -350,8 +354,9 @@ def test_models_verify_with_samples(capsys, tmp_path):
     code, doc = run_json(capsys, "models", "verify", "--samples", str(f))
     assert code == EXIT_OK
     assert doc["status"] == "PASS"
+    assert len(doc["data"]["rows"]) == 54
+    assert doc["data"]["counts"]["PASS"] == 54
     assert doc["data"]["counts"]["FAIL"] == 0
-    assert doc["data"]["counts"]["PASS"] >= 50
     labels = [r["label"] for r in doc["data"]["rows"]]
     assert any(lbl.startswith("so10-model:") for lbl in labels)
     assert any(lbl.startswith("cartan-so10:") for lbl in labels)
