@@ -19,6 +19,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from operator import ne
 from typing import Callable, Iterable, Sequence
 
 from . import linalg
@@ -672,23 +673,26 @@ def phi_g2_kernel() -> list:
 def mat_mul(A, B):
     """The product ``A B`` of exact matrices of any compatible shapes.
 
-    Entries: any ring with +, -, *, == and a zero test, here ``== zero``
-    against the ring's own zero ``B[0][0] - B[0][0]``.  The product is
-    sparse: each row of ``B`` is reduced once to its nonzero (column, entry)
-    pairs, every zero ``A[i][t]`` is skipped, and only nonzero products are
-    added, still in increasing ``t``.  An entry with no nonzero term is the
-    ring's zero, so every entry has the exact value of the dense sum."""
+    Entries: any ring with +, -, *, == and a zero test, here ``!= zero``
+    against the ring's own zero ``B[0][0] - B[0][0]``, or ``bool`` on
+    ``Fraction`` (whose ``==`` checks the ``numbers`` ABCs on every call).
+    The product is sparse: each row of ``B`` is reduced once to its nonzero
+    (column, entry) pairs, every zero ``A[i][t]`` is skipped, and only
+    nonzero products are added, still in increasing ``t``.  An entry with no
+    nonzero term is the ring's zero, so every entry has the exact value of
+    the dense sum."""
     zero = B[0][0] - B[0][0]
-    b_rows = [[(j, b) for j, b in enumerate(row) if b != zero] for row in B]
+    nonzero = bool if isinstance(zero, (int, Fraction)) else partial(ne, zero)
+    b_rows = [[(j, b) for j, b in enumerate(row) if nonzero(b)] for row in B]
     out = []
     for a_row in A:
         acc = [zero] * len(B[0])
         for a, b_row in zip(a_row, b_rows):
-            if a == zero:
+            if not nonzero(a):
                 continue
             for j, b in b_row:
                 p = a * b
-                if p != zero:
+                if nonzero(p):
                     acc[j] = acc[j] + p
         out.append(acc)
     return out

@@ -14,13 +14,29 @@ together with the four-root relation applied to (e, h, -a, -b).
 The compact real form has the ordered basis
 
     t_j = i h_j  (j over simple roots),   u_a = x_a - x_{-a},
-    v_a = i(x_a + x_{-a})                 (a over positive roots),
+    v_a = i(x_a + x_{-a})                 (a over positive roots).
 
-on which all structure constants are rational.  They are tabulated sparsely
-once per algebra, as ready Scalar coefficients for both orders of each basis
-pair, and the Killing form is kept as sparse Scalar rows; bracket and killing
-multiply by them directly.  Elements are plain Scalar coordinate vectors over
-this basis.
+With [h_j, x_b] = p x_b for p = <b, alpha_j^vee>, [x_a, x_{-a}] = h_a =
+sum_j co_j h_j (co the coroot coefficients) and [x_a, x_b] = N_{a,b} x_{a+b},
+its brackets are, for positive roots a != b, d = a - b, |d| = +-d positive,
+and s = -1 if d > 0, s = +1 if d < 0:
+
+    [t_j, u_b] = p v_b,                [t_j, v_b] = -p u_b,
+    [u_a, v_a] = 2 sum_j co_j t_j,
+    [u_a, u_b] =  N_{a,b} u_{a+b} + s N_{a,-b} u_{|d|},
+    [v_a, v_b] = -N_{a,b} u_{a+b} + s N_{a,-b} u_{|d|},
+    [u_a, v_b] =  N_{a,b} v_{a+b} +   N_{a,-b} v_{|d|},
+    [v_a, u_b] =  N_{a,b} v_{a+b} -   N_{b,-a} v_{|d|},
+
+where a term is present only when its root exists.  They follow from
+N_{-a,-b} = -N_{a,b} and h_{-a} = -h_a, which make x_g and x_{-g} appear in
+each bracket exactly in the combinations u_g and v_g.  A bracket with an odd
+number of factors i lands on t or v, one with an even number on u (i*i = -1),
+so every constant is +-p, +-N or 2 co: all integers.  The table is written
+down from these forms once per algebra, as ready Scalar coefficients for both
+orders of each basis pair; the Killing form is the trace of ad_i ad_j over
+that table, kept as sparse Scalar rows.  bracket and killing multiply by them
+directly.  Elements are plain Scalar coordinate vectors over this basis.
 
 An algebra is read only after __init__, so one instance can be shared by
 every model over the same root system (spaces.SpaceModel does).
@@ -33,7 +49,7 @@ from typing import Sequence
 
 from .linalg import Vec
 from .roots import Root, RootSystem
-from .scalars import I, Scalar, ZERO, rat
+from .scalars import Scalar, ZERO, rat
 
 
 class SignSolveFailure(RuntimeError):
@@ -82,7 +98,7 @@ class ChevalleyAlgebra:
         self._nsq = {r: rs.inner_rational(r, r) for r in self.roots}
         self._n_special = self._build_special_constants()
         self._coroot = {a: self._coroot_coeffs(a) for a in self.positives}
-        self.table = self._build_compact_table()
+        self.table = self._build_table()
         self._killing = self._build_killing_gram()
 
     # -- structure constants ----------------------------------------------
@@ -191,89 +207,57 @@ class ChevalleyAlgebra:
     def v_index(self, a: Root) -> int:
         return self.rank + 2 * self.pos_index[a] + 1
 
-    def _complex_expand(self, k: int) -> dict:
-        """Compact basis vector as {('h', j) | ('x', root): Scalar}."""
-        kind, a = self.basis_label(k)
-        if kind == "t":
-            return {("h", a): I}
-        if kind == "u":
-            return {("x", a): rat(1), ("x", _neg(a)): rat(-1)}
-        return {("x", a): I, ("x", _neg(a)): I}
-
-    def _complex_bracket(self, ex: dict, ey: dict) -> dict:
-        out: dict = {}
-
-        def acc(key, val):
-            if key in out:
-                out[key] = out[key] + val
-            else:
-                out[key] = val
-
-        for kx, cx in ex.items():
-            for ky, cy in ey.items():
-                c = cx * cy
-                if kx[0] == "h" and ky[0] == "h":
-                    continue
-                if kx[0] == "h" and ky[0] == "x":
-                    acc(ky, c * rat(self._pairing(ky[1], kx[1])))
-                elif kx[0] == "x" and ky[0] == "h":
-                    acc(kx, -c * rat(self._pairing(kx[1], ky[1])))
-                else:
-                    a, b = kx[1], ky[1]
-                    s = _add(a, b)
-                    if all(x == 0 for x in s):
-                        co = self._coroot.get(a)
-                        sign = 1
-                        if co is None:
-                            co = self._coroot[_neg(a)]
-                            sign = -1
-                        for j, m in enumerate(co):
-                            if m:
-                                acc(("h", j), c * rat(sign * m))
-                    elif s in self.roots:
-                        acc(("x", s), c * rat(self.n_constant(a, b)))
-        return {k: v for k, v in out.items() if not v.is_zero()}
-
     def _pairing(self, beta: Root, i: int) -> int:
+        """<beta, alpha_i^vee>, the eigenvalue of h_i on x_beta."""
         return sum(b * self.rs.cartan[j][i] for j, b in enumerate(beta))
 
-    def _complex_to_compact(self, e: dict) -> dict[int, Fraction]:
-        out: dict[int, Scalar] = {}
-
-        def acc(idx, val):
-            out[idx] = out.get(idx, ZERO) + val
-
-        for key, c in e.items():
-            if key[0] == "h":
-                acc(self.t_index(key[1]), c * (-I))
-            else:
-                g = key[1]
-                if sum(g) > 0:
-                    acc(self.u_index(g), c * rat(Fraction(1, 2)))
-                    acc(self.v_index(g), c * (-I) * rat(Fraction(1, 2)))
-                else:
-                    gp = _neg(g)
-                    acc(self.u_index(gp), c * rat(Fraction(-1, 2)))
-                    acc(self.v_index(gp), c * (-I) * rat(Fraction(1, 2)))
-        result: dict[int, Fraction] = {}
-        for idx, val in out.items():
-            if val.is_zero():
-                continue
-            result[idx] = val.rational_value()  # real form: must be rational
-        return result
-
-    def _build_compact_table(self) -> list[dict[int, tuple[tuple[int, Scalar], ...]]]:
-        expands = [self._complex_expand(k) for k in range(self.dim)]
+    def _build_table(self) -> list[dict[int, tuple[tuple[int, Scalar], ...]]]:
+        """The compact structure constants from their closed forms (module
+        docstring): entry [i][j] lists the sorted (k, c) with c != 0 in
+        [b_i, b_j] = sum c b_k, and entry [j][i] its negation.  Pairs of
+        roots are taken with a before b in the height-layered order of the
+        positives, so a - b is never a positive root (u_index would fail
+        on a negative e)."""
         table: list[dict[int, tuple[tuple[int, Scalar], ...]]] = [
             {} for _ in range(self.dim)]
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                res = self._complex_to_compact(
-                    self._complex_bracket(expands[i], expands[j]))
-                if res:
-                    terms = sorted(res.items())
-                    table[i][j] = tuple((k, rat(c)) for k, c in terms)
-                    table[j][i] = tuple((k, rat(-c)) for k, c in terms)
+
+        def put(i: int, j: int, terms: list[tuple[int, int]]) -> None:
+            terms = sorted((k, c) for k, c in terms if c)
+            if terms:
+                table[i][j] = tuple((k, rat(c)) for k, c in terms)
+                table[j][i] = tuple((k, rat(-c)) for k, c in terms)
+
+        n = self.n_constant
+        for ia, a in enumerate(self.positives):
+            ua, va = self.u_index(a), self.v_index(a)
+            for j in range(self.rank):
+                p = self._pairing(a, j)
+                put(j, ua, [(va, p)])
+                put(j, va, [(ua, -p)])
+            put(ua, va, [(j, 2 * m) for j, m in enumerate(self._coroot[a])])
+            for b in self.positives[ia + 1:]:
+                ub, vb = self.u_index(b), self.v_index(b)
+                uu, vv, uv, vu = [], [], [], []
+                g = _add(a, b)
+                if g in self.roots:
+                    ug, vg = self.u_index(g), self.v_index(g)
+                    nab = n(a, b)
+                    uu.append((ug, nab))
+                    vv.append((ug, -nab))
+                    uv.append((vg, nab))
+                    vu.append((vg, nab))
+                e = _sub(b, a)  # d = a - b < 0, so |d| = e and s = +1
+                if e in self.roots:
+                    ue, ve = self.u_index(e), self.v_index(e)
+                    n_amb, n_bma = n(a, _neg(b)), n(b, _neg(a))
+                    uu.append((ue, n_amb))
+                    vv.append((ue, n_amb))
+                    uv.append((ve, n_amb))
+                    vu.append((ve, -n_bma))
+                put(ua, ub, uu)
+                put(va, vb, vv)
+                put(ua, vb, uv)
+                put(va, ub, vu)
         return table
 
     def bracket(self, x: Sequence[Scalar], y: Sequence[Scalar]) -> Vec:

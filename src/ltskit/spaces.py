@@ -196,32 +196,34 @@ def lift_involution(alg: ChevalleyAlgebra, sig: RootInvolution) -> dict[Root, Sc
 
 def _involution_matrix(alg: ChevalleyAlgebra, sig: RootInvolution,
                        phases: dict[Root, Scalar]) -> list[list[Fraction]]:
-    """sigma on the compact basis as a rational matrix (columns = images)."""
-    cols: list[dict[int, Fraction]] = []
-    for k in range(alg.dim):
-        e = alg._complex_expand(k)
-        out: dict = {}
-        for key, coef in e.items():
-            if key[0] == "h":
-                img = sig(_simple_root(alg.rs, key[1]))
-                if sum(img) > 0:
-                    co, sign = alg._coroot[img], 1
-                else:
-                    co, sign = alg._coroot[_neg(img)], -1
-                for j, m in enumerate(co):
-                    if m:
-                        kk = ("h", j)
-                        out[kk] = out.get(kk, ZERO) + coef * rat(sign * m)
-            else:
-                a = key[1]
-                img = sig(a)
-                kk = ("x", img)
-                out[kk] = out.get(kk, ZERO) + coef * phases[a]
-        cols.append(alg._complex_to_compact(out))
-    mat = [[Fraction(0)] * alg.dim for _ in range(alg.dim)]
-    for k, col in enumerate(cols):
-        for i, val in col.items():
-            mat[i][k] = val
+    """sigma on the compact basis as a rational matrix (columns = images).
+
+    sigma(x_a) = c_a x_{sigma(a)} and c_{-a} = conj(c_a) give, with
+    c_a = p + q i, closed forms on the compact basis:
+
+        sigma(t_j) = +-(coroot of sigma(alpha_j)) in t-coordinates, with
+                     sign -1 when sigma(alpha_j) < 0;
+        sigma(a) = g > 0:   u_a -> p u_g + q v_g,    v_a -> p v_g - q u_g;
+        sigma(a) = -g < 0:  u_a -> -p u_g + q v_g,   v_a -> p v_g + q u_g.
+    """
+    dim = alg.dim
+    mat = [[Fraction(0)] * dim for _ in range(dim)]
+    for j in range(alg.rank):
+        img = sig(_simple_root(alg.rs, j))
+        sign = 1 if sum(img) > 0 else -1
+        for i, m in enumerate(alg._coroot[img if sign > 0 else _neg(img)]):
+            mat[i][j] = sign * m
+    for a in alg.positives:
+        c = phases[a]
+        p = (c + c.conj_i()).rational_value() / 2
+        q = ((c.conj_i() - c) * I).rational_value() / 2
+        img = sig(a)
+        sign = 1 if sum(img) > 0 else -1
+        g = img if sign > 0 else _neg(img)
+        ua, va = alg.u_index(a), alg.v_index(a)
+        ug, vg = alg.u_index(g), alg.v_index(g)
+        mat[ug][ua], mat[vg][ua] = sign * p, q
+        mat[vg][va], mat[ug][va] = p, -sign * q
     return mat
 
 

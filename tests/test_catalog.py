@@ -153,6 +153,14 @@ def test_catalog_sweep_passes(catalog_reports, name):
     assert_golden(f"catalog verify {name}", rep)
 
 
+@pytest.mark.parametrize("seed", [1, 7])
+@pytest.mark.parametrize("name", ["G2group", "EIV"])
+def test_catalog_sweep_seed_independent(spaces, name, seed):
+    # the seed only picks the flat search's samples: the reports are the
+    # pinned seed-0 reports, byte for byte
+    assert_golden(f"catalog verify {name}", verify_catalog(spaces[name], seed))
+
+
 def test_quoted_diagram_multiplicities(catalog_reports):
     rows = {r.label: r for r in catalog_reports["EIII"].rows}
     assert rows["(Q)"].computed["sub_mults"] == {

@@ -8,6 +8,8 @@ from ltskit.linalg import vec_add, vec_is_zero, vec_scale
 from ltskit.roots import RootSystem
 from ltskit.scalars import Scalar, rat, sqrt
 
+from complex_route import compact_table
+
 _cache = {}
 
 
@@ -48,6 +50,16 @@ def test_n_magnitude_is_string_length():
             s = tuple(p + q for p, q in zip(x, y))
             if s in a.roots and x != y:
                 assert abs(a.n_constant(x, y)) == a._string_down(y, x) + 1
+
+
+@pytest.mark.parametrize("name", ["A2", "G2", "F4", "E6"])
+def test_table_matches_complex_route(name):
+    # every entry, in both orders, equals the bracket of the complex
+    # expansions mapped back to the compact basis
+    a = alg(name)
+    ref = compact_table(a)
+    for i in range(a.dim):
+        assert a.table[i] == ref[i], a.basis_label(i)
 
 
 def test_jacobi_exhaustive_small():

@@ -171,13 +171,21 @@ def test_space_verify_foundations_group(capsys):
     assert "jacobi-operator-law" in labels
 
 
-def test_space_verify_foundations_hermitian(capsys):
-    code, doc = run_json(capsys, "space", "verify-foundations", "EIII")
+@pytest.mark.parametrize("name, complex_structure, counts", [
+    ("EIII", "PASS", {"PASS": 10, "FAIL": 0, "SKIPPED": 0}),
+    ("EIV", "SKIPPED", {"PASS": 9, "FAIL": 0, "SKIPPED": 1}),
+], ids=["EIII", "EIV"])
+def test_space_verify_foundations_hermitian(capsys, name, complex_structure,
+                                            counts):
+    # exhaustive Jacobi, negative definiteness and sigma on all basis pairs
+    code, doc = run_json(capsys, "space", "verify-foundations", name)
     assert code == EXIT_OK
     rows = {r["label"]: r for r in doc["data"]["rows"]}
-    assert rows["complex-structure"]["status"] == "PASS"
-    assert rows["orbit-tables"]["status"] == "PASS"
-    assert doc["data"]["counts"] == {"PASS": 10, "FAIL": 0, "SKIPPED": 0}
+    for label in ("jacobi-exhaustive", "killing-negative-definite",
+                  "involution-automorphism", "orbit-tables"):
+        assert rows[label]["status"] == "PASS", label
+    assert rows["complex-structure"]["status"] == complex_structure
+    assert doc["data"]["counts"] == counts
 
 
 # -- catalog verbs ---------------------------------------------------------

@@ -6,9 +6,11 @@ import pytest
 from ltskit.linalg import Span, vec_add, vec_is_zero, vec_scale, vec_sub
 from ltskit.scalars import I, parse_scalar, rat, sqrt
 from ltskit.spaces import (
-    ANGLE_NAMES, AngleDescriptor, NotHermitian, NotInM, SpaceModel,
-    build_space, scalar_sign,
+    ANGLE_NAMES, AngleDescriptor, NotHermitian, NotInM, RootInvolution,
+    SpaceModel, _involution_matrix, build_space, scalar_sign,
 )
+
+from complex_route import involution_matrix
 
 
 def e(n, k, a=1):
@@ -35,6 +37,28 @@ def test_dimensions():
 def test_involution_is_involutive_automorphism():
     for name in ("EIII", "EIV"):
         assert build_space(name).validate_involution()
+
+
+@pytest.mark.parametrize("name", ["EIII", "EIV"])
+def test_sigma_matches_complex_route(name):
+    sp = build_space(name)
+    ref = involution_matrix(sp.alg, sp.sigma_roots, sp.phases)
+    assert sp.sigma_matrix == ref
+
+
+def test_sigma_closed_form_with_non_real_phases():
+    # Both lifts have phases +-1 only.  c_a = i^ht(a), c_{-a} = conj(c_a) on
+    # the identity root map is Ad of a torus element: an automorphism, not an
+    # involution, whose phases exercise the i-parts of the closed form.
+    alg = build_space("EIV").alg
+    sig = RootInvolution(alg.rs, {j: j for j in range(1, alg.rank + 1)})
+    phases = {}
+    for a in alg.positives:
+        c = (rat(1), I, rat(-1), -I)[sum(a) % 4]
+        phases[a] = c
+        phases[tuple(-x for x in a)] = c.conj_i()
+    assert _involution_matrix(alg, sig, phases) == involution_matrix(
+        alg, sig, phases)
 
 
 def test_apply_sigma_matches_sigma_matrix():
