@@ -34,9 +34,28 @@ each bracket exactly in the combinations u_g and v_g.  A bracket with an odd
 number of factors i lands on t or v, one with an even number on u (i*i = -1),
 so every constant is +-p, +-N or 2 co: all integers.  The table is written
 down from these forms once per algebra, as ready Scalar coefficients for both
-orders of each basis pair; the Killing form is the trace of ad_i ad_j over
-that table, kept as sparse Scalar rows.  bracket and killing multiply by them
-directly.  Elements are plain Scalar coordinate vectors over this basis.
+orders of each basis pair.
+
+The Killing form is written down in closed form too, with p_a(j) =
+<a, alpha_j^vee>:
+
+    kappa(t_i, t_j) = -2 sum_{a>0} p_a(i) p_a(j),
+    kappa(u_a, u_a) = kappa(v_a, v_a) = sum_{i,j} co_i co_j kappa(t_i, t_j),
+
+and every other pair is 0.  ad t_i ad t_j multiplies u_b and v_b by
+-p_b(i) p_b(j), which gives the first line.  The second is kappa of
+1/2 [u_a, v_a] = sum_j co_j t_j = i h_a with itself: kappa(u_a, u_a) =
+-2 kappa(x_a, x_{-a}), and invariance gives kappa(h_a, h_a) =
+kappa(x_a, x_{-a}) a(h_a) = 2 kappa(x_a, x_{-a}).  u_a and v_a span the sum of
+the t-weight spaces of a and -a, and kappa(X, Y) = 0 unless the weights of
+X and Y add to 0, so t is orthogonal to every u, v, and u_a, v_a are
+orthogonal to u_b, v_b for b != a.  Invariance of kappa under ad t_j gives
+0 = kappa([t_j, u_a], u_a) + kappa(u_a, [t_j, u_a]) = 2 p_a(j) kappa(v_a, u_a),
+so u_a and v_a are orthogonal to each other.  killing_gram traces
+ad_i ad_j over the table instead, as a runtime check of this form.  The
+form is kept as sparse Scalar rows, and bracket and killing multiply by the
+table and the rows directly.  Elements are plain Scalar coordinate vectors
+over this basis.
 
 An algebra is read only after __init__, so one instance can be shared by
 every model over the same root system (spaces.SpaceModel does).
@@ -45,6 +64,7 @@ every model over the same root system (spaces.SpaceModel does).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .linalg import Vec
@@ -95,11 +115,25 @@ class ChevalleyAlgebra:
         self.pos_index = {r: k for k, r in enumerate(self.positives)}
         self.roots = frozenset(rs.all_roots())
         self.dim = self.rank + 2 * len(self.positives)
-        self._nsq = {r: rs.inner_rational(r, r) for r in self.roots}
+        self._nsq = self._norms_sq()
         self._n_special = self._build_special_constants()
         self._coroot = {a: self._coroot_coeffs(a) for a in self.positives}
         self.table = self._build_table()
         self._killing = self._build_killing_gram()
+
+    def _norms_sq(self) -> dict[Root, Fraction]:
+        """(a, a) for every root, from its integer coordinates and the Gram
+        matrix over a common denominator; -a shares the value of a."""
+        gram = self.rs.gram
+        den = lcm(*(x.denominator for row in gram for x in row))
+        g = [[x.numerator * (den // x.denominator) for x in row]
+             for row in gram]
+        out: dict[Root, Fraction] = {}
+        for a in self.positives:
+            num = sum(ai * aj * g[i][j] for i, ai in enumerate(a) if ai
+                      for j, aj in enumerate(a) if aj)
+            out[a] = out[_neg(a)] = Fraction(num, den)
+        return out
 
     # -- structure constants ----------------------------------------------
 
@@ -220,12 +254,16 @@ class ChevalleyAlgebra:
         on a negative e)."""
         table: list[dict[int, tuple[tuple[int, Scalar], ...]]] = [
             {} for _ in range(self.dim)]
+        scalar: dict[int, Scalar] = {}  # the few distinct constants, shared
 
         def put(i: int, j: int, terms: list[tuple[int, int]]) -> None:
             terms = sorted((k, c) for k, c in terms if c)
+            for _, c in terms:
+                if c not in scalar:
+                    scalar[c], scalar[-c] = rat(c), rat(-c)
             if terms:
-                table[i][j] = tuple((k, rat(c)) for k, c in terms)
-                table[j][i] = tuple((k, rat(-c)) for k, c in terms)
+                table[i][j] = tuple((k, scalar[c]) for k, c in terms)
+                table[j][i] = tuple((k, scalar[-c]) for k, c in terms)
 
         n = self.n_constant
         for ia, a in enumerate(self.positives):
@@ -280,11 +318,28 @@ class ChevalleyAlgebra:
     # -- Killing form ------------------------------------------------------
 
     def _build_killing_gram(self) -> list[list[tuple[int, Scalar]]]:
-        """Sparse rows of the Gram matrix: (j, kappa(b_i, b_j)) for nonzero
-        entries.  With ad_i[k] = [b_i, b_k], kappa(b_i, b_j) is the trace of
-        ad_i ad_j, summed over the table's terms."""
+        """Sparse rows of the Gram matrix, (j, kappa(b_i, b_j)) for nonzero
+        entries, from the closed form in the module docstring."""
+        r = self.rank
+        pairings = [[self._pairing(a, i) for i in range(r)]
+                    for a in self.positives]
+        tt = [[-2 * sum(p[i] * p[j] for p in pairings) for j in range(r)]
+              for i in range(r)]
+        gram = [[(j, rat(c)) for j, c in enumerate(row) if c] for row in tt]
+        for a in self.positives:  # u_a, v_a rows in basis order
+            co = [int(m) for m in self._coroot[a]]
+            c = rat(sum(ci * cj * tt[i][j] for i, ci in enumerate(co) if ci
+                        for j, cj in enumerate(co) if cj))
+            gram.append([(self.u_index(a), c)])
+            gram.append([(self.v_index(a), c)])
+        return gram
+
+    def killing_gram(self) -> list[list[Fraction]]:
+        """The dense Gram matrix as the trace of ad_i ad_j over the table,
+        with ad_i[k] = [b_i, b_k]: the generic definition, computed afresh
+        as a check of the closed form (killing_mismatch)."""
         dim, ad = self.dim, self.table
-        gram: list[list[tuple[int, Scalar]]] = [[] for _ in range(dim)]
+        gram = [[Fraction(0)] * dim for _ in range(dim)]
         for i in range(dim):
             for j in range(i, dim):
                 tr = ZERO
@@ -293,20 +348,19 @@ class ChevalleyAlgebra:
                         for m, d in ad[i].get(l, ()):
                             if m == k:
                                 tr = tr + c * d
-                if tr:
-                    gram[i].append((j, tr))
-                    if j != i:
-                        gram[j].append((i, tr))
-        for row in gram:
-            row.sort()
+                gram[i][j] = gram[j][i] = tr.rational_value()
         return gram
 
-    def killing_gram(self) -> list[list[Fraction]]:
-        gram = [[Fraction(0)] * self.dim for _ in range(self.dim)]
+    def killing_mismatch(self, gram: list[list[Fraction]]
+                         ) -> tuple[int, int] | None:
+        """The first (i, j), row by row, where gram differs from the closed
+        form, or None when they agree."""
         for i, row in enumerate(self._killing):
-            for j, c in row:
-                gram[i][j] = c.rational_value()
-        return gram
+            closed = dict(row)
+            for j, g in enumerate(gram[i]):
+                if g != closed.get(j, ZERO).rational_value():
+                    return i, j
+        return None
 
     def killing(self, x: Sequence[Scalar], y: Sequence[Scalar]) -> Scalar:
         if len(x) != self.dim or len(y) != self.dim:

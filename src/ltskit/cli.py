@@ -108,11 +108,16 @@ def verify_foundations(sp) -> CatalogReport:
         {"violations": 0}, {"violations": viol, "basis_dim": alg.dim},
         "all basis triples"))
 
-    negdef = is_negative_definite(alg.killing_gram())
+    gram = alg.killing_gram()
+    negdef = is_negative_definite(gram)
+    differs = alg.killing_mismatch(gram)
+    cert = "pivot signs of the Killing Gram matrix"
+    if differs is not None:
+        cert = f"trace of ad_i ad_j differs from the closed form at {differs}"
     rep.rows.append(ReportRow(
-        "killing-negative-definite", "PASS" if negdef else "FAIL",
-        {"negative_definite": True}, {"negative_definite": negdef},
-        "pivot signs of the Killing Gram matrix"))
+        "killing-negative-definite",
+        "PASS" if negdef and differs is None else "FAIL",
+        {"negative_definite": True}, {"negative_definite": negdef}, cert))
 
     if sp.sigma_matrix is None:
         rep.rows.append(ReportRow(

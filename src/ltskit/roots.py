@@ -155,10 +155,6 @@ class RootSystem:
     def all_roots(self) -> list[Root]:
         return self.positives + [tuple(-x for x in r) for r in self.positives]
 
-    def inner_rational(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
-        return sum(Fraction(u[i]) * self.gram[i][j] * Fraction(v[j])
-                   for i in range(self.rank) for j in range(self.rank))
-
     def inner(self, u: Sequence, v: Sequence) -> Scalar:
         """Inner product of Scalar (or rational) coordinate vectors."""
         us = [x if isinstance(x, Scalar) else rat(Fraction(x)) for x in u]

@@ -38,7 +38,7 @@ from .linalg import (
     vec_scale, vec_sub, zeros,
 )
 from .roots import RestrictedRoot, RestrictedRootSystem, Root, RootSystem
-from .scalars import I, Scalar, ZERO, parse_scalar, rat, scalar_sign
+from .scalars import I, ONE, Scalar, ZERO, parse_scalar, rat, scalar_sign
 
 SPACE_NAMES = ("EIII", "EIV", "G2group")
 
@@ -120,7 +120,8 @@ def _simple_root(rs: RootSystem, j: int) -> Root:
 
 
 class RootInvolution:
-    """sigma as a signed permutation of the root set, linearly extended."""
+    """sigma as a signed permutation of the root set: the linear extension
+    of its values on the simple roots, tabulated once on every root."""
 
     def __init__(self, rs: RootSystem, on_simple: dict[int, int]):
         self.rs = rs
@@ -130,20 +131,20 @@ class RootInvolution:
             img = on_simple[j + 1]
             root = rs.positives[abs(img) - 1]
             cols.append(tuple((1 if img > 0 else -1) * x for x in root))
-        self._cols = cols
+        self._images: dict[Root, Root] = {}
         for r in rs.all_roots():
-            img = self(r)
-            if not rs.is_root(img) or self(img) != r:
+            out = [0] * rs.rank
+            for j, m in enumerate(r):
+                if m:
+                    for k, x in enumerate(cols[j]):
+                        out[k] += m * x
+            self._images[r] = tuple(out)
+        for r, img in self._images.items():
+            if self._images.get(img) != r:
                 raise LiftFailure("root involution table is inconsistent")
 
     def __call__(self, r: Root) -> Root:
-        n = self.rs.rank
-        out = [0] * n
-        for j, m in enumerate(r):
-            if m:
-                for k in range(n):
-                    out[k] += m * self._cols[j][k]
-        return tuple(out)
+        return self._images[r]
 
 
 def lift_involution(alg: ChevalleyAlgebra, sig: RootInvolution) -> dict[Root, Scalar]:
@@ -326,13 +327,18 @@ class SpaceModel:
             [(i, rat(self.sigma_matrix[i][k])) for i in range(dim)
              if self.sigma_matrix[i][k]]
             for k in range(dim)]
-        # eigenspace split over the rationals
-        plus = [[rat(self.sigma_matrix[i][j] - (1 if i == j else 0))
-                 for j in range(dim)] for i in range(dim)]
-        minus = [[rat(self.sigma_matrix[i][j] + (1 if i == j else 0))
-                  for j in range(dim)] for i in range(dim)]
-        self.k_rows = kernel(plus)
-        self.m_rows = kernel(minus)
+        # eigenspace split over the rationals: k = ker(sigma - id),
+        # m = ker(sigma + id), with both matrices written from sigma's columns
+        minus_id = [zeros(dim) for _ in range(dim)]
+        plus_id = [zeros(dim) for _ in range(dim)]
+        for k, col in enumerate(self._sigma_cols):
+            for i, w in col:
+                minus_id[i][k] = plus_id[i][k] = w
+        for i in range(dim):
+            minus_id[i][i] = minus_id[i][i] - ONE
+            plus_id[i][i] = plus_id[i][i] + ONE
+        self.k_rows = kernel(minus_id)
+        self.m_rows = kernel(plus_id)
         # a = (-1)-eigenspace of sigma inside the Cartan part
         r = rs.rank
         block = [[rat(self.sigma_matrix[i][j] + (1 if i == j else 0))

@@ -9,6 +9,7 @@ from ltskit.roots import RootSystem
 from ltskit.scalars import Scalar, rat, sqrt
 
 from complex_route import compact_table
+from generic_route import trace_killing
 
 _cache = {}
 
@@ -60,6 +61,35 @@ def test_table_matches_complex_route(name):
     ref = compact_table(a)
     for i in range(a.dim):
         assert a.table[i] == ref[i], a.basis_label(i)
+
+
+@pytest.mark.parametrize("name", ["A2", "G2", "F4", "E6"])
+def test_killing_matches_trace(name):
+    # the closed form, and killing_gram's own trace, equal the trace of
+    # ad_i ad_j over the table, entry for entry
+    a = alg(name)
+    ref = trace_killing(a)
+    assert a._killing == ref
+    dense = [[Fraction(0)] * a.dim for _ in range(a.dim)]
+    for i, row in enumerate(ref):
+        for j, c in row:
+            dense[i][j] = c.rational_value()
+    gram = a.killing_gram()
+    assert gram == dense
+    assert a.killing_mismatch(gram) is None
+    dense[1][0] += 1
+    assert a.killing_mismatch(dense) == (1, 0)
+
+
+@pytest.mark.parametrize("name", ["A2", "G2", "F4", "E6"])
+def test_root_norms(name):
+    a = alg(name)
+    g = a.rs.gram
+    for r in a.roots:
+        ref = sum(Fraction(r[i]) * g[i][j] * Fraction(r[j])
+                  for i in range(a.rank) for j in range(a.rank))
+        assert type(a._nsq[r]) is Fraction
+        assert a._nsq[r] == ref, r
 
 
 def test_jacobi_exhaustive_small():

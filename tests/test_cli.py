@@ -12,6 +12,8 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from ltskit.cli import EXIT_FAIL, EXIT_OK, EXIT_PARSE, main, schema_text
+from ltskit.scalars import rat
+from ltskit.spaces import build_space
 
 ROOT = Path(__file__).resolve().parents[1]
 EXAMPLE_SUB = str(ROOT / "tests" / "data" / "eiii_dIII.sub")
@@ -171,6 +173,21 @@ def test_space_verify_foundations_group(capsys):
     assert "jacobi-operator-law" in labels
 
 
+def test_space_verify_foundations_killing_mismatch(capsys, monkeypatch):
+    # a wrong closed-form entry FAILs against the traced form, at its pair
+    alg = build_space("G2group").alg
+    wrong = list(alg._killing)
+    wrong[1] = [(j, c + rat(1)) if j == 0 else (j, c) for j, c in wrong[1]]
+    monkeypatch.setattr(alg, "_killing", wrong)
+    code, doc = run_json(capsys, "space", "verify-foundations", "G2group")
+    assert code == EXIT_FAIL
+    rows = {r["label"]: r for r in doc["data"]["rows"]}
+    killing = rows["killing-negative-definite"]
+    assert killing["status"] == "FAIL"
+    assert killing["certificate"] == (
+        "trace of ad_i ad_j differs from the closed form at (1, 0)")
+
+
 @pytest.mark.parametrize("name, complex_structure, counts", [
     ("EIII", "PASS", {"PASS": 10, "FAIL": 0, "SKIPPED": 0}),
     ("EIV", "SKIPPED", {"PASS": 9, "FAIL": 0, "SKIPPED": 1}),
@@ -315,6 +332,9 @@ GOLDEN_COMMANDS = {
                              "--H", "(9*l1 + 5*l2)/sqrt(21)",
                              "--format", "json"),
     "space_info_EIII.md": ("space", "info", "EIII"),
+    "space_info_EIV.md": ("space", "info", "EIV"),
+    "space_info_EIV.json": ("space", "info", "EIV", "--format", "json"),
+    "space_info_G2group.md": ("space", "info", "G2group"),
     "models_verify.json": ("models", "verify", "--seed", "0",
                            "--format", "json"),
     "models_verify.md": ("models", "verify", "--seed", "0",

@@ -11,6 +11,7 @@ from ltskit.spaces import (
 )
 
 from complex_route import involution_matrix
+from generic_route import GenericRouteModel
 
 
 def e(n, k, a=1):
@@ -59,6 +60,28 @@ def test_sigma_closed_form_with_non_real_phases():
         phases[tuple(-x for x in a)] = c.conj_i()
     assert _involution_matrix(alg, sig, phases) == involution_matrix(
         alg, sig, phases)
+
+
+@pytest.mark.parametrize("name", ["EIII", "EIV"])
+def test_model_matches_generic_route(name):
+    # k, m, the flat, charts, duals and J are the same, entry for entry, when
+    # kappa is traced over the table and k, m come from dense sigma -+ id
+    sp, ref = build_space(name), GenericRouteModel(name)
+    assert sp.k_rows == ref.k_rows
+    assert sp.m_rows == ref.m_rows
+    assert sp.a_basis == ref.a_basis
+    for charts, ref_charts in ((sp.charts, ref.charts),
+                               (sp.k_charts, ref.k_charts)):
+        assert list(charts) == list(ref_charts)
+        for label, chart in charts.items():
+            assert chart.pairs == ref_charts[label].pairs, label
+    assert sp.sharp == ref.sharp
+    if name == "EIII":
+        assert sp.complex_structure() == ref.complex_structure()
+    else:
+        for model in (sp, ref):
+            with pytest.raises(NotHermitian):
+                model.complex_structure()
 
 
 def test_apply_sigma_matches_sigma_matrix():
