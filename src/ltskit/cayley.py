@@ -366,12 +366,10 @@ def quat_pair(x: Cx) -> tuple:
 
 
 HC_ZERO = Cx(Q_ZERO, Q_ZERO)
-HC_ONE = Cx(Q_ONE, Q_ZERO)
 # The idempotent (1 + i*I)/2 used throughout the block isomorphisms.
 HC_EPS = Cx(Q_ONE.scale(Fraction(1, 2)), Q_I.scale(Fraction(1, 2)))
 
 OC_ZERO = Cx(O_ZERO, O_ZERO)
-OC_ONE = Cx(O_ONE, O_ZERO)
 # The octonion (1 + i*I)/2 * e appearing in quoted base points.
 OC_EPS_E = Cx(Octonion(Q_ZERO, Q_ONE.scale(Fraction(1, 2))),
               Octonion(Q_ZERO, Q_I.scale(Fraction(1, 2))))

@@ -119,7 +119,7 @@ def verify_foundations(sp) -> CatalogReport:
         "PASS" if negdef and differs is None else "FAIL",
         {"negative_definite": True}, {"negative_definite": negdef}, cert))
 
-    if sp.sigma_matrix is None:
+    if sp.sigma_roots is None:
         rep.rows.append(ReportRow(
             "involution-automorphism", "SKIPPED", {}, {},
             "group model: the symmetry is the algebra swap"))

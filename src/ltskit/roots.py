@@ -32,19 +32,8 @@ class NotSubset(ValueError):
 
 
 CARTAN_MATRICES: dict[str, list[list[int]]] = {
-    "A1": [[2]],
     "A2": [[2, -1], [-1, 2]],
     "G2": [[2, -1], [-3, 2]],  # first root short, second long
-    "A5": [[2, -1, 0, 0, 0],
-           [-1, 2, -1, 0, 0],
-           [0, -1, 2, -1, 0],
-           [0, 0, -1, 2, -1],
-           [0, 0, 0, -1, 2]],
-    "D5": [[2, -1, 0, 0, 0],
-           [-1, 2, -1, 0, 0],
-           [0, -1, 2, -1, -1],
-           [0, 0, -1, 2, 0],
-           [0, 0, -1, 0, 2]],
     "F4": [[2, -1, 0, 0],
            [-1, 2, -1, 0],
            [0, -2, 2, -1],
@@ -59,7 +48,7 @@ CARTAN_MATRICES: dict[str, list[list[int]]] = {
 }
 
 # |positive roots| per type, used as the termination bound of the enumerator
-_POSITIVE_COUNTS = {"A1": 1, "A2": 3, "G2": 6, "A5": 15, "D5": 20, "F4": 24, "E6": 36}
+_POSITIVE_COUNTS = {"A2": 3, "G2": 6, "F4": 24, "E6": 36}
 
 
 def _pairing(beta: Root, i: int, cartan: Sequence[Sequence[int]]) -> int:

@@ -39,8 +39,10 @@ class NotRationalTerm(ValueError):
 
 
 def _squarefree_split(n: int) -> tuple[int, int]:
-    # n = r*r * d with d squarefree; only the primes 2,3,5,7 are extracted,
-    # anything else stays inside d and is rejected by the caller.
+    # n = r*r * d; the primes 2,3,5,7 are extracted and a leftover that is a
+    # perfect square joins r, so d is a radicand dividing 210 exactly when
+    # sqrt(n) lies in the field.  Any other leftover stays inside d and is
+    # rejected by the caller.
     r, d = 1, 1
     for p in PRIMES:
         k = 0
@@ -49,6 +51,9 @@ def _squarefree_split(n: int) -> tuple[int, int]:
             k += 1
         r *= p ** (k // 2)
         d *= p ** (k % 2)
+    s = math.isqrt(n)
+    if s * s == n:
+        return r * s, d
     return r, d * n
 
 
@@ -82,7 +87,7 @@ class Scalar:
 
     @classmethod
     def sqrt(cls, d: int) -> "Scalar":
-        """sqrt(d) for a positive integer d whose prime support is {2,3,5,7}."""
+        """sqrt(d) for a positive integer d = r^2 * s with s dividing 210."""
         if d <= 0:
             raise ValueError("radicand must be positive")
         r, sf = _squarefree_split(d)
@@ -265,9 +270,7 @@ class Scalar:
         # q = (rn/rd)^2 * dn/dd; dn/dd = dn*dd / dd^2
         d = dn * dd
         r, sf = _squarefree_split(d)
-        if sf not in _RAD_SET or any(p not in (2, 3, 5, 7) for p in _prime_factors(sf) if sf > 1):
-            return None
-        if _has_foreign_prime(dn) or _has_foreign_prime(dd):
+        if sf not in _RAD_SET:
             return None
         return Scalar({sf: (Fraction(rn * r, rd * dd), Fraction(0))})
 
@@ -309,25 +312,6 @@ class Scalar:
                 else:
                     parts.append(body)
         return "".join(parts)
-
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    for p in PRIMES:
-        if n % p == 0:
-            out.append(p)
-            while n % p == 0:
-                n //= p
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def _has_foreign_prime(n: int) -> bool:
-    for p in PRIMES:
-        while n % p == 0:
-            n //= p
-    return n > 1
 
 
 def _format_coef(coef: Fraction, unit: str, d: int) -> str:

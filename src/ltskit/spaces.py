@@ -8,9 +8,10 @@ Three models are provided:
 
 The involution acts on the root system by a table-driven linear map (the
 orbit tables are input data; a consistency test validates every orbit).  The
-lift to the algebra chooses a unit phase c_a per root with
-sigma(x_a) = c_a x_{sigma(a)}; the phases on the simple roots are found by
-search over {1, -1, i, -i} and propagated through the structure constants.
+lift to the algebra is a sign e_a = +-1 per root with
+sigma(x_a) = e_a x_{sigma(a)}: e = 1 on the simple roots, propagated through
+the structure constants, and sigma is kept as the sparse signed columns this
+gives on the compact basis.
 
 The metric is <X,Y> = -c * kappa(X,Y) with the rational factor c chosen so
 that the shortest restricted root has length 1.
@@ -18,10 +19,10 @@ that the shortest restricted root has length 1.
 Restricted root spaces carry coordinate charts M_l(c_1, ..., c_r) /
 K_l(c_1, ..., c_r): real-linear maps from complex tuples built from the
 projections of the root-vector pairs (u_a, v_a) of the orbit representatives
-listed in the published orbit order.  Each orbit additionally carries a unit
-calibration phase (see CHART_PHASES) fixed once so that the quoted curvature
-identities hold exactly; phase-invariant consequences (norms, a-components,
-subspace membership) hold for any phase choice.
+listed in the published orbit order.  The slots listed in CHART_FLIPS are
+negated, fixed once so that the quoted curvature identities hold exactly;
+sign-invariant consequences (norms, a-components, subspace membership) hold
+either way.
 """
 
 from __future__ import annotations
@@ -29,13 +30,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
 from typing import Sequence
 
 from .chevalley import ChevalleyAlgebra, _add, _neg
 from .linalg import (
-    Span, Vec, combine, kernel, relations, solve, vec_add, vec_is_zero,
-    vec_scale, vec_sub, zeros,
+    Span, Vec, combine, coordinates, kernel, relations, solve, vec_add,
+    vec_is_zero, vec_scale, vec_sub, zeros,
 )
 from .roots import RestrictedRoot, RestrictedRootSystem, Root, RootSystem
 from .scalars import I, ONE, Scalar, ZERO, parse_scalar, rat, scalar_sign
@@ -97,15 +97,12 @@ RESTRICTED_LABELS = {
     "G2group": ["l1", "l2", "l3", "l4", "l5", "l6"],
 }
 
-# per-orbit calibration phases (unit Scalars); identity until calibrated
-CHART_PHASES: dict[str, dict[tuple[str, int], str]] = {
-    "EIII": {
-        ("2l1", 0): "-1", ("2l2", 0): "-1",
-        ("l3", 0): "-1", ("l3", 1): "-1", ("l3", 2): "-1",
-        ("l4", 0): "-1", ("l4", 1): "-1", ("l4", 2): "-1",
-    },
-    "EIV": {("l3", 2): "-1", ("l3", 3): "-1"},
-    "G2group": {("l3", 0): "-1", ("l5", 0): "-1"},
+# chart slots (label, orbit position) whose vectors are negated
+CHART_FLIPS: dict[str, frozenset[tuple[str, int]]] = {
+    "EIII": frozenset({("2l1", 0), ("2l2", 0), ("l3", 0), ("l3", 1), ("l3", 2),
+                       ("l4", 0), ("l4", 1), ("l4", 2)}),
+    "EIV": frozenset({("l3", 2), ("l3", 3)}),
+    "G2group": frozenset({("l3", 0), ("l5", 0)}),
 }
 
 # The published curvature coefficients are stated for root-form duals taken
@@ -147,84 +144,79 @@ class RootInvolution:
         return self._images[r]
 
 
-def lift_involution(alg: ChevalleyAlgebra, sig: RootInvolution) -> dict[Root, Scalar]:
-    """Phases c_a with sigma(x_a) = c_a x_{sigma(a)} an involutive automorphism."""
-    rs = alg.rs
-    positives = rs.positives
-    # parent decomposition gamma = alpha_i + beta for non-simple gamma
-    parents: dict[Root, tuple[Root, Root]] = {}
-    for g in positives:
-        if sum(g) == 1:
-            continue
-        for j in range(rs.rank):
-            sr = _simple_root(rs, j)
-            beta = _neg(sr)
-            rem = _add(g, beta)
-            if rem in alg.pos_index:
-                parents[g] = (sr, rem)
-                break
-    units = (rat(1), rat(-1), I, -I)
-    pos_pairs = [(a, b) for a in positives for b in positives
-                 if _add(a, b) in alg.roots]
-    for choice in product(units, repeat=rs.rank):
-        c: dict[Root, Scalar] = {}
-        for j in range(rs.rank):
-            c[_simple_root(rs, j)] = choice[j]
-        for g in positives:
-            if sum(g) == 1:
-                continue
-            a, b = parents[g]
-            c[g] = (c[a] * c[b] * rat(alg.n_constant(sig(a), sig(b)))
-                    / rat(alg.n_constant(a, b)))
-        full = dict(c)
-        for a, v in c.items():
-            full[_neg(a)] = v.conj_i()
-        # involution: c_a * c_{sigma(a)} = 1
-        if any(not (full[a] * full[sig(a)] - rat(1)).is_zero() for a in positives):
-            continue
-        # full automorphism check on root pairs
-        ok = True
-        for a, b in pos_pairs:
-            lhs = rat(alg.n_constant(a, b)) * full[_add(a, b)]
-            rhs = full[a] * full[b] * rat(alg.n_constant(sig(a), sig(b)))
-            if not (lhs - rhs).is_zero():
-                ok = False
-                break
-        if ok:
-            return full
-    raise LiftFailure("no unit phase assignment lifts the root involution")
+def _signed(r: Root) -> tuple[int, Root]:
+    """(s, g) with r = s*g, s = +-1 and g a positive root."""
+    return (1, r) if sum(r) > 0 else (-1, _neg(r))
 
 
-def _involution_matrix(alg: ChevalleyAlgebra, sig: RootInvolution,
-                       phases: dict[Root, Scalar]) -> list[list[Fraction]]:
-    """sigma on the compact basis as a rational matrix (columns = images).
+def lift_involution(alg: ChevalleyAlgebra, sig: RootInvolution) -> dict[Root, int]:
+    """Signs e_a = +-1 with sigma(x_a) = e_a x_{sigma(a)} an involutive
+    automorphism, and e_{-a} = e_a.
 
-    sigma(x_a) = c_a x_{sigma(a)} and c_{-a} = conj(c_a) give, with
-    c_a = p + q i, closed forms on the compact basis:
-
-        sigma(t_j) = +-(coroot of sigma(alpha_j)) in t-coordinates, with
-                     sign -1 when sigma(alpha_j) < 0;
-        sigma(a) = g > 0:   u_a -> p u_g + q v_g,    v_a -> p v_g - q u_g;
-        sigma(a) = -g < 0:  u_a -> -p u_g + q v_g,   v_a -> p v_g + q u_g.
+    e = 1 on the simple roots.  Every other positive root g = alpha_i + b
+    gets e_g = e_{alpha_i} e_b N_{sigma(alpha_i),sigma(b)} / N_{alpha_i,b},
+    in height order; a root involution preserves |N|, so each value is +-1.
     """
-    dim = alg.dim
-    mat = [[Fraction(0)] * dim for _ in range(dim)]
+    rs = alg.rs
+    simples = [_simple_root(rs, j) for j in range(rs.rank)]
+    e: dict[Root, int] = {}
+    for g in rs.positives:  # enumerated in height order
+        if sum(g) == 1:
+            e[g] = 1
+            continue
+        a = next(s for s in simples if _add(g, _neg(s)) in alg.pos_index)
+        b = _add(g, _neg(a))
+        n, n_sig = alg.n_constant(a, b), alg.n_constant(sig(a), sig(b))
+        if abs(n) != abs(n_sig):
+            raise LiftFailure(f"sigma changes |N| on the pair {a}, {b}, so "
+                              f"the sign at the root {g} is not +-1")
+        e[g] = e[a] * e[b] * (1 if n == n_sig else -1)
+    e.update({_neg(a): v for a, v in e.items()})
+    for a in rs.positives:
+        if e[a] * e[sig(a)] != 1:
+            raise LiftFailure(f"e_a e_sigma(a) = -1 at the root {a}: "
+                              "the lift is not an involution")
+    for a in rs.positives:
+        for b in rs.positives:
+            g = _add(a, b)
+            if g in alg.roots and (alg.n_constant(a, b) * e[g] != e[a] * e[b]
+                                   * alg.n_constant(sig(a), sig(b))):
+                raise LiftFailure(f"the lift is not an automorphism on the "
+                                  f"pair {a}, {b}")
+    return e
+
+
+def _sigma_columns(alg: ChevalleyAlgebra, sig: RootInvolution,
+                   signs: dict[Root, int]) -> list[list[tuple[int, Scalar]]]:
+    """sigma on the compact basis as sparse columns: column k lists the
+    (row, entry) pairs of sigma(b_k).
+
+    sigma(h_j) = h_{sigma(alpha_j)} and sigma(x_a) = e_a x_{sigma(a)} give,
+    writing sigma(a) = s*g with s = +-1 and g > 0,
+
+        t_j -> s * (coroot of g) in t-coordinates, for a = alpha_j;
+        u_a -> s e_a u_g,    v_a -> e_a v_g.
+    """
+    cols: list[list[tuple[int, Scalar]]] = []
     for j in range(alg.rank):
-        img = sig(_simple_root(alg.rs, j))
-        sign = 1 if sum(img) > 0 else -1
-        for i, m in enumerate(alg._coroot[img if sign > 0 else _neg(img)]):
-            mat[i][j] = sign * m
+        s, g = _signed(sig(_simple_root(alg.rs, j)))
+        cols.append([(i, rat(s * m)) for i, m in enumerate(alg._coroot[g]) if m])
     for a in alg.positives:
-        c = phases[a]
-        p = (c + c.conj_i()).rational_value() / 2
-        q = ((c.conj_i() - c) * I).rational_value() / 2
-        img = sig(a)
-        sign = 1 if sum(img) > 0 else -1
-        g = img if sign > 0 else _neg(img)
-        ua, va = alg.u_index(a), alg.v_index(a)
-        ug, vg = alg.u_index(g), alg.v_index(g)
-        mat[ug][ua], mat[vg][ua] = sign * p, q
-        mat[vg][va], mat[ug][va] = p, -sign * q
+        s, g = _signed(sig(a))
+        cols.append([(alg.u_index(g), rat(s * signs[a]))])
+        cols.append([(alg.v_index(g), rat(signs[a]))])
+    return cols
+
+
+def _shifted_block(cols: list[list[tuple[int, Scalar]]], n: int,
+                   eig: Scalar) -> list[Vec]:
+    """The leading n x n block of sigma - eig*id, dense; n = rank reads t,
+    which sigma maps into itself."""
+    mat = [zeros(n) for _ in range(n)]
+    for k in range(n):
+        for i, w in cols[k]:
+            mat[i][k] = w
+        mat[k][k] = mat[k][k] - eig
     return mat
 
 
@@ -319,32 +311,14 @@ class SpaceModel:
         alg, name = self.alg, self.name
         rs = alg.rs
         self.sigma_roots = RootInvolution(rs, SIGMA_ON_SIMPLE[name])
-        self.phases = lift_involution(alg, self.sigma_roots)
-        self.sigma_matrix = _involution_matrix(alg, self.sigma_roots, self.phases)
-        dim = alg.dim
-        # sigma's columns as sparse (row, entry) lists, for apply_sigma
-        self._sigma_cols = [
-            [(i, rat(self.sigma_matrix[i][k])) for i in range(dim)
-             if self.sigma_matrix[i][k]]
-            for k in range(dim)]
+        self.signs = lift_involution(alg, self.sigma_roots)
+        self._sigma_cols = _sigma_columns(alg, self.sigma_roots, self.signs)
         # eigenspace split over the rationals: k = ker(sigma - id),
-        # m = ker(sigma + id), with both matrices written from sigma's columns
-        minus_id = [zeros(dim) for _ in range(dim)]
-        plus_id = [zeros(dim) for _ in range(dim)]
-        for k, col in enumerate(self._sigma_cols):
-            for i, w in col:
-                minus_id[i][k] = plus_id[i][k] = w
-        for i in range(dim):
-            minus_id[i][i] = minus_id[i][i] - ONE
-            plus_id[i][i] = plus_id[i][i] + ONE
-        self.k_rows = kernel(minus_id)
-        self.m_rows = kernel(plus_id)
+        # m = ker(sigma + id)
+        self.k_rows = kernel(_shifted_block(self._sigma_cols, alg.dim, ONE))
+        self.m_rows = kernel(_shifted_block(self._sigma_cols, alg.dim, -ONE))
         # a = (-1)-eigenspace of sigma inside the Cartan part
-        r = rs.rank
-        block = [[rat(self.sigma_matrix[i][j] + (1 if i == j else 0))
-                  for j in range(r)] for i in range(r)]
-        a_small = kernel(block)
-        self.a_basis = [list(v) + [ZERO] * (dim - r) for v in a_small]
+        self.a_basis = self._t_eigenspace(-ONE)
         self._orbit_tables = SIGMA_ORBITS[name]
         self._fixed = SIGMA_FIXED[name]
 
@@ -352,8 +326,7 @@ class SpaceModel:
         alg = self.alg
         dim = alg.dim
         self.sigma_roots = None
-        self.phases = None
-        self.sigma_matrix = None
+        self.signs = None
         self.k_rows = []
         self.m_rows = [alg.basis_vec(k) for k in range(dim)]
         self.a_basis = [alg.basis_vec(0), alg.basis_vec(1)]
@@ -375,10 +348,9 @@ class SpaceModel:
             self._forms[label] = tuple(alg._pairing(rep, j) for j in range(alg.rank))
         # metric scale: <.,.> = -c*kappa, c fixed by the shortest root
         self._metric_c = Fraction(1)
-        shortest = min(self._sharp_norm_sq_unscaled(label).rational_value()
+        shortest = min(self.norm_sq(self._solve_sharp(label)).rational_value()
                        for label in self._forms)
         self._metric_c = shortest
-        self._a_raw = [list(v) for v in self.a_basis]
         self.a_basis = self._orthonormalize(self.a_basis)
         self.a_span = Span(self.a_basis)
         self.sharp = {label: self._solve_sharp(label) for label in self._forms}
@@ -387,6 +359,12 @@ class SpaceModel:
         self.k_charts = self._build_charts("K") if self.name != "G2group" else None
         self._m_basis_ordered = self._ordered_m_basis()
         self._j_vec = None
+
+    def _t_eigenspace(self, eig: Scalar) -> list[Vec]:
+        """Basis of {h in t : sigma(h) = eig*h}, as ambient vectors."""
+        r = self.alg.rank
+        return [list(v) + [ZERO] * (self.alg.dim - r)
+                for v in kernel(_shifted_block(self._sigma_cols, r, eig))]
 
     def _orthonormalize(self, vecs: list[Vec]) -> list[Vec]:
         """Gram-Schmidt with radical normalization in the space metric."""
@@ -425,37 +403,21 @@ class SpaceModel:
         assert coeffs is not None
         return combine(coeffs, self.a_basis)
 
-    def _sharp_norm_sq_unscaled(self, label: str) -> Scalar:
-        saved = self._metric_c
-        self._metric_c = Fraction(1)
-        try:
-            h = self._solve_sharp(label)
-            return self.norm_sq(h)
-        finally:
-            self._metric_c = saved
-
     def _build_restricted(self) -> RestrictedRootSystem:
         labels = RESTRICTED_LABELS[self.name]
         base = labels[0], ("l2" if "l2" in labels else labels[1])
-        f1 = self._forms[base[0]]
-        f2 = self._forms[base[1]]
-        # express each form over (f1, f2) restricted to a; use evaluations
-        # against the a basis as coordinates
-        eva = {lbl: tuple(self._eval_form(lbl, za).rational_value()
-                          for za in self._a_raw) for lbl in labels}
-        m1, m2 = eva[base[0]], eva[base[1]]
-        det = m1[0] * m2[1] - m1[1] * m2[0]
+        # each form over the two base forms on a, read off their duals
+        base_sharps = [self.sharp[base[0]], self.sharp[base[1]]]
         positives = []
         for lbl in labels:
-            v = eva[lbl]
-            c1 = (v[0] * m2[1] - v[1] * m2[0]) / det
-            c2 = (m1[0] * v[1] - m1[1] * v[0]) / det
+            coords = tuple(c.rational_value() for c in
+                           coordinates(base_sharps, self.sharp[lbl]))
             mult = 0
             for a_idx, b_idx in self._orbit_tables[lbl]:
                 mult += 1 if b_idx in (a_idx, None) else 2
             if self.name == "G2group":
                 mult = 2
-            positives.append(RestrictedRoot(lbl, (c1, c2), mult))
+            positives.append(RestrictedRoot(lbl, coords, mult))
         kind = self._classify_kind(positives)
         gram = [[self.inner(self.sharp[base[0]], self.sharp[base[0]]).rational_value(),
                  self.inner(self.sharp[base[0]], self.sharp[base[1]]).rational_value()],
@@ -477,7 +439,7 @@ class SpaceModel:
     # -- charts ------------------------------------------------------------
 
     def apply_sigma(self, v: Vec) -> Vec:
-        if self.sigma_matrix is None:
+        if self.sigma_roots is None:
             raise LiftFailure("the group model has no ambient involution")
         out = zeros(self.alg.dim)
         for k, c in enumerate(v):
@@ -487,7 +449,7 @@ class SpaceModel:
         return out
 
     def _project_m(self, v: Vec) -> Vec:
-        if self.sigma_matrix is None:
+        if self.sigma_roots is None:
             return list(v)
         return vec_scale(rat(Fraction(1, 2)), vec_sub(v, self.apply_sigma(v)))
 
@@ -497,7 +459,7 @@ class SpaceModel:
     def _build_charts(self, which: str) -> dict[str, Chart]:
         alg = self.alg
         proj = self._project_m if which == "M" else self._project_k
-        phases = CHART_PHASES.get(self.name, {})
+        flips = CHART_FLIPS[self.name]
         charts: dict[str, Chart] = {}
         for label in RESTRICTED_LABELS[self.name]:
             pairs = []
@@ -505,28 +467,16 @@ class SpaceModel:
                 a = alg.positives[a_idx - 1]
                 u = proj(alg.u_vec(a))
                 v = proj(alg.v_vec(a))
+                if (label, slot) in flips:
+                    u, v = vec_scale(-ONE, u), vec_scale(-ONE, v)
                 if b_idx == a_idx:  # doubled root: one of u, v survives
                     cand = u if not vec_is_zero(u) else v
-                    cand = self._chart_scale(cand, label)
-                    ph = phases.get((label, slot))
-                    if ph is not None:
-                        cand = vec_scale(parse_scalar(ph), cand)
-                    pairs.append((cand, None))
-                    continue
-                u, v = self._apply_phase(u, v, phases.get((label, slot)))
-                pairs.append((self._chart_scale(u, label), self._chart_scale(v, label)))
+                    pairs.append((self._chart_scale(cand, label), None))
+                else:
+                    pairs.append((self._chart_scale(u, label),
+                                  self._chart_scale(v, label)))
             charts[label] = Chart(label, pairs)
         return charts
-
-    def _apply_phase(self, u: Vec, v: Vec, phase: str | None):
-        if phase is None:
-            return u, v
-        w = parse_scalar(phase)
-        re_ = (w + w.conj_i()) * rat(Fraction(1, 2))
-        im_ = (w - w.conj_i()) * rat(Fraction(1, 2)) * (-I)
-        u2 = vec_add(vec_scale(re_, u), vec_scale(im_, v))
-        v2 = vec_add(vec_scale(-im_, u), vec_scale(re_, v))
-        return u2, v2
 
     def _chart_scale(self, v: Vec, label: str) -> Vec:
         """Normalize a chart vector to unit length (radical scale allowed)."""
@@ -595,7 +545,7 @@ class SpaceModel:
 
     def validate_involution(self) -> bool:
         """sigma^2 = id and automorphism property on all basis pairs."""
-        if self.sigma_matrix is None:
+        if self.sigma_roots is None:
             return True
         alg, dim = self.alg, self.alg.dim
         cols = [[ZERO] * dim for _ in range(dim)]
@@ -634,11 +584,7 @@ class SpaceModel:
         alg = self.alg
         # the center of k sits inside the centralizer of the k-part of the
         # Cartan algebra: t \cap k plus the doubled-root k charts
-        r = alg.rank
-        block = [[rat(self.sigma_matrix[i][j] - (1 if i == j else 0))
-                  for j in range(r)] for i in range(r)]
-        tk = [list(v) + [ZERO] * (alg.dim - r) for v in kernel(block)]
-        gens = tk + [self.k_charts["2l1"].pairs[0][0],
+        gens = self._t_eigenspace(ONE) + [self.k_charts["2l1"].pairs[0][0],
                      self.k_charts["2l2"].pairs[0][0]]
         # solve [X, b] = 0 for all k basis vectors b
         ker = relations([[x for b in self.k_rows for x in alg.bracket(g, b)]

@@ -3,8 +3,8 @@ the complex Chevalley basis.
 
 Each compact basis vector is expanded into h_j and x_a, bracketed there with
 Scalar products that carry I, and mapped back.  It is the long way round to
-the closed forms in ltskit.chevalley and ltskit.spaces._involution_matrix,
-kept only so the tests can compare the two constructions exactly.
+the closed forms in ltskit.chevalley and ltskit.spaces._sigma_columns, kept
+only so the tests can compare the two constructions exactly.
 """
 
 from fractions import Fraction
@@ -101,7 +101,8 @@ def compact_table(alg) -> list[dict]:
 
 def involution_matrix(alg, sig, phases) -> list[list[Fraction]]:
     """sigma on the compact basis, from sigma(h_j) = h_{sigma(alpha_j)} and
-    sigma(x_a) = phases[a] x_{sigma(a)} (columns = images)."""
+    sigma(x_a) = phases[a] x_{sigma(a)} (columns = images), for Scalar
+    phases on every root; the lift's signs e_a enter as rat(e_a)."""
     cols = []
     for k in range(alg.dim):
         out: dict = {}

@@ -1,12 +1,14 @@
 """Reference constructions by the generic definitions: the Killing form as
 the trace of ad_i ad_j over the structure table, and k, m as the kernels of
-the dense matrices sigma - id and sigma + id.
+the dense matrices sigma - id and sigma + id, with sigma the dense matrix of
+the complex route.
 
 ltskit.chevalley writes the Killing form down in closed form and
-ltskit.spaces writes sigma -+ id from sigma's sparse columns; these are the
-long way round, kept only so the tests can compare the two exactly.
+ltskit.spaces writes sigma -+ id from sigma's sparse signed columns; these
+are the long way round, kept only so the tests can compare the two exactly.
 """
 
+from complex_route import involution_matrix
 from ltskit.chevalley import ChevalleyAlgebra
 from ltskit.linalg import kernel
 from ltskit.roots import RootSystem
@@ -48,7 +50,8 @@ def dense_sigma_kernels(sigma_matrix) -> tuple[list, list]:
 
 class GenericRouteModel(SpaceModel):
     """An E6 space model built on the generic constructions: its own E6
-    algebra with the traced Killing rows, and k, m from the dense kernels."""
+    algebra with the traced Killing rows, and k, m from the dense kernels
+    of the complex route's sigma."""
 
     def __init__(self, name: str):
         self.name = name
@@ -59,4 +62,6 @@ class GenericRouteModel(SpaceModel):
 
     def _build_e6_model(self):
         super()._build_e6_model()
-        self.k_rows, self.m_rows = dense_sigma_kernels(self.sigma_matrix)
+        sigma = involution_matrix(self.alg, self.sigma_roots,
+                                  {a: rat(e) for a, e in self.signs.items()})
+        self.k_rows, self.m_rows = dense_sigma_kernels(sigma)

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from ltskit.chevalley import AlgebraMismatch, ChevalleyAlgebra, is_negative_definite
 from ltskit.linalg import vec_add, vec_is_zero, vec_scale
 from ltskit.roots import RootSystem
-from ltskit.scalars import Scalar, rat, sqrt
+from ltskit.scalars import rat, sqrt
 
 from complex_route import compact_table
 from generic_route import trace_killing

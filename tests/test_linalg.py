@@ -4,7 +4,7 @@ from ltskit.linalg import (
     Span, combine, coordinates, kernel, mat_vec, rank, relations, solve,
     vec_is_zero,
 )
-from ltskit.scalars import ONE, Scalar, ZERO, rat, sqrt
+from ltskit.scalars import ONE, ZERO, rat, sqrt
 
 
 def m(*rows):

@@ -9,7 +9,7 @@ from ltskit.catalog import expected_rows, make_prototype
 from ltskit.linalg import (
     Span, combine, vec_add, vec_is_zero, vec_scale, vec_sub,
 )
-from ltskit.scalars import I, parse_scalar, rat, sqrt
+from ltskit.scalars import I, rat, sqrt
 from ltskit.spaces import NotInM, build_space
 
 

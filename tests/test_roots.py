@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -31,8 +29,7 @@ def test_e6_full_table():
 
 
 def test_counts():
-    for name, count in [("A1", 1), ("A2", 3), ("G2", 6), ("A5", 15),
-                        ("D5", 20), ("F4", 24), ("E6", 36)]:
+    for name, count in [("A2", 3), ("G2", 6), ("F4", 24), ("E6", 36)]:
         assert len(RootSystem.of_type(name).positives) == count
 
 

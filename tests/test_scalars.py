@@ -87,6 +87,26 @@ def test_sqrt_if_expressible():
     assert rat(0).sqrt_if_expressible() == ZERO
 
 
+@pytest.mark.parametrize("q, root", [
+    (Fraction(121), rat(11)),
+    (Fraction(121, 4), rat(11, 2)),
+    (Fraction(363), rat(11) * sqrt(3)),
+    (Fraction(3, 484), sqrt(3) / 22),
+])
+def test_sqrt_of_foreign_square(q, root):
+    # the square of a prime outside 2, 3, 5, 7 has its root in the field
+    assert rat(q).sqrt_if_expressible() == root
+    if q.denominator == 1:
+        assert sqrt(q.numerator) == root
+
+
+@pytest.mark.parametrize("n", [11, 1331])
+def test_sqrt_of_foreign_prime_fails(n):
+    assert rat(n).sqrt_if_expressible() is None
+    with pytest.raises(ValueError):
+        sqrt(n)
+
+
 @pytest.mark.parametrize("text,value", [
     ("0", ZERO),
     ("3/4*sqrt(3)", rat(3, 4) * sqrt(3)),

@@ -3,11 +3,13 @@ from fractions import Fraction
 
 import pytest
 
+from ltskit.chevalley import ChevalleyAlgebra
 from ltskit.linalg import Span, vec_add, vec_is_zero, vec_scale, vec_sub
-from ltskit.scalars import I, parse_scalar, rat, sqrt
+from ltskit.roots import RootSystem
+from ltskit.scalars import I, rat, sqrt
 from ltskit.spaces import (
-    ANGLE_NAMES, AngleDescriptor, NotHermitian, NotInM, RootInvolution,
-    SpaceModel, _involution_matrix, build_space, scalar_sign,
+    SIGMA_ON_SIMPLE, LiftFailure, NotHermitian, NotInM, RootInvolution,
+    SpaceModel, build_space, lift_involution, scalar_sign,
 )
 
 from complex_route import involution_matrix
@@ -35,31 +37,40 @@ def test_dimensions():
     assert len(g2.m_rows) == 14
 
 
-def test_involution_is_involutive_automorphism():
-    for name in ("EIII", "EIV"):
-        assert build_space(name).validate_involution()
+def reference_sigma(sp):
+    """sigma as a dense rational matrix, by the complex route."""
+    return involution_matrix(sp.alg, sp.sigma_roots,
+                             {a: rat(e) for a, e in sp.signs.items()})
 
 
 @pytest.mark.parametrize("name", ["EIII", "EIV"])
 def test_sigma_matches_complex_route(name):
     sp = build_space(name)
-    ref = involution_matrix(sp.alg, sp.sigma_roots, sp.phases)
-    assert sp.sigma_matrix == ref
+    assert set(sp.signs.values()) == {1, -1}
+    n = sp.alg.dim
+    dense = [[Fraction(0)] * n for _ in range(n)]
+    for k, col in enumerate(sp._sigma_cols):
+        for i, w in col:
+            dense[i][k] = w.rational_value()
+    assert dense == reference_sigma(sp)
 
 
-def test_sigma_closed_form_with_non_real_phases():
-    # Both lifts have phases +-1 only.  c_a = i^ht(a), c_{-a} = conj(c_a) on
-    # the identity root map is Ad of a torus element: an automorphism, not an
-    # involution, whose phases exercise the i-parts of the closed form.
-    alg = build_space("EIV").alg
-    sig = RootInvolution(alg.rs, {j: j for j in range(1, alg.rank + 1)})
-    phases = {}
-    for a in alg.positives:
-        c = (rat(1), I, rat(-1), -I)[sum(a) % 4]
-        phases[a] = c
-        phases[tuple(-x for x in a)] = c.conj_i()
-    assert _involution_matrix(alg, sig, phases) == involution_matrix(
-        alg, sig, phases)
+@pytest.mark.parametrize("flip, match", [
+    ((0, 2, -1), "not an involution"),
+    ((2, 0, -1), "not an automorphism"),
+    ((0, 2, 2), "changes [|]N[|]"),
+])
+def test_lift_rejects_wrong_structure_constant(flip, match):
+    # a fresh algebra, so the shared one keeps its true N
+    alg = ChevalleyAlgebra(RootSystem.of_type("E6"))
+    i, j, factor = flip
+    a, b = alg.positives[i], alg.positives[j]
+    true_n = alg.n_constant
+    alg.n_constant = lambda x, y: (factor * true_n(x, y) if (x, y) == (a, b)
+                                   else true_n(x, y))
+    sig = RootInvolution(alg.rs, SIGMA_ON_SIMPLE["EIV"])
+    with pytest.raises(LiftFailure, match=match):
+        lift_involution(alg, sig)
 
 
 @pytest.mark.parametrize("name", ["EIII", "EIV"])
@@ -89,13 +100,14 @@ def test_apply_sigma_matches_sigma_matrix():
     for name in ("EIII", "EIV"):
         sp = build_space(name)
         n = sp.alg.dim
+        ref = reference_sigma(sp)
         for k in range(n):
-            col = [rat(sp.sigma_matrix[i][k]) for i in range(n)]
+            col = [rat(ref[i][k]) for i in range(n)]
             assert sp.apply_sigma([rat(x) for x in e(n, k)]) == col
         v = [rat(Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
              for _ in range(n)]
         dense = [sum((x * c for x, c in zip(row, v)), rat(0))
-                 for row in sp.sigma_matrix]
+                 for row in ref]
         assert sp.apply_sigma(v) == dense
 
 
