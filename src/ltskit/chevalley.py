@@ -9,7 +9,10 @@ relations
     N_{b,a} = -N_{a,b},      N_{-a,-b} = -N_{a,b},
     N_{a,b}/(c,c) = N_{b,c}/(a,a) = N_{c,a}/(b,b)   for a+b+c = 0,
 
-together with the four-root relation applied to (e, h, -a, -b).
+together with the four-root relation applied to (e, h, -a, -b).  __init__
+tabulates N_{x,y} once for every ordered pair of roots with x+y a root, in
+integers (the norm ratios of these relations are exact integer divisions),
+and n_constant reads that table.
 
 The compact real form has the ordered basis
 
@@ -117,6 +120,7 @@ class ChevalleyAlgebra:
         self.dim = self.rank + 2 * len(self.positives)
         self._nsq = self._norms_sq()
         self._n_special = self._build_special_constants()
+        self._n_table = self._build_n_table()
         self._coroot = {a: self._coroot_coeffs(a) for a in self.positives}
         self.table = self._build_table()
         self._killing = self._build_killing_gram()
@@ -207,13 +211,38 @@ class ChevalleyAlgebra:
             return self._nsq[e] / self._nsq[b] * self._n_pos(e, x, n)
         return -self._n_mixed(y, x, n)
 
+    def _build_n_table(self) -> dict[tuple[Root, Root], int]:
+        """N_{x,y} for every ordered pair of roots with x+y a root, by
+        _n_mixed's cases in integers.  Each positive pair a + c = g gives
+        the mixed pairs (g, -a) and (a, -g), both equal to
+        -(c,c)/(g,g) N_{a,c} by those cases; the norm ratio is an exact
+        integer division of the norms over their common denominator.
+        Positive pairs come first, in the enumeration order of (x, y)."""
+        order, n = self.pos_index, self._n_special
+        den = lcm(*(q.denominator for q in self._nsq.values()))
+        w = {a: int(q * den) for a, q in self._nsq.items()}
+        pos = dict(n)
+        pos.update({(b, a): -v for (a, b), v in n.items()})
+        table = dict(sorted(pos.items(),
+                            key=lambda kv: (order[kv[0][0]], order[kv[0][1]])))
+        mixed: dict[tuple[Root, Root], int] = {}
+        for (a, c), v in table.items():
+            g = _add(a, c)
+            val, rem = divmod(-w[c] * v, w[g])
+            if rem:
+                raise SignSolveFailure(f"non-integer constant at {a}+{c}")
+            mixed[(g, _neg(a))] = mixed[(a, _neg(g))] = val
+        table.update({(_neg(x), _neg(y)): -v for (x, y), v in pos.items()})
+        table.update(mixed)
+        table.update({(y, x): -v for (x, y), v in mixed.items()})
+        return table
+
     def n_constant(self, x: Root, y: Root) -> int:
         """N_{x,y} for roots with x+y a root."""
-        if _add(x, y) not in self.roots:
-            raise ValueError("x+y is not a root")
-        val = self._n_mixed(x, y, self._n_special)
-        assert val.denominator == 1
-        return int(val)
+        try:
+            return self._n_table[(x, y)]
+        except KeyError:
+            raise ValueError("x+y is not a root") from None
 
     def _coroot_coeffs(self, a: Root) -> tuple[Fraction, ...]:
         # a_vee = sum_i m_i (a_i,a_i)/(a,a) * a_i_vee
@@ -257,37 +286,45 @@ class ChevalleyAlgebra:
         scalar: dict[int, Scalar] = {}  # the few distinct constants, shared
 
         def put(i: int, j: int, terms: list[tuple[int, int]]) -> None:
-            terms = sorted((k, c) for k, c in terms if c)
+            terms = sorted(t for t in terms if t[1])
+            if not terms:
+                return
             for _, c in terms:
                 if c not in scalar:
                     scalar[c], scalar[-c] = rat(c), rat(-c)
-            if terms:
-                table[i][j] = tuple((k, scalar[c]) for k, c in terms)
-                table[j][i] = tuple((k, scalar[-c]) for k, c in terms)
+            table[i][j] = tuple([(k, scalar[c]) for k, c in terms])
+            table[j][i] = tuple([(k, scalar[-c]) for k, c in terms])
 
-        n = self.n_constant
-        for ia, a in enumerate(self.positives):
-            ua, va = self.u_index(a), self.v_index(a)
-            for j in range(self.rank):
+        n, known = self.n_constant, self._n_table
+        r, pos = self.rank, self.positives
+        for ia, a in enumerate(pos):
+            ua, va = r + 2 * ia, r + 2 * ia + 1
+            for j in range(r):
                 p = self._pairing(a, j)
                 put(j, ua, [(va, p)])
                 put(j, va, [(ua, -p)])
             put(ua, va, [(j, 2 * m) for j, m in enumerate(self._coroot[a])])
-            for b in self.positives[ia + 1:]:
-                ub, vb = self.u_index(b), self.v_index(b)
+            neg_a = _neg(a)
+            for ib in range(ia + 1, len(pos)):
+                b = pos[ib]
+                # a+b, b-a are roots exactly when N_{a,b}, N_{b,-a} exist
+                summed, differ = (a, b) in known, (b, neg_a) in known
+                if not (summed or differ):
+                    continue
+                ub, vb = r + 2 * ib, r + 2 * ib + 1
                 uu, vv, uv, vu = [], [], [], []
-                g = _add(a, b)
-                if g in self.roots:
+                if summed:
+                    g = _add(a, b)
                     ug, vg = self.u_index(g), self.v_index(g)
                     nab = n(a, b)
                     uu.append((ug, nab))
                     vv.append((ug, -nab))
                     uv.append((vg, nab))
                     vu.append((vg, nab))
-                e = _sub(b, a)  # d = a - b < 0, so |d| = e and s = +1
-                if e in self.roots:
+                if differ:  # d = a - b < 0, so |d| = e = b - a and s = +1
+                    e = _sub(b, a)
                     ue, ve = self.u_index(e), self.v_index(e)
-                    n_amb, n_bma = n(a, _neg(b)), n(b, _neg(a))
+                    n_amb, n_bma = n(a, _neg(b)), n(b, neg_a)
                     uu.append((ue, n_amb))
                     vv.append((ue, n_amb))
                     uv.append((ve, n_amb))

@@ -13,6 +13,30 @@ sigma(x_a) = e_a x_{sigma(a)}: e = 1 on the simple roots, propagated through
 the structure constants, and sigma is kept as the sparse signed columns this
 gives on the compact basis.
 
+k and m are the +1 and -1 eigenspaces of sigma, written down from those
+columns with no elimination over the whole algebra.  sigma maps t into t,
+and on the u/v basis it is a signed permutation: column q holds the one
+entry w_{q->p} of sigma(b_q) = w_{q->p} b_p, with w_{q->p} w_{p->q} = 1.  So
+sigma - eig*id (eig = +-1) is block diagonal: the t block, whose kernel is
+solved as a rank x rank system; a 1 x 1 block w - eig for each fixed
+column, which is free exactly when w = eig and then gives b_q; and for each
+pair p < q the rank-1 block with rows (-eig, w_{q->p}) and
+(w_{p->q}, -eig), whose pivot is p and whose free column q gives
+b_q + eig*w_{q->p} b_p.  Listing these in free-column order reproduces,
+vector for vector, the basis that kernel() returns for the full matrix.
+The chart vectors (b -+ sigma b)/2 of a u/v basis vector b are read from
+the same single entry.
+
+The centre of k, where the complex structure of EIII lives, is solved
+inside the span of t-cap-k and the two doubled-root k-charts.  The
+equations [sum c_g g, b] = 0 are added one k row b at a time, and the solve
+stops as soon as they leave at most a line of solutions c.  That line
+contains the centre, so it bounds it from above; the candidate on it is
+then bracketed with every k row, and the centre is that line exactly when
+all these brackets vanish (otherwise it is 0).  When they do, the
+equations read so far span the same row space as the full system, so the
+candidate is the one the full solve would give, entry for entry.
+
 The metric is <X,Y> = -c * kappa(X,Y) with the rational factor c chosen so
 that the shortest restricted root has length 1.
 
@@ -34,7 +58,7 @@ from typing import Sequence
 
 from .chevalley import ChevalleyAlgebra, _add, _neg
 from .linalg import (
-    Span, Vec, combine, coordinates, kernel, relations, solve, vec_add,
+    Span, Vec, combine, coordinates, kernel, solve, vec_add,
     vec_is_zero, vec_scale, vec_sub, zeros,
 )
 from .roots import RestrictedRoot, RestrictedRootSystem, Root, RootSystem
@@ -176,13 +200,12 @@ def lift_involution(alg: ChevalleyAlgebra, sig: RootInvolution) -> dict[Root, in
         if e[a] * e[sig(a)] != 1:
             raise LiftFailure(f"e_a e_sigma(a) = -1 at the root {a}: "
                               "the lift is not an involution")
-    for a in rs.positives:
-        for b in rs.positives:
-            g = _add(a, b)
-            if g in alg.roots and (alg.n_constant(a, b) * e[g] != e[a] * e[b]
-                                   * alg.n_constant(sig(a), sig(b))):
-                raise LiftFailure(f"the lift is not an automorphism on the "
-                                  f"pair {a}, {b}")
+    for a, b in alg._n_table:  # positive pairs first, in enumeration order
+        if sum(a) > 0 < sum(b) and (alg.n_constant(a, b) * e[_add(a, b)]
+                                    != e[a] * e[b]
+                                    * alg.n_constant(sig(a), sig(b))):
+            raise LiftFailure(f"the lift is not an automorphism on the "
+                              f"pair {a}, {b}")
     return e
 
 
@@ -206,18 +229,6 @@ def _sigma_columns(alg: ChevalleyAlgebra, sig: RootInvolution,
         cols.append([(alg.u_index(g), rat(s * signs[a]))])
         cols.append([(alg.v_index(g), rat(signs[a]))])
     return cols
-
-
-def _shifted_block(cols: list[list[tuple[int, Scalar]]], n: int,
-                   eig: Scalar) -> list[Vec]:
-    """The leading n x n block of sigma - eig*id, dense; n = rank reads t,
-    which sigma maps into itself."""
-    mat = [zeros(n) for _ in range(n)]
-    for k in range(n):
-        for i, w in cols[k]:
-            mat[i][k] = w
-        mat[k][k] = mat[k][k] - eig
-    return mat
 
 
 @dataclass
@@ -315,8 +326,8 @@ class SpaceModel:
         self._sigma_cols = _sigma_columns(alg, self.sigma_roots, self.signs)
         # eigenspace split over the rationals: k = ker(sigma - id),
         # m = ker(sigma + id)
-        self.k_rows = kernel(_shifted_block(self._sigma_cols, alg.dim, ONE))
-        self.m_rows = kernel(_shifted_block(self._sigma_cols, alg.dim, -ONE))
+        self.k_rows = self._eigenvectors(ONE)
+        self.m_rows = self._eigenvectors(-ONE)
         # a = (-1)-eigenspace of sigma inside the Cartan part
         self.a_basis = self._t_eigenspace(-ONE)
         self._orbit_tables = SIGMA_ORBITS[name]
@@ -348,23 +359,47 @@ class SpaceModel:
             self._forms[label] = tuple(alg._pairing(rep, j) for j in range(alg.rank))
         # metric scale: <.,.> = -c*kappa, c fixed by the shortest root
         self._metric_c = Fraction(1)
-        shortest = min(self.norm_sq(self._solve_sharp(label)).rational_value()
-                       for label in self._forms)
+        gram = self._a_gram()
+        shortest = min(self.norm_sq(self._solve_sharp(label, gram))
+                       .rational_value() for label in self._forms)
         self._metric_c = shortest
         self.a_basis = self._orthonormalize(self.a_basis)
         self.a_span = Span(self.a_basis)
-        self.sharp = {label: self._solve_sharp(label) for label in self._forms}
+        gram = self._a_gram()
+        self.sharp = {label: self._solve_sharp(label, gram)
+                      for label in self._forms}
         self.restricted = self._build_restricted()
         self.charts = self._build_charts("M")
         self.k_charts = self._build_charts("K") if self.name != "G2group" else None
         self._m_basis_ordered = self._ordered_m_basis()
         self._j_vec = None
 
+    def _eigenvectors(self, eig: Scalar) -> list[Vec]:
+        """Basis of ker(sigma - eig*id), vector for vector the one `kernel`
+        returns (module docstring): the t part, then one vector per fixed
+        or paired u/v column, in column order."""
+        r, dim = self.alg.rank, self.alg.dim
+        out = self._t_eigenspace(eig)
+        for q in range(r, dim):
+            (p, w), = self._sigma_cols[q]
+            if p > q or (p == q and w != eig):
+                continue  # a pivot column of sigma - eig*id
+            v = zeros(dim)
+            v[q] = ONE
+            if p < q:
+                v[p] = eig * w
+            out.append(v)
+        return out
+
     def _t_eigenspace(self, eig: Scalar) -> list[Vec]:
         """Basis of {h in t : sigma(h) = eig*h}, as ambient vectors."""
         r = self.alg.rank
-        return [list(v) + [ZERO] * (self.alg.dim - r)
-                for v in kernel(_shifted_block(self._sigma_cols, r, eig))]
+        block = [zeros(r) for _ in range(r)]  # sigma - eig*id on t
+        for k in range(r):
+            for i, w in self._sigma_cols[k]:
+                block[i][k] = w
+            block[k][k] = block[k][k] - eig
+        return [v + zeros(self.alg.dim - r) for v in kernel(block)]
 
     def _orthonormalize(self, vecs: list[Vec]) -> list[Vec]:
         """Gram-Schmidt with radical normalization in the space metric."""
@@ -395,23 +430,29 @@ class SpaceModel:
     def norm_sq(self, x: Sequence[Scalar]) -> Scalar:
         return self.inner(x, x)
 
-    def _solve_sharp(self, label: str) -> Vec:
-        """lam_sharp in a with <lam_sharp, Z> = lam(Z) for all Z in a."""
-        rows = [[self.inner(za, zb) for zb in self.a_basis] for za in self.a_basis]
+    def _a_gram(self) -> list[Vec]:
+        return [[self.inner(za, zb) for zb in self.a_basis]
+                for za in self.a_basis]
+
+    def _solve_sharp(self, label: str, gram: list[Vec]) -> Vec:
+        """lam_sharp in a with <lam_sharp, Z> = lam(Z) for all Z in a, given
+        the Gram matrix of a_basis."""
         target = [self._eval_form(label, za) for za in self.a_basis]
-        coeffs = solve(rows, target)
+        coeffs = solve(gram, target)
         assert coeffs is not None
         return combine(coeffs, self.a_basis)
 
     def _build_restricted(self) -> RestrictedRootSystem:
         labels = RESTRICTED_LABELS[self.name]
         base = labels[0], ("l2" if "l2" in labels else labels[1])
-        # each form over the two base forms on a, read off their duals
-        base_sharps = [self.sharp[base[0]], self.sharp[base[1]]]
+        # each form over the two base forms on a, read off their duals in
+        # coordinates on a (rank entries, not the ambient ones)
+        on_a = self.a_span.coords
+        base_sharps = [on_a(self.sharp[base[0]]), on_a(self.sharp[base[1]])]
         positives = []
         for lbl in labels:
             coords = tuple(c.rational_value() for c in
-                           coordinates(base_sharps, self.sharp[lbl]))
+                           coordinates(base_sharps, on_a(self.sharp[lbl])))
             mult = 0
             for a_idx, b_idx in self._orbit_tables[lbl]:
                 mult += 1 if b_idx in (a_idx, None) else 2
@@ -448,27 +489,32 @@ class SpaceModel:
                     out[i] = out[i] + w * c
         return out
 
-    def _project_m(self, v: Vec) -> Vec:
+    def _chart_vector(self, k: int, which: str, flip: bool) -> Vec:
+        """(b_k - sigma b_k)/2 for "M", (b_k + sigma b_k)/2 for "K", negated
+        when flip: written from sigma's one entry in the u/v column k.  On
+        the group model, +-b_k."""
+        s = -ONE if flip else ONE
+        v = zeros(self.alg.dim)
         if self.sigma_roots is None:
-            return list(v)
-        return vec_scale(rat(Fraction(1, 2)), vec_sub(v, self.apply_sigma(v)))
-
-    def _project_k(self, v: Vec) -> Vec:
-        return vec_scale(rat(Fraction(1, 2)), vec_add(v, self.apply_sigma(v)))
+            v[k] = s
+            return v
+        (i, w), = self._sigma_cols[k]
+        half = s * rat(Fraction(1, 2))
+        v[k] = half
+        v[i] = v[i] + (w if which == "K" else -w) * half
+        return v
 
     def _build_charts(self, which: str) -> dict[str, Chart]:
         alg = self.alg
-        proj = self._project_m if which == "M" else self._project_k
         flips = CHART_FLIPS[self.name]
         charts: dict[str, Chart] = {}
         for label in RESTRICTED_LABELS[self.name]:
             pairs = []
             for slot, (a_idx, b_idx) in enumerate(self._orbit_tables[label]):
                 a = alg.positives[a_idx - 1]
-                u = proj(alg.u_vec(a))
-                v = proj(alg.v_vec(a))
-                if (label, slot) in flips:
-                    u, v = vec_scale(-ONE, u), vec_scale(-ONE, v)
+                flip = (label, slot) in flips
+                u = self._chart_vector(alg.u_index(a), which, flip)
+                v = self._chart_vector(alg.v_index(a), which, flip)
                 if b_idx == a_idx:  # doubled root: one of u, v survives
                     cand = u if not vec_is_zero(u) else v
                     pairs.append((self._chart_scale(cand, label), None))
@@ -479,12 +525,14 @@ class SpaceModel:
         return charts
 
     def _chart_scale(self, v: Vec, label: str) -> Vec:
-        """Normalize a chart vector to unit length (radical scale allowed)."""
+        """Normalize a chart vector to unit length (radical scale allowed),
+        multiplying only its nonzero entries."""
         q = self.norm_sq(v)
         s = q.sqrt_if_expressible()
         if s is None:
             raise LiftFailure(f"chart vector norm {q} has no radical square root")
-        return vec_scale(s.inv(), v)
+        inv = s.inv()
+        return [x * inv if x else x for x in v]
 
     def _ordered_m_basis(self) -> list[Vec]:
         rows = [list(z) for z in self.a_basis]
@@ -586,12 +634,23 @@ class SpaceModel:
         # Cartan algebra: t \cap k plus the doubled-root k charts
         gens = self._t_eigenspace(ONE) + [self.k_charts["2l1"].pairs[0][0],
                      self.k_charts["2l2"].pairs[0][0]]
-        # solve [X, b] = 0 for all k basis vectors b
-        ker = relations([[x for b in self.k_rows for x in alg.bracket(g, b)]
-                         for g in gens])
-        if len(ker) != 1:
-            raise NotHermitian(f"center of k has dimension {len(ker)}, not 1")
-        j0 = combine(ker[0], gens)
+        # [sum c_g g, b] = 0 for the k rows b, one row at a time, until the
+        # solutions c form at most a line, which bounds the centre
+        eqs = Span()
+        for b in self.k_rows:
+            images = [alg.bracket(g, b) for g in gens]
+            for eq in zip(*images):
+                if any(eq):
+                    eqs.add(eq)
+            if eqs.dim >= len(gens) - 1:
+                break
+        if eqs.dim != len(gens) - 1:
+            raise NotHermitian(f"center of k has dimension "
+                               f"{len(gens) - eqs.dim}, not 1")
+        j0 = combine(kernel(eqs.basis())[0], gens)
+        # the candidate spans the centre only if it commutes with all of k
+        if not all(vec_is_zero(alg.bracket(j0, b)) for b in self.k_rows):
+            raise NotHermitian("center of k has dimension 0, not 1")
         # scale: (ad j|m)^2 = -id
         probe = self.charts["l1"].pairs[0][0]
         img = alg.bracket(j0, alg.bracket(j0, probe))

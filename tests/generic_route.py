@@ -1,19 +1,30 @@
 """Reference constructions by the generic definitions: the Killing form as
-the trace of ad_i ad_j over the structure table, and k, m as the kernels of
+the trace of ad_i ad_j over the structure table; k, m as the kernels of
 the dense matrices sigma - id and sigma + id, with sigma the dense matrix of
-the complex route.
+the complex route; each restricted-root dual solved against its own Gram
+matrix of a; chart vectors as dense projections (v -+ sigma v)/2; and the
+centre of k as the kernel of its brackets with every k row at once.
 
-ltskit.chevalley writes the Killing form down in closed form and
-ltskit.spaces writes sigma -+ id from sigma's sparse signed columns; these
-are the long way round, kept only so the tests can compare the two exactly.
+ltskit.chevalley writes the Killing form down in closed form, and
+ltskit.spaces writes k, m and the chart vectors from sigma's sparse signed
+columns, shares one Gram matrix between the duals and stops the centre
+solve early; these are the long way round, kept only so the tests can
+compare the two exactly.
 """
+
+from fractions import Fraction
 
 from complex_route import involution_matrix
 from ltskit.chevalley import ChevalleyAlgebra
-from ltskit.linalg import kernel
+from ltskit.linalg import (
+    combine, kernel, relations, solve, vec_add, vec_is_zero, vec_scale,
+    vec_sub,
+)
 from ltskit.roots import RootSystem
-from ltskit.scalars import ZERO, rat
-from ltskit.spaces import SpaceModel
+from ltskit.scalars import ONE, ZERO, rat, scalar_sign
+from ltskit.spaces import (
+    CHART_FLIPS, RESTRICTED_LABELS, Chart, NotHermitian, SpaceModel,
+)
 
 
 def trace_killing(alg) -> list[list[tuple]]:
@@ -50,8 +61,9 @@ def dense_sigma_kernels(sigma_matrix) -> tuple[list, list]:
 
 class GenericRouteModel(SpaceModel):
     """An E6 space model built on the generic constructions: its own E6
-    algebra with the traced Killing rows, and k, m from the dense kernels
-    of the complex route's sigma."""
+    algebra with the traced Killing rows, k, m from the dense kernels of the
+    complex route's sigma, per-label dual solves, dense chart projections
+    and the full centre solve."""
 
     def __init__(self, name: str):
         self.name = name
@@ -65,3 +77,69 @@ class GenericRouteModel(SpaceModel):
         sigma = involution_matrix(self.alg, self.sigma_roots,
                                   {a: rat(e) for a, e in self.signs.items()})
         self.k_rows, self.m_rows = dense_sigma_kernels(sigma)
+
+    def _solve_sharp(self, label, gram=None):
+        # the Gram matrix of a_basis is rebuilt for every label
+        rows = [[self.inner(za, zb) for zb in self.a_basis]
+                for za in self.a_basis]
+        target = [self._eval_form(label, za) for za in self.a_basis]
+        return combine(solve(rows, target), self.a_basis)
+
+    def _build_charts(self, which):
+        alg = self.alg
+        half = rat(Fraction(1, 2))
+        if which == "M":
+            def proj(v):
+                return vec_scale(half, vec_sub(v, self.apply_sigma(v)))
+        else:
+            def proj(v):
+                return vec_scale(half, vec_add(v, self.apply_sigma(v)))
+        flips = CHART_FLIPS[self.name]
+        charts = {}
+        for label in RESTRICTED_LABELS[self.name]:
+            pairs = []
+            for slot, (a_idx, b_idx) in enumerate(self._orbit_tables[label]):
+                a = alg.positives[a_idx - 1]
+                u = proj(alg.u_vec(a))
+                v = proj(alg.v_vec(a))
+                if (label, slot) in flips:
+                    u, v = vec_scale(-ONE, u), vec_scale(-ONE, v)
+                if b_idx == a_idx:  # doubled root: one of u, v survives
+                    cand = u if not vec_is_zero(u) else v
+                    pairs.append((self._chart_scale(cand, label), None))
+                else:
+                    pairs.append((self._chart_scale(u, label),
+                                  self._chart_scale(v, label)))
+            charts[label] = Chart(label, pairs)
+        return charts
+
+    def _solve_j(self):
+        # [X, b] = 0 for all 46 k rows at once, then the same scaling,
+        # (ad j|m)^2 = -id check and sign convention as the model
+        alg = self.alg
+        gens = self._t_eigenspace(ONE) + [self.k_charts["2l1"].pairs[0][0],
+                                          self.k_charts["2l2"].pairs[0][0]]
+        ker = relations([[x for b in self.k_rows for x in alg.bracket(g, b)]
+                         for g in gens])
+        if len(ker) != 1:
+            raise NotHermitian(f"center of k has dimension {len(ker)}, not 1")
+        j0 = combine(ker[0], gens)
+        probe = self.charts["l1"].pairs[0][0]
+        img = alg.bracket(j0, alg.bracket(j0, probe))
+        pivot = next(i for i, x in enumerate(probe) if not x.is_zero())
+        lam = img[pivot] / probe[pivot]
+        if not vec_is_zero(vec_sub(img, vec_scale(lam, probe))):
+            raise NotHermitian("ad(j)^2 does not preserve the probe line")
+        q = (-lam).sqrt_if_expressible()
+        if q is None or q.is_zero():
+            raise NotHermitian("center element cannot be scaled to a "
+                               "complex structure")
+        j0 = vec_scale(q.inv(), j0)
+        for x in self.m_rows:
+            if alg.bracket(j0, alg.bracket(j0, x)) != vec_scale(rat(-1), x):
+                raise NotHermitian("(ad j|m)^2 is not -id")
+        val = self.inner(self.apply_J(self.charts["2l1"].pairs[0][0], j0),
+                         self.sharp["l1"])
+        if scalar_sign(val) > 0:
+            j0 = vec_scale(rat(-1), j0)
+        return j0

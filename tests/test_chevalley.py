@@ -53,6 +53,26 @@ def test_n_magnitude_is_string_length():
                 assert abs(a.n_constant(x, y)) == a._string_down(y, x) + 1
 
 
+@pytest.mark.parametrize("name, count", [
+    ("A2", 12), ("G2", 60), ("F4", 816), ("E6", 1440)])
+def test_n_table_matches_mixed_rule(name, count):
+    # the table written in __init__ holds every ordered pair with x+y a
+    # root, each entry the integer of _n_mixed's Fraction chain
+    a = alg(name)
+    pairs = [(x, y) for x in a.roots for y in a.roots
+             if tuple(p + q for p, q in zip(x, y)) in a.roots]
+    assert len(pairs) == count == len(a._n_table)
+    for x, y in pairs:
+        n = a.n_constant(x, y)
+        assert type(n) is int
+        assert n == a._n_mixed(x, y, a._n_special), (x, y)
+    for x in a.positives[:3]:
+        neg = tuple(-c for c in x)
+        for y in (x, neg):  # 2x and 0 are not roots
+            with pytest.raises(ValueError, match="not a root"):
+                a.n_constant(x, y)
+
+
 @pytest.mark.parametrize("name", ["A2", "G2", "F4", "E6"])
 def test_table_matches_complex_route(name):
     # every entry, in both orders, equals the bracket of the complex

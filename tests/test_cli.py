@@ -194,9 +194,15 @@ def test_space_verify_foundations_killing_mismatch(capsys, monkeypatch):
 ], ids=["EIII", "EIV"])
 def test_space_verify_foundations_hermitian(capsys, name, complex_structure,
                                             counts):
-    # exhaustive Jacobi, negative definiteness and sigma on all basis pairs
-    code, doc = run_json(capsys, "space", "verify-foundations", name)
+    # exhaustive Jacobi, negative definiteness and sigma on all basis pairs;
+    # the JSON stdout, J's row included, is pinned byte for byte
+    code, out, _ = run(capsys, "space", "verify-foundations", name,
+                       "--format", "json")
     assert code == EXIT_OK
+    golden = GOLDEN / f"space_verify_foundations_{name}.json"
+    assert out == golden.read_text(encoding="utf-8")
+    doc = json.loads(out)
+    jsonschema.validate(doc, SCHEMA)
     rows = {r["label"]: r for r in doc["data"]["rows"]}
     for label in ("jacobi-exhaustive", "killing-negative-definite",
                   "involution-automorphism", "orbit-tables"):

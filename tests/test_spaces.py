@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from ltskit import linalg, spaces
 from ltskit.chevalley import ChevalleyAlgebra
 from ltskit.linalg import Span, vec_add, vec_is_zero, vec_scale, vec_sub
 from ltskit.roots import RootSystem
@@ -283,6 +284,40 @@ def test_complex_structure_doubled_roots():
     assert Span(sp.a_basis).contains(got)
     got2 = sp.apply_J(sp.charts["2l2"].map(1))
     assert Span(sp.a_basis).contains(got2)
+
+
+def test_centre_candidate_is_checked_against_every_k_row():
+    # the centre solve stops early; a k row it never read must still be
+    # checked, so an m vector planted at the end of k_rows is caught
+    sp = SpaceModel("EIII")
+    sp.k_rows = sp.k_rows + [sp.m_rows[0]]
+    with pytest.raises(NotHermitian, match="center of k has dimension 0"):
+        sp.complex_structure()
+
+
+def test_build_cost_guard(monkeypatch):
+    # deterministic counts, no timings: a fresh EIII model and J take fewer
+    # brackets than the 276 + 64 + 3 of a full centre solve, by at least
+    # 100, and no kernel sees a matrix wider than the rank (no 78-column
+    # sigma -+ id)
+    calls, widths = [0], []
+    bracket, kernel = ChevalleyAlgebra.bracket, linalg.kernel
+
+    def counting_bracket(self, x, y):
+        calls[0] += 1
+        return bracket(self, x, y)
+
+    def recording_kernel(rows):
+        widths.append(len(rows[0]) if rows else 0)
+        return kernel(rows)
+
+    monkeypatch.setattr(ChevalleyAlgebra, "bracket", counting_bracket)
+    monkeypatch.setattr(linalg, "kernel", recording_kernel)
+    monkeypatch.setattr(spaces, "kernel", recording_kernel)
+    sp = SpaceModel("EIII")
+    sp.complex_structure()
+    assert calls[0] <= 343 - 100
+    assert widths and max(widths) <= sp.alg.rank
 
 
 def test_no_complex_structure_elsewhere():
