@@ -549,36 +549,46 @@ class CatalogReport:
         return "\n".join(lines)
 
 
-def _computed_mults(report) -> tuple[tuple[str, int], ...]:
-    out = {}
-    for sr in report.restricted or []:
-        out["+".join(sr.labels)] = sr.mult
-    return tuple(sorted(out.items()))
-
-
 # -- expected invariants ---------------------------------------------------
+
+
+def _invariants(sp: SpaceModel, S: Subspace, seed: int) -> dict:
+    """Analyze S once and read its invariants into one record: dim, rank,
+    is_lts and the closure certificate, angle, complexity (EIII), the
+    multiplicities by ambient label, and in rank 1 the normalized squared
+    root values with their multiplicities."""
+    r = analyze(S, seed=seed)
+    mults = {"+".join(sr.labels): sr.mult for sr in r.restricted or []}
+    inv = {"dim": S.dim, "rank": r.rank, "is_lts": r.is_lts,
+           "certificate": r.certificate,
+           "angle": r.isotropy_angle.name if r.isotropy_angle else None,
+           "complexity": r.complexity,
+           "sub_mults": dict(sorted(mults.items())), "root_values": None}
+    if r.is_lts and r.rank == 1:
+        h = r.flat.basis[0]
+        n2 = sp.inner(h, h)
+        inv["root_values"] = sorted(
+            (sorted(str(v * v / n2) for v in sr.values), sr.mult)
+            for sr in r.restricted or [])
+    return inv
 
 
 def _check_expected(sp: SpaceModel, row: ExpectedRow, S: Subspace,
                     label: str, seed: int) -> ReportRow:
     """Analyze S and compare it with the row; a FAIL names the closure
     defect or else the first invariant that did not match."""
-    r = analyze(S, seed=seed)
+    inv = _invariants(sp, S, seed)
     expected = {"dim": row.dim, "rank": row.rank}
-    computed = {"dim": S.dim, "rank": r.rank, "is_lts": r.is_lts}
-    if row.angle is not None:
-        expected["angle"] = row.angle
-        computed["angle"] = r.isotropy_angle.name if r.isotropy_angle else None
-    if row.complexity is not None:
-        expected["complexity"] = row.complexity
-        computed["complexity"] = r.complexity
-    if row.sub_mults is not None:
-        expected["sub_mults"] = dict(row.sub_mults)
-        computed["sub_mults"] = dict(_computed_mults(r))
+    computed = {key: inv[key] for key in ("dim", "rank", "is_lts")}
+    for key in ("angle", "complexity", "sub_mults"):
+        want = getattr(row, key)
+        if want is not None:
+            expected[key] = dict(want) if key == "sub_mults" else want
+            computed[key] = inv[key]
     if row.maximal:
         computed["maximal"] = "consistent-with-catalog"
-    if not r.is_lts:
-        failure = f"closure fails at triple {r.certificate}"
+    if not inv["is_lts"]:
+        failure = f"closure fails at triple {inv['certificate']}"
     else:
         failure = next((f"{key}: expected {want}, computed {computed[key]}"
                         for key, want in expected.items()
@@ -605,22 +615,13 @@ def _invariants_match(sp: SpaceModel, A: Subspace, B: Subspace,
     """Both are LTS with the same dim, rank, angle, complexity (EIII) and
     restricted data: the normalized squared root values with multiplicities
     in rank 1, the multiplicities by ambient label in rank 2."""
-    def invariants(S: Subspace) -> tuple | None:
-        r = analyze(S, seed=seed)
-        if not r.is_lts:
-            return None
-        if r.rank == 1:
-            h = r.flat.basis[0]
-            n2 = sp.inner(h, h)
-            roots = sorted((sorted(str(v * v / n2) for v in sr.values),
-                            sr.mult) for sr in r.restricted or [])
-        else:
-            roots = _computed_mults(r)
-        angle = r.isotropy_angle.name if r.isotropy_angle else None
-        return (S.dim, r.rank, angle, r.complexity, roots)
-
-    inv = invariants(A)
-    return inv is not None and inv == invariants(B)
+    a = _invariants(sp, A, seed)
+    if not a["is_lts"]:
+        return False
+    b = _invariants(sp, B, seed)
+    roots = "root_values" if a["rank"] == 1 else "sub_mults"
+    return b["is_lts"] and all(a[key] == b[key] for key in (
+        "dim", "rank", "angle", "complexity", roots))
 
 
 # -- isometry witnesses ----------------------------------------------------

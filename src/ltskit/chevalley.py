@@ -10,9 +10,16 @@ relations
     N_{a,b}/(c,c) = N_{b,c}/(a,a) = N_{c,a}/(b,b)   for a+b+c = 0,
 
 together with the four-root relation applied to (e, h, -a, -b).  __init__
-tabulates N_{x,y} once for every ordered pair of roots with x+y a root, in
-integers (the norm ratios of these relations are exact integer divisions),
-and n_constant reads that table.
+tabulates N_{x,y} for every ordered pair of roots with x+y a root in one
+pass over the positive sums g, in height order.  For each g it writes the
+extraspecial N_{e,h}; it solves every other pair a+b = g by the four-root
+relation, in Fractions, reading only sums of lower height; and it writes
+each pair's reversed and negative entries and its mixed ones,
+
+    N_{g,-a} = N_{a,-g} = -(c,c)/(g,g) N_{a,c}    for a+c = g,
+
+as an exact integer division of the norms over their common denominator.
+n_constant reads that table.
 
 The compact real form has the ordered basis
 
@@ -119,7 +126,6 @@ class ChevalleyAlgebra:
         self.roots = frozenset(rs.all_roots())
         self.dim = self.rank + 2 * len(self.positives)
         self._nsq = self._norms_sq()
-        self._n_special = self._build_special_constants()
         self._n_table = self._build_n_table()
         self._coroot = {a: self._coroot_coeffs(a) for a in self.positives}
         self.table = self._build_table()
@@ -141,100 +147,55 @@ class ChevalleyAlgebra:
 
     # -- structure constants ----------------------------------------------
 
-    def _string_down(self, beta: Root, alpha: Root) -> int:
-        """Largest p with beta - p*alpha a root."""
-        p = 0
-        cur = _sub(beta, alpha)
-        while cur in self.roots:
-            p += 1
-            cur = _sub(cur, alpha)
-        return p
-
-    def _build_special_constants(self) -> dict[tuple[Root, Root], int]:
-        order = self.pos_index
-        # group sums: for each non-simple positive g, its ordered pairs
-        pairs_by_sum: dict[Root, list[tuple[Root, Root]]] = {}
-        for a in self.positives:
-            for b in self.positives:
-                if order[a] < order[b]:
-                    g = _add(a, b)
-                    if g in self.roots:
-                        pairs_by_sum.setdefault(g, []).append((a, b))
-        n: dict[tuple[Root, Root], int] = {}
-        for g in sorted(pairs_by_sum, key=lambda r: (sum(r), self.pos_index[r])):
-            pairs = sorted(pairs_by_sum[g], key=lambda p: order[p[0]])
-            e, h = pairs[0]  # extraspecial pair of g
-            n[(e, h)] = self._string_down(h, e) + 1
-            for a, b in pairs[1:]:
-                val = self._special_from_four_root(a, b, e, h, g, n)
-                num = Fraction(val)
-                if num.denominator != 1 or num == 0:
-                    raise SignSolveFailure(f"non-integer constant at {a}+{b}")
-                n[(a, b)] = int(num)
-        return n
-
-    def _special_from_four_root(self, a, b, e, h, g, n) -> Fraction:
-        # four-root relation on (e, h, -a, -b) with e+h = a+b = g
-        total = Fraction(0)
-        d1 = _sub(h, a)
-        if d1 in self.roots:
-            total += (Fraction(self._n_mixed(h, _neg(a), n))
-                      * self._n_mixed(e, _neg(b), n) / self._nsq[d1])
-        d2 = _sub(e, a)
-        if d2 in self.roots:
-            total += (Fraction(self._n_mixed(_neg(a), e, n))
-                      * self._n_mixed(h, _neg(b), n) / self._nsq[d2])
-        return self._nsq[g] * total / n[(e, h)]
-
-    def _n_pos(self, a: Root, b: Root, n) -> int:
-        if self.pos_index[a] < self.pos_index[b]:
-            return n[(a, b)]
-        return -n[(b, a)]
-
-    def _n_mixed(self, x: Root, y: Root, n) -> Fraction:
-        """N_{x,y} for any roots with x+y a root, from the special table."""
-        xp, yp = sum(x) > 0, sum(y) > 0
-        if xp and yp:
-            return Fraction(self._n_pos(x, y, n))
-        if not xp and not yp:
-            return -self._n_mixed(_neg(x), _neg(y), n)
-        if xp:  # y negative
-            b = _neg(y)
-            d = _sub(x, b)
-            if sum(d) > 0:
-                # zero-sum triple (x, -b, -d) gives
-                # N_{x,-b} = (d,d)/(x,x) * N_{-b,-d} = -(d,d)/(x,x) * N_{b,d}
-                return -self._nsq[d] / self._nsq[x] * self._n_pos(b, d, n)
-            # e = b - x positive; chaining the same identities gives
-            # N_{x,-b} = (e,e)/(b,b) * N_{e,x}
-            e = _neg(d)
-            return self._nsq[e] / self._nsq[b] * self._n_pos(e, x, n)
-        return -self._n_mixed(y, x, n)
-
     def _build_n_table(self) -> dict[tuple[Root, Root], int]:
-        """N_{x,y} for every ordered pair of roots with x+y a root, by
-        _n_mixed's cases in integers.  Each positive pair a + c = g gives
-        the mixed pairs (g, -a) and (a, -g), both equal to
-        -(c,c)/(g,g) N_{a,c} by those cases; the norm ratio is an exact
-        integer division of the norms over their common denominator.
-        Positive pairs come first, in the enumeration order of (x, y)."""
-        order, n = self.pos_index, self._n_special
+        """N_{x,y} for every ordered pair of roots with x+y a root, in one
+        pass over the positive sums g in height order (module docstring).
+        The four-root relation reads only sums of lower height, which the
+        pass has written already.  Positive pairs come first, in the
+        enumeration order of (x, y)."""
+        order = self.pos_index
         den = lcm(*(q.denominator for q in self._nsq.values()))
         w = {a: int(q * den) for a, q in self._nsq.items()}
-        pos = dict(n)
-        pos.update({(b, a): -v for (a, b), v in n.items()})
-        table = dict(sorted(pos.items(),
-                            key=lambda kv: (order[kv[0][0]], order[kv[0][1]])))
-        mixed: dict[tuple[Root, Root], int] = {}
-        for (a, c), v in table.items():
-            g = _add(a, c)
-            val, rem = divmod(-w[c] * v, w[g])
-            if rem:
-                raise SignSolveFailure(f"non-integer constant at {a}+{c}")
-            mixed[(g, _neg(a))] = mixed[(a, _neg(g))] = val
-        table.update({(_neg(x), _neg(y)): -v for (x, y), v in pos.items()})
-        table.update(mixed)
-        table.update({(y, x): -v for (x, y), v in mixed.items()})
+        by_sum: dict[Root, list[tuple[Root, Root]]] = {}
+        for a in self.positives:
+            for b in self.positives[order[a] + 1:]:
+                g = _add(a, b)
+                if g in order:
+                    by_sum.setdefault(g, []).append((a, b))
+        n: dict[tuple[Root, Root], int] = {}
+        for g in self.positives:  # height-layered: lower sums come first
+            pairs = by_sum.get(g, ())
+            for k, (a, b) in enumerate(pairs):
+                if k == 0:  # the extraspecial pair (e, h): N = p + 1
+                    e, h = a, b
+                    v, d = 1, _sub(h, e)
+                    while d in self.roots:
+                        v, d = v + 1, _sub(d, e)
+                else:  # the four-root relation on (e, h, -a, -b)
+                    total = Fraction(0)
+                    for x, y, s in ((h, e, 1), (e, h, -1)):
+                        d = _sub(x, a)
+                        if d in self.roots:
+                            total += Fraction(
+                                s * n[(x, _neg(a))] * n[(y, _neg(b))], w[d])
+                    q = total * w[g] / n[(e, h)]
+                    if q.denominator != 1 or q == 0:
+                        raise SignSolveFailure(
+                            f"non-integer constant at {a}+{b}")
+                    v = int(q)
+                for x, c, nxc in ((a, b, v), (b, a, -v)):
+                    n[(x, c)], n[(_neg(x), _neg(c))] = nxc, -nxc
+                    # N_{g,-x} = N_{x,-g} = -(c,c)/(g,g) N_{x,c}
+                    m, rem = divmod(-w[c] * nxc, w[g])
+                    if rem:
+                        raise SignSolveFailure(
+                            f"non-integer constant at {x}+{c}")
+                    n[(g, _neg(x))] = n[(x, _neg(g))] = m
+                    n[(_neg(x), g)] = n[(_neg(g), x)] = -m
+        table = {k: n[k] for k in sorted(
+            (k for k in n if sum(k[0]) > 0 < sum(k[1])),
+            key=lambda k: (order[k[0]], order[k[1]]))}
+        table.update(n)
         return table
 
     def n_constant(self, x: Root, y: Root) -> int:
@@ -260,9 +221,6 @@ class ChevalleyAlgebra:
         k -= self.rank
         a = self.positives[k // 2]
         return ("u", a) if k % 2 == 0 else ("v", a)
-
-    def t_index(self, j: int) -> int:
-        return j
 
     def u_index(self, a: Root) -> int:
         return self.rank + 2 * self.pos_index[a]

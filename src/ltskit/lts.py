@@ -42,7 +42,8 @@ from fractions import Fraction
 from itertools import chain
 
 from .linalg import (
-    Span, Vec, combine, relations, vec_add, vec_is_zero, vec_scale, zeros,
+    Span, Vec, combine, relations, vec_add, vec_is_zero, vec_scale, vec_sub,
+    zeros,
 )
 from .scalars import ParseError, Parser, Scalar, scalar_sign
 from .spaces import (
@@ -69,9 +70,6 @@ class NotClosed(ValueError):
 
 class NotQuarterTurnCompatible(ValueError):
     pass
-
-
-SubspaceFormatError = ParseError
 
 
 class Subspace:
@@ -239,7 +237,7 @@ def _check_ambient_cartan_extension(sp: SpaceModel, flat: Subspace) -> None:
         raise NotAFlat("claimed flat is not abelian")
 
     def centralizer():
-        basis = sp._m_span.basis()
+        basis = sp.m_basis()
         yield from _operator_kernel(basis, [
             [x for h in flat.basis for x in alg.bracket(h, b)]
             for b in basis])
@@ -429,7 +427,7 @@ def isotropy_rotate(sp: SpaceModel, Z: Vec, v: Vec) -> Vec:
     v_0 + ad(Z) v_1 where v = v_0 + v_1 splits into the speed-0 and speed-1
     parts.
     """
-    if sp.k_rows and not sp._k_span.contains(Z):
+    if sp.k_rows and not vec_is_zero(vec_sub(sp.apply_sigma(Z), Z)):
         raise NotInM("rotation generator must lie in the isotropy algebra k")
     alg = sp.alg
     w1 = alg.bracket(Z, v)
@@ -542,7 +540,7 @@ def parse_vector(sp: SpaceModel, line: str) -> Vec:
             vec = vec_scale(args[0], sp.sharp[label])
         else:
             term = head if label is None else f"{head}[{label}]"
-            raise SubspaceFormatError(
+            raise ParseError(
                 f"no term {term} with {len(args)} coordinate(s) in {sp.name}")
         total = vec_add(total, vec)
     return total
@@ -556,7 +554,7 @@ def parse_subspace(text: str) -> Subspace:
         if line:
             lines.append(line)
     if not lines:
-        raise SubspaceFormatError("empty subspace file")
+        raise ParseError("empty subspace file")
     header = lines[0]
     if header.lower().startswith("space:"):
         header = header.split(":", 1)[1].strip()

@@ -14,7 +14,7 @@ Cartan matrix below encodes that choice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -47,7 +47,7 @@ CARTAN_MATRICES: dict[str, list[list[int]]] = {
            [0, 0, 0, 0, -1, 2]],
 }
 
-# |positive roots| per type, used as the termination bound of the enumerator
+# |positive roots| per type, checked against the enumeration by of_type
 _POSITIVE_COUNTS = {"A2": 3, "G2": 6, "F4": 24, "E6": 36}
 
 
@@ -56,12 +56,10 @@ def _pairing(beta: Root, i: int, cartan: Sequence[Sequence[int]]) -> int:
     return sum(b * cartan[j][i] for j, b in enumerate(beta))
 
 
-def enumerate_positive_roots(cartan: Sequence[Sequence[int]],
-                             bound: int | None = None) -> list[Root]:
+def enumerate_positive_roots(cartan: Sequence[Sequence[int]]) -> list[Root]:
     """All positive roots, in height-layered discovery order."""
     n = len(cartan)
-    if bound is None:
-        bound = 4 * n * n + 16  # generous for the finite types we admit
+    bound = 4 * n * n + 16  # generous for the finite types we admit
     simple = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
     found: set[Root] = set(simple)
     ordered: list[Root] = list(simple)
@@ -118,8 +116,7 @@ class RootSystem:
     def __init__(self, cartan: Sequence[Sequence[int]]):
         self.cartan = [list(row) for row in cartan]
         self.rank = len(self.cartan)
-        self.positives = enumerate_positive_roots(self.cartan,
-                                                  bound=None)
+        self.positives = enumerate_positive_roots(self.cartan)
         d = _symmetrizer(self.cartan)
         # (alpha_i, alpha_j) = d_j * C[i][j]; symmetric by choice of d
         self.gram: list[list[Fraction]] = [
@@ -157,9 +154,6 @@ class RootSystem:
 
     def norm_sq(self, r: Sequence) -> Scalar:
         return self.inner(r, r)
-
-    def height(self, r: Root) -> int:
-        return sum(r)
 
     def reflect(self, v: Sequence, alpha: Root) -> list[Scalar]:
         """v - 2(v,alpha)/(alpha,alpha) * alpha, exact."""
@@ -203,31 +197,15 @@ class RestrictedRoot:
 
 @dataclass
 class RestrictedRootSystem:
-    """Rank-2 restricted system with multiplicities and a Gram matrix."""
+    """Rank-2 restricted system: its type and positive roots."""
     kind: str  # A2 | B2 | BC2 | G2
     positives: list[RestrictedRoot]
-    gram: list[list[Fraction]] = field(default_factory=list)
 
     def by_label(self, label: str) -> RestrictedRoot:
         for r in self.positives:
             if r.label == label:
                 return r
         raise KeyError(label)
-
-    def inner(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> Scalar:
-        total = rat(0)
-        for i in range(2):
-            for j in range(2):
-                if self.gram[i][j]:
-                    total = total + rat(Fraction(u[i]) * self.gram[i][j] * Fraction(v[j]))
-        return total
-
-    def all_roots(self) -> list[tuple[str, tuple[Fraction, ...]]]:
-        out = []
-        for r in self.positives:
-            out.append((r.label, r.coords))
-            out.append(("-" + r.label, tuple(-c for c in r.coords)))
-        return out
 
     def as_json(self) -> dict:
         return {

@@ -434,9 +434,6 @@ class ParseError(ValueError):
     """Malformed scalar, vector, flat-vector or type-label text."""
 
 
-ScalarParseError = ParseError
-
-
 def parse_scalar(text: str) -> Scalar:
     """Parse a scalar literal, e.g. '3/4*sqrt(3)', 'sqrt(2)/16', '-i'."""
     return Parser(text).read(Parser.expr)

@@ -13,10 +13,12 @@ sigma(x_a) = e_a x_{sigma(a)}: e = 1 on the simple roots, propagated through
 the structure constants, and sigma is kept as the sparse signed columns this
 gives on the compact basis.
 
-k and m are the +1 and -1 eigenspaces of sigma, written down from those
-columns with no elimination over the whole algebra.  sigma maps t into t,
-and on the u/v basis it is a signed permutation: column q holds the one
-entry w_{q->p} of sigma(b_q) = w_{q->p} b_p, with w_{q->p} w_{p->q} = 1.  So
+k and m are the +1 and -1 eigenspaces of sigma, so sigma decides
+membership: v lies in k when sigma v = v and in m when sigma v = -v, tested
+on those columns.  Their bases are written down from the same columns with
+no elimination over the whole algebra.  sigma maps t into t, and on the u/v
+basis it is a signed permutation: column q holds the one entry w_{q->p} of
+sigma(b_q) = w_{q->p} b_p, with w_{q->p} w_{p->q} = 1.  So
 sigma - eig*id (eig = +-1) is block diagonal: the t block, whose kernel is
 solved as a rank x rank system; a 1 x 1 block w - eig for each fixed
 column, which is free exactly when w = eig and then gives b_q; and for each
@@ -348,8 +350,6 @@ class SpaceModel:
 
     def _finalize(self):
         alg = self.alg
-        self._m_span = Span(self.m_rows)
-        self._k_span = Span(self.k_rows) if self.k_rows else Span()
         # restricted root forms on a: for Z = sum z_j t_j in a,
         # lam(Z) = sum_j z_j <alpha, alpha_j^vee> for an orbit representative
         self._forms: dict[str, tuple[int, ...]] = {}
@@ -459,12 +459,7 @@ class SpaceModel:
             if self.name == "G2group":
                 mult = 2
             positives.append(RestrictedRoot(lbl, coords, mult))
-        kind = self._classify_kind(positives)
-        gram = [[self.inner(self.sharp[base[0]], self.sharp[base[0]]).rational_value(),
-                 self.inner(self.sharp[base[0]], self.sharp[base[1]]).rational_value()],
-                [self.inner(self.sharp[base[1]], self.sharp[base[0]]).rational_value(),
-                 self.inner(self.sharp[base[1]], self.sharp[base[1]]).rational_value()]]
-        return RestrictedRootSystem(kind=kind, positives=positives, gram=gram)
+        return RestrictedRootSystem(self._classify_kind(positives), positives)
 
     def _classify_kind(self, positives) -> str:
         coords = {tuple(r.coords) for r in positives}
@@ -544,7 +539,12 @@ class SpaceModel:
         return self._m_basis_ordered
 
     def in_m(self, v: Sequence[Scalar]) -> bool:
-        return self._m_span.contains(v)
+        """sigma v = -v; on the group model, where m is the whole algebra,
+        every vector of its length."""
+        if len(v) != self.alg.dim:
+            return False
+        return self.sigma_roots is None or vec_is_zero(
+            vec_add(self.apply_sigma(v), v))
 
     # -- geometry ----------------------------------------------------------
 

@@ -66,7 +66,7 @@ def complex_to_compact(alg, e: dict) -> dict[int, Fraction]:
 
     for key, c in e.items():
         if key[0] == "h":
-            acc(alg.t_index(key[1]), c * (-I))
+            acc(key[1], c * (-I))  # t_j has index j
         else:
             g = key[1]
             if sum(g) > 0:

@@ -1,21 +1,27 @@
-"""Reference constructions by the generic definitions: the Killing form as
-the trace of ad_i ad_j over the structure table; k, m as the kernels of
+"""Reference constructions by the generic definitions: the structure
+constants in two stages, first the special constants N_{a,b} (a before b),
+whose four-root solves read mixed constants through a chain of Fraction
+ratios, then every other entry from them; the Killing form as the trace of
+ad_i ad_j over the structure table; k, m as the kernels of
 the dense matrices sigma - id and sigma + id, with sigma the dense matrix of
 the complex route; each restricted-root dual solved against its own Gram
 matrix of a; chart vectors as dense projections (v -+ sigma v)/2; and the
 centre of k as the kernel of its brackets with every k row at once.
 
-ltskit.chevalley writes the Killing form down in closed form, and
-ltskit.spaces writes k, m and the chart vectors from sigma's sparse signed
-columns, shares one Gram matrix between the duals and stops the centre
-solve early; these are the long way round, kept only so the tests can
-compare the two exactly.
+ltskit.chevalley writes every N in one height-ordered pass and the Killing
+form down in closed form, and ltskit.spaces writes k, m and the chart
+vectors from sigma's sparse signed columns, shares one Gram matrix between
+the duals and stops the centre solve early; these are the long way round,
+kept only so the tests can compare the two exactly.
 """
 
 from fractions import Fraction
+from math import lcm
 
 from complex_route import involution_matrix
-from ltskit.chevalley import ChevalleyAlgebra
+from ltskit.chevalley import (
+    ChevalleyAlgebra, SignSolveFailure, _add, _neg, _sub,
+)
 from ltskit.linalg import (
     combine, kernel, relations, solve, vec_add, vec_is_zero, vec_scale,
     vec_sub,
@@ -25,6 +31,102 @@ from ltskit.scalars import ONE, ZERO, rat, scalar_sign
 from ltskit.spaces import (
     CHART_FLIPS, RESTRICTED_LABELS, Chart, NotHermitian, SpaceModel,
 )
+
+
+def string_down(alg, beta, alpha) -> int:
+    """Largest p with beta - p*alpha a root."""
+    p = 0
+    cur = _sub(beta, alpha)
+    while cur in alg.roots:
+        p += 1
+        cur = _sub(cur, alpha)
+    return p
+
+
+def special_constants(alg) -> dict:
+    """N_{a,b} for positive a before b with a+b a root: p+1 on each sum's
+    extraspecial pair, the four-root relation on the others."""
+    order = alg.pos_index
+    pairs_by_sum: dict = {}
+    for a in alg.positives:
+        for b in alg.positives:
+            if order[a] < order[b]:
+                g = _add(a, b)
+                if g in alg.roots:
+                    pairs_by_sum.setdefault(g, []).append((a, b))
+    n: dict = {}
+    for g in sorted(pairs_by_sum, key=lambda r: (sum(r), order[r])):
+        pairs = sorted(pairs_by_sum[g], key=lambda p: order[p[0]])
+        e, h = pairs[0]  # extraspecial pair of g
+        n[(e, h)] = string_down(alg, h, e) + 1
+        for a, b in pairs[1:]:
+            # four-root relation on (e, h, -a, -b) with e+h = a+b = g
+            total = Fraction(0)
+            d1 = _sub(h, a)
+            if d1 in alg.roots:
+                total += (n_mixed(alg, n, h, _neg(a))
+                          * n_mixed(alg, n, e, _neg(b)) / alg._nsq[d1])
+            d2 = _sub(e, a)
+            if d2 in alg.roots:
+                total += (n_mixed(alg, n, _neg(a), e)
+                          * n_mixed(alg, n, h, _neg(b)) / alg._nsq[d2])
+            num = alg._nsq[g] * total / n[(e, h)]
+            if num.denominator != 1 or num == 0:
+                raise SignSolveFailure(f"non-integer constant at {a}+{b}")
+            n[(a, b)] = int(num)
+    return n
+
+
+def _n_pos(alg, n, a, b) -> int:
+    if alg.pos_index[a] < alg.pos_index[b]:
+        return n[(a, b)]
+    return -n[(b, a)]
+
+
+def n_mixed(alg, n, x, y) -> Fraction:
+    """N_{x,y} for any roots with x+y a root, from the special table n."""
+    xp, yp = sum(x) > 0, sum(y) > 0
+    if xp and yp:
+        return Fraction(_n_pos(alg, n, x, y))
+    if not xp and not yp:
+        return -n_mixed(alg, n, _neg(x), _neg(y))
+    if xp:  # y negative
+        b = _neg(y)
+        d = _sub(x, b)
+        if sum(d) > 0:
+            # zero-sum triple (x, -b, -d) gives
+            # N_{x,-b} = (d,d)/(x,x) * N_{-b,-d} = -(d,d)/(x,x) * N_{b,d}
+            return -alg._nsq[d] / alg._nsq[x] * _n_pos(alg, n, b, d)
+        # e = b - x positive; chaining the same identities gives
+        # N_{x,-b} = (e,e)/(b,b) * N_{e,x}
+        e = _neg(d)
+        return alg._nsq[e] / alg._nsq[b] * _n_pos(alg, n, e, x)
+    return -n_mixed(alg, n, y, x)
+
+
+def reference_n_table(alg) -> dict:
+    """N_{x,y} for every ordered pair of roots with x+y a root, from the
+    special constants: each positive pair a + c = g gives the mixed pairs
+    (g, -a) and (a, -g), both -(c,c)/(g,g) N_{a,c}.  Positive pairs come
+    first, in the enumeration order of (x, y)."""
+    order, n = alg.pos_index, special_constants(alg)
+    den = lcm(*(q.denominator for q in alg._nsq.values()))
+    w = {a: int(q * den) for a, q in alg._nsq.items()}
+    pos = dict(n)
+    pos.update({(b, a): -v for (a, b), v in n.items()})
+    table = dict(sorted(pos.items(),
+                        key=lambda kv: (order[kv[0][0]], order[kv[0][1]])))
+    mixed: dict = {}
+    for (a, c), v in table.items():
+        g = _add(a, c)
+        val, rem = divmod(-w[c] * v, w[g])
+        if rem:
+            raise SignSolveFailure(f"non-integer constant at {a}+{c}")
+        mixed[(g, _neg(a))] = mixed[(a, _neg(g))] = val
+    table.update({(_neg(x), _neg(y)): -v for (x, y), v in pos.items()})
+    table.update(mixed)
+    table.update({(y, x): -v for (x, y), v in mixed.items()})
+    return table
 
 
 def trace_killing(alg) -> list[list[tuple]]:

@@ -9,7 +9,8 @@ from ltskit.roots import RootSystem
 from ltskit.scalars import rat, sqrt
 
 from complex_route import compact_table
-from generic_route import trace_killing
+from generic_route import n_mixed, reference_n_table, special_constants, \
+    string_down, trace_killing
 
 _cache = {}
 
@@ -50,22 +51,30 @@ def test_n_magnitude_is_string_length():
         for y in a.positives:
             s = tuple(p + q for p, q in zip(x, y))
             if s in a.roots and x != y:
-                assert abs(a.n_constant(x, y)) == a._string_down(y, x) + 1
+                assert abs(a.n_constant(x, y)) == string_down(a, y, x) + 1
 
 
 @pytest.mark.parametrize("name, count", [
     ("A2", 12), ("G2", 60), ("F4", 816), ("E6", 1440)])
 def test_n_table_matches_mixed_rule(name, count):
-    # the table written in __init__ holds every ordered pair with x+y a
-    # root, each entry the integer of _n_mixed's Fraction chain
+    # the one-pass table holds every ordered pair with x+y a root, each
+    # entry the two-stage reference's integer and the value of its Fraction
+    # chain, and its positive pairs come first in the reference's order
     a = alg(name)
     pairs = [(x, y) for x in a.roots for y in a.roots
              if tuple(p + q for p, q in zip(x, y)) in a.roots]
     assert len(pairs) == count == len(a._n_table)
+    ref, special = reference_n_table(a), special_constants(a)
+    assert a._n_table == ref
     for x, y in pairs:
         n = a.n_constant(x, y)
         assert type(n) is int
-        assert n == a._n_mixed(x, y, a._n_special), (x, y)
+        assert n == ref[(x, y)] == n_mixed(a, special, x, y), (x, y)
+
+    def positive_pairs(table):
+        return [(x, y) for x, y in table if sum(x) > 0 < sum(y)]
+    first = positive_pairs(ref)
+    assert list(a._n_table)[:len(first)] == first == positive_pairs(a._n_table)
     for x in a.positives[:3]:
         neg = tuple(-c for c in x)
         for y in (x, neg):  # 2x and 0 are not roots

@@ -9,7 +9,7 @@ from ltskit.catalog import expected_rows, make_prototype
 from ltskit.linalg import (
     Span, combine, vec_add, vec_is_zero, vec_scale, vec_sub,
 )
-from ltskit.scalars import I, rat, sqrt
+from ltskit.scalars import I, ParseError, rat, sqrt
 from ltskit.spaces import NotInM, build_space
 
 
@@ -358,6 +358,38 @@ def test_rotation_rejects_non_isotropy_generator():
         lts.isotropy_rotate(sp, sp.sharp["l1"], sp.sharp["l2"])
 
 
+split_coeff = st.sampled_from([rat(1), rat(-2), rat(1, 2), sqrt(3)])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["EIII", "EIV"]), st.data())
+def test_sigma_decides_m_and_k(name, data):
+    # sum c_i m_i + sum d_j k_j lies in m exactly when every d_j is 0, and
+    # it generates a quarter turn only when every c_i is 0
+    sp = build_space(name)
+    cs = data.draw(st.dictionaries(st.integers(0, len(sp.m_rows) - 1),
+                                   split_coeff, max_size=3))
+    ds = data.draw(st.dictionaries(st.integers(0, len(sp.k_rows) - 1),
+                                   split_coeff, max_size=3))
+    v = [rat(0)] * sp.alg.dim
+    for rows, coeffs in ((sp.m_rows, cs), (sp.k_rows, ds)):
+        for i, c in coeffs.items():
+            v = vec_add(v, vec_scale(c, rows[i]))
+    assert sp.in_m(v) == (not ds)
+    zero = [rat(0)] * sp.alg.dim
+    if cs:
+        with pytest.raises(NotInM):
+            lts.isotropy_rotate(sp, v, zero)
+    else:
+        assert lts.isotropy_rotate(sp, v, zero) == zero
+
+
+def test_group_model_m_is_the_whole_algebra():
+    sp = build_space("G2group")
+    assert all(sp.in_m(sp.alg.basis_vec(k)) for k in range(sp.alg.dim))
+    assert not sp.in_m(sp.alg.zero()[1:])
+
+
 coeff = st.integers(min_value=-2, max_value=2)
 
 
@@ -452,13 +484,13 @@ def test_parse_vector_signs_and_nesting():
 
 
 def test_parse_subspace_errors():
-    with pytest.raises(lts.SubspaceFormatError):
+    with pytest.raises(ParseError):
         lts.parse_subspace("")
-    with pytest.raises(lts.SubspaceFormatError):
+    with pytest.raises(ParseError):
         lts.parse_subspace("EIII\nM[l9](1)\n")
-    with pytest.raises(lts.SubspaceFormatError):
+    with pytest.raises(ParseError):
         lts.parse_subspace("EIII\nM[l1](1, 0, 0\n")
-    with pytest.raises(lts.SubspaceFormatError):
+    with pytest.raises(ParseError):
         lts.parse_subspace("EIII\nfoo(1)\n")
     with pytest.raises(ValueError):
         lts.parse_subspace("E9\na(1, 0)\n")

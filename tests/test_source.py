@@ -34,3 +34,64 @@ def test_unused_imports_finds_unread_names():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__") and name != "_"
+
+
+def dead_private_names(sources: dict[str, str]) -> list[str]:
+    """Private functions, classes, methods and module-level assignments
+    (``_name``) of the given modules that no module reads outside the
+    definition itself; a name imported by ``from ... import`` counts as
+    read."""
+    defs: list[tuple[str, str, int, int]] = []
+    reads: dict[str, list[tuple[str, int]]] = {}
+    for path, source in sources.items():
+        tree = ast.parse(source)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)) and _is_private(node.name):
+                defs.append((path, node.name, node.lineno, node.end_lineno))
+            if isinstance(node, ast.Name) and not isinstance(node.ctx,
+                                                             ast.Store):
+                reads.setdefault(node.id, []).append((path, node.lineno))
+            elif isinstance(node, ast.Attribute) and not isinstance(
+                    node.ctx, ast.Store):
+                reads.setdefault(node.attr, []).append((path, node.lineno))
+            elif isinstance(node, ast.ImportFrom):
+                for alias in node.names:
+                    reads.setdefault(alias.name, []).append(
+                        (path, node.lineno))
+        for node in tree.body:
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(
+                           node, (ast.AnnAssign, ast.AugAssign)) else [])
+            for t in targets:
+                if isinstance(t, ast.Name) and _is_private(t.id):
+                    defs.append((path, t.id, node.lineno, node.end_lineno))
+    return sorted(
+        f"{path}: {name} (line {start})" for path, name, start, end in defs
+        if not any(p != path or not start <= line <= end
+                   for p, line in reads.get(name, ())))
+
+
+def test_dead_private_names_finds_unread_definitions():
+    sources = {
+        "a.py": ("_LIMIT = 3\n_UNUSED: int = 4\n"
+                 "def _used():\n    return _LIMIT\n"
+                 "def _recursive(n):\n    return _recursive(n - 1)\n"
+                 "class _Box:\n    def _peek(self):\n        return 1\n"
+                 "    def __len__(self):\n        return 0\n"
+                 "print(_used())\n"),
+        "b.py": "from a import _Box\n",
+    }
+    assert dead_private_names(sources) == [
+        "a.py: _UNUSED (line 2)", "a.py: _peek (line 8)",
+        "a.py: _recursive (line 5)"]
+
+
+def test_no_dead_private_names():
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted(SRC.glob("*.py"))}
+    assert dead_private_names(sources) == []
