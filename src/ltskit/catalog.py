@@ -22,7 +22,7 @@ data, checked exactly with no floating point.  They hold two kinds of row:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
 from math import gcd
@@ -30,6 +30,7 @@ from typing import Callable, Iterable, Sequence
 
 from .linalg import Vec, combine, coordinates, vec_add, vec_scale
 from .lts import Subspace, analyze, intersect_spans, is_lts, isotropy_rotate
+from .report import CatalogReport, ReportRow
 from .scalars import I, ONE, ParseError, Parser, Scalar, ZERO, rat, sqrt
 from .spaces import SpaceModel, build_space
 
@@ -493,60 +494,6 @@ def make_prototype(sp: SpaceModel, label: TypeLabel | str) -> Subspace:
         raise UnknownLabel(f"{label.text} belongs to {label.space}")
     vecs = _PROTO[sp.name](sp, label.parts)
     return Subspace(sp, vecs)
-
-
-# -- report plumbing -------------------------------------------------------
-
-
-@dataclass
-class ReportRow:
-    label: str
-    status: str  # PASS | FAIL | SKIPPED
-    expected: dict = field(default_factory=dict)
-    computed: dict = field(default_factory=dict)
-    certificate: str = ""
-
-    def as_json(self) -> dict:
-        return {"label": self.label, "expected": self.expected,
-                "computed": self.computed, "status": self.status,
-                "certificate": self.certificate}
-
-
-@dataclass
-class CatalogReport:
-    space: str
-    kind: str
-    rows: list[ReportRow] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return all(r.status != "FAIL" for r in self.rows)
-
-    def counts(self) -> dict[str, int]:
-        out = {"PASS": 0, "FAIL": 0, "SKIPPED": 0}
-        for r in self.rows:
-            out[r.status] += 1
-        return out
-
-    def as_json(self) -> dict:
-        return {"space": self.space, "kind": self.kind,
-                "rows": [r.as_json() for r in self.rows],
-                "counts": self.counts()}
-
-    def as_markdown(self) -> str:
-        lines = [f"## {self.space} {self.kind}", "",
-                 "| label | status | expected | computed | note |",
-                 "|---|---|---|---|---|"]
-        for r in self.rows:
-            exp = "; ".join(f"{k}={v}" for k, v in r.expected.items())
-            got = "; ".join(f"{k}={v}" for k, v in r.computed.items())
-            lines.append(
-                f"| `{r.label}` | {r.status} | {exp} | {got} "
-                f"| {r.certificate} |")
-        c = self.counts()
-        lines += ["", f"{c['PASS']} passed, {c['FAIL']} failed, "
-                      f"{c['SKIPPED']} skipped."]
-        return "\n".join(lines)
 
 
 # -- expected invariants ---------------------------------------------------

@@ -23,6 +23,7 @@ from operator import ne
 from typing import Callable, Iterable, Sequence
 
 from . import linalg
+from .report import CatalogReport, ReportRow
 from .scalars import rat
 
 
@@ -1325,19 +1326,17 @@ def cartan_map(inst: CartanInstance, g) -> list:
     return mat_mul(inst.sigma(g), inst.inverse(g))
 
 
-def add_row(rep: "CatalogReport", label: str, ok: bool,
+def add_row(rep: CatalogReport, label: str, ok: bool,
             computed: dict | None = None) -> None:
     """Append a PASS or FAIL row to a verification report."""
-    from .catalog import ReportRow
     rep.rows.append(ReportRow(label=label, status="PASS" if ok else "FAIL",
                               computed=computed or {}))
 
 
 def cartan_map_check(name: str,
-                     extra_samples: Sequence = ()) -> "CatalogReport":
+                     extra_samples: Sequence = ()) -> CatalogReport:
     """Verify the defining identities of the Cartan map on exact samples of
     the given matrix-group instance."""
-    from .catalog import CatalogReport
     inst = cartan_instance(name)
     ident = [list(r) for r in inst.identity]
     samples = list(inst.samples) + [
@@ -1395,10 +1394,9 @@ def _u5_sample_matrices():
     )
 
 
-def so10_constructions() -> "CatalogReport":
+def so10_constructions() -> CatalogReport:
     """Verify the polar-geodesic, stabilizer, meridian and diagonal-orthogonal
     constructions in the real 10-dimensional orthogonal model."""
-    from .catalog import CatalogReport
     rep = CatalogReport("so10-model", "verification")
     row = partial(add_row, rep)
 
@@ -1618,12 +1616,11 @@ def parse_rational_matrix_file(text: str) -> list:
 
 
 def verify_models(seed: int = 0, extra_orthogonal_samples: Sequence = ()) \
-        -> "CatalogReport":
+        -> CatalogReport:
     """Run the whole battery of exact model checks: octonion algebra laws,
     the automorphism kernel, the projective variety and its involutions, the
     three equivariant embeddings, invariance of the Hermitian pairing, the
     real orthogonal polar/meridian constructions and the Cartan maps."""
-    from .catalog import CatalogReport
     rep = CatalogReport("models", "verification")
     row = partial(add_row, rep)
 

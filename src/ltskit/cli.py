@@ -17,30 +17,19 @@ Exit codes: 0 when every requested check is PASS or SKIPPED, 1 when any
 check FAILs, 2 on malformed input (unknown names, bad expressions or files).
 JSON output is an envelope {command, status, data} validating against the
 shipped schema (schemas/report.schema.json).
+
+Each verb imports the sweep modules it runs (``catalog``, ``lts``, ``cayley``)
+in its own body, so a cold command compiles and loads only those.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
 import sys
-from importlib import resources
 
-from .catalog import (
-    CatalogReport,
-    ReportRow,
-    UnknownLabel,
-    derived_hosts,
-    geodesic_length,
-    parse_flat_vector,
-    verify_catalog,
-    verify_containments,
-    verify_derived,
-)
 from .chevalley import is_negative_definite
 from .linalg import Span, vec_is_zero
-from .lts import analyze, parse_subspace, parse_vector
+from .report import CatalogReport, ReportRow
 from .scalars import rat
 from .spaces import (
     REFERENCE_METRIC_RATIO,
@@ -68,6 +57,7 @@ EXPECTED_MULTS = {
 
 def schema_text() -> str:
     """The shipped JSON schema for report envelopes."""
+    from importlib import resources
     return (resources.files("ltskit") / "schemas" /
             "report.schema.json").read_text()
 
@@ -240,6 +230,7 @@ def _emit_report(args, command: str, rep: CatalogReport) -> int:
 
 
 def _print_json(command: str, status: str, data: dict) -> None:
+    import json
     print(json.dumps({"command": command, "status": status, "data": data},
                      indent=2, sort_keys=True))
 
@@ -281,16 +272,19 @@ def cmd_space_verify(args) -> int:
 
 
 def cmd_catalog_verify(args) -> int:
+    from .catalog import verify_catalog
     return _emit_report(args, "catalog verify",
                         verify_catalog(_space(args.name), seed=args.seed))
 
 
 def cmd_catalog_containments(args) -> int:
+    from .catalog import verify_containments
     return _emit_report(args, "catalog containments",
                         verify_containments(_space(args.name), seed=args.seed))
 
 
 def cmd_catalog_derived(args) -> int:
+    from .catalog import derived_hosts, verify_derived
     _space_name(args.name)
     hosts = derived_hosts()
     if args.host not in hosts:
@@ -305,6 +299,7 @@ def cmd_catalog_derived(args) -> int:
 
 
 def cmd_lts_check(args) -> int:
+    from .lts import analyze, parse_subspace
     text = _read_file(args.file)
     try:
         S = parse_subspace(text)
@@ -320,6 +315,7 @@ def cmd_lts_check(args) -> int:
 
 
 def cmd_curvature_eval(args) -> int:
+    from .lts import parse_vector
     sp = _space(args.name)
     try:
         x, y, z = (parse_vector(sp, v) for v in (args.x, args.y, args.z))
@@ -355,6 +351,7 @@ def cmd_curvature_eval(args) -> int:
 
 
 def cmd_geodesic_length(args) -> int:
+    from .catalog import UnknownLabel, geodesic_length, parse_flat_vector
     sp = _space(args.space)
     try:
         H = parse_flat_vector(sp, args.H)
@@ -415,7 +412,9 @@ def _env_int(var: str, fallback: int) -> int:
         raise ParseError(f"{var} must be an integer, got {raw!r}") from exc
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    """The ``ltskit`` argument parser."""
+    import argparse
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("markdown", "json"),
                         default="markdown", help="report format")

@@ -1,0 +1,62 @@
+"""Verification reports: rows with expected and computed data, rendered as
+JSON or markdown.
+
+Every sweep (catalog, foundations, models) returns a ``CatalogReport``.  This
+module imports only the standard library, so a command loads the report
+types without the sweeps it does not run.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+
+
+@dataclass
+class ReportRow:
+    label: str
+    status: str  # PASS | FAIL | SKIPPED
+    expected: dict = field(default_factory=dict)
+    computed: dict = field(default_factory=dict)
+    certificate: str = ""
+
+    def as_json(self) -> dict:
+        return {"label": self.label, "expected": self.expected,
+                "computed": self.computed, "status": self.status,
+                "certificate": self.certificate}
+
+
+@dataclass
+class CatalogReport:
+    space: str
+    kind: str
+    rows: list[ReportRow] = field(default_factory=list)
+
+    @property
+    def ok(self) -> bool:
+        return all(r.status != "FAIL" for r in self.rows)
+
+    def counts(self) -> dict[str, int]:
+        out = {"PASS": 0, "FAIL": 0, "SKIPPED": 0}
+        for r in self.rows:
+            out[r.status] += 1
+        return out
+
+    def as_json(self) -> dict:
+        return {"space": self.space, "kind": self.kind,
+                "rows": [r.as_json() for r in self.rows],
+                "counts": self.counts()}
+
+    def as_markdown(self) -> str:
+        lines = [f"## {self.space} {self.kind}", "",
+                 "| label | status | expected | computed | note |",
+                 "|---|---|---|---|---|"]
+        for r in self.rows:
+            exp = "; ".join(f"{k}={v}" for k, v in r.expected.items())
+            got = "; ".join(f"{k}={v}" for k, v in r.computed.items())
+            lines.append(
+                f"| `{r.label}` | {r.status} | {exp} | {got} "
+                f"| {r.certificate} |")
+        c = self.counts()
+        lines += ["", f"{c['PASS']} passed, {c['FAIL']} failed, "
+                      f"{c['SKIPPED']} skipped."]
+        return "\n".join(lines)

@@ -13,9 +13,9 @@ zero returns at once, and two single-term operands (rationals, elements of
 Q(i), or one radical each) combine directly into a result built without
 __init__'s cleaning.  inv of an element of Q(i) is conj/|z|^2.
 
-There is a float view for report formatting only; no decision anywhere in
-the package is made from floats.  The sign of a real scalar (scalar_sign)
-is decided exactly, from rational isqrt enclosures of the radicals.
+Scalars have no float view, and no decision anywhere in the package is
+made from floats.  The sign of a real scalar (scalar_sign) is decided
+exactly, from rational isqrt enclosures of the radicals.
 """
 
 from __future__ import annotations
@@ -117,17 +117,6 @@ class Scalar:
 
     def is_real(self) -> bool:
         return all(not im_ for _, im_ in self._terms.values())
-
-    def __float__(self) -> float:
-        if not self.is_real():
-            raise ValueError("complex scalar has no float view")
-        return float(sum(float(re_) * math.sqrt(d) for d, (re_, _) in self._terms.items()))
-
-    def to_complex(self) -> complex:
-        out = 0j
-        for d, (re_, im_) in self._terms.items():
-            out += complex(float(re_), float(im_)) * math.sqrt(d)
-        return out
 
     # -- arithmetic --------------------------------------------------------
 

@@ -540,11 +540,18 @@ class SpaceModel:
 
     def in_m(self, v: Sequence[Scalar]) -> bool:
         """sigma v = -v; on the group model, where m is the whole algebra,
-        every vector of its length."""
+        every vector of its length.  v + sigma v is summed from sigma's
+        sparse columns over the nonzero entries of v only, and held on the
+        union of the supports of v and sigma v."""
         if len(v) != self.alg.dim:
             return False
-        return self.sigma_roots is None or vec_is_zero(
-            vec_add(self.apply_sigma(v), v))
+        if self.sigma_roots is None:
+            return True
+        acc = {k: c for k, c in enumerate(v) if c}
+        for k, c in list(acc.items()):
+            for i, w in self._sigma_cols[k]:
+                acc[i] = acc.get(i, ZERO) + w * c
+        return not any(acc.values())
 
     # -- geometry ----------------------------------------------------------
 

@@ -8,20 +8,38 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src" / "ltskit"
 
 
+def _imports_by_scope(node: ast.AST, scope: ast.AST, out: list) -> None:
+    """Append (scope, import node) for every import under ``node``; the
+    scope of an import is its innermost enclosing function, or the module."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            _imports_by_scope(child, child, out)
+            continue
+        if isinstance(child, (ast.Import, ast.ImportFrom)):
+            out.append((scope, child))
+        _imports_by_scope(child, scope, out)
+
+
 def unused_imports(source: str) -> list[str]:
-    """Names that a module imports (``__future__`` aside) and never reads."""
+    """Names that a module imports (``__future__`` aside) and never reads.
+    A module-level import may be read anywhere in the module; an import
+    inside a function must be read in that function."""
     tree = ast.parse(source)
-    imported: dict[str, int] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
-        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-            for alias in node.names:
-                imported[alias.asname or alias.name] = node.lineno
-    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    return [f"{name} (line {line})" for name, line in sorted(imported.items())
-            if name not in read]
+    found: list = []
+    _imports_by_scope(tree, tree, found)
+    reads: dict[ast.AST, set[str]] = {}
+    unused: list[tuple[str, int]] = []
+    for scope, node in found:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if scope not in reads:
+            reads[scope] = {n.id for n in ast.walk(scope)
+                            if isinstance(n, ast.Name)}
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            if name not in reads[scope]:
+                unused.append((name, node.lineno))
+    return [f"{name} (line {line})" for name, line in sorted(unused)]
 
 
 def test_unused_imports_finds_unread_names():
@@ -29,6 +47,13 @@ def test_unused_imports_finds_unread_names():
               "import re as regex\nfrom math import isqrt, pi\nprint(pi)\n")
     assert unused_imports(source) == [
         "isqrt (line 4)", "os (line 2)", "regex (line 3)"]
+    # a function's import is checked against that function's reads only
+    source = ("import sys\n"
+              "def f():\n    import json\n    return 1\n"
+              "def g(json):\n    return json, sys\n"
+              "def h():\n    from math import pi\n"
+              "    def inner():\n        return pi\n    return inner\n")
+    assert unused_imports(source) == ["json (line 3)"]
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
