@@ -60,7 +60,7 @@ def _frac(value) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CNum:
     """An exact complex number ``re + I*im`` over the rationals.
 
@@ -77,30 +77,30 @@ class CNum:
         object.__setattr__(self, "im", _frac(self.im))
 
     def __add__(self, other: "CNum") -> "CNum":
-        return CNum(self.re + other.re, self.im + other.im)
+        return _cnum(self.re + other.re, self.im + other.im)
 
     def __sub__(self, other: "CNum") -> "CNum":
-        return CNum(self.re - other.re, self.im - other.im)
+        return _cnum(self.re - other.re, self.im - other.im)
 
     def __neg__(self) -> "CNum":
-        return CNum(-self.re, -self.im)
+        return _cnum(-self.re, -self.im)
 
     def __mul__(self, other: "CNum") -> "CNum":
-        return CNum(self.re * other.re - self.im * other.im,
-                    self.re * other.im + self.im * other.re)
+        return _cnum(self.re * other.re - self.im * other.im,
+                     self.re * other.im + self.im * other.re)
 
     def __truediv__(self, other: "CNum") -> "CNum":
         n = other.re * other.re + other.im * other.im
         if n == 0:
             raise ZeroDivisionError("division by zero complex number")
-        return CNum((self.re * other.re + self.im * other.im) / n,
-                    (self.im * other.re - self.re * other.im) / n)
+        return _cnum((self.re * other.re + self.im * other.im) / n,
+                     (self.im * other.re - self.re * other.im) / n)
 
     def conj(self) -> "CNum":
-        return CNum(self.re, -self.im)
+        return _cnum(self.re, -self.im)
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not (self.re or self.im)
 
     def coords(self) -> tuple:
         return (self.re, self.im)
@@ -110,13 +110,20 @@ class CNum:
         return f"{self.re} {sign} {abs(self.im)}*I"
 
 
+_set_re, _set_im = CNum.re.__set__, CNum.im.__set__
+
+
+def _cnum(re: Fraction, im: Fraction) -> CNum:
+    """A CNum from two Fractions, skipping __post_init__'s conversions."""
+    x = object.__new__(CNum)
+    _set_re(x, re)
+    _set_im(x, im)
+    return x
+
+
 C_ZERO = CNum()
 C_ONE = CNum(1)
 C_I = CNum(0, 1)
-
-
-def cnum(re, im=0) -> CNum:
-    return CNum(_frac(re), _frac(im))
 
 
 # ---------------------------------------------------------------------------
@@ -192,10 +199,6 @@ Q_I = Quaternion(0, 1)
 Q_J = Quaternion(0, 0, 1)
 Q_K = Quaternion(0, 0, 0, 1)
 QUAT_BASIS = (Q_ONE, Q_I, Q_J, Q_K)
-
-
-def quat(w, x=0, y=0, z=0) -> Quaternion:
-    return Quaternion(_frac(w), _frac(x), _frac(y), _frac(z))
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +540,8 @@ class ProjPoint:
 
     The representative is canonicalized by dividing out the first nonzero
     complex coordinate, so equality and hashing are exact and
-    scaling-invariant.
+    scaling-invariant.  The pivot is inverted once, and the zero coordinates
+    are left as they are.
     """
 
     coords: tuple
@@ -548,7 +552,8 @@ class ProjPoint:
         pivot = next((c for c in raw if not c.is_zero()), None)
         if pivot is None:
             raise ZeroElement("the zero element has no projective class")
-        return ProjPoint(tuple(c / pivot for c in raw))
+        inv = C_ONE / pivot
+        return ProjPoint(tuple(c if c.is_zero() else c * inv for c in raw))
 
     def element(self) -> JordanElement:
         return JordanElement.from_coords(self.coords)
@@ -697,10 +702,6 @@ def mat_mul(A, B):
     return out
 
 
-def mat_add(A, B):
-    return [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
 def mat_neg(A):
     return [[-a for a in row] for row in A]
 
@@ -715,10 +716,6 @@ def mat_transpose(A):
 
 def mat_eq(A, B) -> bool:
     return all(a == b for ra, rb in zip(A, B) for a, b in zip(ra, rb))
-
-
-def mat_scale(c, A):
-    return [[c * a for a in row] for row in A]
 
 
 def mat_apply(A, v) -> tuple:
@@ -892,10 +889,11 @@ def Phi_su6(A) -> list:
 
 def su6_check(A) -> bool:
     """Exact unitarity and determinant-free sanity for a 6x6 matrix over the
-    internal complex numbers (bicomplex entries with zero I-part)."""
+    internal complex numbers (bicomplex entries with zero I-part), tested on
+    the ``re`` parts: the I-free entries form a subring isomorphic to CNum."""
     if any(not a.im.is_zero() for row in A for a in row):
         return False
-    return is_unitary(A, BC_ONE)
+    return is_unitary(mat_map(lambda a: a.re, A), C_ONE)
 
 
 def f_su6_action(b: Quaternion, A, J: JordanElement) -> JordanElement:
@@ -1158,19 +1156,28 @@ def polar_generator(k: int) -> list:
     return _from_half_blocks(J, frac_zero(5, 5), frac_zero(5, 5), mat_neg(J))
 
 
-_QUARTER_SIN_COS = {0: (0, 1), 1: (1, 0), 2: (0, -1), 3: (-1, 0)}
+_QUARTER_SIN_COS = ((0, 1), (1, 0), (0, -1), (-1, 0))  # (sin, cos) at n*pi/2
+
+
+def _quarter_turns(X) -> tuple:
+    """(X**3 == -X, the table of exp(t X) at t = n*pi/2 for n = 0..3), from
+    one square of X: exp(tX) = id + sin(t) X + (1 - cos(t)) X**2 holds when
+    the flag does."""
+    X2 = mat_mul(X, X)
+    cubes = mat_eq(mat_mul(X, X2), mat_neg(X))
+    return cubes, [[[int(i == j) + s * x + (1 - c) * x2
+                     for j, (x, x2) in enumerate(zip(row, row2))]
+                    for i, (row, row2) in enumerate(zip(X, X2))]
+                   for s, c in _QUARTER_SIN_COS]
 
 
 def exp_quarter_turns(X, n: int) -> list:
     """The exact matrix exponential exp(t X) at t = n*pi/2 for a matrix
     satisfying X**3 = -X, via exp(tX) = id + sin(t) X + (1 - cos(t)) X**2."""
-    X3 = mat_mul(X, mat_mul(X, X))
-    if not mat_eq(X3, mat_neg(X)):
+    cubes, table = _quarter_turns(X)
+    if not cubes:
         raise ValueError("the generator must satisfy X**3 == -X")
-    s, c = _QUARTER_SIN_COS[n % 4]
-    out = mat_add(identity(len(X), Fraction(1)),
-                  mat_scale(Fraction(s), X))
-    return mat_add(out, mat_scale(Fraction(1 - c), mat_mul(X, X)))
+    return table[n % 4]
 
 
 def _preserves_coordinate_span(g, indices) -> bool:
@@ -1184,10 +1191,15 @@ def polar_stabilizer_criterion(k: int, U) -> tuple:
     the pair (S**-1 g S lies in the unitary subgroup, g preserves the
     complexified span of the first 2k coordinates); the polar stabilizer
     criterion asserts these are equal."""
+    return _polar_stabilizer_criterion(
+        k, U, exp_quarter_turns(polar_generator(k), 1))
+
+
+def _polar_stabilizer_criterion(k: int, U, S) -> tuple:
+    """The criterion, given the polar midpoint ``S`` of generator k."""
     g = complex_to_real10(U)
     if not unitary_member(g):
         raise NotUnit("expected an exact unitary 5x5 matrix")
-    S = exp_quarter_turns(polar_generator(k), 1)
     conj = mat_mul(mat_transpose(S), mat_mul(g, S))
     fixes = unitary_member(conj)
     preserves = _preserves_coordinate_span(
@@ -1352,19 +1364,20 @@ def cartan_map_check(name: str,
         all(mat_eq(cartan_map(inst, k), ident)
             for k in inst.fixed_samples),
         {"fixed_samples": len(inst.fixed_samples)})
+    images = [cartan_map(inst, g) for g in samples]
     row("right-coset-invariance",
-        all(mat_eq(cartan_map(inst, mat_mul(g, k)), cartan_map(inst, g))
-            for g in samples for k in inst.fixed_samples),
+        all(mat_eq(cartan_map(inst, mat_mul(g, k)), image)
+            for g, image in zip(samples, images) for k in inst.fixed_samples),
         {"pairs": len(samples) * len(inst.fixed_samples)})
     row("image-in-group",
-        all(inst.in_group(cartan_map(inst, g)) for g in samples),
+        all(inst.in_group(image) for image in images),
         {"samples": len(samples)})
     row("antisymmetry",
-        all(mat_eq(inst.sigma(cartan_map(inst, g)),
-                   inst.inverse(cartan_map(inst, g))) for g in samples),
+        all(mat_eq(inst.sigma(image), inst.inverse(image))
+            for image in images),
         {"samples": len(samples)})
     row("nondegenerate-on-samples",
-        any(not mat_eq(cartan_map(inst, g), ident) for g in samples), {})
+        any(not mat_eq(image, ident) for image in images), {})
     return rep
 
 
@@ -1400,17 +1413,17 @@ def so10_constructions() -> CatalogReport:
     rep = CatalogReport("so10-model", "verification")
     row = partial(add_row, rep)
 
+    u5 = _u5_sample_matrices()
     for k in (1, 2):
         X = polar_generator(k)
         J = partial_complex_structure(k)
-        ok_gen = tangent_member(X) and \
-            mat_eq(mat_mul(X, mat_mul(X, X)), mat_neg(X))
-        row(f"k={k}:generator-in-tangent-space", ok_gen, {})
+        cubes, turns = _quarter_turns(X)
+        row(f"k={k}:generator-in-tangent-space",
+            tangent_member(X) and cubes, {})
 
-        ok_exp = True
-        for n in range(4):
-            E = exp_quarter_turns(X, n)
-            s, c = _QUARTER_SIN_COS[n % 4]
+        turn_ok = []
+        for (s, c), E in zip(_QUARTER_SIN_COS, turns):
+            ok = True
             for m in range(5):
                 col = [E[r][m] for r in range(10)]
                 icol = [E[r][5 + m] for r in range(10)]
@@ -1425,32 +1438,21 @@ def so10_constructions() -> CatalogReport:
                 else:
                     expect[m] = Fraction(1)
                     iexpect[5 + m] = Fraction(1)
-                ok_exp = ok_exp and col == expect and icol == iexpect
-        row(f"k={k}:exponential-action-formulas", ok_exp, {"turns": 4})
+                ok = ok and col == expect and icol == iexpect
+            turn_ok.append(ok)
+        row(f"k={k}:exponential-action-formulas", all(turn_ok), {"turns": 4})
 
-        periods = [unitary_member(exp_quarter_turns(X, n)) for n in range(5)]
+        members = [unitary_member(E) for E in turns]
+        periods = [members[n % 4] for n in range(5)]
         row(f"k={k}:geodesic-period-pi",
             periods == [True, False, True, False, True],
             {"membership_by_quarter_turn": periods})
 
-        S = exp_quarter_turns(X, 1)
-        ok_S = True
-        for m in range(5):
-            col = [S[r][m] for r in range(10)]
-            icol = [S[r][5 + m] for r in range(10)]
-            if m < 2 * k:
-                expect = [J[r][m] for r in range(5)] + [Fraction(0)] * 5
-                iexpect = [Fraction(0)] * 5 + [-J[r][m] for r in range(5)]
-            else:
-                expect = [Fraction(0)] * 10
-                expect[m] = Fraction(1)
-                iexpect = [Fraction(0)] * 10
-                iexpect[5 + m] = Fraction(1)
-            ok_S = ok_S and col == expect and icol == iexpect
-        row(f"k={k}:polar-midpoint-relations", ok_S, {})
+        # S e_m = J e_m and S(i e_m) = -i J e_m (m < 2k): the formulas at n=1
+        S = turns[1]
+        row(f"k={k}:polar-midpoint-relations", turn_ok[1], {})
 
-        pairs = [polar_stabilizer_criterion(k, U)
-                 for U in _u5_sample_matrices()]
+        pairs = [_polar_stabilizer_criterion(k, U, S) for U in u5]
         row(f"k={k}:stabilizer-criterion",
             all(a == b for a, b in pairs)
             and any(a for a, _ in pairs) and any(not a for a, _ in pairs),
@@ -1651,18 +1653,21 @@ def verify_models(seed: int = 0, extra_orthogonal_samples: Sequence = ()) \
             for g1, g2 in g_pairs for x in OCT_BASIS for y in OCT_BASIS),
         {"group_elements": len(g_pairs), "basis_pairs": 64})
 
-    su6 = [cnum_matrix_to_bc(A) for A in _su6_sample_matrices()]
+    raw6 = _su6_sample_matrices()
+    su6 = [cnum_matrix_to_bc(A) for A in raw6]
     sp1 = PYTHAGOREAN_QUATERNIONS
     sp4 = _sp4_sample_matrices()
     planes = _complex_plane_samples()
     vectors = _complex_vector_samples()
     qplanes = _quaternionic_plane_samples()
 
-    points = [P0]
-    points += [embed_f1(u1, u2) for u1, u2 in planes]
-    points += [embed_f2(b, complex6_to_quat3(v))
-               for b in sp1[:2] for v in vectors]
-    points += [embed_f_quaternionic(u1, u2) for u1, u2 in qplanes]
+    # each sample is embedded once; unit_lines holds the b = 1 points
+    plane_pts = [embed_f1(u1, u2) for u1, u2 in planes]
+    unit_lines = [(v, embed_f2(Q_ONE, complex6_to_quat3(v))) for v in vectors]
+    line_pts = [pt for _, pt in unit_lines] + [
+        embed_f2(sp1[1], complex6_to_quat3(v)) for v in vectors]
+    quat_pts = [embed_f_quaternionic(u1, u2) for u1, u2 in qplanes]
+    points = [P0, *plane_pts, *line_pts, *quat_pts]
     row("variety-membership-of-samples",
         all(proj_member(pt) for pt in points), {"points": len(points)})
     row("involution-fixes-base-point",
@@ -1679,64 +1684,54 @@ def verify_models(seed: int = 0, extra_orthogonal_samples: Sequence = ()) \
         {"points": len(points)})
 
     e6 = identity(6, C_ONE)
-    row("plane-embedding-base-point",
-        embed_f1(tuple(e6[0]), tuple(e6[1])) == P0, {})
+    base_plane = embed_f1(tuple(e6[0]), tuple(e6[1]))
+    row("plane-embedding-base-point", base_plane == P0, {})
     ok_eq1 = all(
-        f_su6_proj(Q_ONE, A, embed_f1(u1, u2))
+        f_su6_proj(Q_ONE, A, pt)
         == embed_f1(mat_apply(raw, u1), mat_apply(raw, u2))
-        for raw, A in zip(_su6_sample_matrices(), su6)
-        for u1, u2 in planes)
+        for raw, A in zip(raw6, su6)
+        for (u1, u2), pt in zip(planes, plane_pts))
     row("plane-embedding-equivariance", ok_eq1,
         {"group_elements": len(su6), "planes": len(planes)})
     row("plane-embedding-gamma-fixed",
-        all(involution_gamma(embed_f1(u1, u2)) == embed_f1(u1, u2)
-            for u1, u2 in planes), {})
+        all(involution_gamma(pt) == pt for pt in plane_pts), {})
     row("plane-embedding-basis-independence",
-        embed_f1(tuple(e6[1]), tuple(e6[0]))
-        == embed_f1(tuple(e6[0]), tuple(e6[1])), {})
+        embed_f1(tuple(e6[1]), tuple(e6[0])) == base_plane, {})
 
     quoted = ProjPoint.of(JordanElement.make(
         (C_ZERO, C_ZERO, C_ZERO), (OC_EPS_E, OC_ZERO, OC_ZERO)))
-    row("line-embedding-base-point",
-        embed_f2(Q_ONE, complex6_to_quat3(vectors[0])) == quoted, {})
+    row("line-embedding-base-point", unit_lines[0][1] == quoted, {})
     scalings = (C_I, CNum(2), CNum(1, 1))
     row("line-embedding-well-defined",
         all(embed_f2(Q_ONE, complex6_to_quat3(tuple(z * c for c in v)))
-            == embed_f2(Q_ONE, complex6_to_quat3(v))
-            for v in vectors for z in scalings)
-        and all(embed_f2(z, complex6_to_quat3(v))
-                == embed_f2(Q_ONE, complex6_to_quat3(v))
-                for v in vectors
+            == pt for v, pt in unit_lines for z in scalings)
+        and all(embed_f2(z, complex6_to_quat3(v)) == pt
+                for v, pt in unit_lines
                 for z in (Q_I, Quaternion(Fraction(3, 5), Fraction(4, 5)))),
         {"vector_scalings": len(scalings)})
     ok_eq2 = all(
-        f_su6_proj(b, A, embed_f2(Q_ONE, complex6_to_quat3(v)))
+        f_su6_proj(b, A, pt)
         == embed_f2(b, complex6_to_quat3(mat_apply(raw, v)))
-        for raw, A in zip(_su6_sample_matrices(), su6)
-        for b in sp1 for v in vectors)
+        for raw, A in zip(raw6, su6) for b in sp1 for v, pt in unit_lines)
     row("line-embedding-equivariance", ok_eq2,
         {"group_elements": len(su6) * len(sp1), "vectors": len(vectors)})
     row("line-embedding-gamma-fixed",
-        all(involution_gamma(embed_f2(b, complex6_to_quat3(v)))
-            == embed_f2(b, complex6_to_quat3(v))
-            for b in sp1[:2] for v in vectors), {})
+        all(involution_gamma(pt) == pt for pt in line_pts), {})
 
     e4 = identity(4, Q_ONE)
-    row("quaternionic-embedding-base-point",
-        embed_f_quaternionic(tuple(e4[0]), tuple(e4[1])) == P0, {})
+    base_qplane = embed_f_quaternionic(tuple(e4[0]), tuple(e4[1]))
+    row("quaternionic-embedding-base-point", base_qplane == P0, {})
     row("quaternionic-embedding-complement-fiber",
-        embed_f_quaternionic(tuple(e4[2]), tuple(e4[3]))
-        == embed_f_quaternionic(tuple(e4[0]), tuple(e4[1])), {})
+        embed_f_quaternionic(tuple(e4[2]), tuple(e4[3])) == base_qplane, {})
     ok_eq3 = all(
-        f_sp4_proj(B, embed_f_quaternionic(u1, u2))
+        f_sp4_proj(B, pt)
         == embed_f_quaternionic(mat_apply(B, u1), mat_apply(B, u2))
-        for B in sp4 for u1, u2 in qplanes)
+        for B in sp4 for (u1, u2), pt in zip(qplanes, quat_pts))
     row("quaternionic-embedding-equivariance", ok_eq3,
         {"group_elements": len(sp4), "planes": len(qplanes)})
     lam_gam = lambda pt: involution_lambda(involution_gamma(pt))
     row("quaternionic-embedding-conjugation-fixed",
-        all(lam_gam(embed_f_quaternionic(u1, u2))
-            == embed_f_quaternionic(u1, u2) for u1, u2 in qplanes), {})
+        all(lam_gam(pt) == pt for pt in quat_pts), {})
     row("symplectic-action-commutes-with-conjugation",
         all(lam_gam(f_sp4_proj(B, pt)) == f_sp4_proj(B, lam_gam(pt))
             for B in sp4[:3] for pt in points[:4]), {})

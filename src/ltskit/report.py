@@ -3,7 +3,8 @@ JSON or markdown.
 
 Every sweep (catalog, foundations, models) returns a ``CatalogReport``.  This
 module imports only the standard library, so a command loads the report
-types without the sweeps it does not run.
+types without the sweeps it does not run.  Both types have slots, since a
+long run of sweeps keeps many rows.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 
-@dataclass
+@dataclass(slots=True)
 class ReportRow:
     label: str
     status: str  # PASS | FAIL | SKIPPED
@@ -25,7 +26,7 @@ class ReportRow:
                 "certificate": self.certificate}
 
 
-@dataclass
+@dataclass(slots=True)
 class CatalogReport:
     space: str
     kind: str

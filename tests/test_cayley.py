@@ -38,7 +38,6 @@ from ltskit.cayley import (
     cartan_instance,
     cartan_map,
     cartan_map_check,
-    cnum,
     complex6_to_quat3,
     eiii_member,
     embed_f1,
@@ -61,7 +60,6 @@ from ltskit.cayley import (
     proj_member,
     psi_map,
     psi_map_inv,
-    quat,
     random_octonion,
     so10_constructions,
     trace_form,
@@ -85,16 +83,16 @@ def test_quaternion_multiplication_table():
 
 
 def test_quaternion_norm_and_inverse():
-    h = quat(F(1, 2), F(1, 2), F(1, 2), F(1, 2))
+    h = Quaternion(F(1, 2), F(1, 2), F(1, 2), F(1, 2))
     assert h.is_unit()
     assert h * h.inverse() == Q_ONE
-    g = quat(2, 1, 0, 3)
+    g = Quaternion(2, 1, 0, 3)
     assert g.norm2() == F(14)
     assert g * g.inverse() == Q_ONE
 
 
 def test_octonion_unit_square_and_identity():
-    y = Octonion(quat(1, 2, 3, 4), quat(5, 6, 7, 8))
+    y = Octonion(Quaternion(1, 2, 3, 4), Quaternion(5, 6, 7, 8))
     assert O_ONE * y == y
     assert O_E * O_E == -O_ONE
 
@@ -128,13 +126,19 @@ CX_SAMPLES = {
     "cnum": (Cx(CNum(1, 2), CNum(F(-1, 3), 1)),
              Cx(CNum(0, 1), CNum(2, F(1, 2))),
              Cx(CNum(2), CNum(3))),
-    "quaternion": (Cx(quat(1, 2, 0, -1), quat(0, 1, 3, F(1, 2))),
-                   Cx(quat(F(2, 3), 0, 1, 1), quat(1, -1, 0, 2)),
+    "quaternion": (Cx(Quaternion(1, 2, 0, -1),
+                      Quaternion(0, 1, 3, F(1, 2))),
+                   Cx(Quaternion(F(2, 3), 0, 1, 1),
+                      Quaternion(1, -1, 0, 2)),
                    cy.from_cnum(CNum(2, 3), Q_ONE)),
-    "octonion": (Cx(Octonion(quat(1, 2, 0, -1), quat(0, 1, 0, 1)),
-                    Octonion(quat(0, 1, 3, 2), quat(1, 0, 0, -1))),
-                 Cx(Octonion(quat(2, 0, 1, 1), quat(F(1, 2), 0, -1, 0)),
-                    Octonion(quat(1, -1, 0, 2), quat(0, 3, 1, 0))),
+    "octonion": (Cx(Octonion(Quaternion(1, 2, 0, -1),
+                             Quaternion(0, 1, 0, 1)),
+                    Octonion(Quaternion(0, 1, 3, 2),
+                             Quaternion(1, 0, 0, -1))),
+                 Cx(Octonion(Quaternion(2, 0, 1, 1),
+                             Quaternion(F(1, 2), 0, -1, 0)),
+                    Octonion(Quaternion(1, -1, 0, 2),
+                             Quaternion(0, 3, 1, 0))),
                  cy.from_cnum(CNum(2, 3), O_ONE)),
 }
 
@@ -164,7 +168,7 @@ def test_bicomplex_zero_divisor():
 
 
 def test_phi_g2_is_automorphism_on_basis():
-    g = phi_g2(quat(F(3, 5), F(4, 5)), Q_J)
+    g = phi_g2(Quaternion(F(3, 5), F(4, 5)), Q_J)
     for x in OCT_BASIS:
         for y in OCT_BASIS:
             assert g(x * y) == g(x) * g(y)
@@ -184,7 +188,7 @@ def test_phi_g2_kernel_computed():
 
 def test_phi_g2_rejects_non_units():
     with pytest.raises(NotUnit):
-        phi_g2(quat(2), Q_ONE)
+        phi_g2(Quaternion(2), Q_ONE)
 
 
 # -- the projective variety and its involutions ----------------------------
@@ -235,7 +239,7 @@ def test_involutions_fix_base_point_and_commute():
     assert involution_sigma(P0) == P0
     assert involution_lambda(P0) == P0
     pts = [P0, embed_f2(Q_ONE, complex6_to_quat3(
-        (C_ONE, C_I, cnum(2, 0), C_ZERO, C_ZERO, C_ZERO)))]
+        (C_ONE, C_I, CNum(2, 0), C_ZERO, C_ZERO, C_ZERO)))]
     for pt in pts:
         assert involution_gamma(involution_lambda(pt)) == \
             involution_lambda(involution_gamma(pt))
@@ -280,20 +284,20 @@ def test_line_embedding_quoted_base_point():
 
 
 def test_line_embedding_projective_well_definedness():
-    v = (C_ONE, C_I, cnum(2, 0), C_ZERO, C_ZERO, CNum(0, F(-3)))
+    v = (C_ONE, C_I, CNum(2, 0), C_ZERO, C_ZERO, CNum(0, F(-3)))
     base = embed_f2(Q_ONE, complex6_to_quat3(v))
     for z in (C_I, CNum(2), CNum(1, 1)):
         scaled = tuple(z * c for c in v)
         assert embed_f2(Q_ONE, complex6_to_quat3(scaled)) == base
     assert embed_f2(Q_I, complex6_to_quat3(v)) == base
-    assert embed_f2(quat(F(3, 5), F(4, 5)), complex6_to_quat3(v)) == base
+    assert embed_f2(Quaternion(F(3, 5), F(4, 5)), complex6_to_quat3(v)) == base
 
 
 def test_line_embedding_errors():
     with pytest.raises(ZeroVector):
         embed_f2(Q_ONE, (Q_ZERO, Q_ZERO, Q_ZERO))
     with pytest.raises(NotUnit):
-        embed_f2(quat(2), complex6_to_quat3(tuple(E6[0])))
+        embed_f2(Quaternion(2), complex6_to_quat3(tuple(E6[0])))
 
 
 # -- the quaternionic embedding ---------------------------------------------
@@ -308,10 +312,10 @@ def test_quaternionic_embedding_base_point():
 
 def test_quaternionic_embedding_complement_fiber():
     assert embed_f_quaternionic(tuple(E4[2]), tuple(E4[3])) == P0
-    u1 = (quat(F(3, 5)), quat(F(4, 5)), Q_ZERO, Q_ZERO)
-    u2 = (Q_ZERO, Q_ZERO, quat(0, F(5, 13)), quat(0, F(12, 13)))
-    w1 = (quat(F(-4, 5)), quat(F(3, 5)), Q_ZERO, Q_ZERO)
-    w2 = (Q_ZERO, Q_ZERO, quat(0, F(-12, 13)), quat(0, F(5, 13)))
+    u1 = (Quaternion(F(3, 5)), Quaternion(F(4, 5)), Q_ZERO, Q_ZERO)
+    u2 = (Q_ZERO, Q_ZERO, Quaternion(0, F(5, 13)), Quaternion(0, F(12, 13)))
+    w1 = (Quaternion(F(-4, 5)), Quaternion(F(3, 5)), Q_ZERO, Q_ZERO)
+    w2 = (Q_ZERO, Q_ZERO, Quaternion(0, F(-12, 13)), Quaternion(0, F(5, 13)))
     assert embed_f_quaternionic(u1, u2) == embed_f_quaternionic(w1, w2)
 
 
@@ -477,6 +481,107 @@ def test_embed_f1_is_the_dense_construction():
         assert embed_f1(u1, u2) == expected
 
 
+# -- complex arithmetic and projective classes -----------------------------
+
+
+# ints, zero and mixed-sign rationals, as the public constructor takes them
+RATIONALS = st.one_of(st.integers(-4, 4), st.just(0), st.just(F(0)),
+                      st.fractions(min_value=-5, max_value=5,
+                                   max_denominator=7))
+ANY_CNUM = st.builds(CNum, RATIONALS, RATIONALS)
+
+
+def same_cnum(got, want):
+    """Equal as values, in hash and in print, with Fraction components."""
+    return (got == want and hash(got) == hash(want) and str(got) == str(want)
+            and type(got.re) is F and type(got.im) is F)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=ANY_CNUM, b=ANY_CNUM)
+def test_cnum_arithmetic_matches_public_constructor(a, b):
+    # reference results are built through CNum(...), which converts
+    assert same_cnum(a + b, CNum(a.re + b.re, a.im + b.im))
+    assert same_cnum(a - b, CNum(a.re - b.re, a.im - b.im))
+    assert same_cnum(a * b, CNum(a.re * b.re - a.im * b.im,
+                                 a.re * b.im + a.im * b.re))
+    assert same_cnum(-a, CNum(-a.re, -a.im))
+    assert same_cnum(a.conj(), CNum(a.re, -a.im))
+    assert a.is_zero() == (a == C_ZERO)
+    if b.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            a / b
+    else:
+        n = b.re * b.re + b.im * b.im
+        assert same_cnum(a / b, CNum((a.re * b.re + a.im * b.im) / n,
+                                     (a.im * b.re - a.re * b.im) / n))
+
+
+def test_cnum_public_constructor_converts_and_rejects():
+    assert same_cnum(CNum(2, -3), CNum(F(2), F(-3)))
+    assert same_cnum(CNum(), C_ZERO)
+    with pytest.raises(TypeError):
+        CNum(0.5)
+    assert not hasattr(C_ONE, "__dict__")
+    with pytest.raises(AttributeError):
+        C_ONE.re = F(2)
+
+
+def divided_coords(element):
+    """The projective class as every coordinate divided by the pivot."""
+    raw = element.coords()
+    pivot = next(c for c in raw if not c.is_zero())
+    return tuple(c / pivot for c in raw)
+
+
+@settings(max_examples=60, deadline=None)
+@given(coords=st.lists(st.one_of(st.just(C_ZERO), ANY_CNUM),
+                       min_size=27, max_size=27),
+       pivot=st.sampled_from((None, C_ONE, CNum(1, 1), CNum(1, F(-2, 3)),
+                              C_I, CNum(F(1, 2)))))
+def test_proj_point_matches_division(coords, pivot):
+    # the pivot is the first nonzero coordinate: 1, near 1, or as drawn
+    nonzero = [k for k, c in enumerate(coords) if not c.is_zero()]
+    if not nonzero:
+        with pytest.raises(ZeroElement):
+            ProjPoint.of(JordanElement.from_coords(coords))
+        return
+    if pivot is not None:
+        coords[nonzero[0]] = pivot
+    element = JordanElement.from_coords(coords)
+    got = ProjPoint.of(element)
+    want = divided_coords(element)
+    assert got == ProjPoint(want) and hash(got) == hash(ProjPoint(want))
+    assert all(same_cnum(g, w) for g, w in zip(got.coords, want))
+
+
+def bicomplex_unitary_variants():
+    """The lifted unitary samples, each with one entry doubled and with one
+    entry's sign flipped (unitary or not: the bicomplex test decides)."""
+    out = []
+    for A in map(cy.cnum_matrix_to_bc, cy._su6_sample_matrices()):
+        i, j = 1, next(j for j, a in enumerate(A[1]) if a != cy.BC_ZERO)
+        doubled = [list(r) for r in A]
+        doubled[i][j] = A[i][j] + A[i][j]
+        flipped = [list(r) for r in A]
+        flipped[i][j] = -A[i][j]
+        out += [A, doubled, flipped]
+    return out
+
+
+def test_su6_check_is_the_bicomplex_unitarity():
+    verdicts = []
+    for A in bicomplex_unitary_variants():
+        assert cy.su6_check(A) == cy.is_unitary(A, cy.BC_ONE)
+        verdicts.append(cy.su6_check(A))
+    assert any(verdicts) and not all(verdicts)
+    for A in map(cy.cnum_matrix_to_bc, cy._su6_sample_matrices()):
+        for im in (C_ONE, C_I):
+            B = [list(r) for r in A]
+            B[2][2] = B[2][2] + Cx(C_ZERO, im)
+            assert not cy.su6_check(B)
+
+
 # -- the orthogonal model ---------------------------------------------------
 
 
@@ -545,6 +650,36 @@ def test_cartan_map_identity_and_fixed_points():
     assert cy.mat_eq(cartan_map(inst, ident), ident)
     for k in inst.fixed_samples:
         assert cy.mat_eq(cartan_map(inst, k), ident)
+
+
+def test_model_cost_guard(monkeypatch):
+    # deterministic counts, no timings: the so(10) checks build one table of
+    # quarter turns per generator (X**2 and X**3 = -X formed once each) and
+    # the Cartan checks form each image sigma(g) g**-1 once, so each battery
+    # takes fewer products than the 256, 79 and 64 of recomputing them
+    calls = []
+    mat_mul = cy.mat_mul
+
+    def recording_mat_mul(A, B):
+        calls.append(A)
+        return mat_mul(A, B)
+
+    monkeypatch.setattr(cy, "mat_mul", recording_mat_mul)
+    counts = {}
+    for name, run in (("so10", so10_constructions),
+                      ("cartan-so10", lambda: cartan_map_check("so10")),
+                      ("cartan-su3", lambda: cartan_map_check("su3"))):
+        calls.clear()
+        assert run().ok
+        counts[name] = len(calls)
+        if name == "so10":
+            generator_products = [sum(A == polar_generator(k) for A in calls)
+                                  for k in (1, 2)]
+    assert counts["so10"] < 256
+    assert counts["cartan-so10"] < 79
+    assert counts["cartan-su3"] < 64
+    # the generator is the left factor of exactly X*X and X*X**2
+    assert generator_products == [2, 2]
 
 
 def test_cartan_unknown_instance():
