@@ -65,7 +65,9 @@ so u_a and v_a are orthogonal to each other.  killing_gram traces
 ad_i ad_j over the table instead, as a runtime check of this form.  The
 form is kept as sparse Scalar rows, and bracket and killing multiply by the
 table and the rows directly.  Elements are plain Scalar coordinate vectors
-over this basis.
+over this basis.  bracket_terms is the one bracket kernel: it takes both
+operands as their nonzero (index, entry) terms, and bracket is a wrapper
+that takes the terms of two dense vectors.
 
 An algebra is read only after __init__, so one instance can be shared by
 every model over the same root system (spaces.SpaceModel does).
@@ -77,7 +79,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
-from .linalg import Vec
+from .linalg import Vec, nonzeros
 from .roots import Root, RootSystem
 from .scalars import Scalar, ZERO, rat
 
@@ -296,12 +298,17 @@ class ChevalleyAlgebra:
     def bracket(self, x: Sequence[Scalar], y: Sequence[Scalar]) -> Vec:
         if len(x) != self.dim or len(y) != self.dim:
             raise AlgebraMismatch("element size does not match the algebra")
+        return self.bracket_terms(nonzeros(x), nonzeros(y))
+
+    def bracket_terms(self, xs: Sequence[tuple[int, Scalar]],
+                      ys: Sequence[tuple[int, Scalar]]) -> Vec:
+        """[x, y] for operands given by their nonzero terms (linalg.nonzeros),
+        as a dense vector.  A caller that brackets one vector many times
+        takes its terms once, instead of scanning its zeros on every call."""
         out = [ZERO] * self.dim
-        ys = [(j, c) for j, c in enumerate(y) if c]
-        for i, ci in enumerate(x):
-            if not ci:
-                continue
-            row = self.table[i]
+        table = self.table
+        for i, ci in xs:
+            row = table[i]
             for j, cj in ys:
                 terms = row.get(j)
                 if terms:

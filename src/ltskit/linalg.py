@@ -7,7 +7,11 @@ the order in which rows arrive.  Each stored row carries its support (its
 nonzero columns), and reducing a vector against a row, or a row against a
 new one, updates only those columns in place; the vectors are mostly zeros,
 and a - f*0 would leave the others unchanged anyway.  rank, kernel and solve
-read the pivots and rows of a Span built from their input rows.
+read the pivots and rows of a Span built from their input rows.  basis
+hands out the stored rows themselves, and coords gives a vector's
+coordinates in them, so a system over a subspace can be solved in its dim
+coordinates.  nonzeros gives the support-with-entries form of any vector,
+which the sparse bracket kernel (chevalley.bracket_terms) takes as operands.
 
 Beside them sit three helpers for the matrix whose columns are a list of
 vectors: combine (the matrix times a coefficient vector), relations (its
@@ -45,6 +49,12 @@ def vec_scale(c: Scalar, v: Sequence[Scalar]) -> Vec:
 
 def vec_is_zero(v: Sequence[Scalar]) -> bool:
     return not any(v)
+
+
+def nonzeros(v: Sequence[Scalar]) -> list[tuple[int, Scalar]]:
+    """The support of v with its entries: the (k, v[k]) with v[k] != 0, in
+    increasing k."""
+    return [(k, c) for k, c in enumerate(v) if c]
 
 
 def mat_vec(m: Sequence[Sequence[Scalar]], v: Sequence[Scalar]) -> Vec:
@@ -177,7 +187,9 @@ class Span:
         return len(self._rows)
 
     def basis(self) -> Mat:
-        return [list(r) for r in self._rows]
+        """The stored rows, in pivot order, not copies: a later add changes
+        them in place, and a caller must not change them."""
+        return self._rows
 
     def __contains__(self, v) -> bool:
         return self.contains(v)

@@ -13,7 +13,11 @@ derives the full structural report of a verified LTS:
 Closure is decided through K = [S, S]: the triple bracket is trilinear, so
 [[S, S], S] = [K, S], and only the pair brackets [b_i, b_j] that enlarge K
 are bracketed with the basis of S.  The first failing basis triple is the
-one the plain loop over all triples would name.
+one the plain loop over all triples would name.  The vectors are mostly
+zeros, so the repeated brackets of closure and of the restricted roots take
+each operand's nonzero terms once and go through the sparse kernel
+chevalley.bracket_terms.  The root spaces are kernels solved in S's own
+coordinates (n per operator for dim S = n), not in the ambient ones.
 
 Flats are found by seeded sampling: for pseudo-random combinations v of the
 basis the centralizer N(v) = {w in S : [v, w] = 0} is computed; an abelian
@@ -39,11 +43,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from itertools import chain
 
 from .linalg import (
-    Span, Vec, combine, relations, vec_add, vec_is_zero, vec_scale, vec_sub,
-    zeros,
+    Span, Vec, combine, nonzeros, relations, vec_add, vec_is_zero, vec_scale,
+    vec_sub, zeros,
 )
 from .scalars import ParseError, Parser, Scalar, scalar_sign
 from .spaces import (
@@ -73,7 +78,14 @@ class NotQuarterTurnCompatible(ValueError):
 
 
 class Subspace:
-    """A subspace of m, stored as a reduced row basis with exact membership."""
+    """A subspace of m, stored as a reduced row basis with exact membership.
+
+    The span is complete when __init__ returns and nothing adds to it
+    afterwards, so basis is the span's own rows, not a copy; callers must
+    not change them.
+    """
+
+    __slots__ = ("space", "_span", "basis")
 
     def __init__(self, space: SpaceModel, vectors: list[Vec]):
         self.space = space
@@ -101,7 +113,7 @@ class Subspace:
         return self.space is other.space and self._span == other._span
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SubRoot:
     """A restricted root of (S, flat): values on the flat basis, multiplicity.
 
@@ -127,18 +139,23 @@ def closure_defect(S: Subspace) -> tuple[int, int, int] | None:
     only the others are bracketed with every b_k.  The first failing triple
     is therefore the triple loop's, found with O(n^2 + dim K * n) brackets
     instead of O(n^3).  A pair is added to K only after it passed, so a
-    FAIL does no elimination work beyond membership tests.
+    FAIL does no elimination work beyond membership tests.  The brackets go
+    through the sparse kernel chevalley.bracket_terms: the nonzero terms of
+    each b_k are taken once, and those of a pair bracket once before its n
+    triple brackets.
     """
     alg = S.space.alg
     n = S.dim
+    supports = [nonzeros(b) for b in S.basis]
     K = Span()
     for i in range(n):
         for j in range(i + 1, n):
-            pair = alg.bracket(S.basis[i], S.basis[j])
+            pair = alg.bracket_terms(supports[i], supports[j])
             if K.contains(pair):
                 continue
+            pair_terms = nonzeros(pair)
             for k in range(n):
-                if not S.contains(alg.bracket(pair, S.basis[k])):
+                if not S.contains(alg.bracket_terms(pair_terms, supports[k])):
                     return (i, j, k)
             K.add(pair)
     return None
@@ -192,7 +209,8 @@ def rank_and_flat(S: Subspace, seed: int = 0) -> tuple[int, Subspace]:
     flat a, then seeded combinations of that intersection, then seeded
     combinations of the full basis.  A candidate v is accepted when its
     centralizer N(v) in S is abelian; N(v) is then a maximal flat.  The flat
-    is cross-checked to extend to an ambient Cartan subspace of m.
+    is cross-checked to extend to an ambient Cartan subspace of m.  A flat
+    that is a itself is returned as the model's one Subspace of a.
     """
     sp = S.space
     if S.dim == 0:
@@ -218,11 +236,22 @@ def rank_and_flat(S: Subspace, seed: int = 0) -> tuple[int, Subspace]:
         if not _pairwise_abelian(alg, cand):
             continue
         flat = Subspace(sp, cand)
+        if flat.span() == sp.a_span:
+            flat = _reference_flat(sp)
         _check_ambient_cartan_extension(sp, flat)
         return flat.dim, flat
     raise FlatSearchInconclusive(
         f"no abelian centralizer found in {_FLAT_BUDGET} seeded samples "
         f"(seed={seed})")
+
+
+@cache
+def _reference_flat(sp: SpaceModel) -> Subspace:
+    """The reference maximal flat a, one Subspace per model: the flat of
+    every report whose flat is a (rank 2 inside a), so that many kept
+    reports hold one copy of a between them.  build_space keeps its models
+    for the life of the process anyway, so the cache keeps none alive."""
+    return Subspace(sp, sp.a_basis)
 
 
 def _check_ambient_cartan_extension(sp: SpaceModel, flat: Subspace) -> None:
@@ -267,8 +296,15 @@ def sub_restricted_roots(S: Subspace, flat: Subspace) -> list[SubRoot]:
     ad(h_i)^2 + alpha(h_i)^2 id (and the cross operator
     ad(h_1)ad(h_2) + alpha(h_1)alpha(h_2) id in rank 2) on S; it is verified
     to equal the intersection of S with the matching ambient root spaces.
-    The images ad(h_i)ad(h_j)b of the basis are computed once and shared by
-    all candidates, which only add their own multiple of b.
+
+    For an LTS S and h in S, every image ad(h_i)ad(h_j)b lies in S.  The
+    images of the basis are computed once, through the sparse bracket
+    kernel, and kept in S's own coordinates (Span.coords); an image outside
+    S raises NotAFlat naming it.  A candidate adds its shift to the
+    coordinate of b itself and solves a kernel on len(pairs) * dim S
+    coordinates instead of len(pairs) * dim g ambient entries.  Coordinates
+    are injective on S, so the kernel, and the reduced basis that relations
+    returns for it, is the one of the ambient system.
     """
     sp = S.space
     alg = sp.alg
@@ -280,27 +316,31 @@ def sub_restricted_roots(S: Subspace, flat: Subspace) -> list[SubRoot]:
     if not _pairwise_abelian(alg, flat.basis):
         raise NotAFlat("flat is not abelian")
     hs = flat.basis
-    # candidate restrictions from the ambient restricted roots
-    buckets: dict[tuple[Scalar, ...], list[str]] = {}
-    for label in RESTRICTED_LABELS[sp.name]:
-        vals = tuple(sp.inner(sp.sharp[label], h) for h in hs)
-        if all(v.is_zero() for v in vals):
-            continue
-        key = _normalize_sign(vals)
-        buckets.setdefault(key, []).append(label)
+    buckets = _root_candidates(sp, hs)
     pairs = [(i, i) for i in range(len(hs))]
     if len(hs) == 2:
         pairs.append((0, 1))
+    h_terms = [nonzeros(h) for h in hs]
+    coords = S.span().coords
     shared = []
-    for b in S.basis:
-        ad_b = [alg.bracket(h, b) for h in hs]
-        shared.append([alg.bracket(hs[i], ad_b[j]) for i, j in pairs])
+    for r, b in enumerate(S.basis):
+        b_terms = nonzeros(b)
+        ad_b = [nonzeros(alg.bracket_terms(h, b_terms)) for h in h_terms]
+        row = []
+        for i, j in pairs:
+            c = coords(alg.bracket_terms(h_terms[i], ad_b[j]))
+            if c is None:
+                raise NotAFlat(
+                    f"ad(h{i + 1})ad(h{j + 1}) of basis vector {r} is not in "
+                    "the subspace; the input is not an LTS flat pair")
+            row.append(c)
+        shared.append(row)
     out: list[SubRoot] = []
     for vals, labels in buckets.items():
         shifts = [vals[i] * vals[j] for i, j in pairs]
-        images = [[x + c * y if y else x for img, c in zip(imgs, shifts)
-                   for x, y in zip(img, b)]
-                  for imgs, b in zip(shared, S.basis)]
+        images = [[x + shift if k == r else x
+                   for c, shift in zip(imgs, shifts) for k, x in enumerate(c)]
+                  for r, imgs in enumerate(shared)]
         space_vecs = _operator_kernel(S.basis, images)
         if not space_vecs:
             continue
@@ -314,6 +354,19 @@ def sub_restricted_roots(S: Subspace, flat: Subspace) -> list[SubRoot]:
                 "the input is not an LTS flat pair")
         out.append(SubRoot(values=vals, mult=len(space_vecs), labels=tuple(labels)))
     return out
+
+
+def _root_candidates(sp: SpaceModel,
+                     hs: list[Vec]) -> dict[tuple[Scalar, ...], list[str]]:
+    """Candidate restrictions to span(hs) of the ambient restricted roots:
+    sign-normalized values on hs, each with the labels restricting to it."""
+    buckets: dict[tuple[Scalar, ...], list[str]] = {}
+    for label in RESTRICTED_LABELS[sp.name]:
+        vals = tuple(sp.inner(sp.sharp[label], h) for h in hs)
+        if all(v.is_zero() for v in vals):
+            continue
+        buckets.setdefault(_normalize_sign(vals), []).append(label)
+    return buckets
 
 
 def _normalize_sign(vals: tuple[Scalar, ...]) -> tuple[Scalar, ...]:
@@ -442,7 +495,7 @@ def isotropy_rotate(sp: SpaceModel, Z: Vec, v: Vec) -> Vec:
 # -- reports ---------------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class LtsReport:
     space: str
     is_lts: bool

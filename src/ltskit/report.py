@@ -3,25 +3,32 @@ JSON or markdown.
 
 Every sweep (catalog, foundations, models) returns a ``CatalogReport``.  This
 module imports only the standard library, so a command loads the report
-types without the sweeps it does not run.  Both types have slots, since a
+types without the sweeps it does not run.  Both types have slots, and a row
+that states no expected data shares one read-only empty mapping, since a
 long run of sweeps keeps many rows.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
+
+# The expected data of every row that states none (each Cayley row), shared
+# and read-only instead of one empty dict per kept row.
+_NO_EXPECTATION: Mapping = MappingProxyType({})
 
 
 @dataclass(slots=True)
 class ReportRow:
     label: str
     status: str  # PASS | FAIL | SKIPPED
-    expected: dict = field(default_factory=dict)
+    expected: Mapping = field(default_factory=lambda: _NO_EXPECTATION)
     computed: dict = field(default_factory=dict)
     certificate: str = ""
 
     def as_json(self) -> dict:
-        return {"label": self.label, "expected": self.expected,
+        return {"label": self.label, "expected": dict(self.expected),
                 "computed": self.computed, "status": self.status,
                 "certificate": self.certificate}
 

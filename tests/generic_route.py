@@ -5,14 +5,18 @@ ratios, then every other entry from them; the Killing form as the trace of
 ad_i ad_j over the structure table; k, m as the kernels of
 the dense matrices sigma - id and sigma + id, with sigma the dense matrix of
 the complex route; each restricted-root dual solved against its own Gram
-matrix of a; chart vectors as dense projections (v -+ sigma v)/2; and the
-centre of k as the kernel of its brackets with every k row at once.
+matrix of a; chart vectors as dense projections (v -+ sigma v)/2; the
+centre of k as the kernel of its brackets with every k row at once; the
+bracket as a scan of both dense operands; and the restricted-root spaces of
+an LTS as kernels of the ambient images ad(h_i)ad(h_j)b, all dim g entries
+of each.
 
 ltskit.chevalley writes every N in one height-ordered pass and the Killing
-form down in closed form, and ltskit.spaces writes k, m and the chart
-vectors from sigma's sparse signed columns, shares one Gram matrix between
-the duals and stops the centre solve early; these are the long way round,
-kept only so the tests can compare the two exactly.
+form down in closed form, and brackets nonzero terms only; ltskit.spaces
+writes k, m and the chart vectors from sigma's sparse signed columns, shares
+one Gram matrix between the duals and stops the centre solve early; and
+ltskit.lts solves the root spaces in the subspace's own coordinates.  These
+are the long way round, kept only so the tests can compare the two exactly.
 """
 
 from fractions import Fraction
@@ -26,6 +30,7 @@ from ltskit.linalg import (
     combine, kernel, relations, solve, vec_add, vec_is_zero, vec_scale,
     vec_sub,
 )
+from ltskit.lts import SubRoot, _operator_kernel, _root_candidates
 from ltskit.roots import RootSystem
 from ltskit.scalars import ONE, ZERO, rat, scalar_sign
 from ltskit.spaces import (
@@ -149,6 +154,48 @@ def trace_killing(alg) -> list[list[tuple]]:
     for row in gram:
         row.sort()
     return gram
+
+
+def dense_bracket(alg, x, y) -> list:
+    """[x, y] by scanning every entry of both dense operands."""
+    out = [ZERO] * alg.dim
+    ys = [(j, c) for j, c in enumerate(y) if c]
+    for i, ci in enumerate(x):
+        if not ci:
+            continue
+        row = alg.table[i]
+        for j, cj in ys:
+            terms = row.get(j)
+            if terms:
+                c = ci * cj
+                for k, f in terms:
+                    out[k] = out[k] + c * f
+    return out
+
+
+def dense_sub_restricted_roots(S, flat) -> list:
+    """Restricted roots of the LTS flat pair (S, flat): for each candidate
+    alpha, the joint kernel on S of ad(h_i)ad(h_j) + alpha(h_i)alpha(h_j) id,
+    solved on the dense ambient images of the basis."""
+    alg, hs = S.space.alg, flat.basis
+    pairs = [(i, i) for i in range(len(hs))]
+    if len(hs) == 2:
+        pairs.append((0, 1))
+    shared = []
+    for b in S.basis:
+        ad_b = [dense_bracket(alg, h, b) for h in hs]
+        shared.append([dense_bracket(alg, hs[i], ad_b[j]) for i, j in pairs])
+    out = []
+    for vals, labels in _root_candidates(S.space, hs).items():
+        shifts = [vals[i] * vals[j] for i, j in pairs]
+        images = [[x + c * y if y else x for img, c in zip(imgs, shifts)
+                   for x, y in zip(img, b)]
+                  for imgs, b in zip(shared, S.basis)]
+        space_vecs = _operator_kernel(S.basis, images)
+        if space_vecs:
+            out.append(SubRoot(values=vals, mult=len(space_vecs),
+                               labels=tuple(labels)))
+    return out
 
 
 def dense_sigma_kernels(sigma_matrix) -> tuple[list, list]:

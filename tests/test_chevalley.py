@@ -1,16 +1,17 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ltskit.chevalley import AlgebraMismatch, ChevalleyAlgebra, is_negative_definite
-from ltskit.linalg import vec_add, vec_is_zero, vec_scale
+from ltskit.linalg import nonzeros, vec_add, vec_is_zero, vec_scale
 from ltskit.roots import RootSystem
-from ltskit.scalars import rat, sqrt
+from ltskit.scalars import I, ZERO, rat, sqrt
 
 from complex_route import compact_table
-from generic_route import n_mixed, reference_n_table, special_constants, \
-    string_down, trace_killing
+from generic_route import dense_bracket, n_mixed, reference_n_table, \
+    special_constants, string_down, trace_killing
 
 _cache = {}
 
@@ -194,3 +195,27 @@ def test_radical_coefficients_allowed():
     # [u, v] for the same root is 2*h-ish: nonzero Cartan part, scaled by 2
     assert not vec_is_zero(out)
     assert out == vec_scale(rat(2), a.bracket(a.u_vec((1, 0)), a.v_vec((1, 0))))
+
+
+# entries of seeded test vectors: mostly zeros, as in the models' vectors,
+# with rational, radical and complex ones
+ENTRIES = [ZERO] * 6 + [rat(1), rat(-2), rat(Fraction(3, 4)), sqrt(2),
+                        -sqrt(3), I, rat(1) + sqrt(3), I * sqrt(2)]
+
+
+def seeded_vector(a, rng, density):
+    return [rng.choice(ENTRIES) if rng.random() < density else ZERO
+            for _ in range(a.dim)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["G2", "E6"]), st.integers(0, 2**32 - 1),
+       st.sampled_from([0.0, 0.05, 0.3, 1.0]))
+def test_bracket_terms_match_dense_scan(name, seed, density):
+    a = alg(name)
+    rng = random.Random(seed)
+    x = seeded_vector(a, rng, density)
+    y = seeded_vector(a, rng, rng.choice([0.05, 0.3, 1.0]))
+    want = dense_bracket(a, x, y)
+    assert a.bracket_terms(nonzeros(x), nonzeros(y)) == want
+    assert a.bracket(x, y) == want

@@ -9,8 +9,11 @@ from ltskit.catalog import expected_rows, make_prototype
 from ltskit.linalg import (
     Span, combine, vec_add, vec_is_zero, vec_scale, vec_sub,
 )
+from ltskit.report import ReportRow
 from ltskit.scalars import I, ParseError, rat, sqrt
 from ltskit.spaces import NotInM, build_space
+
+from generic_route import dense_sub_restricted_roots
 
 
 def subspace(sp, vectors):
@@ -242,6 +245,79 @@ def test_sub_roots_reject_bad_flat():
     outside = subspace(sp, [sp.sharp["l2"]])
     with pytest.raises(lts.NotAFlat):
         lts.sub_restricted_roots(S, outside)
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("name", ["G2group", "EIV", "EIII"])
+def test_sub_roots_match_dense_route(name, seed):
+    # every non-opaque catalog row's flat lies in a, so each row is compared
+    sp = build_space(name)
+    for row in expected_rows(name):
+        if row.opaque:
+            continue
+        S = make_prototype(sp, row.label.text)
+        _, flat = lts.rank_and_flat(S, seed=seed)
+        assert all(sp.a_span.contains(h) for h in flat.basis), row.label
+        assert lts.sub_restricted_roots(S, flat) \
+            == dense_sub_restricted_roots(S, flat), row.label
+
+
+def test_sub_roots_reject_image_outside_subspace():
+    # S = a + span(u + w), u in m_l1 and w in m_l2: ad(h)^2 scales u and w
+    # by different squares, so the image leaves S and S is no LTS
+    sp = build_space("EIII")
+    u = sp.charts["l1"].basis_vectors()[0]
+    w = sp.charts["l2"].basis_vectors()[0]
+    S = subspace(sp, list(sp.a_basis) + [vec_add(u, w)])
+    assert not lts.is_lts(S)
+    flat = subspace(sp, list(sp.a_basis))
+    with pytest.raises(lts.NotAFlat, match=r"ad\(h\d\)ad\(h\d\)"):
+        lts.sub_restricted_roots(S, flat)
+
+
+def test_root_kernel_cost_guard(monkeypatch):
+    # the root spaces are solved in S's coordinates: a system with one column
+    # per basis vector of S has len(pairs) * dim S rows, not len(pairs) * 78
+    S = make_prototype(build_space("EIII"), "(DIII)")
+    rank, flat = lts.rank_and_flat(S)
+    assert rank == 2
+    sizes = []
+    real = lts.relations
+
+    def recording(vectors):
+        if len(vectors) == S.dim:  # the intersections have more columns
+            sizes.append(len(vectors[0]))
+        return real(vectors)
+
+    monkeypatch.setattr(lts, "relations", recording)
+    roots = lts.sub_restricted_roots(S, flat)
+    assert roots and len(sizes) >= len(roots)
+    assert max(sizes) <= 3 * S.dim
+
+
+def test_flats_equal_to_a_are_shared():
+    # a kept report holds the model's one Subspace of a, not its own copy
+    sp = build_space("EIII")
+    first = lts.analyze(make_prototype(sp, "(DIII)"))
+    second = lts.analyze(
+        lts.lts_from_closed_subsystem(sp, {"l3", "l4", "2l1", "2l2"}))
+    assert first.flat is second.flat
+    assert first.flat.basis == subspace(sp, list(sp.a_basis)).basis
+    line = lts.analyze(subspace(sp, [sp.sharp["l1"]])).flat
+    assert line.dim == 1 and line is not first.flat
+
+
+def test_report_types_have_no_instance_dict():
+    sp = build_space("EIII")
+    report = lts.analyze(lts.lts_from_closed_subsystem(sp, {"l1", "2l1"}))
+    row, other = ReportRow("a", "PASS"), ReportRow("b", "PASS")
+    for obj in (report, report.restricted[0], report.flat, row):
+        assert not hasattr(obj, "__dict__"), type(obj).__name__
+    # rows that state no expected data share one read-only empty mapping
+    assert row.expected is other.expected
+    assert row.as_json()["expected"] == {}
+    with pytest.raises(TypeError):
+        row.expected["dim"] = 1
 
 
 def test_decomposition_checks_pass_on_prototypes():
