@@ -170,7 +170,7 @@ def _eiv_rows() -> list[ExpectedRow]:
     rows.append(_row("EIV", "(AII)", dim=14, rank=2, maximal=True,
                      sub_mults=_mults(l1=4, l2=4, l3=4)))
     for ell in range(1, 10):
-        sm = _mults(l1=ell - 1) if ell > 1 else None
+        sm = _mults(l1=ell - 1) if ell > 1 else _mults()  # the flat torus
         rows.append(_row("EIV", f"(SxS1, {ell})", dim=ell + 1, rank=2,
                          sub_mults=sm, maximal=(ell == 9)))
     return rows
@@ -203,7 +203,7 @@ def _g2_rows() -> list[ExpectedRow]:
                 sm["l6"] = ellp - 1
             rows.append(_row(
                 "G2group", f"(SxS, {ell}, {ellp})", dim=ell + ellp, rank=2,
-                sub_mults=_mults(**sm) if sm else None,
+                sub_mults=_mults(**sm),
                 maximal=(ell == 3 and ellp == 3)))
     rows.append(_row("G2group", "(AI)", dim=5, rank=2,
                      sub_mults=_mults(l2=1, l5=1, l6=1)))
@@ -952,23 +952,6 @@ def geodesic_length(sp: SpaceModel, H: Sequence[Scalar]) -> ClosedGeodesic | Non
         g = _frac_gcd(g, abs(r) * d) if g else abs(r) * d
     u = 1 / g
     return ClosedGeodesic(coeff=Fraction(4, 3) * u, radicand=d)
-
-
-def lattice_is_integral(sp: SpaceModel) -> bool:
-    """Every basic period vector is an integer combination of the two
-    generating period vectors."""
-    lattice = [sp.sharp[l] for l in _LATTICE_BASIS]
-    for root in sp.restricted.positives:
-        v = sp.sharp[root.label]
-        n2 = sp.inner(v, v)
-        w = vec_scale(rat(3) * n2.inv(), v)
-        c = coordinates(lattice, w)
-        if c is None:
-            return False
-        for t in c:
-            if not t.is_rational() or t.rational_value().denominator != 1:
-                return False
-    return True
 
 
 # -- flat-vector expressions (CLI support) ---------------------------------

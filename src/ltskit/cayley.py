@@ -379,7 +379,6 @@ OC_EPS_E = Cx(Octonion(Q_ZERO, Q_ONE.scale(Fraction(1, 2))),
               Octonion(Q_ZERO, Q_I.scale(Fraction(1, 2))))
 
 BC_ZERO = Cx(C_ZERO, C_ZERO)
-BC_ONE = Cx(C_ONE, C_ZERO)
 # The idempotent-generating scalar (1 + i*I)/2.
 BC_EPS = Cx(CNum(Fraction(1, 2)), CNum(0, Fraction(1, 2)))
 BC_EPS_BAR = BC_EPS.conj()

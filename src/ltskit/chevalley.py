@@ -80,7 +80,7 @@ from math import lcm
 from typing import Sequence
 
 from .linalg import Vec, nonzeros
-from .roots import Root, RootSystem
+from .roots import Root, RootSystem, pairing
 from .scalars import Scalar, ZERO, rat
 
 
@@ -217,22 +217,11 @@ class ChevalleyAlgebra:
 
     # -- compact basis -----------------------------------------------------
 
-    def basis_label(self, k: int):
-        if k < self.rank:
-            return ("t", k)
-        k -= self.rank
-        a = self.positives[k // 2]
-        return ("u", a) if k % 2 == 0 else ("v", a)
-
     def u_index(self, a: Root) -> int:
         return self.rank + 2 * self.pos_index[a]
 
     def v_index(self, a: Root) -> int:
         return self.rank + 2 * self.pos_index[a] + 1
-
-    def _pairing(self, beta: Root, i: int) -> int:
-        """<beta, alpha_i^vee>, the eigenvalue of h_i on x_beta."""
-        return sum(b * self.rs.cartan[j][i] for j, b in enumerate(beta))
 
     def _build_table(self) -> list[dict[int, tuple[tuple[int, Scalar], ...]]]:
         """The compact structure constants from their closed forms (module
@@ -260,7 +249,7 @@ class ChevalleyAlgebra:
         for ia, a in enumerate(pos):
             ua, va = r + 2 * ia, r + 2 * ia + 1
             for j in range(r):
-                p = self._pairing(a, j)
+                p = pairing(a, j, self.rs.cartan)
                 put(j, ua, [(va, p)])
                 put(j, va, [(ua, -p)])
             put(ua, va, [(j, 2 * m) for j, m in enumerate(self._coroot[a])])
@@ -323,7 +312,7 @@ class ChevalleyAlgebra:
         """Sparse rows of the Gram matrix, (j, kappa(b_i, b_j)) for nonzero
         entries, from the closed form in the module docstring."""
         r = self.rank
-        pairings = [[self._pairing(a, i) for i in range(r)]
+        pairings = [[pairing(a, i, self.rs.cartan) for i in range(r)]
                     for a in self.positives]
         tt = [[-2 * sum(p[i] * p[j] for p in pairings) for j in range(r)]
               for i in range(r)]
@@ -383,21 +372,6 @@ class ChevalleyAlgebra:
     def basis_vec(self, k: int) -> Vec:
         v = self.zero()
         v[k] = rat(1)
-        return v
-
-    def u_vec(self, a: Root, c: Scalar | None = None) -> Vec:
-        v = self.zero()
-        v[self.u_index(a)] = c if c is not None else rat(1)
-        return v
-
-    def v_vec(self, a: Root, c: Scalar | None = None) -> Vec:
-        v = self.zero()
-        v[self.v_index(a)] = c if c is not None else rat(1)
-        return v
-
-    def t_vec(self, j: int, c: Scalar | None = None) -> Vec:
-        v = self.zero()
-        v[j] = c if c is not None else rat(1)
         return v
 
     def check_jacobi_exhaustive(self) -> int:

@@ -10,7 +10,7 @@ Verbs
   catalog derived NAME --host L   derived-space sweep inside one host
   lts check FILE                  analyze a subspace file
   curvature eval NAME --x --y --z exact curvature tensor evaluation
-  geodesic length --H EXPR        closed-geodesic length in the flat
+  geodesic length --H EXPR        closed-geodesic length in G2group's flat
   models verify [--samples FILE]  projective/orthogonal model battery
 
 Exit codes: 0 when every requested check is PASS or SKIPPED, 1 when any
@@ -24,13 +24,12 @@ in its own body, so a cold command compiles and loads only those.
 
 from __future__ import annotations
 
-import os
 import sys
 
 from .chevalley import is_negative_definite
 from .linalg import Span, vec_is_zero
 from .report import CatalogReport, ReportRow
-from .scalars import rat
+from .scalars import ParseError, rat
 from .spaces import (
     REFERENCE_METRIC_RATIO,
     SPACE_NAMES,
@@ -41,10 +40,6 @@ from .spaces import (
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_PARSE = 2
-
-
-class ParseError(Exception):
-    """Malformed command input: unknown name, bad expression or file."""
 
 
 EXPECTED_KIND = {"EIII": "BC2", "EIV": "A2", "G2group": "G2"}
@@ -351,12 +346,12 @@ def cmd_curvature_eval(args) -> int:
 
 
 def cmd_geodesic_length(args) -> int:
-    from .catalog import UnknownLabel, geodesic_length, parse_flat_vector
-    sp = _space(args.space)
+    from .catalog import geodesic_length, parse_flat_vector
+    sp = build_space("G2group")
     try:
         H = parse_flat_vector(sp, args.H)
         g = geodesic_length(sp, H)
-    except (ValueError, UnknownLabel) as exc:
+    except ValueError as exc:
         raise ParseError(str(exc)) from exc
     data = {"space": sp.name, "direction": args.H, "closed": g is not None}
     if g is not None:
@@ -402,25 +397,14 @@ def cmd_models_verify(args) -> int:
 # -- argument parsing ------------------------------------------------------
 
 
-def _env_int(var: str, fallback: int) -> int:
-    raw = os.environ.get(var)
-    if raw is None:
-        return fallback
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ParseError(f"{var} must be an integer, got {raw!r}") from exc
-
-
 def build_parser():
     """The ``ltskit`` argument parser."""
     import argparse
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("markdown", "json"),
                         default="markdown", help="report format")
-    common.add_argument("--seed", type=int, default=None,
-                        help="seed for the flat-search schedule "
-                             "(default: $LTSKIT_SEED or 0)")
+    common.add_argument("--seed", type=int, default=0,
+                        help="seed for the flat-search schedule (default: 0)")
 
     p = argparse.ArgumentParser(
         prog="ltskit",
@@ -477,12 +461,9 @@ def build_parser():
     geo_sub = geo_p.add_subparsers(dest="action", required=True)
     q = geo_sub.add_parser("length", parents=[common],
                            help="length of the closed geodesic along a "
-                                "flat direction")
+                                "flat direction of G2group")
     q.add_argument("--H", required=True,
                    help="flat vector, e.g. '(9*l1 + 5*l2)/sqrt(21)'")
-    q.add_argument("--space", default="G2group",
-                   help="space carrying the integral lattice "
-                        "(default: G2group)")
     q.set_defaults(func=cmd_geodesic_length)
 
     mod_p = sub.add_parser("models", help="projective/orthogonal models")
@@ -507,8 +488,6 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors and 0 on --help; pass both through
         return int(exc.code or 0)
     try:
-        if getattr(args, "seed", None) is None:
-            args.seed = _env_int("LTSKIT_SEED", 0)
         return args.func(args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)

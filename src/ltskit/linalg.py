@@ -6,11 +6,11 @@ rows added so far, which is unique, so every result below is independent of
 the order in which rows arrive.  Each stored row carries its support (its
 nonzero columns), and reducing a vector against a row, or a row against a
 new one, updates only those columns in place; the vectors are mostly zeros,
-and a - f*0 would leave the others unchanged anyway.  rank, kernel and solve
-read the pivots and rows of a Span built from their input rows.  basis
-hands out the stored rows themselves, and coords gives a vector's
-coordinates in them, so a system over a subspace can be solved in its dim
-coordinates.  nonzeros gives the support-with-entries form of any vector,
+and a - f*0 would leave the others unchanged anyway.  kernel and solve read
+the pivots and rows of a Span built from their input rows; its dim is the
+rank of its rows.  basis hands out the stored rows themselves, and coords
+gives a vector's coordinates in them, so a system over a subspace can be
+solved in its dim coordinates.  nonzeros gives the support-with-entries form of any vector,
 which the sparse bracket kernel (chevalley.bracket_terms) takes as operands.
 
 Beside them sit three helpers for the matrix whose columns are a list of
@@ -55,14 +55,6 @@ def nonzeros(v: Sequence[Scalar]) -> list[tuple[int, Scalar]]:
     """The support of v with its entries: the (k, v[k]) with v[k] != 0, in
     increasing k."""
     return [(k, c) for k, c in enumerate(v) if c]
-
-
-def mat_vec(m: Sequence[Sequence[Scalar]], v: Sequence[Scalar]) -> Vec:
-    return [sum((a * b for a, b in zip(row, v)), ZERO) for row in m]
-
-
-def rank(rows: Sequence[Sequence[Scalar]]) -> int:
-    return Span(rows).dim
 
 
 def kernel(rows: Sequence[Sequence[Scalar]]) -> list[Vec]:

@@ -14,10 +14,11 @@ Closure is decided through K = [S, S]: the triple bracket is trilinear, so
 [[S, S], S] = [K, S], and only the pair brackets [b_i, b_j] that enlarge K
 are bracketed with the basis of S.  The first failing basis triple is the
 one the plain loop over all triples would name.  The vectors are mostly
-zeros, so the repeated brackets of closure and of the restricted roots take
-each operand's nonzero terms once and go through the sparse kernel
-chevalley.bracket_terms.  The root spaces are kernels solved in S's own
-coordinates (n per operator for dim S = n), not in the ambient ones.
+zeros, so the repeated brackets of closure, of the flat search and of the
+restricted roots take each operand's nonzero terms once and go through the
+sparse kernel chevalley.bracket_terms.  The root spaces are kernels solved
+in S's own coordinates (n per operator for dim S = n), not in the ambient
+ones.
 
 Flats are found by seeded sampling: for pseudo-random combinations v of the
 basis the centralizer N(v) = {w in S : [v, w] = 0} is computed; an abelian
@@ -178,8 +179,9 @@ def _operator_kernel(basis: list[Vec], images: list[Vec]) -> list[Vec]:
 
 
 def _centralizer_in(S: Subspace, v: Vec) -> list[Vec]:
-    alg = S.space.alg
-    return _operator_kernel(S.basis, [alg.bracket(v, b) for b in S.basis])
+    alg, v_terms = S.space.alg, nonzeros(v)
+    return _operator_kernel(S.basis, [alg.bracket_terms(v_terms, nonzeros(b))
+                                      for b in S.basis])
 
 
 def _pairwise_abelian(alg, vectors: list[Vec]) -> bool:

@@ -1,4 +1,4 @@
-"""Finite root systems with exact inner products.
+"""Finite root systems: Cartan data, ordered positive roots, Gram matrix.
 
 Roots are integer coordinate tuples over the simple roots.  Positive roots
 are enumerated by closing the simple roots under root strings, height level
@@ -18,16 +18,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .scalars import Scalar, rat
-
 Root = tuple[int, ...]
 
 
 class NotFiniteType(ValueError):
-    pass
-
-
-class NotSubset(ValueError):
     pass
 
 
@@ -51,8 +45,9 @@ CARTAN_MATRICES: dict[str, list[list[int]]] = {
 _POSITIVE_COUNTS = {"A2": 3, "G2": 6, "F4": 24, "E6": 36}
 
 
-def _pairing(beta: Root, i: int, cartan: Sequence[Sequence[int]]) -> int:
-    # <beta, alpha_i^vee> = sum_j beta_j * C[j][i]
+def pairing(beta: Root, i: int, cartan: Sequence[Sequence[int]]) -> int:
+    """<beta, alpha_i^vee> = sum_j beta_j C[j][i], the eigenvalue of h_i on
+    x_beta."""
     return sum(b * cartan[j][i] for j, b in enumerate(beta))
 
 
@@ -74,7 +69,7 @@ def enumerate_positive_roots(cartan: Sequence[Sequence[int]]) -> list[Root]:
                 while tuple(lower) in found:
                     p += 1
                     lower[i] -= 1
-                if p - _pairing(beta, i, cartan) > 0:
+                if p - pairing(beta, i, cartan) > 0:
                     higher = list(beta)
                     higher[i] += 1
                     cand = tuple(higher)
@@ -122,8 +117,6 @@ class RootSystem:
         self.gram: list[list[Fraction]] = [
             [d[j] * self.cartan[i][j] for j in range(self.rank)]
             for i in range(self.rank)]
-        self._root_set = frozenset(self.positives) | frozenset(
-            tuple(-x for x in r) for r in self.positives)
 
     @classmethod
     def of_type(cls, name: str) -> "RootSystem":
@@ -135,56 +128,8 @@ class RootSystem:
 
     # -- queries -----------------------------------------------------------
 
-    def is_root(self, r: Root) -> bool:
-        return tuple(r) in self._root_set
-
     def all_roots(self) -> list[Root]:
         return self.positives + [tuple(-x for x in r) for r in self.positives]
-
-    def inner(self, u: Sequence, v: Sequence) -> Scalar:
-        """Inner product of Scalar (or rational) coordinate vectors."""
-        us = [x if isinstance(x, Scalar) else rat(Fraction(x)) for x in u]
-        vs = [x if isinstance(x, Scalar) else rat(Fraction(x)) for x in v]
-        total = rat(0)
-        for i in range(self.rank):
-            for j in range(self.rank):
-                if self.gram[i][j]:
-                    total = total + us[i] * vs[j] * rat(self.gram[i][j])
-        return total
-
-    def norm_sq(self, r: Sequence) -> Scalar:
-        return self.inner(r, r)
-
-    def reflect(self, v: Sequence, alpha: Root) -> list[Scalar]:
-        """v - 2(v,alpha)/(alpha,alpha) * alpha, exact."""
-        if all(x == 0 for x in alpha):
-            raise ValueError("cannot reflect in the zero vector")
-        vs = [x if isinstance(x, Scalar) else rat(Fraction(x)) for x in v]
-        num = self.inner(vs, alpha)
-        den = self.inner(alpha, alpha)
-        c = rat(2) * num * den.inv()
-        return [x - c * rat(a) for x, a in zip(vs, alpha)]
-
-    def reflect_root(self, beta: Root, alpha: Root) -> Root:
-        img = self.reflect(beta, alpha)
-        out = tuple(int(x.rational_value()) for x in img)
-        assert self.is_root(out)
-        return out
-
-    def is_closed_subsystem(self, sub: set[Root]) -> bool:
-        """Negation-closed and closed under addition inside the ambient set."""
-        for r in sub:
-            if not self.is_root(r):
-                raise NotSubset(f"{r} is not a root of this system")
-        for r in sub:
-            if tuple(-x for x in r) not in sub:
-                return False
-        for r in sub:
-            for s in sub:
-                t = tuple(a + b for a, b in zip(r, s))
-                if t in self._root_set and t not in sub:
-                    return False
-        return True
 
 
 @dataclass(frozen=True)

@@ -63,7 +63,9 @@ from .linalg import (
     Span, Vec, combine, coordinates, kernel, solve, vec_add,
     vec_is_zero, vec_scale, vec_sub, zeros,
 )
-from .roots import RestrictedRoot, RestrictedRootSystem, Root, RootSystem
+from .roots import (
+    RestrictedRoot, RestrictedRootSystem, Root, RootSystem, pairing,
+)
 from .scalars import I, ONE, Scalar, ZERO, parse_scalar, rat, scalar_sign
 
 SPACE_NAMES = ("EIII", "EIV", "G2group")
@@ -356,7 +358,8 @@ class SpaceModel:
         for label in RESTRICTED_LABELS[self.name]:
             a_idx = self._orbit_tables[label][0][0]
             rep = alg.positives[a_idx - 1]
-            self._forms[label] = tuple(alg._pairing(rep, j) for j in range(alg.rank))
+            self._forms[label] = tuple(pairing(rep, j, alg.rs.cartan)
+                                       for j in range(alg.rank))
         # metric scale: <.,.> = -c*kappa, c fixed by the shortest root
         self._metric_c = Fraction(1)
         gram = self._a_gram()
@@ -561,9 +564,6 @@ class SpaceModel:
                 raise NotInM("curvature arguments must lie in m")
         return vec_scale(rat(-1), self.alg.bracket(self.alg.bracket(x, y), z))
 
-    def root_space(self, label: str) -> Span:
-        return Span(self.charts[label].basis_vectors())
-
     def chart_coords(self, v: Vec, label: str) -> list[Scalar]:
         """Complex chart coordinates of the m_label-component of v."""
         out = []
@@ -572,9 +572,6 @@ class SpaceModel:
             im_ = self.inner(v, w) if w is not None else ZERO
             out.append(re_ + I * im_)
         return out
-
-    def a_component(self, v: Vec) -> Vec:
-        return combine([self.inner(v, z) for z in self.a_basis], self.a_basis)
 
     def validate_orbit_tables(self) -> bool:
         """Check the published orbit/fixed tables against the linear sigma."""

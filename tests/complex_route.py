@@ -9,13 +9,15 @@ only so the tests can compare the two constructions exactly.
 
 from fractions import Fraction
 
+from compact_basis import basis_label
 from ltskit.chevalley import _add, _neg
+from ltskit.roots import pairing
 from ltskit.scalars import I, ZERO, rat
 
 
 def complex_expand(alg, k: int) -> dict:
     """Compact basis vector as {('h', j) | ('x', root): Scalar}."""
-    kind, a = alg.basis_label(k)
+    kind, a = basis_label(alg, k)
     if kind == "t":
         return {("h", a): I}
     if kind == "u":
@@ -38,9 +40,9 @@ def complex_bracket(alg, ex: dict, ey: dict) -> dict:
             if kx[0] == "h" and ky[0] == "h":
                 continue
             if kx[0] == "h" and ky[0] == "x":
-                acc(ky, c * rat(alg._pairing(ky[1], kx[1])))
+                acc(ky, c * rat(pairing(ky[1], kx[1], alg.rs.cartan)))
             elif kx[0] == "x" and ky[0] == "h":
-                acc(kx, -c * rat(alg._pairing(kx[1], ky[1])))
+                acc(kx, -c * rat(pairing(kx[1], ky[1], alg.rs.cartan)))
             else:
                 a, b = kx[1], ky[1]
                 s = _add(a, b)

@@ -22,6 +22,7 @@ are the long way round, kept only so the tests can compare the two exactly.
 from fractions import Fraction
 from math import lcm
 
+from compact_basis import u_vec, v_vec
 from complex_route import involution_matrix
 from ltskit.chevalley import (
     ChevalleyAlgebra, SignSolveFailure, _add, _neg, _sub,
@@ -249,8 +250,8 @@ class GenericRouteModel(SpaceModel):
             pairs = []
             for slot, (a_idx, b_idx) in enumerate(self._orbit_tables[label]):
                 a = alg.positives[a_idx - 1]
-                u = proj(alg.u_vec(a))
-                v = proj(alg.v_vec(a))
+                u = proj(u_vec(alg, a))
+                v = proj(v_vec(alg, a))
                 if (label, slot) in flips:
                     u, v = vec_scale(-ONE, u), vec_scale(-ONE, v)
                 if b_idx == a_idx:  # doubled root: one of u, v survives

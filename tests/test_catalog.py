@@ -18,7 +18,6 @@ from ltskit.catalog import (
     derived_hosts,
     expected_rows,
     geodesic_length,
-    lattice_is_integral,
     make_prototype,
     parse_flat_vector,
     torus_rotate,
@@ -26,7 +25,7 @@ from ltskit.catalog import (
     verify_containments,
     verify_derived,
 )
-from ltskit.linalg import vec_add, vec_scale
+from ltskit.linalg import coordinates, vec_add, vec_scale
 from ltskit.lts import analyze, is_lts
 from ltskit.scalars import I, rat, sqrt
 from ltskit.spaces import build_space
@@ -294,7 +293,16 @@ def test_torus_rotation_fixes_flat(spaces):
 
 
 def test_lattice_generators_are_integral(spaces):
-    assert lattice_is_integral(spaces["G2group"])
+    """Every basic period vector 3 v / |v|^2 of a restricted root's dual v
+    is an integer combination of the two generating period vectors."""
+    sp = spaces["G2group"]
+    lattice = [sp.sharp[l] for l in cat._LATTICE_BASIS]
+    for root in sp.restricted.positives:
+        v = sp.sharp[root.label]
+        c = coordinates(lattice, vec_scale(rat(3) * sp.norm_sq(v).inv(), v))
+        assert c is not None, root.label
+        assert all(t.is_rational() and t.rational_value().denominator == 1
+                   for t in c), root.label
 
 
 def test_geodesic_length_skew_direction(spaces):

@@ -434,10 +434,11 @@ def test_mat_mul_matches_dense_product(data, ring, shape):
 
 
 def dense_j6():
+    one = Cx(C_ONE, C_ZERO)
     J = [[cy.BC_ZERO] * 6 for _ in range(6)]
     for k in range(3):
-        J[2 * k][2 * k + 1] = -cy.BC_ONE
-        J[2 * k + 1][2 * k] = cy.BC_ONE
+        J[2 * k][2 * k + 1] = -one
+        J[2 * k + 1][2 * k] = one
     return J
 
 
@@ -572,7 +573,7 @@ def bicomplex_unitary_variants():
 def test_su6_check_is_the_bicomplex_unitarity():
     verdicts = []
     for A in bicomplex_unitary_variants():
-        assert cy.su6_check(A) == cy.is_unitary(A, cy.BC_ONE)
+        assert cy.su6_check(A) == cy.is_unitary(A, Cx(C_ONE, C_ZERO))
         verdicts.append(cy.su6_check(A))
     assert any(verdicts) and not all(verdicts)
     for A in map(cy.cnum_matrix_to_bc, cy._su6_sample_matrices()):

@@ -9,6 +9,7 @@ from ltskit.linalg import nonzeros, vec_add, vec_is_zero, vec_scale
 from ltskit.roots import RootSystem
 from ltskit.scalars import I, ZERO, rat, sqrt
 
+from compact_basis import basis_label, t_vec, u_vec, v_vec
 from complex_route import compact_table
 from generic_route import dense_bracket, n_mixed, reference_n_table, \
     special_constants, string_down, trace_killing
@@ -90,7 +91,7 @@ def test_table_matches_complex_route(name):
     a = alg(name)
     ref = compact_table(a)
     for i in range(a.dim):
-        assert a.table[i] == ref[i], a.basis_label(i)
+        assert a.table[i] == ref[i], basis_label(a, i)
 
 
 @pytest.mark.parametrize("name", ["A2", "G2", "F4", "E6"])
@@ -132,10 +133,10 @@ def test_cartan_bracket_convention():
     for j in range(a.rank):
         for r in a.positives:
             pairing = sum(b * a.rs.cartan[k][j] for k, b in enumerate(r))
-            got = a.bracket(a.t_vec(j), a.u_vec(r))
-            assert got == a.v_vec(r, rat(pairing))
-            got2 = a.bracket(a.t_vec(j), a.v_vec(r))
-            assert got2 == a.u_vec(r, rat(-pairing))
+            got = a.bracket(t_vec(a, j), u_vec(a, r))
+            assert got == v_vec(a, r, rat(pairing))
+            got2 = a.bracket(t_vec(a, j), v_vec(a, r))
+            assert got2 == u_vec(a, r, rat(-pairing))
 
 
 def test_bracket_mismatch_guard():
@@ -183,18 +184,18 @@ def test_killing_orthogonality_cartan_vs_roots():
     a = alg("G2")
     for j in range(a.rank):
         for r in a.positives:
-            assert a.killing(a.t_vec(j), a.u_vec(r)).is_zero()
-            assert a.killing(a.t_vec(j), a.v_vec(r)).is_zero()
+            assert a.killing(t_vec(a, j), u_vec(a, r)).is_zero()
+            assert a.killing(t_vec(a, j), v_vec(a, r)).is_zero()
 
 
 def test_radical_coefficients_allowed():
     a = alg("A2")
-    x = a.u_vec((1, 0), sqrt(2))
-    y = a.v_vec((1, 0), sqrt(2))
+    x = u_vec(a, (1, 0), sqrt(2))
+    y = v_vec(a, (1, 0), sqrt(2))
     out = a.bracket(x, y)
     # [u, v] for the same root is 2*h-ish: nonzero Cartan part, scaled by 2
     assert not vec_is_zero(out)
-    assert out == vec_scale(rat(2), a.bracket(a.u_vec((1, 0)), a.v_vec((1, 0))))
+    assert out == vec_scale(rat(2), a.bracket(u_vec(a, (1, 0)), v_vec(a, (1, 0))))
 
 
 # entries of seeded test vectors: mostly zeros, as in the models' vectors,

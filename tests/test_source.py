@@ -2,10 +2,12 @@
 
 import ast
 from pathlib import Path
+from typing import Callable
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "ltskit"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "ltskit"
 
 
 def _imports_by_scope(node: ast.AST, scope: ast.AST, out: list) -> None:
@@ -65,18 +67,25 @@ def _is_private(name: str) -> bool:
     return name.startswith("_") and not name.endswith("__") and name != "_"
 
 
-def dead_private_names(sources: dict[str, str]) -> list[str]:
-    """Private functions, classes, methods and module-level assignments
-    (``_name``) of the given modules that no module reads outside the
-    definition itself; a name imported by ``from ... import`` counts as
-    read."""
+def _is_public(name: str) -> bool:
+    return not name.startswith("_")
+
+
+def dead_names(sources: dict[str, str], wanted: Callable[[str], bool],
+               readers: dict[str, str] | None = None) -> list[str]:
+    """Functions, classes, methods and module-level assignments of the given
+    modules whose name is ``wanted`` and that no module, and no source of
+    ``readers``, reads outside the definition itself; a name imported by
+    ``from ... import`` counts as read.  Reads are matched by name alone, so
+    a definition is masked by any read of the same name."""
     defs: list[tuple[str, str, int, int]] = []
     reads: dict[str, list[tuple[str, int]]] = {}
-    for path, source in sources.items():
+    for path, source in {**(readers or {}), **sources}.items():
         tree = ast.parse(source)
         for node in ast.walk(tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef)) and _is_private(node.name):
+            if path in sources and isinstance(
+                    node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                           ast.ClassDef)) and wanted(node.name):
                 defs.append((path, node.name, node.lineno, node.end_lineno))
             if isinstance(node, ast.Name) and not isinstance(node.ctx,
                                                              ast.Store):
@@ -88,17 +97,22 @@ def dead_private_names(sources: dict[str, str]) -> list[str]:
                 for alias in node.names:
                     reads.setdefault(alias.name, []).append(
                         (path, node.lineno))
-        for node in tree.body:
+        for node in tree.body if path in sources else ():
             targets = (node.targets if isinstance(node, ast.Assign)
                        else [node.target] if isinstance(
                            node, (ast.AnnAssign, ast.AugAssign)) else [])
             for t in targets:
-                if isinstance(t, ast.Name) and _is_private(t.id):
+                if isinstance(t, ast.Name) and wanted(t.id):
                     defs.append((path, t.id, node.lineno, node.end_lineno))
     return sorted(
         f"{path}: {name} (line {start})" for path, name, start, end in defs
         if not any(p != path or not start <= line <= end
                    for p, line in reads.get(name, ())))
+
+
+def _sources(directory: Path, prefix: str = "") -> dict[str, str]:
+    return {prefix + path.name: path.read_text(encoding="utf-8")
+            for path in sorted(directory.glob("*.py"))}
 
 
 def test_dead_private_names_finds_unread_definitions():
@@ -111,12 +125,53 @@ def test_dead_private_names_finds_unread_definitions():
                  "print(_used())\n"),
         "b.py": "from a import _Box\n",
     }
-    assert dead_private_names(sources) == [
+    assert dead_names(sources, _is_private) == [
         "a.py: _UNUSED (line 2)", "a.py: _peek (line 8)",
         "a.py: _recursive (line 5)"]
 
 
 def test_no_dead_private_names():
-    sources = {path.name: path.read_text(encoding="utf-8")
-               for path in sorted(SRC.glob("*.py"))}
-    assert dead_private_names(sources) == []
+    assert dead_names(_sources(SRC), _is_private) == []
+
+
+def test_dead_public_names_finds_unread_definitions():
+    sources = {
+        "a.py": ("LIMIT = 3\nUNUSED = 4\n_hidden = 5\n"
+                 "def helper():\n    return helper\n"
+                 "class Box:\n    def peek(self):\n        return LIMIT\n"
+                 "    def __len__(self):\n        return 0\n"
+                 "def tool():\n    return Box().peek()\n"),
+    }
+    # a reader's reads count, its own definitions are not checked
+    readers = {"bench.py": "from a import tool\ndef unread():\n    pass\n"}
+    assert dead_names(sources, _is_public, readers) == [
+        "a.py: UNUSED (line 2)", "a.py: helper (line 4)"]
+    assert dead_names(sources, _is_public) == [
+        "a.py: UNUSED (line 2)", "a.py: helper (line 4)",
+        "a.py: tool (line 11)"]
+
+
+# Public names that no program path reads (the package, its CLI and the
+# benchmark harness), kept as API with the reason why.
+PUBLIC_API = {
+    "cayley.py: jordan_mul":
+        "the Jordan model's product (XY + YX)/2, which the tests check",
+    "cayley.py: polar_stabilizer_criterion":
+        "the stabilizer criterion as the paper states it; so10_constructions "
+        "passes its precomputed midpoint to the private form",
+    "lts.py: lts_from_closed_subsystem":
+        "builds an LTS from a closed root subsystem, the fixture of the "
+        "test_lts checks",
+    "spaces.py: reference_sharp":
+        "restricted-root duals in the normalization of the quoted curvature "
+        "identities, which the tests check",
+}
+
+
+def test_no_dead_public_names():
+    dead = dead_names(_sources(SRC), _is_public,
+                      readers=_sources(ROOT / "perfbench", "perfbench/"))
+    unread = {entry.rpartition(" (line")[0] for entry in dead}
+    assert sorted(unread - PUBLIC_API.keys()) == [], "unread public names"
+    assert sorted(PUBLIC_API.keys() - unread) == [], (
+        "kept as API but no longer defined, or now read by a program path")
