@@ -855,7 +855,7 @@ def _verify_witnesses(sp: SpaceModel | None, rep: CatalogReport,
         if row.mode == "intersection":
             family = TypeLabel(sp.name, row.expected.label.parts[:1])
             meet = intersect_spans(big.basis(),
-                                   make_prototype(sp, family).basis)
+                                   make_prototype(sp, family).span())
             rep.rows.append(_check_expected(sp, row.expected,
                                             Subspace(sp, meet), label, seed))
             continue

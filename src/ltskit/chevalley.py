@@ -66,8 +66,10 @@ ad_i ad_j over the table instead, as a runtime check of this form.  The
 form is kept as sparse Scalar rows, and bracket and killing multiply by the
 table and the rows directly.  Elements are plain Scalar coordinate vectors
 over this basis.  bracket_terms is the one bracket kernel: it takes both
-operands as their nonzero (index, entry) terms, and bracket is a wrapper
-that takes the terms of two dense vectors.
+operands as their nonzero (index, entry) terms (linalg.nonzeros) and
+returns the bracket in the same increasing, zero-free form, so a chain of
+brackets never scans a dense vector.  bracket is a wrapper that takes the
+terms of two dense vectors and writes the same sums into a dense vector.
 
 An algebra is read only after __init__, so one instance can be shared by
 every model over the same root system (spaces.SpaceModel does).
@@ -79,7 +81,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
-from .linalg import Vec, nonzeros
+from .linalg import Terms, Vec, nonzeros
 from .roots import Root, RootSystem, pairing
 from .scalars import Scalar, ZERO, rat
 
@@ -287,14 +289,25 @@ class ChevalleyAlgebra:
     def bracket(self, x: Sequence[Scalar], y: Sequence[Scalar]) -> Vec:
         if len(x) != self.dim or len(y) != self.dim:
             raise AlgebraMismatch("element size does not match the algebra")
-        return self.bracket_terms(nonzeros(x), nonzeros(y))
+        out = [ZERO] * self.dim
+        for k, c in self._bracket_sums(nonzeros(x), nonzeros(y)).items():
+            out[k] = c
+        return out
 
     def bracket_terms(self, xs: Sequence[tuple[int, Scalar]],
-                      ys: Sequence[tuple[int, Scalar]]) -> Vec:
+                      ys: Sequence[tuple[int, Scalar]]) -> Terms:
         """[x, y] for operands given by their nonzero terms (linalg.nonzeros),
-        as a dense vector.  A caller that brackets one vector many times
-        takes its terms once, instead of scanning its zeros on every call."""
-        out = [ZERO] * self.dim
+        in the same form: nonzeros of the dense bracket, found by
+        zero-testing only the entries the table touched.  A caller that
+        brackets one vector many times takes its terms once, and one
+        bracket's result is the next one's operand as it stands."""
+        return [(k, c) for k, c in sorted(self._bracket_sums(xs, ys).items())
+                if c]
+
+    def _bracket_sums(self, xs: Sequence[tuple[int, Scalar]],
+                      ys: Sequence[tuple[int, Scalar]]) -> dict[int, Scalar]:
+        """The entries of [x, y] that the table touches, zeros included."""
+        out: dict[int, Scalar] = {}
         table = self.table
         for i, ci in xs:
             row = table[i]
@@ -303,7 +316,8 @@ class ChevalleyAlgebra:
                 if terms:
                     c = ci * cj
                     for k, f in terms:
-                        out[k] = out[k] + c * f
+                        prev = out.get(k)
+                        out[k] = c * f if prev is None else prev + c * f
         return out
 
     # -- Killing form ------------------------------------------------------

@@ -474,16 +474,24 @@ def build_parser():
                    help="text file of extra rational orthogonal matrices")
     q.set_defaults(func=cmd_models_verify)
 
+    # each verb reports its own errors, with its own usage line
+    for verbs in (sp_sub, cat_sub, lts_sub, cur_sub, geo_sub, mod_sub):
+        for q in verbs.choices.values():
+            q.set_defaults(parser=q)
     return p
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        # the verb's parser leaves arguments it does not know to this one,
+        # whose usage line would name no verb
+        args, unknown = parser.parse_known_args(argv)
+        if unknown:
+            args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
         # argparse of Python 3.11 reads the option value "--" as [], not "--"
         if [] in vars(args).values():
-            parser.error("'--' is not an option value")
+            args.parser.error("'--' is not an option value")
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help; pass both through
         return int(exc.code or 0)

@@ -1,23 +1,32 @@
 """Exact linear algebra over the scalar field.
 
-Vectors are dense lists of Scalar, matrices are lists of rows.  Span is the
-one Gauss-Jordan elimination: it keeps the reduced row echelon form of the
-rows added so far, which is unique, so every result below is independent of
-the order in which rows arrive.  Each stored row carries its support (its
-nonzero columns), and reducing a vector against a row, or a row against a
-new one, updates only those columns in place; the vectors are mostly zeros,
-and a - f*0 would leave the others unchanged anyway.  kernel and solve read
-the pivots and rows of a Span built from their input rows; its dim is the
-rank of its rows.  basis hands out the stored rows themselves, and coords
-gives a vector's coordinates in them, so a system over a subspace can be
-solved in its dim coordinates.  nonzeros gives the support-with-entries form of any vector,
-which the sparse bracket kernel (chevalley.bracket_terms) takes as operands.
+Vectors are dense lists of Scalar, matrices are lists of rows.  A vector
+that is mostly zeros also has a terms form: the increasing list of its
+nonzero (index, entry) pairs, which nonzeros returns and the bracket kernel
+chevalley.bracket_terms takes and returns, so a chain of brackets and
+membership tests never scans a zero.
 
-Beside them sit three helpers for the matrix whose columns are a list of
+Span is the one Gauss-Jordan elimination: it keeps the reduced row echelon
+form of the rows added so far, which is unique, so every result below is
+independent of the order in which rows arrive.  In that form the
+coefficient of a stored row in a vector's reduction is the vector's own
+entry at the row's pivot, so Span.remainder, the one reduction routine,
+looks rows up by the pivots in the vector's support and touches only their
+nonzero columns.  contains, coords and add are built on it, each in a terms
+form (contains_terms, coords_terms, add_terms) and a dense one that takes
+the nonzeros of its vector.  kernel and solve read the pivots and rows of a
+Span built from their input rows; its dim is the rank of its rows.  basis
+hands out the stored rows themselves, and coords gives a vector's
+coordinates in them, so a system over a subspace can be solved in its dim
+coordinates.
+
+Beside them sit helpers for the matrix whose columns are a list of
 vectors: combine (the matrix times a coefficient vector), relations (its
-kernel) and coordinates (one solution of a system with it).  Callers state
-"which combination of these vectors" through them instead of building a
-transposed coordinate system by hand.
+kernel) and coordinates (one solution of a system with it), and on_support,
+which writes sparse vectors densely over the union of their supports so
+that relations sees no column of zeros.  Callers state "which combination
+of these vectors" through them instead of building a transposed coordinate
+system by hand.
 """
 
 from __future__ import annotations
@@ -29,6 +38,7 @@ from .scalars import Scalar, ZERO, ONE
 
 Vec = list[Scalar]
 Mat = list[list[Scalar]]
+Terms = Sequence[tuple[int, Scalar]]
 
 
 def zeros(n: int) -> Vec:
@@ -112,6 +122,14 @@ def relations(vectors: Sequence[Sequence[Scalar]]) -> list[Vec]:
     return kernel(rows)
 
 
+def on_support(vectors: Sequence[dict[int, Scalar]]) -> Mat:
+    """Sparse vectors, given as index -> entry maps, as dense vectors over
+    the sorted union of their indices: the columns left out are zero in
+    every vector, so the relations are the same."""
+    cols = sorted(set().union(*vectors))
+    return [[v.get(k, ZERO) for k in cols] for v in vectors]
+
+
 def coordinates(vectors: Sequence[Sequence[Scalar]],
                 v: Sequence[Scalar]) -> Vec | None:
     """Coefficients c with combine(c, vectors) = v, or None if v is outside
@@ -122,57 +140,91 @@ def coordinates(vectors: Sequence[Sequence[Scalar]],
 class Span:
     """Row space with exact membership tests, built incrementally.
 
-    Each stored row is kept with its support, the increasing list of its
-    nonzero columns, and a row operation touches only those columns."""
+    The stored rows are in reduced row echelon form, so the coefficient of
+    each row in a vector's reduction is the vector's own entry at that row's
+    pivot.  Beside its dense form each row is kept, by pivot, as its moves:
+    the negated nonzero entries off its pivot.  remainder, the one reduction
+    routine, adds c * moves[p] for each term (p, c) of a vector at a pivot p
+    and so touches only those rows and only their columns.  width is the
+    length of the dense rows: that of the first dense vector added, or given
+    for a span that is fed terms only."""
 
-    def __init__(self, vectors: Sequence[Sequence[Scalar]] = ()):
+    def __init__(self, vectors: Sequence[Sequence[Scalar]] = (),
+                 width: int | None = None):
+        self.width = width
         self._rows: Mat = []
         self._pivots: list[int] = []
-        self._supports: list[list[int]] = []
+        self._moves: dict[int, Terms] = {}
         for v in vectors:
             self.add(v)
 
-    def add(self, v: Sequence[Scalar]) -> bool:
-        """Reduce v against the span; add the remainder.  True if dim grew."""
-        w = self._reduce(list(v))
-        support = [k for k, x in enumerate(w) if x]
-        if not support:
+    def remainder(self, terms: Terms) -> dict[int, Scalar]:
+        """The vector with these nonzero terms (increasing or not) minus the
+        stored rows at its pivots.  Its pivot entries end exactly 0 and are
+        left out, so the dict holds the other columns it touched; its
+        values, zeros included, are the only entries left to zero-test."""
+        moves = self._moves
+        out: dict[int, Scalar] = {}
+        for k, c in terms:
+            move = moves.get(k)
+            if move is None:
+                prev = out.get(k)
+                out[k] = c if prev is None else prev + c
+                continue
+            for j, x in move:
+                prev = out.get(j)
+                out[j] = c * x if prev is None else prev + c * x
+        return out
+
+    def contains_terms(self, terms: Terms) -> bool:
+        return not any(self.remainder(terms).values())
+
+    def coords_terms(self, terms: Terms) -> Vec | None:
+        """Coefficients in the stored reduced basis of the vector with these
+        terms, or None if it lies outside the span."""
+        if any(self.remainder(terms).values()):
+            return None
+        at = dict(terms)
+        return [at.get(p, ZERO) for p in self._pivots]
+
+    def add_terms(self, terms: Terms) -> bool:
+        """Reduce the vector against the span; add the remainder.  True if
+        dim grew."""
+        w = sorted((k, x) for k, x in self.remainder(terms).items() if x)
+        if not w:
             return False
-        c = support[0]
-        inv = w[c].inv()
-        for k in support:
-            w[k] = w[k] * inv
+        c, lead = w[0]
+        inv = lead.inv()
+        w = [(k, x * inv) for k, x in w]
+        cols = {k for k, _ in w}
         # keep rows fully reduced against each other
-        for row, sup in zip(self._rows, self._supports):
+        for row, p in zip(self._rows, self._pivots):
             f = row[c]
             if f:
-                for k in support:
-                    row[k] = row[k] - f * w[k]
-                sup[:] = [k for k in sorted(set(sup).union(support)) if row[k]]
+                for k, x in w:
+                    row[k] = row[k] - f * x
+                touched = cols.union(k for k, _ in self._moves[p])
+                self._moves[p] = [(k, -row[k]) for k in sorted(touched)
+                                  if k != p and row[k]]
+        row = zeros(self.width)
+        for k, x in w:
+            row[k] = x
         pos = bisect_left(self._pivots, c)
-        self._rows.insert(pos, w)
+        self._rows.insert(pos, row)
         self._pivots.insert(pos, c)
-        self._supports.insert(pos, support)
+        self._moves[c] = [(k, -x) for k, x in w[1:]]
         return True
 
-    def _reduce(self, v: Vec) -> Vec:
-        """Subtract the stored rows from v in place; v's pivot entries end 0."""
-        for row, pc, sup in zip(self._rows, self._pivots, self._supports):
-            f = v[pc]
-            if f:
-                for k in sup:
-                    v[k] = v[k] - f * row[k]
-        return v
+    def add(self, v: Sequence[Scalar]) -> bool:
+        if self.width is None:
+            self.width = len(v)
+        return self.add_terms(nonzeros(v))
 
     def contains(self, v: Sequence[Scalar]) -> bool:
-        return vec_is_zero(self._reduce(list(v)))
+        return self.contains_terms(nonzeros(v))
 
     def coords(self, v: Sequence[Scalar]) -> Vec | None:
-        """Coefficients of v in the stored reduced basis, or None."""
-        w = list(v)
-        coeffs = [w[pc] for pc in self._pivots]
-        self._reduce(w)
-        return coeffs if vec_is_zero(w) else None
+        return self.coords_terms(nonzeros(v))
 
     @property
     def dim(self) -> int:

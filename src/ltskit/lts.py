@@ -14,11 +14,17 @@ Closure is decided through K = [S, S]: the triple bracket is trilinear, so
 [[S, S], S] = [K, S], and only the pair brackets [b_i, b_j] that enlarge K
 are bracketed with the basis of S.  The first failing basis triple is the
 one the plain loop over all triples would name.  The vectors are mostly
-zeros, so the repeated brackets of closure, of the flat search and of the
-restricted roots take each operand's nonzero terms once and go through the
-sparse kernel chevalley.bracket_terms.  The root spaces are kernels solved
-in S's own coordinates (n per operator for dim S = n), not in the ambient
-ones.
+zeros, so the hot loops of closure, of the flat search and of the
+restricted roots keep them in the terms form of linalg (increasing nonzero
+(index, entry) pairs): each operand's terms are taken once, a bracket from
+chevalley.bracket_terms is the next bracket's operand as it stands, and
+membership, coordinates and K's growth go through Span's one reduction
+routine on those terms, which zero-tests only the entries it touched.  The
+root spaces are kernels solved in S's own coordinates (n per operator for
+dim S = n), not in the ambient ones.  An intersection with S reduces each
+row modulo S and solves for the combinations whose remainders cancel, one
+unknown per row.  The root candidates of the reference flat a are computed
+once per model, so kept reports share their root values.
 
 Flats are found by seeded sampling: for pseudo-random combinations v of the
 basis the centralizer N(v) = {w in S : [v, w] = 0} is computed; an abelian
@@ -48,8 +54,8 @@ from functools import cache
 from itertools import chain
 
 from .linalg import (
-    Span, Vec, combine, nonzeros, relations, vec_add, vec_is_zero, vec_scale,
-    vec_sub, zeros,
+    Span, Vec, combine, nonzeros, on_support, relations, vec_add, vec_is_zero,
+    vec_scale, vec_sub, zeros,
 )
 from .scalars import ParseError, Parser, Scalar, scalar_sign
 from .spaces import (
@@ -140,25 +146,26 @@ def closure_defect(S: Subspace) -> tuple[int, int, int] | None:
     only the others are bracketed with every b_k.  The first failing triple
     is therefore the triple loop's, found with O(n^2 + dim K * n) brackets
     instead of O(n^3).  A pair is added to K only after it passed, so a
-    FAIL does no elimination work beyond membership tests.  The brackets go
-    through the sparse kernel chevalley.bracket_terms: the nonzero terms of
-    each b_k are taken once, and those of a pair bracket once before its n
-    triple brackets.
+    FAIL does no elimination work beyond membership tests.  Every vector
+    stays in the terms form: the nonzero terms of each b_k are taken once,
+    a pair bracket from chevalley.bracket_terms is the operand of its n
+    triple brackets as it stands, and K and S test and add those terms
+    directly (Span.contains_terms, Span.add_terms).
     """
     alg = S.space.alg
     n = S.dim
-    supports = [nonzeros(b) for b in S.basis]
-    K = Span()
+    span = S.span()
+    terms = [nonzeros(b) for b in S.basis]
+    K = Span(width=alg.dim)
     for i in range(n):
         for j in range(i + 1, n):
-            pair = alg.bracket_terms(supports[i], supports[j])
-            if K.contains(pair):
+            pair = alg.bracket_terms(terms[i], terms[j])
+            if K.contains_terms(pair):
                 continue
-            pair_terms = nonzeros(pair)
             for k in range(n):
-                if not S.contains(alg.bracket_terms(pair_terms, supports[k])):
+                if not span.contains_terms(alg.bracket_terms(pair, terms[k])):
                     return (i, j, k)
-            K.add(pair)
+            K.add_terms(pair)
     return None
 
 
@@ -180,8 +187,8 @@ def _operator_kernel(basis: list[Vec], images: list[Vec]) -> list[Vec]:
 
 def _centralizer_in(S: Subspace, v: Vec) -> list[Vec]:
     alg, v_terms = S.space.alg, nonzeros(v)
-    return _operator_kernel(S.basis, [alg.bracket_terms(v_terms, nonzeros(b))
-                                      for b in S.basis])
+    return _operator_kernel(S.basis, on_support(
+        [dict(alg.bracket_terms(v_terms, nonzeros(b))) for b in S.basis]))
 
 
 def _pairwise_abelian(alg, vectors: list[Vec]) -> bool:
@@ -192,13 +199,14 @@ def _pairwise_abelian(alg, vectors: list[Vec]) -> bool:
     return True
 
 
-def intersect_spans(rows1: list[Vec], rows2: list[Vec]) -> list[Vec]:
-    """Basis of span(rows1) intersect span(rows2), in reduced echelon form."""
-    if not rows1 or not rows2:
+def intersect_spans(rows: list[Vec], span: Span) -> list[Vec]:
+    """Basis of span(rows) intersect span, in reduced echelon form: the
+    combinations of the rows whose remainders modulo span cancel, solved
+    over len(rows) unknowns."""
+    if not rows or not span.dim:
         return []
-    n = len(rows1)
-    return Span(combine(c[:n], rows1)
-                for c in relations(rows1 + rows2)).basis()
+    remainders = on_support([span.remainder(nonzeros(r)) for r in rows])
+    return Span(combine(c, rows) for c in relations(remainders)).basis()
 
 
 _FLAT_BUDGET = 24  # seeded samples of the full basis; half as many inside a
@@ -218,7 +226,7 @@ def rank_and_flat(S: Subspace, seed: int = 0) -> tuple[int, Subspace]:
     if S.dim == 0:
         return 0, Subspace(sp, [])
     alg = sp.alg
-    a_meet = intersect_spans(sp.a_basis, S.basis)
+    a_meet = intersect_spans(sp.a_basis, S.span())
     rng = random.Random(seed)
 
     def schedule():
@@ -254,6 +262,15 @@ def _reference_flat(sp: SpaceModel) -> Subspace:
     reports hold one copy of a between them.  build_space keeps its models
     for the life of the process anyway, so the cache keeps none alive."""
     return Subspace(sp, sp.a_basis)
+
+
+@cache
+def _reference_candidates(sp: SpaceModel) -> tuple[
+        tuple[tuple[Scalar, ...], tuple[str, ...]], ...]:
+    """The items of _root_candidates on the basis of _reference_flat, once
+    per model and immutable: the reports whose flat is a share its value
+    and label tuples."""
+    return tuple(_root_candidates(sp, _reference_flat(sp).basis).items())
 
 
 def _check_ambient_cartan_extension(sp: SpaceModel, flat: Subspace) -> None:
@@ -300,13 +317,14 @@ def sub_restricted_roots(S: Subspace, flat: Subspace) -> list[SubRoot]:
     to equal the intersection of S with the matching ambient root spaces.
 
     For an LTS S and h in S, every image ad(h_i)ad(h_j)b lies in S.  The
-    images of the basis are computed once, through the sparse bracket
-    kernel, and kept in S's own coordinates (Span.coords); an image outside
-    S raises NotAFlat naming it.  A candidate adds its shift to the
-    coordinate of b itself and solves a kernel on len(pairs) * dim S
-    coordinates instead of len(pairs) * dim g ambient entries.  Coordinates
-    are injective on S, so the kernel, and the reduced basis that relations
-    returns for it, is the one of the ambient system.
+    images of the basis are computed once, in the terms form, and kept in
+    S's own coordinates (Span.coords_terms); an image outside S raises
+    NotAFlat naming it.  A candidate adds its shift to the coordinate of b
+    itself and solves a kernel on len(pairs) * dim S coordinates instead of
+    len(pairs) * dim g ambient entries.  Coordinates are injective on S, so
+    the kernel, and the reduced basis that relations returns for it, is the
+    one of the ambient system.  The candidates of the reference flat are
+    read from a table computed once per model (_reference_candidates).
     """
     sp = S.space
     alg = sp.alg
@@ -318,16 +336,18 @@ def sub_restricted_roots(S: Subspace, flat: Subspace) -> list[SubRoot]:
     if not _pairwise_abelian(alg, flat.basis):
         raise NotAFlat("flat is not abelian")
     hs = flat.basis
-    buckets = _root_candidates(sp, hs)
+    candidates = (_reference_candidates(sp) if flat is _reference_flat(sp)
+                  else _root_candidates(sp, hs).items())
     pairs = [(i, i) for i in range(len(hs))]
     if len(hs) == 2:
         pairs.append((0, 1))
     h_terms = [nonzeros(h) for h in hs]
-    coords = S.span().coords
+    span = S.span()
+    coords = span.coords_terms
     shared = []
     for r, b in enumerate(S.basis):
         b_terms = nonzeros(b)
-        ad_b = [nonzeros(alg.bracket_terms(h, b_terms)) for h in h_terms]
+        ad_b = [alg.bracket_terms(h, b_terms) for h in h_terms]
         row = []
         for i, j in pairs:
             c = coords(alg.bracket_terms(h_terms[i], ad_b[j]))
@@ -338,7 +358,7 @@ def sub_restricted_roots(S: Subspace, flat: Subspace) -> list[SubRoot]:
             row.append(c)
         shared.append(row)
     out: list[SubRoot] = []
-    for vals, labels in buckets.items():
+    for vals, labels in candidates:
         shifts = [vals[i] * vals[j] for i, j in pairs]
         images = [[x + shift if k == r else x
                    for c, shift in zip(imgs, shifts) for k, x in enumerate(c)]
@@ -349,25 +369,26 @@ def sub_restricted_roots(S: Subspace, flat: Subspace) -> list[SubRoot]:
         ambient = []
         for label in labels:
             ambient.extend(sp.charts[label].basis_vectors())
-        meet = intersect_spans(ambient, S.basis)
+        meet = intersect_spans(ambient, span)
         if Span(space_vecs) != Span(meet):
             raise NotAFlat(
                 "root space does not match the ambient intersection; "
                 "the input is not an LTS flat pair")
-        out.append(SubRoot(values=vals, mult=len(space_vecs), labels=tuple(labels)))
+        out.append(SubRoot(values=vals, mult=len(space_vecs), labels=labels))
     return out
 
 
-def _root_candidates(sp: SpaceModel,
-                     hs: list[Vec]) -> dict[tuple[Scalar, ...], list[str]]:
+def _root_candidates(sp: SpaceModel, hs: list[Vec]) -> dict[
+        tuple[Scalar, ...], tuple[str, ...]]:
     """Candidate restrictions to span(hs) of the ambient restricted roots:
     sign-normalized values on hs, each with the labels restricting to it."""
-    buckets: dict[tuple[Scalar, ...], list[str]] = {}
+    buckets: dict[tuple[Scalar, ...], tuple[str, ...]] = {}
     for label in RESTRICTED_LABELS[sp.name]:
         vals = tuple(sp.inner(sp.sharp[label], h) for h in hs)
         if all(v.is_zero() for v in vals):
             continue
-        buckets.setdefault(_normalize_sign(vals), []).append(label)
+        key = _normalize_sign(vals)
+        buckets[key] = buckets.get(key, ()) + (label,)
     return buckets
 
 

@@ -9,14 +9,16 @@ matrix of a; chart vectors as dense projections (v -+ sigma v)/2; the
 centre of k as the kernel of its brackets with every k row at once; the
 bracket as a scan of both dense operands; and the restricted-root spaces of
 an LTS as kernels of the ambient images ad(h_i)ad(h_j)b, all dim g entries
-of each.
+of each; the intersection of two spans from the relations among all their
+rows at once.
 
 ltskit.chevalley writes every N in one height-ordered pass and the Killing
 form down in closed form, and brackets nonzero terms only; ltskit.spaces
 writes k, m and the chart vectors from sigma's sparse signed columns, shares
 one Gram matrix between the duals and stops the centre solve early; and
-ltskit.lts solves the root spaces in the subspace's own coordinates.  These
-are the long way round, kept only so the tests can compare the two exactly.
+ltskit.lts solves the root spaces in the subspace's own coordinates and
+intersects by remainders modulo a Span.  These are the long way round,
+kept only so the tests can compare the two exactly.
 """
 
 from fractions import Fraction
@@ -28,7 +30,7 @@ from ltskit.chevalley import (
     ChevalleyAlgebra, SignSolveFailure, _add, _neg, _sub,
 )
 from ltskit.linalg import (
-    combine, kernel, relations, solve, vec_add, vec_is_zero, vec_scale,
+    Span, combine, kernel, relations, solve, vec_add, vec_is_zero, vec_scale,
     vec_sub,
 )
 from ltskit.lts import SubRoot, _operator_kernel, _root_candidates
@@ -197,6 +199,17 @@ def dense_sub_restricted_roots(S, flat) -> list:
             out.append(SubRoot(values=vals, mult=len(space_vecs),
                                labels=tuple(labels)))
     return out
+
+
+def dense_intersect_spans(rows1, rows2) -> list:
+    """Basis of span(rows1) intersect span(rows2), in reduced echelon form,
+    from the relations among all the rows together: one equation per
+    ambient coordinate, in len(rows1) + len(rows2) unknowns."""
+    if not rows1 or not rows2:
+        return []
+    n = len(rows1)
+    return Span(combine(c[:n], rows1)
+                for c in relations(rows1 + rows2)).basis()
 
 
 def dense_sigma_kernels(sigma_matrix) -> tuple[list, list]:

@@ -326,6 +326,9 @@ def test_jobs_option_is_rejected(capsys):
     code, _, err = run(capsys, "space", "info", "EIII", "--jobs", "0")
     assert code == EXIT_PARSE
     assert "--jobs" in err
+    # the usage and the error are the verb's, not the top-level parser's
+    assert err.startswith("usage: ltskit space info")
+    assert "ltskit space info: error: unrecognized arguments: --jobs 0" in err
 
 
 GOLDEN = ROOT / "tests" / "data" / "golden"

@@ -1,7 +1,8 @@
 from hypothesis import given, settings, strategies as st
 
 from ltskit.linalg import (
-    Span, combine, coordinates, kernel, relations, solve, vec_is_zero,
+    Span, combine, coordinates, kernel, nonzeros, relations, solve,
+    vec_is_zero,
 )
 from ltskit.scalars import ONE, ZERO, rat, sqrt
 
@@ -147,12 +148,18 @@ def dense_echelon(vectors):
     return rows, pivots
 
 
-def dense_coords(rows, pivots, v):
+def dense_reduce(rows, pivots, v):
+    """(coefficients, remainder) of v by whole-row updates."""
     w = list(v)
     coeffs = []
     for row, pc in zip(rows, pivots):
         coeffs.append(w[pc])
         w = [a - coeffs[-1] * b for a, b in zip(w, row)]
+    return coeffs, w
+
+
+def dense_coords(rows, pivots, v):
+    coeffs, w = dense_reduce(rows, pivots, v)
     return coeffs if vec_is_zero(w) else None
 
 
@@ -166,7 +173,19 @@ def test_span_matches_dense_elimination(vectors, rnd, probes):
     rows, pivots = dense_echelon(vectors)
     assert span.basis() == rows
     assert Span(shuffled).basis() == rows
+    # the same span fed terms only, in the shuffled order
+    from_terms = Span(width=N_COLS)
+    for v in shuffled:
+        from_terms.add_terms(nonzeros(v))
+    assert from_terms.basis() == rows
     combos = [combine([rat(rnd.randint(-3, 3)) for _ in vectors], vectors)]
     for v in probes + combos:
-        assert span.contains(v) == (dense_coords(rows, pivots, v) is not None)
-        assert span.coords(v) == dense_coords(rows, pivots, v)
+        want = dense_coords(rows, pivots, v)
+        rest = nonzeros(dense_reduce(rows, pivots, v)[1])
+        for s in (span, Span(shuffled), from_terms):
+            assert s.contains(v) == (want is not None)
+            assert s.coords(v) == want
+            assert s.contains_terms(nonzeros(v)) == (want is not None)
+            assert s.coords_terms(nonzeros(v)) == want
+            got = s.remainder(nonzeros(v))
+            assert sorted((k, x) for k, x in got.items() if x) == rest

@@ -13,7 +13,7 @@ from ltskit.report import ReportRow
 from ltskit.scalars import I, ParseError, rat, sqrt
 from ltskit.spaces import NotInM, build_space
 
-from generic_route import dense_sub_restricted_roots
+from generic_route import dense_intersect_spans, dense_sub_restricted_roots
 
 
 def subspace(sp, vectors):
@@ -262,6 +262,30 @@ def test_sub_roots_match_dense_route(name, seed):
             == dense_sub_restricted_roots(S, flat), row.label
 
 
+@pytest.mark.parametrize("name", ["G2group", "EIV", "EIII"])
+def test_intersections_match_dense_route(name):
+    # a intersect S by remainders modulo S, against the relations among the
+    # rows of both, for every prototype whose flat lies in a
+    sp = build_space(name)
+    for row in expected_rows(name):
+        if row.opaque:
+            continue
+        S = make_prototype(sp, row.label.text)
+        assert lts.intersect_spans(sp.a_basis, S.span()) \
+            == dense_intersect_spans(sp.a_basis, S.basis), row.label
+
+
+small_entries = st.one_of(st.just(0), st.just(0), st.integers(-3, 3)).map(rat)
+short_vectors = st.lists(small_entries, min_size=5, max_size=5)
+
+
+@settings(deadline=None)
+@given(st.lists(short_vectors, max_size=4), st.lists(short_vectors, max_size=4))
+def test_intersect_spans_matches_dense_route(rows, others):
+    assert lts.intersect_spans(rows, Span(others)) \
+        == dense_intersect_spans(rows, others)
+
+
 def test_sub_roots_reject_image_outside_subspace():
     # S = a + span(u + w), u in m_l1 and w in m_l2: ad(h)^2 scales u and w
     # by different squares, so the image leaves S and S is no LTS
@@ -285,7 +309,7 @@ def test_root_kernel_cost_guard(monkeypatch):
     real = lts.relations
 
     def recording(vectors):
-        if len(vectors) == S.dim:  # the intersections have more columns
+        if len(vectors) == S.dim:  # an intersection has one per ambient row
             sizes.append(len(vectors[0]))
         return real(vectors)
 

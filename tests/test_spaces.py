@@ -3,11 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from ltskit import linalg, spaces
+from ltskit import catalog, linalg, lts, spaces
 from ltskit.chevalley import ChevalleyAlgebra
 from ltskit.linalg import Span, vec_add, vec_is_zero, vec_scale, vec_sub
 from ltskit.roots import RootSystem
-from ltskit.scalars import I, rat, sqrt
+from ltskit.scalars import I, Scalar, rat, sqrt
 from ltskit.spaces import (
     SIGMA_ON_SIMPLE, LiftFailure, NotHermitian, NotInM, RootInvolution,
     SpaceModel, build_space, lift_involution, scalar_sign,
@@ -318,6 +318,32 @@ def test_build_cost_guard(monkeypatch):
     sp.complex_structure()
     assert calls[0] <= 343 - 100
     assert widths and max(widths) <= sp.alg.rank
+
+
+def test_analyze_cost_guard(monkeypatch):
+    # deterministic counts, no timings: the terms form zero-tests only the
+    # entries a bracket or a reduction touched (a dense scan of every vector
+    # made 161071 tests here), and kept reports share their root values
+    sp = build_space("EIII")
+    S = catalog.make_prototype(sp, "(DIII)")
+    lts.analyze(S)  # the model's one-time work: J, the reference flat
+    tests = [0]
+    is_nonzero = Scalar.__bool__
+
+    def counting(self):
+        tests[0] += 1
+        return is_nonzero(self)
+
+    monkeypatch.setattr(Scalar, "__bool__", counting)
+    lts.analyze(S, seed=0)
+    monkeypatch.undo()
+    assert tests[0] <= 80_000
+    eiv = build_space("EIV")
+    first, second = (lts.analyze(catalog.make_prototype(eiv, "(AII)"))
+                     for _ in range(2))
+    assert first.restricted and len(first.restricted) == len(second.restricted)
+    for a, b in zip(first.restricted, second.restricted):
+        assert a.values is b.values and a.labels is b.labels
 
 
 def test_no_complex_structure_elsewhere():
