@@ -145,30 +145,30 @@ class Quaternion:
             object.__setattr__(self, name, _frac(getattr(self, name)))
 
     def __add__(self, other: "Quaternion") -> "Quaternion":
-        return Quaternion(self.w + other.w, self.x + other.x,
-                          self.y + other.y, self.z + other.z)
+        return _quat(self.w + other.w, self.x + other.x,
+                     self.y + other.y, self.z + other.z)
 
     def __sub__(self, other: "Quaternion") -> "Quaternion":
-        return Quaternion(self.w - other.w, self.x - other.x,
-                          self.y - other.y, self.z - other.z)
+        return _quat(self.w - other.w, self.x - other.x,
+                     self.y - other.y, self.z - other.z)
 
     def __neg__(self) -> "Quaternion":
-        return Quaternion(-self.w, -self.x, -self.y, -self.z)
+        return _quat(-self.w, -self.x, -self.y, -self.z)
 
     def __mul__(self, other: "Quaternion") -> "Quaternion":
         a, b, c, d = self.w, self.x, self.y, self.z
         e, f, g, h = other.w, other.x, other.y, other.z
-        return Quaternion(a * e - b * f - c * g - d * h,
-                          a * f + b * e + c * h - d * g,
-                          a * g - b * h + c * e + d * f,
-                          a * h + b * g - c * f + d * e)
+        return _quat(a * e - b * f - c * g - d * h,
+                     a * f + b * e + c * h - d * g,
+                     a * g - b * h + c * e + d * f,
+                     a * h + b * g - c * f + d * e)
 
     def scale(self, r) -> "Quaternion":
         r = _frac(r)
-        return Quaternion(r * self.w, r * self.x, r * self.y, r * self.z)
+        return _quat(r * self.w, r * self.x, r * self.y, r * self.z)
 
     def conj(self) -> "Quaternion":
-        return Quaternion(self.w, -self.x, -self.y, -self.z)
+        return _quat(self.w, -self.x, -self.y, -self.z)
 
     def norm2(self) -> Fraction:
         return (self.w * self.w + self.x * self.x
@@ -191,6 +191,20 @@ class Quaternion:
 
     def __str__(self) -> str:
         return f"({self.w}, {self.x}, {self.y}, {self.z})"
+
+
+_setattr = object.__setattr__
+
+
+def _quat(w: Fraction, x: Fraction, y: Fraction, z: Fraction) -> Quaternion:
+    """A Quaternion from four Fractions, skipping __post_init__'s
+    conversions."""
+    q = object.__new__(Quaternion)
+    _setattr(q, "w", w)
+    _setattr(q, "x", x)
+    _setattr(q, "y", y)
+    _setattr(q, "z", z)
+    return q
 
 
 Q_ZERO = Quaternion()

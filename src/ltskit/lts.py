@@ -16,15 +16,18 @@ are bracketed with the basis of S.  The first failing basis triple is the
 one the plain loop over all triples would name.  The vectors are mostly
 zeros, so the hot loops of closure, of the flat search and of the
 restricted roots keep them in the terms form of linalg (increasing nonzero
-(index, entry) pairs): each operand's terms are taken once, a bracket from
-chevalley.bracket_terms is the next bracket's operand as it stands, and
-membership, coordinates and K's growth go through Span's one reduction
-routine on those terms, which zero-tests only the entries it touched.  The
-root spaces are kernels solved in S's own coordinates (n per operator for
-dim S = n), not in the ambient ones.  An intersection with S reduces each
-row modulo S and solves for the combinations whose remainders cancel, one
-unknown per row.  The root candidates of the reference flat a are computed
-once per model, so kept reports share their root values.
+(index, entry) pairs): a Subspace takes its basis rows' terms once, when it
+is built, and closure, the flat search and the roots all read them there; a
+bracket from chevalley.bracket_terms is the next bracket's operand as it
+stands, and membership, coordinates and K's growth go through Span's one
+reduction routine on those terms, which zero-tests only the entries it
+touched.  The root spaces are kernels solved in S's own coordinates (n per
+operator for dim S = n), not in the ambient ones, and each is compared with
+S's intersection with the ambient root spaces in those coordinates too.  An
+intersection with S reduces each row modulo S and solves for the
+combinations whose remainders cancel, one unknown per row.  The root
+candidates of the reference flat a are computed once per model, so kept
+reports share their root values.
 
 Flats are found by seeded sampling: for pseudo-random combinations v of the
 basis the centralizer N(v) = {w in S : [v, w] = 0} is computed; an abelian
@@ -89,10 +92,11 @@ class Subspace:
 
     The span is complete when __init__ returns and nothing adds to it
     afterwards, so basis is the span's own rows, not a copy; callers must
-    not change them.
+    not change them.  terms holds each row in the terms form of linalg,
+    taken once here for every stage that brackets or reduces the rows.
     """
 
-    __slots__ = ("space", "_span", "basis")
+    __slots__ = ("space", "_span", "basis", "terms")
 
     def __init__(self, space: SpaceModel, vectors: list[Vec]):
         self.space = space
@@ -103,6 +107,7 @@ class Subspace:
             span.add(v)
         self._span = span
         self.basis = span.basis()
+        self.terms = [nonzeros(b) for b in self.basis]
 
     @property
     def dim(self) -> int:
@@ -155,7 +160,7 @@ def closure_defect(S: Subspace) -> tuple[int, int, int] | None:
     alg = S.space.alg
     n = S.dim
     span = S.span()
-    terms = [nonzeros(b) for b in S.basis]
+    terms = S.terms
     K = Span(width=alg.dim)
     for i in range(n):
         for j in range(i + 1, n):
@@ -188,7 +193,7 @@ def _operator_kernel(basis: list[Vec], images: list[Vec]) -> list[Vec]:
 def _centralizer_in(S: Subspace, v: Vec) -> list[Vec]:
     alg, v_terms = S.space.alg, nonzeros(v)
     return _operator_kernel(S.basis, on_support(
-        [dict(alg.bracket_terms(v_terms, nonzeros(b))) for b in S.basis]))
+        [dict(alg.bracket_terms(v_terms, b)) for b in S.terms]))
 
 
 def _pairwise_abelian(alg, vectors: list[Vec]) -> bool:
@@ -314,7 +319,8 @@ def sub_restricted_roots(S: Subspace, flat: Subspace) -> list[SubRoot]:
     candidate alpha, the root space is the joint kernel of
     ad(h_i)^2 + alpha(h_i)^2 id (and the cross operator
     ad(h_1)ad(h_2) + alpha(h_1)alpha(h_2) id in rank 2) on S; it is verified
-    to equal the intersection of S with the matching ambient root spaces.
+    to equal the intersection of S with the matching ambient root spaces,
+    both taken in S's coordinates.
 
     For an LTS S and h in S, every image ad(h_i)ad(h_j)b lies in S.  The
     images of the basis are computed once, in the terms form, and kept in
@@ -323,7 +329,8 @@ def sub_restricted_roots(S: Subspace, flat: Subspace) -> list[SubRoot]:
     itself and solves a kernel on len(pairs) * dim S coordinates instead of
     len(pairs) * dim g ambient entries.  Coordinates are injective on S, so
     the kernel, and the reduced basis that relations returns for it, is the
-    one of the ambient system.  The candidates of the reference flat are
+    one of the ambient system, and two subspaces of S are equal exactly when
+    their coordinate spans are.  The candidates of the reference flat are
     read from a table computed once per model (_reference_candidates).
     """
     sp = S.space
@@ -341,12 +348,11 @@ def sub_restricted_roots(S: Subspace, flat: Subspace) -> list[SubRoot]:
     pairs = [(i, i) for i in range(len(hs))]
     if len(hs) == 2:
         pairs.append((0, 1))
-    h_terms = [nonzeros(h) for h in hs]
+    h_terms = flat.terms
     span = S.span()
     coords = span.coords_terms
     shared = []
-    for r, b in enumerate(S.basis):
-        b_terms = nonzeros(b)
+    for r, b_terms in enumerate(S.terms):
         ad_b = [alg.bracket_terms(h, b_terms) for h in h_terms]
         row = []
         for i, j in pairs:
@@ -363,18 +369,18 @@ def sub_restricted_roots(S: Subspace, flat: Subspace) -> list[SubRoot]:
         images = [[x + shift if k == r else x
                    for c, shift in zip(imgs, shifts) for k, x in enumerate(c)]
                   for r, imgs in enumerate(shared)]
-        space_vecs = _operator_kernel(S.basis, images)
-        if not space_vecs:
+        space_coords = relations(images)
+        if not space_coords:
             continue
         ambient = []
         for label in labels:
             ambient.extend(sp.charts[label].basis_vectors())
-        meet = intersect_spans(ambient, span)
-        if Span(space_vecs) != Span(meet):
+        meet = [span.coords(w) for w in intersect_spans(ambient, span)]
+        if Span(space_coords) != Span(meet):
             raise NotAFlat(
                 "root space does not match the ambient intersection; "
                 "the input is not an LTS flat pair")
-        out.append(SubRoot(values=vals, mult=len(space_vecs), labels=labels))
+        out.append(SubRoot(values=vals, mult=len(space_coords), labels=labels))
     return out
 
 

@@ -6,12 +6,23 @@ sqrt(d) are linearly independent over Q(i), so the representation is unique
 and the zero test is exact.  Every radical constant needed by the engine
 (sqrt2/16, 3*sqrt3/4, sqrt21/14, ...) lives in this field.
 
-The canonical form is a dict radicand -> (re, im) of Fraction pairs with no
-(0, 0) entry, so ==, hash, str and terms() read it directly.  Arithmetic keeps
-that form on two fast paths before the general term loop: an operand that is
-zero returns at once, and two single-term operands (rationals, elements of
-Q(i), or one radical each) combine directly into a result built without
-__init__'s cleaning.  inv of an element of Q(i) is conj/|z|^2.
+The canonical form is a dict radicand -> (re, im) with no (0, 0) entry,
+where each coefficient is an int when it is integral and a Fraction
+otherwise, never a float.  Integral coefficients are by far the common
+case (the E6 structure constants are integers, the bases hold +-1, 2 and
++-1/2), and an int product costs no gcd and no new Fraction.  An int and
+the Fraction of the same value are equal and hash alike, so ==, hash and
+str read the form directly; every constructor passes its coefficients
+through one normalizer (_coef), which rejects anything but an int or a
+Fraction, and every result of arithmetic is brought back to the form.  A
+quotient is always formed from a Fraction, since int / int would be a
+float.  The public views terms() and rational_value() hand out Fractions.
+
+Arithmetic keeps that form on two fast paths before the general term loop:
+an operand that is zero returns at once, and two single-term operands
+(rationals, elements of Q(i), or one radical each) combine directly into a
+result built without __init__'s cleaning.  inv of an element of Q(i) is
+conj/|z|^2.
 
 Scalars have no float view, and no decision anywhere in the package is
 made from floats.  The sign of a real scalar (scalar_sign) is decided
@@ -38,6 +49,22 @@ class NotRationalTerm(ValueError):
     """Raised when an operation requires a purely rational scalar."""
 
 
+Coef = Union[int, Fraction]
+
+
+def _coef(q: Coef) -> Coef:
+    """The stored form of a rational coefficient: an int when it is
+    integral, else a Fraction.  Anything but an int or a Fraction (a float
+    above all) is a TypeError."""
+    if type(q) is int:
+        return q
+    if isinstance(q, Fraction):
+        return q.numerator if q.denominator == 1 else q
+    if isinstance(q, int):
+        return int(q)
+    raise TypeError(f"expected an int or a Fraction coefficient, got {q!r}")
+
+
 def _squarefree_split(n: int) -> tuple[int, int]:
     # n = r*r * d; the primes 2,3,5,7 are extracted and a leftover that is a
     # perfect square joins r, so d is a radicand dividing 210 exactly when
@@ -62,28 +89,28 @@ class Scalar:
 
     __slots__ = ("_terms", "_hash")
 
-    def __init__(self, terms: dict[int, tuple[Fraction, Fraction]] | None = None):
-        clean: dict[int, tuple[Fraction, Fraction]] = {}
+    def __init__(self, terms: dict[int, tuple[Coef, Coef]] | None = None):
+        clean: dict[int, tuple[Coef, Coef]] = {}
         if terms:
             for d, (re_, im_) in terms.items():
                 if d not in _RAD_SET:
                     raise ValueError(f"radicand {d} outside the supported universe")
+                re_, im_ = _coef(re_), _coef(im_)
                 if re_ or im_:
-                    clean[d] = (Fraction(re_), Fraction(im_))
+                    clean[d] = (re_, im_)
         self._terms = clean
         self._hash: int | None = None
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def rational(cls, q: Union[int, Fraction]) -> "Scalar":
-        if type(q) is not Fraction:
-            q = Fraction(q)
-        return _scalar({1: (q, _F0)}) if q else ZERO
+    def rational(cls, q: Coef) -> "Scalar":
+        q = _coef(q)
+        return _scalar({1: (q, 0)}) if q else ZERO
 
     @classmethod
-    def imag(cls, q: Union[int, Fraction] = 1) -> "Scalar":
-        return cls({1: (Fraction(0), Fraction(q))})
+    def imag(cls, q: Coef = 1) -> "Scalar":
+        return cls({1: (0, q)})
 
     @classmethod
     def sqrt(cls, d: int) -> "Scalar":
@@ -93,14 +120,14 @@ class Scalar:
         r, sf = _squarefree_split(d)
         if sf not in _RAD_SET:
             raise ValueError(f"sqrt({d}) is not expressible over radicands dividing 210")
-        return cls({sf: (Fraction(r), Fraction(0))})
+        return cls({sf: (r, 0)})
 
     # -- views -------------------------------------------------------------
 
     def terms(self) -> Iterator[tuple[int, Fraction, Fraction]]:
         for d in sorted(self._terms):
             re_, im_ = self._terms[d]
-            yield d, re_, im_
+            yield d, Fraction(re_), Fraction(im_)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -113,7 +140,7 @@ class Scalar:
             return Fraction(0)
         if not self.is_rational():
             raise NotRationalTerm(f"{self} is not rational")
-        return self._terms[1][0]
+        return Fraction(self._terms[1][0])
 
     def is_real(self) -> bool:
         return all(not im_ for _, im_ in self._terms.values())
@@ -121,7 +148,7 @@ class Scalar:
     # -- arithmetic --------------------------------------------------------
 
     @staticmethod
-    def _coerce(x: Union["Scalar", int, Fraction]) -> "Scalar":
+    def _coerce(x: Union["Scalar", Coef]) -> "Scalar":
         if isinstance(x, Scalar):
             return x
         if isinstance(x, (int, Fraction)):
@@ -142,14 +169,14 @@ class Scalar:
             (d, (a1, b1)), = t1.items()
             if d in t2:
                 a2, b2 = t2[d]
-                re_ = a1 + a2
-                im_ = b1 + b2 if b2 else b1
+                re_ = _coef(a1 + a2)
+                im_ = _coef(b1 + b2) if b2 else b1
                 if not re_ and not im_:
                     return ZERO
                 return _scalar({d: (re_, im_)})
         out = dict(t1)
         for d, (re_, im_) in t2.items():
-            r0, i0 = out.get(d, (_F0, _F0))
+            r0, i0 = out.get(d, (0, 0))
             out[d] = (r0 + re_, i0 + im_)
         return _nonzero_terms(out)
 
@@ -189,7 +216,7 @@ class Scalar:
             (d2, c2), = t2.items()
             d, term = _term_product(d1, c1, d2, c2)
             return _scalar({d: term})
-        out: dict[int, tuple[Fraction, Fraction]] = {}
+        out: dict[int, tuple[Coef, Coef]] = {}
         for d1, c1 in t1.items():
             for d2, c2 in t2.items():
                 d, (re_, im_) = _term_product(d1, c1, d2, c2)
@@ -204,14 +231,15 @@ class Scalar:
 
     def conj_i(self) -> "Scalar":
         """Complex conjugation i -> -i."""
-        return Scalar({d: (re_, -im_) for d, (re_, im_) in self._terms.items()})
+        return _scalar({d: (re_, -im_)
+                        for d, (re_, im_) in self._terms.items()})
 
     def conj_sqrt(self, p: int) -> "Scalar":
         """Field conjugation sqrt(p) -> -sqrt(p) for p in {2,3,5,7}."""
         if p not in PRIMES:
             raise ValueError("conjugation prime must be one of 2,3,5,7")
-        return Scalar({d: ((-re_, -im_) if d % p == 0 else (re_, im_))
-                       for d, (re_, im_) in self._terms.items()})
+        return _scalar({d: ((-re_, -im_) if d % p == 0 else (re_, im_))
+                        for d, (re_, im_) in self._terms.items()})
 
     def inv(self) -> "Scalar":
         """Exact inverse: 1/q or conj/|z|^2 on Q(i), else rationalized
@@ -221,9 +249,10 @@ class Scalar:
         if len(self._terms) == 1 and 1 in self._terms:
             a, b = self._terms[1]
             if not b:
-                return _scalar({1: (1 / a, _F0)})
+                return _scalar({1: (_coef(Fraction(1, a)), 0)})
             n = a * a + b * b
-            return _scalar({1: (a / n, -b / n)})
+            return _scalar({1: (_coef(Fraction(a, n)),
+                                _coef(Fraction(-b, n)))})
         num, cur = ONE, self
         for p in PRIMES:
             # cur * conj is fixed by sqrt(p) -> -sqrt(p), as cur already is
@@ -261,7 +290,7 @@ class Scalar:
         r, sf = _squarefree_split(d)
         if sf not in _RAD_SET:
             return None
-        return Scalar({sf: (Fraction(rn * r, rd * dd), Fraction(0))})
+        return Scalar({sf: (Fraction(rn * r, rd * dd), 0)})
 
     # -- comparisons -------------------------------------------------------
 
@@ -303,7 +332,7 @@ class Scalar:
         return "".join(parts)
 
 
-def _format_coef(coef: Fraction, unit: str, d: int) -> str:
+def _format_coef(coef: Coef, unit: str, d: int) -> str:
     pieces: list[str] = []
     sign = "-" if coef < 0 else ""
     coef = abs(coef)
@@ -320,29 +349,33 @@ def _format_coef(coef: Fraction, unit: str, d: int) -> str:
 
 
 _RAD_SET = frozenset(RADICANDS)
-_F0 = Fraction(0)
 
 
-def _nonzero_terms(terms: dict[int, tuple[Fraction, Fraction]]) -> Scalar:
-    """A Scalar from Fraction terms over valid radicands, dropping zeros."""
-    return _scalar({d: c for d, c in terms.items() if c[0] or c[1]})
+def _nonzero_terms(terms: dict[int, tuple[Coef, Coef]]) -> Scalar:
+    """A Scalar from sums of stored coefficients over valid radicands,
+    dropping zeros and bringing integral Fractions back to int."""
+    return _scalar({d: (_coef(re_), _coef(im_))
+                    for d, (re_, im_) in terms.items() if re_ or im_})
 
 
-def _term_product(d1: int, c1: tuple[Fraction, Fraction], d2: int,
-                  c2: tuple[Fraction, Fraction]) -> tuple[int, tuple[Fraction, Fraction]]:
-    """(a1 + b1 i) sqrt(d1) * (a2 + b2 i) sqrt(d2) as (d, (re, im))."""
+def _term_product(d1: int, c1: tuple[Coef, Coef], d2: int,
+                  c2: tuple[Coef, Coef]) -> tuple[int, tuple[Coef, Coef]]:
+    """(a1 + b1 i) sqrt(d1) * (a2 + b2 i) sqrt(d2) as (d, (re, im)), with
+    the coefficients in stored form."""
     (a1, b1), (a2, b2) = c1, c2
     if b1 or b2:
         re_, im_ = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2
     else:
-        re_, im_ = a1 * a2, _F0
+        re_, im_ = a1 * a2, 0
     if d1 == 1 or d2 == 1:
-        return d1 * d2, (re_, im_)
-    g = math.gcd(d1, d2)
-    return (d1 // g) * (d2 // g), (re_ * g, im_ * g)
+        d = d1 * d2
+    else:
+        g = math.gcd(d1, d2)
+        d, re_, im_ = (d1 // g) * (d2 // g), re_ * g, im_ * g
+    return d, (_coef(re_), _coef(im_))
 
 
-def _scalar(terms: dict[int, tuple[Fraction, Fraction]]) -> Scalar:
+def _scalar(terms: dict[int, tuple[Coef, Coef]]) -> Scalar:
     """A Scalar from terms already in canonical form, skipping __init__."""
     x = object.__new__(Scalar)
     x._terms = terms
@@ -367,7 +400,7 @@ def scalar_sign(x: Scalar) -> int:
         return 0
     if not x.is_real():
         raise ValueError("complex scalar has no sign")
-    terms = [(d, re_) for d, re_, _ in x.terms()]
+    terms = [(d, re_) for d, (re_, _) in sorted(x._terms.items())]
     if len(terms) == 1:
         return 1 if terms[0][1] > 0 else -1
     k = 32
@@ -385,7 +418,7 @@ def scalar_sign(x: Scalar) -> int:
         k *= 2
 
 
-def rat(p: Union[int, Fraction], q: int = 1) -> Scalar:
+def rat(p: Coef, q: int = 1) -> Scalar:
     return Scalar.rational(p if q == 1 else Fraction(p, q))
 
 

@@ -91,6 +91,18 @@ def test_quaternion_norm_and_inverse():
     assert g * g.inverse() == Q_ONE
 
 
+def test_quaternion_arithmetic_matches_public_constructor():
+    # results skip the validating constructor but are the same objects
+    g, h = Quaternion(2, 1, 0, 3), Quaternion(F(1, 2), -1, F(2, 3), 0)
+    for q in (g + h, g - h, -g, g * h, g.conj(), g.scale(3), h.inverse()):
+        assert all(type(c) is F for c in q.coords())
+        same = Quaternion(*q.coords())
+        assert q == same and hash(q) == hash(same) and str(q) == str(same)
+    assert g * h == Quaternion(2, F(-7, 2), F(-5, 3), F(13, 6))
+    with pytest.raises(TypeError):
+        Quaternion(0.5)
+
+
 def test_octonion_unit_square_and_identity():
     y = Octonion(Quaternion(1, 2, 3, 4), Quaternion(5, 6, 7, 8))
     assert O_ONE * y == y

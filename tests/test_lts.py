@@ -299,6 +299,20 @@ def test_sub_roots_reject_image_outside_subspace():
         lts.sub_restricted_roots(S, flat)
 
 
+def test_sub_roots_check_the_ambient_intersection(monkeypatch):
+    # a root space that differs from S's intersection with the ambient root
+    # spaces is reported, not counted: here the intersection loses a row
+    S = make_prototype(build_space("EIII"), "(DIII)")
+    rank, flat = lts.rank_and_flat(S)
+    assert rank == 2
+    real = lts.intersect_spans
+    monkeypatch.setattr(lts, "intersect_spans",
+                        lambda rows, span: real(rows, span)[1:])
+    with pytest.raises(lts.NotAFlat, match="root space does not match the "
+                       "ambient intersection"):
+        lts.sub_restricted_roots(S, flat)
+
+
 def test_root_kernel_cost_guard(monkeypatch):
     # the root spaces are solved in S's coordinates: a system with one column
     # per basis vector of S has len(pairs) * dim S rows, not len(pairs) * 78

@@ -224,6 +224,44 @@ def test_fast_paths_match_general_loop(x, y):
         assert_canonical(x / y, reference_product(x, reference_inverse(y)))
 
 
+def assert_stored_form(x):
+    # the stored coefficients: int when integral, Fraction otherwise, never
+    # a float; the public views are Fractions whatever the stored type
+    for re_, im_ in x._terms.values():
+        for c in (re_, im_):
+            assert type(c) is (int if c.denominator == 1 else Fraction), c
+    for _, re_, im_ in x.terms():
+        assert type(re_) is Fraction and type(im_) is Fraction
+    if x.is_rational():
+        assert type(x.rational_value()) is Fraction
+
+
+@settings(deadline=None, max_examples=300)
+@given(shaped_scalars, shaped_scalars)
+def test_results_keep_the_stored_form(x, y):
+    results = [x, x + y, x - y, -y, x * y, x.conj_i()]
+    results += [x.conj_sqrt(p) for p in (2, 3, 5, 7)]
+    if y:
+        results += [y.inv(), x / y]
+    for z in results:
+        assert_stored_form(z)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Scalar.rational(0.1),
+    lambda: Scalar.rational(0.0),
+    lambda: Scalar.imag(0.5),
+    lambda: Scalar({1: (0.5, 0)}),
+    lambda: Scalar({2: (0, 0.25)}),
+    lambda: rat(0.25),
+    lambda: rat(1) + 0.5,
+    lambda: rat(1) * 0.5,
+])
+def test_float_coefficients_rejected(make):
+    with pytest.raises(TypeError):
+        make()
+
+
 @settings(deadline=None)
 @given(shaped_scalars)
 def test_inverse_of_each_shape(x):

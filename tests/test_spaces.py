@@ -346,6 +346,31 @@ def test_analyze_cost_guard(monkeypatch):
         assert a.values is b.values and a.labels is b.labels
 
 
+def test_analyze_fraction_guard(monkeypatch):
+    # deterministic counts, no timings: integral Scalar coefficients are
+    # stored as int, so most products and sums of a warm analyze make no
+    # Fraction (with Fraction coefficients throughout, these two runs made
+    # 11301 and 5491)
+    new = Fraction.__new__
+    made = [0]
+
+    def counting(cls, *args, **kwargs):
+        made[0] += 1
+        return new(cls, *args, **kwargs)
+
+    counts = {}
+    for name, label in (("EIII", "(DIII)"), ("EIV", "(AII)")):
+        S = catalog.make_prototype(build_space(name), label)
+        lts.analyze(S)  # the model's one-time work: J, the reference flat
+        made[0] = 0
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+        lts.analyze(S)
+        monkeypatch.undo()
+        counts[label] = made[0]
+    assert counts["(DIII)"] <= 8_000
+    assert counts["(AII)"] <= 3_500
+
+
 def test_no_complex_structure_elsewhere():
     for name in ("EIV", "G2group"):
         with pytest.raises(NotHermitian):
