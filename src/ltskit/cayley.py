@@ -3,26 +3,35 @@ exceptional Jordan algebra, the projective variety realizing the Hermitian
 exceptional space, its involutions, and the explicit equivariant embeddings of
 the classical Grassmannian/projective models into that variety.
 
-Everything is computed over exact rational data: complex numbers, quaternions
-and octonions carry ``Fraction`` coordinates, and one type, ``Cx``, adjoins a
+Everything is computed over exact rational data, in the number systems of
+``ltskit.cayley_dickson`` (re-exported here): complex numbers and
+quaternions with integer coordinates over one reduced denominator,
+octonions as pairs of quaternions, and one type, ``Cx``, that adjoins a
 central unit ``I`` with ``I**2 == -1`` to any of them.  Over the quaternions
-and octonions it gives the complexified algebras of the Jordan model; over
-the complex numbers it gives the bicomplex entries of the 6x6 matrix model.
-The matrix helpers are ring-generic and serve every entry type.  All
-identities (base points, equivariance, variety membership, polar periods) are
-checked with zero tolerance.
+and octonions ``Cx`` gives the complexified algebras of the Jordan model;
+over the complex numbers it gives the bicomplex entries of the 6x6 matrix
+model.  The matrix helpers are ring-generic and serve every entry type.
+All identities (base points, equivariance, variety membership, polar
+periods) are checked with zero tolerance.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
 from operator import ne
+from sys import intern
+from types import MappingProxyType
 from typing import Callable, Iterable, Sequence
 
 from . import linalg
+from .cayley_dickson import (
+    C_I, C_ONE, C_ZERO, CNum, Cx, O_E, O_ONE, O_ZERO, OCT_BASIS, Q_I, Q_J,
+    Q_K, Q_ONE, Q_ZERO, QUAT_BASIS, Octonion, Quaternion, _frac, _quat_of,
+    _re_im_quats, from_cnum, random_octonion,
+)
 from .report import CatalogReport, ReportRow
 from .scalars import rat
 
@@ -45,326 +54,6 @@ class NotOrthonormal(ValueError):
 
 class ZeroVector(ValueError):
     """Raised when a projective-space argument is the zero vector."""
-
-
-def _frac(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    raise TypeError(f"expected a rational number, got {value!r}")
-
-
-# ---------------------------------------------------------------------------
-# rational complex numbers (the scalar field of the projective space)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, slots=True)
-class CNum:
-    """An exact complex number ``re + I*im`` over the rationals.
-
-    ``I`` is the central complex unit of the coefficient field of the
-    27-dimensional complex Jordan algebra (the unit the projective quotient
-    scales by).  It is unrelated to the quaternion unit ``i``.
-    """
-
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
-
-    def __post_init__(self):
-        object.__setattr__(self, "re", _frac(self.re))
-        object.__setattr__(self, "im", _frac(self.im))
-
-    def __add__(self, other: "CNum") -> "CNum":
-        return _cnum(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: "CNum") -> "CNum":
-        return _cnum(self.re - other.re, self.im - other.im)
-
-    def __neg__(self) -> "CNum":
-        return _cnum(-self.re, -self.im)
-
-    def __mul__(self, other: "CNum") -> "CNum":
-        return _cnum(self.re * other.re - self.im * other.im,
-                     self.re * other.im + self.im * other.re)
-
-    def __truediv__(self, other: "CNum") -> "CNum":
-        n = other.re * other.re + other.im * other.im
-        if n == 0:
-            raise ZeroDivisionError("division by zero complex number")
-        return _cnum((self.re * other.re + self.im * other.im) / n,
-                     (self.im * other.re - self.re * other.im) / n)
-
-    def conj(self) -> "CNum":
-        return _cnum(self.re, -self.im)
-
-    def is_zero(self) -> bool:
-        return not (self.re or self.im)
-
-    def coords(self) -> tuple:
-        return (self.re, self.im)
-
-    def __str__(self) -> str:
-        sign = "+" if self.im >= 0 else "-"
-        return f"{self.re} {sign} {abs(self.im)}*I"
-
-
-_set_re, _set_im = CNum.re.__set__, CNum.im.__set__
-
-
-def _cnum(re: Fraction, im: Fraction) -> CNum:
-    """A CNum from two Fractions, skipping __post_init__'s conversions."""
-    x = object.__new__(CNum)
-    _set_re(x, re)
-    _set_im(x, im)
-    return x
-
-
-C_ZERO = CNum()
-C_ONE = CNum(1)
-C_I = CNum(0, 1)
-
-
-# ---------------------------------------------------------------------------
-# quaternions over the rationals
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Quaternion:
-    """A quaternion ``w + x*i + y*j + z*k`` with rational coordinates."""
-
-    w: Fraction = Fraction(0)
-    x: Fraction = Fraction(0)
-    y: Fraction = Fraction(0)
-    z: Fraction = Fraction(0)
-
-    def __post_init__(self):
-        for name in ("w", "x", "y", "z"):
-            object.__setattr__(self, name, _frac(getattr(self, name)))
-
-    def __add__(self, other: "Quaternion") -> "Quaternion":
-        return _quat(self.w + other.w, self.x + other.x,
-                     self.y + other.y, self.z + other.z)
-
-    def __sub__(self, other: "Quaternion") -> "Quaternion":
-        return _quat(self.w - other.w, self.x - other.x,
-                     self.y - other.y, self.z - other.z)
-
-    def __neg__(self) -> "Quaternion":
-        return _quat(-self.w, -self.x, -self.y, -self.z)
-
-    def __mul__(self, other: "Quaternion") -> "Quaternion":
-        a, b, c, d = self.w, self.x, self.y, self.z
-        e, f, g, h = other.w, other.x, other.y, other.z
-        return _quat(a * e - b * f - c * g - d * h,
-                     a * f + b * e + c * h - d * g,
-                     a * g - b * h + c * e + d * f,
-                     a * h + b * g - c * f + d * e)
-
-    def scale(self, r) -> "Quaternion":
-        r = _frac(r)
-        return _quat(r * self.w, r * self.x, r * self.y, r * self.z)
-
-    def conj(self) -> "Quaternion":
-        return _quat(self.w, -self.x, -self.y, -self.z)
-
-    def norm2(self) -> Fraction:
-        return (self.w * self.w + self.x * self.x
-                + self.y * self.y + self.z * self.z)
-
-    def inverse(self) -> "Quaternion":
-        n = self.norm2()
-        if n == 0:
-            raise ZeroDivisionError("division by zero quaternion")
-        return self.conj().scale(Fraction(1) / n)
-
-    def is_unit(self) -> bool:
-        return self.norm2() == 1
-
-    def is_zero(self) -> bool:
-        return self == Q_ZERO
-
-    def coords(self) -> tuple:
-        return (self.w, self.x, self.y, self.z)
-
-    def __str__(self) -> str:
-        return f"({self.w}, {self.x}, {self.y}, {self.z})"
-
-
-_setattr = object.__setattr__
-
-
-def _quat(w: Fraction, x: Fraction, y: Fraction, z: Fraction) -> Quaternion:
-    """A Quaternion from four Fractions, skipping __post_init__'s
-    conversions."""
-    q = object.__new__(Quaternion)
-    _setattr(q, "w", w)
-    _setattr(q, "x", x)
-    _setattr(q, "y", y)
-    _setattr(q, "z", z)
-    return q
-
-
-Q_ZERO = Quaternion()
-Q_ONE = Quaternion(1)
-Q_I = Quaternion(0, 1)
-Q_J = Quaternion(0, 0, 1)
-Q_K = Quaternion(0, 0, 0, 1)
-QUAT_BASIS = (Q_ONE, Q_I, Q_J, Q_K)
-
-
-# ---------------------------------------------------------------------------
-# octonions as pairs of quaternions
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Octonion:
-    """An octonion realized as a pair ``(x1, x2)`` of quaternions.
-
-    The product is ``x*y = (x1*y1 - conj(y2)*x2, x2*conj(y1) + y2*x1)``.
-    The second summand of the splitting is spanned by the extra unit
-    ``e = (0, 1)``.
-    """
-
-    a: Quaternion = Q_ZERO
-    b: Quaternion = Q_ZERO
-
-    def __add__(self, other: "Octonion") -> "Octonion":
-        return Octonion(self.a + other.a, self.b + other.b)
-
-    def __sub__(self, other: "Octonion") -> "Octonion":
-        return Octonion(self.a - other.a, self.b - other.b)
-
-    def __neg__(self) -> "Octonion":
-        return Octonion(-self.a, -self.b)
-
-    def __mul__(self, other: "Octonion") -> "Octonion":
-        x1, x2 = self.a, self.b
-        y1, y2 = other.a, other.b
-        return Octonion(x1 * y1 - y2.conj() * x2, x2 * y1.conj() + y2 * x1)
-
-    def scale(self, r) -> "Octonion":
-        return Octonion(self.a.scale(r), self.b.scale(r))
-
-    def conj(self) -> "Octonion":
-        return Octonion(self.a.conj(), -self.b)
-
-    def norm2(self) -> Fraction:
-        return self.a.norm2() + self.b.norm2()
-
-    def is_zero(self) -> bool:
-        return self.a.is_zero() and self.b.is_zero()
-
-    def coords(self) -> tuple:
-        return self.a.coords() + self.b.coords()
-
-    def __str__(self) -> str:
-        return f"({self.a}, {self.b})"
-
-
-O_ZERO = Octonion()
-O_ONE = Octonion(Q_ONE, Q_ZERO)
-O_E = Octonion(Q_ZERO, Q_ONE)
-OCT_BASIS = tuple(Octonion(q, Q_ZERO) for q in QUAT_BASIS) + tuple(
-    Octonion(Q_ZERO, q) for q in QUAT_BASIS)
-
-
-def oct_inner(x: Octonion, y: Octonion) -> Fraction:
-    """The polarization ``B(x, y)`` of the octonion norm form."""
-    return ((x + y).norm2() - x.norm2() - y.norm2()) / 2
-
-
-def random_octonion(rng: random.Random, span: int = 5) -> Octonion:
-    coords = [Fraction(rng.randint(-span, span),
-                       rng.randint(1, span)) for _ in range(8)]
-    return Octonion(Quaternion(*coords[:4]), Quaternion(*coords[4:]))
-
-
-# ---------------------------------------------------------------------------
-# adjoining the central unit I to complex numbers, quaternions and octonions
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Cx:
-    """An element ``re + I*im`` of a base ring (``CNum``, ``Quaternion`` or
-    ``Octonion``) with a central unit ``I``, ``I**2 = -1``, adjoined.
-
-    Over the quaternions and octonions this is their complexification, and
-    ``I`` is the unit the projective quotient scales by.  Over ``CNum`` it is
-    the bicomplex entry ring of the 6x6 matrix model: the base unit ``i``
-    (the internal unit) and ``I`` are commuting square roots of -1, and the
-    ring has zero divisors (e.g. ``(1 + i*I)(1 - i*I) = 0``).
-    """
-
-    re: object
-    im: object
-
-    def __add__(self, other: "Cx") -> "Cx":
-        return Cx(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: "Cx") -> "Cx":
-        return Cx(self.re - other.re, self.im - other.im)
-
-    def __neg__(self) -> "Cx":
-        return Cx(-self.re, -self.im)
-
-    def __mul__(self, other: "Cx") -> "Cx":
-        a, b = self.re, self.im
-        c, d = other.re, other.im
-        return Cx(a * c - b * d, a * d + b * c)
-
-    def conj(self) -> "Cx":
-        """Conjugation of the base ring, extended I-linearly."""
-        return Cx(self.re.conj(), self.im.conj())
-
-    def conj_I(self) -> "Cx":
-        """Conjugation of the central unit I."""
-        return Cx(self.re, -self.im)
-
-    def times_I(self) -> "Cx":
-        return Cx(-self.im, self.re)
-
-    def is_zero(self) -> bool:
-        return self.re.is_zero() and self.im.is_zero()
-
-    def norm2(self) -> CNum:
-        """The complex-bilinear extension of the quaternion or octonion norm
-        form."""
-        return CNum(self.re.norm2() - self.im.norm2(),
-                    2 * oct_inner(self.re, self.im))
-
-    def scale(self, c: CNum) -> "Cx":
-        """Multiplication by the complex number ``c`` over the unit I."""
-        return Cx(self.re.scale(c.re) - self.im.scale(c.im),
-                  self.re.scale(c.im) + self.im.scale(c.re))
-
-    def coords(self) -> tuple:
-        """Complex coordinates (over I) along the basis of the base ring."""
-        r, m = self.re.coords(), self.im.coords()
-        return tuple(CNum(a, b) for a, b in zip(r, m))
-
-    def scalar_value(self) -> CNum:
-        """The value of a scalar element; raises if it is not scalar."""
-        r, m = self.re.coords(), self.im.coords()
-        if any(r[1:]) or any(m[1:]):
-            raise ValueError(f"not a scalar: {self}")
-        return CNum(r[0], m[0])
-
-    def __str__(self) -> str:
-        return f"{self.re} + I*{self.im}"
-
-
-def from_cnum(c: CNum, one) -> Cx:
-    """The complex number ``c`` over the central unit I, in the base ring
-    whose unit is ``one`` (a quaternion or an octonion).
-
-    Not to be confused with the bicomplex embedding ``Cx(c, C_ZERO)``, which
-    places ``c`` over the internal unit i."""
-    return Cx(one.scale(c.re), one.scale(c.im))
 
 
 def gamma0(x: Cx) -> Cx:
@@ -491,11 +180,9 @@ class JordanElement:
         slots = []
         for k in range(3):
             cs = coords[3 + 8 * k:11 + 8 * k]
-            slots.append(Cx(
-                Octonion(Quaternion(*(c.re for c in cs[:4])),
-                         Quaternion(*(c.re for c in cs[4:]))),
-                Octonion(Quaternion(*(c.im for c in cs[:4])),
-                         Quaternion(*(c.im for c in cs[4:])))))
+            (re_a, im_a), (re_b, im_b) = (_re_im_quats(cs[:4]),
+                                          _re_im_quats(cs[4:]))
+            slots.append(Cx(Octonion(re_a, re_b), Octonion(im_a, im_b)))
         return JordanElement(xi, tuple(slots))
 
 
@@ -807,8 +494,8 @@ def phi1_inv(J: JordanElement) -> tuple:
 
 def _hc_to_block(h: Cx):
     """The 2x2 bicomplex block of a complexified quaternion ``a + b*j``."""
-    a = Cx(CNum(h.re.w, h.re.x), CNum(h.im.w, h.im.x))
-    b = Cx(CNum(h.re.y, h.re.z), CNum(h.im.y, h.im.z))
+    (a_re, b_re), (a_im, b_im) = h.re._halves(), h.im._halves()
+    a, b = Cx(a_re, a_im), Cx(b_re, b_im)
     return [[a, b], [-b.conj(), a.conj()]]
 
 
@@ -816,8 +503,7 @@ def _block_to_hc(block) -> Cx:
     a, b = block[0][0], block[0][1]
     if block[1][0] != -b.conj() or block[1][1] != a.conj():
         raise ValueError("2x2 block is not of quaternionic type")
-    return Cx(Quaternion(a.re.re, a.re.im, b.re.re, b.re.im),
-              Quaternion(a.im.re, a.im.im, b.im.re, b.im.im))
+    return Cx(_quat_of(a.re, b.re), _quat_of(a.im, b.im))
 
 
 def phi2(X3) -> list:
@@ -999,9 +685,7 @@ def complex6_to_quat3(c: Sequence[CNum]) -> tuple:
     c = tuple(c)
     if len(c) != 6:
         raise ValueError("expected 6 complex coordinates")
-    return tuple(Quaternion(c[2 * k].re, c[2 * k].im,
-                            -c[2 * k + 1].re, c[2 * k + 1].im)
-                 for k in range(3))
+    return tuple(_quat_of(c[2 * k], -c[2 * k + 1].conj()) for k in range(3))
 
 # ---------------------------------------------------------------------------
 # the traceless quaternionic 4x4 model and its symplectic action
@@ -1351,11 +1035,29 @@ def cartan_map(inst: CartanInstance, g) -> list:
     return mat_mul(inst.sigma(g), inst.inverse(g))
 
 
+# Rows are values, and a long run of sweeps keeps many of them, so each
+# distinct row is made once and shared, as the report module shares one
+# empty expected mapping: one read-only computed mapping per distinct
+# content (keyed by its repr) and one row per (label, verdict, content).
+_SHARED_COMPUTED: dict = {}
+_SHARED_ROWS: dict = {}
+
+
 def add_row(rep: CatalogReport, label: str, ok: bool,
             computed: dict | None = None) -> None:
-    """Append a PASS or FAIL row to a verification report."""
-    rep.rows.append(ReportRow(label=label, status="PASS" if ok else "FAIL",
-                              computed=computed or {}))
+    """Append a PASS or FAIL row to a verification report: the shared row
+    of that label, verdict and computed content, with an interned label and
+    a read-only computed mapping."""
+    computed = computed or {}
+    key = repr(computed)
+    row = _SHARED_ROWS.get((label, ok, key))
+    if row is None:
+        shared = _SHARED_COMPUTED.setdefault(
+            key, MappingProxyType(dict(computed)))
+        row = _SHARED_ROWS[label, ok, key] = ReportRow(
+            label=intern(label), status="PASS" if ok else "FAIL",
+            computed=shared)
+    rep.rows.append(row)
 
 
 def cartan_map_check(name: str,
@@ -1782,7 +1484,6 @@ def verify_models(seed: int = 0, extra_orthogonal_samples: Sequence = ()) \
                 cartan_map_check("so10",
                                  extra_samples=extra_orthogonal_samples),
                 cartan_map_check("su3")):
-        for r in sub.rows:
-            r.label = f"{sub.space}:{r.label}"
-            rep.rows.append(r)
+        rep.rows += [replace(r, label=f"{sub.space}:{r.label}")
+                     for r in sub.rows]
     return rep

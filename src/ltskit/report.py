@@ -5,7 +5,9 @@ Every sweep (catalog, foundations, models) returns a ``CatalogReport``.  This
 module imports only the standard library, so a command loads the report
 types without the sweeps it does not run.  Both types have slots, and a row
 that states no expected data shares one read-only empty mapping, since a
-long run of sweeps keeps many rows.
+long run of sweeps keeps many rows.  A row is frozen, so a sweep may share
+one row between reports, and its ``expected`` and ``computed`` may be
+read-only mappings; ``as_json`` copies both into plain dicts.
 """
 
 from __future__ import annotations
@@ -19,17 +21,17 @@ from types import MappingProxyType
 _NO_EXPECTATION: Mapping = MappingProxyType({})
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class ReportRow:
     label: str
     status: str  # PASS | FAIL | SKIPPED
     expected: Mapping = field(default_factory=lambda: _NO_EXPECTATION)
-    computed: dict = field(default_factory=dict)
+    computed: Mapping = field(default_factory=dict)
     certificate: str = ""
 
     def as_json(self) -> dict:
         return {"label": self.label, "expected": dict(self.expected),
-                "computed": self.computed, "status": self.status,
+                "computed": dict(self.computed), "status": self.status,
                 "certificate": self.certificate}
 
 

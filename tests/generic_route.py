@@ -10,17 +10,22 @@ centre of k as the kernel of its brackets with every k row at once; the
 bracket as a scan of both dense operands; and the restricted-root spaces of
 an LTS as kernels of the ambient images ad(h_i)ad(h_j)b, all dim g entries
 of each; the intersection of two spans from the relations among all their
-rows at once.
+rows at once; and the Cayley scalars ``CNum`` and ``Quaternion`` as frozen
+dataclasses of ``Fraction`` coordinates, each result built through the
+validating constructor.
 
 ltskit.chevalley writes every N in one height-ordered pass and the Killing
 form down in closed form, and brackets nonzero terms only; ltskit.spaces
 writes k, m and the chart vectors from sigma's sparse signed columns, shares
 one Gram matrix between the duals and stops the centre solve early; and
 ltskit.lts solves the root spaces in the subspace's own coordinates and
-intersects by remainders modulo a Span.  These are the long way round,
+intersects by remainders modulo a Span; and ltskit.cayley stores a CNum or a
+Quaternion as integers over one reduced denominator.  These are the long way
+round,
 kept only so the tests can compare the two exactly.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
@@ -306,3 +311,117 @@ class GenericRouteModel(SpaceModel):
         if scalar_sign(val) > 0:
             j0 = vec_scale(rat(-1), j0)
         return j0
+
+
+def _frac(value) -> Fraction:
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int):
+        return Fraction(value)
+    raise TypeError(f"expected a rational number, got {value!r}")
+
+
+@dataclass(frozen=True, slots=True)
+class CNum:
+    """``re + I*im`` with two ``Fraction`` fields."""
+
+    re: Fraction = Fraction(0)
+    im: Fraction = Fraction(0)
+
+    def __post_init__(self):
+        object.__setattr__(self, "re", _frac(self.re))
+        object.__setattr__(self, "im", _frac(self.im))
+
+    def __add__(self, other):
+        return CNum(self.re + other.re, self.im + other.im)
+
+    def __sub__(self, other):
+        return CNum(self.re - other.re, self.im - other.im)
+
+    def __neg__(self):
+        return CNum(-self.re, -self.im)
+
+    def __mul__(self, other):
+        return CNum(self.re * other.re - self.im * other.im,
+                    self.re * other.im + self.im * other.re)
+
+    def __truediv__(self, other):
+        n = other.re * other.re + other.im * other.im
+        if n == 0:
+            raise ZeroDivisionError("division by zero complex number")
+        return CNum((self.re * other.re + self.im * other.im) / n,
+                    (self.im * other.re - self.re * other.im) / n)
+
+    def conj(self):
+        return CNum(self.re, -self.im)
+
+    def is_zero(self) -> bool:
+        return not (self.re or self.im)
+
+    def coords(self) -> tuple:
+        return (self.re, self.im)
+
+    def __str__(self) -> str:
+        sign = "+" if self.im >= 0 else "-"
+        return f"{self.re} {sign} {abs(self.im)}*I"
+
+
+@dataclass(frozen=True)
+class Quaternion:
+    """``w + x*i + y*j + z*k`` with four ``Fraction`` fields."""
+
+    w: Fraction = Fraction(0)
+    x: Fraction = Fraction(0)
+    y: Fraction = Fraction(0)
+    z: Fraction = Fraction(0)
+
+    def __post_init__(self):
+        for name in ("w", "x", "y", "z"):
+            object.__setattr__(self, name, _frac(getattr(self, name)))
+
+    def __add__(self, other):
+        return Quaternion(*(a + b for a, b in zip(self.coords(),
+                                                  other.coords())))
+
+    def __sub__(self, other):
+        return Quaternion(*(a - b for a, b in zip(self.coords(),
+                                                  other.coords())))
+
+    def __neg__(self):
+        return Quaternion(*(-a for a in self.coords()))
+
+    def __mul__(self, other):
+        a, b, c, d = self.coords()
+        e, f, g, h = other.coords()
+        return Quaternion(a * e - b * f - c * g - d * h,
+                          a * f + b * e + c * h - d * g,
+                          a * g - b * h + c * e + d * f,
+                          a * h + b * g - c * f + d * e)
+
+    def scale(self, r):
+        r = _frac(r)
+        return Quaternion(*(r * a for a in self.coords()))
+
+    def conj(self):
+        return Quaternion(self.w, -self.x, -self.y, -self.z)
+
+    def norm2(self) -> Fraction:
+        return sum((a * a for a in self.coords()), Fraction(0))
+
+    def inverse(self):
+        n = self.norm2()
+        if n == 0:
+            raise ZeroDivisionError("division by zero quaternion")
+        return self.conj().scale(Fraction(1) / n)
+
+    def is_unit(self) -> bool:
+        return self.norm2() == 1
+
+    def is_zero(self) -> bool:
+        return self == Quaternion()
+
+    def coords(self) -> tuple:
+        return (self.w, self.x, self.y, self.z)
+
+    def __str__(self) -> str:
+        return f"({self.w}, {self.x}, {self.y}, {self.z})"

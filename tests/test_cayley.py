@@ -3,11 +3,14 @@ variety, its involutions, the equivariant embeddings and the orthogonal
 polar/meridian constructions."""
 
 import random
+from collections import Counter
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import generic_route as ref
 from ltskit import cayley as cy
 from ltskit.cayley import (
     CNum,
@@ -540,6 +543,90 @@ def test_cnum_public_constructor_converts_and_rejects():
         C_ONE.re = F(2)
 
 
+# -- the integer stored form against the Fraction references ----------------
+
+
+def stored_state(v) -> tuple:
+    """The integer state of a CNum, (a, b, d), or of a Quaternion,
+    (w, x, y, z, d)."""
+    names = (("_a", "_b", "_d") if isinstance(v, CNum)
+             else ("_w", "_x", "_y", "_z", "_d"))
+    return tuple(getattr(v, name) for name in names)
+
+
+def assert_same_as_reference(got, want):
+    """Equal Fraction coordinates, str, repr, hash and zero test, and the
+    stored form: ints, a positive denominator, gcd 1, zero over 1."""
+    state = stored_state(got)
+    assert all(type(n) is int for n in state)
+    assert state[-1] > 0 and gcd(*state) == 1
+    assert got.is_zero() == want.is_zero()
+    if got.is_zero():
+        assert state[-1] == 1
+    assert all(type(c) is F for c in got.coords())
+    assert got.coords() == want.coords()
+    assert got == type(got)(*want.coords())
+    assert str(got) == str(want) and repr(got) == repr(want)
+    assert hash(got) == hash(want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=st.tuples(RATIONALS, RATIONALS), b=st.tuples(RATIONALS, RATIONALS))
+def test_cnum_matches_fraction_reference(a, b):
+    x, y, rx, ry = CNum(*a), CNum(*b), ref.CNum(*a), ref.CNum(*b)
+    results = [(x, rx), (x + y, rx + ry), (x - y, rx - ry), (x - x, rx - rx),
+               (-x, -rx), (x * y, rx * ry), (x.conj(), rx.conj())]
+    if ry.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            x / y
+        with pytest.raises(ZeroDivisionError):
+            rx / ry
+    else:
+        results.append((x / y, rx / ry))
+    for got, want in results:
+        assert_same_as_reference(got, want)
+        assert (got.re, got.im) == (want.re, want.im)
+
+
+UNIT_QUATERNIONS = st.sampled_from(
+    [q.coords() for q in PYTHAGOREAN_QUATERNIONS]
+    + [(F(3, 5), F(-4, 5), 0, 0), (0, 0, 0, -1)])
+QUAT_COORDS = st.one_of(st.tuples(*[RATIONALS] * 4), UNIT_QUATERNIONS)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=QUAT_COORDS, b=QUAT_COORDS, r=RATIONALS)
+def test_quaternion_matches_fraction_reference(a, b, r):
+    x, y = Quaternion(*a), Quaternion(*b)
+    rx, ry = ref.Quaternion(*a), ref.Quaternion(*b)
+    results = [(x, rx), (x + y, rx + ry), (x - y, rx - ry), (x - x, rx - rx),
+               (-x, -rx), (x * y, rx * ry), (x.conj(), rx.conj()),
+               (x.scale(r), rx.scale(r))]
+    if rx.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            x.inverse()
+        with pytest.raises(ZeroDivisionError):
+            rx.inverse()
+    else:
+        results.append((x.inverse(), rx.inverse()))
+    for got, want in results:
+        assert_same_as_reference(got, want)
+        assert got.is_unit() == want.is_unit()
+        assert type(got.norm2()) is F and got.norm2() == want.norm2()
+        assert (got.w, got.x, got.y, got.z) == (want.w, want.x, want.y,
+                                                want.z)
+
+
+def test_constructors_reject_floats():
+    for make in (lambda: CNum(0.5), lambda: CNum(1, 0.25),
+                 lambda: Quaternion(0.5), lambda: Quaternion(0, 0, 0, 1e-3),
+                 lambda: Q_ONE.scale(0.5)):
+        with pytest.raises(TypeError):
+            make()
+    with pytest.raises(AttributeError):
+        Q_ONE.w = F(2)
+
+
 def divided_coords(element):
     """The projective class as every coordinate divided by the pivot."""
     raw = element.coords()
@@ -693,6 +780,66 @@ def test_model_cost_guard(monkeypatch):
     assert counts["cartan-su3"] < 64
     # the generator is the left factor of exactly X*X and X*X**2
     assert generator_products == [2, 2]
+
+
+def test_model_public_constructor_guard(monkeypatch):
+    # deterministic counts: arithmetic and the CNum <-> Quaternion
+    # boundaries build through _new_cnum/_new_quat, so only the sample
+    # matrices (rot's lift and the literal CNums) reach the public
+    # constructors; before integer coordinates the four runs made 15, 6,
+    # 5 and 79
+    A = cy.cnum_matrix_to_bc(cy._su6_sample_matrices()[6])
+    b = PYTHAGOREAN_QUATERNIONS[3]
+    X = JordanElement.from_coords(
+        [CNum(F(k % 5 - 2, k % 3 + 1), F(k % 7 - 3, 2)) for k in range(27)])
+    calls = Counter()
+    for cls in (CNum, Quaternion):
+        def recording(self, *args, _init=cls.__init__, _name=cls.__name__,
+                      **kwargs):
+            calls[_name] += 1
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", recording)
+    counts = {}
+    for name, run in (("so10", so10_constructions),
+                      ("cartan-so10", lambda: cartan_map_check("so10")),
+                      ("cartan-su3", lambda: cartan_map_check("su3")),
+                      ("f_su6_action", lambda: cy.f_su6_action(b, A, X))):
+        calls.clear()
+        run()
+        counts[name] = sum(calls.values())
+    assert counts["so10"] <= 15
+    assert counts["cartan-so10"] <= 6
+    assert counts["cartan-su3"] <= 5
+    assert counts["f_su6_action"] == 0
+
+
+def test_cayley_rows_share_read_only_computed():
+    # each distinct row is made once: kept reports share rows, labels and
+    # computed mappings, which are read-only; as_json hands out plain dicts
+    first, second = cartan_map_check("su3"), cartan_map_check("su3")
+    for r1, r2 in zip(first.rows, second.rows):
+        assert r1 is r2 and r1.computed is r2.computed
+        with pytest.raises(TypeError):
+            r1.computed["samples"] = 0
+    assert first.rows[0].computed == {}
+    assert first.rows[1].computed == {"fixed_samples": 3}
+    so10 = [so10_constructions().rows for _ in range(2)]
+    assert all(r1 is r2 for r1, r2 in zip(*so10))
+    # equal content is one mapping, whichever row reports it
+    assert so10[0][0].computed is first.rows[0].computed
+    with pytest.raises(TypeError):
+        so10[0][0].computed["x"] = 1
+    with pytest.raises(AttributeError):
+        so10[0][0].label = "renamed"
+    for rep in (first, so10_constructions()):
+        for r in rep.as_json()["rows"]:
+            assert type(r["computed"]) is dict and type(r["expected"]) is dict
+    assert first.as_json() == second.as_json()
+    # the battery prefixes its own copies and leaves the shared rows alone
+    labels = [r.label for r in verify_models(seed=0).rows]
+    assert "cartan-su3:antisymmetry" in labels
+    assert [r.label for r in cartan_map_check("su3").rows] == [
+        r.label for r in first.rows]
 
 
 def test_cartan_unknown_instance():
