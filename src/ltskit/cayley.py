@@ -1,51 +1,47 @@
-"""Exact models of the quaternions, octonions, their complexifications, the
-exceptional Jordan algebra, the projective variety realizing the Hermitian
-exceptional space, its involutions, and the explicit equivariant embeddings of
-the classical Grassmannian/projective models into that variety.
+"""Exact Cayley/Jordan models of the exceptional spaces: the block
+isomorphisms between the Jordan algebra and the 6x6 bicomplex matrix model,
+the twisted unitary group and its action, the equivariant embeddings of the
+classical Grassmannian/projective models into the projective variety, the
+traceless quaternionic 4x4 model with its symplectic action, and the battery
+``verify_models`` that checks them with the so(10) model and the Cartan maps.
 
 Everything is computed over exact rational data, in the number systems of
-``ltskit.cayley_dickson`` (re-exported here): complex numbers and
-quaternions with integer coordinates over one reduced denominator,
-octonions as pairs of quaternions, and one type, ``Cx``, that adjoins a
-central unit ``I`` with ``I**2 == -1`` to any of them.  Over the quaternions
-and octonions ``Cx`` gives the complexified algebras of the Jordan model;
-over the complex numbers it gives the bicomplex entries of the 6x6 matrix
-model.  The matrix helpers are ring-generic and serve every entry type.
-All identities (base points, equivariance, variety membership, polar
-periods) are checked with zero tolerance.
+``ltskit.cayley_dickson``: complex numbers and quaternions with integer
+coordinates over one reduced denominator, octonions as pairs of quaternions,
+and one type, ``Cx``, that adjoins a central unit ``I`` with ``I**2 == -1``
+to any of them.  Over the quaternions and octonions ``Cx`` gives the
+complexified algebras of the Jordan model (``ltskit.jordan``); over the
+complex numbers it gives the bicomplex entries of the 6x6 matrix model.  The
+matrix helpers (``ltskit.matrices``) are ring-generic and serve every entry
+type, and the real orthogonal model of SO(10)/U(5) and the Cartan maps are in
+``ltskit.matrix_groups``.  All identities (base points, equivariance, variety
+membership, polar periods) are checked with zero tolerance.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from fractions import Fraction
 from functools import partial
-from operator import ne
-from sys import intern
-from types import MappingProxyType
-from typing import Callable, Iterable, Sequence
+from typing import Sequence
 
-from . import linalg
 from .cayley_dickson import (
-    C_I, C_ONE, C_ZERO, CNum, Cx, O_E, O_ONE, O_ZERO, OCT_BASIS, Q_I, Q_J,
-    Q_K, Q_ONE, Q_ZERO, QUAT_BASIS, Octonion, Quaternion, _frac, _quat_of,
-    _re_im_quats, from_cnum, random_octonion,
+    C_I, C_ONE, C_ZERO, OCT_BASIS, O_E, O_ONE, Q_I, Q_J, Q_K, Q_ONE, Q_ZERO,
+    CNum, Cx, NotUnit, Octonion, Quaternion, _quat_of, from_cnum,
+    random_octonion,
 )
-from .report import CatalogReport, ReportRow
-from .scalars import rat
-
-
-class ZeroElement(ValueError):
-    """Raised when a projective construction receives the zero element."""
-
-
-class NotOnVariety(ValueError):
-    """Raised when an involution is applied to a point off the variety."""
-
-
-class NotUnit(ValueError):
-    """Raised when a group parameter is not a unit quaternion."""
+from .jordan import (
+    OC_ZERO, P0, JordanElement, ProjPoint, involution_gamma, involution_lambda,
+    involution_sigma, phi_g2, phi_g2_kernel, proj_member, quat_pair,
+    trace_pairing,
+)
+from .matrices import (
+    conj_transpose, herm_inner, identity, is_unitary, mat_apply, mat_map,
+    mat_mul, rot,
+)
+from .matrix_groups import cartan_map_check, so10_constructions
+from .report import CatalogReport, add_row
 
 
 class NotOrthonormal(ValueError):
@@ -56,27 +52,15 @@ class ZeroVector(ValueError):
     """Raised when a projective-space argument is the zero vector."""
 
 
-def gamma0(x: Cx) -> Cx:
-    """The involution of the complexified octonions fixing the complexified
-    quaternion subalgebra."""
-    return Cx(Octonion(x.re.a, -x.re.b), Octonion(x.im.a, -x.im.b))
-
-
 def from_quat_pair(h: Cx, q: Cx) -> Cx:
     """The complexified octonion ``h + q*e`` of the quaternionic splitting."""
     return Cx(Octonion(h.re, q.re), Octonion(h.im, q.im))
-
-
-def quat_pair(x: Cx) -> tuple:
-    """Split a complexified octonion as ``(h, q)`` with ``x = h + q*e``."""
-    return Cx(x.re.a, x.im.a), Cx(x.re.b, x.im.b)
 
 
 HC_ZERO = Cx(Q_ZERO, Q_ZERO)
 # The idempotent (1 + i*I)/2 used throughout the block isomorphisms.
 HC_EPS = Cx(Q_ONE.scale(Fraction(1, 2)), Q_I.scale(Fraction(1, 2)))
 
-OC_ZERO = Cx(O_ZERO, O_ZERO)
 # The octonion (1 + i*I)/2 * e appearing in quoted base points.
 OC_EPS_E = Cx(Octonion(Q_ZERO, Q_ONE.scale(Fraction(1, 2))),
               Octonion(Q_ZERO, Q_I.scale(Fraction(1, 2))))
@@ -85,379 +69,6 @@ BC_ZERO = Cx(C_ZERO, C_ZERO)
 # The idempotent-generating scalar (1 + i*I)/2.
 BC_EPS = Cx(CNum(Fraction(1, 2)), CNum(0, Fraction(1, 2)))
 BC_EPS_BAR = BC_EPS.conj()
-
-
-# ---------------------------------------------------------------------------
-# the exceptional Jordan algebra
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class JordanElement:
-    """A Hermitian 3x3 matrix over the complexified octonions.
-
-    Stored by its three complex diagonal entries ``xi`` and the three
-    independent off-diagonal slots ``x = (x1, x2, x3)``; the full matrix is::
-
-        [ xi1        x3         conj(x2) ]
-        [ conj(x3)   xi2        x1       ]
-        [ x2         conj(x1)   xi3      ]
-
-    where ``conj`` is octonionic conjugation (I-linear).
-    """
-
-    xi: tuple
-    x: tuple
-
-    @staticmethod
-    def make(xi: Sequence[CNum], x: Sequence[Cx]) -> "JordanElement":
-        xi = tuple(xi)
-        x = tuple(x)
-        if len(xi) != 3 or len(x) != 3:
-            raise ValueError("a Jordan element needs 3 diagonal entries "
-                             "and 3 off-diagonal slots")
-        return JordanElement(xi, x)
-
-    @staticmethod
-    def diag(a: CNum, b: CNum, c: CNum) -> "JordanElement":
-        return JordanElement((a, b, c), (OC_ZERO, OC_ZERO, OC_ZERO))
-
-    @staticmethod
-    def zero() -> "JordanElement":
-        return JordanElement.diag(C_ZERO, C_ZERO, C_ZERO)
-
-    def matrix(self) -> list:
-        x1, x2, x3 = self.x
-        d = [from_cnum(v, O_ONE) for v in self.xi]
-        return [[d[0], x3, x2.conj()],
-                [x3.conj(), d[1], x1],
-                [x2, x1.conj(), d[2]]]
-
-    @staticmethod
-    def from_matrix(M: Sequence[Sequence[Cx]]) -> "JordanElement":
-        for i in range(3):
-            for j in range(3):
-                if M[j][i] != M[i][j].conj():
-                    raise ValueError("matrix is not Hermitian")
-        xi = tuple(quat_pair(M[k][k])[0].scalar_value() for k in range(3))
-        return JordanElement(xi, (M[1][2], M[2][0], M[0][1]))
-
-    def __add__(self, other: "JordanElement") -> "JordanElement":
-        return JordanElement(
-            tuple(a + b for a, b in zip(self.xi, other.xi)),
-            tuple(a + b for a, b in zip(self.x, other.x)))
-
-    def __sub__(self, other: "JordanElement") -> "JordanElement":
-        return JordanElement(
-            tuple(a - b for a, b in zip(self.xi, other.xi)),
-            tuple(a - b for a, b in zip(self.x, other.x)))
-
-    def __neg__(self) -> "JordanElement":
-        return JordanElement(tuple(-a for a in self.xi),
-                             tuple(-a for a in self.x))
-
-    def scale(self, c: CNum) -> "JordanElement":
-        return JordanElement(tuple(a * c for a in self.xi),
-                             tuple(a.scale(c) for a in self.x))
-
-    def is_zero(self) -> bool:
-        return all(a.is_zero() for a in self.xi) and \
-            all(a.is_zero() for a in self.x)
-
-    def coords(self) -> tuple:
-        """27 complex coordinates (3 diagonal + 3 slots x 8)."""
-        out = list(self.xi)
-        for slot in self.x:
-            out.extend(slot.coords())
-        return tuple(out)
-
-    @staticmethod
-    def from_coords(coords: Sequence[CNum]) -> "JordanElement":
-        coords = list(coords)
-        if len(coords) != 27:
-            raise ValueError("expected 27 complex coordinates")
-        xi = tuple(coords[:3])
-        slots = []
-        for k in range(3):
-            cs = coords[3 + 8 * k:11 + 8 * k]
-            (re_a, im_a), (re_b, im_b) = (_re_im_quats(cs[:4]),
-                                          _re_im_quats(cs[4:]))
-            slots.append(Cx(Octonion(re_a, re_b), Octonion(im_a, im_b)))
-        return JordanElement(xi, tuple(slots))
-
-
-def jordan_mul(X: JordanElement, Y: JordanElement) -> JordanElement:
-    """The Jordan product (XY + YX) / 2."""
-    A, B = X.matrix(), Y.matrix()
-    half = CNum(Fraction(1, 2))
-    M = [[(sum_oc(A[i][k] * B[k][j] + B[i][k] * A[k][j]
-                  for k in range(3))).scale(half)
-          for j in range(3)] for i in range(3)]
-    return JordanElement.from_matrix(M)
-
-
-def sum_oc(items: Iterable[Cx]) -> Cx:
-    total = OC_ZERO
-    for item in items:
-        total = total + item
-    return total
-
-
-def jordan_conj(X: JordanElement) -> JordanElement:
-    """I-conjugation of every entry of the Hermitian matrix."""
-    return JordanElement(tuple(a.conj() for a in X.xi),
-                         tuple(a.conj_I() for a in X.x))
-
-
-def trace_pairing(X: JordanElement, Y: JordanElement) -> CNum:
-    """The Hermitian trace pairing tr(X o conj(Y)), where ``conj`` conjugates
-    the central unit I in every entry of ``Y`` (the octonionic conjugations
-    are already absorbed into the Hermitian matrix template).  This is the
-    pairing the twisted-unitary and symplectic actions preserve exactly; it
-    is positive definite on exact samples."""
-    return trace_form(X, jordan_conj(Y))
-
-
-def trace_form(X: JordanElement, Y: JordanElement) -> CNum:
-    """The complex-bilinear trace form tr(X o Y)."""
-    A, B = X.matrix(), Y.matrix()
-    total = C_ZERO
-    for i in range(3):
-        diag = sum_oc((A[i][k] * B[k][i] + B[i][k] * A[k][i]).scale(
-            CNum(Fraction(1, 2))) for k in range(3))
-        total = total + quat_pair(diag)[0].scalar_value()
-    return total
-
-
-# ---------------------------------------------------------------------------
-# projective points
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ProjPoint:
-    """A point of the complex projective space over the Jordan algebra.
-
-    The representative is canonicalized by dividing out the first nonzero
-    complex coordinate, so equality and hashing are exact and
-    scaling-invariant.  The pivot is inverted once, and the zero coordinates
-    are left as they are.
-    """
-
-    coords: tuple
-
-    @staticmethod
-    def of(element: JordanElement) -> "ProjPoint":
-        raw = element.coords()
-        pivot = next((c for c in raw if not c.is_zero()), None)
-        if pivot is None:
-            raise ZeroElement("the zero element has no projective class")
-        inv = C_ONE / pivot
-        return ProjPoint(tuple(c if c.is_zero() else c * inv for c in raw))
-
-    def element(self) -> JordanElement:
-        return JordanElement.from_coords(self.coords)
-
-    def map(self, fn: Callable[[JordanElement], JordanElement]) -> "ProjPoint":
-        return ProjPoint.of(fn(self.element()))
-
-
-P0 = None  # initialized below, after eiii_member is defined
-
-
-# ---------------------------------------------------------------------------
-# the projective variety and its involutions
-# ---------------------------------------------------------------------------
-
-
-def eiii_member(X: JordanElement) -> bool:
-    """Whether a nonzero Jordan element satisfies the six defining equations
-    of the projective model of the Hermitian exceptional space.
-
-    The equations are ``xi2*xi3 = |x1|^2`` (cyclically) and
-    ``x2*x3 = xi1*conj(x1)`` (cyclically), with ``|.|^2`` the complex-bilinear
-    extension of the octonion norm form.
-    """
-    if X.is_zero():
-        raise ZeroElement("membership is defined for nonzero elements only")
-    xi1, xi2, xi3 = X.xi
-    x1, x2, x3 = X.x
-    return (xi2 * xi3 == x1.norm2()
-            and xi3 * xi1 == x2.norm2()
-            and xi1 * xi2 == x3.norm2()
-            and x2 * x3 == x1.conj().scale(xi1)
-            and x3 * x1 == x2.conj().scale(xi2)
-            and x1 * x2 == x3.conj().scale(xi3))
-
-
-def proj_member(pt: ProjPoint) -> bool:
-    """Variety membership of a projective point (scaling-invariant)."""
-    return eiii_member(pt.element())
-
-
-P0 = ProjPoint.of(JordanElement.diag(C_ONE, C_ZERO, C_ZERO))
-
-
-def _involution(pt: ProjPoint,
-                fn: Callable[[JordanElement], JordanElement]) -> ProjPoint:
-    if not proj_member(pt):
-        raise NotOnVariety("the involutions are defined on the variety only")
-    image = pt.map(fn)
-    if not proj_member(image):
-        raise NotOnVariety("involution image left the variety")
-    return image
-
-
-def involution_lambda(pt: ProjPoint) -> ProjPoint:
-    """Conjugation of the central unit I in every entry (diagonal included).
-
-    Its fixed set consists of the points representable with I-free entries.
-    """
-    return _involution(pt, jordan_conj)
-
-
-def involution_gamma(pt: ProjPoint) -> ProjPoint:
-    """The involution applying the quaternion-fixing octonion involution to
-    the off-diagonal slots (diagonal entries unchanged)."""
-    return _involution(pt, lambda X: JordanElement(
-        X.xi, tuple(gamma0(a) for a in X.x)))
-
-
-def involution_sigma(pt: ProjPoint) -> ProjPoint:
-    """The geodesic symmetry at the base point: negates the x2 and x3 slots."""
-    return _involution(pt, lambda X: JordanElement(
-        X.xi, (X.x[0], -X.x[1], -X.x[2])))
-
-
-# ---------------------------------------------------------------------------
-# octonion automorphisms from pairs of unit quaternions
-# ---------------------------------------------------------------------------
-
-
-def phi_g2(g1: Quaternion, g2: Quaternion) -> Callable[[Octonion], Octonion]:
-    """The octonion automorphism ``(x1, x2) -> (g1 x1 g1^-1, g2 x2 g1^-1)``
-    attached to a pair of unit quaternions."""
-    if not g1.is_unit() or not g2.is_unit():
-        raise NotUnit("both parameters must be unit quaternions")
-    g1_inv = g1.conj()
-
-    def act(x: Octonion) -> Octonion:
-        return Octonion(g1 * x.a * g1_inv, g2 * x.b * g1_inv)
-
-    return act
-
-
-def phi_g2_kernel() -> list:
-    """Solve for all unit-quaternion pairs acting as the identity.
-
-    The conditions ``g1*u = u*g1`` for ``u`` in {i, j} are linear in the
-    coordinates of ``g1``; their joint kernel is computed exactly and then cut
-    down by the unit-norm condition, after which ``g2`` is forced basis-wise.
-    Returns the list of kernel pairs.
-    """
-    rows = [[rat((u * b - b * u).coords()[k]) for b in QUAT_BASIS]
-            for u in (Q_I, Q_J) for k in range(4)]
-    results = []
-    for vec in linalg.kernel(rows):
-        g1 = Quaternion(*(c.rational_value() for c in vec))
-        # unit-norm representatives within the kernel line
-        for sign in (1, -1):
-            cand = g1.scale(sign)
-            if cand.is_unit():
-                # g2 * 1 * g1^-1 = 1 forces g2 = g1.
-                results.append((cand, cand))
-    return results
-
-
-# ---------------------------------------------------------------------------
-# generic exact matrix helpers (entries: any ring with +, -, *, ==)
-# ---------------------------------------------------------------------------
-
-
-def mat_mul(A, B):
-    """The product ``A B`` of exact matrices of any compatible shapes.
-
-    Entries: any ring with +, -, *, == and a zero test, here ``!= zero``
-    against the ring's own zero ``B[0][0] - B[0][0]``, or ``bool`` on
-    ``Fraction`` (whose ``==`` checks the ``numbers`` ABCs on every call).
-    The product is sparse: each row of ``B`` is reduced once to its nonzero
-    (column, entry) pairs, every zero ``A[i][t]`` is skipped, and only
-    nonzero products are added, still in increasing ``t``.  An entry with no
-    nonzero term is the ring's zero, so every entry has the exact value of
-    the dense sum."""
-    zero = B[0][0] - B[0][0]
-    nonzero = bool if isinstance(zero, (int, Fraction)) else partial(ne, zero)
-    b_rows = [[(j, b) for j, b in enumerate(row) if nonzero(b)] for row in B]
-    out = []
-    for a_row in A:
-        acc = [zero] * len(B[0])
-        for a, b_row in zip(a_row, b_rows):
-            if not nonzero(a):
-                continue
-            for j, b in b_row:
-                p = a * b
-                if nonzero(p):
-                    acc[j] = acc[j] + p
-        out.append(acc)
-    return out
-
-
-def mat_neg(A):
-    return [[-a for a in row] for row in A]
-
-
-def mat_map(fn, A):
-    return [[fn(a) for a in row] for row in A]
-
-
-def mat_transpose(A):
-    return [list(row) for row in zip(*A)]
-
-
-def mat_eq(A, B) -> bool:
-    return all(a == b for ra, rb in zip(A, B) for a, b in zip(ra, rb))
-
-
-def mat_apply(A, v) -> tuple:
-    """The matrix-vector product ``A v``, as a tuple."""
-    return tuple(row[0] for row in mat_mul(A, [[a] for a in v]))
-
-
-def identity(n: int, one):
-    """The n x n identity matrix over the ring whose unit is ``one``."""
-    zero = one - one
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
-
-
-def rot(n: int, p: int, q: int, c, s, one):
-    """The n x n rotation by the rational pair (cos, sin) = (c, s) in the
-    plane of coordinates p and q, over the ring whose unit is ``one``; the
-    type of ``one`` lifts a rational into that ring."""
-    M = identity(n, one)
-    lift = type(one)
-    M[p][p] = M[q][q] = lift(c)
-    M[p][q], M[q][p] = lift(-s), lift(s)
-    return M
-
-
-def conj_transpose(A):
-    """The transpose of ``A`` with every entry conjugated in its own ring."""
-    return mat_map(lambda a: a.conj(), mat_transpose(A))
-
-
-def is_unitary(A, one) -> bool:
-    """Whether ``conj_transpose(A) A`` is the identity; ``one`` is the unit
-    of the entry ring."""
-    return mat_eq(mat_mul(conj_transpose(A), A), identity(len(A), one))
-
-
-def herm_inner(u, v):
-    """The Hermitian inner product sum(conj(u_k) * v_k) of two nonempty
-    vectors over CNum or Quaternion."""
-    total = u[0].conj() * v[0]
-    for a, b in zip(u[1:], v[1:]):
-        total = total + a.conj() * b
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -766,465 +377,6 @@ def embed_f_quaternionic(u1, u2) -> ProjPoint:
     return ProjPoint.of(psi_map_inv(Z))
 
 # ---------------------------------------------------------------------------
-# the real orthogonal model of the isotropic-plane space SO(10)/U(5)
-# ---------------------------------------------------------------------------
-#
-# The ten real coordinates split as V + i*V with V spanned by the first five;
-# the unitary subgroup consists of the orthogonal block matrices
-# [[A, -B], [B, A]].
-
-
-def frac_zero(n: int, m: int):
-    zero = Fraction(0)
-    return [[zero] * m for _ in range(n)]
-
-
-def is_orthogonal(g) -> bool:
-    return mat_eq(mat_mul(mat_transpose(g), g),
-                  identity(len(g), Fraction(1)))
-
-
-def _half_blocks(g):
-    n = len(g) // 2
-    A = [[g[i][j] for j in range(n)] for i in range(n)]
-    C = [[g[i][n + j] for j in range(n)] for i in range(n)]
-    B = [[g[n + i][j] for j in range(n)] for i in range(n)]
-    D = [[g[n + i][n + j] for j in range(n)] for i in range(n)]
-    return A, C, B, D
-
-
-def _from_half_blocks(A, C, B, D):
-    n = len(A)
-    return [list(A[i]) + list(C[i]) for i in range(n)] + \
-        [list(B[i]) + list(D[i]) for i in range(n)]
-
-
-def orthogonal_sigma(g):
-    """The symmetric-structure involution [[A, C], [B, D]] ->
-    [[D, -B], [-C, A]] on the real orthogonal group of even size."""
-    A, C, B, D = _half_blocks(g)
-    return _from_half_blocks(D, mat_neg(B), mat_neg(C), A)
-
-
-def unitary_member(g) -> bool:
-    """Membership in the unitary subgroup: orthogonal with block form
-    [[A, -B], [B, A]]."""
-    if not is_orthogonal(g):
-        return False
-    A, C, B, D = _half_blocks(g)
-    return mat_eq(A, D) and mat_eq(C, mat_neg(B))
-
-
-def is_skew(A) -> bool:
-    return mat_eq(mat_transpose(A), mat_neg(A))
-
-
-def tangent_member(X) -> bool:
-    """Membership in the complement of the unitary subalgebra: the block
-    matrices [[A, B], [B, -A]] with A, B skew."""
-    A, C, B, D = _half_blocks(X)
-    return is_skew(A) and is_skew(B) and mat_eq(C, B) and \
-        mat_eq(D, mat_neg(A))
-
-
-def complex_to_real10(U) -> list:
-    """The real 10x10 form [[A, -B], [B, A]] of a complex 5x5 matrix
-    ``A + iB`` with exact complex entries."""
-    A = mat_map(lambda c: c.re, U)
-    B = mat_map(lambda c: c.im, U)
-    return _from_half_blocks(A, mat_neg(B), B, A)
-
-
-def partial_complex_structure(k: int) -> list:
-    """A skew 5x5 matrix J with J**3 = -J whose image is the span of the
-    first 2k coordinates (k in {1, 2})."""
-    if k not in (1, 2):
-        raise ValueError("the half-dimension parameter must be 1 or 2")
-    J = frac_zero(5, 5)
-    for m in range(k):
-        J[2 * m][2 * m + 1] = Fraction(-1)
-        J[2 * m + 1][2 * m] = Fraction(1)
-    return J
-
-
-def polar_generator(k: int) -> list:
-    """The tangent vector diag(J, -J) generating the polar geodesic."""
-    J = partial_complex_structure(k)
-    return _from_half_blocks(J, frac_zero(5, 5), frac_zero(5, 5), mat_neg(J))
-
-
-_QUARTER_SIN_COS = ((0, 1), (1, 0), (0, -1), (-1, 0))  # (sin, cos) at n*pi/2
-
-
-def _quarter_turns(X) -> tuple:
-    """(X**3 == -X, the table of exp(t X) at t = n*pi/2 for n = 0..3), from
-    one square of X: exp(tX) = id + sin(t) X + (1 - cos(t)) X**2 holds when
-    the flag does."""
-    X2 = mat_mul(X, X)
-    cubes = mat_eq(mat_mul(X, X2), mat_neg(X))
-    return cubes, [[[int(i == j) + s * x + (1 - c) * x2
-                     for j, (x, x2) in enumerate(zip(row, row2))]
-                    for i, (row, row2) in enumerate(zip(X, X2))]
-                   for s, c in _QUARTER_SIN_COS]
-
-
-def exp_quarter_turns(X, n: int) -> list:
-    """The exact matrix exponential exp(t X) at t = n*pi/2 for a matrix
-    satisfying X**3 = -X, via exp(tX) = id + sin(t) X + (1 - cos(t)) X**2."""
-    cubes, table = _quarter_turns(X)
-    if not cubes:
-        raise ValueError("the generator must satisfy X**3 == -X")
-    return table[n % 4]
-
-
-def _preserves_coordinate_span(g, indices) -> bool:
-    index_set = set(indices)
-    others = [r for r in range(len(g)) if r not in index_set]
-    return all(g[r][j] == 0 for j in indices for r in others)
-
-
-def polar_stabilizer_criterion(k: int, U) -> tuple:
-    """For a unitary-subgroup element given as a complex 5x5 matrix ``U``:
-    the pair (S**-1 g S lies in the unitary subgroup, g preserves the
-    complexified span of the first 2k coordinates); the polar stabilizer
-    criterion asserts these are equal."""
-    return _polar_stabilizer_criterion(
-        k, U, exp_quarter_turns(polar_generator(k), 1))
-
-
-def _polar_stabilizer_criterion(k: int, U, S) -> tuple:
-    """The criterion, given the polar midpoint ``S`` of generator k."""
-    g = complex_to_real10(U)
-    if not unitary_member(g):
-        raise NotUnit("expected an exact unitary 5x5 matrix")
-    conj = mat_mul(mat_transpose(S), mat_mul(g, S))
-    fixes = unitary_member(conj)
-    preserves = _preserves_coordinate_span(
-        g, list(range(2 * k)) + list(range(5, 5 + 2 * k)))
-    return fixes, preserves
-
-
-def embed_so4_so6(M4, M6) -> list:
-    """The embedding of a pair (4x4, 6x6) of real matrices acting on the
-    complexified splitting (first two complex coordinates, last three) into
-    the 10x10 model; each factor uses its own (V, i*V) block convention."""
-    g = frac_zero(10, 10)
-    idx4 = [0, 1, 5, 6]
-    idx6 = [2, 3, 4, 7, 8, 9]
-    for i in range(4):
-        for j in range(4):
-            g[idx4[i]][idx4[j]] = _frac(M4[i][j])
-    for i in range(6):
-        for j in range(6):
-            g[idx6[i]][idx6[j]] = _frac(M6[i][j])
-    return g
-
-
-def embed_so8(M8) -> list:
-    """The embedding of an 8x8 real matrix acting on the complexified span of
-    the first four coordinates into the 10x10 model, fixing the rest."""
-    g = identity(10, Fraction(1))
-    idx8 = [0, 1, 2, 3, 5, 6, 7, 8]
-    for i in range(8):
-        for j in range(8):
-            g[idx8[i]][idx8[j]] = _frac(M8[i][j])
-    return g
-
-
-def phi_so5(B) -> list:
-    """The homomorphism B -> diag(B, B**-1) from the real orthogonal 5x5
-    matrices into the 10x10 model."""
-    if not is_orthogonal(B):
-        raise NotUnit("expected an exact orthogonal 5x5 matrix")
-    return _from_half_blocks(B, frac_zero(5, 5), frac_zero(5, 5),
-                             mat_transpose(B))
-
-# ---------------------------------------------------------------------------
-# Cartan maps g*K -> sigma(g) g**-1 for exact matrix-group instances
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CartanInstance:
-    """An exact matrix group with involution, for Cartan-map checks."""
-
-    name: str
-    identity: tuple
-    inverse: Callable
-    sigma: Callable
-    in_group: Callable
-    in_fixed: Callable
-    samples: tuple
-    fixed_samples: tuple
-
-
-def _so10_cartan_instance() -> CartanInstance:
-    one = Fraction(1)
-    f35, f45 = Fraction(3, 5), Fraction(4, 5)
-    f513, f1213 = Fraction(5, 13), Fraction(12, 13)
-    u_rot = complex_to_real10(rot(5, 0, 1, f35, f45, C_ONE))
-    phase = identity(5, C_ONE)
-    phase[0][0] = C_I
-    u_phase = complex_to_real10(phase)
-    samples = (
-        rot(10, 0, 5, f35, f45, one),
-        rot(10, 2, 7, f513, f1213, one),
-        mat_mul(rot(10, 0, 5, f35, f45, one), rot(10, 1, 8, f35, f45, one)),
-        mat_mul(u_rot, rot(10, 3, 9, f513, f1213, one)),
-        u_phase,
-    )
-    return CartanInstance(
-        name="so10",
-        identity=tuple(map(tuple, identity(10, one))),
-        inverse=mat_transpose,
-        sigma=orthogonal_sigma,
-        in_group=is_orthogonal,
-        in_fixed=unitary_member,
-        samples=samples,
-        fixed_samples=(u_rot, u_phase,
-                       complex_to_real10(rot(5, 1, 4, f513, f1213, C_ONE))),
-    )
-
-
-def _su3_cartan_instance() -> CartanInstance:
-    f35, f45 = Fraction(3, 5), Fraction(4, 5)
-    rot01 = rot(3, 0, 1, f35, f45, C_ONE)
-    perm = [[C_ZERO, -C_ONE, C_ZERO],
-            [C_ONE, C_ZERO, C_ZERO],
-            [C_ZERO, C_ZERO, C_ONE]]
-    diag_i = [[C_I, C_ZERO, C_ZERO],
-              [C_ZERO, C_I, C_ZERO],
-              [C_ZERO, C_ZERO, -C_ONE]]
-    pyth = [[CNum(f35, f45), C_ZERO, C_ZERO],
-            [C_ZERO, CNum(f35, -f45), C_ZERO],
-            [C_ZERO, C_ZERO, C_ONE]]
-    samples = (diag_i, pyth, mat_mul(diag_i, rot01), mat_mul(pyth, perm))
-
-    in_group = partial(is_unitary, one=C_ONE)
-
-    def in_fixed(A) -> bool:
-        if any(c.im != 0 for row in A for c in row):
-            return False
-        return in_group(A)
-
-    return CartanInstance(
-        name="su3",
-        identity=tuple(map(tuple, identity(3, C_ONE))),
-        inverse=conj_transpose,
-        sigma=lambda A: mat_map(lambda c: c.conj(), A),
-        in_group=in_group,
-        in_fixed=in_fixed,
-        samples=samples,
-        fixed_samples=(rot01, perm, mat_mul(rot01, perm)),
-    )
-
-
-_CARTAN_INSTANCES = {"so10": _so10_cartan_instance,
-                     "su3": _su3_cartan_instance}
-
-
-def cartan_instance(name: str) -> CartanInstance:
-    try:
-        return _CARTAN_INSTANCES[name]()
-    except KeyError:
-        raise ValueError(f"unknown Cartan-map instance: {name!r}") from None
-
-
-def cartan_map(inst: CartanInstance, g) -> list:
-    """The Cartan map sigma(g) * g**-1."""
-    return mat_mul(inst.sigma(g), inst.inverse(g))
-
-
-# Rows are values, and a long run of sweeps keeps many of them, so each
-# distinct row is made once and shared, as the report module shares one
-# empty expected mapping: one read-only computed mapping per distinct
-# content (keyed by its repr) and one row per (label, verdict, content).
-_SHARED_COMPUTED: dict = {}
-_SHARED_ROWS: dict = {}
-
-
-def add_row(rep: CatalogReport, label: str, ok: bool,
-            computed: dict | None = None) -> None:
-    """Append a PASS or FAIL row to a verification report: the shared row
-    of that label, verdict and computed content, with an interned label and
-    a read-only computed mapping."""
-    computed = computed or {}
-    key = repr(computed)
-    row = _SHARED_ROWS.get((label, ok, key))
-    if row is None:
-        shared = _SHARED_COMPUTED.setdefault(
-            key, MappingProxyType(dict(computed)))
-        row = _SHARED_ROWS[label, ok, key] = ReportRow(
-            label=intern(label), status="PASS" if ok else "FAIL",
-            computed=shared)
-    rep.rows.append(row)
-
-
-def cartan_map_check(name: str,
-                     extra_samples: Sequence = ()) -> CatalogReport:
-    """Verify the defining identities of the Cartan map on exact samples of
-    the given matrix-group instance."""
-    inst = cartan_instance(name)
-    ident = [list(r) for r in inst.identity]
-    samples = list(inst.samples) + [
-        [list(map(Fraction, row)) for row in g] for g in extra_samples]
-    rep = CatalogReport(f"cartan-{name}", "verification")
-    row = partial(add_row, rep)
-    for g in samples:
-        if not inst.in_group(g):
-            raise NotUnit(f"sample is not in the {name} group")
-    row("identity-maps-to-identity",
-        mat_eq(cartan_map(inst, ident), ident), {})
-    row("fixed-subgroup-collapses",
-        all(mat_eq(cartan_map(inst, k), ident)
-            for k in inst.fixed_samples),
-        {"fixed_samples": len(inst.fixed_samples)})
-    images = [cartan_map(inst, g) for g in samples]
-    row("right-coset-invariance",
-        all(mat_eq(cartan_map(inst, mat_mul(g, k)), image)
-            for g, image in zip(samples, images) for k in inst.fixed_samples),
-        {"pairs": len(samples) * len(inst.fixed_samples)})
-    row("image-in-group",
-        all(inst.in_group(image) for image in images),
-        {"samples": len(samples)})
-    row("antisymmetry",
-        all(mat_eq(inst.sigma(image), inst.inverse(image))
-            for image in images),
-        {"samples": len(samples)})
-    row("nondegenerate-on-samples",
-        any(not mat_eq(image, ident) for image in images), {})
-    return rep
-
-
-# ---------------------------------------------------------------------------
-# the polar/meridian constructions in the real orthogonal model
-# ---------------------------------------------------------------------------
-
-
-def _u5_sample_matrices():
-    f35, f45 = Fraction(3, 5), Fraction(4, 5)
-    f513, f1213 = Fraction(5, 13), Fraction(12, 13)
-    phase = identity(5, C_ONE)
-    phase[0][0] = C_I
-    swap = identity(5, C_ONE)
-    swap[0][0] = C_ZERO
-    swap[4][4] = C_ZERO
-    swap[0][4] = C_ONE
-    swap[4][0] = -C_ONE
-    return (
-        rot(5, 0, 1, f35, f45, C_ONE),
-        rot(5, 0, 2, f513, f1213, C_ONE),
-        rot(5, 2, 4, f35, f45, C_ONE),
-        rot(5, 3, 4, f513, f1213, C_ONE),
-        phase,
-        swap,
-        mat_mul(rot(5, 0, 1, f35, f45, C_ONE), phase),
-    )
-
-
-def so10_constructions() -> CatalogReport:
-    """Verify the polar-geodesic, stabilizer, meridian and diagonal-orthogonal
-    constructions in the real 10-dimensional orthogonal model."""
-    rep = CatalogReport("so10-model", "verification")
-    row = partial(add_row, rep)
-
-    u5 = _u5_sample_matrices()
-    for k in (1, 2):
-        X = polar_generator(k)
-        J = partial_complex_structure(k)
-        cubes, turns = _quarter_turns(X)
-        row(f"k={k}:generator-in-tangent-space",
-            tangent_member(X) and cubes, {})
-
-        turn_ok = []
-        for (s, c), E in zip(_QUARTER_SIN_COS, turns):
-            ok = True
-            for m in range(5):
-                col = [E[r][m] for r in range(10)]
-                icol = [E[r][5 + m] for r in range(10)]
-                expect = [Fraction(0)] * 10
-                iexpect = [Fraction(0)] * 10
-                if m < 2 * k:
-                    expect[m] += c
-                    iexpect[5 + m] += c
-                    for r in range(5):
-                        expect[r] += s * J[r][m]
-                        iexpect[5 + r] -= s * J[r][m]
-                else:
-                    expect[m] = Fraction(1)
-                    iexpect[5 + m] = Fraction(1)
-                ok = ok and col == expect and icol == iexpect
-            turn_ok.append(ok)
-        row(f"k={k}:exponential-action-formulas", all(turn_ok), {"turns": 4})
-
-        members = [unitary_member(E) for E in turns]
-        periods = [members[n % 4] for n in range(5)]
-        row(f"k={k}:geodesic-period-pi",
-            periods == [True, False, True, False, True],
-            {"membership_by_quarter_turn": periods})
-
-        # S e_m = J e_m and S(i e_m) = -i J e_m (m < 2k): the formulas at n=1
-        S = turns[1]
-        row(f"k={k}:polar-midpoint-relations", turn_ok[1], {})
-
-        pairs = [_polar_stabilizer_criterion(k, U, S) for U in u5]
-        row(f"k={k}:stabilizer-criterion",
-            all(a == b for a, b in pairs)
-            and any(a for a, _ in pairs) and any(not a for a, _ in pairs),
-            {"samples": len(pairs),
-             "stabilizing": sum(1 for a, _ in pairs if a)})
-
-    one = Fraction(1)
-    f35, f45 = Fraction(3, 5), Fraction(4, 5)
-    f513, f1213 = Fraction(5, 13), Fraction(12, 13)
-    so4s = (rot(4, 0, 1, f35, f45, one), rot(4, 0, 2, f513, f1213, one),
-            mat_mul(rot(4, 1, 3, f35, f45, one), rot(4, 0, 1, f35, f45, one)))
-    so6s = (rot(6, 0, 1, f35, f45, one), rot(6, 1, 4, f513, f1213, one),
-            mat_mul(rot(6, 2, 5, f35, f45, one), rot(6, 0, 3, f35, f45, one)))
-    ok_mer1 = all(
-        is_orthogonal(embed_so4_so6(M4, M6)) and
-        mat_eq(orthogonal_sigma(embed_so4_so6(M4, M6)),
-               embed_so4_so6(orthogonal_sigma(M4), orthogonal_sigma(M6)))
-        for M4 in so4s for M6 in so6s)
-    row("meridian-4x6-splitting-sigma-stable", ok_mer1,
-        {"samples": len(so4s) * len(so6s)})
-    so8s = (rot(8, 0, 1, f35, f45, one), rot(8, 2, 6, f513, f1213, one),
-            mat_mul(rot(8, 3, 7, f35, f45, one), rot(8, 0, 5, f35, f45, one)))
-    ok_mer2 = all(
-        is_orthogonal(embed_so8(M8)) and
-        mat_eq(orthogonal_sigma(embed_so8(M8)),
-               embed_so8(orthogonal_sigma(M8)))
-        for M8 in so8s)
-    row("meridian-8-splitting-sigma-stable", ok_mer2, {"samples": len(so8s)})
-
-    B_rot = rot(5, 0, 1, f35, f45, one)
-    B_inv = identity(5, one)
-    B_inv[3][3] = Fraction(-1)
-    B_inv[4][4] = Fraction(-1)
-    so5s = (identity(5, one), B_rot, B_inv,
-            rot(5, 2, 4, f513, f1213, one), mat_mul(B_inv, B_rot))
-    row("diagonal-orthogonal-homomorphism",
-        all(mat_eq(phi_so5(mat_mul(a, b)),
-                   mat_mul(phi_so5(a), phi_so5(b)))
-            for a in so5s[:3] for b in so5s[:3]), {})
-    crit = [(unitary_member(phi_so5(B)),
-             mat_eq(mat_mul(B, B), identity(5, one))) for B in so5s]
-    row("diagonal-orthogonal-membership-criterion",
-        all(a == b for a, b in crit)
-        and unitary_member(phi_so5(identity(5, one)))
-        and not unitary_member(phi_so5(B_rot))
-        and unitary_member(phi_so5(B_inv)),
-        {"criterion": "unitary membership iff the argument is an involution",
-         "samples": len(crit)})
-    skew = frac_zero(5, 5)
-    skew[0][1], skew[1][0] = Fraction(2), Fraction(-2)
-    skew[2][4], skew[4][2] = Fraction(-3), Fraction(3)
-    row("diagonal-orthogonal-linearization-tangent",
-        tangent_member(_from_half_blocks(
-            skew, frac_zero(5, 5), frac_zero(5, 5), mat_neg(skew))), {})
-    return rep
-
-# ---------------------------------------------------------------------------
 # sample group elements and the aggregated verification report
 # ---------------------------------------------------------------------------
 
@@ -1313,7 +465,7 @@ def parse_rational_matrix_file(text: str) -> list:
     """Parse a text file of rational matrices: one row per line, entries
     separated by whitespace, matrices separated by blank lines."""
     matrices, current = [], []
-    for raw in text.splitlines():
+    for n, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             if current:
@@ -1323,7 +475,10 @@ def parse_rational_matrix_file(text: str) -> list:
         try:
             current.append([Fraction(tok) for tok in line.split()])
         except ZeroDivisionError:
-            raise ValueError(f"zero denominator in {line!r}") from None
+            raise ValueError(f"line {n}: zero denominator in {line!r}") \
+                from None
+        except ValueError as exc:
+            raise ValueError(f"line {n}: {exc}") from None
     if current:
         matrices.append(current)
     for M in matrices:
@@ -1484,6 +639,6 @@ def verify_models(seed: int = 0, extra_orthogonal_samples: Sequence = ()) \
                 cartan_map_check("so10",
                                  extra_samples=extra_orthogonal_samples),
                 cartan_map_check("su3")):
-        rep.rows += [replace(r, label=f"{sub.space}:{r.label}")
-                     for r in sub.rows]
+        rep.rows.extend(replace(r, label=f"{sub.space}:{r.label}")
+                        for r in sub.rows)
     return rep

@@ -7,8 +7,10 @@ A complex number or a quaternion stores integer coordinates over one
 positive common denominator, reduced by one private normalizer
 (``_new_cnum``, ``_new_quat``), and hands its coordinates out as
 ``Fraction``s.  ``_quat_of`` and ``_re_im_quats`` carry integers across the
-complex-number/quaternion boundaries of ``ltskit.cayley``, so no ``Fraction``
-and no validating constructor is built inside the arithmetic.
+complex-number/quaternion boundaries of ``ltskit.jordan`` and
+``ltskit.cayley``, and ``cnum_matrix_parts`` hands a matrix of complex
+numbers to ``ltskit.matrix_groups`` as int rows, so no ``Fraction`` and no
+validating constructor is built inside the arithmetic.
 """
 
 from __future__ import annotations
@@ -18,6 +20,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
+
+
+class NotUnit(ValueError):
+    """Raised when a group parameter is not a unit: a quaternion off the unit
+    sphere, or a matrix outside its exact group."""
 
 
 def _frac(value) -> Fraction:
@@ -343,6 +350,14 @@ def _re_im_quats(cs: Sequence[CNum]) -> tuple:
     scales = [d // c._d for c in cs]
     return (_new_quat(*(c._a * s for c, s in zip(cs, scales)), d),
             _new_quat(*(c._b * s for c, s in zip(cs, scales)), d))
+
+
+def cnum_matrix_parts(U) -> tuple:
+    """(A, B, d) for a matrix ``U`` of CNums: U = (A + iB)/d with int rows A
+    and B over the lcm d of the entries' denominators."""
+    d = lcm(*(c._d for row in U for c in row))
+    return ([[c._a * (d // c._d) for c in row] for row in U],
+            [[c._b * (d // c._d) for c in row] for row in U], d)
 
 
 Q_ZERO = Quaternion()

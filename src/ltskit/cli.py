@@ -370,12 +370,8 @@ def cmd_geodesic_length(args) -> int:
 
 
 def cmd_models_verify(args) -> int:
-    from .cayley import (
-        NotUnit,
-        is_orthogonal,
-        parse_rational_matrix_file,
-        verify_models,
-    )
+    from .cayley import NotUnit, parse_rational_matrix_file, verify_models
+    from .matrix_groups import is_orthogonal
     extra = ()
     if args.samples:
         try:

@@ -10,18 +10,19 @@ centre of k as the kernel of its brackets with every k row at once; the
 bracket as a scan of both dense operands; and the restricted-root spaces of
 an LTS as kernels of the ambient images ad(h_i)ad(h_j)b, all dim g entries
 of each; the intersection of two spans from the relations among all their
-rows at once; and the Cayley scalars ``CNum`` and ``Quaternion`` as frozen
+rows at once; the Cayley scalars ``CNum`` and ``Quaternion`` as frozen
 dataclasses of ``Fraction`` coordinates, each result built through the
-validating constructor.
+validating constructor; and the orthogonal model of SO(10)/U(5) on rows of
+``Fraction``s, compared entry by entry.
 
 ltskit.chevalley writes every N in one height-ordered pass and the Killing
 form down in closed form, and brackets nonzero terms only; ltskit.spaces
 writes k, m and the chart vectors from sigma's sparse signed columns, shares
 one Gram matrix between the duals and stops the centre solve early; and
 ltskit.lts solves the root spaces in the subspace's own coordinates and
-intersects by remainders modulo a Span; and ltskit.cayley stores a CNum or a
-Quaternion as integers over one reduced denominator.  These are the long way
-round,
+intersects by remainders modulo a Span; ltskit.cayley_dickson stores a CNum
+or a Quaternion, and ltskit.matrix_groups a matrix of the orthogonal model,
+as integers over one reduced denominator.  These are the long way round,
 kept only so the tests can compare the two exactly.
 """
 
@@ -39,6 +40,10 @@ from ltskit.linalg import (
     vec_sub,
 )
 from ltskit.lts import SubRoot, _operator_kernel, _root_candidates
+from ltskit.matrices import (
+    identity, mat_eq, mat_map, mat_mul, mat_neg, mat_transpose,
+)
+from ltskit.matrix_groups import _from_half_blocks, _half_blocks
 from ltskit.roots import RootSystem
 from ltskit.scalars import ONE, ZERO, rat, scalar_sign
 from ltskit.spaces import (
@@ -425,3 +430,48 @@ class Quaternion:
 
     def __str__(self) -> str:
         return f"({self.w}, {self.x}, {self.y}, {self.z})"
+
+
+# -- the orthogonal model of SO(10)/U(5) on Fraction rows ------------------
+
+
+def is_orthogonal(g) -> bool:
+    return mat_eq(mat_mul(mat_transpose(g), g),
+                  identity(len(g), Fraction(1)))
+
+
+def orthogonal_sigma(g):
+    """[[A, C], [B, D]] -> [[D, -B], [-C, A]]."""
+    A, C, B, D = _half_blocks(g)
+    return _from_half_blocks(D, mat_neg(B), mat_neg(C), A)
+
+
+def unitary_member(g) -> bool:
+    """Orthogonal with block form [[A, -B], [B, A]]."""
+    if not is_orthogonal(g):
+        return False
+    A, C, B, D = _half_blocks(g)
+    return mat_eq(A, D) and mat_eq(C, mat_neg(B))
+
+
+def is_skew(A) -> bool:
+    return mat_eq(mat_transpose(A), mat_neg(A))
+
+
+def tangent_member(X) -> bool:
+    """Block form [[A, B], [B, -A]] with A, B skew."""
+    A, C, B, D = _half_blocks(X)
+    return is_skew(A) and is_skew(B) and mat_eq(C, B) and \
+        mat_eq(D, mat_neg(A))
+
+
+def complex_to_real10(U) -> list:
+    """[[A, -B], [B, A]] for the complex matrix A + iB, from re and im."""
+    A = mat_map(lambda c: c.re, U)
+    B = mat_map(lambda c: c.im, U)
+    return _from_half_blocks(A, mat_neg(B), B, A)
+
+
+def cartan_map(g) -> list:
+    """The Cartan map sigma(g) g**-1 of the so10 instance, g**-1 = g**T."""
+    return mat_mul(orthogonal_sigma(g), mat_transpose(g))

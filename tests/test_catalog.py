@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from ltskit import catalog as cat
+from ltskit import prototypes as proto
 from ltskit.catalog import (
     ClosedGeodesic,
     NotInLatticeSpan,
@@ -169,10 +170,10 @@ def test_quoted_diagram_multiplicities(catalog_reports):
 
 
 def test_failed_row_names_first_mismatch(spaces, monkeypatch):
-    wrong = [cat._row("G2group", "(SxS, 1, 1)", dim=3, rank=2),
-             cat._row("G2group", "(SxS, 2, 1)", dim=3, rank=2,
-                      sub_mults=cat._mults(l6=1))]
-    monkeypatch.setitem(cat._EXPECTED, "G2group", lambda: wrong)
+    wrong = [proto._row("G2group", "(SxS, 1, 1)", dim=3, rank=2),
+             proto._row("G2group", "(SxS, 2, 1)", dim=3, rank=2,
+                        sub_mults=proto._mults(l6=1))]
+    monkeypatch.setitem(proto._EXPECTED, "G2group", lambda: wrong)
     rep = verify_catalog(spaces["G2group"])
     assert [(r.status, r.certificate) for r in rep.rows] == [
         ("FAIL", "dim: expected 3, computed 2"),

@@ -2,6 +2,7 @@
 variety, its involutions, the equivariant embeddings and the orthogonal
 polar/meridian constructions."""
 
+import dataclasses
 import random
 from collections import Counter
 from fractions import Fraction
@@ -12,6 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 import generic_route as ref
 from ltskit import cayley as cy
+from ltskit import matrices as mx
+from ltskit import matrix_groups as mg
 from ltskit.cayley import (
     CNum,
     C_I,
@@ -36,39 +39,43 @@ from ltskit.cayley import (
     Q_ONE,
     Q_ZERO,
     Quaternion,
-    ZeroElement,
     ZeroVector,
-    cartan_instance,
-    cartan_map,
     cartan_map_check,
     complex6_to_quat3,
-    eiii_member,
     embed_f1,
     embed_f2,
     embed_f_quaternionic,
-    exp_quarter_turns,
     f_sp4_proj,
     f_su6_proj,
     involution_gamma,
     involution_lambda,
     involution_sigma,
-    jordan_mul,
     parse_rational_matrix_file,
-    partial_complex_structure,
     phi_g2,
     phi_g2_kernel,
-    phi_so5,
-    polar_generator,
-    polar_stabilizer_criterion,
     proj_member,
     psi_map,
     psi_map_inv,
     random_octonion,
     so10_constructions,
-    trace_form,
     trace_pairing,
-    unitary_member,
     verify_models,
+)
+from ltskit.jordan import (
+    ZeroElement,
+    eiii_member,
+    jordan_mul,
+    trace_form,
+)
+from ltskit.matrix_groups import (
+    cartan_instance,
+    cartan_map,
+    exp_quarter_turns,
+    partial_complex_structure,
+    phi_so5,
+    polar_generator,
+    polar_stabilizer_criterion,
+    unitary_member,
 )
 
 F = Fraction
@@ -618,9 +625,13 @@ def test_quaternion_matches_fraction_reference(a, b, r):
 
 
 def test_constructors_reject_floats():
+    float_ident = [[float(i == j) for j in range(10)] for i in range(10)]
     for make in (lambda: CNum(0.5), lambda: CNum(1, 0.25),
                  lambda: Quaternion(0.5), lambda: Quaternion(0, 0, 0, 1e-3),
-                 lambda: Q_ONE.scale(0.5)):
+                 lambda: Q_ONE.scale(0.5),
+                 lambda: mg.is_orthogonal([[0.6, -0.8], [0.8, 0.6]]),
+                 lambda: cartan_map_check("so10",
+                                          extra_samples=[float_ident])):
         with pytest.raises(TypeError):
             make()
     with pytest.raises(AttributeError):
@@ -689,7 +700,7 @@ def test_polar_generator_cubes_to_minus_itself():
     for k in (1, 2):
         X = polar_generator(k)
         cube = cy.mat_mul(X, cy.mat_mul(X, X))
-        assert cy.mat_eq(cube, cy.mat_neg(X))
+        assert mx.mat_eq(cube, mx.mat_neg(X))
 
 
 def test_polar_period_pi():
@@ -723,7 +734,7 @@ def test_phi_so5_membership_criterion():
 
 def test_partial_complex_structure_shape():
     J = partial_complex_structure(1)
-    assert cy.is_skew(J)
+    assert mg.is_skew(J)
     with pytest.raises(ValueError):
         partial_complex_structure(3)
 
@@ -732,6 +743,94 @@ def test_so10_constructions_report():
     rep = so10_constructions()
     assert rep.ok
     assert rep.counts() == {"PASS": 15, "FAIL": 0, "SKIPPED": 0}
+
+
+# -- the integer orthogonal model against the Fraction references ----------
+
+
+PYTHAGOREAN_PAIRS = ((F(3, 5), F(4, 5)), (F(5, 13), F(12, 13)),
+                     (F(8, 17), F(-15, 17)), (0, 1))
+U5_SAMPLES = mg._u5_sample_matrices()
+
+
+@st.composite
+def rotation_products(draw):
+    """A product of one to three Pythagorean plane rotations of R^10."""
+    g = cy.identity(10, F(1))
+    for _ in range(draw(st.integers(1, 3))):
+        p, q = draw(st.lists(st.integers(0, 9), min_size=2, max_size=2,
+                             unique=True))
+        c, s = draw(st.sampled_from(PYTHAGOREAN_PAIRS))
+        g = cy.mat_mul(g, cy.rot(10, p, q, c, s, F(1)))
+    return g
+
+
+@st.composite
+def unitary_products(draw):
+    """A product of one or two U(5) samples, as a complex 5x5 matrix."""
+    U = draw(st.sampled_from(U5_SAMPLES))
+    if draw(st.booleans()):
+        U = cy.mat_mul(U, draw(st.sampled_from(U5_SAMPLES)))
+    return U
+
+
+@st.composite
+def tangent_vectors(draw):
+    """[[A, B], [B, -A]] with A, B skew rational 5x5 matrices."""
+    A, B = ([[F(0)] * 5 for _ in range(5)] for _ in range(2))
+    for M in (A, B):
+        for i, j in draw(st.lists(st.tuples(st.integers(0, 4),
+                                            st.integers(0, 4)), max_size=4)):
+            if i != j:
+                M[i][j] = draw(SMALL_Q)
+                M[j][i] = -M[i][j]
+    return mg._from_half_blocks(A, B, B, mx.mat_neg(A))
+
+
+def as_fraction_rows(G):
+    """The Fraction rows of an IntMatrix, after checking its stored form:
+    int rows, d > 0, gcd 1, and zero over 1."""
+    assert type(G) is mg.IntMatrix
+    with pytest.raises(TypeError):  # not a sequence: no old-style G[0][0]
+        G[0]
+    rows, d = G.rows, G.d
+    entries = [x for row in rows for x in row]
+    assert type(d) is int and d > 0
+    assert all(type(x) is int for x in entries)
+    assert gcd(d, *entries) == 1
+    assert any(entries) or d == 1
+    return [[F(x, d) for x in row] for row in rows]
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), kind=st.sampled_from(("rotation", "lift", "tangent")),
+       perturb=st.booleans())
+def test_orthogonal_model_matches_fraction_reference(data, kind, perturb):
+    if kind == "lift":
+        U = data.draw(unitary_products())
+        g = ref.complex_to_real10(U)
+        assert as_fraction_rows(mg.complex_to_real10(U)) == g
+    else:
+        g = data.draw(rotation_products() if kind == "rotation"
+                      else tangent_vectors())
+    if perturb:
+        i, j = data.draw(st.integers(0, 9)), data.draw(st.integers(0, 9))
+        g = [list(row) for row in g]
+        g[i][j] += data.draw(SMALL_Q.filter(bool))
+    G = mg._int_form(g)
+    assert as_fraction_rows(G) == g
+    for x in (g, G):
+        assert mg.is_orthogonal(x) == ref.is_orthogonal(g)
+        assert mg.unitary_member(x) == ref.unitary_member(g)
+        assert mg.tangent_member(x) == ref.tangent_member(g)
+        assert as_fraction_rows(mg.orthogonal_sigma(x)) == \
+            ref.orthogonal_sigma(g)
+    inst = cartan_instance("so10")
+    assert as_fraction_rows(cartan_map(inst, G)) == ref.cartan_map(g)
+    h = data.draw(rotation_products())
+    assert as_fraction_rows(G @ mg._int_form(h)) == cy.mat_mul(g, h)
+    zero = G @ mg._int_form([[0] * 10 for _ in range(10)])
+    assert as_fraction_rows(zero) == [[0] * 10 for _ in range(10)]
 
 
 # -- Cartan maps ------------------------------------------------------------
@@ -747,9 +846,9 @@ def test_cartan_map_reports(name):
 def test_cartan_map_identity_and_fixed_points():
     inst = cartan_instance("su3")
     ident = [list(r) for r in inst.identity]
-    assert cy.mat_eq(cartan_map(inst, ident), ident)
+    assert mx.mat_eq(cartan_map(inst, ident), ident)
     for k in inst.fixed_samples:
-        assert cy.mat_eq(cartan_map(inst, k), ident)
+        assert mx.mat_eq(cartan_map(inst, k), ident)
 
 
 def test_model_cost_guard(monkeypatch):
@@ -758,13 +857,13 @@ def test_model_cost_guard(monkeypatch):
     # the Cartan checks form each image sigma(g) g**-1 once, so each battery
     # takes fewer products than the 256, 79 and 64 of recomputing them
     calls = []
-    mat_mul = cy.mat_mul
+    mat_mul = mg.mat_mul
 
     def recording_mat_mul(A, B):
         calls.append(A)
         return mat_mul(A, B)
 
-    monkeypatch.setattr(cy, "mat_mul", recording_mat_mul)
+    monkeypatch.setattr(mg, "mat_mul", recording_mat_mul)
     counts = {}
     for name, run in (("so10", so10_constructions),
                       ("cartan-so10", lambda: cartan_map_check("so10")),
@@ -813,10 +912,44 @@ def test_model_public_constructor_guard(monkeypatch):
     assert counts["f_su6_action"] == 0
 
 
+def test_so10_fraction_guard(monkeypatch):
+    # deterministic counts, no timings: the orthogonal model runs on int
+    # rows over one denominator, so only the sample literals and the CNum
+    # rotations build Fractions (with Fraction matrices these two runs made
+    # 11566 and 3851)
+    new = Fraction.__new__
+    made = [0]
+
+    def counting(cls, *args, **kwargs):
+        made[0] += 1
+        return new(cls, *args, **kwargs)
+
+    counts = {}
+    for name, run in (("so10", so10_constructions),
+                      ("cartan-so10", lambda: cartan_map_check("so10"))):
+        run()
+        made[0] = 0
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+        assert run().ok
+        monkeypatch.undo()
+        counts[name] = made[0]
+    assert counts["so10"] <= 500
+    assert counts["cartan-so10"] <= 200
+
+
 def test_cayley_rows_share_read_only_computed():
     # each distinct row is made once: kept reports share rows, labels and
     # computed mappings, which are read-only; as_json hands out plain dicts
     first, second = cartan_map_check("su3"), cartan_map_check("su3")
+    # so is each distinct sub-battery report, which no caller can change
+    assert first is second and type(first.rows) is tuple
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        first.space = "changed"
+    with pytest.raises(AttributeError):
+        first.rows.append(first.rows[0])
+    extra = cartan_map_check("so10", extra_samples=[cy.identity(10, 1)])
+    assert extra.rows[2].computed == {"pairs": 18}
+    assert cartan_map_check("so10").rows[2].computed == {"pairs": 15}
     for r1, r2 in zip(first.rows, second.rows):
         assert r1 is r2 and r1.computed is r2.computed
         with pytest.raises(TypeError):

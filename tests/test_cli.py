@@ -417,6 +417,18 @@ def test_models_verify_rejects_bad_samples(capsys, tmp_path):
     assert "zero denominator" in err
 
 
+def test_models_verify_names_the_bad_sample_line(capsys, tmp_path):
+    f = tmp_path / "bad.txt"
+    f.write_text("# two samples\n1 0\n0 1\n\n1 0\nabc 1\n")
+    code, _, err = run(capsys, "models", "verify", "--samples", str(f))
+    assert code == EXIT_PARSE
+    assert "line 6: " in err and "'abc'" in err
+    f.write_text("1 0\n0 1/0\n")
+    code, _, err = run(capsys, "models", "verify", "--samples", str(f))
+    assert code == EXIT_PARSE
+    assert "line 2: zero denominator" in err
+
+
 # -- parser-facing arguments -----------------------------------------------
 
 # Arbitrary text, text joined from the grammars' tokens and pieces, and sums

@@ -40,7 +40,8 @@ def test_import_loads_no_unused_module(module):
 
 
 @pytest.mark.parametrize("module", ["ltskit.report", "ltskit.cayley",
-                                    "ltskit.catalog", "ltskit.cli"])
+                                    "ltskit.matrix_groups", "ltskit.catalog",
+                                    "ltskit.cli"])
 def test_module_imports_on_its_own(module):
     proc = fresh("-c", f"import {module}")
     assert (proc.returncode, proc.stderr) == (0, "")

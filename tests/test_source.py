@@ -154,9 +154,9 @@ def test_dead_public_names_finds_unread_definitions():
 # Public names that no program path reads (the package, its CLI and the
 # benchmark harness), kept as API with the reason why.
 PUBLIC_API = {
-    "cayley.py: jordan_mul":
+    "jordan.py: jordan_mul":
         "the Jordan model's product (XY + YX)/2, which the tests check",
-    "cayley.py: polar_stabilizer_criterion":
+    "matrix_groups.py: polar_stabilizer_criterion":
         "the stabilizer criterion as the paper states it; so10_constructions "
         "passes its precomputed midpoint to the private form",
     "lts.py: lts_from_closed_subsystem":
