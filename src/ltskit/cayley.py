@@ -6,14 +6,16 @@ traceless quaternionic 4x4 model with its symplectic action, and the battery
 ``verify_models`` that checks them with the so(10) model and the Cartan maps.
 
 Everything is computed over exact rational data, in the number systems of
-``ltskit.cayley_dickson``: complex numbers and quaternions with integer
-coordinates over one reduced denominator, octonions as pairs of quaternions,
-and one type, ``Cx``, that adjoins a central unit ``I`` with ``I**2 == -1``
-to any of them.  Over the quaternions and octonions ``Cx`` gives the
-complexified algebras of the Jordan model (``ltskit.jordan``); over the
-complex numbers it gives the bicomplex entries of the 6x6 matrix model.  The
-matrix helpers (``ltskit.matrices``) are ring-generic and serve every entry
-type, and the real orthogonal model of SO(10)/U(5) and the Cartan maps are in
+``ltskit.cayley_dickson``: the complex numbers ``CNum`` over the central unit
+``I``, and one element type, ``CDNum``, with integer coordinates over one
+reduced denominator, for the quaternions ``H``, the bicomplex entries ``BC``
+of the 6x6 matrix model, and the complexified quaternions ``HC`` and
+octonions ``OC`` of the Jordan model (``ltskit.jordan``).  The boundaries
+between them are index maps: a complexified quaternion a + b*j is the pair
+of bicomplex numbers a, b of its 2x2 block, and a complexified octonion is
+the pair h + q*e of complexified quaternions.  The matrix helpers
+(``ltskit.matrices``) are ring-generic and serve every entry type, and the
+real orthogonal model of SO(10)/U(5) and the Cartan maps are in
 ``ltskit.matrix_groups``.  All identities (base points, equivariance, variety
 membership, polar periods) are checked with zero tolerance.
 """
@@ -27,14 +29,12 @@ from functools import partial
 from typing import Sequence
 
 from .cayley_dickson import (
-    C_I, C_ONE, C_ZERO, OCT_BASIS, O_E, O_ONE, Q_I, Q_J, Q_K, Q_ONE, Q_ZERO,
-    CNum, Cx, NotUnit, Octonion, Quaternion, _quat_of, from_cnum,
-    random_octonion,
+    BC, C_I, C_ONE, C_ZERO, H, HC, O, OC, Q_I, Q_J, Q_K, Q_ONE, Q_ZERO, CDNum,
+    CNum, NotUnit, Quaternion, place, random_octonion,
 )
 from .jordan import (
-    OC_ZERO, P0, JordanElement, ProjPoint, involution_gamma, involution_lambda,
-    involution_sigma, phi_g2, phi_g2_kernel, proj_member, quat_pair,
-    trace_pairing,
+    P0, JordanElement, ProjPoint, involution_gamma, involution_lambda,
+    involution_sigma, phi_g2, phi_g2_kernel, proj_member, trace_pairing,
 )
 from .matrices import (
     conj_transpose, herm_inner, identity, is_unitary, mat_apply, mat_map,
@@ -52,23 +52,19 @@ class ZeroVector(ValueError):
     """Raised when a projective-space argument is the zero vector."""
 
 
-def from_quat_pair(h: Cx, q: Cx) -> Cx:
-    """The complexified octonion ``h + q*e`` of the quaternionic splitting."""
-    return Cx(Octonion(h.re, q.re), Octonion(h.im, q.im))
+# The positions in a complexified octonion h + q*e of the coordinates of h
+# and of q, and in a complexified quaternion a + b*j those of the bicomplex
+# numbers a and b (each in (re, im) layout).
+_H_PART, _Q_PART = (0, 1, 2, 3, 8, 9, 10, 11), (4, 5, 6, 7, 12, 13, 14, 15)
+_A_PART, _B_PART = (0, 1, 4, 5), (2, 3, 6, 7)
 
-
-HC_ZERO = Cx(Q_ZERO, Q_ZERO)
-# The idempotent (1 + i*I)/2 used throughout the block isomorphisms.
-HC_EPS = Cx(Q_ONE.scale(Fraction(1, 2)), Q_I.scale(Fraction(1, 2)))
-
-# The octonion (1 + i*I)/2 * e appearing in quoted base points.
-OC_EPS_E = Cx(Octonion(Q_ZERO, Q_ONE.scale(Fraction(1, 2))),
-              Octonion(Q_ZERO, Q_I.scale(Fraction(1, 2))))
-
-BC_ZERO = Cx(C_ZERO, C_ZERO)
 # The idempotent-generating scalar (1 + i*I)/2.
-BC_EPS = Cx(CNum(Fraction(1, 2)), CNum(0, Fraction(1, 2)))
+BC_EPS = CDNum(BC, Fraction(1, 2), 0, 0, Fraction(1, 2))
 BC_EPS_BAR = BC_EPS.conj()
+# The idempotent (1 + i*I)/2 used throughout the block isomorphisms.
+HC_EPS = place(HC, (BC_EPS,), _A_PART)
+# The octonion (1 + i*I)/2 * e appearing in quoted base points.
+OC_EPS_E = place(OC, (HC_EPS,), _Q_PART)
 
 
 # ---------------------------------------------------------------------------
@@ -76,7 +72,8 @@ BC_EPS_BAR = BC_EPS.conj()
 # ---------------------------------------------------------------------------
 
 
-def phi1(X3: Sequence[Sequence[Cx]], x: Sequence[Cx]) -> JordanElement:
+def phi1(X3: Sequence[Sequence[CDNum]], x: Sequence[CDNum]) \
+        -> JordanElement:
     """Assemble a Jordan element from its quaternionic Hermitian part ``X3``
     and the quaternionic triple ``x`` (which fills the ``e``-component of the
     off-diagonal slots)."""
@@ -85,71 +82,56 @@ def phi1(X3: Sequence[Sequence[Cx]], x: Sequence[Cx]) -> JordanElement:
             if X3[j][i] != X3[i][j].conj():
                 raise ValueError("quaternionic part is not Hermitian")
     xi = tuple(X3[k][k].scalar_value() for k in range(3))
-    slots = (from_quat_pair(X3[1][2], x[0]),
-             from_quat_pair(X3[2][0], x[1]),
-             from_quat_pair(X3[0][1], x[2]))
+    at = _H_PART + _Q_PART
+    slots = (place(OC, (X3[1][2], x[0]), at),
+             place(OC, (X3[2][0], x[1]), at),
+             place(OC, (X3[0][1], x[2]), at))
     return JordanElement(xi, slots)
 
 
 def phi1_inv(J: JordanElement) -> tuple:
     """Split a Jordan element into (quaternionic Hermitian 3x3, triple)."""
-    pairs = [quat_pair(slot) for slot in J.x]
-    h = [p[0] for p in pairs]
-    q = tuple(p[1] for p in pairs)
-    d = [from_cnum(v, Q_ONE) for v in J.xi]
+    h = [slot.take(HC, _H_PART) for slot in J.x]
+    q = tuple(slot.take(HC, _Q_PART) for slot in J.x)
+    d = [HC.one.scale(v) for v in J.xi]
     X3 = [[d[0], h[2], h[1].conj()],
           [h[2].conj(), d[1], h[0]],
           [h[1], h[0].conj(), d[2]]]
     return X3, q
 
 
-def _hc_to_block(h: Cx):
+def _hc_to_block(h: CDNum):
     """The 2x2 bicomplex block of a complexified quaternion ``a + b*j``."""
-    (a_re, b_re), (a_im, b_im) = h.re._halves(), h.im._halves()
-    a, b = Cx(a_re, a_im), Cx(b_re, b_im)
+    a, b = h.take(BC, _A_PART), h.take(BC, _B_PART)
     return [[a, b], [-b.conj(), a.conj()]]
 
 
-def _block_to_hc(block) -> Cx:
+def _block_to_hc(block) -> CDNum:
     a, b = block[0][0], block[0][1]
     if block[1][0] != -b.conj() or block[1][1] != a.conj():
         raise ValueError("2x2 block is not of quaternionic type")
-    return Cx(_quat_of(a.re, b.re), _quat_of(a.im, b.im))
+    return place(HC, (a, b), _A_PART + _B_PART)
 
 
-def phi2(X3) -> list:
-    """The 6x6 bicomplex matrix of a 3x3 complexified-quaternion matrix."""
-    out = [[BC_ZERO] * 6 for _ in range(6)]
-    for i in range(3):
-        for j in range(3):
-            block = _hc_to_block(X3[i][j])
-            for r in range(2):
-                for c in range(2):
-                    out[2 * i + r][2 * j + c] = block[r][c]
-    return out
-
-
-def phi2_inv(M) -> list:
-    return [[_block_to_hc([[M[2 * i][2 * j], M[2 * i][2 * j + 1]],
-                           [M[2 * i + 1][2 * j], M[2 * i + 1][2 * j + 1]]])
-             for j in range(3)] for i in range(3)]
-
-
-def phi2p(x: Sequence[Cx]) -> list:
+def phi2p(x: Sequence[CDNum]) -> list:
     """The 2x6 bicomplex matrix of a complexified-quaternion row triple."""
-    out = [[BC_ZERO] * 6 for _ in range(2)]
-    for k in range(3):
-        block = _hc_to_block(x[k])
-        for r in range(2):
-            for c in range(2):
-                out[r][2 * k + c] = block[r][c]
-    return out
+    blocks = [_hc_to_block(h) for h in x]
+    return [[a for block in blocks for a in block[r]] for r in range(2)]
 
 
 def phi2p_inv(M) -> tuple:
-    return tuple(_block_to_hc([[M[0][2 * k], M[0][2 * k + 1]],
-                               [M[1][2 * k], M[1][2 * k + 1]]])
+    return tuple(_block_to_hc([M[0][2 * k:2 * k + 2], M[1][2 * k:2 * k + 2]])
                  for k in range(3))
+
+
+def phi2(X3) -> list:
+    """The 6x6 bicomplex matrix of a 3x3 complexified-quaternion matrix:
+    the 2x6 rows of its three rows."""
+    return [r for row in X3 for r in phi2p(row)]
+
+
+def phi2_inv(M) -> list:
+    return [list(phi2p_inv(M[2 * i:2 * i + 2])) for i in range(3)]
 
 
 def phi_map(J: JordanElement) -> tuple:
@@ -169,8 +151,8 @@ def phi_map_inv(M, R) -> JordanElement:
 
 def cnum_matrix_to_bc(A):
     """The bicomplex matrix with the entries of the complex matrix ``A``
-    placed over the internal unit i, as ``Cx(c, C_ZERO)``."""
-    return mat_map(lambda c: Cx(c, C_ZERO), A)
+    placed over the internal unit i."""
+    return mat_map(lambda c: place(BC, (c,)), A)
 
 
 def Phi_su6(A) -> list:
@@ -187,9 +169,9 @@ def Phi_su6(A) -> list:
         mirror = A[i ^ 1]
         out_row = []
         for j, a in enumerate(row):
-            acc = BC_EPS * a if a != BC_ZERO else BC_ZERO
+            acc = BC_EPS * a if a != BC.zero else BC.zero
             c = mirror[j ^ 1]
-            if c != BC_ZERO:
+            if c != BC.zero:
                 term = BC_EPS_BAR * c.conj()
                 acc = acc + term if (i ^ j) & 1 == 0 else acc - term
             out_row.append(acc)
@@ -198,15 +180,13 @@ def Phi_su6(A) -> list:
 
 
 def su6_check(A) -> bool:
-    """Exact unitarity and determinant-free sanity for a 6x6 matrix over the
-    internal complex numbers (bicomplex entries with zero I-part), tested on
-    the ``re`` parts: the I-free entries form a subring isomorphic to CNum."""
-    if any(not a.im.is_zero() for row in A for a in row):
-        return False
-    return is_unitary(mat_map(lambda a: a.re, A), C_ONE)
+    """Exact unitarity for a square matrix over the internal complex numbers
+    (bicomplex entries with zero I-part, which conj_I fixes)."""
+    return (all(a.conj_I() == a for row in A for a in row)
+            and is_unitary(A, BC.one))
 
 
-def f_su6_action(b: Quaternion, A, J: JordanElement) -> JordanElement:
+def f_su6_action(b: CDNum, A, J: JordanElement) -> JordanElement:
     """The action of a pair (unit quaternion, unitary 6x6 matrix) on the
     Jordan algebra through the block isomorphisms:
     ``X + x  ->  B X B* + beta(b) x B^{-1}`` with ``B`` the twisted image
@@ -220,13 +200,13 @@ def f_su6_action(b: Quaternion, A, J: JordanElement) -> JordanElement:
     B = Phi_su6(A)
     B_star = conj_transpose(B)
     B_inv = Phi_su6(conj_transpose(A))
-    beta = _hc_to_block(Cx(b, Q_ZERO))
+    beta = _hc_to_block(place(HC, (b,)))
     M2 = mat_mul(B, mat_mul(M, B_star))
     R2 = mat_mul(beta, mat_mul(R, B_inv))
     return phi_map_inv(M2, R2)
 
 
-def f_su6_proj(b: Quaternion, A, pt: ProjPoint) -> ProjPoint:
+def f_su6_proj(b: CDNum, A, pt: ProjPoint) -> ProjPoint:
     return pt.map(lambda J: f_su6_action(b, A, J))
 
 
@@ -262,10 +242,10 @@ def embed_f1(u1: Sequence[CNum], u2: Sequence[CNum]) -> ProjPoint:
     S = cnum_matrix_to_bc([[-row[j ^ 1] if j & 1 else row[j ^ 1]
                             for j in range(6)] for row in wedge])
     X3 = phi2_inv(Phi_su6(S))
-    return ProjPoint.of(phi1(X3, (HC_ZERO, HC_ZERO, HC_ZERO)))
+    return ProjPoint.of(phi1(X3, (HC.zero,) * 3))
 
 
-def embed_f2(ell: Quaternion, v: Sequence[Quaternion]) -> ProjPoint:
+def embed_f2(ell: CDNum, v: Sequence[CDNum]) -> ProjPoint:
     """The embedding of (quaternion line, complex projective 5-space point)
     into the projective Jordan variety; ``v`` is a complex 6-vector encoded
     as a quaternion triple via (c1, c2) -> c1 - j*c2."""
@@ -276,9 +256,9 @@ def embed_f2(ell: Quaternion, v: Sequence[Quaternion]) -> ProjPoint:
         raise ZeroVector("the projective argument must be nonzero")
     if not ell.is_unit():
         raise NotUnit("the line parameter must be a unit quaternion")
-    head = Cx(ell, Q_ZERO) * HC_EPS
-    x = tuple(head * Cx(q.conj(), Q_ZERO) for q in v)
-    zero3 = [[HC_ZERO] * 3 for _ in range(3)]
+    head = place(HC, (ell,)) * HC_EPS
+    x = tuple(head * place(HC, (q.conj(),)) for q in v)
+    zero3 = [[HC.zero] * 3 for _ in range(3)]
     return ProjPoint.of(phi1(zero3, x))
 
 
@@ -296,7 +276,7 @@ def complex6_to_quat3(c: Sequence[CNum]) -> tuple:
     c = tuple(c)
     if len(c) != 6:
         raise ValueError("expected 6 complex coordinates")
-    return tuple(_quat_of(c[2 * k], -c[2 * k + 1].conj()) for k in range(3))
+    return tuple(place(H, (c[2 * k], -c[2 * k + 1].conj())) for k in range(3))
 
 # ---------------------------------------------------------------------------
 # the traceless quaternionic 4x4 model and its symplectic action
@@ -314,8 +294,8 @@ def psi_map(J: JordanElement) -> list:
     X3, x = phi1_inv(J)
     half = CNum(Fraction(1, 2))
     trace = sum((X3[k][k].scalar_value() for k in range(3)), C_ZERO)
-    half_tr = from_cnum(trace * half, Q_ONE)
-    Z = [[HC_ZERO] * 4 for _ in range(4)]
+    half_tr = HC.one.scale(trace * half)
+    Z = [[HC.zero] * 4 for _ in range(4)]
     Z[0][0] = half_tr
     for k in range(3):
         Z[0][k + 1] = x[k].times_I()
@@ -349,7 +329,7 @@ def f_sp4_action(B, J: JordanElement) -> JordanElement:
     through the traceless 4x4 model: ``Z -> B Z B*``."""
     if not is_unitary(B, Q_ONE):
         raise NotUnit("expected an exact quaternionic unitary 4x4 matrix")
-    M = mat_map(lambda q: Cx(q, Q_ZERO), B)
+    M = mat_map(lambda q: place(HC, (q,)), B)
     Z = psi_map(J)
     Z2 = mat_mul(M, mat_mul(Z, conj_transpose(M)))
     return psi_map_inv(Z2)
@@ -371,8 +351,8 @@ def embed_f_quaternionic(u1, u2) -> ProjPoint:
             or not herm_inner(u1, u2).is_zero()):
         raise NotOrthonormal("expected an exact orthonormal pair")
     half = Fraction(1, 2)
-    Z = [[Cx(u1[i] * u1[j].conj() + u2[i] * u2[j].conj()
-             - (Q_ONE.scale(half) if i == j else Q_ZERO), Q_ZERO)
+    Z = [[place(HC, (u1[i] * u1[j].conj() + u2[i] * u2[j].conj()
+                     - (Q_ONE.scale(half) if i == j else Q_ZERO),))
           for j in range(4)] for i in range(4)]
     return ProjPoint.of(psi_map_inv(Z))
 
@@ -389,25 +369,25 @@ PYTHAGOREAN_QUATERNIONS = (
 
 
 def _su6_sample_matrices():
-    f35, f45 = Fraction(3, 5), Fraction(4, 5)
-    f513, f1213 = Fraction(5, 13), Fraction(12, 13)
+    c35, c45 = CNum(Fraction(3, 5)), CNum(Fraction(4, 5))
+    c513, c1213 = CNum(Fraction(5, 13)), CNum(Fraction(12, 13))
     phase = identity(6, C_ONE)
     phase[0][0] = C_I
     phase[3][3] = -C_I
     return (
         identity(6, C_ONE),
-        rot(6, 0, 1, f35, f45, C_ONE),
-        rot(6, 0, 2, f35, f45, C_ONE),
-        rot(6, 2, 4, f513, f1213, C_ONE),
-        rot(6, 1, 5, f513, f1213, C_ONE),
+        rot(6, 0, 1, c35, c45, C_ONE),
+        rot(6, 0, 2, c35, c45, C_ONE),
+        rot(6, 2, 4, c513, c1213, C_ONE),
+        rot(6, 1, 5, c513, c1213, C_ONE),
         phase,
-        mat_mul(rot(6, 0, 3, f35, f45, C_ONE), phase),
+        mat_mul(rot(6, 0, 3, c35, c45, C_ONE), phase),
     )
 
 
 def _sp4_sample_matrices():
-    f35, f45 = Fraction(3, 5), Fraction(4, 5)
-    f513, f1213 = Fraction(5, 13), Fraction(12, 13)
+    q35, q45 = Quaternion(Fraction(3, 5)), Quaternion(Fraction(4, 5))
+    q513, q1213 = Quaternion(Fraction(5, 13)), Quaternion(Fraction(12, 13))
     h = PYTHAGOREAN_QUATERNIONS[3]
 
     def qdiag(*qs):
@@ -417,12 +397,12 @@ def _sp4_sample_matrices():
         return M
 
     return (
-        rot(4, 0, 1, f35, f45, Q_ONE),
-        rot(4, 0, 2, f35, f45, Q_ONE),
-        rot(4, 1, 3, f513, f1213, Q_ONE),
+        rot(4, 0, 1, q35, q45, Q_ONE),
+        rot(4, 0, 2, q35, q45, Q_ONE),
+        rot(4, 1, 3, q513, q1213, Q_ONE),
         qdiag(Q_I, Q_J, Q_K, Q_ONE),
         qdiag(h, h.conj(), Q_ONE, h),
-        mat_mul(rot(4, 0, 3, f35, f45, Q_ONE), qdiag(Q_J, Q_ONE, Q_I, Q_ONE)),
+        mat_mul(rot(4, 0, 3, q35, q45, Q_ONE), qdiag(Q_J, Q_ONE, Q_I, Q_ONE)),
     )
 
 
@@ -497,7 +477,7 @@ def verify_models(seed: int = 0, extra_orthogonal_samples: Sequence = ()) \
     row = partial(add_row, rep)
 
     rng = random.Random(seed)
-    pairs = [(x, y) for x in OCT_BASIS for y in OCT_BASIS]
+    pairs = [(x, y) for x in O.basis for y in O.basis]
     pairs += [(random_octonion(rng), random_octonion(rng))
               for _ in range(100)]
     row("octonion-alternativity",
@@ -506,10 +486,10 @@ def verify_models(seed: int = 0, extra_orthogonal_samples: Sequence = ()) \
     row("octonion-norm-multiplicativity",
         all((x * y).norm2() == x.norm2() * y.norm2() for x, y in pairs),
         {"pairs": len(pairs)})
-    i_o, e_o, j_e = OCT_BASIS[1], O_E, Octonion(Q_ZERO, Q_J)
+    i_o, e_o, j_e = O.basis[1], O.basis[4], O.basis[6]
     row("octonion-non-associativity-witness",
         (i_o * e_o) * j_e != i_o * (e_o * j_e), {})
-    row("octonion-unit-square", O_E * O_E == -O_ONE, {})
+    row("octonion-unit-square", e_o * e_o == -O.one, {})
 
     kernel = phi_g2_kernel()
     row("automorphism-pair-kernel",
@@ -520,7 +500,7 @@ def verify_models(seed: int = 0, extra_orthogonal_samples: Sequence = ()) \
                (PYTHAGOREAN_QUATERNIONS[4], PYTHAGOREAN_QUATERNIONS[3])]
     row("automorphism-samples",
         all(phi_g2(g1, g2)(x * y) == phi_g2(g1, g2)(x) * phi_g2(g1, g2)(y)
-            for g1, g2 in g_pairs for x in OCT_BASIS for y in OCT_BASIS),
+            for g1, g2 in g_pairs for x in O.basis for y in O.basis),
         {"group_elements": len(g_pairs), "basis_pairs": 64})
 
     raw6 = _su6_sample_matrices()
@@ -569,7 +549,7 @@ def verify_models(seed: int = 0, extra_orthogonal_samples: Sequence = ()) \
         embed_f1(tuple(e6[1]), tuple(e6[0])) == base_plane, {})
 
     quoted = ProjPoint.of(JordanElement.make(
-        (C_ZERO, C_ZERO, C_ZERO), (OC_EPS_E, OC_ZERO, OC_ZERO)))
+        (C_ZERO, C_ZERO, C_ZERO), (OC_EPS_E, OC.zero, OC.zero)))
     row("line-embedding-base-point", unit_lines[0][1] == quoted, {})
     scalings = (C_I, CNum(2), CNum(1, 1))
     row("line-embedding-well-defined",

@@ -1,25 +1,28 @@
 """The exact number systems of the Cayley/Jordan models over the rationals:
-the complex numbers (over the central unit I), the quaternions, the
-octonions as pairs of quaternions, and ``Cx``, which adjoins the central unit
-I to any of them.
+the complex numbers ``CNum`` over the central unit I, and one element type,
+``CDNum``, for the quaternions ℍ, the octonions 𝕆, the bicomplex entries
+ℂ⊗ℂ of the 6x6 matrix model and the complexifications ℍ⊗ℂ and 𝕆⊗ℂ.
 
-A complex number or a quaternion stores integer coordinates over one
-positive common denominator, reduced by one private normalizer
-(``_new_cnum``, ``_new_quat``), and hands its coordinates out as
-``Fraction``s.  ``_quat_of`` and ``_re_im_quats`` carry integers across the
-complex-number/quaternion boundaries of ``ltskit.jordan`` and
-``ltskit.cayley``, and ``cnum_matrix_parts`` hands a matrix of complex
-numbers to ``ltskit.matrix_groups`` as int rows, so no ``Fraction`` and no
-validating constructor is built inside the arithmetic.
+Both store integer coordinates over one positive denominator, reduced by one
+private normalizer (``_new_cnum``, ``_new_cd``), and hand their coordinates
+out as ``Fraction``s or ``CNum``s.  A ``CDNum`` carries a ``Ring``
+descriptor whose product is a (k, sign) table built at import from the
+Cayley–Dickson rule and from I**2 = -1.  The coordinates are laid out so
+that every boundary between the rings is an index map (``CDNum.take`` and
+``place``): an octonion is a pair (a, b) of quaternions, a + b*e, and an
+element of a complexification X⊗ℂ is a pair (re, im) of elements of X,
+re + I*im, so no ``Fraction`` and no validating constructor is built inside
+the arithmetic.  ``cnum_matrix_parts`` hands a matrix of complex numbers to
+``ltskit.matrix_groups`` as int rows.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import gcd, lcm
-from typing import Sequence
+from operator import add, mul, neg, sub
 
 
 class NotUnit(ValueError):
@@ -120,17 +123,6 @@ class CNum:
     def coords(self) -> tuple:
         return (self.re, self.im)
 
-    def _with_im(self, other: "CNum") -> tuple:
-        """The two CNums ``s + I*o`` of the coordinates ``s`` of ``self``
-        and ``o`` of ``other`` along (1, i)."""
-        d, e = self._d, other._d
-        if d == e:
-            return (_new_cnum(self._a, other._a, d),
-                    _new_cnum(self._b, other._b, d))
-        de = d * e
-        return (_new_cnum(self._a * e, other._a * d, de),
-                _new_cnum(self._b * e, other._b * d, de))
-
     def __eq__(self, other):
         if other.__class__ is not CNum:
             return NotImplemented
@@ -169,189 +161,6 @@ C_ONE = CNum(1)
 C_I = CNum(0, 1)
 
 
-# ---------------------------------------------------------------------------
-# quaternions over the rationals
-# ---------------------------------------------------------------------------
-
-
-class Quaternion:
-    """A quaternion ``w + x*i + y*j + z*k`` with rational coordinates.
-
-    The state is four integers over one positive denominator,
-    ``(w, x, y, z)/d``, kept reduced by ``_new_quat`` as ``CNum``'s is;
-    ``w``, ``x``, ``y``, ``z``, ``coords()`` and ``norm2()`` read it as
-    ``Fraction``s.
-    """
-
-    __slots__ = ("_w", "_x", "_y", "_z", "_d")
-
-    def __init__(self, w=0, x=0, y=0, z=0):
-        (self._w, self._x, self._y, self._z), self._d = _common((w, x, y, z))
-
-    @property
-    def w(self) -> Fraction:
-        return Fraction(self._w, self._d)
-
-    @property
-    def x(self) -> Fraction:
-        return Fraction(self._x, self._d)
-
-    @property
-    def y(self) -> Fraction:
-        return Fraction(self._y, self._d)
-
-    @property
-    def z(self) -> Fraction:
-        return Fraction(self._z, self._d)
-
-    def __add__(self, other: "Quaternion") -> "Quaternion":
-        d, e = self._d, other._d
-        if d == e:
-            return _new_quat(self._w + other._w, self._x + other._x,
-                             self._y + other._y, self._z + other._z, d)
-        return _new_quat(self._w * e + other._w * d,
-                         self._x * e + other._x * d,
-                         self._y * e + other._y * d,
-                         self._z * e + other._z * d, d * e)
-
-    def __sub__(self, other: "Quaternion") -> "Quaternion":
-        d, e = self._d, other._d
-        if d == e:
-            return _new_quat(self._w - other._w, self._x - other._x,
-                             self._y - other._y, self._z - other._z, d)
-        return _new_quat(self._w * e - other._w * d,
-                         self._x * e - other._x * d,
-                         self._y * e - other._y * d,
-                         self._z * e - other._z * d, d * e)
-
-    def __neg__(self) -> "Quaternion":
-        return _new_quat(-self._w, -self._x, -self._y, -self._z, self._d)
-
-    def __mul__(self, other: "Quaternion") -> "Quaternion":
-        a, b, c, d = self._w, self._x, self._y, self._z
-        e, f, g, h = other._w, other._x, other._y, other._z
-        return _new_quat(a * e - b * f - c * g - d * h,
-                         a * f + b * e + c * h - d * g,
-                         a * g - b * h + c * e + d * f,
-                         a * h + b * g - c * f + d * e, self._d * other._d)
-
-    def scale(self, r) -> "Quaternion":
-        r = _frac(r)
-        return self._scale(r.numerator, r.denominator)
-
-    def _scale(self, n: int, m: int) -> "Quaternion":
-        """Multiplication by the rational n/m, m > 0."""
-        return _new_quat(n * self._w, n * self._x, n * self._y, n * self._z,
-                         m * self._d)
-
-    def conj(self) -> "Quaternion":
-        return _new_quat(self._w, -self._x, -self._y, -self._z, self._d)
-
-    def _dot(self, other: "Quaternion") -> tuple:
-        """The coordinate dot product with ``other`` as (numerator,
-        denominator)."""
-        return (self._w * other._w + self._x * other._x
-                + self._y * other._y + self._z * other._z,
-                self._d * other._d)
-
-    def norm2(self) -> Fraction:
-        return Fraction(*self._dot(self))
-
-    def inverse(self) -> "Quaternion":
-        # conj(q)/|q|^2 = (w, -x, -y, -z) d / (w^2 + x^2 + y^2 + z^2)
-        n, _ = self._dot(self)
-        if n == 0:
-            raise ZeroDivisionError("division by zero quaternion")
-        d = self._d
-        return _new_quat(self._w * d, -self._x * d, -self._y * d,
-                         -self._z * d, n)
-
-    def is_unit(self) -> bool:
-        n, d2 = self._dot(self)
-        return n == d2
-
-    def is_zero(self) -> bool:
-        return not (self._w or self._x or self._y or self._z)
-
-    def coords(self) -> tuple:
-        return (self.w, self.x, self.y, self.z)
-
-    def _halves(self) -> tuple:
-        """The CNums (w, x) and (y, z): the quaternion is ``p + q*j`` with
-        ``p = w + x*i`` and ``q = y + z*i``.  The inverse of ``_quat_of``."""
-        d = self._d
-        return _new_cnum(self._w, self._x, d), _new_cnum(self._y, self._z, d)
-
-    def _with_im(self, other: "Quaternion") -> tuple:
-        """The four CNums ``s + I*o`` of the coordinates ``s`` of ``self``
-        and ``o`` of ``other``, in basis order."""
-        d, e = self._d, other._d
-        if d == e:
-            return (_new_cnum(self._w, other._w, d),
-                    _new_cnum(self._x, other._x, d),
-                    _new_cnum(self._y, other._y, d),
-                    _new_cnum(self._z, other._z, d))
-        de = d * e
-        return (_new_cnum(self._w * e, other._w * d, de),
-                _new_cnum(self._x * e, other._x * d, de),
-                _new_cnum(self._y * e, other._y * d, de),
-                _new_cnum(self._z * e, other._z * d, de))
-
-    def __eq__(self, other):
-        if other.__class__ is not Quaternion:
-            return NotImplemented
-        return (self._w == other._w and self._x == other._x
-                and self._y == other._y and self._z == other._z
-                and self._d == other._d)
-
-    def __hash__(self) -> int:
-        return hash(self.coords())
-
-    def __repr__(self) -> str:
-        return (f"Quaternion(w={self.w!r}, x={self.x!r}, y={self.y!r}, "
-                f"z={self.z!r})")
-
-    def __str__(self) -> str:
-        return f"({self.w}, {self.x}, {self.y}, {self.z})"
-
-
-def _new_quat(w: int, x: int, y: int, z: int, d: int) -> Quaternion:
-    """The Quaternion ``(w, x, y, z)/d`` for integers with ``d > 0``, reduced
-    by gcd(w, x, y, z, d) once; no ``Fraction`` is built."""
-    if d != 1:
-        g = gcd(w, x, y, z, d)
-        if g != 1:
-            w //= g
-            x //= g
-            y //= g
-            z //= g
-            d //= g
-    q = _new(Quaternion)
-    q._w = w
-    q._x = x
-    q._y = y
-    q._z = z
-    q._d = d
-    return q
-
-
-def _quat_of(p: CNum, q: CNum) -> Quaternion:
-    """The quaternion ``p + q*j`` with ``p = w + x*i`` and ``q = y + z*i``
-    read off the (re, im) parts of two CNums."""
-    d, e = p._d, q._d
-    if d == e:
-        return _new_quat(p._a, p._b, q._a, q._b, d)
-    return _new_quat(p._a * e, p._b * e, q._a * d, q._b * d, d * e)
-
-
-def _re_im_quats(cs: Sequence[CNum]) -> tuple:
-    """The quaternions of the re parts and of the im parts of four CNums."""
-    d = lcm(*(c._d for c in cs))
-    scales = [d // c._d for c in cs]
-    return (_new_quat(*(c._a * s for c, s in zip(cs, scales)), d),
-            _new_quat(*(c._b * s for c, s in zip(cs, scales)), d))
-
-
 def cnum_matrix_parts(U) -> tuple:
     """(A, B, d) for a matrix ``U`` of CNums: U = (A + iB)/d with int rows A
     and B over the lcm d of the entries' denominators."""
@@ -360,178 +169,292 @@ def cnum_matrix_parts(U) -> tuple:
             [[c._b * (d // c._d) for c in row] for row in U], d)
 
 
-Q_ZERO = Quaternion()
-Q_ONE = Quaternion(1)
-Q_I = Quaternion(0, 1)
-Q_J = Quaternion(0, 0, 1)
-Q_K = Quaternion(0, 0, 0, 1)
-QUAT_BASIS = (Q_ONE, Q_I, Q_J, Q_K)
-
-
 # ---------------------------------------------------------------------------
-# octonions as pairs of quaternions
+# one element type for ℍ, 𝕆, ℂ⊗ℂ, ℍ⊗ℂ and 𝕆⊗ℂ
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Octonion:
-    """An octonion realized as a pair ``(x1, x2)`` of quaternions.
+class CDNum:
+    """An element of one of the rings ``H``, ``O``, ``BC``, ``HC`` and
+    ``OC``, with rational coordinates along the ring's basis.
 
-    The product is ``x*y = (x1*y1 - conj(y2)*x2, x2*conj(y1) + y2*x1)``.
-    The second summand of the splitting is spanned by the extra unit
-    ``e = (0, 1)``.
+    The state is the ring, a list of integers and one positive denominator,
+    kept reduced (gcd 1, so zero is over 1) by ``_new_cd`` as ``CNum``'s is;
+    no operation changes a state once built.  (A list, not a tuple: CPython
+    keeps up to 2000 freed tuples of each length, which for the lengths 4, 8
+    and 16 can hold 0.7 MB after the arithmetic is done.)
+    The product reads the ring's (k, sign) table and skips zero coordinates.
+    ``coords()`` and ``norm2()`` read the state as ``Fraction``s in ℍ and 𝕆,
+    and as ``CNum``s over the central unit I in a complexification, whose
+    k-th coordinate is (c[k] + I*c[k + n])/d.  ``==``, ``hash``, ``str``
+    and ``repr`` are those of the ring and ``coords()``.
     """
 
-    a: Quaternion = Q_ZERO
-    b: Quaternion = Q_ZERO
+    __slots__ = ("_r", "_c", "_d")
 
-    def __add__(self, other: "Octonion") -> "Octonion":
-        return Octonion(self.a + other.a, self.b + other.b)
+    def __init__(self, ring: "Ring", *coords):
+        if len(coords) > ring.dim:
+            raise ValueError(f"{ring.name} has {ring.dim} coordinates")
+        c, self._d = _common(coords + (0,) * (ring.dim - len(coords)))
+        self._r, self._c = ring, c
 
-    def __sub__(self, other: "Octonion") -> "Octonion":
-        return Octonion(self.a - other.a, self.b - other.b)
+    def _same_ring(self, other: "CDNum") -> "Ring":
+        if other._r is not self._r:
+            raise TypeError(f"{self._r.name} and {other._r.name} elements "
+                            "do not combine")
+        return self._r
 
-    def __neg__(self) -> "Octonion":
-        return Octonion(-self.a, -self.b)
+    def _half(self) -> int:
+        """The dimension n of X in the complexification X⊗ℂ."""
+        n = self._r.n
+        if not n:
+            raise TypeError(f"{self._r.name} has no central unit I")
+        return n
 
-    def __mul__(self, other: "Octonion") -> "Octonion":
-        x1, x2 = self.a, self.b
-        y1, y2 = other.a, other.b
-        return Octonion(x1 * y1 - y2.conj() * x2, x2 * y1.conj() + y2 * x1)
-
-    def scale(self, r) -> "Octonion":
-        return Octonion(self.a.scale(r), self.b.scale(r))
-
-    def _scale(self, n: int, m: int) -> "Octonion":
-        """Multiplication by the rational n/m, m > 0."""
-        return Octonion(self.a._scale(n, m), self.b._scale(n, m))
-
-    def conj(self) -> "Octonion":
-        return Octonion(self.a.conj(), -self.b)
-
-    def _dot(self, other: "Octonion") -> tuple:
-        """The coordinate dot product with ``other`` as (numerator,
-        denominator)."""
-        n, d = self.a._dot(other.a)
-        m, e = self.b._dot(other.b)
+    def __add__(self, other: "CDNum") -> "CDNum":
+        r = self._same_ring(other)
+        d, e = self._d, other._d
         if d == e:
-            return n + m, d
-        return n * e + m * d, d * e
+            return _new_cd(r, list(map(add, self._c, other._c)), d)
+        return _new_cd(r, [x * e + y * d for x, y in zip(self._c, other._c)],
+                       d * e)
 
-    def norm2(self) -> Fraction:
-        return Fraction(*self._dot(self))
+    def __sub__(self, other: "CDNum") -> "CDNum":
+        r = self._same_ring(other)
+        d, e = self._d, other._d
+        if d == e:
+            return _new_cd(r, list(map(sub, self._c, other._c)), d)
+        return _new_cd(r, [x * e - y * d for x, y in zip(self._c, other._c)],
+                       d * e)
 
-    def is_zero(self) -> bool:
-        return self.a.is_zero() and self.b.is_zero()
+    def __neg__(self) -> "CDNum":
+        return _cd(self._r, list(map(neg, self._c)), self._d)
 
-    def coords(self) -> tuple:
-        return self.a.coords() + self.b.coords()
+    def __mul__(self, other: "CDNum") -> "CDNum":
+        r = self._same_ring(other)
+        ys = [(j, y) for j, y in enumerate(other._c) if y]
+        out = [0] * r.dim
+        for x, row in zip(self._c, r.table):
+            if x:
+                for j, y in ys:
+                    k, s = row[j]
+                    if s > 0:
+                        out[k] += x * y
+                    else:
+                        out[k] -= x * y
+        return _new_cd(r, out, self._d * other._d)
 
-    def _with_im(self, other: "Octonion") -> tuple:
-        """The eight CNums ``s + I*o`` of the coordinates ``s`` of ``self``
-        and ``o`` of ``other``, in basis order."""
-        return self.a._with_im(other.a) + self.b._with_im(other.b)
+    def scale(self, c) -> "CDNum":
+        """Multiplication by a rational, or by a ``CNum`` over the central
+        unit I of a complexification."""
+        if c.__class__ is not CNum:
+            c = _frac(c)
+            return _new_cd(self._r, [c.numerator * x for x in self._c],
+                           c.denominator * self._d)
+        n, a, b = self._half(), c._a, c._b
+        re, im = self._c[:n], self._c[n:]
+        return _new_cd(self._r,
+                       [a * x - b * y for x, y in zip(re, im)]
+                       + [b * x + a * y for x, y in zip(re, im)],
+                       c._d * self._d)
 
-    def __str__(self) -> str:
-        return f"({self.a}, {self.b})"
+    def signed(self, signs) -> "CDNum":
+        """The coordinates multiplied by the signs ±1, in basis order."""
+        return _cd(self._r, list(map(mul, signs, self._c)), self._d)
 
+    def conj(self) -> "CDNum":
+        """Conjugation of ℍ or 𝕆 (of ℂ in ℂ⊗ℂ), I-linear in X⊗ℂ."""
+        return self.signed(self._r.bar)
 
-O_ZERO = Octonion()
-O_ONE = Octonion(Q_ONE, Q_ZERO)
-O_E = Octonion(Q_ZERO, Q_ONE)
-OCT_BASIS = tuple(Octonion(q, Q_ZERO) for q in QUAT_BASIS) + tuple(
-    Octonion(Q_ZERO, q) for q in QUAT_BASIS)
-
-
-def random_octonion(rng: random.Random, span: int = 5) -> Octonion:
-    coords = [Fraction(rng.randint(-span, span),
-                       rng.randint(1, span)) for _ in range(8)]
-    return Octonion(Quaternion(*coords[:4]), Quaternion(*coords[4:]))
-
-
-# ---------------------------------------------------------------------------
-# adjoining the central unit I to complex numbers, quaternions and octonions
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Cx:
-    """An element ``re + I*im`` of a base ring (``CNum``, ``Quaternion`` or
-    ``Octonion``) with a central unit ``I``, ``I**2 = -1``, adjoined.
-
-    Over the quaternions and octonions this is their complexification, and
-    ``I`` is the unit the projective quotient scales by.  Over ``CNum`` it is
-    the bicomplex entry ring of the 6x6 matrix model: the base unit ``i``
-    (the internal unit) and ``I`` are commuting square roots of -1, and the
-    ring has zero divisors (e.g. ``(1 + i*I)(1 - i*I) = 0``).
-    """
-
-    re: object
-    im: object
-
-    def __add__(self, other: "Cx") -> "Cx":
-        return Cx(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: "Cx") -> "Cx":
-        return Cx(self.re - other.re, self.im - other.im)
-
-    def __neg__(self) -> "Cx":
-        return Cx(-self.re, -self.im)
-
-    def __mul__(self, other: "Cx") -> "Cx":
-        a, b = self.re, self.im
-        c, d = other.re, other.im
-        return Cx(a * c - b * d, a * d + b * c)
-
-    def conj(self) -> "Cx":
-        """Conjugation of the base ring, extended I-linearly."""
-        return Cx(self.re.conj(), self.im.conj())
-
-    def conj_I(self) -> "Cx":
+    def conj_I(self) -> "CDNum":
         """Conjugation of the central unit I."""
-        return Cx(self.re, -self.im)
+        n, c = self._half(), self._c
+        return _cd(self._r, c[:n] + list(map(neg, c[n:])), self._d)
 
-    def times_I(self) -> "Cx":
-        return Cx(-self.im, self.re)
+    def times_I(self) -> "CDNum":
+        n, c = self._half(), self._c
+        return _cd(self._r, list(map(neg, c[n:])) + c[:n], self._d)
+
+    def take(self, ring: "Ring", idx) -> "CDNum":
+        """The element of ``ring`` whose coordinates are this element's at
+        the positions ``idx``, in order."""
+        c = self._c
+        return _new_cd(ring, [c[i] for i in idx], self._d)
+
+    def norm2(self):
+        """The norm form of ℍ or 𝕆, and in X⊗ℂ its complex-bilinear
+        extension (re, re) - (im, im) + 2*I*(re, im), as a ``CNum``."""
+        c, dd = self._c, self._d * self._d
+        n = self._r.n
+        if not n:
+            return Fraction(sum(x * x for x in c), dd)
+        re, im = c[:n], c[n:]
+        return _new_cnum(sum(x * x for x in re) - sum(y * y for y in im),
+                         2 * sum(x * y for x, y in zip(re, im)), dd)
+
+    def inverse(self) -> "CDNum":
+        """conj(q)/|q|^2 in ℍ or 𝕆."""
+        n = sum(x * x for x in self._c)
+        if n == 0:
+            raise ZeroDivisionError(f"division by zero {self._r.name}")
+        d = self._d
+        return _new_cd(self._r, [s * x * d for s, x in zip(self._r.bar,
+                                                           self._c)], n)
+
+    def is_unit(self) -> bool:
+        return sum(x * x for x in self._c) == self._d * self._d
 
     def is_zero(self) -> bool:
-        return self.re.is_zero() and self.im.is_zero()
-
-    def norm2(self) -> CNum:
-        """The complex-bilinear extension of the quaternion or octonion norm
-        form: (re, re) - (im, im) + 2*I*(re, im) for the dot product (,)."""
-        rn, rd = self.re._dot(self.re)
-        mn, md = self.im._dot(self.im)
-        xn, xd = self.re._dot(self.im)
-        return _new_cnum((rn * md - mn * rd) * xd, 2 * xn * rd * md,
-                         rd * md * xd)
-
-    def scale(self, c: CNum) -> "Cx":
-        """Multiplication by the complex number ``c`` over the unit I."""
-        a, b, d = c._a, c._b, c._d
-        re, im = self.re, self.im
-        return Cx(re._scale(a, d) - im._scale(b, d),
-                  re._scale(b, d) + im._scale(a, d))
+        return not any(self._c)
 
     def coords(self) -> tuple:
-        """Complex coordinates (over I) along the basis of the base ring."""
-        return self.re._with_im(self.im)
+        c, d, n = self._c, self._d, self._r.n
+        if not n:
+            return tuple(Fraction(x, d) for x in c)
+        return tuple(_new_cnum(c[k], c[k + n], d) for k in range(n))
 
     def scalar_value(self) -> CNum:
         """The value of a scalar element; raises if it is not scalar."""
-        value, *rest = self.coords()
-        if not all(c.is_zero() for c in rest):
+        n, c = self._half(), self._c
+        if any(x for k, x in enumerate(c) if k % n):
             raise ValueError(f"not a scalar: {self}")
-        return value
+        return _new_cnum(c[0], c[n], self._d)
+
+    def __eq__(self, other):
+        if other.__class__ is not CDNum:
+            return NotImplemented
+        return (self._r is other._r and self._d == other._d
+                and self._c == other._c)
+
+    def __hash__(self) -> int:
+        return hash(self.coords())
+
+    def __repr__(self) -> str:
+        return self._r.name + "(" + ", ".join(
+            f"{label}={c!r}"
+            for label, c in zip(self._r.labels, self.coords())) + ")"
 
     def __str__(self) -> str:
-        return f"{self.re} + I*{self.im}"
+        return "(" + ", ".join(map(str, self.coords())) + ")"
 
 
-def from_cnum(c: CNum, one) -> Cx:
-    """The complex number ``c`` over the central unit I, in the base ring
-    whose unit is ``one`` (a quaternion or an octonion).
+def _cd(ring: "Ring", c: list, d: int) -> CDNum:
+    """The CDNum of the reduced state (c, d) in ``ring``."""
+    x = _new(CDNum)
+    x._r = ring
+    x._c = c
+    x._d = d
+    return x
 
-    Not to be confused with the bicomplex embedding ``Cx(c, C_ZERO)``, which
-    places ``c`` over the internal unit i."""
-    return Cx(one._scale(c._a, c._d), one._scale(c._b, c._d))
+
+def _new_cd(ring: "Ring", c: list, d: int) -> CDNum:
+    """The CDNum ``c/d`` in ``ring`` for integers with ``d > 0``, reduced by
+    the gcd of d and every coordinate once; no ``Fraction`` is built."""
+    if d != 1:
+        g = gcd(d, *c)
+        if g != 1:
+            c = [x // g for x in c]
+            d //= g
+    return _cd(ring, c, d)
+
+
+def place(ring: "Ring", parts, at=None) -> CDNum:
+    """The element of ``ring`` whose coordinates at the positions ``at``
+    (by default 0, 1, ...) are those of ``parts`` in order: the (re, im)
+    pair of a ``CNum``, the coordinates of a ``CDNum``.  The others are
+    zero.  Over the lcm of the parts' denominators the result is reduced."""
+    d = lcm(*(p._d for p in parts))
+    c = [0] * ring.dim
+    positions = iter(range(ring.dim) if at is None else at)
+    for p in parts:
+        f = d // p._d
+        for x in (p._a, p._b) if p.__class__ is CNum else p._c:
+            c[next(positions)] = x * f
+    return _cd(ring, c, d)
+
+
+class Ring:
+    """A ring of ``CDNum``s: its name and coordinate labels, its product
+    table ``table[i][j] == (k, sign)`` for e_i e_j = sign*e_k, the signs
+    ``bar`` of its conjugation, and, in a complexification X⊗ℂ, the
+    dimension ``n`` of X (0 in ℍ and 𝕆).  ``zero``, ``one`` and ``basis``
+    are its elements."""
+
+    __slots__ = ("name", "labels", "table", "dim", "n", "bar", "zero", "one",
+                 "basis")
+
+    def __init__(self, name: str, table: list, n: int = 0, labels=None):
+        self.name, self.table, self.dim, self.n = name, table, len(table), n
+        base = n or self.dim
+        self.labels = labels or tuple(f"e{k}" for k in range(base))
+        self.bar = tuple(1 if k % base == 0 else -1 for k in range(self.dim))
+        self.basis = tuple(_cd(self, [int(k == j) for k in range(self.dim)], 1)
+                           for j in range(self.dim))
+        self.zero = _cd(self, [0] * self.dim, 1)
+        self.one = self.basis[0]
+
+
+def _doubled(table: list) -> list:
+    """The table of the Cayley–Dickson double of the algebra of ``table``:
+    (x1, x2)(y1, y2) = (x1 y1 - conj(y2) x2, x2 conj(y1) + y2 x1) on basis
+    pairs, where conj(e_0) = e_0 and conj(e_j) = -e_j otherwise."""
+    n = len(table)
+    out = []
+    for i in range(2 * n):
+        row = []
+        for j in range(2 * n):
+            p, q = i % n, j % n
+            bar = 1 if q == 0 else -1
+            if i < n and j < n:  # x1 y1
+                k, s = table[p][q]
+            elif i < n:  # y2 x1
+                k, s = table[q][p]
+                k += n
+            elif j < n:  # x2 conj(y1)
+                k, s = table[p][q]
+                k, s = k + n, s * bar
+            else:  # -conj(y2) x2
+                k, s = table[q][p]
+                s *= -bar
+            row.append((k, s))
+        out.append(row)
+    return out
+
+
+def _complexified(table: list) -> list:
+    """The table of X⊗ℂ, (re, im) = re + I*im with I central, I**2 = -1."""
+    n = len(table)
+    out = []
+    for i in range(2 * n):
+        row = []
+        for j in range(2 * n):
+            k, s = table[i % n][j % n]
+            if i >= n and j >= n:  # (I x)(I y) = -xy
+                s = -s
+            elif i >= n or j >= n:  # (I x) y = x (I y) = I xy
+                k += n
+            row.append((k, s))
+        out.append(row)
+    return out
+
+
+_C_TABLE = _doubled([[(0, 1)]])
+_H_TABLE = _doubled(_C_TABLE)
+_O_TABLE = _doubled(_H_TABLE)
+
+H = Ring("Quaternion", _H_TABLE, labels=("w", "x", "y", "z"))
+O = Ring("Octonion", _O_TABLE)
+BC = Ring("Bicomplex", _complexified(_C_TABLE), n=2)
+HC = Ring("ComplexQuaternion", _complexified(_H_TABLE), n=4)
+OC = Ring("ComplexOctonion", _complexified(_O_TABLE), n=8)
+
+# The quaternion ``w + x*i + y*j + z*k`` of rational coordinates.
+Quaternion = partial(CDNum, H)
+
+Q_ZERO = H.zero
+Q_ONE, Q_I, Q_J, Q_K = H.basis
+
+
+def random_octonion(rng: random.Random, span: int = 5) -> CDNum:
+    return CDNum(O, *(Fraction(rng.randint(-span, span), rng.randint(1, span))
+                      for _ in range(8)))

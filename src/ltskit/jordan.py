@@ -3,23 +3,24 @@ projective points, the projective variety realizing the Hermitian exceptional
 space with its involutions, and the octonion automorphisms attached to pairs
 of unit quaternions.
 
-A Jordan element is a Hermitian 3x3 matrix with complex diagonal and
-complexified-octonion (``Cx``) off-diagonal entries, in the number systems
-of ``ltskit.cayley_dickson``.  A projective point is canonicalized by its
-first nonzero coordinate, so equality and hashing are exact.  The matrix
-models of ``ltskit.cayley`` map into these types.
+A Jordan element is a Hermitian 3x3 matrix with complex (``CNum``) diagonal
+and complexified-octonion (``CDNum`` of the ring ``OC``) off-diagonal
+entries, in the number systems of ``ltskit.cayley_dickson``.  A projective
+point is canonicalized by its first nonzero coordinate, so equality and
+hashing are exact.  The matrix models of ``ltskit.cayley`` map into these
+types.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from . import linalg
 from .cayley_dickson import (
-    C_ONE, C_ZERO, O_ONE, O_ZERO, QUAT_BASIS, Q_I, Q_J, CNum, Cx, NotUnit,
-    Octonion, Quaternion, _re_im_quats, from_cnum,
+    C_ONE, C_ZERO, H, O, OC, Q_I, Q_J, CDNum, CNum, NotUnit, Quaternion,
+    place,
 )
 from .scalars import rat
 
@@ -32,18 +33,13 @@ class NotOnVariety(ValueError):
     """Raised when an involution is applied to a point off the variety."""
 
 
-def gamma0(x: Cx) -> Cx:
-    """The involution of the complexified octonions fixing the complexified
-    quaternion subalgebra."""
-    return Cx(Octonion(x.re.a, -x.re.b), Octonion(x.im.a, -x.im.b))
+# The involution of the complexified octonions fixing the complexified
+# quaternion subalgebra: a + b*e -> a - b*e in both the re and im parts.
+_GAMMA0 = ((1,) * 4 + (-1,) * 4) * 2
 
-
-def quat_pair(x: Cx) -> tuple:
-    """Split a complexified octonion as ``(h, q)`` with ``x = h + q*e``."""
-    return Cx(x.re.a, x.im.a), Cx(x.re.b, x.im.b)
-
-
-OC_ZERO = Cx(O_ZERO, O_ZERO)
+# A slot's complex coordinate a_k + I*b_k holds positions k and k + 8 of its
+# state.
+_SLOT_FROM_COORDS = tuple(k + h for k in range(8) for h in (0, 8))
 
 
 # ---------------------------------------------------------------------------
@@ -69,7 +65,7 @@ class JordanElement:
     x: tuple
 
     @staticmethod
-    def make(xi: Sequence[CNum], x: Sequence[Cx]) -> "JordanElement":
+    def make(xi: Sequence[CNum], x: Sequence[CDNum]) -> "JordanElement":
         xi = tuple(xi)
         x = tuple(x)
         if len(xi) != 3 or len(x) != 3:
@@ -79,7 +75,7 @@ class JordanElement:
 
     @staticmethod
     def diag(a: CNum, b: CNum, c: CNum) -> "JordanElement":
-        return JordanElement((a, b, c), (OC_ZERO, OC_ZERO, OC_ZERO))
+        return JordanElement((a, b, c), (OC.zero,) * 3)
 
     @staticmethod
     def zero() -> "JordanElement":
@@ -87,18 +83,18 @@ class JordanElement:
 
     def matrix(self) -> list:
         x1, x2, x3 = self.x
-        d = [from_cnum(v, O_ONE) for v in self.xi]
+        d = [OC.one.scale(v) for v in self.xi]
         return [[d[0], x3, x2.conj()],
                 [x3.conj(), d[1], x1],
                 [x2, x1.conj(), d[2]]]
 
     @staticmethod
-    def from_matrix(M: Sequence[Sequence[Cx]]) -> "JordanElement":
+    def from_matrix(M: Sequence[Sequence[CDNum]]) -> "JordanElement":
         for i in range(3):
             for j in range(3):
                 if M[j][i] != M[i][j].conj():
                     raise ValueError("matrix is not Hermitian")
-        xi = tuple(quat_pair(M[k][k])[0].scalar_value() for k in range(3))
+        xi = tuple(M[k][k].scalar_value() for k in range(3))
         return JordanElement(xi, (M[1][2], M[2][0], M[0][1]))
 
     def __add__(self, other: "JordanElement") -> "JordanElement":
@@ -135,31 +131,19 @@ class JordanElement:
         coords = list(coords)
         if len(coords) != 27:
             raise ValueError("expected 27 complex coordinates")
-        xi = tuple(coords[:3])
-        slots = []
-        for k in range(3):
-            cs = coords[3 + 8 * k:11 + 8 * k]
-            (re_a, im_a), (re_b, im_b) = (_re_im_quats(cs[:4]),
-                                          _re_im_quats(cs[4:]))
-            slots.append(Cx(Octonion(re_a, re_b), Octonion(im_a, im_b)))
-        return JordanElement(xi, tuple(slots))
+        return JordanElement(tuple(coords[:3]), tuple(
+            place(OC, coords[3 + 8 * k:11 + 8 * k], _SLOT_FROM_COORDS)
+            for k in range(3)))
 
 
 def jordan_mul(X: JordanElement, Y: JordanElement) -> JordanElement:
     """The Jordan product (XY + YX) / 2."""
     A, B = X.matrix(), Y.matrix()
     half = CNum(Fraction(1, 2))
-    M = [[(sum_oc(A[i][k] * B[k][j] + B[i][k] * A[k][j]
-                  for k in range(3))).scale(half)
+    M = [[sum((A[i][k] * B[k][j] + B[i][k] * A[k][j] for k in range(3)),
+              OC.zero).scale(half)
           for j in range(3)] for i in range(3)]
     return JordanElement.from_matrix(M)
-
-
-def sum_oc(items: Iterable[Cx]) -> Cx:
-    total = OC_ZERO
-    for item in items:
-        total = total + item
-    return total
 
 
 def jordan_conj(X: JordanElement) -> JordanElement:
@@ -182,9 +166,9 @@ def trace_form(X: JordanElement, Y: JordanElement) -> CNum:
     A, B = X.matrix(), Y.matrix()
     total = C_ZERO
     for i in range(3):
-        diag = sum_oc((A[i][k] * B[k][i] + B[i][k] * A[k][i]).scale(
-            CNum(Fraction(1, 2))) for k in range(3))
-        total = total + quat_pair(diag)[0].scalar_value()
+        diag = sum(((A[i][k] * B[k][i] + B[i][k] * A[k][i]).scale(
+            CNum(Fraction(1, 2))) for k in range(3)), OC.zero)
+        total = total + diag.scalar_value()
     return total
 
 
@@ -279,7 +263,7 @@ def involution_gamma(pt: ProjPoint) -> ProjPoint:
     """The involution applying the quaternion-fixing octonion involution to
     the off-diagonal slots (diagonal entries unchanged)."""
     return _involution(pt, lambda X: JordanElement(
-        X.xi, tuple(gamma0(a) for a in X.x)))
+        X.xi, tuple(a.signed(_GAMMA0) for a in X.x)))
 
 
 def involution_sigma(pt: ProjPoint) -> ProjPoint:
@@ -293,15 +277,16 @@ def involution_sigma(pt: ProjPoint) -> ProjPoint:
 # ---------------------------------------------------------------------------
 
 
-def phi_g2(g1: Quaternion, g2: Quaternion) -> Callable[[Octonion], Octonion]:
+def phi_g2(g1: CDNum, g2: CDNum) -> Callable[[CDNum], CDNum]:
     """The octonion automorphism ``(x1, x2) -> (g1 x1 g1^-1, g2 x2 g1^-1)``
     attached to a pair of unit quaternions."""
     if not g1.is_unit() or not g2.is_unit():
         raise NotUnit("both parameters must be unit quaternions")
     g1_inv = g1.conj()
 
-    def act(x: Octonion) -> Octonion:
-        return Octonion(g1 * x.a * g1_inv, g2 * x.b * g1_inv)
+    def act(x: CDNum) -> CDNum:
+        return place(O, (g1 * x.take(H, range(4)) * g1_inv,
+                         g2 * x.take(H, range(4, 8)) * g1_inv))
 
     return act
 
@@ -314,7 +299,7 @@ def phi_g2_kernel() -> list:
     down by the unit-norm condition, after which ``g2`` is forced basis-wise.
     Returns the list of kernel pairs.
     """
-    rows = [[rat((u * b - b * u).coords()[k]) for b in QUAT_BASIS]
+    rows = [[rat((u * b - b * u).coords()[k]) for b in H.basis]
             for u in (Q_I, Q_J) for k in range(4)]
     results = []
     for vec in linalg.kernel(rows):

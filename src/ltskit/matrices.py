@@ -4,7 +4,7 @@ A matrix is a list of rows whose entries lie in any ring with +, -, * and
 ==: ints, ``Fraction``s, or the number systems of ``ltskit.cayley_dickson``.
 ``identity`` and ``rot`` take the ring's unit, so one helper serves every
 entry type, and every identity built from them is checked with zero
-tolerance.
+tolerance by list ``==``, which also compares the shapes.
 """
 
 from __future__ import annotations
@@ -55,10 +55,6 @@ def mat_transpose(A):
     return [list(row) for row in zip(*A)]
 
 
-def mat_eq(A, B) -> bool:
-    return all(a == b for ra, rb in zip(A, B) for a, b in zip(ra, rb))
-
-
 def mat_apply(A, v) -> tuple:
     """The matrix-vector product ``A v``, as a tuple."""
     return tuple(row[0] for row in mat_mul(A, [[a] for a in v]))
@@ -71,14 +67,13 @@ def identity(n: int, one):
 
 
 def rot(n: int, p: int, q: int, c, s, one):
-    """The n x n rotation by the rational pair (cos, sin) = (c, s) in the
-    plane of coordinates p and q, over the ring whose unit is ``one``; the
-    type of ``one`` lifts a rational into that ring.  With ints c, s and
-    ``one = r`` it is the int rows of the rotation by (c/r, s/r) over r."""
+    """The n x n rotation by (cos, sin) = (c, s) in the plane of coordinates
+    p and q, over the ring whose unit is ``one`` and which holds c and s.
+    With ints c, s and ``one = r`` it is the int rows of the rotation by
+    (c/r, s/r) over r."""
     M = identity(n, one)
-    lift = type(one)
-    M[p][p] = M[q][q] = lift(c)
-    M[p][q], M[q][p] = lift(-s), lift(s)
+    M[p][p] = M[q][q] = c
+    M[p][q], M[q][p] = -s, s
     return M
 
 
@@ -88,14 +83,14 @@ def conj_transpose(A):
 
 
 def is_unitary(A, one) -> bool:
-    """Whether ``conj_transpose(A) A`` is the identity; ``one`` is the unit
-    of the entry ring."""
-    return mat_eq(mat_mul(conj_transpose(A), A), identity(len(A), one))
+    """Whether ``conj_transpose(A) A`` is the identity of A's size, so A is
+    square; ``one`` is the unit of the entry ring."""
+    return mat_mul(conj_transpose(A), A) == identity(len(A), one)
 
 
 def herm_inner(u, v):
     """The Hermitian inner product sum(conj(u_k) * v_k) of two nonempty
-    vectors over CNum or Quaternion."""
+    vectors over CNum or the quaternions."""
     total = u[0].conj() * v[0]
     for a, b in zip(u[1:], v[1:]):
         total = total + a.conj() * b

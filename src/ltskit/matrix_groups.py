@@ -265,9 +265,9 @@ class CartanInstance:
 
 
 def _so10_cartan_instance() -> CartanInstance:
-    f35, f45 = Fraction(3, 5), Fraction(4, 5)
-    f513, f1213 = Fraction(5, 13), Fraction(12, 13)
-    u_rot = complex_to_real10(rot(5, 0, 1, f35, f45, C_ONE))
+    c35, c45 = CNum(Fraction(3, 5)), CNum(Fraction(4, 5))
+    c513, c1213 = CNum(Fraction(5, 13)), CNum(Fraction(12, 13))
+    u_rot = complex_to_real10(rot(5, 0, 1, c35, c45, C_ONE))
     phase = identity(5, C_ONE)
     phase[0][0] = C_I
     u_phase = complex_to_real10(phase)
@@ -288,13 +288,13 @@ def _so10_cartan_instance() -> CartanInstance:
         in_fixed=unitary_member,
         samples=samples,
         fixed_samples=(u_rot, u_phase,
-                       complex_to_real10(rot(5, 1, 4, f513, f1213, C_ONE))),
+                       complex_to_real10(rot(5, 1, 4, c513, c1213, C_ONE))),
     )
 
 
 def _su3_cartan_instance() -> CartanInstance:
     f35, f45 = Fraction(3, 5), Fraction(4, 5)
-    rot01 = rot(3, 0, 1, f35, f45, C_ONE)
+    rot01 = rot(3, 0, 1, CNum(f35), CNum(f45), C_ONE)
     perm = [[C_ZERO, -C_ONE, C_ZERO],
             [C_ONE, C_ZERO, C_ZERO],
             [C_ZERO, C_ZERO, C_ONE]]
@@ -384,8 +384,8 @@ def cartan_map_check(name: str,
 
 
 def _u5_sample_matrices():
-    f35, f45 = Fraction(3, 5), Fraction(4, 5)
-    f513, f1213 = Fraction(5, 13), Fraction(12, 13)
+    c35, c45 = CNum(Fraction(3, 5)), CNum(Fraction(4, 5))
+    c513, c1213 = CNum(Fraction(5, 13)), CNum(Fraction(12, 13))
     phase = identity(5, C_ONE)
     phase[0][0] = C_I
     swap = identity(5, C_ONE)
@@ -394,13 +394,13 @@ def _u5_sample_matrices():
     swap[0][4] = C_ONE
     swap[4][0] = -C_ONE
     return (
-        rot(5, 0, 1, f35, f45, C_ONE),
-        rot(5, 0, 2, f513, f1213, C_ONE),
-        rot(5, 2, 4, f35, f45, C_ONE),
-        rot(5, 3, 4, f513, f1213, C_ONE),
+        rot(5, 0, 1, c35, c45, C_ONE),
+        rot(5, 0, 2, c513, c1213, C_ONE),
+        rot(5, 2, 4, c35, c45, C_ONE),
+        rot(5, 3, 4, c513, c1213, C_ONE),
         phase,
         swap,
-        mat_mul(rot(5, 0, 1, f35, f45, C_ONE), phase),
+        mat_mul(rot(5, 0, 1, c35, c45, C_ONE), phase),
     )
 
 

@@ -10,19 +10,22 @@ centre of k as the kernel of its brackets with every k row at once; the
 bracket as a scan of both dense operands; and the restricted-root spaces of
 an LTS as kernels of the ambient images ad(h_i)ad(h_j)b, all dim g entries
 of each; the intersection of two spans from the relations among all their
-rows at once; the Cayley scalars ``CNum`` and ``Quaternion`` as frozen
-dataclasses of ``Fraction`` coordinates, each result built through the
-validating constructor; and the orthogonal model of SO(10)/U(5) on rows of
-``Fraction``s, compared entry by entry.
+rows at once; the Cayley number systems as frozen dataclasses of
+``Fraction`` coordinates, each result built through the validating
+constructor: ``CNum`` and ``Quaternion``, ``Octonion`` as a pair of
+quaternions, and ``Cx``, which adjoins a central unit I to a ``CNum``, a
+``Quaternion`` or an ``Octonion`` by the pair formulas; and the orthogonal
+model of SO(10)/U(5) on rows of ``Fraction``s, compared entry by entry.
 
 ltskit.chevalley writes every N in one height-ordered pass and the Killing
 form down in closed form, and brackets nonzero terms only; ltskit.spaces
 writes k, m and the chart vectors from sigma's sparse signed columns, shares
 one Gram matrix between the duals and stops the centre solve early; and
 ltskit.lts solves the root spaces in the subspace's own coordinates and
-intersects by remainders modulo a Span; ltskit.cayley_dickson stores a CNum
-or a Quaternion, and ltskit.matrix_groups a matrix of the orthogonal model,
-as integers over one reduced denominator.  These are the long way round,
+intersects by remainders modulo a Span; ltskit.cayley_dickson stores a CNum,
+and an element of any of its five rings as one ``CDNum`` whose product reads
+a (k, sign) table, and ltskit.matrix_groups a matrix of the orthogonal
+model, as integers over one reduced denominator.  These are the long way round,
 kept only so the tests can compare the two exactly.
 """
 
@@ -41,7 +44,7 @@ from ltskit.linalg import (
 )
 from ltskit.lts import SubRoot, _operator_kernel, _root_candidates
 from ltskit.matrices import (
-    identity, mat_eq, mat_map, mat_mul, mat_neg, mat_transpose,
+    identity, mat_map, mat_mul, mat_neg, mat_transpose,
 )
 from ltskit.matrix_groups import _from_half_blocks, _half_blocks
 from ltskit.roots import RootSystem
@@ -357,6 +360,10 @@ class CNum:
         return CNum((self.re * other.re + self.im * other.im) / n,
                     (self.im * other.re - self.re * other.im) / n)
 
+    def scale(self, r):
+        r = _frac(r)
+        return CNum(r * self.re, r * self.im)
+
     def conj(self):
         return CNum(self.re, -self.im)
 
@@ -432,12 +439,113 @@ class Quaternion:
         return f"({self.w}, {self.x}, {self.y}, {self.z})"
 
 
+@dataclass(frozen=True)
+class Octonion:
+    """An octonion as a pair ``(a, b)`` of quaternions, ``a + b*e``, with
+    the product ``x*y = (x1*y1 - conj(y2)*x2, x2*conj(y1) + y2*x1)``."""
+
+    a: Quaternion = Quaternion()
+    b: Quaternion = Quaternion()
+
+    def __add__(self, other):
+        return Octonion(self.a + other.a, self.b + other.b)
+
+    def __sub__(self, other):
+        return Octonion(self.a - other.a, self.b - other.b)
+
+    def __neg__(self):
+        return Octonion(-self.a, -self.b)
+
+    def __mul__(self, other):
+        x1, x2 = self.a, self.b
+        y1, y2 = other.a, other.b
+        return Octonion(x1 * y1 - y2.conj() * x2, x2 * y1.conj() + y2 * x1)
+
+    def scale(self, r):
+        return Octonion(self.a.scale(r), self.b.scale(r))
+
+    def conj(self):
+        return Octonion(self.a.conj(), -self.b)
+
+    def norm2(self) -> Fraction:
+        return self.a.norm2() + self.b.norm2()
+
+    def is_zero(self) -> bool:
+        return self.a.is_zero() and self.b.is_zero()
+
+    def coords(self) -> tuple:
+        return self.a.coords() + self.b.coords()
+
+
+def _dot(u, v) -> Fraction:
+    return sum((p * q for p, q in zip(u.coords(), v.coords())), Fraction(0))
+
+
+@dataclass(frozen=True)
+class Cx:
+    """``re + I*im`` over a base ring (``CNum`` over its own unit i,
+    ``Quaternion`` or ``Octonion``) with a central unit I, I**2 = -1."""
+
+    re: object
+    im: object
+
+    def __add__(self, other):
+        return Cx(self.re + other.re, self.im + other.im)
+
+    def __sub__(self, other):
+        return Cx(self.re - other.re, self.im - other.im)
+
+    def __neg__(self):
+        return Cx(-self.re, -self.im)
+
+    def __mul__(self, other):
+        a, b, c, d = self.re, self.im, other.re, other.im
+        return Cx(a * c - b * d, a * d + b * c)
+
+    def conj(self):
+        """Conjugation of the base ring, extended I-linearly."""
+        return Cx(self.re.conj(), self.im.conj())
+
+    def conj_I(self):
+        return Cx(self.re, -self.im)
+
+    def times_I(self):
+        return Cx(-self.im, self.re)
+
+    def scale(self, c):
+        """Multiplication by a rational, or by a ``CNum`` over I."""
+        if not isinstance(c, CNum):
+            return Cx(self.re.scale(c), self.im.scale(c))
+        re, im = self.re, self.im
+        return Cx(re.scale(c.re) - im.scale(c.im),
+                  re.scale(c.im) + im.scale(c.re))
+
+    def norm2(self) -> CNum:
+        """(re, re) - (im, im) + 2*I*(re, im) for the coordinate dot
+        product (,) of the base ring."""
+        re, im = self.re, self.im
+        return CNum(_dot(re, re) - _dot(im, im), 2 * _dot(re, im))
+
+    def is_zero(self) -> bool:
+        return self.re.is_zero() and self.im.is_zero()
+
+    def coords(self) -> tuple:
+        """Complex coordinates (over I) along the basis of the base ring."""
+        return tuple(CNum(s, o) for s, o in zip(self.re.coords(),
+                                                self.im.coords()))
+
+    def scalar_value(self) -> CNum:
+        value, *rest = self.coords()
+        if not all(c.is_zero() for c in rest):
+            raise ValueError(f"not a scalar: {self}")
+        return value
+
+
 # -- the orthogonal model of SO(10)/U(5) on Fraction rows ------------------
 
 
 def is_orthogonal(g) -> bool:
-    return mat_eq(mat_mul(mat_transpose(g), g),
-                  identity(len(g), Fraction(1)))
+    return mat_mul(mat_transpose(g), g) == identity(len(g), Fraction(1))
 
 
 def orthogonal_sigma(g):
@@ -451,18 +559,17 @@ def unitary_member(g) -> bool:
     if not is_orthogonal(g):
         return False
     A, C, B, D = _half_blocks(g)
-    return mat_eq(A, D) and mat_eq(C, mat_neg(B))
+    return A == D and C == mat_neg(B)
 
 
 def is_skew(A) -> bool:
-    return mat_eq(mat_transpose(A), mat_neg(A))
+    return mat_transpose(A) == mat_neg(A)
 
 
 def tangent_member(X) -> bool:
     """Block form [[A, B], [B, -A]] with A, B skew."""
     A, C, B, D = _half_blocks(X)
-    return is_skew(A) and is_skew(B) and mat_eq(C, B) and \
-        mat_eq(D, mat_neg(A))
+    return is_skew(A) and is_skew(B) and C == B and D == mat_neg(A)
 
 
 def complex_to_real10(U) -> list:
