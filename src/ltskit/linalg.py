@@ -230,6 +230,11 @@ class Span:
     def dim(self) -> int:
         return len(self._rows)
 
+    @property
+    def pivots(self) -> list[int]:
+        """The pivot column of each stored row, in order, not a copy."""
+        return self._pivots
+
     def basis(self) -> Mat:
         """The stored rows, in pivot order, not copies: a later add changes
         them in place, and a caller must not change them."""

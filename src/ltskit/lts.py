@@ -25,9 +25,12 @@ touched.  The root spaces are kernels solved in S's own coordinates (n per
 operator for dim S = n), not in the ambient ones, and each is compared with
 S's intersection with the ambient root spaces in those coordinates too.  An
 intersection with S reduces each row modulo S and solves for the
-combinations whose remainders cancel, one unknown per row.  The root
-candidates of the reference flat a are computed once per model, so kept
-reports share their root values.
+combinations whose remainders cancel, one unknown per row.  For a root
+space the meet never becomes dense: a combination of the ambient rows that
+lies in S has as coordinates the same combination of the rows' entries at
+S's pivots, n numbers each.  The root candidates of the reference flat a
+are computed once per model and each distinct SubRoot is made once, so
+kept reports share their roots.
 
 Flats are found by seeded sampling: for pseudo-random combinations v of the
 basis the centralizer N(v) = {w in S : [v, w] = 0} is computed; an abelian
@@ -51,16 +54,18 @@ with scalars in the exact literal grammar.
 from __future__ import annotations
 
 import random
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from itertools import chain
+from types import MappingProxyType
 
 from .linalg import (
-    Span, Vec, combine, nonzeros, on_support, relations, vec_add, vec_is_zero,
-    vec_scale, vec_sub, zeros,
+    Span, Terms, Vec, combine, nonzeros, on_support, relations, vec_add,
+    vec_is_zero, vec_scale, vec_sub, zeros,
 )
-from .scalars import ParseError, Parser, Scalar, scalar_sign
+from .scalars import ParseError, Parser, Scalar, ZERO, scalar_sign
 from .spaces import (
     AngleDescriptor, NotHermitian, NotInM, RESTRICTED_LABELS, SpaceModel,
     build_space,
@@ -138,6 +143,21 @@ class SubRoot:
     labels: tuple[str, ...]
 
 
+# Roots are values, and a long run keeps many reports, so each distinct root
+# is made once and shared, as report.shared_report shares Cayley rows.
+_SHARED_ROOTS: dict = {}
+
+
+def _shared_root(values: tuple[Scalar, ...], mult: int,
+                 labels: tuple[str, ...]) -> SubRoot:
+    """The one SubRoot with these values, multiplicity and labels."""
+    key = (values, mult, labels)
+    root = _SHARED_ROOTS.get(key)
+    if root is None:
+        root = _SHARED_ROOTS[key] = SubRoot(values, mult, labels)
+    return root
+
+
 # -- closure ---------------------------------------------------------------
 
 
@@ -210,8 +230,14 @@ def intersect_spans(rows: list[Vec], span: Span) -> list[Vec]:
     over len(rows) unknowns."""
     if not rows or not span.dim:
         return []
-    remainders = on_support([span.remainder(nonzeros(r)) for r in rows])
-    return Span(combine(c, rows) for c in relations(remainders)).basis()
+    meet = _meet_relations([nonzeros(r) for r in rows], span)
+    return Span(combine(c, rows) for c in meet).basis()
+
+
+def _meet_relations(rows: list[Terms], span: Span) -> list[Vec]:
+    """Basis of the coefficient vectors c with sum_i c_i rows[i] in span,
+    for rows in the terms form: the relations of their remainders."""
+    return relations(on_support([span.remainder(t) for t in rows]))
 
 
 _FLAT_BUDGET = 24  # seeded samples of the full basis; half as many inside a
@@ -372,16 +398,25 @@ def sub_restricted_roots(S: Subspace, flat: Subspace) -> list[SubRoot]:
         space_coords = relations(images)
         if not space_coords:
             continue
-        ambient = []
-        for label in labels:
-            ambient.extend(sp.charts[label].basis_vectors())
-        meet = [span.coords(w) for w in intersect_spans(ambient, span)]
+        ambient = [t for label in labels for t in _chart_terms(sp, label)]
+        # a combination w of the ambient rows that lies in S has the
+        # coordinates w[p] at S's pivots p
+        heads = [[at.get(p, ZERO) for p in span.pivots]
+                 for at in map(dict, ambient)]
+        meet = [combine(c, heads) for c in _meet_relations(ambient, span)]
         if Span(space_coords) != Span(meet):
             raise NotAFlat(
                 "root space does not match the ambient intersection; "
                 "the input is not an LTS flat pair")
-        out.append(SubRoot(values=vals, mult=len(space_coords), labels=labels))
+        out.append(_shared_root(vals, len(space_coords), labels))
     return out
+
+
+@cache
+def _chart_terms(sp: SpaceModel, label: str) -> tuple[Terms, ...]:
+    """The basis vectors of the ambient root space of label, in the terms
+    form, once per model."""
+    return tuple(nonzeros(v) for v in sp.charts[label].basis_vectors())
 
 
 def _root_candidates(sp: SpaceModel, hs: list[Vec]) -> dict[
@@ -407,9 +442,15 @@ def _normalize_sign(vals: tuple[Scalar, ...]) -> tuple[Scalar, ...]:
     return tuple(vals)
 
 
+# Each distinct verdict mapping of decomposition_checks, made once and shared
+# read-only by the reports that hold it.
+_SHARED_CHECKS: dict = {}
+
+
 def decomposition_checks(S: Subspace, flat: Subspace,
-                         roots: list[SubRoot]) -> dict[str, bool]:
-    """Structural invariants of the root-space decomposition of an LTS."""
+                         roots: list[SubRoot]) -> Mapping[str, bool]:
+    """Structural invariants of the root-space decomposition of an LTS, as
+    a shared read-only mapping from check name to verdict."""
     sp = S.space
     checks: dict[str, bool] = {}
     checks["exhaustive"] = S.dim == flat.dim + sum(r.mult for r in roots)
@@ -437,7 +478,8 @@ def decomposition_checks(S: Subspace, flat: Subspace,
             elementary = False
     checks["multiplicity_bounds"] = bounds
     checks["unique_restriction_duals_in_flat"] = elementary
-    return checks
+    return _SHARED_CHECKS.setdefault(tuple(checks.items()),
+                                     MappingProxyType(checks))
 
 
 # -- complex structure classification --------------------------------------
@@ -535,8 +577,8 @@ class LtsReport:
     restricted: list[SubRoot] | None = None
     isotropy_angle: AngleDescriptor | None = None
     complexity: str | None = None
-    checks: dict[str, bool] = field(default_factory=dict)
-    notes: list[str] = field(default_factory=list)
+    checks: Mapping[str, bool] = field(default_factory=dict)
+    notes: tuple[str, ...] = ()
 
     def as_json(self) -> dict:
         out = {
@@ -600,8 +642,9 @@ def analyze(S: Subspace, seed: int = 0) -> LtsReport:
         if rank == 1:
             report.isotropy_angle = sp.isotropy_angle(flat.basis[0])
     else:
-        report.notes.append(
-            "flat not inside the reference maximal flat; restricted data skipped")
+        report.notes = (
+            "flat not inside the reference maximal flat; restricted data "
+            "skipped",)
     if sp.name == "EIII":
         report.complexity = complexity_class(S)
     return report

@@ -6,23 +6,36 @@ sqrt(d) are linearly independent over Q(i), so the representation is unique
 and the zero test is exact.  Every radical constant needed by the engine
 (sqrt2/16, 3*sqrt3/4, sqrt21/14, ...) lives in this field.
 
-The canonical form is a dict radicand -> (re, im) with no (0, 0) entry,
-where each coefficient is an int when it is integral and a Fraction
-otherwise, never a float.  Integral coefficients are by far the common
-case (the E6 structure constants are integers, the bases hold +-1, 2 and
-+-1/2), and an int product costs no gcd and no new Fraction.  An int and
-the Fraction of the same value are equal and hash alike, so ==, hash and
-str read the form directly; every constructor passes its coefficients
-through one normalizer (_coef), which rejects anything but an int or a
-Fraction, and every result of arithmetic is brought back to the form.  A
-quotient is always formed from a Fraction, since int / int would be a
-float.  The public views terms() and rational_value() hand out Fractions.
+Each value has one stored state, in exactly one of two forms:
 
-Arithmetic keeps that form on two fast paths before the general term loop:
-an operand that is zero returns at once, and two single-term operands
-(rationals, elements of Q(i), or one radical each) combine directly into a
-result built without __init__'s cleaning.  inv of an element of Q(i) is
-conj/|z|^2.
+  * a real rational is two ints, numerator _num and denominator _den, with
+    _den > 0, gcd(_num, _den) = 1 and zero as 0/1; it has no radicand dict
+    (_terms is None);
+  * any other value is a dict radicand -> (re, im) with no (0, 0) entry
+    (_num and _den are None), where each coefficient is an int when it is
+    integral and a Fraction otherwise, never a float.
+
+Real rationals are by far the common case: the E6 structure constants are
+integers, the bases hold +-1, 2 and +-1/2, and the brackets of the E6
+catalog sweep see no other operands.  So +, -, *, negation, inv,
+bool and == between two of them, or between one and a plain int (a
+combination coefficient, say), are int arithmetic with at most one gcd,
+and build no Fraction and no dict.  A product or sum of two rationals
+builds its result in place (the two hottest paths); every other rational
+comes from _rational, which shares the Scalars of the small integers.
+
+The dict form keeps its fast paths before the general term loop: a
+rational factor scales every coefficient, two real multiples of one
+radical multiply to a rational in ints, two other single-term operands
+(elements of Q(i), or one radical each) combine directly, and inv of an
+element of Q(i) is conj/|z|^2.  A dict result whose form is not known in
+advance (a sum or product may collapse to a rational) goes through the one
+normalizer, _scalar, which picks the form.  Every coefficient given to a
+constructor passes _coef, which rejects anything but an int or a Fraction;
+a quotient is never int / int, which would be a float.  Since the state is
+unique, == and str read it directly, and hash is that of the sorted
+(radicand, re, im) triples, whichever form holds them.  The public views
+terms() and rational_value() hand out Fractions.
 
 Scalars have no float view, and no decision anywhere in the package is
 made from floats.  The sign of a real scalar (scalar_sign) is decided
@@ -34,6 +47,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from math import gcd
 from typing import Iterator, Union
 
 PRIMES = (2, 3, 5, 7)
@@ -87,7 +101,7 @@ def _squarefree_split(n: int) -> tuple[int, int]:
 class Scalar:
     """Immutable element of Q(i, sqrt2, sqrt3, sqrt5, sqrt7)."""
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_num", "_den", "_terms", "_hash")
 
     def __init__(self, terms: dict[int, tuple[Coef, Coef]] | None = None):
         clean: dict[int, tuple[Coef, Coef]] = {}
@@ -98,15 +112,15 @@ class Scalar:
                 re_, im_ = _coef(re_), _coef(im_)
                 if re_ or im_:
                     clean[d] = (re_, im_)
-        self._terms = clean
-        self._hash: int | None = None
+        x = _scalar(clean)
+        self._num, self._den, self._terms = x._num, x._den, x._terms
+        self._hash = None
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def rational(cls, q: Coef) -> "Scalar":
-        q = _coef(q)
-        return _scalar({1: (q, 0)}) if q else ZERO
+        return _rational(*_coef(q).as_integer_ratio())
 
     @classmethod
     def imag(cls, q: Coef = 1) -> "Scalar":
@@ -125,27 +139,35 @@ class Scalar:
     # -- views -------------------------------------------------------------
 
     def terms(self) -> Iterator[tuple[int, Fraction, Fraction]]:
-        for d in sorted(self._terms):
-            re_, im_ = self._terms[d]
+        t = self._terms
+        if t is None:
+            if self._num:
+                yield 1, Fraction(self._num, self._den), Fraction(0)
+            return
+        for d in sorted(t):
+            re_, im_ = t[d]
             yield d, Fraction(re_), Fraction(im_)
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return self._num == 0
 
     def is_rational(self) -> bool:
-        return set(self._terms) <= {1} and (1 not in self._terms or not self._terms[1][1])
+        return self._terms is None
 
     def rational_value(self) -> Fraction:
-        if not self._terms:
-            return Fraction(0)
-        if not self.is_rational():
+        if self._terms is not None:
             raise NotRationalTerm(f"{self} is not rational")
-        return Fraction(self._terms[1][0])
+        return Fraction(self._num, self._den)
 
     def is_real(self) -> bool:
-        return all(not im_ for _, im_ in self._terms.values())
+        t = self._terms
+        return t is None or all(not im_ for _, im_ in t.values())
 
     # -- arithmetic --------------------------------------------------------
+    #
+    # Each operator takes the int path when both operands are rationals (a
+    # plain int counts as one), and otherwise runs the dict code, in which
+    # a rational operand is one coefficient.
 
     @staticmethod
     def _coerce(x: Union["Scalar", Coef]) -> "Scalar":
@@ -156,15 +178,51 @@ class Scalar:
         return NotImplemented  # type: ignore[return-value]
 
     def __add__(self, other):
-        if type(other) is not Scalar:
+        t1 = self._terms
+        if type(other) is Scalar:
+            t2 = other._terms
+            if t1 is None:
+                n1 = self._num
+                if not n1:
+                    return other
+                if t2 is None:
+                    n2 = other._num
+                    if not n2:
+                        return self
+                    # n1/d1 + n2/d2, with one gcd unless d1 or d2 is 1
+                    d1, d2 = self._den, other._den
+                    if d1 == d2:
+                        n, d = n1 + n2, d1
+                        if d != 1:
+                            g = gcd(n, d)
+                            n, d = n // g, d // g
+                    elif d1 == 1:
+                        n, d = n1 * d2 + n2, d2
+                    elif d2 == 1:
+                        n, d = n1 + n2 * d1, d1
+                    else:
+                        n, d = n1 * d2 + n2 * d1, d1 * d2
+                        g = gcd(n, d)
+                        n, d = n // g, d // g
+                    if d == 1 and -_SMALL <= n <= _SMALL:
+                        return _SMALL_INTS[n + _SMALL]
+                    return _new_rational(n, d)
+                t1 = {1: (_coef_of(n1, self._den), 0)}
+            elif t2 is None:
+                if not other._num:
+                    return self
+                t2 = {1: (_coef_of(other._num, other._den), 0)}
+        elif type(other) is int:
+            if t1 is None:
+                # (n + k d)/d is reduced when n/d is
+                d = self._den
+                return _rational(self._num + other * d, d)
+            if not other:
+                return self
+            t2 = {1: (other, 0)}
+        else:
             other = self._coerce(other)
-            if other is NotImplemented:
-                return NotImplemented
-        t1, t2 = self._terms, other._terms
-        if not t2:
-            return self
-        if not t1:
-            return other
+            return NotImplemented if other is NotImplemented else self + other
         if len(t1) == 1 == len(t2):
             (d, (a1, b1)), = t1.items()
             if d in t2:
@@ -183,37 +241,62 @@ class Scalar:
     __radd__ = __add__
 
     def __neg__(self) -> "Scalar":
-        if not self._terms:
-            return self
-        return _scalar({d: (-re_, -im_) for d, (re_, im_) in self._terms.items()})
+        t = self._terms
+        if t is None:
+            return _rational(-self._num, self._den)
+        return _scalar({d: (-re_, -im_) for d, (re_, im_) in t.items()})
 
     def __sub__(self, other):
-        if type(other) is not Scalar:
+        if type(other) is not Scalar and type(other) is not int:
             other = self._coerce(other)
             if other is NotImplemented:
                 return NotImplemented
-        if not other._terms:
-            return self
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if type(other) is not Scalar:
+        t1 = self._terms
+        if type(other) is Scalar:
+            t2 = other._terms
+            if t1 is None:
+                n1 = self._num
+                if not n1:
+                    return self
+                if t2 is None:
+                    n2 = other._num
+                    if not n2:
+                        return other
+                    # (n1/d1)(n2/d2), with one gcd unless d1 d2 = 1
+                    n, d = n1 * n2, self._den * other._den
+                    if d != 1:
+                        g = gcd(n, d)
+                        n, d = n // g, d // g
+                    if d == 1 and -_SMALL <= n <= _SMALL:
+                        return _SMALL_INTS[n + _SMALL]
+                    return _new_rational(n, d)
+                return _scaled(other, n1, self._den)
+            if t2 is None:
+                n2 = other._num
+                return _scaled(self, n2, other._den) if n2 else other
+        elif type(other) is int:
+            if t1 is None:
+                return _product(self._num, self._den, other, 1)
+            return _scaled(self, other, 1) if other else ZERO
+        else:
             other = self._coerce(other)
-            if other is NotImplemented:
-                return NotImplemented
-        t1, t2 = self._terms, other._terms
-        if not t1:
-            return self
-        if not t2:
-            return other
+            return NotImplemented if other is NotImplemented else self * other
         if len(t1) == 1 == len(t2):
             # a nonzero single term times a nonzero single term is one
             # nonzero term
             (d1, c1), = t1.items()
             (d2, c2), = t2.items()
+            if d1 == d2 and not c1[1] and not c2[1]:
+                # (a1 sqrt(d))(a2 sqrt(d)) = a1 a2 d, a rational
+                n1, e1 = c1[0].as_integer_ratio()
+                n2, e2 = c2[0].as_integer_ratio()
+                return _product(n1 * d1, e1, n2, e2)
             d, term = _term_product(d1, c1, d2, c2)
             return _scalar({d: term})
         out: dict[int, tuple[Coef, Coef]] = {}
@@ -231,25 +314,33 @@ class Scalar:
 
     def conj_i(self) -> "Scalar":
         """Complex conjugation i -> -i."""
-        return _scalar({d: (re_, -im_)
-                        for d, (re_, im_) in self._terms.items()})
+        t = self._terms
+        if t is None:
+            return self
+        return _scalar({d: (re_, -im_) for d, (re_, im_) in t.items()})
 
     def conj_sqrt(self, p: int) -> "Scalar":
         """Field conjugation sqrt(p) -> -sqrt(p) for p in {2,3,5,7}."""
         if p not in PRIMES:
             raise ValueError("conjugation prime must be one of 2,3,5,7")
+        t = self._terms
+        if t is None:
+            return self
         return _scalar({d: ((-re_, -im_) if d % p == 0 else (re_, im_))
-                        for d, (re_, im_) in self._terms.items()})
+                        for d, (re_, im_) in t.items()})
 
     def inv(self) -> "Scalar":
-        """Exact inverse: 1/q or conj/|z|^2 on Q(i), else rationalized
-        through the conjugates sqrt(p) -> -sqrt(p) of the primes present."""
-        if self.is_zero():
-            raise ZeroDivisionError("scalar inverse of zero")
-        if len(self._terms) == 1 and 1 in self._terms:
-            a, b = self._terms[1]
-            if not b:
-                return _scalar({1: (_coef(Fraction(1, a)), 0)})
+        """Exact inverse: d/n of a rational n/d, conj/|z|^2 on Q(i), else
+        rationalized through the conjugates sqrt(p) -> -sqrt(p) of the
+        primes present."""
+        t = self._terms
+        if t is None:
+            n, d = self._num, self._den
+            if not n:
+                raise ZeroDivisionError("scalar inverse of zero")
+            return _rational(d, n) if n > 0 else _rational(-d, -n)
+        if len(t) == 1 and 1 in t:
+            a, b = t[1]
             n = a * a + b * b
             return _scalar({1: (_coef(Fraction(a, n)),
                                 _coef(Fraction(-b, n)))})
@@ -257,7 +348,7 @@ class Scalar:
         for p in PRIMES:
             # cur * conj is fixed by sqrt(p) -> -sqrt(p), as cur already is
             # when none of its radicands has the factor p
-            if any(d % p == 0 for d in cur._terms):
+            if cur._terms is not None and any(d % p == 0 for d in cur._terms):
                 conj = cur.conj_sqrt(p)
                 num, cur = num * conj, cur * conj
         # cur now lies in Q(i)
@@ -278,13 +369,15 @@ class Scalar:
         Returns s with s*s == self when self == r^2 * d for rational r and an
         admissible radicand d; returns None otherwise.
         """
-        q = self.rational_value()  # raises NotRationalTerm on radical input
-        if q < 0:
+        if self._terms is not None:
+            raise NotRationalTerm(f"{self} is not rational")
+        n, den = self._num, self._den
+        if n < 0:
             raise NotRationalTerm("square root of a negative rational requested")
-        if q == 0:
-            return Scalar()
-        rn, dn = _squarefree_split(q.numerator)
-        rd, dd = _squarefree_split(q.denominator)
+        if n == 0:
+            return ZERO
+        rn, dn = _squarefree_split(n)
+        rd, dd = _squarefree_split(den)
         # q = (rn/rd)^2 * dn/dd; dn/dd = dn*dd / dd^2
         d = dn * dd
         r, sf = _squarefree_split(d)
@@ -295,20 +388,32 @@ class Scalar:
     # -- comparisons -------------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = Scalar.rational(other)
-        if not isinstance(other, Scalar):
+        if type(other) is not Scalar:
+            if isinstance(other, (int, Fraction)):
+                return (self._terms is None and self._num == other.numerator
+                        and self._den == other.denominator)
             return NotImplemented
-        return self._terms == other._terms
+        t = self._terms
+        if t is None:
+            # a dict-form other has _num None
+            return self._num == other._num and self._den == other._den
+        return t == other._terms
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash(tuple(sorted(
-                (d, re_, im_) for d, (re_, im_) in self._terms.items())))
+            t = self._terms
+            if t is None:
+                n, d = self._num, self._den
+                self._hash = hash(((1, n if d == 1 else Fraction(n, d), 0),)
+                                  if n else ())
+            else:
+                self._hash = hash(tuple(sorted(
+                    (d, re_, im_) for d, (re_, im_) in t.items())))
         return self._hash
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        # zero is 0/1, and the dict form (never zero) has _num None
+        return self._num != 0
 
     # -- formatting --------------------------------------------------------
 
@@ -316,15 +421,16 @@ class Scalar:
         return f"Scalar({self})"
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
+        t = self._terms
+        if t is None:
+            return _format_coef(self._num, self._den, "", 1) if self._num else "0"
         parts: list[str] = []
-        for d in sorted(self._terms):
-            re_, im_ = self._terms[d]
+        for d in sorted(t):
+            re_, im_ = t[d]
             for coef, unit in ((re_, ""), (im_, "i")):
                 if not coef:
                     continue
-                body = _format_coef(coef, unit, d)
+                body = _format_coef(coef.numerator, coef.denominator, unit, d)
                 if parts and not body.startswith("-"):
                     parts.append("+" + body)
                 else:
@@ -332,23 +438,64 @@ class Scalar:
         return "".join(parts)
 
 
-def _format_coef(coef: Coef, unit: str, d: int) -> str:
+def _format_coef(num: int, den: int, unit: str, d: int) -> str:
+    """num/den (den > 0) times unit and sqrt(d), e.g. '-3*i*sqrt(2)/4'."""
     pieces: list[str] = []
-    sign = "-" if coef < 0 else ""
-    coef = abs(coef)
-    if coef.numerator != 1 or (unit == "" and d == 1):
-        pieces.append(str(coef.numerator))
+    sign = "-" if num < 0 else ""
+    num = abs(num)
+    if num != 1 or (unit == "" and d == 1):
+        pieces.append(str(num))
     if unit:
         pieces.append(unit)
     if d != 1:
         pieces.append(f"sqrt({d})")
     body = "*".join(pieces) if pieces else "1"
-    if coef.denominator != 1:
-        body += f"/{coef.denominator}"
+    if den != 1:
+        body += f"/{den}"
     return sign + body
 
 
 _RAD_SET = frozenset(RADICANDS)
+
+
+def _coef_of(n: int, d: int) -> Coef:
+    """The dict form's coefficient of the reduced rational n/d."""
+    return n if d == 1 else Fraction(n, d)
+
+
+def _product(n1: int, d1: int, n2: int, d2: int) -> Scalar:
+    """(n1/d1)(n2/d2) for d1, d2 > 0, reduced by one gcd unless d1 d2 = 1."""
+    n, d = n1 * n2, d1 * d2
+    if d != 1:
+        g = gcd(n, d)
+        n, d = n // g, d // g
+    return _rational(n, d)
+
+
+def _scaled(x: Scalar, n: int, d: int) -> Scalar:
+    """The dict-form x times the nonzero reduced rational n/d, still in the
+    dict form; each coefficient is reduced by one gcd, and a Fraction is
+    built only for a coefficient that stays fractional."""
+    if n == d:
+        return x
+    out = {}
+    for k, (a, b) in x._terms.items():
+        out[k] = (_times(a, n, d), _times(b, n, d) if b else 0)
+    return _scalar(out)
+
+
+def _times(a: Coef, n: int, d: int) -> Coef:
+    """The stored coefficient a * n/d."""
+    if type(a) is int:
+        num, den = a * n, d
+    else:
+        num, den = a.numerator * n, a.denominator * d
+    if den != 1:
+        g = gcd(num, den)
+        num, den = num // g, den // g
+        if den != 1:
+            return Fraction(num, den)
+    return num
 
 
 def _nonzero_terms(terms: dict[int, tuple[Coef, Coef]]) -> Scalar:
@@ -370,34 +517,63 @@ def _term_product(d1: int, c1: tuple[Coef, Coef], d2: int,
     if d1 == 1 or d2 == 1:
         d = d1 * d2
     else:
-        g = math.gcd(d1, d2)
+        g = gcd(d1, d2)
         d, re_, im_ = (d1 // g) * (d2 // g), re_ * g, im_ * g
     return d, (_coef(re_), _coef(im_))
 
 
+_new = object.__new__
+
+
 def _scalar(terms: dict[int, tuple[Coef, Coef]]) -> Scalar:
-    """A Scalar from terms already in canonical form, skipping __init__."""
-    x = object.__new__(Scalar)
+    """The normalizer: the Scalar with these terms, already in canonical
+    dict form (possibly empty), in the form that its value takes."""
+    if len(terms) < 2:
+        if not terms:
+            return ZERO
+        c = terms.get(1)
+        if c is not None and not c[1]:
+            return _rational(*c[0].as_integer_ratio())
+    x = _new(Scalar)
+    x._num = x._den = x._hash = None
     x._terms = terms
-    x._hash = None
     return x
 
 
-ZERO = Scalar()
-ONE = Scalar.rational(1)
+
+def _new_rational(n: int, d: int) -> Scalar:
+    x = _new(Scalar)
+    x._num, x._den, x._terms, x._hash = n, d, None, None
+    return x
+
+
+# The integers -_SMALL to _SMALL, one shared Scalar each.
+_SMALL = 64
+_SMALL_INTS = tuple(_new_rational(k, 1) for k in range(-_SMALL, _SMALL + 1))
+
+
+def _rational(n: int, d: int) -> Scalar:
+    """The rational n/d, given reduced with d > 0."""
+    if d == 1 and -_SMALL <= n <= _SMALL:
+        return _SMALL_INTS[n + _SMALL]
+    return _new_rational(n, d)
+
+
+ZERO = _rational(0, 1)
+ONE = _rational(1, 1)
 I = Scalar.imag(1)
 
 
 def scalar_sign(x: Scalar) -> int:
     """Exact sign of a real Scalar.
 
-    A single term c*sqrt(d) has the sign of c.  Otherwise each sqrt(d) is
-    enclosed as isqrt(d * 4^k) / 2^k <= sqrt(d) < (isqrt(d * 4^k) + 1) / 2^k,
-    and k doubles until the enclosure of the sum excludes 0; it does for
-    some k because the zero test is exact.
+    A rational or single term c*sqrt(d) has the sign of c.  Otherwise each
+    sqrt(d) is enclosed as isqrt(d * 4^k) / 2^k <= sqrt(d) < (isqrt(d * 4^k)
+    + 1) / 2^k, and k doubles until the enclosure of the sum excludes 0; it
+    does for some k because the zero test is exact.
     """
-    if x.is_zero():
-        return 0
+    if x._terms is None:
+        return (x._num > 0) - (x._num < 0)
     if not x.is_real():
         raise ValueError("complex scalar has no sign")
     terms = [(d, re_) for d, (re_, _) in sorted(x._terms.items())]
@@ -424,6 +600,8 @@ def rat(p: Coef, q: int = 1) -> Scalar:
 
 def sqrt(d: int) -> Scalar:
     return Scalar.sqrt(d)
+
+
 
 
 # -- expression grammars --------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -305,8 +306,8 @@ def test_sub_roots_check_the_ambient_intersection(monkeypatch):
     S = make_prototype(build_space("EIII"), "(DIII)")
     rank, flat = lts.rank_and_flat(S)
     assert rank == 2
-    real = lts.intersect_spans
-    monkeypatch.setattr(lts, "intersect_spans",
+    real = lts._meet_relations
+    monkeypatch.setattr(lts, "_meet_relations",
                         lambda rows, span: real(rows, span)[1:])
     with pytest.raises(lts.NotAFlat, match="root space does not match the "
                        "ambient intersection"):
@@ -333,6 +334,28 @@ def test_root_kernel_cost_guard(monkeypatch):
     assert max(sizes) <= 3 * S.dim
 
 
+@pytest.mark.parametrize("name, label, before", [
+    ("EIII", "(DIII)", 2925), ("EIV", "(AII)", 1851)])
+def test_rational_sweep_fraction_guard(monkeypatch, name, label, before):
+    # deterministic counts, no timings: the sweep's entries are real
+    # rationals, which Scalar keeps as int pairs, so a second analyze
+    # builds few Fractions (68 and 18; with every value a radicand dict of
+    # int-or-Fraction coefficients it built `before`)
+    S = make_prototype(build_space(name), label)
+    lts.analyze(S, seed=0)
+    new = Fraction.__new__
+    made = [0]
+
+    def counting(cls, *args, **kwargs):
+        made[0] += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    assert lts.analyze(S, seed=0).is_lts
+    monkeypatch.undo()
+    assert made[0] <= before // 4
+
+
 def test_flats_equal_to_a_are_shared():
     # a kept report holds the model's one Subspace of a, not its own copy
     sp = build_space("EIII")
@@ -343,6 +366,22 @@ def test_flats_equal_to_a_are_shared():
     assert first.flat.basis == subspace(sp, list(sp.a_basis)).basis
     line = lts.analyze(subspace(sp, [sp.sharp["l1"]])).flat
     assert line.dim == 1 and line is not first.flat
+
+
+def test_kept_reports_share_roots_and_checks():
+    # roots and check verdicts are values: two reports hold one object of
+    # each, read-only, while restricted stays a list of its own
+    S = make_prototype(build_space("EIV"), "(AII)")
+    first, second = lts.analyze(S), lts.analyze(S)
+    assert type(first.restricted) is list
+    assert first.restricted is not second.restricted
+    assert first.restricted and all(
+        a is b for a, b in zip(first.restricted, second.restricted))
+    assert first.checks is second.checks and all(first.checks.values())
+    with pytest.raises(TypeError):
+        first.checks["exhaustive"] = False
+    assert first.notes == () and first.as_json()["checks"] == dict(
+        first.checks)
 
 
 def test_report_types_have_no_instance_dict():

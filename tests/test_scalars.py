@@ -162,19 +162,33 @@ def test_rational_value_guard():
 
 # Zero, rational, Q(i), single-radical and mixed values: every shape that a
 # fast path in Scalar's arithmetic handles, and the general case beside them.
+# Rationals also come as an integral Fraction given to the dict constructor
+# (Scalar({1: (Fraction(4, 2), 0)})), and plain ints stand beside Scalars
+# as operands (a combination coefficient, a structure constant).
 nonzero_coeffs = coeffs.filter(bool)
 shaped_scalars = st.one_of(
     st.just(ZERO),
     nonzero_coeffs.map(lambda q: Scalar({1: (q, 0)})),
+    st.integers(min_value=-40, max_value=40).map(
+        lambda k: Scalar({1: (Fraction(2 * k, 2), 0)})),
     st.builds(lambda a, b: Scalar({1: (a, b)}), coeffs, nonzero_coeffs),
     st.builds(lambda d, a, b: Scalar({d: (a, b)}),
               st.sampled_from(RADICANDS[1:]), nonzero_coeffs, coeffs),
     scalars())
+plain_ints = st.integers(min_value=-100, max_value=100)
+operands = st.one_of(shaped_scalars, plain_ints)
+operand_pairs = st.tuples(operands, operands).filter(
+    lambda p: any(isinstance(v, Scalar) for v in p))
+
+
+def as_scalar(v):
+    """A Scalar operand as it is, a plain int through the dict constructor."""
+    return v if isinstance(v, Scalar) else Scalar({1: (v, 0)})
 
 
 def reference_sum(x, y):
     out = {}
-    for s in (x, y):
+    for s in (as_scalar(x), as_scalar(y)):
         for d, re_, im_ in s.terms():
             r0, i0 = out.get(d, (Fraction(0), Fraction(0)))
             out[d] = (r0 + re_, i0 + im_)
@@ -183,8 +197,8 @@ def reference_sum(x, y):
 
 def reference_product(x, y):
     out = {}
-    for d1, a1, b1 in x.terms():
-        for d2, a2, b2 in y.terms():
+    for d1, a1, b1 in as_scalar(x).terms():
+        for d2, a2, b2 in as_scalar(y).terms():
             g = math.gcd(d1, d2)
             d = (d1 // g) * (d2 // g)
             r0, i0 = out.get(d, (Fraction(0), Fraction(0)))
@@ -193,7 +207,7 @@ def reference_product(x, y):
 
 
 def reference_inverse(x):
-    num, cur = ONE, x
+    num, cur = ONE, as_scalar(x)
     for p in (2, 3, 5, 7):
         conj = cur.conj_sqrt(p)
         num, cur = reference_product(num, conj), reference_product(cur, conj)
@@ -202,8 +216,15 @@ def reference_inverse(x):
     return reference_product(num, rat(1 / cur.rational_value()))
 
 
+def state(x):
+    return x._num, x._den, x._terms
+
+
 def assert_canonical(x, reference):
+    # equal values built by different routes have one state and one hash
+    assert type(x) is Scalar
     assert x == reference and hash(x) == hash(reference)
+    assert state(x) == state(reference)
     assert str(x) == str(reference)
     assert list(x.terms()) == list(reference.terms())
     for _, re_, im_ in x.terms():
@@ -211,40 +232,74 @@ def assert_canonical(x, reference):
         assert re_ or im_
 
 
-@settings(deadline=None, max_examples=300)
-@given(shaped_scalars, shaped_scalars)
-def test_fast_paths_match_general_loop(x, y):
-    minus_y = reference_product(rat(-1), y)
+@settings(deadline=None, max_examples=400)
+@given(operand_pairs)
+def test_fast_paths_match_general_loop(pair):
+    x, y = pair
+    minus_y = reference_product(-1, y)
     assert_canonical(x + y, reference_sum(x, y))
     assert_canonical(x - y, reference_sum(x, minus_y))
-    assert_canonical(-y, minus_y)
     assert_canonical(x * y, reference_product(x, y))
+    assert_canonical(-as_scalar(y), minus_y)
     if y:
-        assert_canonical(y.inv(), reference_inverse(y))
+        assert_canonical(as_scalar(y).inv(), reference_inverse(y))
         assert_canonical(x / y, reference_product(x, reference_inverse(y)))
+    assert (x == y) == (state(as_scalar(x)) == state(as_scalar(y)))
 
 
 def assert_stored_form(x):
-    # the stored coefficients: int when integral, Fraction otherwise, never
-    # a float; the public views are Fractions whatever the stored type
-    for re_, im_ in x._terms.values():
-        for c in (re_, im_):
-            assert type(c) is (int if c.denominator == 1 else Fraction), c
+    # a real rational is always the reduced int pair, with zero as 0/1 and
+    # no radicand dict; any other value is the dict of int-when-integral,
+    # else Fraction, coefficients, never a float; the public views are
+    # Fractions whatever the form
+    if x.is_rational():
+        n, d = x._num, x._den
+        assert x._terms is None and type(n) is int and type(d) is int
+        assert d > 0 and math.gcd(n, d) == 1
+    else:
+        assert x._num is None and x._den is None
+        assert x._terms and (set(x._terms) != {1} or x._terms[1][1])
+        for re_, im_ in x._terms.values():
+            assert re_ or im_
+            for c in (re_, im_):
+                assert type(c) is (int if c.denominator == 1 else Fraction), c
     for _, re_, im_ in x.terms():
         assert type(re_) is Fraction and type(im_) is Fraction
     if x.is_rational():
         assert type(x.rational_value()) is Fraction
+    # the hash of the sorted (radicand, re, im) triples, whichever the form
+    assert hash(x) == hash(tuple(x.terms()))
 
 
 @settings(deadline=None, max_examples=300)
-@given(shaped_scalars, shaped_scalars)
-def test_results_keep_the_stored_form(x, y):
-    results = [x, x + y, x - y, -y, x * y, x.conj_i()]
-    results += [x.conj_sqrt(p) for p in (2, 3, 5, 7)]
+@given(operand_pairs)
+def test_results_keep_the_stored_form(pair):
+    x, y = pair
+    results = [as_scalar(x), x + y, x - y, x * y, -as_scalar(y)]
+    results += [as_scalar(x).conj_i()]
+    results += [as_scalar(x).conj_sqrt(p) for p in (2, 3, 5, 7)]
     if y:
-        results += [y.inv(), x / y]
+        results += [as_scalar(y).inv(), x / y]
     for z in results:
         assert_stored_form(z)
+
+
+@pytest.mark.parametrize("q", [
+    0, 1, -1, 2, 64, 65, -65, 10**30, Fraction(1, 2), Fraction(-4, 6),
+    Fraction(10**20 + 1, 10**20),
+])
+def test_rational_form_from_every_route(q):
+    # one state and one hash for a rational however it is built
+    routes = [rat(q), Scalar.rational(q), Scalar({1: (q, 0)}),
+              Scalar({1: (q, 0), 2: (0, 0)}),
+              parse_scalar(str(rat(q))),
+              (sqrt(2) * q) * sqrt(2) / 2, (rat(q) + sqrt(3)) - sqrt(3),
+              (rat(q) + I) * 1 - I, rat(q) * I * (-I)]
+    for x in routes:
+        assert_stored_form(x)
+        assert state(x) == state(routes[0]) and hash(x) == hash(routes[0])
+        assert x == q and x.rational_value() == q
+    assert hash(rat(q)) == hash(((1, Fraction(q), 0),) if q else ())
 
 
 @pytest.mark.parametrize("make", [

@@ -175,3 +175,38 @@ def test_no_dead_public_names():
     assert sorted(unread - PUBLIC_API.keys()) == [], "unread public names"
     assert sorted(PUBLIC_API.keys() - unread) == [], (
         "kept as API but no longer defined, or now read by a program path")
+
+
+def test_hypothesis_storage_is_outside_the_checkout():
+    # tests/conftest.py points Hypothesis's storage at a session directory
+    from hypothesis.configuration import storage_directory
+    found = storage_directory("constants", intent_to_write=False)
+    path = Path(getattr(found, "path", found)).resolve()
+    assert ROOT != path and ROOT not in path.parents, path
+
+
+def private_reads(source: str, names: set[str]) -> list[str]:
+    """Attribute reads and writes of the given names, as 'name (line n)'."""
+    found = sorted((node.lineno, node.attr)
+                   for node in ast.walk(ast.parse(source))
+                   if isinstance(node, ast.Attribute) and node.attr in names)
+    return [f"{name} (line {line})" for line, name in found]
+
+
+def test_private_reads_finds_slot_access():
+    source = "x._num + y.terms()\nz._terms = None\nw._other\n"
+    assert private_reads(source, {"_num", "_terms"}) == [
+        "_num (line 1)", "_terms (line 2)"]
+
+
+@pytest.mark.parametrize("path", sorted(
+    [*SRC.glob("*.py"), *(ROOT / "perfbench").glob("*.py")]),
+    ids=lambda p: p.name)
+def test_only_scalars_reads_scalar_state(path):
+    # a rational has no radicand dict, so an outside read of Scalar's
+    # stored state would be silently wrong for one of its two forms
+    from ltskit.scalars import Scalar
+    if path == SRC / "scalars.py":
+        return
+    slots = set(Scalar.__slots__)
+    assert private_reads(path.read_text(encoding="utf-8"), slots) == []
