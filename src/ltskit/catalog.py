@@ -30,11 +30,11 @@ from functools import cache, partial
 from math import gcd
 from typing import Sequence
 
-from .linalg import Vec, combine, coordinates, vec_scale
+from .linalg import Vec, combine, coordinates, vec_add
 from .lts import Subspace, analyze, intersect_spans, is_lts, isotropy_rotate
 from .prototypes import (
-    _G2_SKEW, ExpectedRow, TypeLabel, UnknownLabel, _add, _mults, _row,
-    _slot_vectors, expected_rows, make_prototype,
+    GEO_ANGLES, _G2_SKEW, ExpectedRow, TypeLabel, UnknownLabel, _mults,
+    _pxp1_span, _row, _slot_vectors, expected_rows, make_prototype,
 )
 from .report import CatalogReport, ReportRow
 from .scalars import I, ONE, ParseError, Parser, Scalar, ZERO, rat, sqrt
@@ -123,40 +123,32 @@ def _invariants_match(sp: SpaceModel, A: Subspace, B: Subspace,
 # -- isometry witnesses ----------------------------------------------------
 
 
-_PHASES = {
-    0: (ONE, ZERO), 1: (sqrt(3) * rat(1, 2), rat(1, 2)),
-    2: (rat(1, 2), sqrt(3) * rat(1, 2)), 3: (ZERO, ONE),
-    4: (-rat(1, 2), sqrt(3) * rat(1, 2)), 5: (-sqrt(3) * rat(1, 2), rat(1, 2)),
-    6: (-ONE, ZERO), 7: (-sqrt(3) * rat(1, 2), -rat(1, 2)),
-    8: (-rat(1, 2), -sqrt(3) * rat(1, 2)), 9: (ZERO, -ONE),
-    10: (rat(1, 2), -sqrt(3) * rat(1, 2)),
-    11: (sqrt(3) * rat(1, 2), -rat(1, 2)),
-}
+_OMEGA = (sqrt(3) + I) * rat(1, 2)  # exp(i*pi/6)
 
 
 def torus_rotate(sp: SpaceModel, vec: Sequence[Scalar], n1: int,
                  n2: int = 0) -> Vec:
     """Rotate by the flat-torus isometry whose angles on the two basic
-    restricted roots are n1*pi/6 and n2*pi/6."""
-    basis: list[Vec] = [list(av) for av in sp.a_basis]
-    images: list[Vec] = [list(av) for av in sp.a_basis]
-    for root in sp.restricted.positives:
-        m = int(root.coords[0] * n1 + root.coords[1] * n2)
-        if (root.coords[0] * n1 + root.coords[1] * n2) != m:
-            raise ValueError("non-integral rotation step")
-        c, s = _PHASES[m % 12]
-        p = c + I * s
-        chart = sp.charts[root.label]
-        for u, v in chart.pairs:
-            basis.append(list(u))
-            images.append(chart.map(p))
-            if v is not None:
-                basis.append(list(v))
-                images.append(chart.map(I * p))
-    x = coordinates(basis, vec)
-    if x is None:
+    restricted roots are n1*pi/6 and n2*pi/6: it fixes a and multiplies the
+    chart coordinate of each restricted root with step m on the two basic
+    ones by omega^m.  The m basis is orthonormal, so the coordinates are
+    inner products.  Modeled where every chart has one slot (G2group)."""
+    if any(chart.arity != 1 for chart in sp.charts.values()):
+        raise ValueError(f"{sp.name} has charts of several slots, on which "
+                         "no torus rotation is modeled")
+    if not sp.in_m(vec):
         raise ValueError("vector outside the tangent space")
-    return combine(x, images)
+    out = combine([sp.inner(vec, z) for z in sp.a_basis], sp.a_basis)
+    for root in sp.restricted.positives:
+        m = root.coords[0] * n1 + root.coords[1] * n2
+        if m != int(m):
+            raise ValueError("non-integral rotation step")
+        turn = ONE
+        for _ in range(int(m) % 12):
+            turn = turn * _OMEGA
+        (c,) = sp.chart_coords(vec, root.label)
+        out = vec_add(out, sp.charts[root.label].map(turn * c))
+    return out
 
 
 def _g2_diagonal_sphere(sp: SpaceModel, ell: int) -> Subspace:
@@ -164,9 +156,9 @@ def _g2_diagonal_sphere(sp: SpaceModel, ell: int) -> Subspace:
     c = sqrt(3).inv()
     ch = sp.charts
     gens = [
-        _add(vec_scale(rat(3), sp.sharp["l1"]), sp.sharp["l6"]),
-        _add(ch["l1"].map(1), ch["l6"].map(c)),
-        _add(ch["l1"].map(I), ch["l6"].map(I * c)),
+        combine([3, 1], [sp.sharp["l1"], sp.sharp["l6"]]),
+        vec_add(ch["l1"].map(1), ch["l6"].map(c)),
+        vec_add(ch["l1"].map(I), ch["l6"].map(I * c)),
     ]
     return Subspace(sp, gens[:ell])
 
@@ -218,7 +210,7 @@ def containment_rows(space_name: str) -> list[WitnessRow]:
         return rows
     if space_name == "EIV":
         rows = [WitnessRow(f"(Geo, phi={a})", "(SxS1, 1)")
-                for a in ("0", "pi/6", "pi/3")]
+                for a in GEO_ANGLES["EIV"]]
         for ell in range(2, 10):
             rows.append(WitnessRow(f"(S, phi=pi/6, {ell})", f"(SxS1, {ell})"))
         for k in ("R", "C", "H"):
@@ -234,7 +226,7 @@ def containment_rows(space_name: str) -> list[WitnessRow]:
         return rows
     if space_name == "G2group":
         rows = [WitnessRow(f"(Geo, phi={a})", "(SxS, 1, 1)")
-                for a in ("0", _G2_SKEW, "pi/6")]
+                for a in GEO_ANGLES["G2group"]]
         for ell in (2, 3):
             rows.append(WitnessRow(f"(S, phi=0, {ell})", f"(SxS, {ell}, 1)"))
         rows.append(WitnessRow(f"(S, phi={_G2_SKEW}, 2)", "(G)"))
@@ -271,7 +263,7 @@ def derived_hosts() -> dict[str, tuple[str | None, list[WitnessRow]]]:
     """host label -> (parent space or None, derived classification rows)."""
     w = partial(WitnessRow, big="(DIII)")
     diii = [
-        *(w(f"(Geo, phi={a})") for a in ("0", "pi/6", "pi/4")),
+        *(w(f"(Geo, phi={a})") for a in GEO_ANGLES["EIII"]),
         w("(P, phi=0, (R,4))", mode="skip", note=_DIII_SKIP),
         w("(P, phi=0, (C,4))", mode="skip", note=_DIII_SKIP),
         w("(P, phi=pi/4, (S,5))", mode="adapted"),
@@ -291,7 +283,7 @@ def derived_hosts() -> dict[str, tuple[str | None, list[WitnessRow]]]:
     ]
     w = partial(WitnessRow, big="(AII)")
     aii = [
-        *(w(f"(Geo, phi={a})") for a in ("0", "pi/6", "pi/3")),
+        *(w(f"(Geo, phi={a})") for a in GEO_ANGLES["EIV"]),
         *(w(f"(S, phi=pi/6, {e})") for e in range(2, 6)),
         w("(P, phi=pi/6, (R,2))"),
         w("(P, phi=pi/6, (R,3))"),
@@ -304,7 +296,7 @@ def derived_hosts() -> dict[str, tuple[str | None, list[WitnessRow]]]:
     ]
     w = partial(WitnessRow, big="(A2)")
     a2 = [
-        *(w(f"(Geo, phi={a})") for a in ("0", "pi/6", "pi/3")),
+        *(w(f"(Geo, phi={a})") for a in GEO_ANGLES["EIV"]),
         *(w(f"(S, phi=pi/6, {e})") for e in (2, 3)),
         w("(P, phi=pi/6, (R,2))"),
         w("(P, phi=pi/6, (R,3))"),
@@ -314,7 +306,7 @@ def derived_hosts() -> dict[str, tuple[str | None, list[WitnessRow]]]:
     ]
     w = partial(WitnessRow, big="(G)")
     g = [
-        *(w(f"(Geo, phi={a})") for a in ("0", _G2_SKEW, "pi/6")),
+        *(w(f"(Geo, phi={a})") for a in GEO_ANGLES["G2group"]),
         w("(S, phi=0, 2)"),
         w(f"(S, phi={_G2_SKEW}, 2)"),
         w("(S, phi=pi/6, 2)"),
@@ -346,19 +338,13 @@ def _adapted_prototype(sp: SpaceModel, label: TypeLabel) -> Subspace:
     ch, sh = sp.charts, sp.sharp
     if parts[0] == "P" and parts[1] == "phi=pi/4":
         k = parts[2][1]
-        h = _add(sh["l1"], sh["l2"])
-        ht = _add(ch["2l1"].map(1), ch["2l2"].map(1))
+        h = vec_add(sh["l1"], sh["l2"])
+        ht = vec_add(ch["2l1"].map(1), ch["2l2"].map(1))
         m4 = _slot_vectors(sp, "l4", [1, 2])
         return Subspace(sp, [h, *m4[: k - 2], ht])
     if parts[0] == "PxP1":
         (k1, ell), k2 = parts[1], parts[2]
-        vecs = [list(v) for v in sp.a_basis]
-        vecs += _slot_vectors(sp, "l1", [0, 2], "C" if k1 == "C" else "R")
-        if k1 == "C":
-            vecs += _slot_vectors(sp, "2l1", [0], "R")
-        if k2 == "C":
-            vecs += _slot_vectors(sp, "2l2", [0], "R")
-        return Subspace(sp, vecs)
+        return Subspace(sp, _pxp1_span(sp, k1, k2, [0, 2]))
     raise UnknownLabel(f"{label} in (DIII)")
 
 

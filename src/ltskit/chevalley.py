@@ -106,21 +106,6 @@ def _sub(r: Root, s: Root) -> Root:
     return tuple(a - b for a, b in zip(r, s))
 
 
-def is_negative_definite(gram: list[list[Fraction]]) -> bool:
-    """Exact Cholesky-style definiteness check on a rational Gram matrix."""
-    n = len(gram)
-    m = [[-Fraction(x) for x in row] for row in gram]
-    for i in range(n):
-        if m[i][i] <= 0:
-            return False
-        for j in range(i + 1, n):
-            if m[j][i]:
-                fac = m[j][i] / m[i][i]
-                for k in range(i, n):
-                    m[j][k] -= fac * m[i][k]
-    return True
-
-
 class ChevalleyAlgebra:
     def __init__(self, rs: RootSystem):
         self.rs = rs

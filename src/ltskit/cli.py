@@ -26,8 +26,7 @@ from __future__ import annotations
 
 import sys
 
-from .chevalley import is_negative_definite
-from .linalg import Span, vec_is_zero
+from .linalg import Span, is_negative_definite, vec_is_zero
 from .report import CatalogReport, ReportRow
 from .scalars import ParseError, rat
 from .spaces import (
@@ -94,7 +93,7 @@ def verify_foundations(sp) -> CatalogReport:
         "all basis triples"))
 
     gram = alg.killing_gram()
-    negdef = is_negative_definite(gram)
+    negdef = is_negative_definite([[rat(x) for x in row] for row in gram])
     differs = alg.killing_mismatch(gram)
     cert = "pivot signs of the Killing Gram matrix"
     if differs is not None:

@@ -1,10 +1,13 @@
 """Exact linear algebra over the scalar field.
 
-Vectors are dense lists of Scalar, matrices are lists of rows.  A vector
-that is mostly zeros also has a terms form: the increasing list of its
-nonzero (index, entry) pairs, which nonzeros returns and the bracket kernel
-chevalley.bracket_terms takes and returns, so a chain of brackets and
-membership tests never scans a zero.
+Vectors are dense lists of Scalar, matrices are lists of rows.  The dense
+list is the public form: every vector the package hands out (a Subspace
+basis, a bracket, a rotation, chart coordinates) is one, and the benchmark
+harness reads them as such.  A vector that is mostly zeros also has a terms
+form: the increasing list of its nonzero (index, entry) pairs, which
+nonzeros returns and the bracket kernel chevalley.bracket_terms takes and
+returns.  The terms form is that of the hot loops, so a chain of brackets
+and membership tests never scans a zero.
 
 Span is the one Gauss-Jordan elimination: it keeps the reduced row echelon
 form of the rows added so far, which is unique, so every result below is
@@ -20,7 +23,8 @@ hands out the stored rows themselves, and coords gives a vector's
 coordinates in them, so a system over a subspace can be solved in its dim
 coordinates.
 
-Beside them sit helpers for the matrix whose columns are a list of
+is_negative_definite decides the sign of a Gram matrix by its LDL^T
+pivots.  Beside them sit helpers for the matrix whose columns are a list of
 vectors: combine (the matrix times a coefficient vector), relations (its
 kernel) and coordinates (one solution of a system with it), and on_support,
 which writes sparse vectors densely over the union of their supports so
@@ -34,7 +38,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Sequence
 
-from .scalars import Scalar, ZERO, ONE
+from .scalars import Scalar, ZERO, ONE, scalar_sign
 
 Vec = list[Scalar]
 Mat = list[list[Scalar]]
@@ -88,8 +92,10 @@ def kernel(rows: Sequence[Sequence[Scalar]]) -> list[Vec]:
 
 def solve(rows: Sequence[Sequence[Scalar]], target: Sequence[Scalar]) -> Vec | None:
     """One solution x of rows.x = target, or None when inconsistent."""
+    if len(rows) != len(target):
+        raise ValueError(f"{len(rows)} equations but {len(target)} targets")
     if not rows:
-        return [] if vec_is_zero(target) else None
+        return []
     n_cols = len(rows[0])
     echelon = Span([list(r) + [t] for r, t in zip(rows, target)])
     if echelon._pivots and echelon._pivots[-1] == n_cols:
@@ -111,6 +117,24 @@ def combine(coeffs: Sequence[Scalar | int],
         if c:
             out = [a + c * b for a, b in zip(out, v)]
     return out
+
+
+def is_negative_definite(gram: Sequence[Sequence[Scalar]]) -> bool:
+    """Whether the real symmetric Gram matrix is negative definite, by LDL^T
+    without pivoting: it is exactly when every pivot is negative, each sign
+    decided exactly by scalar_sign."""
+    m = [list(row) for row in gram]
+    n = len(m)
+    for i in range(n):
+        d = m[i][i]
+        if scalar_sign(d) >= 0:
+            return False
+        for j in range(i + 1, n):
+            if m[j][i]:
+                f = m[j][i] / d
+                for k in range(i + 1, n):
+                    m[j][k] = m[j][k] - f * m[i][k]
+    return True
 
 
 def relations(vectors: Sequence[Sequence[Scalar]]) -> list[Vec]:

@@ -8,12 +8,12 @@ floating point by the sweeps of ``ltskit.catalog``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
-from .linalg import Vec, vec_add, vec_scale
+from .linalg import Vec, combine, vec_add
 from .lts import Subspace
-from .scalars import I, ONE, ParseError, Parser, Scalar, ZERO, rat, sqrt
-from .spaces import SpaceModel
+from .scalars import I, ParseError, Parser, rat, sqrt
+from .spaces import ANGLE_NAMES, SpaceModel
 
 
 class UnknownLabel(KeyError):
@@ -79,9 +79,19 @@ def _mults(**kw) -> tuple[tuple[str, int], ...]:
     return tuple(sorted(kw.items()))
 
 
+_G2_SKEW = "arctan(1/(3*sqrt(3)))"
+
+# the isotropy angles of each space's (Geo, phi) rows, in table order
+GEO_ANGLES = {
+    "EIII": ("0", "pi/6", "pi/4"),
+    "EIV": ("0", "pi/6", "pi/3"),
+    "G2group": ("0", _G2_SKEW, "pi/6"),
+}
+
+
 def _eiii_rows() -> list[ExpectedRow]:
     rows: list[ExpectedRow] = []
-    for ang in ("0", "pi/6", "pi/4"):
+    for ang in GEO_ANGLES["EIII"]:
         rows.append(_row("EIII", f"(Geo, phi={ang})", dim=1, rank=1, angle=ang,
                          complexity="totally_real"))
     rows.append(_row("EIII", "(P, phi=0, (C,5))", dim=10, rank=1, angle="0",
@@ -128,7 +138,7 @@ def _eiii_rows() -> list[ExpectedRow]:
 
 def _eiv_rows() -> list[ExpectedRow]:
     rows: list[ExpectedRow] = []
-    for ang in ("0", "pi/6", "pi/3"):
+    for ang in GEO_ANGLES["EIV"]:
         rows.append(_row("EIV", f"(Geo, phi={ang})", dim=1, rank=1, angle=ang))
     for ell in range(2, 10):
         rows.append(_row("EIV", f"(S, phi=pi/6, {ell})", dim=ell, rank=1,
@@ -153,12 +163,9 @@ def _eiv_rows() -> list[ExpectedRow]:
     return rows
 
 
-_G2_SKEW = "arctan(1/(3*sqrt(3)))"
-
-
 def _g2_rows() -> list[ExpectedRow]:
     rows: list[ExpectedRow] = []
-    for ang in ("0", _G2_SKEW, "pi/6"):
+    for ang in GEO_ANGLES["G2group"]:
         rows.append(_row("G2group", f"(Geo, phi={ang})", dim=1, rank=1,
                          angle=ang))
     for ang in ("0", _G2_SKEW, "pi/6"):
@@ -209,113 +216,87 @@ def expected_rows(space_name: str) -> list[ExpectedRow]:
 # -- prototype constructors ------------------------------------------------
 
 
-def _add(*vecs: Sequence[Scalar]) -> Vec:
-    out = list(vecs[0])
-    for v in vecs[1:]:
-        out = vec_add(out, v)
-    return out
-
-
 def _slot_vectors(sp: SpaceModel, label: str, idxs: Iterable[int],
                   kind: str = "C") -> list[Vec]:
-    """Chart vectors of the given slots: full complex, real or imaginary."""
+    """Chart vectors of the given slots: full complex, real or imaginary.
+    They are the model's own vectors, not copies."""
+    if kind not in ("C", "R", "iR"):
+        raise ValueError(kind)
     out: list[Vec] = []
     for i in idxs:
         u, v = sp.charts[label].pairs[i]
-        if kind == "C":
-            out.append(list(u))
-            if v is not None:
-                out.append(list(v))
-        elif kind == "R":
-            out.append(list(u))
-        elif kind == "iR":
-            out.append(list(v))
-        else:
-            raise ValueError(kind)
+        if kind != "iR":
+            out.append(u)
+        if kind != "R" and v is not None:
+            out.append(v)
     return out
 
 
+def _pxp1_span(sp: SpaceModel, k1: str, k2: str,
+               slots: Iterable[int]) -> list[Vec]:
+    """An EIII (PxP1, (k1, ell), k2) on the given l1 slots: a, those slots
+    (complex when k1 is C), and the doubled-root line of each C factor."""
+    vecs = [*sp.a_basis, *_slot_vectors(sp, "l1", slots,
+                                        "C" if k1 == "C" else "R")]
+    if k1 == "C":
+        vecs += _slot_vectors(sp, "2l1", [0], "R")
+    if k2 == "C":
+        vecs += _slot_vectors(sp, "2l2", [0], "R")
+    return vecs
+
+
 def _geo_direction(sp: SpaceModel, ang: str) -> Vec:
-    """Unnormalized geodesic direction at the given isotropy angle."""
-    sh = sp.sharp
-    table = {
-        "EIII": {  # cos(t) l2# + sin(t) l1#
-            "0": ((rat(1), "l2"),),
-            "pi/6": ((sqrt(3), "l2"), (ONE, "l1")),
-            "pi/4": ((ONE, "l2"), (ONE, "l1")),
-        },
-        "EIV": {  # cos(t) (l1# + l3#)/sqrt(3) + sin(t) l2#
-            "0": ((ONE, "l1"), (ONE, "l3")),
-            "pi/6": ((ONE, "l1"), (ONE, "l3"), (ONE, "l2")),
-            "pi/3": ((ONE, "l1"), (ONE, "l3"), (rat(3), "l2")),
-        },
-        "G2group": {  # cos(t) l4# + sin(t) l2#/sqrt(3)
-            "0": ((ONE, "l4"),),
-            _G2_SKEW: ((rat(9), "l4"), (ONE, "l2")),
-            "pi/6": ((rat(3), "l4"), (ONE, "l2")),
-        },
-    }
-    try:
-        terms = table[sp.name][ang]
-    except KeyError:
-        raise UnknownLabel(f"(Geo, phi={ang}) in {sp.name}") from None
-    return _add(*(vec_scale(c, sh[lab]) for c, lab in terms))
+    """Unnormalized geodesic direction r0 + tan(phi) e at one of the
+    space's (Geo, phi) angles, in the frame (r0, e) that isotropy_angle
+    reads the angle back in."""
+    if ang not in GEO_ANGLES[sp.name]:
+        raise UnknownLabel(f"(Geo, phi={ang}) in {sp.name}")
+    tan_sq = next(t for t, name in ANGLE_NAMES.items() if name == ang)
+    return combine([1, rat(tan_sq).sqrt_if_expressible()], sp.angle_frame())
 
 
 def _eiii_prototype(sp: SpaceModel, parts: tuple) -> list[Vec]:
     ch, sh = sp.charts, sp.sharp
-    a = [list(v) for v in sp.a_basis]
+    a = sp.a_basis
     fam = parts[0]
     if fam == "Geo":
         return [_geo_direction(sp, parts[1].removeprefix("phi="))]
     if fam == "P" and parts[1] == "phi=0":
         k, ell = parts[2]
         kind = {"R": "R", "C": "C"}[k]
-        vecs = [list(sh["l2"])]
+        vecs = [sh["l2"]]
         vecs += _slot_vectors(sp, "l2", range(ell - 1), kind)
         if k == "C":
             vecs += _slot_vectors(sp, "2l2", [0], "R")
         return vecs
     if fam == "P" and parts[1] == "phi=pi/4":
         tau, num = parts[2]
-        h = _add(sh["l1"], sh["l2"])
-        ht = _add(ch["2l1"].map(1), ch["2l2"].map(1))
+        h = vec_add(sh["l1"], sh["l2"])
+        ht = vec_add(ch["2l1"].map(1), ch["2l2"].map(1))
         if tau == "S":
             m4 = ch["l4"].basis_vectors()
             return [h, *m4[: num - 2], ht]
         # projective planes over R, C, H, O: diagonal l1/l2 pairs
         def diag(c1, c2, c3, c4):
-            return _add(ch["l1"].map(c1, c2, c3, c4),
-                        ch["l2"].map(c2, c1, -c4, -c3))
+            return vec_add(ch["l1"].map(c1, c2, c3, c4),
+                           ch["l2"].map(c2, c1, -c4, -c3))
         if tau == "R":
-            return [h, diag(ONE, ZERO + 0, ZERO + 0, ZERO + 0)]
+            return [h, diag(1, 0, 0, 0)]
         if tau == "C":
-            return [h, diag(ONE, ZERO + 0, ZERO + 0, ZERO + 0),
-                    diag(I, ZERO + 0, ZERO + 0, ZERO + 0), ht]
+            return [h, diag(1, 0, 0, 0), diag(I, 0, 0, 0), ht]
         if tau == "H":
-            args = [(ONE, ZERO), (I, ZERO), (ZERO, ONE), (ZERO, I)]
-            return [h, *(diag(c1, c2, ZERO + 0, ZERO + 0) for c1, c2 in args),
+            args = [(1, 0), (I, 0), (0, 1), (0, I)]
+            return [h, *(diag(c1, c2, 0, 0) for c1, c2 in args),
                     *_slot_vectors(sp, "l4", [2], "C"), ht]
         if tau == "O":
-            args = []
-            for i in range(4):
-                for c in (ONE, I):
-                    cs = [ZERO + 0] * 4
-                    cs[i] = c
-                    args.append(tuple(cs))
+            args = [[c if j == i else 0 for j in range(4)]
+                    for i in range(4) for c in (1, I)]
             return [h, *ch["l4"].basis_vectors(),
                     *(diag(*cs) for cs in args), ht]
         raise UnknownLabel(_render_part(parts))
     if fam == "PxP1":
         (k1, ell), k2 = parts[1], parts[2]
-        vecs = list(a)
-        vecs += _slot_vectors(sp, "l1", range(ell - 1),
-                              "C" if k1 == "C" else "R")
-        if k1 == "C":
-            vecs += _slot_vectors(sp, "2l1", [0], "R")
-        if k2 == "C":
-            vecs += _slot_vectors(sp, "2l2", [0], "R")
-        return vecs
+        return _pxp1_span(sp, k1, k2, range(ell - 1))
     if fam == "Q":
         return [*a, *ch["l3"].basis_vectors(), *ch["l4"].basis_vectors(),
                 ch["2l1"].map(1), ch["2l2"].map(1)]
@@ -341,28 +322,27 @@ def _eiii_prototype(sp: SpaceModel, parts: tuple) -> list[Vec]:
 
 
 def _eiv_pair12(sp: SpaceModel, args1, args2) -> Vec:
-    return _add(sp.charts["l1"].map(*args1), sp.charts["l2"].map(*args2))
+    return vec_add(sp.charts["l1"].map(*args1), sp.charts["l2"].map(*args2))
 
 
 def _eiv_projective_span(sp: SpaceModel, k: str, ell: int) -> list[Vec]:
-    z = ZERO + 0
     p = _eiv_pair12
     v0 = p(sp, (1, 0, 0, 0), (1, 0, 0, 0))
-    v1 = p(sp, (I, z, z, z), (-I, z, z, z))
-    v0c = p(sp, (z, z, z, I), (z, z, z, -I))
+    v1 = p(sp, (I, 0, 0, 0), (-I, 0, 0, 0))
+    v0c = p(sp, (0, 0, 0, I), (0, 0, 0, -I))
     v1c = p(sp, (0, 0, 0, 1), (0, 0, 0, 1))
-    v0h = p(sp, (z, z, I, z), (z, z, -I, z))
+    v0h = p(sp, (0, 0, I, 0), (0, 0, -I, 0))
     v1h = p(sp, (0, 0, 1, 0), (0, 0, 1, 0))
     v0ch = p(sp, (0, 1, 0, 0), (0, 1, 0, 0))
-    v1ch = p(sp, (z, -I, z, z), (z, I, z, z))
-    v0o = p(sp, (I, z, z, z), (I, z, z, z))
+    v1ch = p(sp, (0, -I, 0, 0), (0, I, 0, 0))
+    v0o = p(sp, (I, 0, 0, 0), (I, 0, 0, 0))
     v0co = p(sp, (0, 0, 0, 1), (0, 0, 0, -1))
     v0ho = p(sp, (0, 0, 1, 0), (0, 0, -1, 0))
-    v0cho = p(sp, (z, -I, z, z), (z, -I, z, z))
+    v0cho = p(sp, (0, -I, 0, 0), (0, -I, 0, 0))
     w = [sp.charts["l3"].map(*args) for args in
-         [(1, 0, 0, 0), (0, 1, 0, 0), (z, z, I, z), (0, 0, 0, 1),
-          (-I, z, z, z), (z, I, z, z), (0, 0, 1, 0)]]
-    h = list(sp.sharp["l3"])
+         [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, I, 0), (0, 0, 0, 1),
+          (-I, 0, 0, 0), (0, I, 0, 0), (0, 0, 1, 0)]]
+    h = sp.sharp["l3"]
     spans = {
         ("R", 2): [h, v0],
         ("R", 3): [h, v0, v1],
@@ -381,13 +361,13 @@ def _eiv_projective_span(sp: SpaceModel, k: str, ell: int) -> list[Vec]:
 
 def _eiv_prototype(sp: SpaceModel, parts: tuple) -> list[Vec]:
     ch, sh = sp.charts, sp.sharp
-    a = [list(v) for v in sp.a_basis]
+    a = sp.a_basis
     fam = parts[0]
     if fam == "Geo":
         return [_geo_direction(sp, parts[1].removeprefix("phi="))]
     if fam == "S":
         ell = parts[2]
-        return [list(sh["l1"]), *ch["l1"].basis_vectors()[: ell - 1]]
+        return [sh["l1"], *ch["l1"].basis_vectors()[: ell - 1]]
     if fam == "P":
         k, ell = parts[2]
         return _eiv_projective_span(sp, k, ell)
@@ -410,7 +390,7 @@ def _eiv_prototype(sp: SpaceModel, parts: tuple) -> list[Vec]:
 
 def _g2_prototype(sp: SpaceModel, parts: tuple) -> list[Vec]:
     ch, sh = sp.charts, sp.sharp
-    a = [list(v) for v in sp.a_basis]
+    a = sp.a_basis
     s3 = sqrt(3)
 
     def V(k: int, c) -> Vec:
@@ -422,25 +402,24 @@ def _g2_prototype(sp: SpaceModel, parts: tuple) -> list[Vec]:
     if fam == "S":
         ang, ell = parts[1].removeprefix("phi="), parts[2]
         if ang == "0":
-            return [list(sh["l1"]), *ch["l1"].basis_vectors()[: ell - 1]]
+            return [sh["l1"], *ch["l1"].basis_vectors()[: ell - 1]]
         if ang == "pi/6":
-            return [list(sh["l6"]), *ch["l6"].basis_vectors()[: ell - 1]]
+            return [sh["l6"], *ch["l6"].basis_vectors()[: ell - 1]]
         if ang == _G2_SKEW:
             c = rat(1, 3) * sqrt(5)
-            gens = [_add(vec_scale(rat(9), sh["l1"]),
-                         vec_scale(rat(5), sh["l2"])),
-                    _add(V(1, 1), V(2, c)), _add(V(1, I), V(2, c * I))]
+            gens = [combine([9, 5], [sh["l1"], sh["l2"]]),
+                    vec_add(V(1, 1), V(2, c)), vec_add(V(1, I), V(2, c * I))]
             return gens[:ell]
         raise UnknownLabel(_render_part(parts))
     if fam == "P":
         k, ell = parts[2]
         if k == "R":
-            gens = [list(sh["l6"]), _add(V(2, 1), V(4, s3)),
-                    _add(V(2, I), V(4, -s3 * I))]
+            gens = [sh["l6"], vec_add(V(2, 1), V(4, s3)),
+                    vec_add(V(2, I), V(4, -s3 * I))]
             return gens[:ell]
         if k == "C" and ell == 2:
-            return [list(sh["l6"]), _add(V(2, 1), V(4, s3)),
-                    _add(V(3, s3 * I), V(5, I)), V(6, 1)]
+            return [sh["l6"], vec_add(V(2, 1), V(4, s3)),
+                    vec_add(V(3, s3 * I), V(5, I)), V(6, 1)]
         raise UnknownLabel(_render_part(parts))
     if fam == "SxS":
         ell, ellp = parts[1], parts[2]

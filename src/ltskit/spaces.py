@@ -49,6 +49,13 @@ listed in the published orbit order.  The slots listed in CHART_FLIPS are
 negated, fixed once so that the quoted curvature identities hold exactly;
 sign-invariant consequences (norms, a-components, subspace membership) hold
 either way.
+
+The m basis (a_basis, then the chart vectors) is orthonormal, so chart
+coordinates are inner products (chart_coords), and Chart.map, through
+which the prototypes and witnesses write their vectors of m, is one
+linalg.combine.  A geodesic prototype is r0 + tan(phi) e in the frame of
+angle_frame, which isotropy_angle reads back.  sigma is applied one way,
+by _add_sigma over the nonzero entries of a vector (apply_sigma, in_m).
 """
 
 from __future__ import annotations
@@ -60,8 +67,8 @@ from typing import Sequence
 
 from .chevalley import ChevalleyAlgebra, _add, _neg
 from .linalg import (
-    Span, Vec, combine, coordinates, kernel, solve, vec_add,
-    vec_is_zero, vec_scale, vec_sub, zeros,
+    Span, Terms, Vec, combine, coordinates, kernel, nonzeros, solve,
+    vec_add, vec_is_zero, vec_scale, vec_sub, zeros,
 )
 from .roots import (
     RestrictedRoot, RestrictedRootSystem, Root, RootSystem, pairing,
@@ -254,28 +261,17 @@ class Chart:
     def map(self, *coeffs) -> Vec:
         if len(coeffs) != len(self.pairs):
             raise ValueError(f"chart {self.label} takes {len(self.pairs)} coordinates")
-        out = None
-        for c, (u, v) in zip(coeffs, self.pairs):
-            if not isinstance(c, Scalar):
-                c = rat(Fraction(c))
-            re_ = (c + c.conj_i()) * rat(Fraction(1, 2))
-            im_ = (c - c.conj_i()) * rat(Fraction(1, 2)) * (-I)
-            if v is None:
-                if not im_.is_zero():
-                    raise ValueError(f"chart {self.label} takes real coordinates")
-                term = vec_scale(re_, u)
-            else:
-                term = vec_add(vec_scale(re_, u), vec_scale(im_, v))
-            out = term if out is None else vec_add(out, term)
-        return out
+        reals: list[Scalar] = []
+        for c, (_, v) in zip(coeffs, self.pairs):
+            c = c if isinstance(c, Scalar) else rat(c)
+            re_, im_ = (c + c.conj_i()) / 2, (c.conj_i() - c) * I / 2
+            if v is None and im_:
+                raise ValueError(f"chart {self.label} takes real coordinates")
+            reals += (re_,) if v is None else (re_, im_)
+        return combine(reals, self.basis_vectors())
 
     def basis_vectors(self) -> list[Vec]:
-        out = []
-        for u, v in self.pairs:
-            out.append(u)
-            if v is not None:
-                out.append(v)
-        return out
+        return [w for pair in self.pairs for w in pair if w is not None]
 
 
 ANGLE_NAMES = {
@@ -374,7 +370,9 @@ class SpaceModel:
         self.restricted = self._build_restricted()
         self.charts = self._build_charts("M")
         self.k_charts = self._build_charts("K") if self.name != "G2group" else None
-        self._m_basis_ordered = self._ordered_m_basis()
+        self._m_basis_ordered = [
+            *self.a_basis, *(v for label in RESTRICTED_LABELS[self.name]
+                             for v in self.charts[label].basis_vectors())]
         self._j_vec = None
 
     def _eigenvectors(self, eig: Scalar) -> list[Vec]:
@@ -477,14 +475,22 @@ class SpaceModel:
 
     # -- charts ------------------------------------------------------------
 
+    def _add_sigma(self, terms: Terms,
+                   acc: dict[int, Scalar]) -> dict[int, Scalar]:
+        """acc + sigma v, in place, for the vector v with these nonzero
+        terms: sigma's sparse columns summed over them only.  The one
+        routine that applies sigma."""
+        for k, c in terms:
+            for i, w in self._sigma_cols[k]:
+                acc[i] = acc.get(i, ZERO) + w * c
+        return acc
+
     def apply_sigma(self, v: Vec) -> Vec:
         if self.sigma_roots is None:
             raise LiftFailure("the group model has no ambient involution")
         out = zeros(self.alg.dim)
-        for k, c in enumerate(v):
-            if not c.is_zero():
-                for i, w in self._sigma_cols[k]:
-                    out[i] = out[i] + w * c
+        for i, x in self._add_sigma(nonzeros(v), {}).items():
+            out[i] = x
         return out
 
     def _chart_vector(self, k: int, which: str, flip: bool) -> Vec:
@@ -497,7 +503,7 @@ class SpaceModel:
             v[k] = s
             return v
         (i, w), = self._sigma_cols[k]
-        half = s * rat(Fraction(1, 2))
+        half = s * rat(1, 2)
         v[k] = half
         v[i] = v[i] + (w if which == "K" else -w) * half
         return v
@@ -532,29 +538,19 @@ class SpaceModel:
         inv = s.inv()
         return [x * inv if x else x for x in v]
 
-    def _ordered_m_basis(self) -> list[Vec]:
-        rows = [list(z) for z in self.a_basis]
-        for label in RESTRICTED_LABELS[self.name]:
-            rows.extend(self.charts[label].basis_vectors())
-        return rows
-
     def m_basis(self) -> list[Vec]:
         return self._m_basis_ordered
 
     def in_m(self, v: Sequence[Scalar]) -> bool:
         """sigma v = -v; on the group model, where m is the whole algebra,
-        every vector of its length.  v + sigma v is summed from sigma's
-        sparse columns over the nonzero entries of v only, and held on the
-        union of the supports of v and sigma v."""
+        every vector of its length.  v + sigma v is held on the union of the
+        supports of v and sigma v."""
         if len(v) != self.alg.dim:
             return False
         if self.sigma_roots is None:
             return True
-        acc = {k: c for k, c in enumerate(v) if c}
-        for k, c in list(acc.items()):
-            for i, w in self._sigma_cols[k]:
-                acc[i] = acc.get(i, ZERO) + w * c
-        return not any(acc.values())
+        terms = nonzeros(v)
+        return not any(self._add_sigma(terms, dict(terms)).values())
 
     # -- geometry ----------------------------------------------------------
 
@@ -566,12 +562,9 @@ class SpaceModel:
 
     def chart_coords(self, v: Vec, label: str) -> list[Scalar]:
         """Complex chart coordinates of the m_label-component of v."""
-        out = []
-        for u, w in self.charts[label].pairs:
-            re_ = self.inner(v, u)
-            im_ = self.inner(v, w) if w is not None else ZERO
-            out.append(re_ + I * im_)
-        return out
+        return [self.inner(v, u) + (ZERO if w is None
+                                    else I * self.inner(v, w))
+                for u, w in self.charts[label].pairs]
 
     def validate_orbit_tables(self) -> bool:
         """Check the published orbit/fixed tables against the linear sigma."""
@@ -690,7 +683,7 @@ class SpaceModel:
 
     # -- isotropy angle ----------------------------------------------------
 
-    def _angle_frame(self) -> tuple[Vec, Vec]:
+    def angle_frame(self) -> tuple[Vec, Vec]:
         """Unit vectors (r0, e): phi = 0 ray and its orthogonal complement."""
         if self.name == "EIII":
             return self.sharp["l2"], self.sharp["l1"]
@@ -726,7 +719,7 @@ class SpaceModel:
         if not self.a_span.contains(v):
             raise NotInM("isotropy angle takes a vector in the flat a")
         w = self.weyl_reduce(v)
-        r0, e = self._angle_frame()
+        r0, e = self.angle_frame()
         num = self.inner(w, e)
         den = self.inner(w, r0)
         tan_sq = (num * num) / (den * den)

@@ -5,28 +5,35 @@ ratios, then every other entry from them; the Killing form as the trace of
 ad_i ad_j over the structure table; k, m as the kernels of
 the dense matrices sigma - id and sigma + id, with sigma the dense matrix of
 the complex route; each restricted-root dual solved against its own Gram
-matrix of a; chart vectors as dense projections (v -+ sigma v)/2; the
-centre of k as the kernel of its brackets with every k row at once; the
-bracket as a scan of both dense operands; and the restricted-root spaces of
-an LTS as kernels of the ambient images ad(h_i)ad(h_j)b, all dim g entries
-of each; the intersection of two spans from the relations among all their
-rows at once; the Cayley number systems as frozen dataclasses of
-``Fraction`` coordinates, each result built through the validating
-constructor: ``CNum`` and ``Quaternion``, ``Octonion`` as a pair of
-quaternions, and ``Cx``, which adjoins a central unit I to a ``CNum``, a
-``Quaternion`` or an ``Octonion`` by the pair formulas; and the orthogonal
-model of SO(10)/U(5) on rows of ``Fraction``s, compared entry by entry.
+matrix of a; chart vectors as dense projections (v -+ sigma v)/2; a chart's
+map as whole dense vectors scaled and added slot by slot; the flat-torus
+rotation as one solve for the coordinates in the basis of a and the chart
+vectors; the centre of k as the kernel of its brackets with every k row at
+once; the bracket as a scan of both dense operands; and the restricted-root
+spaces of an LTS as kernels of the ambient images ad(h_i)ad(h_j)b, all dim g
+entries of each; the intersection of two spans from the relations among all
+their rows at once; definiteness by the signs of the leading principal
+minors, each a determinant expanded along its first row; the Cayley number
+systems as frozen dataclasses of ``Fraction`` coordinates, each result
+built through the validating constructor: ``CNum`` and ``Quaternion``,
+``Octonion`` as a pair of quaternions, and ``Cx``, which adjoins a central
+unit I to a ``CNum``, a ``Quaternion`` or an ``Octonion`` by the pair
+formulas; and the orthogonal model of SO(10)/U(5) on rows of ``Fraction``s,
+compared entry by entry.
 
 ltskit.chevalley writes every N in one height-ordered pass and the Killing
 form down in closed form, and brackets nonzero terms only; ltskit.spaces
 writes k, m and the chart vectors from sigma's sparse signed columns, shares
-one Gram matrix between the duals and stops the centre solve early; and
-ltskit.lts solves the root spaces in the subspace's own coordinates and
-intersects by remainders modulo a Span; ltskit.cayley_dickson stores a CNum,
-and an element of any of its five rings as one ``CDNum`` whose product reads
-a (k, sign) table, and ltskit.matrix_groups a matrix of the orthogonal
-model, as integers over one reduced denominator.  These are the long way round,
-kept only so the tests can compare the two exactly.
+one Gram matrix between the duals, stops the centre solve early and maps a
+chart by one combine over its nonzero coordinates; ltskit.catalog turns each
+chart coordinate, read as an inner product, by a power of exp(i pi/6);
+ltskit.linalg reads definiteness off LDL^T pivots; ltskit.lts solves the
+root spaces in the subspace's own coordinates and intersects by remainders
+modulo a Span; ltskit.cayley_dickson stores a CNum, and an element of any
+of its five rings as one ``CDNum`` whose product reads a (k, sign) table,
+and ltskit.matrix_groups a matrix of the orthogonal model, as integers over
+one reduced denominator.  These are the long way round, kept only so the
+tests can compare the two exactly.
 """
 
 from dataclasses import dataclass
@@ -39,8 +46,8 @@ from ltskit.chevalley import (
     ChevalleyAlgebra, SignSolveFailure, _add, _neg, _sub,
 )
 from ltskit.linalg import (
-    Span, combine, kernel, relations, solve, vec_add, vec_is_zero, vec_scale,
-    vec_sub,
+    Span, combine, coordinates, kernel, relations, solve, vec_add,
+    vec_is_zero, vec_scale, vec_sub,
 )
 from ltskit.lts import SubRoot, _operator_kernel, _root_candidates
 from ltskit.matrices import (
@@ -48,7 +55,7 @@ from ltskit.matrices import (
 )
 from ltskit.matrix_groups import _from_half_blocks, _half_blocks
 from ltskit.roots import RootSystem
-from ltskit.scalars import ONE, ZERO, rat, scalar_sign
+from ltskit.scalars import I, ONE, Scalar, ZERO, rat, scalar_sign, sqrt
 from ltskit.spaces import (
     CHART_FLIPS, RESTRICTED_LABELS, Chart, NotHermitian, SpaceModel,
 )
@@ -223,6 +230,78 @@ def dense_intersect_spans(rows1, rows2) -> list:
     n = len(rows1)
     return Span(combine(c[:n], rows1)
                 for c in relations(rows1 + rows2)).basis()
+
+
+def dense_chart_map(chart, *coeffs) -> list:
+    """The chart's real-linear map slot by slot: Re(c) U + Im(c) V scaled
+    and added as whole dense vectors, zero coordinates included."""
+    if len(coeffs) != len(chart.pairs):
+        raise ValueError(f"chart {chart.label} takes {len(chart.pairs)} "
+                         "coordinates")
+    out = None
+    for c, (u, v) in zip(coeffs, chart.pairs):
+        if not isinstance(c, Scalar):
+            c = rat(Fraction(c))
+        re_ = (c + c.conj_i()) * rat(Fraction(1, 2))
+        im_ = (c - c.conj_i()) * rat(Fraction(1, 2)) * (-I)
+        if v is None:
+            if not im_.is_zero():
+                raise ValueError(f"chart {chart.label} takes real coordinates")
+            term = vec_scale(re_, u)
+        else:
+            term = vec_add(vec_scale(re_, u), vec_scale(im_, v))
+        out = term if out is None else vec_add(out, term)
+    return out
+
+
+# cos and sin of k*pi/6
+_PHASES = {
+    0: (ONE, ZERO), 1: (sqrt(3) * rat(1, 2), rat(1, 2)),
+    2: (rat(1, 2), sqrt(3) * rat(1, 2)), 3: (ZERO, ONE),
+    4: (-rat(1, 2), sqrt(3) * rat(1, 2)), 5: (-sqrt(3) * rat(1, 2), rat(1, 2)),
+    6: (-ONE, ZERO), 7: (-sqrt(3) * rat(1, 2), -rat(1, 2)),
+    8: (-rat(1, 2), -sqrt(3) * rat(1, 2)), 9: (ZERO, -ONE),
+    10: (rat(1, 2), -sqrt(3) * rat(1, 2)),
+    11: (sqrt(3) * rat(1, 2), -rat(1, 2)),
+}
+
+
+def solved_torus_rotate(sp, vec, n1, n2=0) -> list:
+    """The flat-torus rotation by n1*pi/6 and n2*pi/6 on the two basic
+    restricted roots, as one solve: vec's coordinates in the basis of a and
+    every chart vector, recombined with the images of those vectors, each
+    written from a tabulated phase cos + i sin."""
+    basis = [list(av) for av in sp.a_basis]
+    images = [list(av) for av in sp.a_basis]
+    for root in sp.restricted.positives:
+        m = int(root.coords[0] * n1 + root.coords[1] * n2)
+        c, s = _PHASES[m % 12]
+        p = c + I * s
+        chart = sp.charts[root.label]
+        for u, v in chart.pairs:
+            basis.append(list(u))
+            images.append(dense_chart_map(chart, p))
+            if v is not None:
+                basis.append(list(v))
+                images.append(dense_chart_map(chart, I * p))
+    return combine(coordinates(basis, vec), images)
+
+
+def determinant(a) -> object:
+    """det(a) by expansion along the first row."""
+    if not a:
+        return ONE
+    return sum(((-1) ** j * a[0][j] * determinant([row[:j] + row[j + 1:]
+                                                   for row in a[1:]])
+                for j in range(len(a)) if a[0][j]), ZERO)
+
+
+def minors_negative_definite(gram) -> bool:
+    """Sylvester's criterion: (-1)^k det of every leading k x k block is
+    positive."""
+    return all(scalar_sign((-1) ** k * determinant([row[:k]
+                                                    for row in gram[:k]])) > 0
+               for k in range(1, len(gram) + 1))
 
 
 def dense_sigma_kernels(sigma_matrix) -> tuple[list, list]:

@@ -1,6 +1,7 @@
 """Tests for the classification catalog: prototypes, sweeps, containments,
 derived-space checks and closed-geodesic lengths."""
 
+import hashlib
 import json
 from fractions import Fraction
 from functools import cache
@@ -30,6 +31,8 @@ from ltskit.linalg import coordinates, vec_add, vec_scale
 from ltskit.lts import analyze, is_lts
 from ltskit.scalars import I, rat, sqrt
 from ltskit.spaces import build_space
+
+from generic_route import solved_torus_rotate
 
 SPACES = ("EIII", "EIV", "G2group")
 
@@ -271,6 +274,73 @@ def test_derived_intersection_certificates(derived_reports):
     assert rows["(G2H4, (Sp2))"].computed["dim"] == 10
 
 
+# -- geodesic prototypes ---------------------------------------------------
+
+
+@pytest.mark.parametrize("name", SPACES)
+def test_geodesic_directions_read_back_their_angle(spaces, name):
+    sp = spaces[name]
+    geo = [r.label.parts[1] for r in expected_rows(name)
+           if r.label.parts[0] == "Geo"]
+    assert geo == [f"phi={ang}" for ang in proto.GEO_ANGLES[name]]
+    for ang in proto.GEO_ANGLES[name]:
+        assert sp.isotropy_angle(proto._geo_direction(sp, ang)).name == ang
+        (v,) = make_prototype(sp, f"(Geo, phi={ang})").basis
+        assert sp.isotropy_angle(v).name == ang
+
+
+@pytest.mark.parametrize("name, ang", [
+    ("EIII", "pi/3"), ("EIII", "arctan(1/2)"), ("EIV", "pi/4"),
+    ("G2group", "pi/4"), ("G2group", "t")])
+def test_geodesic_angle_outside_the_table_is_unknown(spaces, name, ang):
+    with pytest.raises(UnknownLabel):
+        make_prototype(spaces[name], f"(Geo, phi={ang})")
+
+
+# -- prototype spans -------------------------------------------------------
+
+
+SPANS = json.loads((Path(__file__).parent / "data" / "golden" /
+                    "prototype_spans.json").read_text(encoding="utf-8"))
+
+BUILT_MODES = ("diagonal", "adapted", "quarter-turn", "torus")
+
+
+def basis_digest(S) -> str:
+    """sha256 of the str entries of the reduced basis, row by row."""
+    text = json.dumps([[str(x) for x in row] for row in S.basis])
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def prototype_spans(spaces) -> dict[str, str]:
+    """The basis digest of every non-opaque row's prototype, and of the
+    representative of every witness row built by a mode of its own."""
+    out = {}
+    for name in SPACES:
+        sp = spaces[name]
+        for row in expected_rows(name):
+            if not row.opaque:
+                out[f"{name} {row.label.text}"] = basis_digest(
+                    make_prototype(sp, row.label))
+        witnesses = containment_rows(name) + [
+            row for parent, rows in derived_hosts().values()
+            if parent == name for row in rows]
+        for row in witnesses:
+            if row.mode in BUILT_MODES:
+                small, _ = cat._witness(sp, row, 0)
+                out[f"{name} {row.label} in {row.big} ({row.mode})"] = (
+                    basis_digest(small))
+    return out
+
+
+def test_prototype_spans_are_pinned(spaces):
+    # verdict goldens do not pin the spans themselves; this does, for
+    # every way a prototype's spanning vectors are written
+    got = prototype_spans(spaces)
+    assert sum(" in " not in key for key in got) == 75
+    assert got == SPANS
+
+
 # -- torus rotation --------------------------------------------------------
 
 
@@ -288,6 +358,29 @@ def test_torus_rotation_fixes_flat(spaces):
     sp = spaces["G2group"]
     for v in sp.a_basis:
         assert torus_rotate(sp, list(v), 5, 7) == list(v)
+
+
+@pytest.mark.parametrize("steps", [(1, 0), (0, 1), (3, 0), (1, 2), (-5, 7)])
+def test_torus_rotation_matches_solved_reference(spaces, steps):
+    # chart coordinates turned by omega^m against one solve in the basis of
+    # a and the chart vectors, on every prototype basis vector
+    sp = spaces["G2group"]
+    for row in expected_rows("G2group"):
+        for v in make_prototype(sp, row.label).basis:
+            assert torus_rotate(sp, v, *steps) == solved_torus_rotate(
+                sp, v, *steps)
+
+
+def test_torus_rotation_rejects(spaces):
+    g2 = spaces["G2group"]
+    with pytest.raises(ValueError, match="outside the tangent space"):
+        torus_rotate(g2, [rat(1)] * 3, 1)  # a solve would drop 11 equations
+    with pytest.raises(ValueError, match="non-integral"):
+        torus_rotate(g2, g2.sharp["l1"], Fraction(1, 2))
+    for name in ("EIII", "EIV"):
+        sp = spaces[name]
+        with pytest.raises(ValueError, match="several slots"):
+            torus_rotate(sp, sp.sharp["l1"], 1)
 
 
 # -- geodesic lengths ------------------------------------------------------

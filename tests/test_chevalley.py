@@ -4,8 +4,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ltskit.chevalley import AlgebraMismatch, ChevalleyAlgebra, is_negative_definite
-from ltskit.linalg import nonzeros, vec_add, vec_is_zero, vec_scale
+from ltskit.chevalley import AlgebraMismatch, ChevalleyAlgebra
+from ltskit.linalg import (
+    is_negative_definite, nonzeros, vec_add, vec_is_zero, vec_scale,
+)
 from ltskit.roots import RootSystem
 from ltskit.scalars import I, ZERO, rat, sqrt
 
@@ -177,7 +179,7 @@ def test_killing_negative_definite():
         a = alg(name)
         g = a.killing_gram()
         assert all(g[i][i] < 0 for i in range(a.dim))
-        assert is_negative_definite(g)
+        assert is_negative_definite([[rat(x) for x in row] for row in g])
 
 
 def test_killing_orthogonality_cartan_vs_roots():

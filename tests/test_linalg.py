@@ -1,10 +1,13 @@
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from ltskit.linalg import (
-    Span, combine, coordinates, kernel, nonzeros, relations, solve,
-    vec_is_zero,
+    Span, combine, coordinates, is_negative_definite, kernel, nonzeros,
+    relations, solve, vec_is_zero,
 )
 from ltskit.scalars import ONE, ZERO, rat, sqrt
+
+from generic_route import minors_negative_definite
 
 
 def m(*rows):
@@ -117,6 +120,64 @@ def test_solve_verifies(rows, xs):
     x = solve(a, target)
     assert x is not None
     assert mat_vec(a, x) == target
+
+
+def test_solve_rejects_unequal_lengths():
+    # zip would drop the third equation and return [1, 2]
+    with pytest.raises(ValueError):
+        solve(m((1, 0), (0, 1), (1, 1)), [rat(1), rat(2)])
+    with pytest.raises(ValueError):
+        solve(m((1, 0)), [rat(1), rat(2)])
+    with pytest.raises(ValueError):  # three coordinate equations, two targets
+        coordinates([[rat(1), rat(0), rat(1)]], [rat(1), rat(2)])
+    assert solve([], []) == []
+
+
+# -- definiteness against Sylvester's criterion -------------------------------
+
+s2, s3 = sqrt(2), sqrt(3)
+
+
+@pytest.mark.parametrize("gram, verdict", [
+    (m((-1, 0), (0, -2)), True),
+    (m((-1, 0), (0, 0)), False),  # semidefinite
+    (m((0, 0), (0, -1)), False),  # a zero first pivot
+    (m((-1, 2), (2, -1)), False),  # indefinite
+    (m((-2, 1), (1, 3)), False),
+    ([[rat(-2), s2], [s2, rat(-1)]], False),  # determinant 0
+    ([[rat(-3), s3], [s3, rat(-2)]], True),
+    ([[-s2, ONE], [ONE, -s2]], True),
+    ([[-s3, rat(2)], [rat(2), -s3]], False),  # determinant 3 - 4
+    ([], True),
+])
+def test_negative_definite_verdicts(gram, verdict):
+    assert is_negative_definite(gram) == verdict
+    assert minors_negative_definite(gram) == verdict
+
+
+gram_entries = st.sampled_from(
+    [rat(x) for x in (0, 0, 1, -1, 2, -3)]
+    + [rat(1, 2), s2, -s2, s3, s3 * rat(1, 2), s2 * s3, ONE + s2])
+
+
+@st.composite
+def grams(draw):
+    """A^T D A for a random A and a diagonal D of signs: negative definite
+    when D < 0 and A is invertible, else semidefinite or indefinite; or a
+    random symmetric matrix."""
+    n = draw(st.integers(1, 4))
+    a = [[draw(gram_entries) for _ in range(n)] for _ in range(n)]
+    if draw(st.booleans()):
+        return [[a[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+    d = [draw(st.sampled_from([-1, -1, -1, 0, 1])) for _ in range(n)]
+    return [[sum((a[k][i] * d[k] * a[k][j] for k in range(n)), ZERO)
+             for j in range(n)] for i in range(n)]
+
+
+@settings(deadline=None)
+@given(grams())
+def test_negative_definite_matches_leading_minors(gram):
+    assert is_negative_definite(gram) == minors_negative_definite(gram)
 
 
 # -- Span with row supports against a dense reference elimination ------------

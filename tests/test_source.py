@@ -1,6 +1,7 @@
 """Static checks on the package source."""
 
 import ast
+import importlib
 from pathlib import Path
 from typing import Callable
 
@@ -210,3 +211,45 @@ def test_only_scalars_reads_scalar_state(path):
         return
     slots = set(Scalar.__slots__)
     assert private_reads(path.read_text(encoding="utf-8"), slots) == []
+
+
+def traced_targets(source: str) -> list[tuple[str, str]]:
+    """(module, attr) of every ``Target("module", "attr", ...)`` literal
+    with a module name."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "Target" and len(node.args) >= 2
+                and all(isinstance(a, ast.Constant) for a in node.args[:2])
+                and node.args[0].value):
+            found.append((node.args[0].value, node.args[1].value))
+    return found
+
+
+def test_traced_targets_finds_literals():
+    source = ('Target("", "noop", "noop")\n'
+              'xs = [Target("pkg.mod", "Cls.meth", "a"),\n'
+              '      Target("pkg.mod", "fn", "b", lambda a: "c")]\n'
+              'Other("pkg.mod", "gone", "d")\n')
+    assert traced_targets(source) == [("pkg.mod", "Cls.meth"),
+                                      ("pkg.mod", "fn")]
+
+
+def test_traced_names_resolve():
+    # the benchmark's tracer patches these by name, a method in its class's
+    # own __dict__: a rename fails here rather than in a traced run
+    targets = [t for path in sorted((ROOT / "perfbench").glob("*.py"))
+               for t in traced_targets(path.read_text(encoding="utf-8"))]
+    assert len(targets) == 23  # update with the benchmark's target lists
+    missing = []
+    for module, attr in targets:
+        owner = importlib.import_module(module)
+        cls_name, _, name = attr.rpartition(".")
+        if cls_name:
+            cls = getattr(owner, cls_name, None)
+            found = cls is not None and name in vars(cls)
+        else:
+            found = callable(getattr(owner, name, None))
+        if not found:
+            missing.append(f"{module}:{attr}")
+    assert missing == []

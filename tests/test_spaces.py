@@ -7,14 +7,14 @@ from ltskit import catalog, linalg, lts, spaces
 from ltskit.chevalley import ChevalleyAlgebra
 from ltskit.linalg import Span, vec_add, vec_is_zero, vec_scale, vec_sub
 from ltskit.roots import RootSystem
-from ltskit.scalars import I, Scalar, rat, sqrt
+from ltskit.scalars import I, ZERO, Scalar, rat, sqrt
 from ltskit.spaces import (
     SIGMA_ON_SIMPLE, LiftFailure, NotHermitian, NotInM, RootInvolution,
     SpaceModel, build_space, lift_involution, scalar_sign,
 )
 
 from complex_route import involution_matrix
-from generic_route import GenericRouteModel
+from generic_route import GenericRouteModel, dense_chart_map
 
 
 def e(n, k, a=1):
@@ -182,6 +182,44 @@ def test_m_basis_orthonormal():
             for j in range(i, len(basis)):
                 want = rat(1) if i == j else rat(0)
                 assert sp.inner(x, basis[j]) == want
+
+
+# -- charts ----------------------------------------------------------------
+
+CHART_COEFFS = [rat(0), rat(0), rat(0), rat(1), rat(-2), rat(3, 2), sqrt(3),
+                sqrt(2) * rat(1, 3)]
+
+
+@pytest.mark.parametrize("name", ["EIII", "EIV", "G2group"])
+def test_chart_map_matches_dense_reference(name):
+    # one combine over the nonzero coordinates against the slot-by-slot
+    # dense sum, entry for entry, on every M and K chart
+    sp = build_space(name)
+    rng = random.Random(26)
+    charts = [*sp.charts.values(), *(sp.k_charts or {}).values()]
+    for chart in charts:
+        for _ in range(6):
+            coeffs = [rng.choice(CHART_COEFFS)
+                      + (ZERO if v is None else I * rng.choice(CHART_COEFFS))
+                      for _, v in chart.pairs]
+            assert chart.map(*coeffs) == dense_chart_map(chart, *coeffs)
+        zero = [0] * chart.arity
+        assert chart.map(*zero) == dense_chart_map(chart, *zero)
+        assert vec_is_zero(chart.map(*zero))
+
+
+def test_chart_map_rejects_bad_coordinates():
+    sp = build_space("EIII")
+    with pytest.raises(ValueError, match="takes 4 coordinates"):
+        sp.charts["l1"].map(1)
+    with pytest.raises(ValueError, match="real coordinates"):
+        sp.charts["2l1"].map(I)
+    # a float is not an exact coordinate: no binary fraction is made of it
+    g2 = build_space("G2group")
+    with pytest.raises(TypeError):
+        g2.charts["l1"].map(0.1)
+    assert g2.charts["l1"].map(Fraction(1, 10)) == vec_scale(
+        rat(1, 10), g2.charts["l1"].pairs[0][0])
 
 
 def test_jacobi_operator_law():
