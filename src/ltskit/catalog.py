@@ -19,7 +19,8 @@ and the sweeps here.  The tables hold two kinds of row:
   label's prototype), ``intersection`` (big's prototype met with that of the
   label's first part, compared with an ``ExpectedRow`` instead) or ``skip``.
 
-``geodesic_length`` gives exact closed-geodesic lengths in the group case.
+``geodesic_length`` gives exact closed-geodesic lengths in every space, from
+the space's unit lattice.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
-from math import gcd
 from typing import Sequence
 
 from .linalg import Vec, combine, coordinates, vec_add
@@ -423,7 +423,7 @@ def verify_derived(host_text: str, seed: int = 0) -> CatalogReport:
     return _verify_witnesses(sp, rep, rows, seed, show_big=False)
 
 
-# -- closed geodesic lengths (group case) ----------------------------------
+# -- closed geodesic lengths -----------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -435,58 +435,34 @@ class ClosedGeodesic:
 
     @property
     def text(self) -> str:
-        c = (str(self.coeff) if self.coeff.denominator != 1
-             else str(self.coeff.numerator))
-        out = f"{c}*pi"
-        if self.radicand != 1:
-            out += f"*sqrt({self.radicand})"
-        return out
-
-    def __str__(self) -> str:
-        return self.text
-
-
-def _frac_gcd(a: Fraction, b: Fraction) -> Fraction:
-    num = gcd(a.numerator, b.numerator)
-    den = (a.denominator * b.denominator
-           // gcd(a.denominator, b.denominator))
-    return Fraction(num, den)
-
-
-_LATTICE_BASIS = ("l2", "l5")
+        rad = f"*sqrt({self.radicand})" if self.radicand != 1 else ""
+        return f"{self.coeff}*pi{rad}"
 
 
 def geodesic_length(sp: SpaceModel, H: Sequence[Scalar]) -> ClosedGeodesic | None:
-    """Exact length of the geodesic with initial unit vector H tangent to
-    the maximal flat, or None when the geodesic does not close."""
-    if sp.name != "G2group":
-        raise UnknownLabel("geodesic lengths are modeled for G2group only")
-    if not sp.a_span.contains(H):
-        raise NotInLatticeSpan("direction not tangent to the maximal flat")
-    x = coordinates([sp.sharp[l] for l in _LATTICE_BASIS], H)
+    """Exact period of t -> Exp(t*H) for a real H in the maximal flat (for
+    |H| = 1, the closed geodesic's length), or None if it does not close.
+    It closes when H's nonzero coordinates x over sp.unit_lattice() have a
+    rational ratio p/q in lowest terms; the period is then q*pi/|x_1|.  The
+    Gram matrix is rational, so a period not c*pi*sqrt(d) needs a non-unit
+    H, e.g. (1+sqrt(2))*l1: ValueError asks for a unit one (CLI exit 2)."""
+    if not all(h.is_real() for h in H):
+        raise NotInLatticeSpan("direction must be real")
+    base = [sp.sharp["l1"], sp.sharp["l2"]]
+    x = coordinates([combine(b, base) for b in sp.unit_lattice()], H)
     if x is None:
-        raise NotInLatticeSpan("direction outside the lattice span")
-    terms: list[tuple[int, Fraction]] = []
-    for coord in x:
-        per = [(d, re) for d, re, im in coord.terms()
-               if not (re == 0 and im == 0)]
-        if any(im != 0 for _, _, im in coord.terms()):
-            raise NotInLatticeSpan("direction must be real")
-        if len(per) > 1:
-            return None  # mixed radicands: irrational coordinate ratio
-        if per:
-            terms.append(per[0])
-    if not terms:
+        raise NotInLatticeSpan("direction not tangent to the maximal flat")
+    x = [c for c in x if c]
+    if not x:
         raise ValueError("zero direction")
-    radicands = {d for d, _ in terms}
-    if len(radicands) > 1:
+    ratio = x[-1] / x[0]
+    if not ratio.is_rational():
         return None
-    d = radicands.pop()
-    g = Fraction(0)
-    for _, r in terms:
-        g = _frac_gcd(g, abs(r) * d) if g else abs(r) * d
-    u = 1 / g
-    return ClosedGeodesic(coeff=Fraction(4, 3) * u, radicand=d)
+    period = list((rat(ratio.rational_value().denominator) / x[0]).terms())
+    if len(period) != 1:
+        raise ValueError("not a unit direction: no period c*pi*sqrt(d)")
+    (d, coeff, _), = period
+    return ClosedGeodesic(coeff=abs(coeff), radicand=d)
 
 
 # -- flat-vector expressions (CLI support) ---------------------------------

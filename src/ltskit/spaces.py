@@ -56,6 +56,10 @@ which the prototypes and witnesses write their vectors of m, is one
 linalg.combine.  A geodesic prototype is r0 + tan(phi) e in the frame of
 angle_frame, which isotropy_angle reads back.  sigma is applied one way,
 by _add_sigma over the nonzero entries of a vector (apply_sigma, in_m).
+
+In every space {H in a : Exp(pi*H) = o} is the Z-span of c*beta#/|beta#|^2
+over the positive restricted roots, doubled ones included: c = 2 on EIII
+and EIV (exp(H) in K), and c = 4 on the group model (exp(H) = e).
 """
 
 from __future__ import annotations
@@ -461,6 +465,26 @@ class SpaceModel:
                 mult = 2
             positives.append(RestrictedRoot(lbl, coords, mult))
         return RestrictedRootSystem(self._classify_kind(positives), positives)
+
+    def unit_lattice(self) -> list[tuple[Fraction, Fraction]]:
+        """Z-basis of {H in a : Exp(pi*H) = o} (module docstring) over the
+        (l1#, l2#) of RestrictedRoot.coords: Euclid on the first coordinate,
+        then on the second, reduces the c*beta#/|beta#|^2 to two vectors."""
+        c = 4 if self.sigma_roots is None else 2
+        rows = [tuple(c * x / self.norm_sq(self.sharp[r.label])
+                      .rational_value() for x in r.coords)
+                for r in self.restricted.positives]
+        basis = []
+        for col in (0, 1):
+            pivot = (0, 0)
+            for i, v in enumerate(rows):
+                while v[col]:
+                    q = v[col] // pivot[col] if pivot[col] else 0
+                    v = tuple(a - q * b for a, b in zip(v, pivot))
+                    pivot, v = (v, pivot) if v[col] else (pivot, v)
+                rows[i] = v
+            basis.append(pivot)
+        return basis
 
     def _classify_kind(self, positives) -> str:
         coords = {tuple(r.coords) for r in positives}

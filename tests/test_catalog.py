@@ -5,6 +5,8 @@ import hashlib
 import json
 from fractions import Fraction
 from functools import cache
+from itertools import combinations
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -27,7 +29,7 @@ from ltskit.catalog import (
     verify_containments,
     verify_derived,
 )
-from ltskit.linalg import coordinates, vec_add, vec_scale
+from ltskit.linalg import vec_add, vec_scale
 from ltskit.lts import analyze, is_lts
 from ltskit.scalars import I, rat, sqrt
 from ltskit.spaces import build_space
@@ -386,17 +388,77 @@ def test_torus_rotation_rejects(spaces):
 # -- geodesic lengths ------------------------------------------------------
 
 
-def test_lattice_generators_are_integral(spaces):
-    """Every basic period vector 3 v / |v|^2 of a restricted root's dual v
-    is an integer combination of the two generating period vectors."""
-    sp = spaces["G2group"]
-    lattice = [sp.sharp[l] for l in cat._LATTICE_BASIS]
+# c in c*beta#/|beta#|^2, the generators of {H : Exp(pi*H) = o}
+LATTICE_C = {"EIII": 2, "EIV": 2, "G2group": 4}
+
+
+def _lattice_coords(basis, v):
+    """Rational coordinates of a 2-vector v over a basis of two 2-vectors."""
+    (a, b), (c, d) = basis
+    det = a * d - b * c
+    return ((v[0] * d - v[1] * c) / det, (a * v[1] - b * v[0]) / det)
+
+
+def _lattice_inner(sp):
+    """The inner product on (l1#, l2#) coordinates."""
+    sharps = [sp.sharp["l1"], sp.sharp["l2"]]
+    gram = [[sp.inner(x, y).rational_value() for y in sharps] for x in sharps]
+    return lambda u, v: sum(u[i] * gram[i][j] * v[j]
+                            for i in (0, 1) for j in (0, 1))
+
+
+@pytest.mark.parametrize("name", SPACES)
+def test_unit_lattice_is_spanned_by_the_root_generators(spaces, name):
+    """Every generator c*beta#/|beta#|^2, doubled roots included, is an
+    integer combination of unit_lattice(); the 2x2 minors of these integer
+    coordinates have gcd 1, so each basis vector is in turn an integer
+    combination of the generators."""
+    sp = spaces[name]
+    basis = sp.unit_lattice()
+    coords = []
     for root in sp.restricted.positives:
-        v = sp.sharp[root.label]
-        c = coordinates(lattice, vec_scale(rat(3) * sp.norm_sq(v).inv(), v))
-        assert c is not None, root.label
-        assert all(t.is_rational() and t.rational_value().denominator == 1
-                   for t in c), root.label
+        n2 = sp.norm_sq(sp.sharp[root.label]).rational_value()
+        c = _lattice_coords(basis, [LATTICE_C[name] * x / n2
+                                    for x in root.coords])
+        assert all(t.denominator == 1 for t in c), root.label
+        coords.append(c)
+    assert gcd(*(int(u[0] * v[1] - u[1] * v[0])
+                 for u, v in combinations(coords, 2))) == 1
+
+
+def test_g2_unit_lattice_is_spanned_by_two_long_roots(spaces):
+    sp = spaces["G2group"]
+    long = [_lattice_coords(sp.unit_lattice(),
+                            [Fraction(4, 3) * x
+                             for x in sp.restricted.by_label(label).coords])
+            for label in ("l2", "l5")]
+    assert all(t.denominator == 1 for v in long for t in v)
+    assert abs(long[0][0] * long[1][1] - long[0][1] * long[1][0]) == 1
+
+
+@pytest.mark.parametrize("name, radius_sq", [
+    ("G2group", Fraction(16, 9)), ("EIV", Fraction(4, 3)),
+    ("EIII", Fraction(1, 2))])
+def test_unit_lattice_covering_radius(spaces, name, radius_sq):
+    """The ambient diameter, as diam^2/pi^2: the squared circumradius of the
+    Delaunay triangle (0, b1, b2) of the Gauss-reduced basis with
+    <b1, b2> >= 0.  These are the alcove values."""
+    ip = _lattice_inner(spaces[name])
+    b1, b2 = spaces[name].unit_lattice()
+    while True:
+        if ip(b2, b2) < ip(b1, b1):
+            b1, b2 = b2, b1
+        q = round(ip(b1, b2) / ip(b1, b1))
+        if not q:
+            break
+        b2 = tuple(y - q * x for x, y in zip(b1, b2))
+    if ip(b1, b2) < 0:
+        b2 = tuple(-y for y in b2)
+    d = tuple(x - y for x, y in zip(b1, b2))
+    a, b, c = ip(b1, b1), ip(b2, b2), ip(d, d)
+    # no obtuse angle, so the triangle is a Delaunay triangle
+    assert a + b >= c and b + c >= a and c + a >= b
+    assert a * b * c / (4 * (a * b - ip(b1, b2) ** 2)) == radius_sq
 
 
 def test_geodesic_length_skew_direction(spaces):
@@ -433,9 +495,72 @@ def test_geodesic_direction_outside_flat(spaces):
         geodesic_length(sp, sp.charts["l1"].map(1))
 
 
-def test_geodesic_other_space_rejected(spaces):
-    with pytest.raises(UnknownLabel):
-        geodesic_length(spaces["EIII"], list(spaces["EIII"].sharp["l1"]))
+def test_geodesic_mixed_radical_direction_asks_for_a_unit_vector(spaces):
+    # the l1 direction closes, but with period 4*(sqrt(2)-1)*pi, which is
+    # not coeff*pi*sqrt(d): only a non-unit H has such a period
+    sp = spaces["G2group"]
+    with pytest.raises(ValueError, match="unit direction"):
+        geodesic_length(sp, parse_flat_vector(sp, "(1+sqrt(2))*l1"))
+
+
+@cache
+def _rank1_periods(name):
+    """(L/pi)^2 of each non-opaque rank-1 row's unit flat vector (None if
+    its geodesic does not close), with the row and its analysis."""
+    sp = build_space(name)
+    out = []
+    for row in expected_rows(name):
+        if row.opaque or row.rank != 1:
+            continue
+        r = analyze(make_prototype(sp, row.label))
+        h = r.flat.basis[0]
+        n2 = sp.inner(h, h)
+        L_sq = None
+        if geodesic_length(sp, h) is not None:
+            g = geodesic_length(sp, vec_scale(n2.sqrt_if_expressible().inv(),
+                                              h))
+            L_sq = g.coeff ** 2 * g.radicand
+        out.append((row, r, n2, L_sq))
+    return out
+
+
+# diam^2/pi^2 = (L/pi)^2/4 of the rank-1 rows, by isotropy angle; None: the
+# geodesic does not close
+RANK1_DIAMETERS = {
+    "G2group": {"0": 4, proto._G2_SKEW: Fraction(28, 3),
+                "pi/6": Fraction(4, 3)},
+    "EIV": {"0": 3, "pi/6": 1, "pi/3": 3},
+    "EIII": {"0": Fraction(1, 4), "pi/6": None, "pi/4": Fraction(1, 2)},
+}
+
+
+@pytest.mark.parametrize("name", SPACES)
+def test_rank1_row_periods(name):
+    rows = _rank1_periods(name)
+    assert len(rows) == {"EIII": 9, "EIV": 18, "G2group": 12}[name]
+    for row, _, _, L_sq in rows:
+        want = RANK1_DIAMETERS[name][row.angle]
+        assert (None if L_sq is None else L_sq / 4) == want, row.label.text
+
+
+@pytest.mark.parametrize("name", SPACES)
+def test_rank1_row_root_periods(name):
+    """(L*alpha/pi)^2 for each sub-root alpha: 4 on a sphere, 1 for alpha
+    and 4 for 2*alpha on a projective space, four times that in G2group.
+    The skew G2group sphere rows read the projective value: kept as data,
+    the rows are not relabelled."""
+    k = 4 if name == "G2group" else 1
+    for row, r, n2, L_sq in _rank1_periods(name):
+        got = sorted(L_sq * (v * v / n2).rational_value()
+                     for sr in r.restricted or [] for v in sr.values)
+        parts = row.label.parts
+        if parts[0] == "Geo":
+            want = []
+        elif parts[0] == "S" or parts[2][0] == "S":
+            want = [k if parts[1] == f"phi={proto._G2_SKEW}" else 4 * k]
+        else:
+            want = [k] if parts[2][0] == "R" else [k, 4 * k]
+        assert got == want, row.label.text
 
 
 def test_skew_sphere_cross_consistency(spaces):

@@ -63,6 +63,13 @@ def test_geodesic_not_closed(capsys):
     assert "length" not in doc["data"]
 
 
+def test_geodesic_mixed_radical_direction_exits_2(capsys):
+    # the l1 direction closes, with a period only a non-unit H can have
+    code, _, err = run(capsys, "geodesic", "length", "--H", "(1+sqrt(2))*l1")
+    assert code == EXIT_PARSE
+    assert "unit direction" in err
+
+
 # Literals nested beyond the scalar grammar's depth limit, by parentheses
 # and by unary minus signs.
 DEEP_PARENS = "(" * 400 + "1" + ")" * 400
