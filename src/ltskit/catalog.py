@@ -2,8 +2,9 @@
 
 The classification tables of the three modeled spaces are versioned in-repo
 data, checked exactly with no floating point; the type labels, expected rows
-and prototype constructors are in ``ltskit.prototypes``, the witness tables
-and the sweeps here.  The tables hold two kinds of row:
+and prototype constructors are in ``ltskit.prototypes``, the witness tables,
+``make_prototype`` (for the labels the tables name) and the sweeps here.
+The tables hold two kinds of row:
 
 * an ``ExpectedRow`` is a type family with its invariants: dimension, rank,
   isotropy angle (rank 1), Hermitian complexity (EIII) and restricted
@@ -33,8 +34,8 @@ from typing import Sequence
 from .linalg import Vec, combine, coordinates, vec_add
 from .lts import Subspace, analyze, intersect_spans, is_lts, isotropy_rotate
 from .prototypes import (
-    GEO_ANGLES, _G2_SKEW, ExpectedRow, TypeLabel, UnknownLabel, _mults,
-    _pxp1_span, _row, _slot_vectors, expected_rows, make_prototype,
+    _EXPECTED, _PROTO, GEO_ANGLES, _G2_SKEW, ExpectedRow, TypeLabel,
+    UnknownLabel, _mults, _pxp1_span, _row, _slot_vectors, expected_rows,
 )
 from .report import CatalogReport, ReportRow
 from .scalars import I, ONE, ParseError, Parser, Scalar, ZERO, rat, sqrt
@@ -332,6 +333,34 @@ def derived_hosts() -> dict[str, tuple[str | None, list[WitnessRow]]]:
     }
 
 
+def make_prototype(sp: SpaceModel, label: TypeLabel | str) -> Subspace:
+    """The embedded prototype subspace of a type that the space's tables
+    name; any other label, or one of another space, raises UnknownLabel."""
+    if isinstance(label, str):
+        label = TypeLabel.parse(sp.name, label)
+    if label.space != sp.name:
+        raise UnknownLabel(f"{label.text} belongs to {label.space}")
+    if label.parts not in _table_labels(sp.name, _EXPECTED[sp.name]):
+        raise UnknownLabel(f"no prototype of {label.text} in {sp.name}")
+    return Subspace(sp, _PROTO[sp.name](sp, label.parts))
+
+
+@cache
+def _table_labels(space: str, table) -> frozenset[tuple]:
+    """The parts of every label with a prototype: the space's classification
+    rows, table() (cached per table, so a replaced one is read afresh), but
+    opaque ones, and its witness rows' labels and hosts, but intersections."""
+    rows = table()
+    witnesses = containment_rows(space) + [
+        w for parent, hosted in derived_hosts().values() if parent == space
+        for w in hosted]
+    texts = [w.big for w in witnesses] + [
+        w.label for w in witnesses if w.mode != "intersection"]
+    named = {TypeLabel.parse(space, t).parts for t in texts}
+    return frozenset(named.union(r.label.parts for r in rows)
+                     - {r.label.parts for r in rows if r.opaque})
+
+
 def _adapted_prototype(sp: SpaceModel, label: TypeLabel) -> Subspace:
     """Slot-adapted EIII representative inside the (DIII) host's slots."""
     parts = label.parts
@@ -435,8 +464,9 @@ class ClosedGeodesic:
 
     @property
     def text(self) -> str:
+        coeff = f"{self.coeff}*" if self.coeff != 1 else ""
         rad = f"*sqrt({self.radicand})" if self.radicand != 1 else ""
-        return f"{self.coeff}*pi{rad}"
+        return f"{coeff}pi{rad}"
 
 
 def geodesic_length(sp: SpaceModel, H: Sequence[Scalar]) -> ClosedGeodesic | None:

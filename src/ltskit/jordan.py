@@ -302,7 +302,7 @@ def phi_g2_kernel() -> list:
     rows = [[rat((u * b - b * u).coords()[k]) for b in H.basis]
             for u in (Q_I, Q_J) for k in range(4)]
     results = []
-    for vec in linalg.kernel(rows):
+    for vec in linalg.kernel(map(linalg.nonzeros, rows), len(H.basis)):
         g1 = Quaternion(*(c.rational_value() for c in vec))
         # unit-norm representatives within the kernel line
         for sign in (1, -1):

@@ -4,10 +4,12 @@ Vectors are dense lists of Scalar, matrices are lists of rows.  The dense
 list is the public form: every vector the package hands out (a Subspace
 basis, a bracket, a rotation, chart coordinates) is one, and the benchmark
 harness reads them as such.  A vector that is mostly zeros also has a terms
-form: the increasing list of its nonzero (index, entry) pairs, which
-nonzeros returns and the bracket kernel chevalley.bracket_terms takes and
-returns.  The terms form is that of the hot loops, so a chain of brackets
-and membership tests never scans a zero.
+form: (index, entry) pairs, which nonzeros returns in increasing index
+without zeros, and which chevalley.bracket_terms takes and returns.  It is
+the form of the hot loops, so a chain of brackets and membership tests
+never scans a zero.  Where this module takes terms, they may come in any
+order and hold zero entries, and entries at a repeated index add up, so a
+Span.remainder dict is passed on as it stands.
 
 Span is the one Gauss-Jordan elimination: it keeps the reduced row echelon
 form of the rows added so far, which is unique, so every result below is
@@ -17,26 +19,24 @@ entry at the row's pivot, so Span.remainder, the one reduction routine,
 looks rows up by the pivots in the vector's support and touches only their
 nonzero columns.  contains, coords and add are built on it, each in a terms
 form (contains_terms, coords_terms, add_terms) and a dense one that takes
-the nonzeros of its vector.  kernel and solve read the pivots and rows of a
-Span built from their input rows; its dim is the rank of its rows.  basis
-hands out the stored rows themselves, and coords gives a vector's
-coordinates in them, so a system over a subspace can be solved in its dim
-coordinates.
+the nonzeros of its vector.  basis hands out the stored rows themselves,
+basis_terms the same rows as terms, and coords a vector's coordinates in
+them, so a system over a subspace can be solved in its dim coordinates.
 
-is_negative_definite decides the sign of a Gram matrix by its LDL^T
-pivots.  Beside them sit helpers for the matrix whose columns are a list of
-vectors: combine (the matrix times a coefficient vector), relations (its
-kernel) and coordinates (one solution of a system with it), and on_support,
-which writes sparse vectors densely over the union of their supports so
-that relations sees no column of zeros.  Callers state "which combination
-of these vectors" through them instead of building a transposed coordinate
-system by hand.
+The linear systems take terms: kernel reads its rows as terms over a given
+number of columns, and relations, the kernel of the matrix whose columns
+are the given vectors, writes that matrix's rows from the vectors' terms
+and hands them to kernel, so neither scans a dense vector.  Beside them sit
+combine (the matrix times a coefficient vector, over the vectors' nonzero
+entries; combine_terms for vectors given as terms), coordinates and solve
+(one solution of a dense system), and is_negative_definite, which decides
+the sign of a Gram matrix by its LDL^T pivots.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .scalars import Scalar, ZERO, ONE, scalar_sign
 
@@ -71,23 +71,21 @@ def nonzeros(v: Sequence[Scalar]) -> list[tuple[int, Scalar]]:
     return [(k, c) for k, c in enumerate(v) if c]
 
 
-def kernel(rows: Sequence[Sequence[Scalar]]) -> list[Vec]:
-    """Basis of the right kernel of the matrix with the given rows: one
-    vector per non-pivot column of the reduced echelon form."""
-    if not rows:
-        return []
-    n_cols = len(rows[0])
-    echelon = Span(rows)
-    basis: list[Vec] = []
-    for free in range(n_cols):
-        if free in echelon._pivots:
-            continue
-        v = zeros(n_cols)
-        v[free] = ONE
-        for row, pc in zip(echelon._rows, echelon._pivots):
-            v[pc] = -row[free]
-        basis.append(v)
-    return basis
+def kernel(rows: Iterable[Terms], n_cols: int) -> list[Vec]:
+    """Basis of the right kernel of the n_cols-column matrix with these rows
+    in the terms form: one vector per non-pivot column of the reduced
+    echelon form, its pivot entries read off the rows' moves."""
+    echelon = Span(width=n_cols)
+    for row in rows:
+        echelon.add_terms(row)
+    moves = echelon._moves
+    basis = {k: zeros(n_cols) for k in range(n_cols) if k not in moves}
+    for k, v in basis.items():
+        v[k] = ONE
+    for p, move in moves.items():
+        for k, x in move:
+            basis[k][p] = x
+    return list(basis.values())
 
 
 def solve(rows: Sequence[Sequence[Scalar]], target: Sequence[Scalar]) -> Vec | None:
@@ -111,11 +109,23 @@ def solve(rows: Sequence[Sequence[Scalar]], target: Sequence[Scalar]) -> Vec | N
 
 def combine(coeffs: Sequence[Scalar | int],
             vectors: Sequence[Sequence[Scalar]]) -> Vec:
-    """sum_i coeffs[i] * vectors[i]; the list of vectors must not be empty."""
-    out = zeros(len(vectors[0]))
+    """sum_i coeffs[i] * vectors[i]; the list of vectors must not be empty.
+    Only the nonzero entries of a vector with a nonzero coefficient are
+    scaled and added."""
+    return combine_terms(coeffs, [nonzeros(v) if c else ()
+                                  for c, v in zip(coeffs, vectors)],
+                         len(vectors[0]))
+
+
+def combine_terms(coeffs: Sequence[Scalar | int], vectors: Sequence[Terms],
+                  width: int) -> Vec:
+    """combine for vectors in the terms form, written out in width
+    entries."""
+    out = zeros(width)
     for c, v in zip(coeffs, vectors):
         if c:
-            out = [a + c * b for a, b in zip(out, v)]
+            for k, x in v:
+                out[k] = out[k] + c * x
     return out
 
 
@@ -137,21 +147,16 @@ def is_negative_definite(gram: Sequence[Sequence[Scalar]]) -> bool:
     return True
 
 
-def relations(vectors: Sequence[Sequence[Scalar]]) -> list[Vec]:
-    """Basis of the coefficient vectors c with combine(c, vectors) = 0."""
-    rows = [list(r) for r in zip(*vectors) if not vec_is_zero(r)]
-    if not rows:
-        n = len(vectors)
-        return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-    return kernel(rows)
-
-
-def on_support(vectors: Sequence[dict[int, Scalar]]) -> Mat:
-    """Sparse vectors, given as index -> entry maps, as dense vectors over
-    the sorted union of their indices: the columns left out are zero in
-    every vector, so the relations are the same."""
-    cols = sorted(set().union(*vectors))
-    return [[v.get(k, ZERO) for k in cols] for v in vectors]
+def relations(vectors: Sequence[Terms]) -> list[Vec]:
+    """Basis of the coefficient vectors c with sum_i c_i vectors[i] = 0, for
+    vectors in the terms form: the kernel of the matrix with these columns,
+    whose rows are written here directly, one per index that the vectors'
+    terms name.  With no such index every c is a relation."""
+    rows: dict[int, list[tuple[int, Scalar]]] = {}
+    for i, v in enumerate(vectors):
+        for k, c in v:
+            rows.setdefault(k, []).append((i, c))
+    return kernel(rows.values(), len(vectors))
 
 
 def coordinates(vectors: Sequence[Sequence[Scalar]],
@@ -267,8 +272,14 @@ class Span:
     def __contains__(self, v) -> bool:
         return self.contains(v)
 
+    def basis_terms(self) -> list[list[tuple[int, Scalar]]]:
+        """The stored rows in the terms form, in pivot order: each row's
+        pivot entry, then the entries that its moves name."""
+        return [[(p, row[p]), *((k, row[k]) for k, _ in self._moves[p])]
+                for row, p in zip(self._rows, self._pivots)]
+
     def __le__(self, other: "Span") -> bool:
-        return all(other.contains(r) for r in self._rows)
+        return all(other.contains_terms(t) for t in self.basis_terms())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Span):

@@ -16,12 +16,13 @@ are bracketed with the basis of S.  The first failing basis triple is the
 one the plain loop over all triples would name.  The vectors are mostly
 zeros, so the hot loops of closure, of the flat search and of the
 restricted roots keep them in the terms form of linalg (increasing nonzero
-(index, entry) pairs): a Subspace takes its basis rows' terms once, when it
-is built, and closure, the flat search and the roots all read them there; a
-bracket from chevalley.bracket_terms is the next bracket's operand as it
-stands, and membership, coordinates and K's growth go through Span's one
-reduction routine on those terms, which zero-tests only the entries it
-touched.  The root spaces are kernels solved in S's own coordinates (n per
+(index, entry) pairs): a Subspace reads its rows' terms off its span once,
+and closure, the flat search and the roots all read them there; a bracket
+from chevalley.bracket_terms is the next bracket's operand as it stands,
+and membership, coordinates and K's growth go through Span's one reduction
+routine on those terms, which zero-tests only the entries it touched.  The
+linear systems hand brackets and remainders to linalg.relations as terms
+too.  The root spaces are kernels solved in S's own coordinates (n per
 operator for dim S = n), not in the ambient ones, and each is compared with
 S's intersection with the ambient root spaces in those coordinates too.  An
 intersection with S reduces each row modulo S and solves for the
@@ -62,10 +63,10 @@ from itertools import chain
 from types import MappingProxyType
 
 from .linalg import (
-    Span, Terms, Vec, combine, nonzeros, on_support, relations, vec_add,
+    Span, Terms, Vec, combine, combine_terms, nonzeros, relations, vec_add,
     vec_is_zero, vec_scale, vec_sub, zeros,
 )
-from .scalars import ParseError, Parser, Scalar, ZERO, scalar_sign
+from .scalars import ParseError, Parser, Scalar, scalar_sign
 from .spaces import (
     AngleDescriptor, NotHermitian, NotInM, RESTRICTED_LABELS, SpaceModel,
     build_space,
@@ -95,24 +96,26 @@ class NotQuarterTurnCompatible(ValueError):
 class Subspace:
     """A subspace of m, stored as a reduced row basis with exact membership.
 
-    The span is complete when __init__ returns and nothing adds to it
-    afterwards, so basis is the span's own rows, not a copy; callers must
-    not change them.  terms holds each row in the terms form of linalg,
-    taken once here for every stage that brackets or reduces the rows.
+    Each input vector's terms are taken once, for the test that it lies in
+    m and for the span.  The span is complete when __init__ returns, so
+    basis is the span's own rows, not a copy; callers must not change them.
+    terms holds the same rows as terms, read off the span once.
     """
 
     __slots__ = ("space", "_span", "basis", "terms")
 
     def __init__(self, space: SpaceModel, vectors: list[Vec]):
         self.space = space
-        span = Span()
+        width = space.alg.dim
+        span = Span(width=width)
         for v in vectors:
-            if not space.in_m(v):
+            terms = nonzeros(v)
+            if len(v) != width or not space.terms_in_m(terms):
                 raise NotInM("subspace vectors must lie in m")
-            span.add(v)
+            span.add_terms(terms)
         self._span = span
         self.basis = span.basis()
-        self.terms = [nonzeros(b) for b in self.basis]
+        self.terms = span.basis_terms()
 
     @property
     def dim(self) -> int:
@@ -201,43 +204,32 @@ def is_lts(S: Subspace) -> bool:
 # -- flats and rank --------------------------------------------------------
 
 
-def _operator_kernel(basis: list[Vec], images: list[Vec]) -> list[Vec]:
-    """Vectors w in span(basis) with T(w) = 0, for the linear map T given by
-    its images: images[r] = T(basis[r]) (all operators' values, concatenated).
-    """
-    if not basis:
-        return []
-    return [combine(c, basis) for c in relations(images)]
-
-
 def _centralizer_in(S: Subspace, v: Vec) -> list[Vec]:
     alg, v_terms = S.space.alg, nonzeros(v)
-    return _operator_kernel(S.basis, on_support(
-        [dict(alg.bracket_terms(v_terms, b)) for b in S.terms]))
+    return [combine_terms(c, S.terms, alg.dim) for c in relations(
+        [alg.bracket_terms(v_terms, b) for b in S.terms])]
 
 
-def _pairwise_abelian(alg, vectors: list[Vec]) -> bool:
-    for i in range(len(vectors)):
-        for j in range(i + 1, len(vectors)):
-            if not vec_is_zero(alg.bracket(vectors[i], vectors[j])):
-                return False
-    return True
+def _pairwise_abelian(alg, terms: list[Terms]) -> bool:
+    """Whether the vectors with these terms commute pairwise."""
+    return not any(alg.bracket_terms(terms[i], terms[j])
+                   for i in range(len(terms))
+                   for j in range(i + 1, len(terms)))
 
 
 def intersect_spans(rows: list[Vec], span: Span) -> list[Vec]:
     """Basis of span(rows) intersect span, in reduced echelon form: the
     combinations of the rows whose remainders modulo span cancel, solved
     over len(rows) unknowns."""
-    if not rows or not span.dim:
-        return []
-    meet = _meet_relations([nonzeros(r) for r in rows], span)
-    return Span(combine(c, rows) for c in meet).basis()
+    terms = [nonzeros(r) for r in rows]
+    return Span(combine_terms(c, terms, len(rows[0]))
+                for c in _meet_relations(terms, span)).basis()
 
 
 def _meet_relations(rows: list[Terms], span: Span) -> list[Vec]:
     """Basis of the coefficient vectors c with sum_i c_i rows[i] in span,
     for rows in the terms form: the relations of their remainders."""
-    return relations(on_support([span.remainder(t) for t in rows]))
+    return relations([span.remainder(t).items() for t in rows])
 
 
 _FLAT_BUDGET = 24  # seeded samples of the full basis; half as many inside a
@@ -268,13 +260,14 @@ def rank_and_flat(S: Subspace, seed: int = 0) -> tuple[int, Subspace]:
                 break
             yield combine([rng.randint(-3, 3) for _ in a_meet], a_meet)
         for _ in range(_FLAT_BUDGET):
-            yield combine([rng.randint(-3, 3) for _ in S.basis], S.basis)
+            yield combine_terms([rng.randint(-3, 3) for _ in S.terms],
+                                S.terms, alg.dim)
 
     for v in schedule():
         if vec_is_zero(v):
             continue
         cand = _centralizer_in(S, v)
-        if not _pairwise_abelian(alg, cand):
+        if not _pairwise_abelian(alg, [nonzeros(w) for w in cand]):
             continue
         flat = Subspace(sp, cand)
         if flat.span() == sp.a_span:
@@ -312,14 +305,16 @@ def _check_ambient_cartan_extension(sp: SpaceModel, flat: Subspace) -> None:
     complete search: it may reject a flat that does extend.
     """
     alg = sp.alg
-    if not _pairwise_abelian(alg, flat.basis):
+    if not _pairwise_abelian(alg, flat.terms):
         raise NotAFlat("claimed flat is not abelian")
 
-    def centralizer():
-        basis = sp.m_basis()
-        yield from _operator_kernel(basis, [
-            [x for h in flat.basis for x in alg.bracket(h, b)]
-            for b in basis])
+    def centralizer():  # ad(h) for each h of the flat, at offsets of dim g
+        basis = [nonzeros(b) for b in sp.m_basis()]
+        for c in relations([[(i * alg.dim + k, x)
+                             for i, h in enumerate(flat.terms)
+                             for k, x in alg.bracket_terms(h, b)]
+                            for b in basis]):
+            yield combine_terms(c, basis, alg.dim)
 
     candidates = chain(sp.a_basis, centralizer())
     ext = Span(flat.basis)
@@ -349,10 +344,12 @@ def sub_restricted_roots(S: Subspace, flat: Subspace) -> list[SubRoot]:
     both taken in S's coordinates.
 
     For an LTS S and h in S, every image ad(h_i)ad(h_j)b lies in S.  The
-    images of the basis are computed once, in the terms form, and kept in
-    S's own coordinates (Span.coords_terms); an image outside S raises
-    NotAFlat naming it.  A candidate adds its shift to the coordinate of b
-    itself and solves a kernel on len(pairs) * dim S coordinates instead of
+    images of the basis are computed once, in the terms form; an image
+    outside S raises NotAFlat naming it.  One inside has as coordinates in
+    S its entries at S's pivots, which are kept as terms at q*n + k for the
+    q-th pair (i, j) and the k-th coordinate (n = dim S).  A candidate adds
+    its shifts only at q*n + r, for the image of b_r itself, and relations
+    solves a kernel on at most len(pairs) * n equations instead of
     len(pairs) * dim g ambient entries.  Coordinates are injective on S, so
     the kernel, and the reduced basis that relations returns for it, is the
     one of the ambient system, and two subspaces of S are equal exactly when
@@ -366,7 +363,7 @@ def sub_restricted_roots(S: Subspace, flat: Subspace) -> list[SubRoot]:
             raise NotAFlat("flat is not contained in the subspace")
         if not sp.a_span.contains(h):
             raise NotAFlat("flat must lie in the reference maximal flat")
-    if not _pairwise_abelian(alg, flat.basis):
+    if not _pairwise_abelian(alg, flat.terms):
         raise NotAFlat("flat is not abelian")
     hs = flat.basis
     candidates = (_reference_candidates(sp) if flat is _reference_flat(sp)
@@ -376,34 +373,35 @@ def sub_restricted_roots(S: Subspace, flat: Subspace) -> list[SubRoot]:
         pairs.append((0, 1))
     h_terms = flat.terms
     span = S.span()
-    coords = span.coords_terms
+    n = S.dim
+    # a vector of S has as coordinates its entries at S's pivots
+    coord = {p: k for k, p in enumerate(span.pivots)}
     shared = []
     for r, b_terms in enumerate(S.terms):
         ad_b = [alg.bracket_terms(h, b_terms) for h in h_terms]
         row = []
-        for i, j in pairs:
-            c = coords(alg.bracket_terms(h_terms[i], ad_b[j]))
-            if c is None:
+        for q, (i, j) in enumerate(pairs):
+            image = alg.bracket_terms(h_terms[i], ad_b[j])
+            if not span.contains_terms(image):
                 raise NotAFlat(
                     f"ad(h{i + 1})ad(h{j + 1}) of basis vector {r} is not in "
                     "the subspace; the input is not an LTS flat pair")
-            row.append(c)
+            row += [(q * n + coord[k], x) for k, x in image if k in coord]
         shared.append(row)
     out: list[SubRoot] = []
     for vals, labels in candidates:
         shifts = [vals[i] * vals[j] for i, j in pairs]
-        images = [[x + shift if k == r else x
-                   for c, shift in zip(imgs, shifts) for k, x in enumerate(c)]
-                  for r, imgs in enumerate(shared)]
-        space_coords = relations(images)
+        space_coords = relations([
+            row + [(q * n + r, shift) for q, shift in enumerate(shifts)]
+            for r, row in enumerate(shared)])
         if not space_coords:
             continue
         ambient = [t for label in labels for t in _chart_terms(sp, label)]
-        # a combination w of the ambient rows that lies in S has the
-        # coordinates w[p] at S's pivots p
-        heads = [[at.get(p, ZERO) for p in span.pivots]
-                 for at in map(dict, ambient)]
-        meet = [combine(c, heads) for c in _meet_relations(ambient, span)]
+        # so does a combination of the ambient rows that lies in S
+        heads = [[(coord[k], x) for k, x in t if k in coord]
+                 for t in ambient]
+        meet = [combine_terms(c, heads, n)
+                for c in _meet_relations(ambient, span)]
         if Span(space_coords) != Span(meet):
             raise NotAFlat(
                 "root space does not match the ambient intersection; "

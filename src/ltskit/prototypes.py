@@ -1,9 +1,8 @@
 """Type labels, the expected classification rows of the three modeled
-spaces, and the prototype constructors: ``make_prototype`` builds the
-standard totally geodesic subspace of a type family from the chart vectors
-of its space.  The rows are versioned in-repo data, checked exactly with no
-floating point by the sweeps of ``ltskit.catalog``.
-"""
+spaces, and the prototype constructors ``_PROTO``, which write the standard
+totally geodesic subspace of a type family from the chart vectors of its
+space; ``ltskit.catalog.make_prototype`` calls them for the labels that the
+tables name.  The rows are versioned in-repo data, checked exactly."""
 
 from __future__ import annotations
 
@@ -11,7 +10,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .linalg import Vec, combine, vec_add
-from .lts import Subspace
 from .scalars import I, ParseError, Parser, rat, sqrt
 from .spaces import ANGLE_NAMES, SpaceModel
 
@@ -441,12 +439,3 @@ _PROTO: dict[str, Callable[[SpaceModel, tuple], list[Vec]]] = {
     "G2group": _g2_prototype,
 }
 
-
-def make_prototype(sp: SpaceModel, label: TypeLabel | str) -> Subspace:
-    """The embedded prototype subspace of a classification type."""
-    if isinstance(label, str):
-        label = TypeLabel.parse(sp.name, label)
-    if label.space != sp.name:
-        raise UnknownLabel(f"{label.text} belongs to {label.space}")
-    vecs = _PROTO[sp.name](sp, label.parts)
-    return Subspace(sp, vecs)

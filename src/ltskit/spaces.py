@@ -399,12 +399,13 @@ class SpaceModel:
     def _t_eigenspace(self, eig: Scalar) -> list[Vec]:
         """Basis of {h in t : sigma(h) = eig*h}, as ambient vectors."""
         r = self.alg.rank
-        block = [zeros(r) for _ in range(r)]  # sigma - eig*id on t
+        block = [{} for _ in range(r)]  # the rows of sigma - eig*id on t
         for k in range(r):
             for i, w in self._sigma_cols[k]:
                 block[i][k] = w
-            block[k][k] = block[k][k] - eig
-        return [v + zeros(self.alg.dim - r) for v in kernel(block)]
+            block[k][k] = block[k].get(k, ZERO) - eig
+        return [v + zeros(self.alg.dim - r)
+                for v in kernel([row.items() for row in block], r)]
 
     def _orthonormalize(self, vecs: list[Vec]) -> list[Vec]:
         """Gram-Schmidt with radical normalization in the space metric."""
@@ -567,13 +568,14 @@ class SpaceModel:
 
     def in_m(self, v: Sequence[Scalar]) -> bool:
         """sigma v = -v; on the group model, where m is the whole algebra,
-        every vector of its length.  v + sigma v is held on the union of the
-        supports of v and sigma v."""
-        if len(v) != self.alg.dim:
-            return False
+        every vector of its length."""
+        return len(v) == self.alg.dim and self.terms_in_m(nonzeros(v))
+
+    def terms_in_m(self, terms: Terms) -> bool:
+        """in_m for a vector of the algebra's length, given by its terms: v +
+        sigma v is held on the union of the supports of v and sigma v."""
         if self.sigma_roots is None:
             return True
-        terms = nonzeros(v)
         return not any(self._add_sigma(terms, dict(terms)).values())
 
     # -- geometry ----------------------------------------------------------
@@ -668,7 +670,7 @@ class SpaceModel:
         if eqs.dim != len(gens) - 1:
             raise NotHermitian(f"center of k has dimension "
                                f"{len(gens) - eqs.dim}, not 1")
-        j0 = combine(kernel(eqs.basis())[0], gens)
+        j0 = combine(kernel(eqs.basis_terms(), len(gens))[0], gens)
         # the candidate spans the centre only if it commutes with all of k
         if not all(vec_is_zero(alg.bracket(j0, b)) for b in self.k_rows):
             raise NotHermitian("center of k has dimension 0, not 1")

@@ -9,11 +9,13 @@ matrix of a; chart vectors as dense projections (v -+ sigma v)/2; a chart's
 map as whole dense vectors scaled and added slot by slot; the flat-torus
 rotation as one solve for the coordinates in the basis of a and the chart
 vectors; the centre of k as the kernel of its brackets with every k row at
-once; the bracket as a scan of both dense operands; and the restricted-root
-spaces of an LTS as kernels of the ambient images ad(h_i)ad(h_j)b, all dim g
-entries of each; the intersection of two spans from the relations among all
-their rows at once; definiteness by the signs of the leading principal
-minors, each a determinant expanded along its first row; the Cayley number
+once; the bracket as a scan of both dense operands; the dimensions of the
+restricted-root spaces of an LTS from the rank of the ambient images
+ad(h_i)ad(h_j)b, all dim g entries of each; the intersection of two spans
+from the relations among all their rows at once; kernels by a reduced
+echelon form built with whole-row updates; definiteness by the signs of
+the leading principal minors, each a determinant expanded along its first
+row; the Cayley number
 systems as frozen dataclasses of ``Fraction`` coordinates, each result
 built through the validating constructor: ``CNum`` and ``Quaternion``,
 ``Octonion`` as a pair of quaternions, and ``Cx``, which adjoins a central
@@ -27,9 +29,9 @@ writes k, m and the chart vectors from sigma's sparse signed columns, shares
 one Gram matrix between the duals, stops the centre solve early and maps a
 chart by one combine over its nonzero coordinates; ltskit.catalog turns each
 chart coordinate, read as an inner product, by a power of exp(i pi/6);
-ltskit.linalg reads definiteness off LDL^T pivots; ltskit.lts solves the
-root spaces in the subspace's own coordinates and intersects by remainders
-modulo a Span; ltskit.cayley_dickson stores a CNum, and an element of any
+ltskit.linalg reads definiteness off LDL^T pivots and solves kernels and
+relations on terms through Span; ltskit.lts solves the root spaces in the
+subspace's own coordinates and intersects by remainders modulo a Span; ltskit.cayley_dickson stores a CNum, and an element of any
 of its five rings as one ``CDNum`` whose product reads a (k, sign) table,
 and ltskit.matrix_groups a matrix of the orthogonal model, as integers over
 one reduced denominator.  These are the long way round, kept only so the
@@ -46,10 +48,10 @@ from ltskit.chevalley import (
     ChevalleyAlgebra, SignSolveFailure, _add, _neg, _sub,
 )
 from ltskit.linalg import (
-    Span, combine, coordinates, kernel, relations, solve, vec_add,
+    Span, combine, coordinates, kernel, nonzeros, relations, solve, vec_add,
     vec_is_zero, vec_scale, vec_sub,
 )
-from ltskit.lts import SubRoot, _operator_kernel, _root_candidates
+from ltskit.lts import SubRoot, _root_candidates
 from ltskit.matrices import (
     identity, mat_map, mat_mul, mat_neg, mat_transpose,
 )
@@ -199,7 +201,8 @@ def dense_bracket(alg, x, y) -> list:
 def dense_sub_restricted_roots(S, flat) -> list:
     """Restricted roots of the LTS flat pair (S, flat): for each candidate
     alpha, the joint kernel on S of ad(h_i)ad(h_j) + alpha(h_i)alpha(h_j) id,
-    solved on the dense ambient images of the basis."""
+    whose dimension is dim S less the rank of the dense ambient images of
+    the basis, all len(pairs) * dim g entries of each."""
     alg, hs = S.space.alg, flat.basis
     pairs = [(i, i) for i in range(len(hs))]
     if len(hs) == 2:
@@ -214,10 +217,9 @@ def dense_sub_restricted_roots(S, flat) -> list:
         images = [[x + c * y if y else x for img, c in zip(imgs, shifts)
                    for x, y in zip(img, b)]
                   for imgs, b in zip(shared, S.basis)]
-        space_vecs = _operator_kernel(S.basis, images)
-        if space_vecs:
-            out.append(SubRoot(values=vals, mult=len(space_vecs),
-                               labels=tuple(labels)))
+        mult = S.dim - Span(images).dim
+        if mult:
+            out.append(SubRoot(values=vals, mult=mult, labels=tuple(labels)))
     return out
 
 
@@ -229,7 +231,49 @@ def dense_intersect_spans(rows1, rows2) -> list:
         return []
     n = len(rows1)
     return Span(combine(c[:n], rows1)
-                for c in relations(rows1 + rows2)).basis()
+                for c in dense_relations(rows1 + rows2)).basis()
+
+
+def dense_relations(vectors) -> list:
+    """relations of dense vectors, handed over as all their nonzero
+    terms."""
+    return relations([nonzeros(v) for v in vectors])
+
+
+def dense_echelon(vectors):
+    """Reduced row echelon form by whole-row updates: (rows, pivots)."""
+    rows, pivots = [], []
+    for v in vectors:
+        w = list(v)
+        for row, pc in zip(rows, pivots):
+            w = [a - w[pc] * b for a, b in zip(w, row)]
+        nonzero = [k for k, x in enumerate(w) if not x.is_zero()]
+        if not nonzero:
+            continue
+        c = nonzero[0]
+        w = [x / w[c] for x in w]
+        rows = [[a - row[c] * b for a, b in zip(row, w)] for row in rows]
+        pos = sum(1 for p in pivots if p < c)
+        rows.insert(pos, w)
+        pivots.insert(pos, c)
+    return rows, pivots
+
+
+def dense_kernel(rows, n_cols) -> list:
+    """Right kernel of the dense n_cols-column rows from dense_echelon: one
+    vector per non-pivot column, its pivot entries the negated row
+    entries in that column."""
+    echelon, pivots = dense_echelon(rows)
+    basis = []
+    for free in range(n_cols):
+        if free in pivots:
+            continue
+        v = [ZERO] * n_cols
+        v[free] = ONE
+        for row, pc in zip(echelon, pivots):
+            v[pc] = -row[free]
+        basis.append(v)
+    return basis
 
 
 def dense_chart_map(chart, *coeffs) -> list:
@@ -311,7 +355,8 @@ def dense_sigma_kernels(sigma_matrix) -> tuple[list, list]:
              for j in range(dim)] for i in range(dim)]
     minus = [[rat(sigma_matrix[i][j] + (1 if i == j else 0))
               for j in range(dim)] for i in range(dim)]
-    return kernel(plus), kernel(minus)
+    return (kernel(map(nonzeros, plus), dim),
+            kernel(map(nonzeros, minus), dim))
 
 
 class GenericRouteModel(SpaceModel):
@@ -374,8 +419,8 @@ class GenericRouteModel(SpaceModel):
         alg = self.alg
         gens = self._t_eigenspace(ONE) + [self.k_charts["2l1"].pairs[0][0],
                                           self.k_charts["2l2"].pairs[0][0]]
-        ker = relations([[x for b in self.k_rows for x in alg.bracket(g, b)]
-                         for g in gens])
+        ker = dense_relations([[x for b in self.k_rows
+                                for x in alg.bracket(g, b)] for g in gens])
         if len(ker) != 1:
             raise NotHermitian(f"center of k has dimension {len(ker)}, not 1")
         j0 = combine(ker[0], gens)

@@ -109,6 +109,26 @@ def test_unknown_prototype_raises(spaces):
         make_prototype(spaces["EIV"], TypeLabel.parse("EIII", "(Q)"))
 
 
+@pytest.mark.parametrize("text", [
+    "(PxP1, (H,4), R)", "(P, phi=pi/4, (S,12))", "(P, phi=0, (H,3))",
+    "(PxP1, (C,9), C)", "(PxP1, (R,2), R)", "(P, phi=pi/4, (S,9))",
+    "(Q, tau)", "(DIII, 3)"])
+def test_labels_outside_the_tables_raise(spaces, text):
+    # each once built a span (H read as R, a slice cut short, tau or the
+    # extra part ignored) or raised a bare KeyError or IndexError
+    with pytest.raises(UnknownLabel, match="no prototype"):
+        make_prototype(spaces["EIII"], text)
+
+
+def test_witness_labels_outside_the_classification_build(spaces):
+    # labels that only the witness tables name, adapted ones included
+    sp = spaces["EIII"]
+    for text, dim in [("(PxP1, (R,3), R)", 4), ("(PxP1, (C,3), C)", 8),
+                      ("(P, phi=0, (R,5))", 5), ("(P, phi=0, (C,4))", 8),
+                      ("(P, phi=0, (R,4))", 4)]:
+        assert make_prototype(sp, text).dim == dim, text
+
+
 # -- embedded tables -------------------------------------------------------
 
 
@@ -468,6 +488,16 @@ def test_geodesic_length_skew_direction(spaces):
     g = geodesic_length(sp, H)
     assert g == ClosedGeodesic(Fraction(4, 3), 21)
     assert g.text == "4/3*pi*sqrt(21)"
+
+
+def test_geodesic_length_of_one_pi_is_written_pi(spaces):
+    sp = spaces["EIII"]
+    (v,) = make_prototype(sp, "(Geo, phi=0)").basis
+    assert sp.inner(v, v) == rat(1)
+    assert geodesic_length(sp, v) == ClosedGeodesic(Fraction(1), 1)
+    assert geodesic_length(sp, v).text == "pi"
+    assert ClosedGeodesic(Fraction(1), 3).text == "pi*sqrt(3)"
+    assert ClosedGeodesic(Fraction(2), 1).text == "2*pi"
 
 
 def test_geodesic_length_scaling(spaces):

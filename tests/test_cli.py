@@ -44,6 +44,12 @@ def test_geodesic_quoted_length(capsys):
     assert out.strip() == "4/3*pi*sqrt(21)"
 
 
+def test_geodesic_length_of_one_pi(capsys):
+    code, out, _ = run(capsys, "geodesic", "length", "--H", "4*l1")
+    assert code == EXIT_OK
+    assert out.strip() == "pi"
+
+
 def test_geodesic_json(capsys):
     code, doc = run_json(capsys, "geodesic", "length",
                          "--H", "(9*l1 + 5*l2)/sqrt(21)")

@@ -7,11 +7,15 @@ from ltskit.linalg import (
 )
 from ltskit.scalars import ONE, ZERO, rat, sqrt
 
-from generic_route import minors_negative_definite
+from generic_route import dense_echelon, dense_kernel, minors_negative_definite
 
 
 def m(*rows):
     return [[rat(x) if isinstance(x, int) else x for x in row] for row in rows]
+
+
+def terms(rows):
+    return [nonzeros(r) for r in rows]
 
 
 def mat_vec(a, v):
@@ -21,7 +25,7 @@ def mat_vec(a, v):
 def test_rank_and_kernel():
     a = m((1, 2, 3), (2, 4, 6), (0, 1, 1))
     assert Span(a).dim == 2
-    ker = kernel(a)
+    ker = kernel(terms(a), 3)
     assert len(ker) == 1
     for row in a:
         assert sum((x * y for x, y in zip(row, ker[0])), ZERO).is_zero()
@@ -73,9 +77,9 @@ small = st.integers(min_value=-5, max_value=5)
 @given(st.lists(st.lists(small, min_size=3, max_size=3), min_size=1, max_size=4))
 def test_kernel_annihilates(rows):
     a = m(*rows)
-    for v in kernel(a):
+    for v in kernel(terms(a), 3):
         assert vec_is_zero(mat_vec(a, v))
-    assert Span(a).dim + len(kernel(a)) == 3
+    assert Span(a).dim + len(kernel(terms(a), 3)) == 3
 
 
 vectors = st.lists(st.lists(small, min_size=3, max_size=3), min_size=1,
@@ -85,7 +89,7 @@ vectors = st.lists(st.lists(small, min_size=3, max_size=3), min_size=1,
 @given(vectors)
 def test_relations_annihilate(rows):
     vs = m(*rows)
-    rels = relations(vs)
+    rels = relations(terms(vs))
     for c in rels:
         assert vec_is_zero(combine(c, vs))
     assert len(rels) == len(vs) - Span(vs).dim
@@ -93,7 +97,7 @@ def test_relations_annihilate(rows):
 
 @given(st.integers(min_value=1, max_value=4))
 def test_relations_of_zero_vectors_are_the_identity(n):
-    vs = [[ZERO] * 3 for _ in range(n)]
+    vs = [[(k, ZERO) for k in range(3)] for _ in range(n)]
     assert relations(vs) == [[ONE if i == j else ZERO for j in range(n)]
                              for i in range(n)]
 
@@ -190,25 +194,6 @@ entries = st.one_of(
 sparse_vectors = st.lists(entries, min_size=N_COLS, max_size=N_COLS)
 
 
-def dense_echelon(vectors):
-    """Reduced row echelon form by whole-row updates: (rows, pivots)."""
-    rows, pivots = [], []
-    for v in vectors:
-        w = list(v)
-        for row, pc in zip(rows, pivots):
-            w = [a - w[pc] * b for a, b in zip(w, row)]
-        nonzero = [k for k, x in enumerate(w) if not x.is_zero()]
-        if not nonzero:
-            continue
-        c = nonzero[0]
-        w = [x / w[c] for x in w]
-        rows = [[a - row[c] * b for a, b in zip(row, w)] for row in rows]
-        pos = sum(1 for p in pivots if p < c)
-        rows.insert(pos, w)
-        pivots.insert(pos, c)
-    return rows, pivots
-
-
 def dense_reduce(rows, pivots, v):
     """(coefficients, remainder) of v by whole-row updates."""
     w = list(v)
@@ -250,3 +235,50 @@ def test_span_matches_dense_elimination(vectors, rnd, probes):
             assert s.coords_terms(nonzeros(v)) == want
             got = s.remainder(nonzeros(v))
             assert sorted((k, x) for k, x in got.items() if x) == rest
+
+
+# -- kernel and relations on terms against the dense elimination --------------
+
+
+def scrambled(v, rnd):
+    """The terms of v in a random order, some of its zero entries written
+    out."""
+    out = [(k, x) for k, x in enumerate(v) if x or rnd.random() < 0.5]
+    rnd.shuffle(out)
+    return out
+
+
+def transposed(vectors):
+    return [[v[k] for v in vectors] for k in range(N_COLS)]
+
+
+@settings(deadline=None)
+@given(st.lists(sparse_vectors, max_size=6), st.randoms(),
+       st.lists(sparse_vectors, min_size=1, max_size=3))
+def test_kernel_and_relations_match_dense_elimination(vectors, rnd, others):
+    n = len(vectors)
+    # the vectors as the rows of an N_COLS-column matrix, then as columns
+    assert kernel([scrambled(v, rnd) for v in vectors], N_COLS) \
+        == dense_kernel(vectors, N_COLS)
+    assert relations([scrambled(v, rnd) for v in vectors]) \
+        == dense_kernel(transposed(vectors), n)
+    # remainders modulo a span as they stand: a vector inside the span
+    # leaves a dict of exact zeros
+    inside = combine([rat(rnd.randint(-3, 3)) for _ in others], others)
+    span = Span(others)
+    rests = [span.remainder(nonzeros(v)) for v in [*vectors, inside]]
+    dense = [[rest.get(k, ZERO) for k in range(N_COLS)] for rest in rests]
+    assert relations([rest.items() for rest in rests]) \
+        == dense_kernel(transposed(dense), n + 1)
+
+
+def test_terms_without_a_nonzero_entry_leave_every_column_free():
+    identity = [[ONE if i == j else ZERO for j in range(3)] for i in range(3)]
+    assert relations([[], [], []]) == identity
+    assert relations([[(4, ZERO)], [], [(0, ZERO), (4, ZERO)]]) == identity
+    assert relations([{2: ZERO}.items()] * 3) == identity
+    assert kernel([], 3) == identity
+    assert kernel([[(1, ZERO)], [(0, ONE), (0, -ONE)]], 3) == identity
+    # entries at a repeated index add up: the row (2, -2)
+    assert kernel([[(0, ONE), (1, rat(-2)), (0, ONE)]], 2) == [[ONE, ONE]]
+    assert relations([]) == [] and kernel([], 0) == []

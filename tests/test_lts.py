@@ -8,10 +8,10 @@ from hypothesis import example, given, settings, strategies as st
 from ltskit import lts
 from ltskit.catalog import expected_rows, make_prototype
 from ltskit.linalg import (
-    Span, combine, vec_add, vec_is_zero, vec_scale, vec_sub,
+    Span, combine, nonzeros, vec_add, vec_is_zero, vec_scale, vec_sub,
 )
 from ltskit.report import ReportRow
-from ltskit.scalars import I, ParseError, rat, sqrt
+from ltskit.scalars import I, ParseError, Scalar, rat, sqrt
 from ltskit.spaces import NotInM, build_space
 
 from generic_route import dense_intersect_spans, dense_sub_restricted_roots
@@ -114,6 +114,23 @@ def test_subspace_reduces_dependent_generators():
     v = sp.charts["l1"].map(1, 0, 0, 0)
     S = subspace(sp, [v, vec_scale(rat(3), v), sp.sharp["l1"]])
     assert S.dim == 2
+
+
+def test_subspace_rejects_vectors_of_another_length():
+    sp = build_space("EIV")
+    for v in (sp.sharp["l1"][:-1], sp.sharp["l1"] + [rat(0)]):
+        with pytest.raises(NotInM):
+            subspace(sp, [v])
+
+
+@pytest.mark.parametrize("name", ["G2group", "EIV", "EIII"])
+def test_subspace_terms_are_the_nonzeros_of_its_basis(name):
+    # terms is read off the span's rows, not taken from the dense basis
+    sp = build_space(name)
+    for row in expected_rows(name):
+        if not row.opaque:
+            S = make_prototype(sp, row.label)
+            assert S.terms == [nonzeros(b) for b in S.basis], row.label
 
 
 # -- closed subsystems -----------------------------------------------------
@@ -316,7 +333,8 @@ def test_sub_roots_check_the_ambient_intersection(monkeypatch):
 
 def test_root_kernel_cost_guard(monkeypatch):
     # the root spaces are solved in S's coordinates: a system with one column
-    # per basis vector of S has len(pairs) * dim S rows, not len(pairs) * 78
+    # per basis vector of S has at most len(pairs) * dim S equations, one per
+    # index its terms name, not len(pairs) * 78
     S = make_prototype(build_space("EIII"), "(DIII)")
     rank, flat = lts.rank_and_flat(S)
     assert rank == 2
@@ -325,7 +343,7 @@ def test_root_kernel_cost_guard(monkeypatch):
 
     def recording(vectors):
         if len(vectors) == S.dim:  # an intersection has one per ambient row
-            sizes.append(len(vectors[0]))
+            sizes.append(len({k for v in vectors for k, _ in v}))
         return real(vectors)
 
     monkeypatch.setattr(lts, "relations", recording)
@@ -354,6 +372,28 @@ def test_rational_sweep_fraction_guard(monkeypatch, name, label, before):
     assert lts.analyze(S, seed=0).is_lts
     monkeypatch.undo()
     assert made[0] <= before // 4
+
+
+@pytest.mark.parametrize("name, label, before, after", [
+    ("EIII", "(DIII)", 40572, 19400), ("EIV", "(AII)", 14159, 6400)])
+def test_sweep_row_zero_test_guard(monkeypatch, name, label, before, after):
+    # deterministic counts, no timings: the linear systems of the LTS stages
+    # take terms, so a second make_prototype + analyze of a sweep row makes
+    # `after` or fewer Scalar zero tests (19353 and 6390; with the systems
+    # written as dense vectors it made `before`)
+    sp = build_space(name)
+    lts.analyze(make_prototype(sp, label), seed=0)
+    real = Scalar.__bool__
+    tests = [0]
+
+    def counting(self):
+        tests[0] += 1
+        return real(self)
+
+    monkeypatch.setattr(Scalar, "__bool__", counting)
+    assert lts.analyze(make_prototype(sp, label), seed=0).is_lts
+    monkeypatch.undo()
+    assert tests[0] <= after < before // 2
 
 
 def test_flats_equal_to_a_are_shared():

@@ -253,3 +253,23 @@ def test_traced_names_resolve():
         if not found:
             missing.append(f"{module}:{attr}")
     assert missing == []
+
+
+def test_traced_sweep_reaches_every_layer(tmp_path, monkeypatch):
+    # a traced benchmark run stops with ZeroCalls when a layer it wraps is
+    # no longer called, say relations solved off linalg.kernel; the sweep's
+    # profile job (about a second) shows that here, with its verdicts, after
+    # the same set-up (the models and J are built before tracing starts)
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    from tracer import Tracer
+    from worker import setup
+    from workloads import Sweep
+    setup("sweep")
+    sweep, tracer = Sweep(0, tmp_path), Tracer()
+    tracer.install(Sweep.layers)
+    try:
+        ops = sweep.run_profile()
+    finally:
+        tracer.restore()
+    tracer.check_calls()
+    assert [sweep.check(op) for op in ops] == [None] * 6

@@ -345,9 +345,9 @@ def test_build_cost_guard(monkeypatch):
         calls[0] += 1
         return bracket(self, x, y)
 
-    def recording_kernel(rows):
-        widths.append(len(rows[0]) if rows else 0)
-        return kernel(rows)
+    def recording_kernel(rows, n_cols):
+        widths.append(n_cols)
+        return kernel(rows, n_cols)
 
     monkeypatch.setattr(ChevalleyAlgebra, "bracket", counting_bracket)
     monkeypatch.setattr(linalg, "kernel", recording_kernel)
