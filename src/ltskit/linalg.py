@@ -11,26 +11,24 @@ never scans a zero.  Where this module takes terms, they may come in any
 order and hold zero entries, and entries at a repeated index add up, so a
 Span.remainder dict is passed on as it stands.
 
-Span is the one Gauss-Jordan elimination: it keeps the reduced row echelon
-form of the rows added so far, which is unique, so every result below is
-independent of the order in which rows arrive.  In that form the
-coefficient of a stored row in a vector's reduction is the vector's own
-entry at the row's pivot, so Span.remainder, the one reduction routine,
-looks rows up by the pivots in the vector's support and touches only their
-nonzero columns.  contains, coords and add are built on it, each in a terms
-form (contains_terms, coords_terms, add_terms) and a dense one that takes
-the nonzeros of its vector.  basis hands out the stored rows themselves,
-basis_terms the same rows as terms, and coords a vector's coordinates in
-them, so a system over a subspace can be solved in its dim coordinates.
+Span is the one elimination.  It keeps the reduced row echelon form of
+the rows added so far, which is unique, so every result below is
+independent of the order in which rows arrive, and it keeps each row once,
+in the sparse form its docstring describes.  Span.remainder is the one
+reduction routine; contains and add are built on it, each in a terms form
+(contains_terms, add_terms) and a dense one.  basis writes the rows out as
+fresh dense lists and basis_terms as terms, and a vector v of the span is
+combine([v[p] for p in pivots], basis()).
 
-The linear systems take terms: kernel reads its rows as terms over a given
-number of columns, and relations, the kernel of the matrix whose columns
-are the given vectors, writes that matrix's rows from the vectors' terms
-and hands them to kernel, so neither scans a dense vector.  Beside them sit
-combine (the matrix times a coefficient vector, over the vectors' nonzero
-entries; combine_terms for vectors given as terms), coordinates and solve
-(one solution of a dense system), and is_negative_definite, which decides
-the sign of a Gram matrix by its LDL^T pivots.
+The linear systems are eliminations in a Span too.  kernel takes its rows
+as terms over a given number of columns and reads each kernel vector off
+the reduced rows; relations, the kernel of the matrix whose columns are
+the given vectors, writes that matrix's rows from the vectors' terms;
+solve (and coordinates through it) reads its solution off the rows at the
+target column; and is_negative_definite adds a Gram matrix's rows in order
+and decides the sign of each pivot.  combine is the matrix times a
+coefficient vector, over the vectors' nonzero entries (combine_terms for
+vectors given as terms).
 """
 
 from __future__ import annotations
@@ -83,7 +81,7 @@ def kernel(rows: Iterable[Terms], n_cols: int) -> list[Vec]:
     for k, v in basis.items():
         v[k] = ONE
     for p, move in moves.items():
-        for k, x in move:
+        for k, x in move.items():
             basis[k][p] = x
     return list(basis.values())
 
@@ -95,12 +93,12 @@ def solve(rows: Sequence[Sequence[Scalar]], target: Sequence[Scalar]) -> Vec | N
     if not rows:
         return []
     n_cols = len(rows[0])
-    echelon = Span([list(r) + [t] for r, t in zip(rows, target)])
-    if echelon._pivots and echelon._pivots[-1] == n_cols:
+    moves = Span([list(r) + [t] for r, t in zip(rows, target)])._moves
+    if n_cols in moves:
         return None
     x = zeros(n_cols)
-    for row, pc in zip(echelon._rows, echelon._pivots):
-        x[pc] = row[n_cols]
+    for p, move in moves.items():
+        x[p] = -move.get(n_cols, ZERO)
     return x
 
 
@@ -130,20 +128,17 @@ def combine_terms(coeffs: Sequence[Scalar | int], vectors: Sequence[Terms],
 
 
 def is_negative_definite(gram: Sequence[Sequence[Scalar]]) -> bool:
-    """Whether the real symmetric Gram matrix is negative definite, by LDL^T
-    without pivoting: it is exactly when every pivot is negative, each sign
-    decided exactly by scalar_sign."""
-    m = [list(row) for row in gram]
-    n = len(m)
-    for i in range(n):
-        d = m[i][i]
-        if scalar_sign(d) >= 0:
+    """Whether the real symmetric Gram matrix is negative definite.  Its rows
+    go into a Span in order; while rows 0..i-1 hold pivots 0..i-1, row i's
+    remainder is zero before column i, and its entry there is the LDL^T
+    pivot.  The matrix is negative definite exactly when every pivot is
+    negative, each sign decided exactly by scalar_sign."""
+    span = Span(width=len(gram))
+    for i, row in enumerate(gram):
+        rest = span.remainder(nonzeros(row))
+        if scalar_sign(rest.get(i, ZERO)) >= 0:
             return False
-        for j in range(i + 1, n):
-            if m[j][i]:
-                f = m[j][i] / d
-                for k in range(i + 1, n):
-                    m[j][k] = m[j][k] - f * m[i][k]
+        span.add_terms(rest.items())
     return True
 
 
@@ -171,19 +166,19 @@ class Span:
 
     The stored rows are in reduced row echelon form, so the coefficient of
     each row in a vector's reduction is the vector's own entry at that row's
-    pivot.  Beside its dense form each row is kept, by pivot, as its moves:
-    the negated nonzero entries off its pivot.  remainder, the one reduction
-    routine, adds c * moves[p] for each term (p, c) of a vector at a pivot p
-    and so touches only those rows and only their columns.  width is the
-    length of the dense rows: that of the first dense vector added, or given
-    for a span that is fed terms only."""
+    pivot.  Each row is kept once, by pivot, as its moves: a {column:
+    entry} dict of the negated nonzero entries off its pivot, whose entry is
+    1.  remainder, the one reduction routine, adds c * moves[p] for each
+    term (p, c) of a vector at a pivot p and so touches only those rows and
+    only their columns.  width is the length of the dense rows that basis
+    writes: that of the first dense vector added, or given for a span that
+    is fed terms only."""
 
     def __init__(self, vectors: Sequence[Sequence[Scalar]] = (),
                  width: int | None = None):
         self.width = width
-        self._rows: Mat = []
         self._pivots: list[int] = []
-        self._moves: dict[int, Terms] = {}
+        self._moves: dict[int, dict[int, Scalar]] = {}
         for v in vectors:
             self.add(v)
 
@@ -200,7 +195,7 @@ class Span:
                 prev = out.get(k)
                 out[k] = c if prev is None else prev + c
                 continue
-            for j, x in move:
+            for j, x in move.items():
                 prev = out.get(j)
                 out[j] = c * x if prev is None else prev + c * x
         return out
@@ -208,40 +203,29 @@ class Span:
     def contains_terms(self, terms: Terms) -> bool:
         return not any(self.remainder(terms).values())
 
-    def coords_terms(self, terms: Terms) -> Vec | None:
-        """Coefficients in the stored reduced basis of the vector with these
-        terms, or None if it lies outside the span."""
-        if any(self.remainder(terms).values()):
-            return None
-        at = dict(terms)
-        return [at.get(p, ZERO) for p in self._pivots]
-
     def add_terms(self, terms: Terms) -> bool:
         """Reduce the vector against the span; add the remainder.  True if
         dim grew."""
-        w = sorted((k, x) for k, x in self.remainder(terms).items() if x)
-        if not w:
+        rest = {k: x for k, x in self.remainder(terms).items() if x}
+        if not rest:
             return False
-        c, lead = w[0]
-        inv = lead.inv()
-        w = [(k, x * inv) for k, x in w]
-        cols = {k for k, _ in w}
-        # keep rows fully reduced against each other
-        for row, p in zip(self._rows, self._pivots):
-            f = row[c]
-            if f:
-                for k, x in w:
-                    row[k] = row[k] - f * x
-                touched = cols.union(k for k, _ in self._moves[p])
-                self._moves[p] = [(k, -row[k]) for k in sorted(touched)
-                                  if k != p and row[k]]
-        row = zeros(self.width)
-        for k, x in w:
-            row[k] = x
-        pos = bisect_left(self._pivots, c)
-        self._rows.insert(pos, row)
-        self._pivots.insert(pos, c)
-        self._moves[c] = [(k, -x) for k, x in w[1:]]
+        c = min(rest)
+        inv = -rest.pop(c).inv()
+        new = {k: x * inv for k, x in rest.items()}
+        # keep rows fully reduced against each other: a row whose moves
+        # hold f at c takes f times the new row's moves
+        for move in self._moves.values():
+            f = move.pop(c, None)
+            if f is not None:
+                for k, x in new.items():
+                    y = move.get(k)
+                    y = f * x if y is None else y + f * x
+                    if y:
+                        move[k] = y
+                    else:
+                        del move[k]
+        self._pivots.insert(bisect_left(self._pivots, c), c)
+        self._moves[c] = new
         return True
 
     def add(self, v: Sequence[Scalar]) -> bool:
@@ -252,12 +236,9 @@ class Span:
     def contains(self, v: Sequence[Scalar]) -> bool:
         return self.contains_terms(nonzeros(v))
 
-    def coords(self, v: Sequence[Scalar]) -> Vec | None:
-        return self.coords_terms(nonzeros(v))
-
     @property
     def dim(self) -> int:
-        return len(self._rows)
+        return len(self._pivots)
 
     @property
     def pivots(self) -> list[int]:
@@ -265,18 +246,26 @@ class Span:
         return self._pivots
 
     def basis(self) -> Mat:
-        """The stored rows, in pivot order, not copies: a later add changes
-        them in place, and a caller must not change them."""
-        return self._rows
+        """The stored rows in pivot order, written out at width: fresh
+        lists, so a caller may change them without changing the span."""
+        out = []
+        for p in self._pivots:
+            row = zeros(self.width)
+            row[p] = ONE
+            for k, x in self._moves[p].items():
+                row[k] = -x
+            out.append(row)
+        return out
 
     def __contains__(self, v) -> bool:
         return self.contains(v)
 
     def basis_terms(self) -> list[list[tuple[int, Scalar]]]:
-        """The stored rows in the terms form, in pivot order: each row's
-        pivot entry, then the entries that its moves name."""
-        return [[(p, row[p]), *((k, row[k]) for k, _ in self._moves[p])]
-                for row, p in zip(self._rows, self._pivots)]
+        """The stored rows in the terms form, in pivot order, each in
+        increasing index: its pivot entry 1, then its negated moves."""
+        moves = self._moves
+        return [[(p, ONE), *((k, -x) for k, x in sorted(moves[p].items()))]
+                for p in self._pivots]
 
     def __le__(self, other: "Span") -> bool:
         return all(other.contains_terms(t) for t in self.basis_terms())

@@ -98,8 +98,8 @@ class Subspace:
 
     Each input vector's terms are taken once, for the test that it lies in
     m and for the span.  The span is complete when __init__ returns, so
-    basis is the span's own rows, not a copy; callers must not change them.
-    terms holds the same rows as terms, read off the span once.
+    basis (the span's rows written out as dense lists) and terms (the same
+    rows as terms) are read off it once.
     """
 
     __slots__ = ("space", "_span", "basis", "terms")

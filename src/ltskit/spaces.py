@@ -451,14 +451,14 @@ class SpaceModel:
     def _build_restricted(self) -> RestrictedRootSystem:
         labels = RESTRICTED_LABELS[self.name]
         base = labels[0], ("l2" if "l2" in labels else labels[1])
-        # each form over the two base forms on a, read off their duals in
-        # coordinates on a (rank entries, not the ambient ones)
-        on_a = self.a_span.coords
-        base_sharps = [on_a(self.sharp[base[0]]), on_a(self.sharp[base[1]])]
+        # each form over the two base forms on a, read off their duals: the
+        # duals lie in a and the base ones are independent, so the ambient
+        # system has one solution
+        base_sharps = [self.sharp[base[0]], self.sharp[base[1]]]
         positives = []
         for lbl in labels:
             coords = tuple(c.rational_value() for c in
-                           coordinates(base_sharps, on_a(self.sharp[lbl])))
+                           coordinates(base_sharps, self.sharp[lbl]))
             mult = 0
             for a_idx, b_idx in self._orbit_tables[lbl]:
                 mult += 1 if b_idx in (a_idx, None) else 2

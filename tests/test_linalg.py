@@ -53,12 +53,8 @@ def test_span_membership_and_coords():
     assert s.dim == 2
     v = [rat(5), -sqrt(3), rat(5)]
     assert s.contains(v)
-    c = s.coords(v)
-    assert c is not None
-    recon = [ZERO, ZERO, ZERO]
-    for coef, row in zip(c, s.basis()):
-        recon = [a + coef * b for a, b in zip(recon, row)]
-    assert recon == v
+    # a member's coordinates in the reduced basis are its pivot entries
+    assert combine([v[p] for p in s.pivots], s.basis()) == v
     assert not s.contains([rat(1), rat(0), rat(0)])
 
 
@@ -204,11 +200,6 @@ def dense_reduce(rows, pivots, v):
     return coeffs, w
 
 
-def dense_coords(rows, pivots, v):
-    coeffs, w = dense_reduce(rows, pivots, v)
-    return coeffs if vec_is_zero(w) else None
-
-
 @settings(deadline=None)
 @given(st.lists(sparse_vectors, min_size=1, max_size=6), st.randoms(),
        st.lists(sparse_vectors, min_size=1, max_size=3))
@@ -224,17 +215,25 @@ def test_span_matches_dense_elimination(vectors, rnd, probes):
     for v in shuffled:
         from_terms.add_terms(nonzeros(v))
     assert from_terms.basis() == rows
+    for s in (span, from_terms):
+        assert s.pivots == pivots
+        assert s.basis_terms() == [nonzeros(r) for r in rows]
+    # basis() writes fresh lists: changing one leaves the span as it was
+    for row in span.basis():
+        row[:] = [ONE] * N_COLS
+    assert span.basis() == rows
     combos = [combine([rat(rnd.randint(-3, 3)) for _ in vectors], vectors)]
     for v in probes + combos:
-        want = dense_coords(rows, pivots, v)
-        rest = nonzeros(dense_reduce(rows, pivots, v)[1])
+        coeffs, w = dense_reduce(rows, pivots, v)
+        inside = vec_is_zero(w)
         for s in (span, Span(shuffled), from_terms):
-            assert s.contains(v) == (want is not None)
-            assert s.coords(v) == want
-            assert s.contains_terms(nonzeros(v)) == (want is not None)
-            assert s.coords_terms(nonzeros(v)) == want
+            assert s.contains(v) == inside
+            assert s.contains_terms(nonzeros(v)) == inside
+            if inside:
+                assert [v[p] for p in s.pivots] == coeffs
+                assert not rows or combine(coeffs, s.basis()) == v
             got = s.remainder(nonzeros(v))
-            assert sorted((k, x) for k, x in got.items() if x) == rest
+            assert sorted((k, x) for k, x in got.items() if x) == nonzeros(w)
 
 
 # -- kernel and relations on terms against the dense elimination --------------

@@ -375,12 +375,14 @@ def test_rational_sweep_fraction_guard(monkeypatch, name, label, before):
 
 
 @pytest.mark.parametrize("name, label, before, after", [
-    ("EIII", "(DIII)", 40572, 19400), ("EIV", "(AII)", 14159, 6400)])
+    ("EIII", "(DIII)", 40572, 17491), ("EIV", "(AII)", 14159, 5794)],
+    ids=["EIII-(DIII)", "EIV-(AII)"])
 def test_sweep_row_zero_test_guard(monkeypatch, name, label, before, after):
     # deterministic counts, no timings: the linear systems of the LTS stages
-    # take terms, so a second make_prototype + analyze of a sweep row makes
-    # `after` or fewer Scalar zero tests (19353 and 6390; with the systems
-    # written as dense vectors it made `before`)
+    # take terms and a Span keeps each reduced row once, as its moves, so a
+    # second make_prototype + analyze of a sweep row makes `after` or fewer
+    # Scalar zero tests (19353 and 6390 with a dense copy of each row beside
+    # its moves; with the systems written as dense vectors it made `before`)
     sp = build_space(name)
     lts.analyze(make_prototype(sp, label), seed=0)
     real = Scalar.__bool__

@@ -213,6 +213,18 @@ def test_only_scalars_reads_scalar_state(path):
     assert private_reads(path.read_text(encoding="utf-8"), slots) == []
 
 
+@pytest.mark.parametrize("path", sorted(
+    [*SRC.glob("*.py"), *(ROOT / "perfbench").glob("*.py")]),
+    ids=lambda p: p.name)
+def test_only_linalg_reads_span_state(path):
+    # a Span keeps each reduced row once, as its moves by pivot; only
+    # linalg knows that form, the rest reads basis, basis_terms and pivots
+    if path == SRC / "linalg.py":
+        return
+    state = {"_moves", "_pivots"}
+    assert private_reads(path.read_text(encoding="utf-8"), state) == []
+
+
 def traced_targets(source: str) -> list[tuple[str, str]]:
     """(module, attr) of every ``Target("module", "attr", ...)`` literal
     with a module name."""
