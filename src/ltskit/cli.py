@@ -29,12 +29,7 @@ import sys
 from .linalg import Span, is_negative_definite, vec_is_zero
 from .report import CatalogReport, ReportRow
 from .scalars import ParseError, rat
-from .spaces import (
-    REFERENCE_METRIC_RATIO,
-    SPACE_NAMES,
-    NotHermitian,
-    build_space,
-)
+from .spaces import SPACE_NAMES, NotHermitian, build_space
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -172,7 +167,7 @@ def verify_foundations(sp) -> CatalogReport:
 
 
 def _complex_structure_row(sp) -> ReportRow:
-    if sp.name != "EIII":
+    if not sp.data.hermitian:
         return ReportRow(
             "complex-structure", "SKIPPED", {}, {},
             "no invariant complex structure on this model")
@@ -240,7 +235,7 @@ def cmd_space_info(args) -> int:
         "restricted_kind": sp.restricted.kind,
         "restricted_roots": roots,
         "chart_labels": list(sp.charts),
-        "reference_metric_ratio": REFERENCE_METRIC_RATIO[sp.name],
+        "reference_metric_ratio": sp.data.reference_metric_ratio,
     }
     if args.format == "json":
         _print_json("space info", "PASS", data)
@@ -279,15 +274,15 @@ def cmd_catalog_containments(args) -> int:
 
 def cmd_catalog_derived(args) -> int:
     from .catalog import derived_hosts, verify_derived
-    _space_name(args.name)
+    space = _space_name(args.name)
     hosts = derived_hosts()
     if args.host not in hosts:
         raise ParseError(
             f"unknown host {args.host!r}; choose from {', '.join(sorted(hosts))}")
     parent, _rows = hosts[args.host]
-    if parent is not None and parent != args.name:
+    if parent not in (None, space):
         raise ParseError(
-            f"host {args.host!r} belongs to space {parent}, not {args.name}")
+            f"host {args.host!r} belongs to space {parent}, not {space}")
     return _emit_report(args, "catalog derived",
                         verify_derived(args.host, seed=args.seed))
 

@@ -68,8 +68,7 @@ from .linalg import (
 )
 from .scalars import ParseError, Parser, Scalar, scalar_sign
 from .spaces import (
-    AngleDescriptor, NotHermitian, NotInM, RESTRICTED_LABELS, SpaceModel,
-    build_space,
+    AngleDescriptor, NotHermitian, NotInM, SpaceModel, build_space,
 )
 
 
@@ -422,7 +421,7 @@ def _root_candidates(sp: SpaceModel, hs: list[Vec]) -> dict[
     """Candidate restrictions to span(hs) of the ambient restricted roots:
     sign-normalized values on hs, each with the labels restricting to it."""
     buckets: dict[tuple[Scalar, ...], tuple[str, ...]] = {}
-    for label in RESTRICTED_LABELS[sp.name]:
+    for label in sp.data.labels:
         vals = tuple(sp.inner(sp.sharp[label], h) for h in hs)
         if all(v.is_zero() for v in vals):
             continue
@@ -455,7 +454,7 @@ def decomposition_checks(S: Subspace, flat: Subspace,
     # if an ambient restricted root vanishes on the flat, S is orthogonal to
     # its root space
     ortho = True
-    for label in RESTRICTED_LABELS[sp.name]:
+    for label in sp.data.labels:
         if all(sp.inner(sp.sharp[label], h).is_zero() for h in flat.basis):
             for u in sp.charts[label].basis_vectors():
                 if any(not sp.inner(u, b).is_zero() for b in S.basis):
@@ -643,7 +642,7 @@ def analyze(S: Subspace, seed: int = 0) -> LtsReport:
         report.notes = (
             "flat not inside the reference maximal flat; restricted data "
             "skipped",)
-    if sp.name == "EIII":
+    if sp.data.hermitian:
         report.complexity = complexity_class(S)
     return report
 

@@ -1,14 +1,24 @@
 """Symmetric-space models: involution, splitting, restricted roots, charts.
 
-Three models are provided:
+Each model is built from one SpaceData record in SPACES, and from nothing
+else that names its space:
 
   EIII     E6 / (U(1) x Spin(10)),  restricted type BC2
   EIV      E6 / F4,                 restricted type A2
   G2group  the group G2 as (G2 x G2)/diag, tangent space identified with g2
 
-The involution acts on the root system by a table-driven linear map (the
-orbit tables are input data; a consistency test validates every orbit).  The
-lift to the algebra is a sign e_a = +-1 per root with
+sigma acts on the root system as the linear extension of its values on the
+simple roots.  Two roots restrict to the same root of a exactly when their
+alpha - sigma(alpha) agree (twice the restriction), so the orbit tables are
+derived from sigma on integer root coordinates: walking the positive roots
+in enumeration order, sigma(alpha_a) = alpha_a makes a a fixed root, and
+sigma(alpha_a) = -alpha_b with a <= b puts the orbit (a, b) under the label
+whose root has the same key.  On the group model every positive root is its
+own orbit (k, None).  A root that falls under neither rule, one that sigma
+maps to another positive root, say, is left out, and validate_orbit_tables
+reports it.
+
+The lift to the algebra is a sign e_a = +-1 per root with
 sigma(x_a) = e_a x_{sigma(a)}: e = 1 on the simple roots, propagated through
 the structure constants, and sigma is kept as the sparse signed columns this
 gives on the compact basis.
@@ -44,8 +54,8 @@ that the shortest restricted root has length 1.
 
 Restricted root spaces carry coordinate charts M_l(c_1, ..., c_r) /
 K_l(c_1, ..., c_r): real-linear maps from complex tuples built from the
-projections of the root-vector pairs (u_a, v_a) of the orbit representatives
-listed in the published orbit order.  The slots listed in CHART_FLIPS are
+projections of the root-vector pairs (u_a, v_a) of the orbits, in the order
+of the orbit tables.  The record's chart flips are slots whose vectors are
 negated, fixed once so that the quoted curvature identities hold exactly;
 sign-invariant consequences (norms, a-components, subspace membership) hold
 either way.
@@ -54,8 +64,10 @@ The m basis (a_basis, then the chart vectors) is orthonormal, so chart
 coordinates are inner products (chart_coords), and Chart.map, through
 which the prototypes and witnesses write their vectors of m, is one
 linalg.combine.  A geodesic prototype is r0 + tan(phi) e in the frame of
-angle_frame, which isotropy_angle reads back.  sigma is applied one way,
-by _add_sigma over the nonzero entries of a vector (apply_sigma, in_m).
+angle_frame, which isotropy_angle reads back; r0 and e are the normalized
+sums of the duals of the record's two frame label tuples.  sigma is applied
+one way, by _add_sigma over the nonzero entries of a vector (apply_sigma,
+in_m).
 
 In every space {H in a : Exp(pi*H) = o} is the Z-span of c*beta#/|beta#|^2
 over the positive restricted roots, doubled ones included: c = 2 on EIII
@@ -67,19 +79,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
-from .chevalley import ChevalleyAlgebra, _add, _neg
+from .chevalley import ChevalleyAlgebra, _add, _neg, _sub
 from .linalg import (
     Span, Terms, Vec, combine, coordinates, kernel, nonzeros, solve,
-    vec_add, vec_is_zero, vec_scale, vec_sub, zeros,
+    vec_is_zero, vec_scale, vec_sub, zeros,
 )
 from .roots import (
     RestrictedRoot, RestrictedRootSystem, Root, RootSystem, pairing,
 )
 from .scalars import I, ONE, Scalar, ZERO, parse_scalar, rat, scalar_sign
-
-SPACE_NAMES = ("EIII", "EIV", "G2group")
 
 
 class LiftFailure(RuntimeError):
@@ -94,61 +104,52 @@ class NotHermitian(ValueError):
     pass
 
 
-# -- involution data -------------------------------------------------------
-#
-# Images of the six simple roots under sigma, as signed 1-based indices into
-# the positive-root enumeration.  The full orbit tables below are the
-# conformance data the linear extension must reproduce.
+# -- space data ------------------------------------------------------------
 
-SIGMA_ON_SIMPLE = {
-    "EIII": {1: -21, 2: -25, 3: 3, 4: 4, 5: 5, 6: -18},
-    "EIV": {1: -30, 2: 2, 3: 3, 4: 4, 5: 5, 6: -31},
-}
 
-# orbit tables: restricted label -> list of orbits {alpha_a, -alpha_b},
-# given as (a, b); the listed order is also the chart coordinate order
-SIGMA_ORBITS = {
-    "EIII": {
-        "l1": [(1, 21), (6, 18), (7, 16), (11, 12)],
-        "2l1": [(23, 23)],
-        "l2": [(17, 31), (20, 30), (22, 28), (24, 27)],
-        "2l2": [(36, 36)],
-        "l3": [(2, 25), (8, 19), (13, 14)],
-        "l4": [(26, 35), (29, 34), (32, 33)],
-    },
-    "EIV": {
-        "l1": [(1, 30), (7, 27), (12, 22), (17, 18)],
-        "l2": [(6, 31), (11, 28), (16, 24), (20, 21)],
-        "l3": [(23, 36), (26, 35), (29, 34), (32, 33)],
-    },
-}
+class SpaceData(NamedTuple):
+    """Everything a SpaceModel knows about its space, as an immutable record.
 
-SIGMA_FIXED = {
-    "EIII": [3, 4, 5, 9, 10, 15],
-    "EIV": [2, 3, 4, 5, 8, 9, 10, 13, 14, 15, 19, 25],
-}
+    root_type: the algebra, "E6" or "G2".  sigma: the images of the simple
+    roots, as signed 1-based indices into the positive-root enumeration, or
+    None for the group model, whose symmetry swaps its two factors.  labels:
+    the positive restricted roots in order, each with the 1-based index of a
+    positive root restricting to it, which keys its orbits (module
+    docstring).  chart_flips: the chart slots (label, orbit position) whose
+    vectors are negated.  reference_metric_ratio: the published curvature
+    coefficients hold for the duals sharp / ratio (charts unchanged), taken
+    in a rescaled copy of the metric.  angle_frame: two label tuples whose
+    summed duals, scaled to unit length, are the rays phi = 0 and pi/2.
+    hermitian: the centre of k holds a complex structure J.
+    """
+    name: str
+    root_type: str
+    sigma: dict[int, int] | None
+    labels: dict[str, int]
+    chart_flips: frozenset[tuple[str, int]]
+    reference_metric_ratio: str
+    angle_frame: tuple[tuple[str, ...], tuple[str, ...]]
+    hermitian: bool = False
 
-# positive restricted roots in label order; G2group uses the root names of
-# the ambient system directly
-RESTRICTED_LABELS = {
-    "EIII": ["l1", "2l1", "l2", "2l2", "l3", "l4"],
-    "EIV": ["l1", "l2", "l3"],
-    "G2group": ["l1", "l2", "l3", "l4", "l5", "l6"],
-}
 
-# chart slots (label, orbit position) whose vectors are negated
-CHART_FLIPS: dict[str, frozenset[tuple[str, int]]] = {
-    "EIII": frozenset({("2l1", 0), ("2l2", 0), ("l3", 0), ("l3", 1), ("l3", 2),
-                       ("l4", 0), ("l4", 1), ("l4", 2)}),
-    "EIV": frozenset({("l3", 2), ("l3", 3)}),
-    "G2group": frozenset({("l3", 0), ("l5", 0)}),
-}
-
-# The published curvature coefficients are stated for root-form duals taken
-# with respect to a rescaled copy of the metric.  Substituting
-# sharp_ref = sharp / ratio (charts unchanged) reproduces every quoted
-# coefficient exactly; the ratio below is that per-space rescaling factor.
-REFERENCE_METRIC_RATIO = {"EIII": "8", "EIV": "2*sqrt(2)", "G2group": "1"}
+SPACES = {data.name: data for data in (
+    SpaceData(
+        "EIII", "E6", {1: -21, 2: -25, 3: 3, 4: 4, 5: 5, 6: -18},
+        {"l1": 1, "2l1": 23, "l2": 17, "2l2": 36, "l3": 2, "l4": 26},
+        frozenset({("2l1", 0), ("2l2", 0), ("l3", 0), ("l3", 1), ("l3", 2),
+                   ("l4", 0), ("l4", 1), ("l4", 2)}),
+        "8", (("l2",), ("l1",)), hermitian=True),
+    SpaceData(
+        "EIV", "E6", {1: -30, 2: 2, 3: 3, 4: 4, 5: 5, 6: -31},
+        {"l1": 1, "l2": 6, "l3": 23}, frozenset({("l3", 2), ("l3", 3)}),
+        "2*sqrt(2)", (("l1", "l3"), ("l2",))),
+    SpaceData(
+        "G2group", "G2", None, {f"l{k}": k for k in range(1, 7)},
+        frozenset({("l3", 0), ("l5", 0)}), "1", (("l4",), ("l2",))),
+)}
+# views of SPACES: the space names, and each space's labels in order
+SPACE_NAMES = tuple(SPACES)
+RESTRICTED_LABELS = {name: list(d.labels) for name, d in SPACES.items()}
 
 
 def _simple_root(rs: RootSystem, j: int) -> Root:
@@ -186,6 +187,28 @@ class RootInvolution:
 def _signed(r: Root) -> tuple[int, Root]:
     """(s, g) with r = s*g, s = +-1 and g a positive root."""
     return (1, r) if sum(r) > 0 else (-1, _neg(r))
+
+
+def _sigma_orbits(alg: ChevalleyAlgebra, sig: RootInvolution,
+                  labels: dict[str, int]) -> tuple[
+                      dict[str, list[tuple[int, int]]], list[int]]:
+    """The orbit tables and the fixed roots of sigma (module docstring), as
+    1-based indices into the positive-root enumeration.  A root's key is
+    alpha - sigma(alpha), in integer root coordinates."""
+    positives = alg.positives
+    orbits: dict[str, list[tuple[int, int]]] = {label: [] for label in labels}
+    by_key = {_sub(positives[k - 1], sig(positives[k - 1])): orbits[label]
+              for label, k in labels.items()}
+    fixed = []
+    for a, root in enumerate(positives, 1):
+        img = sig(root)
+        if img == root:
+            fixed.append(a)
+            continue
+        b = alg.pos_index.get(_neg(img), -1) + 1  # 0 unless sigma(alpha) < 0
+        if a <= b and (orbit := by_key.get(_sub(root, img))) is not None:
+            orbit.append((a, b))
+    return orbits, fixed
 
 
 def lift_involution(alg: ChevalleyAlgebra, sig: RootInvolution) -> dict[Root, int]:
@@ -308,24 +331,29 @@ def algebra(root_type: str) -> ChevalleyAlgebra:
 class SpaceModel:
     """One symmetric-space model with exact algebraic data."""
 
-    def __init__(self, name: str):
-        if name not in SPACE_NAMES:
-            raise ValueError(f"unknown space {name!r}")
-        self.name = name
-        if name == "G2group":
-            self.alg = algebra("G2")
-            self._build_group_model()
-        else:
-            self.alg = algebra("E6")
-            self._build_e6_model()
+    def __init__(self, data: SpaceData):
+        self.data = data
+        self.name = data.name
+        self.alg = algebra(data.root_type)
+        self._build_sigma()
         self._finalize()
 
     # -- construction ------------------------------------------------------
 
-    def _build_e6_model(self):
-        alg, name = self.alg, self.name
-        rs = alg.rs
-        self.sigma_roots = RootInvolution(rs, SIGMA_ON_SIMPLE[name])
+    def _build_sigma(self):
+        """sigma on the roots and the algebra, k, m, a and the orbit tables;
+        on the group model m is the whole algebra and a is t."""
+        alg, data = self.alg, self.data
+        if data.sigma is None:
+            self.sigma_roots = self.signs = None
+            self.k_rows = []
+            self.m_rows = [alg.basis_vec(k) for k in range(alg.dim)]
+            self.a_basis = [alg.basis_vec(j) for j in range(alg.rank)]
+            self._orbit_tables = {label: [(k, None)]
+                                  for label, k in data.labels.items()}
+            self._fixed = []
+            return
+        self.sigma_roots = RootInvolution(alg.rs, data.sigma)
         self.signs = lift_involution(alg, self.sigma_roots)
         self._sigma_cols = _sigma_columns(alg, self.sigma_roots, self.signs)
         # eigenspace split over the rationals: k = ker(sigma - id),
@@ -334,30 +362,16 @@ class SpaceModel:
         self.m_rows = self._eigenvectors(-ONE)
         # a = (-1)-eigenspace of sigma inside the Cartan part
         self.a_basis = self._t_eigenspace(-ONE)
-        self._orbit_tables = SIGMA_ORBITS[name]
-        self._fixed = SIGMA_FIXED[name]
-
-    def _build_group_model(self):
-        alg = self.alg
-        dim = alg.dim
-        self.sigma_roots = None
-        self.signs = None
-        self.k_rows = []
-        self.m_rows = [alg.basis_vec(k) for k in range(dim)]
-        self.a_basis = [alg.basis_vec(0), alg.basis_vec(1)]
-        # each positive root is its own "orbit"
-        self._orbit_tables = {f"l{k+1}": [(k + 1, None)]
-                              for k in range(len(alg.positives))}
-        self._fixed = []
+        self._orbit_tables, self._fixed = _sigma_orbits(
+            alg, self.sigma_roots, data.labels)
 
     def _finalize(self):
-        alg = self.alg
+        alg, data = self.alg, self.data
         # restricted root forms on a: for Z = sum z_j t_j in a,
-        # lam(Z) = sum_j z_j <alpha, alpha_j^vee> for an orbit representative
+        # lam(Z) = sum_j z_j <alpha, alpha_j^vee> for a root restricting to lam
         self._forms: dict[str, tuple[int, ...]] = {}
-        for label in RESTRICTED_LABELS[self.name]:
-            a_idx = self._orbit_tables[label][0][0]
-            rep = alg.positives[a_idx - 1]
+        for label, k in data.labels.items():
+            rep = alg.positives[k - 1]
             self._forms[label] = tuple(pairing(rep, j, alg.rs.cartan)
                                        for j in range(alg.rank))
         # metric scale: <.,.> = -c*kappa, c fixed by the shortest root
@@ -373,11 +387,12 @@ class SpaceModel:
                       for label in self._forms}
         self.restricted = self._build_restricted()
         self.charts = self._build_charts("M")
-        self.k_charts = self._build_charts("K") if self.name != "G2group" else None
+        self.k_charts = (None if self.sigma_roots is None
+                         else self._build_charts("K"))
         self._m_basis_ordered = [
-            *self.a_basis, *(v for label in RESTRICTED_LABELS[self.name]
+            *self.a_basis, *(v for label in data.labels
                              for v in self.charts[label].basis_vectors())]
-        self._j_vec = None
+        self._j_vec = self._frame = None
 
     def _eigenvectors(self, eig: Scalar) -> list[Vec]:
         """Basis of ker(sigma - eig*id), vector for vector the one `kernel`
@@ -449,21 +464,16 @@ class SpaceModel:
         return combine(coeffs, self.a_basis)
 
     def _build_restricted(self) -> RestrictedRootSystem:
-        labels = RESTRICTED_LABELS[self.name]
-        base = labels[0], ("l2" if "l2" in labels else labels[1])
-        # each form over the two base forms on a, read off their duals: the
-        # duals lie in a and the base ones are independent, so the ambient
-        # system has one solution
-        base_sharps = [self.sharp[base[0]], self.sharp[base[1]]]
+        # each form over the forms l1, l2 of RestrictedRoot.coords on a,
+        # read off their duals: the duals lie in a and those two are
+        # independent, so the ambient system has one solution
+        base_sharps = [self.sharp["l1"], self.sharp["l2"]]
         positives = []
-        for lbl in labels:
+        for lbl in self.data.labels:
             coords = tuple(c.rational_value() for c in
                            coordinates(base_sharps, self.sharp[lbl]))
-            mult = 0
-            for a_idx, b_idx in self._orbit_tables[lbl]:
-                mult += 1 if b_idx in (a_idx, None) else 2
-            if self.name == "G2group":
-                mult = 2
+            mult = sum(1 if b_idx == a_idx else 2
+                       for a_idx, b_idx in self._orbit_tables[lbl])
             positives.append(RestrictedRoot(lbl, coords, mult))
         return RestrictedRootSystem(self._classify_kind(positives), positives)
 
@@ -535,9 +545,9 @@ class SpaceModel:
 
     def _build_charts(self, which: str) -> dict[str, Chart]:
         alg = self.alg
-        flips = CHART_FLIPS[self.name]
+        flips = self.data.chart_flips
         charts: dict[str, Chart] = {}
-        for label in RESTRICTED_LABELS[self.name]:
+        for label in self.data.labels:
             pairs = []
             for slot, (a_idx, b_idx) in enumerate(self._orbit_tables[label]):
                 a = alg.positives[a_idx - 1]
@@ -593,25 +603,15 @@ class SpaceModel:
                 for u, w in self.charts[label].pairs]
 
     def validate_orbit_tables(self) -> bool:
-        """Check the published orbit/fixed tables against the linear sigma."""
+        """The orbits and fixed roots derived from sigma exhaust the positive
+        roots; sigma(alpha_a) = -alpha_b on each orbit (a, b) and
+        sigma(alpha) = alpha on each fixed root hold by the derivation."""
         if self.sigma_roots is None:
             return True
-        for label, orbits in self._orbit_tables.items():
-            for a_idx, b_idx in orbits:
-                a = self.alg.positives[a_idx - 1]
-                b = self.alg.positives[b_idx - 1]
-                if self.sigma_roots(a) != _neg(b):
-                    return False
-        for k in self._fixed:
-            a = self.alg.positives[k - 1]
-            if self.sigma_roots(a) != a:
-                return False
-        # coverage: orbits + fixed exhaust the positive roots up to sign
         seen = set(self._fixed)
         for orbits in self._orbit_tables.values():
-            for a_idx, b_idx in orbits:
-                seen.add(a_idx)
-                seen.add(b_idx)
+            for orbit in orbits:
+                seen.update(orbit)
         return seen == set(range(1, len(self.alg.positives) + 1))
 
     def validate_involution(self) -> bool:
@@ -645,7 +645,7 @@ class SpaceModel:
         The sign is fixed so that J maps the first doubled-root chart vector
         to a negative multiple of the first restricted root dual.
         """
-        if self.name != "EIII":
+        if not self.data.hermitian:
             raise NotHermitian("only the Hermitian model carries J")
         if self._j_vec is None:
             self._j_vec = self._solve_j()
@@ -704,22 +704,21 @@ class SpaceModel:
 
     def reference_sharp(self, label: str) -> Vec:
         """Restricted-root dual in the normalization of the quoted identities."""
-        ratio = parse_scalar(REFERENCE_METRIC_RATIO[self.name])
+        ratio = parse_scalar(self.data.reference_metric_ratio)
         return vec_scale(ratio.inv(), self.sharp[label])
 
     # -- isotropy angle ----------------------------------------------------
 
     def angle_frame(self) -> tuple[Vec, Vec]:
-        """Unit vectors (r0, e): phi = 0 ray and its orthogonal complement."""
-        if self.name == "EIII":
-            return self.sharp["l2"], self.sharp["l1"]
-        if self.name == "EIV":
-            r0 = vec_scale(rat(3).sqrt_if_expressible().inv(),
-                           vec_add(self.sharp["l1"], self.sharp["l3"]))
-            return r0, self.sharp["l2"]
-        r0 = self.sharp["l4"]
-        e = vec_scale(rat(3).sqrt_if_expressible().inv(), self.sharp["l2"])
-        return r0, e
+        """Unit vectors (r0, e): phi = 0 ray and its orthogonal complement,
+        the sums of the duals of the record's two label tuples, scaled."""
+        if self._frame is None:
+            sums = [combine([ONE] * len(labels),
+                            [self.sharp[label] for label in labels])
+                    for labels in self.data.angle_frame]
+            self._frame = tuple(vec_scale(
+                self.norm_sq(v).sqrt_if_expressible().inv(), v) for v in sums)
+        return self._frame
 
     def weyl_reduce(self, v: Vec) -> Vec:
         """Reflect v in restricted roots until it lies in the closed chamber."""
@@ -757,4 +756,6 @@ class SpaceModel:
 
 @lru_cache(maxsize=None)
 def build_space(name: str) -> SpaceModel:
-    return SpaceModel(name)
+    if name not in SPACES:
+        raise ValueError(f"unknown space {name!r}")
+    return SpaceModel(SPACES[name])

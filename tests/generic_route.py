@@ -5,7 +5,8 @@ ratios, then every other entry from them; the Killing form as the trace of
 ad_i ad_j over the structure table; k, m as the kernels of
 the dense matrices sigma - id and sigma + id, with sigma the dense matrix of
 the complex route; each restricted-root dual solved against its own Gram
-matrix of a; chart vectors as dense projections (v -+ sigma v)/2; a chart's
+matrix of a; chart vectors as dense projections (v -+ sigma v)/2 of the
+roots of the published orbit tables; a chart's
 map as whole dense vectors scaled and added slot by slot; the flat-torus
 rotation as one solve for the coordinates in the basis of a and the chart
 vectors; the centre of k as the kernel of its brackets with every k row at
@@ -58,9 +59,39 @@ from ltskit.matrices import (
 from ltskit.matrix_groups import _from_half_blocks, _half_blocks
 from ltskit.roots import RootSystem
 from ltskit.scalars import I, ONE, Scalar, ZERO, rat, scalar_sign, sqrt
-from ltskit.spaces import (
-    CHART_FLIPS, RESTRICTED_LABELS, Chart, NotHermitian, SpaceModel,
-)
+from ltskit.spaces import SPACES, Chart, NotHermitian, SpaceData, SpaceModel
+
+# The published orbit tables of sigma: restricted label -> the orbits
+# {alpha_a, -alpha_b} as (a, b), 1-based in the positive-root enumeration,
+# in chart coordinate order; and the roots sigma fixes.  SpaceModel derives
+# both from sigma; the tests hold the derivation to these.
+SIGMA_ORBITS = {
+    "EIII": {
+        "l1": [(1, 21), (6, 18), (7, 16), (11, 12)],
+        "2l1": [(23, 23)],
+        "l2": [(17, 31), (20, 30), (22, 28), (24, 27)],
+        "2l2": [(36, 36)],
+        "l3": [(2, 25), (8, 19), (13, 14)],
+        "l4": [(26, 35), (29, 34), (32, 33)],
+    },
+    "EIV": {
+        "l1": [(1, 30), (7, 27), (12, 22), (17, 18)],
+        "l2": [(6, 31), (11, 28), (16, 24), (20, 21)],
+        "l3": [(23, 36), (26, 35), (29, 34), (32, 33)],
+    },
+}
+
+SIGMA_FIXED = {
+    "EIII": [3, 4, 5, 9, 10, 15],
+    "EIV": [2, 3, 4, 5, 8, 9, 10, 13, 14, 15, 19, 25],
+}
+
+# G2/SO(4), a rank-2 space the package ships no record for: sigma is the
+# Chevalley involution, so every root is its own orbit (k, k) and the
+# restricted roots are the roots of G2, each of multiplicity 1
+G2SO4 = SpaceData("G2SO4", "G2", {1: -1, 2: -2},
+                  {f"l{k}": k for k in range(1, 7)}, frozenset(), "1",
+                  (("l4",), ("l2",)))
 
 
 def string_down(alg, beta, alpha) -> int:
@@ -363,17 +394,18 @@ class GenericRouteModel(SpaceModel):
     """An E6 space model built on the generic constructions: its own E6
     algebra with the traced Killing rows, k, m from the dense kernels of the
     complex route's sigma, per-label dual solves, dense chart projections
-    and the full centre solve."""
+    over the published orbit tables and the full centre solve."""
 
     def __init__(self, name: str):
+        self.data = SPACES[name]
         self.name = name
         self.alg = ChevalleyAlgebra(RootSystem.of_type("E6"))
         self.alg._killing = trace_killing(self.alg)
-        self._build_e6_model()
+        self._build_sigma()
         self._finalize()
 
-    def _build_e6_model(self):
-        super()._build_e6_model()
+    def _build_sigma(self):
+        super()._build_sigma()
         sigma = involution_matrix(self.alg, self.sigma_roots,
                                   {a: rat(e) for a, e in self.signs.items()})
         self.k_rows, self.m_rows = dense_sigma_kernels(sigma)
@@ -394,11 +426,12 @@ class GenericRouteModel(SpaceModel):
         else:
             def proj(v):
                 return vec_scale(half, vec_add(v, self.apply_sigma(v)))
-        flips = CHART_FLIPS[self.name]
+        # the published orbit tables, not the ones derived from sigma
+        flips = self.data.chart_flips
         charts = {}
-        for label in RESTRICTED_LABELS[self.name]:
+        for label, orbits in SIGMA_ORBITS[self.name].items():
             pairs = []
-            for slot, (a_idx, b_idx) in enumerate(self._orbit_tables[label]):
+            for slot, (a_idx, b_idx) in enumerate(orbits):
                 a = alg.positives[a_idx - 1]
                 u = proj(u_vec(alg, a))
                 v = proj(v_vec(alg, a))

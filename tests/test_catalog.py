@@ -32,9 +32,9 @@ from ltskit.catalog import (
 from ltskit.linalg import vec_add, vec_scale
 from ltskit.lts import analyze, is_lts
 from ltskit.scalars import I, rat, sqrt
-from ltskit.spaces import build_space
+from ltskit.spaces import SpaceModel, build_space
 
-from generic_route import solved_torus_rotate
+from generic_route import G2SO4, solved_torus_rotate
 
 SPACES = ("EIII", "EIV", "G2group")
 
@@ -52,7 +52,10 @@ def assert_golden(command, rep):
 
 @pytest.fixture(scope="module")
 def spaces():
-    return {name: build_space(name) for name in SPACES}
+    # the shipped spaces, and G2/SO(4) from its test-side record for the
+    # lattice checks
+    return {**{name: build_space(name) for name in SPACES},
+            "G2SO4": SpaceModel(G2SO4)}
 
 
 @pytest.fixture(scope="module")
@@ -409,7 +412,7 @@ def test_torus_rotation_rejects(spaces):
 
 
 # c in c*beta#/|beta#|^2, the generators of {H : Exp(pi*H) = o}
-LATTICE_C = {"EIII": 2, "EIV": 2, "G2group": 4}
+LATTICE_C = {"EIII": 2, "EIV": 2, "G2group": 4, "G2SO4": 2}
 
 
 def _lattice_coords(basis, v):
@@ -427,7 +430,7 @@ def _lattice_inner(sp):
                             for i in (0, 1) for j in (0, 1))
 
 
-@pytest.mark.parametrize("name", SPACES)
+@pytest.mark.parametrize("name", LATTICE_C)
 def test_unit_lattice_is_spanned_by_the_root_generators(spaces, name):
     """Every generator c*beta#/|beta#|^2, doubled roots included, is an
     integer combination of unit_lattice(); the 2x2 minors of these integer
@@ -458,7 +461,7 @@ def test_g2_unit_lattice_is_spanned_by_two_long_roots(spaces):
 
 @pytest.mark.parametrize("name, radius_sq", [
     ("G2group", Fraction(16, 9)), ("EIV", Fraction(4, 3)),
-    ("EIII", Fraction(1, 2))])
+    ("EIII", Fraction(1, 2)), ("G2SO4", Fraction(4, 9))])
 def test_unit_lattice_covering_radius(spaces, name, radius_sq):
     """The ambient diameter, as diam^2/pi^2: the squared circumradius of the
     Delaunay triangle (0, b1, b2) of the Gauss-reduced basis with

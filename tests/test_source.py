@@ -178,6 +178,39 @@ def test_no_dead_public_names():
         "kept as API but no longer defined, or now read by a program path")
 
 
+def name_compares(source: str, names: tuple[str, ...]) -> list[str]:
+    """Comparisons that read a ``.name`` attribute or one of the given
+    strings, alone or in a tuple, list or set literal, as 'line n'."""
+    def reads_a_name(node: ast.AST) -> bool:
+        if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+            return any(reads_a_name(elt) for elt in node.elts)
+        return ((isinstance(node, ast.Attribute) and node.attr == "name")
+                or (isinstance(node, ast.Constant) and node.value in names))
+    lines = sorted(node.lineno for node in ast.walk(ast.parse(source))
+                   if isinstance(node, ast.Compare)
+                   and any(map(reads_a_name, (node.left, *node.comparators))))
+    return [f"line {n}" for n in lines]
+
+
+def test_name_compares_finds_space_name_branches():
+    source = ('if sp.name == "EIII":\n    pass\n'
+              'flag = kind in ("A2", "EIV")\n'
+              'if "G2group" != kind:\n    pass\n'
+              'if sp.data.hermitian and label == "l1":\n    pass\n'
+              'title = sp.name\nok = sp.name is None\n')
+    assert name_compares(source, ("EIII", "EIV", "G2group")) == [
+        "line 1", "line 3", "line 4", "line 9"]
+
+
+@pytest.mark.parametrize("module", ["spaces.py", "lts.py", "cli.py"])
+def test_no_space_name_branches(module):
+    # the model reads its space from its SpaceData record: no module that
+    # builds or analyses a model branches on which space it is
+    from ltskit.spaces import SPACE_NAMES
+    source = (SRC / module).read_text(encoding="utf-8")
+    assert name_compares(source, SPACE_NAMES) == []
+
+
 def test_hypothesis_storage_is_outside_the_checkout():
     # tests/conftest.py points Hypothesis's storage at a session directory
     from hypothesis.configuration import storage_directory

@@ -9,12 +9,14 @@ from ltskit.linalg import Span, vec_add, vec_is_zero, vec_scale, vec_sub
 from ltskit.roots import RootSystem
 from ltskit.scalars import I, ZERO, Scalar, rat, sqrt
 from ltskit.spaces import (
-    SIGMA_ON_SIMPLE, LiftFailure, NotHermitian, NotInM, RootInvolution,
-    SpaceModel, build_space, lift_involution, scalar_sign,
+    SPACES, LiftFailure, NotHermitian, NotInM, RootInvolution, SpaceModel,
+    build_space, lift_involution, scalar_sign,
 )
 
 from complex_route import involution_matrix
-from generic_route import GenericRouteModel, dense_chart_map
+from generic_route import (
+    G2SO4, SIGMA_FIXED, SIGMA_ORBITS, GenericRouteModel, dense_chart_map,
+)
 
 
 def e(n, k, a=1):
@@ -69,7 +71,7 @@ def test_lift_rejects_wrong_structure_constant(flip, match):
     true_n = alg.n_constant
     alg.n_constant = lambda x, y: (factor * true_n(x, y) if (x, y) == (a, b)
                                    else true_n(x, y))
-    sig = RootInvolution(alg.rs, SIGMA_ON_SIMPLE["EIV"])
+    sig = RootInvolution(alg.rs, SPACES["EIV"].sigma)
     with pytest.raises(LiftFailure, match=match):
         lift_involution(alg, sig)
 
@@ -113,8 +115,24 @@ def test_apply_sigma_matches_sigma_matrix():
 
 
 def test_orbit_tables_match_involution():
+    # the tables derived from sigma are the published ones: label order,
+    # orbit order and the fixed roots
     for name in ("EIII", "EIV"):
-        assert build_space(name).validate_orbit_tables()
+        sp = build_space(name)
+        assert sp.validate_orbit_tables()
+        assert list(sp._orbit_tables.items()) == list(
+            SIGMA_ORBITS[name].items())
+        assert sp._fixed == SIGMA_FIXED[name]
+
+
+def test_model_builds_from_a_record_alone():
+    # G2/SO(4) has no record in the package: its SpaceData alone builds it
+    sp = SpaceModel(G2SO4)
+    assert sp.restricted.kind == "G2"
+    assert [r.mult for r in sp.restricted.positives] == [1] * 6
+    assert len(sp.m_basis()) == len(sp.m_rows) == 8
+    assert len(sp.k_rows) == 6
+    assert sp.validate_involution() and sp.validate_orbit_tables()
 
 
 def test_k_m_bracket_relations():
@@ -327,7 +345,7 @@ def test_complex_structure_doubled_roots():
 def test_centre_candidate_is_checked_against_every_k_row():
     # the centre solve stops early; a k row it never read must still be
     # checked, so an m vector planted at the end of k_rows is caught
-    sp = SpaceModel("EIII")
+    sp = SpaceModel(SPACES["EIII"])
     sp.k_rows = sp.k_rows + [sp.m_rows[0]]
     with pytest.raises(NotHermitian, match="center of k has dimension 0"):
         sp.complex_structure()
@@ -352,7 +370,7 @@ def test_build_cost_guard(monkeypatch):
     monkeypatch.setattr(ChevalleyAlgebra, "bracket", counting_bracket)
     monkeypatch.setattr(linalg, "kernel", recording_kernel)
     monkeypatch.setattr(spaces, "kernel", recording_kernel)
-    sp = SpaceModel("EIII")
+    sp = SpaceModel(SPACES["EIII"])
     sp.complex_structure()
     assert calls[0] <= 343 - 100
     assert widths and max(widths) <= sp.alg.rank
@@ -623,4 +641,4 @@ def test_isotropy_angle_rejects():
 def test_build_space_cached():
     assert build_space("EIII") is build_space("EIII")
     with pytest.raises(ValueError):
-        SpaceModel("EV")
+        build_space("EV")
