@@ -29,9 +29,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
-from typing import Sequence
+from typing import Callable, Sequence
 
-from .linalg import Vec, combine, coordinates, vec_add
+from .linalg import Vec, combine, coordinates
 from .lts import Subspace, analyze, intersect_spans, is_lts, isotropy_rotate
 from .prototypes import (
     _EXPECTED, _PROTO, GEO_ANGLES, _G2_SKEW, ExpectedRow, TypeLabel,
@@ -139,7 +139,8 @@ def torus_rotate(sp: SpaceModel, vec: Sequence[Scalar], n1: int,
                          "no torus rotation is modeled")
     if not sp.in_m(vec):
         raise ValueError("vector outside the tangent space")
-    out = combine([sp.inner(vec, z) for z in sp.a_basis], sp.a_basis)
+    coeffs = [sp.inner(vec, z) for z in sp.a_basis]
+    vectors = list(sp.a_basis)
     for root in sp.restricted.positives:
         m = root.coords[0] * n1 + root.coords[1] * n2
         if m != int(m):
@@ -148,8 +149,9 @@ def torus_rotate(sp: SpaceModel, vec: Sequence[Scalar], n1: int,
         for _ in range(int(m) % 12):
             turn = turn * _OMEGA
         (c,) = sp.chart_coords(vec, root.label)
-        out = vec_add(out, sp.charts[root.label].map(turn * c))
-    return out
+        coeffs.append(ONE)
+        vectors.append(sp.charts[root.label].map(turn * c))
+    return combine(coeffs, vectors)
 
 
 def _g2_diagonal_sphere(sp: SpaceModel, ell: int) -> Subspace:
@@ -158,8 +160,8 @@ def _g2_diagonal_sphere(sp: SpaceModel, ell: int) -> Subspace:
     ch = sp.charts
     gens = [
         combine([3, 1], [sp.sharp["l1"], sp.sharp["l6"]]),
-        vec_add(ch["l1"].map(1), ch["l6"].map(c)),
-        vec_add(ch["l1"].map(I), ch["l6"].map(I * c)),
+        combine([1, 1], [ch["l1"].map(1), ch["l6"].map(c)]),
+        combine([1, 1], [ch["l1"].map(I), ch["l6"].map(I * c)]),
     ]
     return Subspace(sp, gens[:ell])
 
@@ -180,74 +182,80 @@ class WitnessRow:
     expected: ExpectedRow | None = None  # invariants of an intersection row
 
 
+def _eiii_containments() -> list[WitnessRow]:
+    return [
+        WitnessRow("(Geo, phi=0)", "(P, phi=0, (C,5))"),
+        WitnessRow("(Geo, phi=pi/4)", "(P, phi=pi/4, (S,5))"),
+        WitnessRow("(P, phi=0, (R,5))", "(P, phi=0, (C,5))"),
+        WitnessRow("(P, phi=0, (C,4))", "(P, phi=0, (C,5))"),
+        WitnessRow("(P, phi=pi/4, (S,5))", "(P, phi=pi/4, (S,6))"),
+        WitnessRow("(P, phi=pi/4, (S,6))", "(P, phi=pi/4, (S,7))"),
+        WitnessRow("(P, phi=pi/4, (S,7))", "(P, phi=pi/4, (S,8))"),
+        WitnessRow("(P, phi=pi/4, (S,8))", "(P, phi=pi/4, (O,2))"),
+        WitnessRow("(P, phi=pi/4, (R,2))", "(P, phi=pi/4, (O,2))"),
+        WitnessRow("(P, phi=pi/4, (C,2))", "(P, phi=pi/4, (O,2))"),
+        WitnessRow("(P, phi=pi/4, (H,2))", "(P, phi=pi/4, (O,2))"),
+        *(WitnessRow(f"(PxP1, ({k1},{ell}), {k2})", "(PxP1, (C,5), C)")
+          for k1 in ("R", "C") for k2 in ("R", "C") for ell in (4, 5)
+          if (k1, k2, ell) != ("C", "C", 5)),
+        WitnessRow("(P, phi=0, (C,4))", "(Q)", mode="quarter-turn",
+                   note="image under the quarter-turn isotropy rotation"),
+        *(WitnessRow(f"({host}, tau)", f"({host})", mode="skip",
+                     note="external sub-family prototypes")
+          for host in ("Q", "G2C6", "G2H4")),
+    ]
+
+
+def _eiv_containments() -> list[WitnessRow]:
+    return [
+        *(WitnessRow(f"(Geo, phi={a})", "(SxS1, 1)")
+          for a in GEO_ANGLES["EIV"]),
+        *(WitnessRow(f"(S, phi=pi/6, {ell})", f"(SxS1, {ell})")
+          for ell in range(2, 10)),
+        *(WitnessRow(f"(P, phi=pi/6, ({k},2))", "(P, phi=pi/6, (O,2))")
+          for k in ("R", "C", "H")),
+        *(WitnessRow(f"(P, phi=pi/6, ({k},3))", "(P, phi=pi/6, (H,3))")
+          for k in ("R", "C")),
+        WitnessRow("(AI)", "(A2)"),
+        WitnessRow("(A2)", "(AII)"),
+        *(WitnessRow(f"(SxS1, {ell})", "(SxS1, 9)") for ell in range(1, 9)),
+    ]
+
+
+def _g2_containments() -> list[WitnessRow]:
+    return [
+        *(WitnessRow(f"(Geo, phi={a})", "(SxS, 1, 1)")
+          for a in GEO_ANGLES["G2group"]),
+        *(WitnessRow(f"(S, phi=0, {ell})", f"(SxS, {ell}, 1)")
+          for ell in (2, 3)),
+        WitnessRow(f"(S, phi={_G2_SKEW}, 2)", "(G)"),
+        *(WitnessRow(f"(S, phi=pi/6, {ell})", f"(SxS, 1, {ell})")
+          for ell in (2, 3)),
+        *(WitnessRow(f"(P, phi=pi/6, (R,{ell}))", f"(SxS, {ell}, {ell})",
+                     mode="diagonal",
+                     note="diagonal representative with matching invariants")
+          for ell in (2, 3)),
+        WitnessRow("(P, phi=pi/6, (C,2))", "(G)"),
+        *(WitnessRow(f"(SxS, {ell}, {ellp})", "(SxS, 3, 3)")
+          for ell in (1, 2, 3) for ellp in (1, 2, 3)
+          if (ell, ellp) != (3, 3)),
+        WitnessRow("(AI)", "(A2)"),
+    ]
+
+
+_CONTAINMENTS: dict[str, Callable[[], list[WitnessRow]]] = {
+    "EIII": _eiii_containments,
+    "EIV": _eiv_containments,
+    "G2group": _g2_containments,
+}
+
+
 def containment_rows(space_name: str) -> list[WitnessRow]:
-    if space_name == "EIII":
-        rows = [
-            WitnessRow("(Geo, phi=0)", "(P, phi=0, (C,5))"),
-            WitnessRow("(Geo, phi=pi/4)", "(P, phi=pi/4, (S,5))"),
-            WitnessRow("(P, phi=0, (R,5))", "(P, phi=0, (C,5))"),
-            WitnessRow("(P, phi=0, (C,4))", "(P, phi=0, (C,5))"),
-            WitnessRow("(P, phi=pi/4, (S,5))", "(P, phi=pi/4, (S,6))"),
-            WitnessRow("(P, phi=pi/4, (S,6))", "(P, phi=pi/4, (S,7))"),
-            WitnessRow("(P, phi=pi/4, (S,7))", "(P, phi=pi/4, (S,8))"),
-            WitnessRow("(P, phi=pi/4, (S,8))", "(P, phi=pi/4, (O,2))"),
-            WitnessRow("(P, phi=pi/4, (R,2))", "(P, phi=pi/4, (O,2))"),
-            WitnessRow("(P, phi=pi/4, (C,2))", "(P, phi=pi/4, (O,2))"),
-            WitnessRow("(P, phi=pi/4, (H,2))", "(P, phi=pi/4, (O,2))"),
-        ]
-        for k1 in ("R", "C"):
-            for k2 in ("R", "C"):
-                rows.append(WitnessRow(f"(PxP1, ({k1},4), {k2})",
-                                        "(PxP1, (C,5), C)"))
-                if (k1, k2) != ("C", "C"):
-                    rows.append(WitnessRow(f"(PxP1, ({k1},5), {k2})",
-                                            "(PxP1, (C,5), C)"))
-        rows.append(WitnessRow(
-            "(P, phi=0, (C,4))", "(Q)", mode="quarter-turn",
-            note="image under the quarter-turn isotropy rotation"))
-        for host in ("Q", "G2C6", "G2H4"):
-            rows.append(WitnessRow(f"({host}, tau)", f"({host})", mode="skip",
-                                   note="external sub-family prototypes"))
-        return rows
-    if space_name == "EIV":
-        rows = [WitnessRow(f"(Geo, phi={a})", "(SxS1, 1)")
-                for a in GEO_ANGLES["EIV"]]
-        for ell in range(2, 10):
-            rows.append(WitnessRow(f"(S, phi=pi/6, {ell})", f"(SxS1, {ell})"))
-        for k in ("R", "C", "H"):
-            rows.append(WitnessRow(f"(P, phi=pi/6, ({k},2))",
-                                   "(P, phi=pi/6, (O,2))"))
-        for k in ("R", "C"):
-            rows.append(WitnessRow(f"(P, phi=pi/6, ({k},3))",
-                                   "(P, phi=pi/6, (H,3))"))
-        rows.append(WitnessRow("(AI)", "(A2)"))
-        rows.append(WitnessRow("(A2)", "(AII)"))
-        for ell in range(1, 9):
-            rows.append(WitnessRow(f"(SxS1, {ell})", "(SxS1, 9)"))
-        return rows
-    if space_name == "G2group":
-        rows = [WitnessRow(f"(Geo, phi={a})", "(SxS, 1, 1)")
-                for a in GEO_ANGLES["G2group"]]
-        for ell in (2, 3):
-            rows.append(WitnessRow(f"(S, phi=0, {ell})", f"(SxS, {ell}, 1)"))
-        rows.append(WitnessRow(f"(S, phi={_G2_SKEW}, 2)", "(G)"))
-        for ell in (2, 3):
-            rows.append(WitnessRow(f"(S, phi=pi/6, {ell})",
-                                   f"(SxS, 1, {ell})"))
-        for ell in (2, 3):
-            rows.append(WitnessRow(
-                f"(P, phi=pi/6, (R,{ell}))", f"(SxS, {ell}, {ell})",
-                mode="diagonal",
-                note="diagonal representative with matching invariants"))
-        rows.append(WitnessRow("(P, phi=pi/6, (C,2))", "(G)"))
-        for ell in (1, 2, 3):
-            for ellp in (1, 2, 3):
-                if (ell, ellp) != (3, 3):
-                    rows.append(WitnessRow(f"(SxS, {ell}, {ellp})",
-                                           "(SxS, 3, 3)"))
-        rows.append(WitnessRow("(AI)", "(A2)"))
-        return rows
-    raise UnknownLabel(space_name)
+    """The inclusion table of one space."""
+    try:
+        return _CONTAINMENTS[space_name]()
+    except KeyError:
+        raise UnknownLabel(space_name) from None
 
 
 _DIII_SKIP = "requires an isometry outside the quoted witnesses"
@@ -336,13 +344,14 @@ def derived_hosts() -> dict[str, tuple[str | None, list[WitnessRow]]]:
 def make_prototype(sp: SpaceModel, label: TypeLabel | str) -> Subspace:
     """The embedded prototype subspace of a type that the space's tables
     name; any other label, or one of another space, raises UnknownLabel."""
+    space = sp.name
     if isinstance(label, str):
-        label = TypeLabel.parse(sp.name, label)
-    if label.space != sp.name:
+        label = TypeLabel.parse(space, label)
+    if label.space != space:
         raise UnknownLabel(f"{label.text} belongs to {label.space}")
-    if label.parts not in _table_labels(sp.name, _EXPECTED[sp.name]):
-        raise UnknownLabel(f"no prototype of {label.text} in {sp.name}")
-    return Subspace(sp, _PROTO[sp.name](sp, label.parts))
+    if label.parts not in _table_labels(space, _EXPECTED[space]):
+        raise UnknownLabel(f"no prototype of {label.text} in {space}")
+    return Subspace(sp, _PROTO[space](sp, label.parts))
 
 
 @cache
@@ -367,8 +376,8 @@ def _adapted_prototype(sp: SpaceModel, label: TypeLabel) -> Subspace:
     ch, sh = sp.charts, sp.sharp
     if parts[0] == "P" and parts[1] == "phi=pi/4":
         k = parts[2][1]
-        h = vec_add(sh["l1"], sh["l2"])
-        ht = vec_add(ch["2l1"].map(1), ch["2l2"].map(1))
+        h = combine([1, 1], [sh["l1"], sh["l2"]])
+        ht = combine([1, 1], [ch["2l1"].map(1), ch["2l2"].map(1)])
         m4 = _slot_vectors(sp, "l4", [1, 2])
         return Subspace(sp, [h, *m4[: k - 2], ht])
     if parts[0] == "PxP1":

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import sys
 
-from .linalg import Span, is_negative_definite, vec_is_zero
+from .linalg import Span, is_negative_definite
 from .report import CatalogReport, ReportRow
 from .scalars import ParseError, rat
 from .spaces import SPACE_NAMES, NotHermitian, build_space
@@ -321,7 +321,7 @@ def cmd_curvature_eval(args) -> int:
         "space": sp.name,
         "x": args.x, "y": args.y, "z": args.z,
         "norm_sq": str(sp.norm_sq(r)),
-        "is_zero": vec_is_zero(r),
+        "is_zero": not any(r),
         "a_component": a_coeffs,
         "charts": charts,
     }

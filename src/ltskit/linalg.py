@@ -26,9 +26,14 @@ the reduced rows; relations, the kernel of the matrix whose columns are
 the given vectors, writes that matrix's rows from the vectors' terms;
 solve (and coordinates through it) reads its solution off the rows at the
 target column; and is_negative_definite adds a Gram matrix's rows in order
-and decides the sign of each pivot.  combine is the matrix times a
-coefficient vector, over the vectors' nonzero entries (combine_terms for
-vectors given as terms).
+and decides the sign of each pivot.
+
+combine is the matrix times a coefficient vector, over the vectors' nonzero
+entries (combine_terms for vectors given as terms).  The two are the only
+vector arithmetic: every sum or multiple of vectors is one combine, and a
+zero test reads any(v) or u != w.  The dense Span.add and Span.contains,
+Subspace.basis and ChevalleyAlgebra.bracket stay because the benchmark
+harness reads and wraps them.
 """
 
 from __future__ import annotations
@@ -45,22 +50,6 @@ Terms = Sequence[tuple[int, Scalar]]
 
 def zeros(n: int) -> Vec:
     return [ZERO] * n
-
-
-def vec_add(u: Sequence[Scalar], v: Sequence[Scalar]) -> Vec:
-    return [a + b for a, b in zip(u, v)]
-
-
-def vec_sub(u: Sequence[Scalar], v: Sequence[Scalar]) -> Vec:
-    return [a - b for a, b in zip(u, v)]
-
-
-def vec_scale(c: Scalar, v: Sequence[Scalar]) -> Vec:
-    return [c * a for a in v]
-
-
-def vec_is_zero(v: Sequence[Scalar]) -> bool:
-    return not any(v)
 
 
 def nonzeros(v: Sequence[Scalar]) -> list[tuple[int, Scalar]]:
@@ -256,9 +245,6 @@ class Span:
                 row[k] = -x
             out.append(row)
         return out
-
-    def __contains__(self, v) -> bool:
-        return self.contains(v)
 
     def basis_terms(self) -> list[list[tuple[int, Scalar]]]:
         """The stored rows in the terms form, in pivot order, each in

@@ -63,10 +63,9 @@ from itertools import chain
 from types import MappingProxyType
 
 from .linalg import (
-    Span, Terms, Vec, combine, combine_terms, nonzeros, relations, vec_add,
-    vec_is_zero, vec_scale, vec_sub, zeros,
+    Span, Terms, Vec, combine, combine_terms, nonzeros, relations,
 )
-from .scalars import ParseError, Parser, Scalar, scalar_sign
+from .scalars import ONE, ParseError, Parser, Scalar, scalar_sign
 from .spaces import (
     AngleDescriptor, NotHermitian, NotInM, SpaceModel, build_space,
 )
@@ -263,7 +262,7 @@ def rank_and_flat(S: Subspace, seed: int = 0) -> tuple[int, Subspace]:
                                 S.terms, alg.dim)
 
     for v in schedule():
-        if vec_is_zero(v):
+        if not any(v):
             continue
         cand = _centralizer_in(S, v)
         if not _pairwise_abelian(alg, [nonzeros(w) for w in cand]):
@@ -323,7 +322,7 @@ def _check_ambient_cartan_extension(sp: SpaceModel, flat: Subspace) -> None:
         if w is None:
             raise NotAFlat(
                 "flat does not extend to an ambient Cartan subspace")
-        if all(vec_is_zero(alg.bracket(w, u)) for u in ext_rows) \
+        if not any(any(alg.bracket(w, u)) for u in ext_rows) \
                 and ext.add(w):
             ext_rows.append(w)
 
@@ -548,16 +547,16 @@ def isotropy_rotate(sp: SpaceModel, Z: Vec, v: Vec) -> Vec:
     v_0 + ad(Z) v_1 where v = v_0 + v_1 splits into the speed-0 and speed-1
     parts.
     """
-    if sp.k_rows and not vec_is_zero(vec_sub(sp.apply_sigma(Z), Z)):
+    if sp.k_rows and sp.apply_sigma(Z) != Z:
         raise NotInM("rotation generator must lie in the isotropy algebra k")
     alg = sp.alg
     w1 = alg.bracket(Z, v)
     w2 = alg.bracket(Z, w1)
     w3 = alg.bracket(Z, w2)
-    if not vec_is_zero(vec_add(w3, w1)):
+    if any(combine([ONE, ONE], [w3, w1])):
         raise NotQuarterTurnCompatible(
             "ad(Z) does not act with rotation speeds 0 and 1 on this vector")
-    return vec_add(v, vec_add(w1, w2))
+    return combine([ONE, ONE, ONE], [v, w1, w2])
 
 
 # -- reports ---------------------------------------------------------------
@@ -652,20 +651,22 @@ def analyze(S: Subspace, seed: int = 0) -> LtsReport:
 
 def parse_vector(sp: SpaceModel, line: str) -> Vec:
     """One m-vector, a sum of terms a(...), M[label](...), sharp[label](c)."""
-    total = zeros(sp.alg.dim)
+    coeffs: list[Scalar] = []
+    vectors: list[Vec] = []
     for head, label, args in Parser(line).read(Parser.vector):
         if head == "a" and label is None and len(args) == len(sp.a_basis):
-            vec = combine(args, sp.a_basis)
+            cs, vs = args, sp.a_basis
         elif head == "M" and label in sp.charts:
-            vec = sp.charts[label].map(*args)
+            cs, vs = [ONE], [sp.charts[label].map(*args)]
         elif head == "sharp" and label in sp.sharp and len(args) == 1:
-            vec = vec_scale(args[0], sp.sharp[label])
+            cs, vs = args, [sp.sharp[label]]
         else:
             term = head if label is None else f"{head}[{label}]"
             raise ParseError(
                 f"no term {term} with {len(args)} coordinate(s) in {sp.name}")
-        total = vec_add(total, vec)
-    return total
+        coeffs += cs
+        vectors += vs
+    return combine(coeffs, vectors)
 
 
 def parse_subspace(text: str) -> Subspace:

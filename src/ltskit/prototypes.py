@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .linalg import Vec, combine, vec_add
+from .linalg import Vec, combine
 from .scalars import I, ParseError, Parser, rat, sqrt
 from .spaces import ANGLE_NAMES, SpaceModel
 
@@ -269,15 +269,15 @@ def _eiii_prototype(sp: SpaceModel, parts: tuple) -> list[Vec]:
         return vecs
     if fam == "P" and parts[1] == "phi=pi/4":
         tau, num = parts[2]
-        h = vec_add(sh["l1"], sh["l2"])
-        ht = vec_add(ch["2l1"].map(1), ch["2l2"].map(1))
+        h = combine([1, 1], [sh["l1"], sh["l2"]])
+        ht = combine([1, 1], [ch["2l1"].map(1), ch["2l2"].map(1)])
         if tau == "S":
             m4 = ch["l4"].basis_vectors()
             return [h, *m4[: num - 2], ht]
         # projective planes over R, C, H, O: diagonal l1/l2 pairs
         def diag(c1, c2, c3, c4):
-            return vec_add(ch["l1"].map(c1, c2, c3, c4),
-                           ch["l2"].map(c2, c1, -c4, -c3))
+            return combine([1, 1], [ch["l1"].map(c1, c2, c3, c4),
+                                    ch["l2"].map(c2, c1, -c4, -c3)])
         if tau == "R":
             return [h, diag(1, 0, 0, 0)]
         if tau == "C":
@@ -319,24 +319,23 @@ def _eiii_prototype(sp: SpaceModel, parts: tuple) -> list[Vec]:
     raise UnknownLabel(_render_part(parts))
 
 
-def _eiv_pair12(sp: SpaceModel, args1, args2) -> Vec:
-    return vec_add(sp.charts["l1"].map(*args1), sp.charts["l2"].map(*args2))
-
-
 def _eiv_projective_span(sp: SpaceModel, k: str, ell: int) -> list[Vec]:
-    p = _eiv_pair12
-    v0 = p(sp, (1, 0, 0, 0), (1, 0, 0, 0))
-    v1 = p(sp, (I, 0, 0, 0), (-I, 0, 0, 0))
-    v0c = p(sp, (0, 0, 0, I), (0, 0, 0, -I))
-    v1c = p(sp, (0, 0, 0, 1), (0, 0, 0, 1))
-    v0h = p(sp, (0, 0, I, 0), (0, 0, -I, 0))
-    v1h = p(sp, (0, 0, 1, 0), (0, 0, 1, 0))
-    v0ch = p(sp, (0, 1, 0, 0), (0, 1, 0, 0))
-    v1ch = p(sp, (0, -I, 0, 0), (0, I, 0, 0))
-    v0o = p(sp, (I, 0, 0, 0), (I, 0, 0, 0))
-    v0co = p(sp, (0, 0, 0, 1), (0, 0, 0, -1))
-    v0ho = p(sp, (0, 0, 1, 0), (0, 0, -1, 0))
-    v0cho = p(sp, (0, -I, 0, 0), (0, -I, 0, 0))
+    def p(args1, args2) -> Vec:
+        return combine([1, 1], [sp.charts["l1"].map(*args1),
+                                sp.charts["l2"].map(*args2)])
+
+    v0 = p((1, 0, 0, 0), (1, 0, 0, 0))
+    v1 = p((I, 0, 0, 0), (-I, 0, 0, 0))
+    v0c = p((0, 0, 0, I), (0, 0, 0, -I))
+    v1c = p((0, 0, 0, 1), (0, 0, 0, 1))
+    v0h = p((0, 0, I, 0), (0, 0, -I, 0))
+    v1h = p((0, 0, 1, 0), (0, 0, 1, 0))
+    v0ch = p((0, 1, 0, 0), (0, 1, 0, 0))
+    v1ch = p((0, -I, 0, 0), (0, I, 0, 0))
+    v0o = p((I, 0, 0, 0), (I, 0, 0, 0))
+    v0co = p((0, 0, 0, 1), (0, 0, 0, -1))
+    v0ho = p((0, 0, 1, 0), (0, 0, -1, 0))
+    v0cho = p((0, -I, 0, 0), (0, -I, 0, 0))
     w = [sp.charts["l3"].map(*args) for args in
          [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, I, 0), (0, 0, 0, 1),
           (-I, 0, 0, 0), (0, I, 0, 0), (0, 0, 1, 0)]]
@@ -391,8 +390,9 @@ def _g2_prototype(sp: SpaceModel, parts: tuple) -> list[Vec]:
     a = sp.a_basis
     s3 = sqrt(3)
 
-    def V(k: int, c) -> Vec:
-        return ch[f"l{k}"].map(c)
+    def V(*terms) -> Vec:  # the sum of M_lk(c) over the (k, c) given
+        return combine([1] * len(terms),
+                       [ch[f"l{k}"].map(c) for k, c in terms])
 
     fam = parts[0]
     if fam == "Geo":
@@ -406,30 +406,30 @@ def _g2_prototype(sp: SpaceModel, parts: tuple) -> list[Vec]:
         if ang == _G2_SKEW:
             c = rat(1, 3) * sqrt(5)
             gens = [combine([9, 5], [sh["l1"], sh["l2"]]),
-                    vec_add(V(1, 1), V(2, c)), vec_add(V(1, I), V(2, c * I))]
+                    V((1, 1), (2, c)), V((1, I), (2, c * I))]
             return gens[:ell]
         raise UnknownLabel(_render_part(parts))
     if fam == "P":
         k, ell = parts[2]
         if k == "R":
-            gens = [sh["l6"], vec_add(V(2, 1), V(4, s3)),
-                    vec_add(V(2, I), V(4, -s3 * I))]
+            gens = [sh["l6"], V((2, 1), (4, s3)), V((2, I), (4, -s3 * I))]
             return gens[:ell]
         if k == "C" and ell == 2:
-            return [sh["l6"], vec_add(V(2, 1), V(4, s3)),
-                    vec_add(V(3, s3 * I), V(5, I)), V(6, 1)]
+            return [sh["l6"], V((2, 1), (4, s3)), V((3, s3 * I), (5, I)),
+                    V((6, 1))]
         raise UnknownLabel(_render_part(parts))
     if fam == "SxS":
         ell, ellp = parts[1], parts[2]
         return [*a, *ch["l1"].basis_vectors()[: ell - 1],
                 *ch["l6"].basis_vectors()[: ellp - 1]]
     if fam == "AI":
-        return [*a, V(2, 1), V(5, 1), V(6, I)]
+        return [*a, V((2, 1)), V((5, 1)), V((6, I))]
     if fam == "A2":
         return [*a, *_slot_vectors(sp, "l2", [0]),
                 *_slot_vectors(sp, "l5", [0]), *_slot_vectors(sp, "l6", [0])]
     if fam == "G":
-        return [*a, V(1, 1), V(2, 1), V(3, I), V(4, 1), V(5, I), V(6, 1)]
+        return [*a, V((1, 1)), V((2, 1)), V((3, I)), V((4, 1)), V((5, I)),
+                V((6, 1))]
     raise UnknownLabel(_render_part(parts))
 
 

@@ -15,8 +15,8 @@ in enumeration order, sigma(alpha_a) = alpha_a makes a a fixed root, and
 sigma(alpha_a) = -alpha_b with a <= b puts the orbit (a, b) under the label
 whose root has the same key.  On the group model every positive root is its
 own orbit (k, None).  A root that falls under neither rule, one that sigma
-maps to another positive root, say, is left out, and validate_orbit_tables
-reports it.
+maps to another positive root, say, or one whose key is no label's, makes
+the build raise LiftFailure, naming the root.
 
 The lift to the algebra is a sign e_a = +-1 per root with
 sigma(x_a) = e_a x_{sigma(a)}: e = 1 on the simple roots, propagated through
@@ -83,8 +83,7 @@ from typing import NamedTuple, Sequence
 
 from .chevalley import ChevalleyAlgebra, _add, _neg, _sub
 from .linalg import (
-    Span, Terms, Vec, combine, coordinates, kernel, nonzeros, solve,
-    vec_is_zero, vec_scale, vec_sub, zeros,
+    Span, Terms, Vec, combine, coordinates, kernel, nonzeros, solve, zeros,
 )
 from .roots import (
     RestrictedRoot, RestrictedRootSystem, Root, RootSystem, pairing,
@@ -194,7 +193,8 @@ def _sigma_orbits(alg: ChevalleyAlgebra, sig: RootInvolution,
                       dict[str, list[tuple[int, int]]], list[int]]:
     """The orbit tables and the fixed roots of sigma (module docstring), as
     1-based indices into the positive-root enumeration.  A root's key is
-    alpha - sigma(alpha), in integer root coordinates."""
+    alpha - sigma(alpha), in integer root coordinates; a positive root that
+    falls under neither rule raises LiftFailure."""
     positives = alg.positives
     orbits: dict[str, list[tuple[int, int]]] = {label: [] for label in labels}
     by_key = {_sub(positives[k - 1], sig(positives[k - 1])): orbits[label]
@@ -206,7 +206,11 @@ def _sigma_orbits(alg: ChevalleyAlgebra, sig: RootInvolution,
             fixed.append(a)
             continue
         b = alg.pos_index.get(_neg(img), -1) + 1  # 0 unless sigma(alpha) < 0
-        if a <= b and (orbit := by_key.get(_sub(root, img))) is not None:
+        orbit = by_key.get(_sub(root, img)) if b else None
+        if orbit is None:
+            raise LiftFailure(f"the positive root {root} is not fixed by "
+                              "sigma and restricts to no label's root")
+        if a <= b:
             orbit.append((a, b))
     return orbits, fixed
 
@@ -423,18 +427,15 @@ class SpaceModel:
                 for v in kernel([row.items() for row in block], r)]
 
     def _orthonormalize(self, vecs: list[Vec]) -> list[Vec]:
-        """Gram-Schmidt with radical normalization in the space metric."""
+        """Gram-Schmidt with radical normalization in the space metric; out
+        is exactly orthonormal, so v's components are inner products."""
         out: list[Vec] = []
         for v in vecs:
-            w = list(v)
-            for u in out:
-                c = self.inner(w, u)
-                if not c.is_zero():
-                    w = vec_sub(w, vec_scale(c, u))
+            w = combine([ONE, *(-self.inner(v, u) for u in out)], [v, *out])
             q = self.norm_sq(w).sqrt_if_expressible()
             if q is None:
                 raise LiftFailure("basis norm has no radical square root")
-            out.append(vec_scale(q.inv(), w))
+            out.append(combine([q.inv()], [w]))
         return out
 
     def _eval_form(self, label: str, z: Sequence[Scalar]) -> Scalar:
@@ -555,7 +556,7 @@ class SpaceModel:
                 u = self._chart_vector(alg.u_index(a), which, flip)
                 v = self._chart_vector(alg.v_index(a), which, flip)
                 if b_idx == a_idx:  # doubled root: one of u, v survives
-                    cand = u if not vec_is_zero(u) else v
+                    cand = u if any(u) else v
                     pairs.append((self._chart_scale(cand, label), None))
                 else:
                     pairs.append((self._chart_scale(u, label),
@@ -594,7 +595,7 @@ class SpaceModel:
         for v in (x, y, z):
             if not self.in_m(v):
                 raise NotInM("curvature arguments must lie in m")
-        return vec_scale(rat(-1), self.alg.bracket(self.alg.bracket(x, y), z))
+        return combine([-ONE], [self.alg.bracket(self.alg.bracket(x, y), z)])
 
     def chart_coords(self, v: Vec, label: str) -> list[Scalar]:
         """Complex chart coordinates of the m_label-component of v."""
@@ -626,14 +627,14 @@ class SpaceModel:
         for k in range(dim):
             img = self.apply_sigma(cols[k])
             img[k] = img[k] - rat(1)
-            if not vec_is_zero(img):
+            if any(img):
                 return False
         for i in range(dim):
             for j in range(i + 1, dim):
                 lhs = self.apply_sigma(
                     alg.bracket(alg.basis_vec(i), alg.basis_vec(j)))
                 rhs = alg.bracket(cols[i], cols[j])
-                if not vec_is_zero(vec_sub(lhs, rhs)):
+                if lhs != rhs:
                     return False
         return True
 
@@ -672,27 +673,27 @@ class SpaceModel:
                                f"{len(gens) - eqs.dim}, not 1")
         j0 = combine(kernel(eqs.basis_terms(), len(gens))[0], gens)
         # the candidate spans the centre only if it commutes with all of k
-        if not all(vec_is_zero(alg.bracket(j0, b)) for b in self.k_rows):
+        if any(any(alg.bracket(j0, b)) for b in self.k_rows):
             raise NotHermitian("center of k has dimension 0, not 1")
         # scale: (ad j|m)^2 = -id
         probe = self.charts["l1"].pairs[0][0]
         img = alg.bracket(j0, alg.bracket(j0, probe))
         pivot = next(i for i, x in enumerate(probe) if not x.is_zero())
         lam = img[pivot] / probe[pivot]
-        if not vec_is_zero(vec_sub(img, vec_scale(lam, probe))):
+        if img != combine([lam], [probe]):
             raise NotHermitian("ad(j)^2 does not preserve the probe line")
         q = (-lam).sqrt_if_expressible()
         if q is None or q.is_zero():
             raise NotHermitian("center element cannot be scaled to a complex structure")
-        j0 = vec_scale(q.inv(), j0)
+        j0 = combine([q.inv()], [j0])
         for x in self.m_rows:
-            if self.alg.bracket(j0, self.alg.bracket(j0, x)) != vec_scale(rat(-1), x):
+            if alg.bracket(j0, alg.bracket(j0, x)) != combine([-ONE], [x]):
                 raise NotHermitian("(ad j|m)^2 is not -id")
         # sign convention: <J(M_{2l1}(1)), l1_sharp> < 0
         val = self.inner(self.apply_J(self.charts["2l1"].pairs[0][0], j0),
                          self.sharp["l1"])
         if scalar_sign(val) > 0:
-            j0 = vec_scale(rat(-1), j0)
+            j0 = combine([-ONE], [j0])
         return j0
 
     def apply_J(self, v: Vec, j: Vec | None = None) -> Vec:
@@ -705,7 +706,7 @@ class SpaceModel:
     def reference_sharp(self, label: str) -> Vec:
         """Restricted-root dual in the normalization of the quoted identities."""
         ratio = parse_scalar(self.data.reference_metric_ratio)
-        return vec_scale(ratio.inv(), self.sharp[label])
+        return combine([ratio.inv()], [self.sharp[label]])
 
     # -- isotropy angle ----------------------------------------------------
 
@@ -716,8 +717,9 @@ class SpaceModel:
             sums = [combine([ONE] * len(labels),
                             [self.sharp[label] for label in labels])
                     for labels in self.data.angle_frame]
-            self._frame = tuple(vec_scale(
-                self.norm_sq(v).sqrt_if_expressible().inv(), v) for v in sums)
+            self._frame = tuple(combine(
+                [self.norm_sq(v).sqrt_if_expressible().inv()], [v])
+                for v in sums)
         return self._frame
 
     def weyl_reduce(self, v: Vec) -> Vec:
@@ -734,12 +736,12 @@ class SpaceModel:
                 ip = self.inner(v, h)
                 if not ip.is_zero() and scalar_sign(ip) < 0:
                     c = rat(2) * ip / self.norm_sq(h)
-                    v = vec_sub(v, vec_scale(c, h))
+                    v = combine([ONE, -c], [v, h])
                     changed = True
         return v
 
     def isotropy_angle(self, v: Vec) -> AngleDescriptor:
-        if vec_is_zero(v):
+        if not any(v):
             raise ValueError("isotropy angle of the zero vector")
         if not self.a_span.contains(v):
             raise NotInM("isotropy angle takes a vector in the flat a")

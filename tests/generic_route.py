@@ -16,7 +16,8 @@ ad(h_i)ad(h_j)b, all dim g entries of each; the intersection of two spans
 from the relations among all their rows at once; kernels by a reduced
 echelon form built with whole-row updates; definiteness by the signs of
 the leading principal minors, each a determinant expanded along its first
-row; the Cayley number
+row; vector sums and multiples entry by entry over whole dense lists
+(vec_add, vec_sub, vec_scale, vec_is_zero); the Cayley number
 systems as frozen dataclasses of ``Fraction`` coordinates, each result
 built through the validating constructor: ``CNum`` and ``Quaternion``,
 ``Octonion`` as a pair of quaternions, and ``Cx``, which adjoins a central
@@ -49,8 +50,7 @@ from ltskit.chevalley import (
     ChevalleyAlgebra, SignSolveFailure, _add, _neg, _sub,
 )
 from ltskit.linalg import (
-    Span, combine, coordinates, kernel, nonzeros, relations, solve, vec_add,
-    vec_is_zero, vec_scale, vec_sub,
+    Span, Vec, combine, coordinates, kernel, nonzeros, relations, solve,
 )
 from ltskit.lts import SubRoot, _root_candidates
 from ltskit.matrices import (
@@ -60,6 +60,27 @@ from ltskit.matrix_groups import _from_half_blocks, _half_blocks
 from ltskit.roots import RootSystem
 from ltskit.scalars import I, ONE, Scalar, ZERO, rat, scalar_sign, sqrt
 from ltskit.spaces import SPACES, Chart, NotHermitian, SpaceData, SpaceModel
+
+
+# Dense vector arithmetic, entry by entry over whole lists: the reference
+# that ltskit.linalg.combine is held to, and the tests' shorthand for sums.
+
+
+def vec_add(u, v) -> Vec:
+    return [a + b for a, b in zip(u, v)]
+
+
+def vec_sub(u, v) -> Vec:
+    return [a - b for a, b in zip(u, v)]
+
+
+def vec_scale(c, v) -> Vec:
+    return [c * a for a in v]
+
+
+def vec_is_zero(v) -> bool:
+    return not any(v)
+
 
 # The published orbit tables of sigma: restricted label -> the orbits
 # {alpha_a, -alpha_b} as (a, b), 1-based in the positive-root enumeration,

@@ -29,12 +29,11 @@ from ltskit.catalog import (
     verify_containments,
     verify_derived,
 )
-from ltskit.linalg import vec_add, vec_scale
 from ltskit.lts import analyze, is_lts
 from ltskit.scalars import I, rat, sqrt
 from ltskit.spaces import SpaceModel, build_space
 
-from generic_route import G2SO4, solved_torus_rotate
+from generic_route import G2SO4, solved_torus_rotate, vec_add, vec_scale
 
 SPACES = ("EIII", "EIV", "G2group")
 

@@ -5,16 +5,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ltskit.chevalley import AlgebraMismatch, ChevalleyAlgebra
-from ltskit.linalg import (
-    is_negative_definite, nonzeros, vec_add, vec_is_zero, vec_scale,
-)
+from ltskit.linalg import is_negative_definite, nonzeros
 from ltskit.roots import RootSystem
 from ltskit.scalars import I, ZERO, rat, sqrt
 
 from compact_basis import basis_label, t_vec, u_vec, v_vec
 from complex_route import compact_table
-from generic_route import dense_bracket, n_mixed, reference_n_table, \
-    special_constants, string_down, trace_killing
+from generic_route import (
+    dense_bracket, n_mixed, reference_n_table, special_constants, string_down,
+    trace_killing, vec_add, vec_is_zero, vec_scale,
+)
 
 _cache = {}
 

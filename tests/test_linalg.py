@@ -3,11 +3,14 @@ from hypothesis import given, settings, strategies as st
 
 from ltskit.linalg import (
     Span, combine, coordinates, is_negative_definite, kernel, nonzeros,
-    relations, solve, vec_is_zero,
+    relations, solve,
 )
-from ltskit.scalars import ONE, ZERO, rat, sqrt
+from ltskit.scalars import I, ONE, ZERO, rat, sqrt
 
-from generic_route import dense_echelon, dense_kernel, minors_negative_definite
+from generic_route import (
+    dense_echelon, dense_kernel, minors_negative_definite, vec_add,
+    vec_is_zero, vec_scale,
+)
 
 
 def m(*rows):
@@ -234,6 +237,30 @@ def test_span_matches_dense_elimination(vectors, rnd, probes):
                 assert not rows or combine(coeffs, s.basis()) == v
             got = s.remainder(nonzeros(v))
             assert sorted((k, x) for k, x in got.items() if x) == nonzeros(w)
+
+
+# -- combine against the dense sum -------------------------------------------
+
+field_entries = st.one_of(
+    entries, st.builds(lambda a, b: rat(a) + rat(b) * I, small, small),
+    st.builds(lambda a, b: (rat(a) + I) * sqrt(b), small,
+              st.sampled_from((2, 5))))
+field_vectors = st.one_of(st.just([ZERO] * N_COLS),
+                          st.lists(field_entries, min_size=N_COLS,
+                                   max_size=N_COLS))
+
+
+@settings(deadline=None)
+@given(st.lists(st.tuples(st.one_of(field_entries, small), field_vectors),
+                min_size=1, max_size=5))
+def test_combine_matches_dense_sum(pairs):
+    # rational, radical and complex entries and coefficients, int
+    # coefficients, zero coefficients and all-zero vectors
+    cs, vs = [c for c, _ in pairs], [v for _, v in pairs]
+    dense = [ZERO] * N_COLS
+    for c, v in pairs:
+        dense = vec_add(dense, vec_scale(c, v))
+    assert combine(cs, vs) == dense
 
 
 # -- kernel and relations on terms against the dense elimination --------------

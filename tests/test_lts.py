@@ -7,14 +7,15 @@ from hypothesis import example, given, settings, strategies as st
 
 from ltskit import lts
 from ltskit.catalog import expected_rows, make_prototype
-from ltskit.linalg import (
-    Span, combine, nonzeros, vec_add, vec_is_zero, vec_scale, vec_sub,
-)
+from ltskit.linalg import Span, combine, nonzeros
 from ltskit.report import ReportRow
 from ltskit.scalars import I, ParseError, Scalar, rat, sqrt
 from ltskit.spaces import NotInM, build_space
 
-from generic_route import dense_intersect_spans, dense_sub_restricted_roots
+from generic_route import (
+    dense_intersect_spans, dense_sub_restricted_roots, vec_add, vec_is_zero,
+    vec_scale, vec_sub,
+)
 
 
 def subspace(sp, vectors):

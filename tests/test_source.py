@@ -202,12 +202,12 @@ def test_name_compares_finds_space_name_branches():
         "line 1", "line 3", "line 4", "line 9"]
 
 
-@pytest.mark.parametrize("module", ["spaces.py", "lts.py", "cli.py"])
-def test_no_space_name_branches(module):
-    # the model reads its space from its SpaceData record: no module that
-    # builds or analyses a model branches on which space it is
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_space_name_branches(path):
+    # the model reads its space from its SpaceData record and the catalog
+    # its rows from per-space tables: no module branches on which space it is
     from ltskit.spaces import SPACE_NAMES
-    source = (SRC / module).read_text(encoding="utf-8")
+    source = path.read_text(encoding="utf-8")
     assert name_compares(source, SPACE_NAMES) == []
 
 

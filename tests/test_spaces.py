@@ -5,7 +5,7 @@ import pytest
 
 from ltskit import catalog, linalg, lts, spaces
 from ltskit.chevalley import ChevalleyAlgebra
-from ltskit.linalg import Span, vec_add, vec_is_zero, vec_scale, vec_sub
+from ltskit.linalg import Span
 from ltskit.roots import RootSystem
 from ltskit.scalars import I, ZERO, Scalar, rat, sqrt
 from ltskit.spaces import (
@@ -16,6 +16,7 @@ from ltskit.spaces import (
 from complex_route import involution_matrix
 from generic_route import (
     G2SO4, SIGMA_FIXED, SIGMA_ORBITS, GenericRouteModel, dense_chart_map,
+    vec_add, vec_is_zero, vec_scale, vec_sub,
 )
 
 
@@ -123,6 +124,15 @@ def test_orbit_tables_match_involution():
         assert list(sp._orbit_tables.items()) == list(
             SIGMA_ORBITS[name].items())
         assert sp._fixed == SIGMA_FIXED[name]
+
+
+def test_record_with_an_uncovered_root_fails_to_build():
+    # l3 given l1's representative: l1's orbits go to l3 and l3's own roots
+    # restrict to no label's root, a record that once built with
+    # mult(l1) = 0
+    bad = SPACES["EIII"]._replace(labels={**SPACES["EIII"].labels, "l3": 1})
+    with pytest.raises(LiftFailure, match=r"root \(0, 1, 0, 0, 0, 0\)"):
+        SpaceModel(bad)
 
 
 def test_model_builds_from_a_record_alone():
