@@ -15,10 +15,8 @@ The tables hold two kinds of row:
   (``verify_derived``).  Its witness must be an LTS in the span of big's
   prototype, and its mode says how it is built: ``direct`` (the label's
   prototype), ``quarter-turn`` (its image under an isotropy quarter turn),
-  ``diagonal``, ``adapted`` or ``torus`` (a diagonal sphere, a slot-adapted
-  prototype or a flat-torus rotation, whose invariants must first match the
-  label's prototype), ``intersection`` (big's prototype met with that of the
-  label's first part, compared with an ``ExpectedRow`` instead) or ``skip``.
+  ``intersection`` (big's prototype met with that of the label's first
+  part, compared with an ``ExpectedRow`` instead) or ``skip``.
 
 ``geodesic_length`` gives exact closed-geodesic lengths in every space, from
 the space's unit lattice.
@@ -35,7 +33,7 @@ from .linalg import Vec, combine, coordinates
 from .lts import Subspace, analyze, intersect_spans, is_lts, isotropy_rotate
 from .prototypes import (
     _EXPECTED, _PROTO, GEO_ANGLES, _G2_SKEW, ExpectedRow, TypeLabel,
-    UnknownLabel, _mults, _pxp1_span, _row, _slot_vectors, expected_rows,
+    UnknownLabel, _mults, _row, expected_rows,
 )
 from .report import CatalogReport, ReportRow
 from .scalars import I, ONE, ParseError, Parser, Scalar, ZERO, rat, sqrt
@@ -49,32 +47,24 @@ class NotInLatticeSpan(ValueError):
 # -- expected invariants ---------------------------------------------------
 
 
-def _invariants(sp: SpaceModel, S: Subspace, seed: int) -> dict:
+def _invariants(S: Subspace, seed: int) -> dict:
     """Analyze S once and read its invariants into one record: dim, rank,
-    is_lts and the closure certificate, angle, complexity (EIII), the
-    multiplicities by ambient label, and in rank 1 the normalized squared
-    root values with their multiplicities."""
+    is_lts and the closure certificate, angle, complexity (EIII) and the
+    multiplicities by ambient label."""
     r = analyze(S, seed=seed)
     mults = {"+".join(sr.labels): sr.mult for sr in r.restricted or []}
-    inv = {"dim": S.dim, "rank": r.rank, "is_lts": r.is_lts,
-           "certificate": r.certificate,
-           "angle": r.isotropy_angle.name if r.isotropy_angle else None,
-           "complexity": r.complexity,
-           "sub_mults": dict(sorted(mults.items())), "root_values": None}
-    if r.is_lts and r.rank == 1:
-        h = r.flat.basis[0]
-        n2 = sp.inner(h, h)
-        inv["root_values"] = sorted(
-            (sorted(str(v * v / n2) for v in sr.values), sr.mult)
-            for sr in r.restricted or [])
-    return inv
+    return {"dim": S.dim, "rank": r.rank, "is_lts": r.is_lts,
+            "certificate": r.certificate,
+            "angle": r.isotropy_angle.name if r.isotropy_angle else None,
+            "complexity": r.complexity,
+            "sub_mults": dict(sorted(mults.items()))}
 
 
-def _check_expected(sp: SpaceModel, row: ExpectedRow, S: Subspace,
-                    label: str, seed: int) -> ReportRow:
+def _check_expected(row: ExpectedRow, S: Subspace, label: str,
+                    seed: int) -> ReportRow:
     """Analyze S and compare it with the row; a FAIL names the closure
     defect or else the first invariant that did not match."""
-    inv = _invariants(sp, S, seed)
+    inv = _invariants(S, seed)
     expected = {"dim": row.dim, "rank": row.rank}
     computed = {key: inv[key] for key in ("dim", "rank", "is_lts")}
     for key in ("angle", "complexity", "sub_mults"):
@@ -82,8 +72,6 @@ def _check_expected(sp: SpaceModel, row: ExpectedRow, S: Subspace,
         if want is not None:
             expected[key] = dict(want) if key == "sub_mults" else want
             computed[key] = inv[key]
-    if row.maximal:
-        computed["maximal"] = "consistent-with-catalog"
     if not inv["is_lts"]:
         failure = f"closure fails at triple {inv['certificate']}"
     else:
@@ -103,25 +91,11 @@ def verify_catalog(sp: SpaceModel, seed: int = 0) -> CatalogReport:
                                       certificate=row.note))
         else:
             rep.rows.append(_check_expected(
-                sp, row, make_prototype(sp, row.label), row.label.text, seed))
+                row, make_prototype(sp, row.label), row.label.text, seed))
     return rep
 
 
-def _invariants_match(sp: SpaceModel, A: Subspace, B: Subspace,
-                      seed: int = 0) -> bool:
-    """Both are LTS with the same dim, rank, angle, complexity (EIII) and
-    restricted data: the normalized squared root values with multiplicities
-    in rank 1, the multiplicities by ambient label in rank 2."""
-    a = _invariants(sp, A, seed)
-    if not a["is_lts"]:
-        return False
-    b = _invariants(sp, B, seed)
-    roots = "root_values" if a["rank"] == 1 else "sub_mults"
-    return b["is_lts"] and all(a[key] == b[key] for key in (
-        "dim", "rank", "angle", "complexity", roots))
-
-
-# -- isometry witnesses ----------------------------------------------------
+# -- flat-torus isometries -------------------------------------------------
 
 
 _OMEGA = (sqrt(3) + I) * rat(1, 2)  # exp(i*pi/6)
@@ -133,7 +107,9 @@ def torus_rotate(sp: SpaceModel, vec: Sequence[Scalar], n1: int,
     restricted roots are n1*pi/6 and n2*pi/6: it fixes a and multiplies the
     chart coordinate of each restricted root with step m on the two basic
     ones by omega^m.  The m basis is orthonormal, so the coordinates are
-    inner products.  Modeled where every chart has one slot (G2group)."""
+    inner products.  Modeled where every chart has one slot (G2group).
+    No sweep applies it: it moves prototypes for the isometry-invariance
+    tests and the benchmark's inputs."""
     if any(chart.arity != 1 for chart in sp.charts.values()):
         raise ValueError(f"{sp.name} has charts of several slots, on which "
                          "no torus rotation is modeled")
@@ -154,18 +130,6 @@ def torus_rotate(sp: SpaceModel, vec: Sequence[Scalar], n1: int,
     return combine(coeffs, vectors)
 
 
-def _g2_diagonal_sphere(sp: SpaceModel, ell: int) -> Subspace:
-    """Projective-line diagonal inside the product-of-spheres prototype."""
-    c = sqrt(3).inv()
-    ch = sp.charts
-    gens = [
-        combine([3, 1], [sp.sharp["l1"], sp.sharp["l6"]]),
-        combine([1, 1], [ch["l1"].map(1), ch["l6"].map(c)]),
-        combine([1, 1], [ch["l1"].map(I), ch["l6"].map(I * c)]),
-    ]
-    return Subspace(sp, gens[:ell])
-
-
 # -- witness rows: containment tables and derived-space catalogs -----------
 
 
@@ -178,7 +142,6 @@ class WitnessRow:
     big: str
     mode: str = "direct"
     note: str = ""
-    steps: tuple[int, int] = (0, 0)  # flat-torus steps of a torus row
     expected: ExpectedRow | None = None  # invariants of an intersection row
 
 
@@ -231,9 +194,7 @@ def _g2_containments() -> list[WitnessRow]:
         WitnessRow(f"(S, phi={_G2_SKEW}, 2)", "(G)"),
         *(WitnessRow(f"(S, phi=pi/6, {ell})", f"(SxS, 1, {ell})")
           for ell in (2, 3)),
-        *(WitnessRow(f"(P, phi=pi/6, (R,{ell}))", f"(SxS, {ell}, {ell})",
-                     mode="diagonal",
-                     note="diagonal representative with matching invariants")
+        *(WitnessRow(f"(P, phi=pi/6, (R,{ell}))", f"(SxS, {ell}, {ell})")
           for ell in (2, 3)),
         WitnessRow("(P, phi=pi/6, (C,2))", "(G)"),
         *(WitnessRow(f"(SxS, {ell}, {ellp})", "(SxS, 3, 3)")
@@ -275,9 +236,9 @@ def derived_hosts() -> dict[str, tuple[str | None, list[WitnessRow]]]:
         *(w(f"(Geo, phi={a})") for a in GEO_ANGLES["EIII"]),
         w("(P, phi=0, (R,4))", mode="skip", note=_DIII_SKIP),
         w("(P, phi=0, (C,4))", mode="skip", note=_DIII_SKIP),
-        w("(P, phi=pi/4, (S,5))", mode="adapted"),
-        w("(P, phi=pi/4, (S,6))", mode="adapted"),
-        *(w(f"(PxP1, ({k1},3), {k2})", mode="adapted")
+        w("(P, phi=pi/4, (S,5))"),
+        w("(P, phi=pi/4, (S,6))"),
+        *(w(f"(PxP1, ({k1},3), {k2})")
           for k1 in ("R", "C") for k2 in ("R", "C")),
         _meet("(Q, (G1,6))", dim=12,
               sub_mults=_mults(l3=4, l4=4, **{"2l1": 1, "2l2": 1})),
@@ -321,8 +282,7 @@ def derived_hosts() -> dict[str, tuple[str | None, list[WitnessRow]]]:
         w("(S, phi=pi/6, 2)"),
         w("(P, phi=pi/6, (R,2))"),
         w("(P, phi=pi/6, (C,2))"),
-        w("(AI)", mode="torus", steps=(3, 0),
-          note="image under an exact flat-torus rotation"),
+        w("(AI)"),
         *(w(f"(SxS, {e}, {ep})") for e in (1, 2) for ep in (1, 2)),
     ]
     sp2 = [
@@ -370,47 +330,13 @@ def _table_labels(space: str, table) -> frozenset[tuple]:
                      - {r.label.parts for r in rows if r.opaque})
 
 
-def _adapted_prototype(sp: SpaceModel, label: TypeLabel) -> Subspace:
-    """Slot-adapted EIII representative inside the (DIII) host's slots."""
-    parts = label.parts
-    ch, sh = sp.charts, sp.sharp
-    if parts[0] == "P" and parts[1] == "phi=pi/4":
-        k = parts[2][1]
-        h = combine([1, 1], [sh["l1"], sh["l2"]])
-        ht = combine([1, 1], [ch["2l1"].map(1), ch["2l2"].map(1)])
-        m4 = _slot_vectors(sp, "l4", [1, 2])
-        return Subspace(sp, [h, *m4[: k - 2], ht])
-    if parts[0] == "PxP1":
-        (k1, ell), k2 = parts[1], parts[2]
-        return Subspace(sp, _pxp1_span(sp, k1, k2, [0, 2]))
-    raise UnknownLabel(f"{label} in (DIII)")
-
-
-def _witness(sp: SpaceModel, row: WitnessRow,
-             seed: int) -> tuple[Subspace, str]:
-    """The row's witness subspace, and the certificate of a failed
-    representative gate ("" when the witness goes on to be checked)."""
-    label = TypeLabel.parse(sp.name, row.label)
-    quoted = make_prototype(sp, label)
-    if row.mode == "direct":
-        return quoted, ""
+def _witness(sp: SpaceModel, row: WitnessRow) -> Subspace:
+    """The witness subspace of a direct or quarter-turn row."""
+    quoted = make_prototype(sp, row.label)
     if row.mode == "quarter-turn":
         z = sp.k_charts["l1"].pairs[2][0]
-        return Subspace(sp, [isotropy_rotate(sp, z, v)
-                             for v in quoted.basis]), ""
-    if row.mode == "diagonal":
-        small = _g2_diagonal_sphere(sp, label.parts[2][1])
-        failure = "representative invariants do not match"
-    elif row.mode == "adapted":
-        small = _adapted_prototype(sp, label)
-        failure = "adapted representative mismatch"
-    elif row.mode == "torus":
-        small = Subspace(sp, [torus_rotate(sp, v, *row.steps)
-                              for v in quoted.basis])
-        failure = "rotated representative mismatch"
-    else:
-        raise ValueError(row.mode)
-    return small, "" if _invariants_match(sp, quoted, small, seed) else failure
+        return Subspace(sp, [isotropy_rotate(sp, z, v) for v in quoted.basis])
+    return quoted
 
 
 def _verify_witnesses(sp: SpaceModel | None, rep: CatalogReport,
@@ -429,13 +355,10 @@ def _verify_witnesses(sp: SpaceModel | None, rep: CatalogReport,
             family = TypeLabel(sp.name, row.expected.label.parts[:1])
             meet = intersect_spans(big.basis(),
                                    make_prototype(sp, family).span())
-            rep.rows.append(_check_expected(sp, row.expected,
-                                            Subspace(sp, meet), label, seed))
+            rep.rows.append(_check_expected(row.expected, Subspace(sp, meet),
+                                            label, seed))
             continue
-        small, failure = _witness(sp, row, seed)
-        if failure:
-            rep.rows.append(ReportRow(label, "FAIL", certificate=failure))
-            continue
+        small = _witness(sp, row)
         ok = is_lts(small) and all(big.contains(v) for v in small.basis)
         rep.rows.append(ReportRow(
             label, "PASS" if ok else "FAIL",

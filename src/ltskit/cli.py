@@ -102,9 +102,6 @@ def verify_foundations(sp) -> CatalogReport:
         rep.rows.append(ReportRow(
             "involution-automorphism", "SKIPPED", {}, {},
             "group model: the symmetry is the algebra swap"))
-        rep.rows.append(ReportRow(
-            "orbit-tables", "SKIPPED", {}, {},
-            "group model: no root involution"))
     else:
         ok = sp.validate_involution()
         rep.rows.append(ReportRow(
@@ -112,11 +109,6 @@ def verify_foundations(sp) -> CatalogReport:
             {"square_id_and_bracket_compatible": True},
             {"square_id_and_bracket_compatible": ok},
             "checked on all basis pairs"))
-        ok = sp.validate_orbit_tables()
-        rep.rows.append(ReportRow(
-            "orbit-tables", "PASS" if ok else "FAIL",
-            {"tables_match": True}, {"tables_match": ok},
-            "orbit/fixed tables against the linear involution"))
 
     kind = sp.restricted.kind
     rep.rows.append(ReportRow(

@@ -2,7 +2,12 @@
 spaces, and the prototype constructors ``_PROTO``, which write the standard
 totally geodesic subspace of a type family from the chart vectors of its
 space; ``ltskit.catalog.make_prototype`` calls them for the labels that the
-tables name.  The rows are versioned in-repo data, checked exactly."""
+tables name.  The rows are versioned in-repo data, checked exactly.
+
+A prototype is one representative of its congruence class.  Each is written
+inside every family that a containment or derived row of ``ltskit.catalog``
+puts it in, so those rows check the prototype itself; only the quarter-turn
+row checks an isometric image of it."""
 
 from __future__ import annotations
 
@@ -230,19 +235,6 @@ def _slot_vectors(sp: SpaceModel, label: str, idxs: Iterable[int],
     return out
 
 
-def _pxp1_span(sp: SpaceModel, k1: str, k2: str,
-               slots: Iterable[int]) -> list[Vec]:
-    """An EIII (PxP1, (k1, ell), k2) on the given l1 slots: a, those slots
-    (complex when k1 is C), and the doubled-root line of each C factor."""
-    vecs = [*sp.a_basis, *_slot_vectors(sp, "l1", slots,
-                                        "C" if k1 == "C" else "R")]
-    if k1 == "C":
-        vecs += _slot_vectors(sp, "2l1", [0], "R")
-    if k2 == "C":
-        vecs += _slot_vectors(sp, "2l2", [0], "R")
-    return vecs
-
-
 def _geo_direction(sp: SpaceModel, ang: str) -> Vec:
     """Unnormalized geodesic direction r0 + tan(phi) e at one of the
     space's (Geo, phi) angles, in the frame (r0, e) that isotropy_angle
@@ -271,8 +263,8 @@ def _eiii_prototype(sp: SpaceModel, parts: tuple) -> list[Vec]:
         tau, num = parts[2]
         h = combine([1, 1], [sh["l1"], sh["l2"]])
         ht = combine([1, 1], [ch["2l1"].map(1), ch["2l2"].map(1)])
-        if tau == "S":
-            m4 = ch["l4"].basis_vectors()
+        if tau == "S":  # slots 1 and 2 first: inside the (DIII) prototype
+            m4 = _slot_vectors(sp, "l4", [1, 2, 0])
             return [h, *m4[: num - 2], ht]
         # projective planes over R, C, H, O: diagonal l1/l2 pairs
         def diag(c1, c2, c3, c4):
@@ -293,8 +285,16 @@ def _eiii_prototype(sp: SpaceModel, parts: tuple) -> list[Vec]:
                     *(diag(*cs) for cs in args), ht]
         raise UnknownLabel(_render_part(parts))
     if fam == "PxP1":
+        # a, the l1 slots (complex when k1 is C; slots 0 and 2 first: inside
+        # the (DIII) prototype), and the doubled-root line of each C factor
         (k1, ell), k2 = parts[1], parts[2]
-        return _pxp1_span(sp, k1, k2, range(ell - 1))
+        vecs = [*a, *_slot_vectors(sp, "l1", (0, 2, 1, 3)[: ell - 1],
+                                   "C" if k1 == "C" else "R")]
+        if k1 == "C":
+            vecs += _slot_vectors(sp, "2l1", [0], "R")
+        if k2 == "C":
+            vecs += _slot_vectors(sp, "2l2", [0], "R")
+        return vecs
     if fam == "Q":
         return [*a, *ch["l3"].basis_vectors(), *ch["l4"].basis_vectors(),
                 ch["2l1"].map(1), ch["2l2"].map(1)]
@@ -411,8 +411,10 @@ def _g2_prototype(sp: SpaceModel, parts: tuple) -> list[Vec]:
         raise UnknownLabel(_render_part(parts))
     if fam == "P":
         k, ell = parts[2]
-        if k == "R":
-            gens = [sh["l6"], V((2, 1), (4, s3)), V((2, I), (4, -s3 * I))]
+        if k == "R":  # the diagonal sphere inside (SxS, ell, ell)
+            c = s3.inv()
+            gens = [combine([3, 1], [sh["l1"], sh["l6"]]),
+                    V((1, 1), (6, c)), V((1, I), (6, I * c))]
             return gens[:ell]
         if k == "C" and ell == 2:
             return [sh["l6"], V((2, 1), (4, s3)), V((3, s3 * I), (5, I)),
@@ -423,7 +425,7 @@ def _g2_prototype(sp: SpaceModel, parts: tuple) -> list[Vec]:
         return [*a, *ch["l1"].basis_vectors()[: ell - 1],
                 *ch["l6"].basis_vectors()[: ellp - 1]]
     if fam == "AI":
-        return [*a, V((2, 1)), V((5, 1)), V((6, I))]
+        return [*a, V((2, 1)), V((5, I)), V((6, 1))]
     if fam == "A2":
         return [*a, *_slot_vectors(sp, "l2", [0]),
                 *_slot_vectors(sp, "l5", [0]), *_slot_vectors(sp, "l6", [0])]

@@ -603,18 +603,6 @@ class SpaceModel:
                                     else I * self.inner(v, w))
                 for u, w in self.charts[label].pairs]
 
-    def validate_orbit_tables(self) -> bool:
-        """The orbits and fixed roots derived from sigma exhaust the positive
-        roots; sigma(alpha_a) = -alpha_b on each orbit (a, b) and
-        sigma(alpha) = alpha on each fixed root hold by the derivation."""
-        if self.sigma_roots is None:
-            return True
-        seen = set(self._fixed)
-        for orbits in self._orbit_tables.values():
-            for orbit in orbits:
-                seen.update(orbit)
-        return seen == set(range(1, len(self.alg.positives) + 1))
-
     def validate_involution(self) -> bool:
         """sigma^2 = id and automorphism property on all basis pairs."""
         if self.sigma_roots is None:

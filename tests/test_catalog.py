@@ -29,7 +29,7 @@ from ltskit.catalog import (
     verify_containments,
     verify_derived,
 )
-from ltskit.lts import analyze, is_lts
+from ltskit.lts import Subspace, analyze
 from ltskit.scalars import I, rat, sqrt
 from ltskit.spaces import SpaceModel, build_space
 
@@ -123,7 +123,7 @@ def test_labels_outside_the_tables_raise(spaces, text):
 
 
 def test_witness_labels_outside_the_classification_build(spaces):
-    # labels that only the witness tables name, adapted ones included
+    # labels that only the witness tables name
     sp = spaces["EIII"]
     for text, dim in [("(PxP1, (R,3), R)", 4), ("(PxP1, (C,3), C)", 8),
                       ("(P, phi=0, (R,5))", 5), ("(P, phi=0, (C,4))", 8),
@@ -181,7 +181,7 @@ def test_catalog_sweep_passes(catalog_reports, name):
 
 
 @pytest.mark.parametrize("seed", [1, 7])
-@pytest.mark.parametrize("name", ["G2group", "EIV"])
+@pytest.mark.parametrize("name", SPACES)
 def test_catalog_sweep_seed_independent(spaces, name, seed):
     # the seed only picks the flat search's samples: the reports are the
     # pinned seed-0 reports, byte for byte
@@ -243,21 +243,6 @@ def test_containment_sweep_passes(containment_reports, name):
 def test_quarter_turn_row_present(containment_reports):
     labels = [r.label for r in containment_reports["EIII"].rows]
     assert "(P, phi=0, (C,4)) in (Q)" in labels
-
-
-def test_diagonal_representative_matches_quoted_invariants(spaces):
-    sp = spaces["G2group"]
-    quoted = make_prototype(sp, "(P, phi=pi/6, (R,3))")
-    diag = cat._g2_diagonal_sphere(sp, 3)
-    assert is_lts(diag)
-    assert cat._invariants_match(sp, quoted, diag)
-
-
-def test_invariants_match_compares_multiplicities(spaces):
-    sp = spaces["EIV"]
-    ai, sxs = make_prototype(sp, "(AI)"), make_prototype(sp, "(SxS1, 4)")
-    assert ai.dim == sxs.dim == 5
-    assert not cat._invariants_match(sp, ai, sxs)
 
 
 # -- derived spaces --------------------------------------------------------
@@ -327,8 +312,6 @@ def test_geodesic_angle_outside_the_table_is_unknown(spaces, name, ang):
 SPANS = json.loads((Path(__file__).parent / "data" / "golden" /
                     "prototype_spans.json").read_text(encoding="utf-8"))
 
-BUILT_MODES = ("diagonal", "adapted", "quarter-turn", "torus")
-
 
 def basis_digest(S) -> str:
     """sha256 of the str entries of the reduced basis, row by row."""
@@ -338,7 +321,7 @@ def basis_digest(S) -> str:
 
 def prototype_spans(spaces) -> dict[str, str]:
     """The basis digest of every non-opaque row's prototype, and of the
-    representative of every witness row built by a mode of its own."""
+    witness of every quarter-turn row."""
     out = {}
     for name in SPACES:
         sp = spaces[name]
@@ -350,8 +333,8 @@ def prototype_spans(spaces) -> dict[str, str]:
             row for parent, rows in derived_hosts().values()
             if parent == name for row in rows]
         for row in witnesses:
-            if row.mode in BUILT_MODES:
-                small, _ = cat._witness(sp, row, 0)
+            if row.mode == "quarter-turn":
+                small = cat._witness(sp, row)
                 out[f"{name} {row.label} in {row.big} ({row.mode})"] = (
                     basis_digest(small))
     return out
@@ -359,7 +342,9 @@ def prototype_spans(spaces) -> dict[str, str]:
 
 def test_prototype_spans_are_pinned(spaces):
     # verdict goldens do not pin the spans themselves; this does, for
-    # every way a prototype's spanning vectors are written
+    # every way a witness's spanning vectors are written.  A prototype is
+    # one representative of its congruence class: a new representative
+    # changes its digest here and no verdict
     got = prototype_spans(spaces)
     assert sum(" in " not in key for key in got) == 75
     assert got == SPANS
@@ -393,6 +378,32 @@ def test_torus_rotation_matches_solved_reference(spaces, steps):
         for v in make_prototype(sp, row.label).basis:
             assert torus_rotate(sp, v, *steps) == solved_torus_rotate(
                 sp, v, *steps)
+
+
+def _isometry_invariants(S):
+    """The invariants of S that an isometric image must share with it."""
+    inv = cat._invariants(S, 0)
+    return {key: inv[key] for key in (
+        "is_lts", "dim", "rank", "angle", "complexity", "sub_mults")}
+
+
+@pytest.mark.parametrize("steps", [(1, 2), (5, 7)])
+def test_torus_rotation_keeps_prototype_invariants(spaces, steps):
+    sp = spaces["G2group"]
+    for row in expected_rows("G2group"):
+        if row.opaque:
+            continue
+        S = make_prototype(sp, row.label)
+        image = Subspace(sp, [torus_rotate(sp, v, *steps) for v in S.basis])
+        assert _isometry_invariants(image) == _isometry_invariants(S), (
+            row.label.text)
+
+
+def test_quarter_turn_witness_keeps_prototype_invariants(spaces):
+    sp = spaces["EIII"]
+    (row,) = [r for r in containment_rows("EIII") if r.mode == "quarter-turn"]
+    assert _isometry_invariants(cat._witness(sp, row)) == (
+        _isometry_invariants(make_prototype(sp, row.label)))
 
 
 def test_torus_rotation_rejects(spaces):
