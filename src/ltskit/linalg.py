@@ -29,8 +29,9 @@ target column; and is_negative_definite adds a Gram matrix's rows in order
 and decides the sign of each pivot.
 
 combine is the matrix times a coefficient vector, over the vectors' nonzero
-entries (combine_terms for vectors given as terms).  The two are the only
-vector arithmetic: every sum or multiple of vectors is one combine, and a
+entries (combine_terms for vectors given as terms, and combine_to_terms for
+those with the sum returned as terms too).  The three are the only vector
+arithmetic: every sum or multiple of vectors is one combine, and a
 zero test reads any(v) or u != w.  The dense Span.add and Span.contains,
 Subspace.basis and ChevalleyAlgebra.bracket stay because the benchmark
 harness reads and wraps them.
@@ -114,6 +115,20 @@ def combine_terms(coeffs: Sequence[Scalar | int], vectors: Sequence[Terms],
             for k, x in v:
                 out[k] = out[k] + c * x
     return out
+
+
+def combine_to_terms(coeffs: Sequence[Scalar | int],
+                     vectors: Sequence[Terms]) -> list[tuple[int, Scalar]]:
+    """combine for vectors in the terms form, with the sum in that form
+    too: its nonzero entries in increasing index, found by zero-testing
+    only the entries that the vectors name."""
+    out: dict[int, Scalar] = {}
+    for c, v in zip(coeffs, vectors):
+        if c:
+            for k, x in v:
+                prev = out.get(k)
+                out[k] = c * x if prev is None else prev + c * x
+    return [(k, x) for k, x in sorted(out.items()) if x]
 
 
 def is_negative_definite(gram: Sequence[Sequence[Scalar]]) -> bool:

@@ -10,17 +10,23 @@ derives the full structural report of a verified LTS:
   * isotropy angle of the flat direction (rank 1),
   * complex / totally-real classification in the Hermitian model.
 
-Closure is decided through K = [S, S]: the triple bracket is trilinear, so
-[[S, S], S] = [K, S], and only the pair brackets [b_i, b_j] that enlarge K
-are bracketed with the basis of S.  The first failing basis triple is the
-one the plain loop over all triples would name.  The vectors are mostly
-zeros, so the hot loops of closure, of the flat search and of the
-restricted roots keep them in the terms form of linalg (increasing nonzero
-(index, entry) pairs): a Subspace reads its rows' terms off its span once,
-and closure, the flat search and the roots all read them there; a bracket
-from chevalley.bracket_terms is the next bracket's operand as it stands,
-and membership, coordinates and K's growth go through Span's one reduction
-routine on those terms, which zero-tests only the entries it touched.  The
+Closure is decided pair by pair: S is an LTS exactly when every pair
+bracket [b_i, b_j] lies in the normalizer N(S) = {z in g : [z, S] in S},
+which the Jacobi identity makes a subalgebra.  A subspace K of N(S) collects
+each pair bracket that passed its n triple tests and its brackets with the
+pairs that passed before it, and a pair inside K passes by linearity with no
+triple bracket.  A pair outside N(S) is never inside K, so the first failing
+basis triple is the one the plain loop over all triples would name.
+
+The vectors are mostly zeros, so the hot loops of closure, of the flat
+search, of the restricted roots and of the complex-type test keep them in
+the terms form of linalg (increasing nonzero (index, entry) pairs): a
+Subspace reads its rows' terms off its span once, and those stages read
+them there; a bracket from chevalley.bracket_terms is the next bracket's
+operand as it stands, and membership, coordinates and K's growth go through
+Span's one reduction routine on those terms, which zero-tests only the
+entries it touched.  The flat search's candidates and centralizers are
+terms too, written out as dense vectors only for the accepted flat.  The
 linear systems hand brackets and remainders to linalg.relations as terms
 too.  The root spaces are kernels solved in S's own coordinates (n per
 operator for dim S = n), not in the ambient ones, and each is compared with
@@ -30,8 +36,9 @@ combinations whose remainders cancel, one unknown per row.  For a root
 space the meet never becomes dense: a combination of the ambient rows that
 lies in S has as coordinates the same combination of the rows' entries at
 S's pivots, n numbers each.  The root candidates of the reference flat a
-are computed once per model and each distinct SubRoot is made once, so
-kept reports share their roots.
+are computed once per model, each distinct SubRoot is made once and each
+distinct list of them is kept as one tuple, so kept reports share their
+roots.
 
 Flats are found by seeded sampling: for pseudo-random combinations v of the
 basis the centralizer N(v) = {w in S : [v, w] = 0} is computed; an abelian
@@ -55,7 +62,7 @@ with scalars in the exact literal grammar.
 from __future__ import annotations
 
 import random
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
@@ -63,7 +70,8 @@ from itertools import chain
 from types import MappingProxyType
 
 from .linalg import (
-    Span, Terms, Vec, combine, combine_terms, nonzeros, relations,
+    Span, Terms, Vec, combine, combine_terms, combine_to_terms, nonzeros,
+    relations,
 )
 from .scalars import ONE, ParseError, Parser, Scalar, scalar_sign
 from .spaces import (
@@ -165,24 +173,30 @@ def _shared_root(values: tuple[Scalar, ...], mult: int,
 def closure_defect(S: Subspace) -> tuple[int, int, int] | None:
     """First basis triple (i, j, k) with [[b_i, b_j], b_k] outside S, if any.
 
-    The triple bracket is trilinear, so [[S, S], S] = [K, S] with
-    K = span{[b_i, b_j] : i < j}.  The pairs are visited in the order of the
-    plain triple loop, and K collects those that passed.  A pair bracket in
-    the span of earlier pairs, all of which passed, passes by linearity, so
-    only the others are bracketed with every b_k.  The first failing triple
-    is therefore the triple loop's, found with O(n^2 + dim K * n) brackets
-    instead of O(n^3).  A pair is added to K only after it passed, so a
-    FAIL does no elimination work beyond membership tests.  Every vector
-    stays in the terms form: the nonzero terms of each b_k are taken once,
-    a pair bracket from chevalley.bracket_terms is the operand of its n
-    triple brackets as it stands, and K and S test and add those terms
-    directly (Span.contains_terms, Span.add_terms).
+    S is an LTS exactly when every pair bracket lies in the normalizer
+    N(S) = {z : [z, S] in S}.  The pairs are visited in the order of the
+    plain triple loop.  A pair p that passes its n triple tests lies in
+    N(S); it joins K, and so does [p, q] for each pair q that passed before
+    it, which lies in N(S) too, since [[p, q], s] = [p, [q, s]] - [q, [p, s]]
+    (one level, no closure under brackets).  So K is a subspace of N(S), and
+    a pair bracket in K passes by linearity and is not bracketed with any
+    b_k.  The first pair that fails is outside N(S), hence outside K, and is
+    tested with k in order: the certificate is the triple loop's, found
+    with O(n^2 + m * n + m^2) brackets for the m pairs tested and passed,
+    where the triple loop makes O(n^3).  A pair and its brackets join K
+    only after it passed, so a FAIL does no elimination work beyond
+    membership tests.  Every vector stays in the terms form: the nonzero
+    terms of each b_k are taken once, a pair bracket from
+    chevalley.bracket_terms is the operand of its n triple brackets as it
+    stands, and K and S test and add those terms directly
+    (Span.contains_terms, Span.add_terms).
     """
     alg = S.space.alg
     n = S.dim
     span = S.span()
     terms = S.terms
     K = Span(width=alg.dim)
+    passed: list[Terms] = []
     for i in range(n):
         for j in range(i + 1, n):
             pair = alg.bracket_terms(terms[i], terms[j])
@@ -192,6 +206,9 @@ def closure_defect(S: Subspace) -> tuple[int, int, int] | None:
                 if not span.contains_terms(alg.bracket_terms(pair, terms[k])):
                     return (i, j, k)
             K.add_terms(pair)
+            for q in passed:
+                K.add_terms(alg.bracket_terms(pair, q))
+            passed.append(pair)
     return None
 
 
@@ -202,10 +219,12 @@ def is_lts(S: Subspace) -> bool:
 # -- flats and rank --------------------------------------------------------
 
 
-def _centralizer_in(S: Subspace, v: Vec) -> list[Vec]:
-    alg, v_terms = S.space.alg, nonzeros(v)
-    return [combine_terms(c, S.terms, alg.dim) for c in relations(
-        [alg.bracket_terms(v_terms, b) for b in S.terms])]
+def _centralizer_in(S: Subspace, v: Terms) -> list[Terms]:
+    """Basis of N(v) = {w in S : [v, w] = 0}, for v and the basis both in
+    the terms form."""
+    alg = S.space.alg
+    return [combine_to_terms(c, S.terms) for c in relations(
+        [alg.bracket_terms(v, b) for b in S.terms])]
 
 
 def _pairwise_abelian(alg, terms: list[Terms]) -> bool:
@@ -247,27 +266,28 @@ def rank_and_flat(S: Subspace, seed: int = 0) -> tuple[int, Subspace]:
     if S.dim == 0:
         return 0, Subspace(sp, [])
     alg = sp.alg
-    a_meet = intersect_spans(sp.a_basis, S.span())
+    a_meet = [nonzeros(v) for v in intersect_spans(sp.a_basis, S.span())]
     rng = random.Random(seed)
 
-    def schedule():
-        for v in a_meet:
-            yield v
+    def schedule():  # each candidate in the terms form
+        yield from a_meet
         for _ in range(_FLAT_BUDGET // 2):
             if not a_meet:
                 break
-            yield combine([rng.randint(-3, 3) for _ in a_meet], a_meet)
+            yield combine_to_terms([rng.randint(-3, 3) for _ in a_meet],
+                                   a_meet)
         for _ in range(_FLAT_BUDGET):
-            yield combine_terms([rng.randint(-3, 3) for _ in S.terms],
-                                S.terms, alg.dim)
+            yield combine_to_terms([rng.randint(-3, 3) for _ in S.terms],
+                                   S.terms)
 
     for v in schedule():
-        if not any(v):
+        if not v:
             continue
         cand = _centralizer_in(S, v)
-        if not _pairwise_abelian(alg, [nonzeros(w) for w in cand]):
+        if not _pairwise_abelian(alg, cand):
             continue
-        flat = Subspace(sp, cand)
+        flat = Subspace(sp, [combine_terms([ONE], [w], alg.dim)
+                             for w in cand])
         if flat.span() == sp.a_span:
             flat = _reference_flat(sp)
         _check_ambient_cartan_extension(sp, flat)
@@ -444,7 +464,7 @@ _SHARED_CHECKS: dict = {}
 
 
 def decomposition_checks(S: Subspace, flat: Subspace,
-                         roots: list[SubRoot]) -> Mapping[str, bool]:
+                         roots: Sequence[SubRoot]) -> Mapping[str, bool]:
     """Structural invariants of the root-space decomposition of an LTS, as
     a shared read-only mapping from check name to verdict."""
     sp = S.space
@@ -488,10 +508,12 @@ def complexity_class(S: Subspace) -> str:
         j = sp.complex_structure()
     except NotHermitian as exc:
         raise NoComplexStructure(str(exc)) from exc
-    imgs = [sp.apply_J(b, j) for b in S.basis]
-    if all(S.contains(w) for w in imgs):
+    alg, span, j_terms = sp.alg, S.span(), nonzeros(j)
+    imgs = [alg.bracket_terms(j_terms, b) for b in S.terms]
+    if all(span.contains_terms(w) for w in imgs):
         return "complex"
-    if all(sp.inner(w, b).is_zero() for w in imgs for b in S.basis):
+    dense = [combine_terms([ONE], [w], alg.dim) for w in imgs]
+    if all(sp.inner(w, b).is_zero() for w in dense for b in S.basis):
         return "totally_real"
     return "neither"
 
@@ -570,7 +592,7 @@ class LtsReport:
     certificate: tuple[int, int, int] | None = None
     rank: int | None = None
     flat: Subspace | None = None
-    restricted: list[SubRoot] | None = None
+    restricted: tuple[SubRoot, ...] | None = None
     isotropy_angle: AngleDescriptor | None = None
     complexity: str | None = None
     checks: Mapping[str, bool] = field(default_factory=dict)
@@ -618,6 +640,11 @@ class LtsReport:
         return "\n".join(lines) + "\n"
 
 
+# Each distinct root list of a report, kept as one tuple and shared by the
+# reports that hold it, as _SHARED_CHECKS shares the verdicts.
+_SHARED_RESTRICTED: dict = {}
+
+
 def analyze(S: Subspace, seed: int = 0) -> LtsReport:
     """Full report for a subspace: closure, rank, roots, angle, complexity."""
     sp = S.space
@@ -627,14 +654,15 @@ def analyze(S: Subspace, seed: int = 0) -> LtsReport:
     report = LtsReport(space=sp.name, is_lts=True, dim=S.dim)
     if S.dim == 0:
         report.rank = 0
-        report.restricted = []
+        report.restricted = ()
         return report
     rank, flat = rank_and_flat(S, seed=seed)
     report.rank = rank
     report.flat = flat
     if all(sp.a_span.contains(h) for h in flat.basis):
-        report.restricted = sub_restricted_roots(S, flat)
-        report.checks = decomposition_checks(S, flat, report.restricted)
+        roots = tuple(sub_restricted_roots(S, flat))
+        report.restricted = _SHARED_RESTRICTED.setdefault(roots, roots)
+        report.checks = decomposition_checks(S, flat, roots)
         if rank == 1:
             report.isotropy_angle = sp.isotropy_angle(flat.basis[0])
     else:

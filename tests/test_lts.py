@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from ltskit import lts
 from ltskit.catalog import expected_rows, make_prototype
+from ltskit.chevalley import ChevalleyAlgebra
 from ltskit.linalg import Span, combine, nonzeros
 from ltskit.report import ReportRow
 from ltskit.scalars import I, ParseError, Scalar, rat, sqrt
@@ -68,24 +69,70 @@ def random_m_span(seed, count):
     return subspace(sp, [combine(c, sp.m_rows) for c in vectors])
 
 
-def prototype_union(label1, label2):
-    sp = build_space("G2group")
+def prototype_union(label1, label2, name="G2group"):
+    sp = build_space(name)
     return subspace(sp, make_prototype(sp, label1).basis
                     + make_prototype(sp, label2).basis)
 
 
-G2_LABELS = [row.label for row in expected_rows("G2group")]
+def catalog_labels(name):
+    return [row.label for row in expected_rows(name) if not row.opaque]
+
+
+G2_LABELS = catalog_labels("G2group")
+
+
+def e6_union(name):
+    labels = st.sampled_from(catalog_labels(name))
+    return st.builds(prototype_union, labels, labels, st.just(name))
+
+
+def eiii_l2_l1_2l1():
+    # x in a with l1(x) = 0, two l1 chart vectors and one 2l1 vector: the
+    # pairs of x pass, and the first failing triple is (1, 2, 3)
+    sp = build_space("EIII")
+    a0, a1 = sp.a_basis
+    l1 = sp.sharp["l1"]
+    x = combine([sp.inner(l1, a1), -sp.inner(l1, a0)], [a0, a1])
+    m_l1 = sp.charts["l1"].basis_vectors()
+    return subspace(sp, [x, m_l1[0], m_l1[1],
+                         sp.charts["2l1"].basis_vectors()[0]])
+
+
+def g2_unit_span(indices):
+    # the group model's m rows are the Chevalley basis vectors of g2
+    sp = build_space("G2group")
+    return subspace(sp, [list(sp.m_rows[i]) for i in indices])
+
+
+# two passed pairs' bracket holds a later pair before the first failure
+G2_SKIPS_UNITS = range(4, 14)
+
+
+def test_pinned_eiii_certificate():
+    S = eiii_l2_l1_2l1()
+    assert lts.closure_defect(S) == reference_defect(S) == (1, 2, 3)
 
 
 # Most inputs fail at their first nonzero pair; these unions fail only after
-# two independent pairs have passed, so a pair skipped wrongly shows.
+# two independent pairs have passed, so a pair skipped wrongly shows.  The
+# E6 unions and the pinned EIII span fail after several pairs passed, with
+# their brackets in K.
 @settings(max_examples=40, deadline=None)
 @example(prototype_union("(A2)", "(P, phi=pi/6, (R, 2))"))
 @example(prototype_union("(P, phi=pi/6, (R, 3))", "(A2)"))
+@example(prototype_union("(P, phi=0, (C, 5))", "(P, phi=pi/4, (S, 5))",
+                         "EIII"))
+@example(prototype_union("(S, phi=pi/6, 4)", "(A2)", "EIV"))
+@example(prototype_union("(AII)", "(SxS1, 9)", "EIV"))
+@example(eiii_l2_l1_2l1())
+@example(g2_unit_span(G2_SKIPS_UNITS))
+@example(g2_unit_span((2, 3, 4, 5, 8, 9, 10, 11, 12, 13)))
 @given(st.one_of(
     st.builds(random_m_span, st.integers(0, 2**32 - 1), st.integers(2, 5)),
     st.builds(prototype_union, st.sampled_from(G2_LABELS),
-              st.sampled_from(G2_LABELS))))
+              st.sampled_from(G2_LABELS)),
+    e6_union("EIII"), e6_union("EIV")))
 def test_closure_through_brackets_matches_triple_loop(S):
     assert lts.closure_defect(S) == reference_defect(S)
 
@@ -376,14 +423,17 @@ def test_rational_sweep_fraction_guard(monkeypatch, name, label, before):
 
 
 @pytest.mark.parametrize("name, label, before, after", [
-    ("EIII", "(DIII)", 40572, 17491), ("EIV", "(AII)", 14159, 5794)],
+    ("EIII", "(DIII)", 40572, 7864), ("EIV", "(AII)", 14159, 4771)],
     ids=["EIII-(DIII)", "EIV-(AII)"])
 def test_sweep_row_zero_test_guard(monkeypatch, name, label, before, after):
     # deterministic counts, no timings: the linear systems of the LTS stages
-    # take terms and a Span keeps each reduced row once, as its moves, so a
-    # second make_prototype + analyze of a sweep row makes `after` or fewer
-    # Scalar zero tests (19353 and 6390 with a dense copy of each row beside
-    # its moves; with the systems written as dense vectors it made `before`)
+    # take terms, a Span keeps each reduced row once, as its moves, and the
+    # closure, flat-search and complex-type loops keep their vectors as
+    # terms, so a second make_prototype + analyze of a sweep row makes
+    # `after` or fewer Scalar zero tests (17491 and 5794 with the flat
+    # search's candidates and J's images dense and K spanned by the passed
+    # pairs alone; with the systems written as dense vectors it made
+    # `before`)
     sp = build_space(name)
     lts.analyze(make_prototype(sp, label), seed=0)
     real = Scalar.__bool__
@@ -399,6 +449,32 @@ def test_sweep_row_zero_test_guard(monkeypatch, name, label, before, after):
     assert tests[0] <= after < before // 2
 
 
+@pytest.mark.parametrize("build, before, after", [
+    (lambda: make_prototype(build_space("EIII"), "(DIII)"), 690, 435),
+    (lambda: make_prototype(build_space("EIV"), "(AII)"), 385, 231),
+    (lambda: g2_unit_span(G2_SKIPS_UNITS), 46, 37)],
+    ids=["EIII-(DIII)", "EIV-(AII)", "G2group-failing"])
+def test_closure_bracket_count_guard(monkeypatch, build, before, after):
+    # deterministic counts, no timings: a pair that passed joins K with its
+    # brackets with the pairs that passed before it, so a second
+    # closure_defect makes exactly `after` bracket-kernel calls (`before`
+    # with K spanned by the passed pairs alone); on the failing span, K
+    # holds a later pair, and the failing pair's brackets are never taken
+    S = build()
+    defect = lts.closure_defect(S)
+    real = ChevalleyAlgebra._bracket_sums
+    calls = [0]
+
+    def counting(self, xs, ys):
+        calls[0] += 1
+        return real(self, xs, ys)
+
+    monkeypatch.setattr(ChevalleyAlgebra, "_bracket_sums", counting)
+    assert lts.closure_defect(S) == defect
+    monkeypatch.undo()
+    assert calls[0] == after < before
+
+
 def test_flats_equal_to_a_are_shared():
     # a kept report holds the model's one Subspace of a, not its own copy
     sp = build_space("EIII")
@@ -412,14 +488,16 @@ def test_flats_equal_to_a_are_shared():
 
 
 def test_kept_reports_share_roots_and_checks():
-    # roots and check verdicts are values: two reports hold one object of
-    # each, read-only, while restricted stays a list of its own
+    # roots, root lists and check verdicts are values: two reports hold one
+    # object of each, read-only
     S = make_prototype(build_space("EIV"), "(AII)")
     first, second = lts.analyze(S), lts.analyze(S)
-    assert type(first.restricted) is list
-    assert first.restricted is not second.restricted
+    assert type(first.restricted) is tuple
+    assert first.restricted is second.restricted
     assert first.restricted and all(
-        a is b for a, b in zip(first.restricted, second.restricted))
+        type(r) is lts.SubRoot for r in first.restricted)
+    assert type(lts.sub_restricted_roots(S, first.flat)) is list
+    assert lts.analyze(subspace(S.space, [])).restricted == ()
     assert first.checks is second.checks and all(first.checks.values())
     with pytest.raises(TypeError):
         first.checks["exhaustive"] = False
