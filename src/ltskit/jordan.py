@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Callable, Sequence
 
 from . import linalg
@@ -119,13 +120,6 @@ class JordanElement:
         return all(a.is_zero() for a in self.xi) and \
             all(a.is_zero() for a in self.x)
 
-    def coords(self) -> tuple:
-        """27 complex coordinates (3 diagonal + 3 slots x 8)."""
-        out = list(self.xi)
-        for slot in self.x:
-            out.extend(slot.coords())
-        return tuple(out)
-
     @staticmethod
     def from_coords(coords: Sequence[CNum]) -> "JordanElement":
         coords = list(coords)
@@ -181,28 +175,25 @@ def trace_form(X: JordanElement, Y: JordanElement) -> CNum:
 class ProjPoint:
     """A point of the complex projective space over the Jordan algebra.
 
-    The representative is canonicalized by dividing out the first nonzero
-    complex coordinate, so equality and hashing are exact and
-    scaling-invariant.  The pivot is inverted once, and the zero coordinates
-    are left as they are.
+    The representative ``element`` is canonicalized by scaling by the
+    inverse of its first nonzero complex coordinate (the diagonal entries
+    first, then each slot's coordinates in order), so equality and hashing
+    are exact and scaling-invariant.
     """
 
-    coords: tuple
+    element: JordanElement
 
     @staticmethod
     def of(element: JordanElement) -> "ProjPoint":
-        raw = element.coords()
+        raw = chain(element.xi,
+                    chain.from_iterable(slot.coords() for slot in element.x))
         pivot = next((c for c in raw if not c.is_zero()), None)
         if pivot is None:
             raise ZeroElement("the zero element has no projective class")
-        inv = C_ONE / pivot
-        return ProjPoint(tuple(c if c.is_zero() else c * inv for c in raw))
-
-    def element(self) -> JordanElement:
-        return JordanElement.from_coords(self.coords)
+        return ProjPoint(element.scale(C_ONE / pivot))
 
     def map(self, fn: Callable[[JordanElement], JordanElement]) -> "ProjPoint":
-        return ProjPoint.of(fn(self.element()))
+        return ProjPoint.of(fn(self.element))
 
 
 P0 = None  # initialized below, after eiii_member is defined
@@ -235,7 +226,7 @@ def eiii_member(X: JordanElement) -> bool:
 
 def proj_member(pt: ProjPoint) -> bool:
     """Variety membership of a projective point (scaling-invariant)."""
-    return eiii_member(pt.element())
+    return eiii_member(pt.element)
 
 
 P0 = ProjPoint.of(JordanElement.diag(C_ONE, C_ZERO, C_ZERO))

@@ -5,7 +5,7 @@ A subspace S of the tangent model m is a Lie triple system (LTS) when
 derives the full structural report of a verified LTS:
 
   * dimension,
-  * rank together with an explicit maximal flat (abelian certificate),
+  * rank, the dimension of a maximal flat (rank_and_flat returns the flat),
   * restricted roots of the pair (S, flat) with multiplicities,
   * isotropy angle of the flat direction (rank 1),
   * complex / totally-real classification in the Hermitian model.
@@ -43,11 +43,10 @@ roots.
 Flats are found by seeded sampling: for pseudo-random combinations v of the
 basis the centralizer N(v) = {w in S : [v, w] = 0} is computed; an abelian
 centralizer is itself a maximal flat (every flat through v lies inside N(v)),
-so the first abelian hit is accepted and certified to extend greedily, by
-vectors of a and then of its centralizer in m, to an ambient Cartan
-subspace.  The sampler prefers candidates inside the reference
-maximal flat a so that restricted roots can be matched against the ambient
-restricted root system; restricted-root reporting requires such a flat.
+so the first abelian hit is accepted and needs no further certificate.  The
+sampler prefers candidates inside the reference maximal flat a so that
+restricted roots can be matched against the ambient restricted root system;
+restricted-root reporting requires such a flat.
 
 Subspace files use one vector per line in chart coordinates, e.g.
 
@@ -66,7 +65,6 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from itertools import chain
 from types import MappingProxyType
 
 from .linalg import (
@@ -258,9 +256,8 @@ def rank_and_flat(S: Subspace, seed: int = 0) -> tuple[int, Subspace]:
     Deterministic schedule: the basis of S intersected with the reference
     flat a, then seeded combinations of that intersection, then seeded
     combinations of the full basis.  A candidate v is accepted when its
-    centralizer N(v) in S is abelian; N(v) is then a maximal flat.  The flat
-    is cross-checked to extend to an ambient Cartan subspace of m.  A flat
-    that is a itself is returned as the model's one Subspace of a.
+    centralizer N(v) in S is abelian; N(v) is then a maximal flat, since
+    every flat through v lies inside N(v), and the rank is its dimension.
     """
     sp = S.space
     if S.dim == 0:
@@ -288,9 +285,6 @@ def rank_and_flat(S: Subspace, seed: int = 0) -> tuple[int, Subspace]:
             continue
         flat = Subspace(sp, [combine_terms([ONE], [w], alg.dim)
                              for w in cand])
-        if flat.span() == sp.a_span:
-            flat = _reference_flat(sp)
-        _check_ambient_cartan_extension(sp, flat)
         return flat.dim, flat
     raise FlatSearchInconclusive(
         f"no abelian centralizer found in {_FLAT_BUDGET} seeded samples "
@@ -298,53 +292,12 @@ def rank_and_flat(S: Subspace, seed: int = 0) -> tuple[int, Subspace]:
 
 
 @cache
-def _reference_flat(sp: SpaceModel) -> Subspace:
-    """The reference maximal flat a, one Subspace per model: the flat of
-    every report whose flat is a (rank 2 inside a), so that many kept
-    reports hold one copy of a between them.  build_space keeps its models
-    for the life of the process anyway, so the cache keeps none alive."""
-    return Subspace(sp, sp.a_basis)
-
-
-@cache
 def _reference_candidates(sp: SpaceModel) -> tuple[
         tuple[tuple[Scalar, ...], tuple[str, ...]], ...]:
-    """The items of _root_candidates on the basis of _reference_flat, once
-    per model and immutable: the reports whose flat is a share its value
-    and label tuples."""
-    return tuple(_root_candidates(sp, _reference_flat(sp).basis).items())
-
-
-def _check_ambient_cartan_extension(sp: SpaceModel, flat: Subspace) -> None:
-    """Certify that the flat extends to a maximal abelian subspace of m.
-
-    The flat grows greedily by commuting basis vectors of a, then, only if
-    still short of the rank, of its centralizer in m.  That is not a
-    complete search: it may reject a flat that does extend.
-    """
-    alg = sp.alg
-    if not _pairwise_abelian(alg, flat.terms):
-        raise NotAFlat("claimed flat is not abelian")
-
-    def centralizer():  # ad(h) for each h of the flat, at offsets of dim g
-        basis = [nonzeros(b) for b in sp.m_basis()]
-        for c in relations([[(i * alg.dim + k, x)
-                             for i, h in enumerate(flat.terms)
-                             for k, x in alg.bracket_terms(h, b)]
-                            for b in basis]):
-            yield combine_terms(c, basis, alg.dim)
-
-    candidates = chain(sp.a_basis, centralizer())
-    ext = Span(flat.basis)
-    ext_rows = list(flat.basis)
-    while len(ext_rows) < len(sp.a_basis):
-        w = next(candidates, None)
-        if w is None:
-            raise NotAFlat(
-                "flat does not extend to an ambient Cartan subspace")
-        if not any(any(alg.bracket(w, u)) for u in ext_rows) \
-                and ext.add(w):
-            ext_rows.append(w)
+    """The items of _root_candidates on the reduced basis of a, once per
+    model and immutable: the reports whose flat is a share its value and
+    label tuples."""
+    return tuple(_root_candidates(sp, sp.a_span.basis()).items())
 
 
 # -- restricted roots of (S, flat) -----------------------------------------
@@ -371,8 +324,9 @@ def sub_restricted_roots(S: Subspace, flat: Subspace) -> list[SubRoot]:
     len(pairs) * dim g ambient entries.  Coordinates are injective on S, so
     the kernel, and the reduced basis that relations returns for it, is the
     one of the ambient system, and two subspaces of S are equal exactly when
-    their coordinate spans are.  The candidates of the reference flat are
-    read from a table computed once per model (_reference_candidates).
+    their coordinate spans are.  A flat inside a of a's dimension is a, and
+    its basis is a's reduced one, so its candidates are read from a table
+    computed once per model (_reference_candidates).
     """
     sp = S.space
     alg = sp.alg
@@ -384,7 +338,7 @@ def sub_restricted_roots(S: Subspace, flat: Subspace) -> list[SubRoot]:
     if not _pairwise_abelian(alg, flat.terms):
         raise NotAFlat("flat is not abelian")
     hs = flat.basis
-    candidates = (_reference_candidates(sp) if flat is _reference_flat(sp)
+    candidates = (_reference_candidates(sp) if flat.dim == len(sp.a_basis)
                   else _root_candidates(sp, hs).items())
     pairs = [(i, i) for i in range(len(hs))]
     if len(hs) == 2:
@@ -591,7 +545,6 @@ class LtsReport:
     dim: int
     certificate: tuple[int, int, int] | None = None
     rank: int | None = None
-    flat: Subspace | None = None
     restricted: tuple[SubRoot, ...] | None = None
     isotropy_angle: AngleDescriptor | None = None
     complexity: str | None = None
@@ -658,7 +611,6 @@ def analyze(S: Subspace, seed: int = 0) -> LtsReport:
         return report
     rank, flat = rank_and_flat(S, seed=seed)
     report.rank = rank
-    report.flat = flat
     if all(sp.a_span.contains(h) for h in flat.basis):
         roots = tuple(sub_restricted_roots(S, flat))
         report.restricted = _SHARED_RESTRICTED.setdefault(roots, roots)

@@ -253,13 +253,11 @@ def phi_so5(B) -> IntMatrix:
 class CartanInstance:
     """An exact matrix group with product and involution, for Cartan maps."""
 
-    name: str
     identity: object
     mul: Callable
     inverse: Callable
     sigma: Callable
     in_group: Callable
-    in_fixed: Callable
     samples: tuple
     fixed_samples: tuple
 
@@ -279,13 +277,11 @@ def _so10_cartan_instance() -> CartanInstance:
         u_phase,
     )
     return CartanInstance(
-        name="so10",
         identity=IntMatrix(identity(10, 1), 1),
         mul=matmul,
         inverse=IntMatrix.transpose,
         sigma=orthogonal_sigma,
         in_group=is_orthogonal,
-        in_fixed=unitary_member,
         samples=samples,
         fixed_samples=(u_rot, u_phase,
                        complex_to_real10(rot(5, 1, 4, c513, c1213, C_ONE))),
@@ -305,22 +301,12 @@ def _su3_cartan_instance() -> CartanInstance:
             [C_ZERO, CNum(f35, -f45), C_ZERO],
             [C_ZERO, C_ZERO, C_ONE]]
     samples = (diag_i, pyth, mat_mul(diag_i, rot01), mat_mul(pyth, perm))
-
-    in_group = partial(is_unitary, one=C_ONE)
-
-    def in_fixed(A) -> bool:
-        if any(c.im != 0 for row in A for c in row):
-            return False
-        return in_group(A)
-
     return CartanInstance(
-        name="su3",
         identity=identity(3, C_ONE),
         mul=mat_mul,
         inverse=conj_transpose,
         sigma=lambda A: mat_map(lambda c: c.conj(), A),
-        in_group=in_group,
-        in_fixed=in_fixed,
+        in_group=partial(is_unitary, one=C_ONE),
         samples=samples,
         fixed_samples=(rot01, perm, mat_mul(rot01, perm)),
     )

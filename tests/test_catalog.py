@@ -29,7 +29,7 @@ from ltskit.catalog import (
     verify_containments,
     verify_derived,
 )
-from ltskit.lts import Subspace, analyze
+from ltskit.lts import Subspace, analyze, rank_and_flat
 from ltskit.scalars import I, rat, sqrt
 from ltskit.spaces import SpaceModel, build_space
 
@@ -555,8 +555,9 @@ def _rank1_periods(name):
     for row in expected_rows(name):
         if row.opaque or row.rank != 1:
             continue
-        r = analyze(make_prototype(sp, row.label))
-        h = r.flat.basis[0]
+        S = make_prototype(sp, row.label)
+        r = analyze(S)
+        h = rank_and_flat(S)[1].basis[0]
         n2 = sp.inner(h, h)
         L_sq = None
         if geodesic_length(sp, h) is not None:
@@ -610,7 +611,7 @@ def test_skew_sphere_cross_consistency(spaces):
     sp = spaces["G2group"]
     S = make_prototype(sp, "(S, phi=arctan(1/(3*sqrt(3))), 3)")
     r = analyze(S)
-    h = r.flat.basis[0]
+    h = rank_and_flat(S)[1].basis[0]
     n2 = sp.inner(h, h)
     (root,) = r.restricted
     (val,) = root.values

@@ -262,6 +262,28 @@ def test_flat_search_is_seed_deterministic():
     assert f1.basis == f2.basis
 
 
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("name, label, dim, rank, complexity", [
+    ("EIII", "(P, phi=pi/4, (S, 5))", 5, 1, "totally_real"),
+    ("EIV", "(SxS1, 1)", 2, 2, None),
+])
+def test_quarter_turned_prototype_has_flat_outside_a(name, label, dim, rank,
+                                                      complexity, seed):
+    # a quarter turn by the first l1 slot of k moves the prototype's flats
+    # off a: the rank still comes from the flat search, the restricted data
+    # are skipped with a note
+    sp = build_space(name)
+    Z = sp.k_charts["l1"].pairs[0][0]
+    S = make_prototype(sp, label)
+    moved = subspace(sp, [lts.isotropy_rotate(sp, Z, v) for v in S.basis])
+    out = lts.analyze(moved, seed=seed).as_json()
+    assert (out["is_lts"], out["dim"], out["rank"]) == (True, dim, rank)
+    assert out.get("complexity") == complexity
+    assert out["notes"] == [
+        "flat not inside the reference maximal flat; restricted data skipped"]
+    assert "restricted" not in out
+
+
 def test_empty_subspace_rank_zero():
     sp = build_space("EIV")
     rank, flat = lts.rank_and_flat(subspace(sp, []))
@@ -475,18 +497,6 @@ def test_closure_bracket_count_guard(monkeypatch, build, before, after):
     assert calls[0] == after < before
 
 
-def test_flats_equal_to_a_are_shared():
-    # a kept report holds the model's one Subspace of a, not its own copy
-    sp = build_space("EIII")
-    first = lts.analyze(make_prototype(sp, "(DIII)"))
-    second = lts.analyze(
-        lts.lts_from_closed_subsystem(sp, {"l3", "l4", "2l1", "2l2"}))
-    assert first.flat is second.flat
-    assert first.flat.basis == subspace(sp, list(sp.a_basis)).basis
-    line = lts.analyze(subspace(sp, [sp.sharp["l1"]])).flat
-    assert line.dim == 1 and line is not first.flat
-
-
 def test_kept_reports_share_roots_and_checks():
     # roots, root lists and check verdicts are values: two reports hold one
     # object of each, read-only
@@ -496,7 +506,7 @@ def test_kept_reports_share_roots_and_checks():
     assert first.restricted is second.restricted
     assert first.restricted and all(
         type(r) is lts.SubRoot for r in first.restricted)
-    assert type(lts.sub_restricted_roots(S, first.flat)) is list
+    assert type(lts.sub_restricted_roots(S, lts.rank_and_flat(S)[1])) is list
     assert lts.analyze(subspace(S.space, [])).restricted == ()
     assert first.checks is second.checks and all(first.checks.values())
     with pytest.raises(TypeError):
@@ -507,9 +517,10 @@ def test_kept_reports_share_roots_and_checks():
 
 def test_report_types_have_no_instance_dict():
     sp = build_space("EIII")
-    report = lts.analyze(lts.lts_from_closed_subsystem(sp, {"l1", "2l1"}))
+    S = lts.lts_from_closed_subsystem(sp, {"l1", "2l1"})
+    report = lts.analyze(S)
     row, other = ReportRow("a", "PASS"), ReportRow("b", "PASS")
-    for obj in (report, report.restricted[0], report.flat, row):
+    for obj in (report, report.restricted[0], lts.rank_and_flat(S)[1], row):
         assert not hasattr(obj, "__dict__"), type(obj).__name__
     # rows that state no expected data share one read-only empty mapping
     assert row.expected is other.expected

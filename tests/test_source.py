@@ -178,6 +178,66 @@ def test_no_dead_public_names():
         "kept as API but no longer defined, or now read by a program path")
 
 
+def unread_fields(sources: dict[str, str],
+                  readers: dict[str, str] | None = None) -> list[str]:
+    """Annotated class fields of the given modules (dataclass, NamedTuple
+    and the like) that no module, and no source of ``readers``, reads.  A
+    field counts as read when an attribute of its name is read, or when a
+    string constant names it (for ``getattr``); a store, such as
+    ``report.x = x`` or a constructor keyword, is not a read.  Reads are
+    matched by name alone, so a field is missed when an attribute of the
+    same name is read elsewhere: ``CartanInstance.name`` went unread while
+    every ``sp.name`` was read, and was found by hand."""
+    fields: list[tuple[str, str, str, int]] = []
+    reads: set[str] = set()
+    for path, source in {**(readers or {}), **sources}.items():
+        for node in ast.walk(ast.parse(source)):
+            if path in sources and isinstance(node, ast.ClassDef):
+                fields += [(path, node.name, stmt.target.id, stmt.lineno)
+                           for stmt in node.body
+                           if isinstance(stmt, ast.AnnAssign)
+                           and isinstance(stmt.target, ast.Name)]
+            if isinstance(node, ast.Attribute) and not isinstance(
+                    node.ctx, ast.Store):
+                reads.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value,
+                                                               str):
+                reads.add(node.value)
+    return sorted(f"{path}: {cls}.{name} (line {line})"
+                  for path, cls, name, line in fields if name not in reads)
+
+
+def test_unread_fields_finds_stored_only_fields():
+    sources = {
+        "a.py": ("from dataclasses import dataclass\n"
+                 "@dataclass\nclass Report:\n    dim: int\n    flat: object\n"
+                 "    kind: str\n    note: str = ''\n"
+                 "    def show(self):\n        return self.dim\n"
+                 "r = Report(dim=1, flat=None, kind='x')\n"
+                 "r.note = 'kept'\nprint(getattr(r, 'kind'))\n"),
+    }
+    readers = {"bench.py": "def f(r):\n    return r.note\n"}
+    assert unread_fields(sources, readers) == ["a.py: Report.flat (line 5)"]
+    assert unread_fields(sources) == [
+        "a.py: Report.flat (line 5)", "a.py: Report.note (line 7)"]
+
+
+# Class fields that no program path reads, kept with the reason why.
+UNREAD_FIELDS = {
+    "prototypes.py: ExpectedRow.maximal":
+        "the catalog's maximality column as the paper tables it, the data "
+        "of the maximality verdict that the catalog does not check yet",
+}
+
+
+def test_no_unread_fields():
+    unread = {entry.rpartition(" (line")[0] for entry in unread_fields(
+        _sources(SRC), readers=_sources(ROOT / "perfbench", "perfbench/"))}
+    assert sorted(unread - UNREAD_FIELDS.keys()) == [], "unread fields"
+    assert sorted(UNREAD_FIELDS.keys() - unread) == [], (
+        "kept as data but no longer defined, or now read by a program path")
+
+
 def name_compares(source: str, names: tuple[str, ...]) -> list[str]:
     """Comparisons that read a ``.name`` attribute or one of the given
     strings, alone or in a tuple, list or set literal, as 'line n'."""
