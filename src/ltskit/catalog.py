@@ -1,10 +1,11 @@
 """Catalog of totally geodesic type families and their verification sweeps.
 
-The classification tables of the three modeled spaces are versioned in-repo
+The classification tables of EIII, EIV and G2group are versioned in-repo
 data, checked exactly with no floating point; the type labels, expected rows
 and prototype constructors are in ``ltskit.prototypes``, the witness tables,
 ``make_prototype`` (for the labels the tables name) and the sweeps here.
-The tables hold two kinds of row:
+Every derived host has a parent space; the (Sp2) host, all of Sp2group,
+is the only table of that space.  The tables hold two kinds of row:
 
 * an ``ExpectedRow`` is a type family with its invariants: dimension, rank,
   isotropy angle (rank 1), Hermitian complexity (EIII) and restricted
@@ -220,7 +221,7 @@ def containment_rows(space_name: str) -> list[WitnessRow]:
 
 
 _DIII_SKIP = "requires an isometry outside the quoted witnesses"
-_EXTERNAL = "host family classified in an external ambient model"
+_SP2_SKIP = "the label alone gives no prototype without the paper's table"
 
 
 def _meet(text: str, **kw) -> WitnessRow:
@@ -229,8 +230,8 @@ def _meet(text: str, **kw) -> WitnessRow:
                       expected=_row("EIII", text, rank=2, **kw))
 
 
-def derived_hosts() -> dict[str, tuple[str | None, list[WitnessRow]]]:
-    """host label -> (parent space or None, derived classification rows)."""
+def derived_hosts() -> dict[str, tuple[str, list[WitnessRow]]]:
+    """host label -> (parent space, derived classification rows)."""
     w = partial(WitnessRow, big="(DIII)")
     diii = [
         *(w(f"(Geo, phi={a})") for a in GEO_ANGLES["EIII"]),
@@ -285,19 +286,19 @@ def derived_hosts() -> dict[str, tuple[str | None, list[WitnessRow]]]:
         w("(AI)"),
         *(w(f"(SxS, {e}, {ep})") for e in (1, 2) for ep in (1, 2)),
     ]
-    sp2 = [
-        WitnessRow(t, "(Sp2)", "skip", _EXTERNAL) for t in
-        ["(Geo, phi=t)", "(S, arctan(1/3), 2)", "(S, arctan(1/3), 3)",
-         "(P, phi=pi/4, (R,1))", "(P, phi=pi/4, (C,1))",
-         "(P, phi=pi/4, (S3))", "(P, phi=pi/4, (H,1))",
-         "(PxP, tau1, tau2)", "(S1xS5, 2)", "(S1xS5, 3)", "(Q3)"]
-    ]
+    w = partial(WitnessRow, big="(Sp2)")
+    sp2 = [w("(Geo, phi=t)", mode="skip", note="a family over every angle t"),
+           w("(S, arctan(1/3), 2)"), w("(S, arctan(1/3), 3)"),
+           *(w(t, mode="skip", note=_SP2_SKIP) for t in
+             ["(P, phi=pi/4, (R,1))", "(P, phi=pi/4, (C,1))",
+              "(P, phi=pi/4, (S3))", "(P, phi=pi/4, (H,1))",
+              "(PxP, tau1, tau2)", "(S1xS5, 2)", "(S1xS5, 3)", "(Q3)"])]
     return {
         "(DIII)": ("EIII", diii),
         "(AII)": ("EIV", aii),
         "(A2)": ("EIV", a2),
         "(G)": ("G2group", g),
-        "(Sp2)": (None, sp2),
+        "(Sp2)": ("Sp2group", sp2),
     }
 
 
@@ -309,7 +310,7 @@ def make_prototype(sp: SpaceModel, label: TypeLabel | str) -> Subspace:
         label = TypeLabel.parse(space, label)
     if label.space != space:
         raise UnknownLabel(f"{label.text} belongs to {label.space}")
-    if label.parts not in _table_labels(space, _EXPECTED[space]):
+    if label.parts not in _table_labels(space, _EXPECTED.get(space, list)):
         raise UnknownLabel(f"no prototype of {label.text} in {space}")
     return Subspace(sp, _PROTO[space](sp, label.parts))
 
@@ -318,9 +319,10 @@ def make_prototype(sp: SpaceModel, label: TypeLabel | str) -> Subspace:
 def _table_labels(space: str, table) -> frozenset[tuple]:
     """The parts of every label with a prototype: the space's classification
     rows, table() (cached per table, so a replaced one is read afresh), but
-    opaque ones, and its witness rows' labels and hosts, but intersections."""
+    opaque ones, and its witness rows' labels and hosts, but intersections.
+    A space whose table is a derived host has no rows and no containments."""
     rows = table()
-    witnesses = containment_rows(space) + [
+    witnesses = _CONTAINMENTS.get(space, list)() + [
         w for parent, hosted in derived_hosts().values() if parent == space
         for w in hosted]
     texts = [w.big for w in witnesses] + [
@@ -339,7 +341,7 @@ def _witness(sp: SpaceModel, row: WitnessRow) -> Subspace:
     return quoted
 
 
-def _verify_witnesses(sp: SpaceModel | None, rep: CatalogReport,
+def _verify_witnesses(sp: SpaceModel, rep: CatalogReport,
                       rows: list[WitnessRow], seed: int,
                       show_big: bool) -> CatalogReport:
     """Check each row's witness: an LTS inside the span of its big family,
@@ -379,9 +381,8 @@ def verify_derived(host_text: str, seed: int = 0) -> CatalogReport:
     if host_text not in hosts:
         raise UnknownLabel(host_text)
     parent, rows = hosts[host_text]
-    rep = CatalogReport(parent or "external", f"derived {host_text}")
-    sp = build_space(parent) if parent else None
-    return _verify_witnesses(sp, rep, rows, seed, show_big=False)
+    return _verify_witnesses(build_space(parent), CatalogReport(
+        parent, f"derived {host_text}"), rows, seed, show_big=False)
 
 
 # -- closed geodesic lengths -----------------------------------------------

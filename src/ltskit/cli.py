@@ -36,11 +36,12 @@ EXIT_FAIL = 1
 EXIT_PARSE = 2
 
 
-EXPECTED_KIND = {"EIII": "BC2", "EIV": "A2", "G2group": "G2"}
+EXPECTED_KIND = {"EIII": "BC2", "EIV": "A2", "G2group": "G2", "Sp2group": "B2"}
 EXPECTED_MULTS = {
     "EIII": {"l1": 8, "l2": 8, "l3": 6, "l4": 6, "2l1": 1, "2l2": 1},
     "EIV": {"l1": 8, "l2": 8, "l3": 8},
     "G2group": {lbl: 2 for lbl in ("l1", "l2", "l3", "l4", "l5", "l6")},
+    "Sp2group": {lbl: 2 for lbl in ("l1", "l2", "l3", "l4")},
 }
 
 
@@ -63,6 +64,19 @@ def _space_name(name: str) -> str:
 
 def _space(name: str):
     return build_space(_space_name(name))
+
+
+def _table_space(name: str):
+    """The model of a space with a classification table; for a space whose
+    table is a derived host, exit 2 naming that host."""
+    from .catalog import _EXPECTED, derived_hosts
+    space = _space_name(name)
+    if space not in _EXPECTED:
+        host = next(h for h, (p, _) in derived_hosts().items() if p == space)
+        raise ParseError(f"{space} has no classification table; its table is "
+                         f"the {host} host (catalog derived {space} --host "
+                         f"'{host}')")
+    return build_space(space)
 
 
 def _read_file(path: str) -> str:
@@ -255,13 +269,15 @@ def cmd_space_verify(args) -> int:
 def cmd_catalog_verify(args) -> int:
     from .catalog import verify_catalog
     return _emit_report(args, "catalog verify",
-                        verify_catalog(_space(args.name), seed=args.seed))
+                        verify_catalog(_table_space(args.name),
+                                       seed=args.seed))
 
 
 def cmd_catalog_containments(args) -> int:
     from .catalog import verify_containments
     return _emit_report(args, "catalog containments",
-                        verify_containments(_space(args.name), seed=args.seed))
+                        verify_containments(_table_space(args.name),
+                                            seed=args.seed))
 
 
 def cmd_catalog_derived(args) -> int:
@@ -272,7 +288,7 @@ def cmd_catalog_derived(args) -> int:
         raise ParseError(
             f"unknown host {args.host!r}; choose from {', '.join(sorted(hosts))}")
     parent, _rows = hosts[args.host]
-    if parent not in (None, space):
+    if parent != space:
         raise ParseError(
             f"host {args.host!r} belongs to space {parent}, not {space}")
     return _emit_report(args, "catalog derived",

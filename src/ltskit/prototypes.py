@@ -12,10 +12,12 @@ row checks an isometric image of it."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Callable, Iterable
 
-from .linalg import Vec, combine
-from .scalars import I, ParseError, Parser, rat, sqrt
+from .chevalley import _sub
+from .linalg import Vec, combine, coordinates, solve
+from .scalars import I, ONE, ParseError, Parser, rat, scalar_sign, sqrt
 from .spaces import ANGLE_NAMES, SpaceModel
 
 
@@ -385,6 +387,37 @@ def _eiv_prototype(sp: SpaceModel, parts: tuple) -> list[Vec]:
     raise UnknownLabel(_render_part(parts))
 
 
+def principal_lts(sp: SpaceModel, labels: tuple[str, ...]) -> list[Vec]:
+    """[H, X, Y], the principal su(2) of the root subsystem with the labels
+    as simple roots, in a group model (an LTS, as m = g): alpha_j(H) = 1 for
+    H = sum h_i l_i#, X = sum s_i u_i and Y = sum s_i v_i over each label's
+    chart pair, s_i^2 = h_i / kappa_i with [u_i, v_i] = kappa_i l_i#.  The
+    cross terms of [X, Y] = H vanish as no difference of labels is a root.
+    ValueError: one is, the record has sigma or an s_i leaves the field."""
+    if sp.data.sigma is not None:
+        raise ValueError(f"{sp.name} is not a group model")
+    roots = [sp.alg.positives[sp.data.labels[lbl] - 1] for lbl in labels]
+    if any(_sub(a, b) in sp.alg.roots for a, b in combinations(roots, 2)):
+        raise ValueError(f"a difference of two of {labels} is a root")
+    sharps = [sp.sharp[lbl] for lbl in labels]
+    h = solve([[sp.inner(x, y) for y in sharps] for x in sharps],
+              [ONE] * len(labels))
+    pairs = [sp.charts[lbl].pairs[0] for lbl in labels]
+    sq = [hi / coordinates([x], sp.alg.bracket(u, v))[0]
+          for hi, x, (u, v) in zip(h, sharps, pairs)]
+    s = [q.sqrt_if_expressible() if scalar_sign(q) > 0 else None for q in sq]
+    if any(si is None for si in s):
+        raise ValueError("some s_i = sqrt(h_i / kappa_i) leaves the field")
+    return [combine(h, sharps), combine(s, [u for u, _ in pairs]),
+            combine(s, [v for _, v in pairs])]
+
+
+# each G2group sphere family's labels: G2's own, (l1, l2), at the skew angle
+_G2_SPHERES = {("S", "phi=0"): ("l1",), ("S", "phi=pi/6"): ("l6",),
+               ("S", f"phi={_G2_SKEW}"): ("l1", "l2"),
+               ("P", "phi=pi/6"): ("l1", "l6")}
+
+
 def _g2_prototype(sp: SpaceModel, parts: tuple) -> list[Vec]:
     ch, sh = sp.charts, sp.sharp
     a = sp.a_basis
@@ -397,29 +430,12 @@ def _g2_prototype(sp: SpaceModel, parts: tuple) -> list[Vec]:
     fam = parts[0]
     if fam == "Geo":
         return [_geo_direction(sp, parts[1].removeprefix("phi="))]
-    if fam == "S":
-        ang, ell = parts[1].removeprefix("phi="), parts[2]
-        if ang == "0":
-            return [sh["l1"], *ch["l1"].basis_vectors()[: ell - 1]]
-        if ang == "pi/6":
-            return [sh["l6"], *ch["l6"].basis_vectors()[: ell - 1]]
-        if ang == _G2_SKEW:
-            c = rat(1, 3) * sqrt(5)
-            gens = [combine([9, 5], [sh["l1"], sh["l2"]]),
-                    V((1, 1), (2, c)), V((1, I), (2, c * I))]
-            return gens[:ell]
-        raise UnknownLabel(_render_part(parts))
-    if fam == "P":
-        k, ell = parts[2]
-        if k == "R":  # the diagonal sphere inside (SxS, ell, ell)
-            c = s3.inv()
-            gens = [combine([3, 1], [sh["l1"], sh["l6"]]),
-                    V((1, 1), (6, c)), V((1, I), (6, I * c))]
-            return gens[:ell]
-        if k == "C" and ell == 2:
-            return [sh["l6"], V((2, 1), (4, s3)), V((3, s3 * I), (5, I)),
-                    V((6, 1))]
-        raise UnknownLabel(_render_part(parts))
+    if parts == ("P", "phi=pi/6", ("C", 2)):
+        return [sh["l6"], V((2, 1), (4, s3)), V((3, s3 * I), (5, I)),
+                V((6, 1))]
+    if parts[:2] in _G2_SPHERES:  # (S, phi, ell) or (P, phi, (R, ell))
+        ell = parts[2] if fam == "S" else parts[2][1]
+        return principal_lts(sp, _G2_SPHERES[parts[:2]])[:ell]
     if fam == "SxS":
         ell, ellp = parts[1], parts[2]
         return [*a, *ch["l1"].basis_vectors()[: ell - 1],
@@ -435,9 +451,19 @@ def _g2_prototype(sp: SpaceModel, parts: tuple) -> list[Vec]:
     raise UnknownLabel(_render_part(parts))
 
 
+def _sp2_prototype(sp: SpaceModel, parts: tuple) -> list[Vec]:
+    # the (Sp2) host is all of m, its skew sphere Sp(2)'s principal su(2)
+    if parts == ("Sp2",):
+        return sp.m_basis()
+    if parts[:2] == ("S", "arctan(1/3)"):
+        return principal_lts(sp, ("l1", "l2"))[: parts[2]]
+    raise UnknownLabel(_render_part(parts))
+
+
 _PROTO: dict[str, Callable[[SpaceModel, tuple], list[Vec]]] = {
     "EIII": _eiii_prototype,
     "EIV": _eiv_prototype,
     "G2group": _g2_prototype,
+    "Sp2group": _sp2_prototype,
 }
 

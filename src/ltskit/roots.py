@@ -27,6 +27,7 @@ class NotFiniteType(ValueError):
 
 CARTAN_MATRICES: dict[str, list[list[int]]] = {
     "A2": [[2, -1], [-1, 2]],
+    "B2": [[2, -1], [-2, 2]],  # first root short, second long
     "G2": [[2, -1], [-3, 2]],  # first root short, second long
     "F4": [[2, -1, 0, 0],
            [-1, 2, -1, 0],
@@ -42,7 +43,7 @@ CARTAN_MATRICES: dict[str, list[list[int]]] = {
 }
 
 # |positive roots| per type, checked against the enumeration by of_type
-_POSITIVE_COUNTS = {"A2": 3, "G2": 6, "F4": 24, "E6": 36}
+_POSITIVE_COUNTS = {"A2": 3, "B2": 4, "G2": 6, "F4": 24, "E6": 36}
 
 
 def pairing(beta: Root, i: int, cartan: Sequence[Sequence[int]]) -> int:

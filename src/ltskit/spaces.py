@@ -3,9 +3,11 @@
 Each model is built from one SpaceData record in SPACES, and from nothing
 else that names its space:
 
-  EIII     E6 / (U(1) x Spin(10)),  restricted type BC2
-  EIV      E6 / F4,                 restricted type A2
-  G2group  the group G2 as (G2 x G2)/diag, tangent space identified with g2
+  EIII      E6 / (U(1) x Spin(10)),  restricted type BC2
+  EIV       E6 / F4,                 restricted type A2
+  G2group   the group G2 as (G2 x G2)/diag, tangent space identified with g2
+  Sp2group  the group Sp(2) the same way, restricted type B2; its
+            classification is the (Sp2) derived host of ltskit.catalog
 
 sigma acts on the root system as the linear extension of its values on the
 simple roots.  Two roots restrict to the same root of a exactly when their
@@ -13,7 +15,7 @@ alpha - sigma(alpha) agree (twice the restriction), so the orbit tables are
 derived from sigma on integer root coordinates: walking the positive roots
 in enumeration order, sigma(alpha_a) = alpha_a makes a a fixed root, and
 sigma(alpha_a) = -alpha_b with a <= b puts the orbit (a, b) under the label
-whose root has the same key.  On the group model every positive root is its
+whose root has the same key.  On a group model every positive root is its
 own orbit (k, None).  A root that falls under neither rule, one that sigma
 maps to another positive root, say, or one whose key is no label's, makes
 the build raise LiftFailure, naming the root.
@@ -71,7 +73,7 @@ in_m).
 
 In every space {H in a : Exp(pi*H) = o} is the Z-span of c*beta#/|beta#|^2
 over the positive restricted roots, doubled ones included: c = 2 on EIII
-and EIV (exp(H) in K), and c = 4 on the group model (exp(H) = e).
+and EIV (exp(H) in K), and c = 4 on a group model (exp(H) = e).
 """
 
 from __future__ import annotations
@@ -109,9 +111,9 @@ class NotHermitian(ValueError):
 class SpaceData(NamedTuple):
     """Everything a SpaceModel knows about its space, as an immutable record.
 
-    root_type: the algebra, "E6" or "G2".  sigma: the images of the simple
+    root_type: the algebra, E6, G2 or B2.  sigma: the images of the simple
     roots, as signed 1-based indices into the positive-root enumeration, or
-    None for the group model, whose symmetry swaps its two factors.  labels:
+    None for a group model, whose symmetry swaps its two factors.  labels:
     the positive restricted roots in order, each with the 1-based index of a
     positive root restricting to it, which keys its orbits (module
     docstring).  chart_flips: the chart slots (label, orbit position) whose
@@ -145,6 +147,9 @@ SPACES = {data.name: data for data in (
     SpaceData(
         "G2group", "G2", None, {f"l{k}": k for k in range(1, 7)},
         frozenset({("l3", 0), ("l5", 0)}), "1", (("l4",), ("l2",))),
+    SpaceData(
+        "Sp2group", "B2", None, {f"l{k}": k for k in range(1, 5)},
+        frozenset(), "1", (("l4",), ("l2",))),
 )}
 # views of SPACES: the space names, and each space's labels in order
 SPACE_NAMES = tuple(SPACES)
@@ -346,7 +351,7 @@ class SpaceModel:
 
     def _build_sigma(self):
         """sigma on the roots and the algebra, k, m, a and the orbit tables;
-        on the group model m is the whole algebra and a is t."""
+        on a group model m is the whole algebra and a is t."""
         alg, data = self.alg, self.data
         if data.sigma is None:
             self.sigma_roots = self.signs = None
@@ -532,7 +537,7 @@ class SpaceModel:
     def _chart_vector(self, k: int, which: str, flip: bool) -> Vec:
         """(b_k - sigma b_k)/2 for "M", (b_k + sigma b_k)/2 for "K", negated
         when flip: written from sigma's one entry in the u/v column k.  On
-        the group model, +-b_k."""
+        a group model, +-b_k."""
         s = -ONE if flip else ONE
         v = zeros(self.alg.dim)
         if self.sigma_roots is None:
@@ -578,7 +583,7 @@ class SpaceModel:
         return self._m_basis_ordered
 
     def in_m(self, v: Sequence[Scalar]) -> bool:
-        """sigma v = -v; on the group model, where m is the whole algebra,
+        """sigma v = -v; on a group model, where m is the whole algebra,
         every vector of its length."""
         return len(v) == self.alg.dim and self.terms_in_m(nonzeros(v))
 

@@ -31,7 +31,7 @@ from ltskit.catalog import (
 )
 from ltskit.lts import Subspace, analyze, rank_and_flat
 from ltskit.scalars import I, rat, sqrt
-from ltskit.spaces import SpaceModel, build_space
+from ltskit.spaces import Chart, SpaceModel, build_space
 
 from generic_route import G2SO4, solved_torus_rotate, vec_add, vec_scale
 
@@ -51,9 +51,10 @@ def assert_golden(command, rep):
 
 @pytest.fixture(scope="module")
 def spaces():
-    # the shipped spaces, and G2/SO(4) from its test-side record for the
-    # lattice checks
-    return {**{name: build_space(name) for name in SPACES},
+    # the spaces with a classification table, Sp2group, whose table is the
+    # (Sp2) host, and G2/SO(4) from its test-side record for the lattice
+    # checks
+    return {**{name: build_space(name) for name in SPACES + ("Sp2group",)},
             "G2SO4": SpaceModel(G2SO4)}
 
 
@@ -97,7 +98,7 @@ def test_table_labels_round_trip():
              for name in SPACES for row in expected_rows(name)]
     for host, (parent, rows) in derived_hosts().items():
         for text in (host, *(r.label for r in rows)):
-            texts.append((parent or "external", text))
+            texts.append((parent, text))
     for space, text in texts:
         lab = TypeLabel.parse(space, text)
         again = TypeLabel.parse(space, lab.text)
@@ -248,7 +249,7 @@ def test_quarter_turn_row_present(containment_reports):
 # -- derived spaces --------------------------------------------------------
 
 
-DERIVED_SKIPS = {"(DIII)": 5, "(AII)": 3, "(A2)": 1, "(G)": 0, "(Sp2)": 11}
+DERIVED_SKIPS = {"(DIII)": 5, "(AII)": 3, "(A2)": 1, "(G)": 0, "(Sp2)": 9}
 
 
 @pytest.fixture(scope="module")
@@ -320,8 +321,9 @@ def basis_digest(S) -> str:
 
 
 def prototype_spans(spaces) -> dict[str, str]:
-    """The basis digest of every non-opaque row's prototype, and of the
-    witness of every quarter-turn row."""
+    """The basis digest of every non-opaque row's prototype, of the witness
+    of every quarter-turn row, and of every direct row's prototype in the
+    (Sp2) host, the table of Sp2group."""
     out = {}
     for name in SPACES:
         sp = spaces[name]
@@ -337,6 +339,11 @@ def prototype_spans(spaces) -> dict[str, str]:
                 small = cat._witness(sp, row)
                 out[f"{name} {row.label} in {row.big} ({row.mode})"] = (
                     basis_digest(small))
+    parent, rows = derived_hosts()["(Sp2)"]
+    for row in rows:
+        if row.mode == "direct":
+            out[f"{parent} {row.label}"] = basis_digest(
+                make_prototype(spaces[parent], row.label))
     return out
 
 
@@ -346,8 +353,62 @@ def test_prototype_spans_are_pinned(spaces):
     # one representative of its congruence class: a new representative
     # changes its digest here and no verdict
     got = prototype_spans(spaces)
-    assert sum(" in " not in key for key in got) == 75
+    assert sum(" in " not in key for key in got) == 77
     assert got == SPANS
+
+
+# -- principal subalgebras -------------------------------------------------
+
+
+# the isotropy angle of principal_lts on every label and pair of labels of a
+# group model that it accepts: those with no difference a root
+PRINCIPAL_ANGLES = {
+    "G2group": {
+        ("l1",): "0", ("l2",): "pi/6", ("l3",): "0", ("l4",): "0",
+        ("l5",): "pi/6", ("l6",): "pi/6",
+        ("l1", "l2"): proto._G2_SKEW, ("l1", "l6"): "pi/6",
+        ("l2", "l4"): "pi/6", ("l2", "l5"): "pi/6", ("l3", "l5"): "pi/6"},
+    "Sp2group": {
+        ("l1",): "pi/4", ("l2",): "0", ("l3",): "pi/4", ("l4",): "0",
+        ("l1", "l2"): "arctan(1/3)", ("l2", "l4"): "pi/4"},
+}
+
+
+@pytest.mark.parametrize("name, n_rejected", [("G2group", 10),
+                                              ("Sp2group", 4)])
+def test_principal_lts_on_every_label_set(spaces, name, n_rejected):
+    sp = spaces[name]
+    roots = {r.coords for r in sp.restricted.positives}
+    accepted, rejected = {}, 0
+    for k in (1, 2):
+        for labels in combinations(sp.charts, k):
+            a, b = (sp.restricted.by_label(lbl).coords
+                    for lbl in (labels[0], labels[-1]))
+            diff = tuple(x - y for x, y in zip(a, b))
+            if diff in roots or tuple(-x for x in diff) in roots:
+                with pytest.raises(ValueError, match="is a root"):
+                    proto.principal_lts(sp, labels)
+                rejected += 1
+                continue
+            S = Subspace(sp, proto.principal_lts(sp, labels))
+            r = analyze(S)
+            assert (S.dim, r.is_lts, r.rank) == (3, True, 1), labels
+            accepted[labels] = r.isotropy_angle.name
+    assert accepted == PRINCIPAL_ANGLES[name]
+    assert rejected == n_rejected
+
+
+def test_principal_lts_raises_where_it_builds_no_su2(spaces):
+    for name in ("EIV", "G2SO4"):
+        with pytest.raises(ValueError, match="not a group model"):
+            proto.principal_lts(spaces[name], ("l1", "l2"))
+    # a chart pair whose bracket is a negative multiple of the dual asks for
+    # an imaginary s_i: u negated flips the sign of kappa
+    sp = SpaceModel(spaces["Sp2group"].data)
+    (u, v), = sp.charts["l1"].pairs
+    sp.charts["l1"] = Chart("l1", [(vec_scale(rat(-1), u), v)])
+    with pytest.raises(ValueError, match="leaves the field"):
+        proto.principal_lts(sp, ("l1", "l2"))
 
 
 # -- torus rotation --------------------------------------------------------
@@ -422,7 +483,7 @@ def test_torus_rotation_rejects(spaces):
 
 
 # c in c*beta#/|beta#|^2, the generators of {H : Exp(pi*H) = o}
-LATTICE_C = {"EIII": 2, "EIV": 2, "G2group": 4, "G2SO4": 2}
+LATTICE_C = {"EIII": 2, "EIV": 2, "G2group": 4, "G2SO4": 2, "Sp2group": 4}
 
 
 def _lattice_coords(basis, v):
@@ -471,7 +532,8 @@ def test_g2_unit_lattice_is_spanned_by_two_long_roots(spaces):
 
 @pytest.mark.parametrize("name, radius_sq", [
     ("G2group", Fraction(16, 9)), ("EIV", Fraction(4, 3)),
-    ("EIII", Fraction(1, 2)), ("G2SO4", Fraction(4, 9))])
+    ("EIII", Fraction(1, 2)), ("G2SO4", Fraction(4, 9)),
+    ("Sp2group", Fraction(4))])
 def test_unit_lattice_covering_radius(spaces, name, radius_sq):
     """The ambient diameter, as diam^2/pi^2: the squared circumradius of the
     Delaunay triangle (0, b1, b2) of the Gauss-reduced basis with
@@ -622,6 +684,35 @@ def test_skew_sphere_cross_consistency(spaces):
     t_over_2pi_sq = Fraction(g.coeff ** 2 * g.radicand, 4)
     assert t_over_2pi_sq == Fraction(28, 3)
     assert rat(1) / alpha_sq == rat(28, 3)
+
+
+def _skew_periods(sp, text):
+    """The closed geodesic of a rank-1 prototype's unit flat vector, and its
+    (L/pi)^2 and (L*alpha/pi)^2 for its one sub-root alpha."""
+    S = make_prototype(sp, text)
+    (root,) = analyze(S).restricted
+    (val,) = root.values
+    h = rank_and_flat(S)[1].basis[0]
+    n2 = sp.inner(h, h)
+    g = geodesic_length(sp, vec_scale(n2.sqrt_if_expressible().inv(), h))
+    L_sq = g.coeff ** 2 * g.radicand
+    return g, L_sq, L_sq * (val * val / n2).rational_value()
+
+
+def test_sp2_principal_sphere_is_skew(spaces):
+    """The abstract's Sp(2) claim as numbers, kept as data: the principal S^3
+    of Sp2group has diam^2/pi^2 = 20, larger than the ambient 4 of
+    test_unit_lattice_covering_radius, so it lies in skew position; its
+    (L*alpha/pi)^2 = 16 reads sphere, where G2group's skew row reads 4,
+    projective (test_rank1_row_root_periods)."""
+    g, L_sq, root = _skew_periods(spaces["Sp2group"], "(S, arctan(1/3), 3)")
+    assert g == ClosedGeodesic(Fraction(4), 5)
+    assert g.text == "4*pi*sqrt(5)"
+    assert L_sq / 4 == 20 > Fraction(4)
+    assert root == 16
+    _, _, g2_root = _skew_periods(spaces["G2group"],
+                                  f"(S, phi={proto._G2_SKEW}, 3)")
+    assert g2_root == 4
 
 
 # -- flat-vector expressions -----------------------------------------------

@@ -174,6 +174,17 @@ def test_space_info_json(capsys):
     assert mults == {"l1": 8, "l2": 8, "l3": 6, "l4": 6, "2l1": 1, "2l2": 1}
 
 
+def test_space_info_sp2group(capsys):
+    code, doc = run_json(capsys, "space", "info", "Sp2group")
+    assert code == EXIT_OK
+    data = doc["data"]
+    assert (data["ambient_dim"], data["dim"], data["rank"]) == (10, 10, 2)
+    assert data["restricted_kind"] == "B2"
+    assert {r["label"]: r["multiplicity"]
+            for r in data["restricted_roots"]} == {
+        "l1": 2, "l2": 2, "l3": 2, "l4": 2}
+
+
 def test_space_info_unknown_name(capsys):
     code, _, err = run(capsys, "space", "info", "EV")
     assert code == EXIT_PARSE
@@ -276,11 +287,22 @@ def test_catalog_derived_checks_before_building(capsys, monkeypatch):
     code, _, err = run(capsys, "catalog", "derived", "EIV", "--host", "(DIII)")
     assert code == EXIT_PARSE
     assert "belongs to space EIII" in err
-    code, doc = run_json(capsys, "catalog", "derived", "EIV",
-                         "--host", "(Sp2)")
-    assert code == EXIT_OK
-    assert doc["data"]["counts"]["SKIPPED"] == 11
+    code, _, err = run(capsys, "catalog", "derived", "EIV", "--host", "(Sp2)")
+    assert code == EXIT_PARSE
+    assert "belongs to space Sp2group" in err
     assert built == []
+
+
+@pytest.mark.parametrize("verb", ["verify", "containments"])
+def test_catalog_table_verbs_name_the_host_of_a_space_without_table(
+        capsys, monkeypatch, verb):
+    # Sp2group's classification table is the (Sp2) derived host
+    built = []
+    monkeypatch.setattr("ltskit.cli.build_space", built.append)
+    code, out, err = run(capsys, "catalog", verb, "Sp2group")
+    assert (code, out, built) == (EXIT_PARSE, "", [])
+    assert "Sp2group has no classification table" in err
+    assert "its table is the (Sp2) host" in err
 
 
 # -- curvature -------------------------------------------------------------
@@ -361,6 +383,11 @@ GOLDEN_COMMANDS = {
     "space_info_EIV.md": ("space", "info", "EIV"),
     "space_info_EIV.json": ("space", "info", "EIV", "--format", "json"),
     "space_info_G2group.md": ("space", "info", "G2group"),
+    "space_info_Sp2group.md": ("space", "info", "Sp2group"),
+    "space_info_Sp2group.json": ("space", "info", "Sp2group",
+                                 "--format", "json"),
+    "space_verify_foundations_Sp2group.json": (
+        "space", "verify-foundations", "Sp2group", "--format", "json"),
     "models_verify.json": ("models", "verify", "--seed", "0",
                            "--format", "json"),
     "models_verify.md": ("models", "verify", "--seed", "0",
